@@ -17,29 +17,18 @@ from fractions import Fraction
 
 import click
 
-from mudra.efficiency import (
-    check_unanimity,
-    is_ex_post_efficient,
-    is_sd_efficient,
-    perfect_assignment,
-)
-from mudra.fairness import (
-    check_anonymity,
-    check_neutrality,
-    is_sd_envy_free,
-    is_weak_sd_envy_free,
-)
 from mudra.harness import (
     GUARD_ENV_VAR,
+    PROPERTIES,
     RULE_NAMES,
     RULES,
+    OutputCache,
     canonical_instance,
     enumerate_profiles,
     reproduce as run_reproduce,
     table1_sweep,
 )
-from mudra.harness import _nontrivial_agent_permutations, _nontrivial_object_permutations
-from mudra.model import GuardExceeded, PreferenceProfile, RandomAssignment, discrete_to_random
+from mudra.model import GuardExceeded, RandomAssignment, discrete_to_random
 from mudra.rules import mps_trace, ops_trace, serial_dictator
 from mudra.serialize import (
     SchemaError,
@@ -190,94 +179,9 @@ def compute(rule, profile_path, permutation, with_trace, relaxed, as_json):
         _emit(data, as_json, "\n".join(human))
 
 
-PROPERTY_TOKENS = (
-    "sd-efficient", "ex-post", "unanimity", "perfect",
-    "sd-ef", "weak-sd-ef", "anonymity", "neutrality",
-)
-
-_NEEDS_ASSIGNMENT = {"sd-efficient", "ex-post", "sd-ef", "weak-sd-ef"}
-_NEEDS_RULE = {"anonymity", "neutrality"}
-
-
-def _run_check(token, profile, assignment, rule_name, allow_unbalanced):
-    """Returns (holds, certificate dict or None)."""
-    if token == "sd-efficient":
-        verdict = is_sd_efficient(assignment, profile)
-        if verdict:
-            return True, None
-        return False, {"dominator": assignment_to_data(verdict.dominator)["matrix"]}
-
-    if token == "ex-post":
-        verdict = is_ex_post_efficient(
-            assignment, profile, allow_unbalanced=allow_unbalanced
-        )
-        if verdict:
-            return True, {
-                "decomposition": [
-                    {"weight": format_rational(w), "owners": list(d.owners)}
-                    for w, d in verdict.decomposition
-                ]
-            }
-        return False, {
-            "sd-efficient-discrete": [list(d.owners) for d in verdict.survivors],
-            "detail": verdict.detail,
-        }
-
-    if token == "unanimity":
-        if rule_name is not None:
-            verdict = check_unanimity(RULES[rule_name], profile)
-        else:
-            verdict = check_unanimity(lambda _: assignment, profile)
-        if verdict:
-            return True, {"detail": verdict.detail} if verdict.detail else None
-        return False, {"perfect": list(verdict.survivors[0].owners)}
-
-    if token == "perfect":
-        perfect = perfect_assignment(profile)
-        if perfect is None:
-            return False, {"detail": "no perfect assignment exists for this profile"}
-        if assignment is None:
-            return True, {"owners": list(perfect.owners)}
-        holds = assignment.matrix == discrete_to_random(perfect).matrix
-        return holds, {"owners": list(perfect.owners)}
-
-    if token == "sd-ef":
-        verdict = is_sd_envy_free(assignment, profile)
-        if verdict:
-            return True, None
-        cert = verdict.certificate
-        return False, {
-            "envious": cert.envious,
-            "envied": cert.envied,
-            "prefix-object": cert.prefix_object,
-        }
-
-    if token == "weak-sd-ef":
-        verdict = is_weak_sd_envy_free(assignment, profile)
-        if verdict:
-            return True, None
-        cert = verdict.certificate
-        return False, {"envious": cert.envious, "envied": cert.envied}
-
-    if token == "anonymity":
-        for pi in _nontrivial_agent_permutations(profile.instance):
-            verdict = check_anonymity(RULES[rule_name], profile, pi)
-            if not verdict:
-                return False, {
-                    "permutation": dict(sorted(pi.items())),
-                    "mismatch": list(verdict.mismatch),
-                }
-        return True, None
-
-    # neutrality
-    for sigma in _nontrivial_object_permutations(profile.instance):
-        verdict = check_neutrality(RULES[rule_name], profile, sigma)
-        if not verdict:
-            return False, {
-                "permutation": dict(sorted(sigma.items())),
-                "mismatch": list(verdict.mismatch),
-            }
-    return True, None
+#: `--property` token -> registry entry, for the properties `check` offers.
+_BY_TOKEN = {prop.token: prop for prop in PROPERTIES.values() if prop.token}
+PROPERTY_TOKENS = tuple(_BY_TOKEN)
 
 
 @main.command()
@@ -306,16 +210,18 @@ def check(token, profile_path, assignment_path, rule_name, allow_unbalanced, as_
         assignment = None
         if assignment_path is not None:
             assignment = load_assignment(assignment_path, profile.instance)
-        if token in _NEEDS_ASSIGNMENT and assignment is None:
-            raise click.UsageError(f"--property {token} requires --assignment")
-        if token in _NEEDS_RULE and rule_name is None:
-            raise click.UsageError(f"--property {token} requires --rule")
-        if token == "unanimity" and assignment is None and rule_name is None:
-            raise click.UsageError("--property unanimity requires --assignment or --rule")
+        prop = _BY_TOKEN[token]
+        given = {"assignment": assignment_path, "rule": rule_name}
+        if prop.judges and all(given[what] is None for what in prop.judges):
+            wanted = " or ".join(f"--{what}" for what in prop.judges)
+            raise click.UsageError(f"--property {token} requires {wanted}")
 
         started = time.perf_counter()
-        holds, certificate = _run_check(
-            token, profile, assignment, rule_name, allow_unbalanced
+        rule = None
+        if rule_name is not None and "rule" in prop.judges:
+            rule = OutputCache().callable(rule_name)
+        holds, certificate = prop.check(
+            profile, None if rule else assignment, rule, allow_unbalanced=allow_unbalanced
         )
         seconds = time.perf_counter() - started
         data = {

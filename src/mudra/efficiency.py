@@ -26,6 +26,7 @@ from .model import (
     PreferenceProfile,
     RandomAssignment,
     discrete_to_random,
+    require_balanced,
     validate_assignment,
 )
 from .order import prefix_sums, sd_weakly_dominates
@@ -49,15 +50,10 @@ class EfficiencyVerdict:
         return self.holds
 
 
-def _reject_relaxed(instance: Instance, what: str) -> None:
-    if instance.relaxed:
-        raise ValueError(f"{what} is only defined for balanced instances")
-
-
 def perfect_assignment(profile: PreferenceProfile) -> DiscreteAssignment | None:
     """The assignment giving everyone their top quota objects, if one exists."""
     inst = profile.instance
-    _reject_relaxed(inst, "perfection")
+    require_balanced(inst, "perfection")
     owners: dict[str, str] = {}
     for agent, order in zip(inst.agents, profile.orders):
         for obj in order[: inst.quota]:
@@ -166,7 +162,7 @@ def _sd_efficient_grid(
 def is_sd_efficient(p: RandomAssignment, profile: PreferenceProfile) -> EfficiencyVerdict:
     """Exact SD-efficiency test; failures carry a dominating assignment."""
     inst = profile.instance
-    _reject_relaxed(inst, "SD-efficiency")
+    require_balanced(inst, "SD-efficiency")
     if p.instance != inst:
         raise ValueError("assignment and profile must share one instance")
     check = validate_assignment(p)
@@ -195,7 +191,7 @@ def enumerate_discrete(
     """
     n, m = instance.num_agents, instance.num_objects
     if balanced:
-        _reject_relaxed(instance, "balanced enumeration")
+        require_balanced(instance, "balanced enumeration")
         count = math.factorial(m)
         for _ in range(n):
             count //= math.factorial(instance.quota)
@@ -248,7 +244,7 @@ def is_ex_post_efficient(
     otherwise only balanced assignments compete.
     """
     inst = profile.instance
-    _reject_relaxed(inst, "ex-post efficiency")
+    require_balanced(inst, "ex-post efficiency")
     check = validate_assignment(p)
     if not check.ok:
         raise ValueError(f"input is not a feasible random assignment: {check.reason}")
@@ -285,7 +281,7 @@ def decompose_lottery(
     n * m terms and the weights sum to exactly one.
     """
     inst = p.instance
-    _reject_relaxed(inst, "lottery decomposition")
+    require_balanced(inst, "lottery decomposition")
     check = validate_assignment(p)
     if not check.ok:
         raise ValueError(f"input is not a feasible random assignment: {check.reason}")
@@ -346,7 +342,7 @@ def check_unanimity(
     profile: PreferenceProfile,
 ) -> EfficiencyVerdict:
     """When a perfect assignment exists the rule must return exactly it."""
-    _reject_relaxed(profile.instance, "unanimity")
+    require_balanced(profile.instance, "unanimity")
     perfect = perfect_assignment(profile)
     if perfect is None:
         return EfficiencyVerdict(

@@ -8,11 +8,11 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .model import (
-    Instance,
     PreferenceProfile,
     RandomAssignment,
     permute_agents,
     permute_objects,
+    require_balanced,
 )
 from .order import SdVerdict, prefix_sums, sd_compare
 
@@ -36,15 +36,10 @@ class FairnessVerdict:
         return self.holds
 
 
-def _reject_relaxed(instance: Instance, what: str) -> None:
-    if instance.relaxed:
-        raise ValueError(f"{what} is only defined for balanced instances")
-
-
 def is_sd_envy_free(p: RandomAssignment, profile: PreferenceProfile) -> FairnessVerdict:
     """Every agent must weakly SD-prefer its own row to every other row."""
     inst = profile.instance
-    _reject_relaxed(inst, "SD envy-freeness")
+    require_balanced(inst, "SD envy-freeness")
     for i, agent in enumerate(inst.agents):
         order = profile.orders[i]
         own = prefix_sums(p.allocation(agent), order)
@@ -64,7 +59,7 @@ def is_sd_envy_free(p: RandomAssignment, profile: PreferenceProfile) -> Fairness
 def is_weak_sd_envy_free(p: RandomAssignment, profile: PreferenceProfile) -> FairnessVerdict:
     """No other agent's row may strictly SD-dominate an agent's own row."""
     inst = profile.instance
-    _reject_relaxed(inst, "weak SD envy-freeness")
+    require_balanced(inst, "weak SD envy-freeness")
     for agent in inst.agents:
         order = profile.order_of(agent)
         own = p.allocation(agent)
@@ -112,7 +107,7 @@ def check_anonymity(
     pi: Mapping[str, str],
 ) -> EquivarianceVerdict:
     """Relabeling agents first or applying the rule first must agree."""
-    _reject_relaxed(profile.instance, "anonymity")
+    require_balanced(profile.instance, "anonymity")
     left = rule(permute_agents(profile, pi))
     right = permute_agents(rule(profile), pi)
     mismatch = _first_mismatch(left, right)
@@ -127,7 +122,7 @@ def check_neutrality(
     sigma: Mapping[str, str],
 ) -> EquivarianceVerdict:
     """Relabeling objects first or applying the rule first must agree."""
-    _reject_relaxed(profile.instance, "neutrality")
+    require_balanced(profile.instance, "neutrality")
     left = rule(permute_objects(profile, sigma))
     right = permute_objects(rule(profile), sigma)
     mismatch = _first_mismatch(left, right)

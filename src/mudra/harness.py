@@ -30,6 +30,7 @@ from mudra.efficiency import (
     decompose_lottery,
     is_ex_post_efficient,
     is_sd_efficient,
+    perfect_assignment,
 )
 from mudra.fairness import (
     check_anonymity,
@@ -149,21 +150,8 @@ class OutputCache:
 
 
 # --------------------------------------------------------------------------
-# Per-cell property checks
+# Property registry
 # --------------------------------------------------------------------------
-
-PROPERTY_NAMES: tuple[str, ...] = (
-    "sd-efficiency",
-    "ex-post-efficiency",
-    "unanimity",
-    "sd-envy-freeness",
-    "weak-sd-envy-freeness",
-    "anonymity",
-    "neutrality",
-    "sd-strategyproofness",
-    "dl-strategyproofness",
-    "weak-sd-strategyproofness",
-)
 
 #: Reference classification being confirmed by the sweep: property -> rule -> sign.
 EXPECTED_SIGNS: dict[str, dict[str, str]] = {
@@ -182,109 +170,120 @@ EXPECTED_SIGNS: dict[str, dict[str, str]] = {
     }.items()
 }
 
+#: The properties the table1 sweep classifies, in table order.
+PROPERTY_NAMES: tuple[str, ...] = tuple(EXPECTED_SIGNS)
 
-def _nontrivial_agent_permutations(instance: Instance) -> list[dict[str, str]]:
-    perms = []
-    for image in itertools.permutations(instance.agents):
-        if image != instance.agents:
-            perms.append(dict(zip(instance.agents, image)))
-    return perms
+#: (profile, output, rule, *, allow_unbalanced=False) -> (holds, certificate).
+#: `output` is the assignment judged at `profile` and `rule` the rule that
+#: produced it; either may be None when the caller judges only the other.
+Checker = Callable[..., tuple[bool, dict | None]]
 
 
-def _nontrivial_object_permutations(instance: Instance) -> list[dict[str, str]]:
-    perms = []
-    for image in itertools.permutations(instance.objects):
-        if image != instance.objects:
-            perms.append(dict(zip(instance.objects, image)))
-    return perms
+@dataclass(frozen=True)
+class Property:
+    """One registry entry: the checker and how `mudra check` reaches it."""
+
+    check: Checker
+    #: What `mudra check` must be given, any one of: "assignment" (the
+    #: checker reads `output`), "rule" (it reruns `rule`), or neither.
+    judges: tuple[str, ...]
+    #: The `mudra check --property` token, or None when only the sweep checks it.
+    token: str | None = None
 
 
 def _matrix_data(p: RandomAssignment) -> dict:
     return assignment_to_data(p)["matrix"]
 
 
-def check_rule_property(
-    rule_name: str,
-    property_name: str,
-    profile: PreferenceProfile,
-    cache: OutputCache | None = None,
-) -> tuple[bool, dict | None]:
-    """Does `rule_name` satisfy `property_name` at this profile?
-
-    Returns (holds, certificate); the certificate is a JSON-ready dict
-    describing the violation, or None when the property holds.
-    """
-    cache = cache or OutputCache()
-    rule = cache.callable(rule_name)
-    output = cache.output(rule_name, profile)
-
-    if property_name == "sd-efficiency":
-        verdict = is_sd_efficient(output, profile)
-        if verdict:
-            return True, None
-        return False, {"dominator": _matrix_data(verdict.dominator)}
-
-    if property_name == "ex-post-efficiency":
-        verdict = is_ex_post_efficient(output, profile)
-        if verdict:
-            return True, None
-        return False, {
-            "sd-efficient-discrete": [list(d.owners) for d in verdict.survivors],
-            "farkas": [format_rational(v) for v in verdict.farkas],
-        }
-
-    if property_name == "unanimity":
-        verdict = check_unanimity(rule, profile)
-        if verdict:
-            return True, None
-        return False, {"output": _matrix_data(output)}
-
-    if property_name == "sd-envy-freeness":
-        verdict = is_sd_envy_free(output, profile)
-        if verdict:
-            return True, None
-        cert = verdict.certificate
-        return False, {
-            "envious": cert.envious,
-            "envied": cert.envied,
-            "prefix-object": cert.prefix_object,
-        }
-
-    if property_name == "weak-sd-envy-freeness":
-        verdict = is_weak_sd_envy_free(output, profile)
-        if verdict:
-            return True, None
-        cert = verdict.certificate
-        return False, {"envious": cert.envious, "envied": cert.envied}
-
-    if property_name == "anonymity":
-        for pi in _nontrivial_agent_permutations(profile.instance):
-            verdict = check_anonymity(rule, profile, pi)
-            if not verdict:
-                return False, {
-                    "permutation": sorted(pi.items()),
-                    "mismatch": list(verdict.mismatch),
-                }
+def _sd_efficiency(profile, output, rule, *, allow_unbalanced=False):
+    verdict = is_sd_efficient(output, profile)
+    if verdict:
         return True, None
+    return False, {"dominator": _matrix_data(verdict.dominator)}
 
-    if property_name == "neutrality":
-        for sigma in _nontrivial_object_permutations(profile.instance):
-            verdict = check_neutrality(rule, profile, sigma)
-            if not verdict:
-                return False, {
-                    "permutation": sorted(sigma.items()),
-                    "mismatch": list(verdict.mismatch),
-                }
-        return True, None
 
-    finders = {
-        "sd-strategyproofness": find_sd_manipulation,
-        "dl-strategyproofness": find_dl_manipulation,
-        "weak-sd-strategyproofness": find_weak_sd_manipulation,
+def _ex_post_efficiency(profile, output, rule, *, allow_unbalanced=False):
+    verdict = is_ex_post_efficient(output, profile, allow_unbalanced=allow_unbalanced)
+    if verdict:
+        return True, {
+            "decomposition": [
+                {"weight": format_rational(w), "owners": list(d.owners)}
+                for w, d in verdict.decomposition
+            ]
+        }
+    return False, {
+        "sd-efficient-discrete": [list(d.owners) for d in verdict.survivors],
+        "farkas": [format_rational(v) for v in verdict.farkas],
+        "detail": verdict.detail,
     }
-    finder = finders.get(property_name)
-    if finder is None:
-        raise ValueError(f"unknown property {property_name!r}")
+
+
+def _unanimity(profile, output, rule, *, allow_unbalanced=False):
+    # With a rule, check_unanimity runs it only when a perfect assignment exists.
+    verdict = check_unanimity(rule or (lambda _: output), profile)
+    if verdict:
+        return True, {"detail": verdict.detail} if verdict.detail else None
+    return False, {
+        "output": _matrix_data(output or rule(profile)),
+        "perfect": list(verdict.survivors[0].owners),
+    }
+
+
+def _perfect(profile, output, rule, *, allow_unbalanced=False):
+    perfect = perfect_assignment(profile)
+    if perfect is None:
+        return False, {"detail": "no perfect assignment exists for this profile"}
+    holds = output is None or output.matrix == discrete_to_random(perfect).matrix
+    return holds, {"owners": list(perfect.owners)}
+
+
+def _sd_envy_freeness(profile, output, rule, *, allow_unbalanced=False):
+    verdict = is_sd_envy_free(output, profile)
+    if verdict:
+        return True, None
+    cert = verdict.certificate
+    return False, {
+        "envious": cert.envious,
+        "envied": cert.envied,
+        "prefix-object": cert.prefix_object,
+    }
+
+
+def _weak_sd_envy_freeness(profile, output, rule, *, allow_unbalanced=False):
+    verdict = is_weak_sd_envy_free(output, profile)
+    if verdict:
+        return True, None
+    cert = verdict.certificate
+    return False, {"envious": cert.envious, "envied": cert.envied}
+
+
+def _nontrivial_permutations(labels: tuple[str, ...]) -> Iterator[dict[str, str]]:
+    """Every relabelling of `labels` but the identity, generated lazily."""
+    for image in itertools.permutations(labels):
+        if image != labels:
+            yield dict(zip(labels, image))
+
+
+def _equivariance(check, labels, profile, rule) -> tuple[bool, dict | None]:
+    for mapping in _nontrivial_permutations(labels):
+        verdict = check(rule, profile, mapping)
+        if not verdict:
+            return False, {
+                "permutation": dict(verdict.permutation),
+                "mismatch": list(verdict.mismatch),
+            }
+    return True, None
+
+
+def _anonymity(profile, output, rule, *, allow_unbalanced=False):
+    return _equivariance(check_anonymity, profile.instance.agents, profile, rule)
+
+
+def _neutrality(profile, output, rule, *, allow_unbalanced=False):
+    return _equivariance(check_neutrality, profile.instance.objects, profile, rule)
+
+
+def _no_manipulation(finder, profile, rule) -> tuple[bool, dict | None]:
     for agent in profile.instance.agents:
         manipulation = finder(rule, profile, agent)
         if manipulation is not None:
@@ -302,6 +301,56 @@ def check_rule_property(
                 },
             }
     return True, None
+
+
+# The finders are looked up at call time, not stored in the registry, so
+# that rebinding a module name (as a call tracer does) reaches every caller.
+def _sd_strategyproofness(profile, output, rule, *, allow_unbalanced=False):
+    return _no_manipulation(find_sd_manipulation, profile, rule)
+
+
+def _dl_strategyproofness(profile, output, rule, *, allow_unbalanced=False):
+    return _no_manipulation(find_dl_manipulation, profile, rule)
+
+
+def _weak_sd_strategyproofness(profile, output, rule, *, allow_unbalanced=False):
+    return _no_manipulation(find_weak_sd_manipulation, profile, rule)
+
+
+#: The property registry behind both the table1 sweep and `mudra check`.
+PROPERTIES: dict[str, Property] = {
+    "sd-efficiency": Property(_sd_efficiency, ("assignment",), "sd-efficient"),
+    "ex-post-efficiency": Property(_ex_post_efficiency, ("assignment",), "ex-post"),
+    "unanimity": Property(_unanimity, ("assignment", "rule"), "unanimity"),
+    "perfect": Property(_perfect, (), "perfect"),
+    "sd-envy-freeness": Property(_sd_envy_freeness, ("assignment",), "sd-ef"),
+    "weak-sd-envy-freeness": Property(_weak_sd_envy_freeness, ("assignment",), "weak-sd-ef"),
+    "anonymity": Property(_anonymity, ("rule",), "anonymity"),
+    "neutrality": Property(_neutrality, ("rule",), "neutrality"),
+    "sd-strategyproofness": Property(_sd_strategyproofness, ("rule",)),
+    "dl-strategyproofness": Property(_dl_strategyproofness, ("rule",)),
+    "weak-sd-strategyproofness": Property(_weak_sd_strategyproofness, ("rule",)),
+}
+
+
+def check_rule_property(
+    rule_name: str,
+    property_name: str,
+    profile: PreferenceProfile,
+    cache: OutputCache | None = None,
+) -> tuple[bool, dict | None]:
+    """Does `rule_name` satisfy `property_name` at this profile?
+
+    Returns (holds, certificate) from the property's registry checker,
+    with the rule and its output taken from `cache`.  The certificate is a
+    JSON-ready dict; it describes the violation when the property fails,
+    and is None or a witness (a lottery decomposition, say) when it holds.
+    """
+    prop = PROPERTIES.get(property_name)
+    if prop is None:
+        raise ValueError(f"unknown property {property_name!r}")
+    cache = cache or OutputCache()
+    return prop.check(profile, cache.output(rule_name, profile), cache.callable(rule_name))
 
 
 # --------------------------------------------------------------------------
@@ -843,13 +892,13 @@ def _reproduce_example1() -> ReproduceReport:
     order = profile.order_of("1")
     lines = [
         _eq_line(
-            "agent 1 SD-prefers his allocation to agent 2's",
+            "agent 1 SD-prefers their allocation to agent 2's",
             sd_compare(own, other, order),
             SdVerdict.FIRST_STRICTLY_DOMINATES,
             fmt=lambda v: v.value,
         ),
         _eq_line(
-            "agent 1 lexicographically prefers his allocation to agent 2's",
+            "agent 1 lexicographically prefers their allocation to agent 2's",
             dl_compare(own, other, order),
             DlVerdict.FIRST,
             fmt=lambda v: v.value,

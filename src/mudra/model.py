@@ -101,6 +101,12 @@ class Instance:
             raise KeyError(f"unknown object {obj!r}") from None
 
 
+def require_balanced(instance: Instance, what: str) -> None:
+    """Refuse a relaxed instance for `what`, which needs m = n * quota."""
+    if instance.relaxed:
+        raise ValueError(f"{what} is only defined for balanced instances (m = n * quota)")
+
+
 @dataclass(frozen=True)
 class PreferenceProfile:
     """One strict preference order per agent, most preferred first."""

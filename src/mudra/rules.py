@@ -27,6 +27,7 @@ from .model import (
     Instance,
     PreferenceProfile,
     RandomAssignment,
+    require_balanced,
 )
 
 #: Maps (preference order, available objects, #not-yet-exhausted) to the set
@@ -131,14 +132,9 @@ def ops(profile: PreferenceProfile) -> RandomAssignment:
     return ops_trace(profile).assignment
 
 
-def _reject_relaxed(instance: Instance, rule: str) -> None:
-    if instance.relaxed:
-        raise ValueError(f"{rule} requires a balanced instance (m = n * quota)")
-
-
 def uniform(instance: Instance) -> RandomAssignment:
     """Every agent gets every object with probability 1/n."""
-    _reject_relaxed(instance, "the uniform rule")
+    require_balanced(instance, "the uniform rule")
     share = Fraction(1, instance.num_agents)
     row = tuple(share for _ in instance.objects)
     return RandomAssignment(instance, tuple(row for _ in instance.agents))
@@ -147,7 +143,7 @@ def uniform(instance: Instance) -> RandomAssignment:
 def serial_dictator(profile: PreferenceProfile, priority: Sequence[str]) -> DiscreteAssignment:
     """Agents pick their best `quota` remaining objects in priority order."""
     inst = profile.instance
-    _reject_relaxed(inst, "serial dictatorship")
+    require_balanced(inst, "serial dictatorship")
     if list(sorted(priority)) != sorted(inst.agents):
         raise ValueError("priority order must list every agent exactly once")
     owners: dict[str, str] = {}
@@ -178,7 +174,7 @@ def random_priority(profile: PreferenceProfile, cap: int = RP_DEFAULT_CAP) -> Ra
     there is no sampling fallback.
     """
     inst = profile.instance
-    _reject_relaxed(inst, "random priority")
+    require_balanced(inst, "random priority")
     n = inst.num_agents
     if n > cap:
         raise GuardExceeded(

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .model import GuardExceeded, PreferenceProfile, RandomAssignment
+from .model import GuardExceeded, PreferenceProfile, RandomAssignment, require_balanced
 from .order import DlVerdict, SdVerdict, dl_compare, sd_compare
 
 #: Factorial growth makes exhaustive misreport scans unreasonable past this
@@ -69,11 +69,6 @@ def all_strict_orders(
     return itertools.permutations(objects)
 
 
-def _reject_relaxed(profile: PreferenceProfile) -> None:
-    if profile.instance.relaxed:
-        raise ValueError("manipulation search is only defined for balanced instances")
-
-
 def _scan_individual(
     rule: Rule,
     profile: PreferenceProfile,
@@ -82,7 +77,7 @@ def _scan_individual(
     kind: ManipulationKind,
     max_objects: int,
 ) -> Manipulation | None:
-    _reject_relaxed(profile)
+    require_balanced(profile.instance, "manipulation search")
     inst = profile.instance
     true_order = profile.order_of(agent)
     truthful = rule(profile)
@@ -156,7 +151,7 @@ def find_group_manipulation(
     misreport sequences; every member's outcome must strictly SD-dominate
     their truthful outcome under their true order.
     """
-    _reject_relaxed(profile)
+    require_balanced(profile.instance, "manipulation search")
     inst = profile.instance
     members = tuple(coalition)
     if not members:

@@ -1,6 +1,7 @@
 """Exit-code contract and output shapes of every CLI verb."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -166,6 +167,30 @@ class TestCheck:
         )
         assert result.exit_code == 1
         assert "FAILS" in result.output
+
+        # The Farkas vector separates the outcome from every listed
+        # SD-efficient discrete assignment (rows: o1..o4 of each agent, then
+        # the weight-sum row).
+        data = json.loads(
+            runner.invoke(
+                main,
+                [
+                    "check", "--property", "ex-post",
+                    "--profile", paths("p.json", FIG1),
+                    "--assignment", paths("a.json", FIG1_MPS_MATRIX), "--json",
+                ],
+            ).output
+        )
+        cert = data["certificate"]
+        f = [Fraction(v) for v in cert["farkas"]]
+        agents, objects = ("1", "2"), ("o1", "o2", "o3", "o4")
+        target = [Fraction(FIG1_MPS_MATRIX["matrix"][a][o]) for a in agents for o in objects]
+        assert sum(fd * td for fd, td in zip(f[:-1], target)) + f[-1] > 0
+        assert cert["sd-efficient-discrete"]
+        for owners in cert["sd-efficient-discrete"]:
+            grid = [Fraction(owner == a) for a in agents for owner in owners]
+            assert sum(fd * gd for fd, gd in zip(f[:-1], grid)) + f[-1] <= 0
+        assert "convex hull" in cert["detail"]
 
     def test_unbalanced_ex_post_holds_with_decomposition(self, runner, paths):
         result = runner.invoke(

@@ -1,14 +1,19 @@
 """Profile enumeration, scenario replay, and the classification sweep."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
+from mudra.cli import main
 from mudra.harness import (
     EXPECTED_SIGNS,
     GUARD_ENV_VAR,
+    PROPERTIES,
     PROPERTY_NAMES,
     RULE_NAMES,
+    RULES,
     OutputCache,
     _first_violation,
     canonical_instance,
@@ -17,7 +22,8 @@ from mudra.harness import (
     profile_cap,
     reproduce,
 )
-from mudra.model import GuardExceeded
+from mudra.model import GuardExceeded, PreferenceProfile
+from mudra.serialize import save_assignment, save_profile
 
 F = Fraction
 
@@ -104,6 +110,44 @@ class TestCheckRuleProperty:
             check_rule_property("mps", "fancyness", profile)
 
 
+PARITY_PROFILES = {
+    "fig1": (("o1", "o2", "o3", "o4"), ("o3", "o2", "o4", "o1")),
+    "disjoint-tops": (("o1", "o2", "o3", "o4"), ("o3", "o4", "o1", "o2")),
+}
+
+
+@pytest.mark.parametrize("rule", RULE_NAMES)
+@pytest.mark.parametrize("orders", PARITY_PROFILES.values(), ids=PARITY_PROFILES)
+def test_check_prints_the_sweep_certificate(tmp_path, orders, rule):
+    """`mudra check --json` and the sweep give one verdict and one certificate.
+
+    A property that judges a rule gets `--rule`; one that judges an
+    assignment gets the rule's output as `--assignment` (unanimity takes
+    either, so it is run both ways).
+    """
+    profile = PreferenceProfile(canonical_instance(2, 4), orders)
+    profile_path, assignment_path = tmp_path / "p.json", tmp_path / "a.json"
+    save_profile(profile, profile_path)
+    save_assignment(RULES[rule](profile), assignment_path)
+    runner, cache = CliRunner(), OutputCache()
+    for name, prop in PROPERTIES.items():
+        if prop.token is None:
+            continue
+        holds, certificate = check_rule_property(rule, name, profile, cache)
+        inputs = []
+        if "rule" in prop.judges:
+            inputs.append(["--rule", rule])
+        if "assignment" in prop.judges or not prop.judges:
+            inputs.append(["--assignment", str(assignment_path)])
+        for extra in inputs:
+            argv = ["check", "--property", prop.token, "--profile", str(profile_path)]
+            result = runner.invoke(main, argv + extra + ["--json"])
+            assert result.exit_code == (0 if holds else 1), (name, extra, result.output)
+            data = json.loads(result.output)
+            assert data["verdict"] is holds
+            assert data["certificate"] == json.loads(json.dumps(certificate)), (name, extra)
+
+
 class TestReproduce:
     def test_unknown_case_lists_available(self):
         with pytest.raises(ValueError, match="figure1.*table1"):
@@ -144,8 +188,6 @@ class TestTable1Sweep:
                 assert cell.expected == EXPECTED_SIGNS[prop][rule]
 
     def test_minus_cells_store_replayable_counterexamples(self, table1_report):
-        from mudra.model import PreferenceProfile
-
         for cell in table1_report.cells:
             if cell.observed != "counterexample-found":
                 continue
