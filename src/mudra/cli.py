@@ -341,15 +341,14 @@ def reproduce_cmd(case_id, as_json):
 
 @main.command(name="table1")
 @click.option("--guard", type=int, default=None, help=f"Profile cap (or set {GUARD_ENV_VAR}).")
-@click.option("--workers", type=int, default=1)
 @click.option("--json", "as_json", is_flag=True)
-def table1_cmd(guard, workers, as_json):
+def table1_cmd(guard, as_json):
     """Confirm the expected rule-by-axiom classification by exhaustive sweep.
 
     Exit code 0 when every cell matches its expected sign, 1 otherwise.
     """
     with _exit_codes():
-        report = table1_sweep(cap=guard, workers=workers)
+        report = table1_sweep(cap=guard)
         properties = []
         for cell in report.cells:
             if cell.property_name not in properties:

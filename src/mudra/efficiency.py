@@ -2,13 +2,15 @@
 efficiency, unanimity, and decomposition of random assignments into lotteries
 over discrete assignments.
 
-SD-efficiency is decided by an exact linear program: look for a feasible
-random assignment whose prefix sums weakly improve on the input for every
-agent, maximizing the total prefix surplus.  The input is efficient exactly
-when the optimal surplus is zero.  Ex-post efficiency enumerates discrete
-assignments, keeps the SD-efficient ones (for unbalanced candidates the same
-program runs with row sums pinned to that candidate's bundle sizes) and asks
-whether the input is a convex combination of the survivors.
+SD-efficiency is decided by a trade-cycle test over the objects: the input
+is SD-efficient exactly when no cycle of objects exists along which every
+agent could swap some of a worse object for a better one.  A cycle found
+becomes the certificate: trading the largest feasible epsilon along it gives
+an assignment that SD-dominates the input.  The test holds for any fixed row
+sums, so it also screens unbalanced discrete candidates.  Ex-post efficiency
+enumerates discrete assignments, keeps the SD-efficient ones and asks, by an
+exact linear program, whether the input is a convex combination of the
+survivors.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .model import (
     require_balanced,
     validate_assignment,
 )
-from .order import prefix_sums, sd_weakly_dominates
-from .ratlp import Constraint, LinearProgram, convex_membership, solve
+from .order import sd_weakly_dominates
+from .ratlp import convex_membership
 
 #: Default cap on the number of discrete assignments an enumeration may visit.
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -78,85 +80,73 @@ def sd_dominates(q: RandomAssignment, p: RandomAssignment, profile: PreferencePr
     return strict
 
 
-def _dominance_lp(
-    grid: Sequence[Sequence[Fraction]],
-    profile: PreferenceProfile,
-    row_targets: Sequence[Fraction],
-) -> tuple[LinearProgram, Fraction]:
-    """Surplus-maximizing program over assignments weakly dominating `grid`.
+def _trade_cycle(
+    grid: Sequence[Sequence[Fraction]], profile: PreferenceProfile
+) -> list[tuple[int, int, int]] | None:
+    """A cycle of the trade graph of `grid`, or None when it has none.
 
-    Returns the program and the constant to subtract from its optimum to get
-    the total prefix surplus.
+    The graph's nodes are the objects.  It has an edge a -> b, labelled with
+    agent i, when i prefers a to b, holds some of b and less than all of a,
+    so i would give up some b for more a.  Whatever the row sums, balanced
+    or not, some assignment with the same row sums SD-dominates `grid`
+    exactly when this graph has a cycle (Bogomolnaia and Moulin 2001,
+    Lemma 3, with the bound on a that quotas add).  The cycle is returned as
+    its edges (i, a, b): agent index, then object indices.
     """
     inst = profile.instance
-    n, m = inst.num_agents, inst.num_objects
-    names = tuple(f"q_{i}_{j}" for i in range(n) for j in range(m))
-    nvars = n * m
-    var = lambda i, j: i * m + j
-
-    constraints = []
-    for j in range(m):
-        coeffs = [Fraction(0)] * nvars
-        for i in range(n):
-            coeffs[var(i, j)] = Fraction(1)
-        constraints.append(Constraint(tuple(coeffs), "=", Fraction(1)))
-    for i in range(n):
-        coeffs = [Fraction(0)] * nvars
-        for j in range(m):
-            coeffs[var(i, j)] = Fraction(1)
-        constraints.append(Constraint(tuple(coeffs), "=", Fraction(row_targets[i])))
-
-    base = Fraction(0)
-    objective = [Fraction(0)] * nvars
-    for i, order in enumerate(profile.orders):
-        amounts = {o: Fraction(grid[i][inst.object_index(o)]) for o in inst.objects}
-        sums = prefix_sums(amounts, order)
-        # One constraint per proper prefix; the full prefix is the row sum.
-        coeffs = [Fraction(0)] * nvars
-        for t, obj in enumerate(order[:-1]):
-            coeffs = list(coeffs)
-            coeffs[var(i, inst.object_index(obj))] = Fraction(1)
-            constraints.append(Constraint(tuple(coeffs), ">=", sums[t]))
-            base += sums[t]
-        for rank, obj in enumerate(order):
-            weight = m - 1 - rank  # number of proper prefixes containing obj
-            if weight:
-                objective[var(i, inst.object_index(obj))] += Fraction(weight)
-
-    lp = LinearProgram(
-        variables=names,
-        constraints=tuple(constraints),
-        objective=tuple(objective),
-        sense="max",
-        nonneg=tuple(True for _ in names),
-    )
-    return lp, base
-
-
-def _sd_efficient_grid(
-    grid: Sequence[Sequence[Fraction]],
-    profile: PreferenceProfile,
-    row_targets: Sequence[Fraction],
-) -> tuple[bool, RandomAssignment | None]:
-    lp, base = _dominance_lp(grid, profile, row_targets)
-    result = solve(lp)
-    if result.status != "optimal":
-        raise RuntimeError(
-            f"dominance program must be feasible and bounded, got {result.status}"
-        )
-    if result.value == base:
-        return True, None
-    assert result.value > base
-    inst = profile.instance
     m = inst.num_objects
-    matrix = tuple(
-        tuple(result.point[f"q_{i}_{j}"] for j in range(m))
-        for i in range(inst.num_agents)
-    )
-    dominator = None
-    if all(t == inst.row_target for t in row_targets):
-        dominator = RandomAssignment(inst, matrix)
-    return False, dominator
+    edges: list[dict[int, int]] = [{} for _ in range(m)]  # a -> {b: agent}
+    for i, order in enumerate(profile.orders):
+        row = grid[i]
+        ranked = [inst.object_index(o) for o in order]
+        for t, a in enumerate(ranked):
+            if row[a] < 1:
+                for b in ranked[t + 1:]:
+                    if row[b] > 0:
+                        edges[a].setdefault(b, i)
+
+    state = [0] * m  # 0 unvisited, 1 on the current path, 2 finished
+    path: list[int] = []
+
+    def visit(a: int) -> list[int] | None:
+        state[a] = 1
+        path.append(a)
+        for b in edges[a]:
+            if state[b] == 1:
+                return path[path.index(b):]
+            if state[b] == 0:
+                cycle = visit(b)
+                if cycle is not None:
+                    return cycle
+        state[a] = 2
+        path.pop()
+        return None
+
+    for start in range(m):
+        if state[start] == 0:
+            cycle = visit(start)
+            if cycle is not None:
+                return [
+                    (edges[a][b], a, b)
+                    for a, b in zip(cycle, cycle[1:] + cycle[:1])
+                ]
+    return None
+
+
+def _trade_along(p: RandomAssignment, cycle: list[tuple[int, int, int]]) -> RandomAssignment:
+    """The assignment after every edge (i, a, b) of `cycle` trades epsilon.
+
+    Agent i gets epsilon more of a and epsilon less of b.  Every object is
+    given once and taken once, so column and row sums stay put; epsilon is
+    the largest step that keeps every entry in [0, 1], and each trader
+    moves mass up its own order, so the result SD-dominates `p`.
+    """
+    work = [list(row) for row in p.matrix]
+    eps = min(min(work[i][b], 1 - work[i][a]) for i, a, b in cycle)
+    for i, a, b in cycle:
+        work[i][a] += eps
+        work[i][b] -= eps
+    return RandomAssignment(p.instance, tuple(tuple(row) for row in work))
 
 
 def is_sd_efficient(p: RandomAssignment, profile: PreferenceProfile) -> EfficiencyVerdict:
@@ -168,16 +158,10 @@ def is_sd_efficient(p: RandomAssignment, profile: PreferenceProfile) -> Efficien
     check = validate_assignment(p)
     if not check.ok:
         raise ValueError(f"input is not a feasible random assignment: {check.reason}")
-    targets = [inst.row_target] * inst.num_agents
-    holds, dominator = _sd_efficient_grid(p.matrix, profile, targets)
-    return EfficiencyVerdict("sd-efficiency", holds, dominator=dominator)
-
-
-def _discrete_is_sd_efficient(d: DiscreteAssignment, profile: PreferenceProfile) -> bool:
-    targets = [Fraction(s) for s in
-               (d.bundle_sizes()[a] for a in d.instance.agents)]
-    holds, _ = _sd_efficient_grid(d.grid(), profile, targets)
-    return holds
+    cycle = _trade_cycle(p.matrix, profile)
+    if cycle is None:
+        return EfficiencyVerdict("sd-efficiency", True)
+    return EfficiencyVerdict("sd-efficiency", False, dominator=_trade_along(p, cycle))
 
 
 def enumerate_discrete(
@@ -250,7 +234,7 @@ def is_ex_post_efficient(
         raise ValueError(f"input is not a feasible random assignment: {check.reason}")
     candidates = list(enumerate_discrete(inst, balanced=not allow_unbalanced, cap=cap))
     survivors = tuple(
-        d for d in candidates if _discrete_is_sd_efficient(d, profile)
+        d for d in candidates if _trade_cycle(d.grid(), profile) is None
     )
     target = [v for row in p.matrix for v in row]
     generators = [[v for row in d.grid() for v in row] for d in survivors]

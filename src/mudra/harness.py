@@ -21,7 +21,6 @@ import math
 import os
 import time
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -414,63 +413,26 @@ class Table1Report:
         }
 
 
-def _scan_chunk(payload) -> list[tuple[int, bool]]:
-    """Worker body for parallel sweeps: check one chunk of profiles."""
-    rule_name, property_name, n, m, quota, chunk = payload
-    instance = canonical_instance(n, m, quota)
-    cache = OutputCache()
-    results = []
-    for index, orders in chunk:
-        profile = PreferenceProfile(instance=instance, orders=orders)
-        holds, _ = check_rule_property(rule_name, property_name, profile, cache)
-        results.append((index, holds))
-    return results
-
-
 def _first_violation(
     rule_name: str,
     property_name: str,
     profiles: Sequence[PreferenceProfile],
     cache: OutputCache,
-    workers: int = 1,
 ) -> tuple[int, PreferenceProfile, dict] | None:
     """First profile (canonical order) where the rule violates the property."""
-    if workers <= 1:
-        for index, profile in enumerate(profiles):
-            holds, certificate = check_rule_property(
-                rule_name, property_name, profile, cache
-            )
-            if not holds:
-                return index, profile, certificate
-        return None
-
-    instance = profiles[0].instance
-    n, m, quota = instance.num_agents, instance.num_objects, instance.quota
-    indexed = [(i, p.orders) for i, p in enumerate(profiles)]
-    chunk_size = max(1, len(indexed) // (workers * 8))
-    chunks = [indexed[i : i + chunk_size] for i in range(0, len(indexed), chunk_size)]
-    payloads = [
-        (rule_name, property_name, n, m, quota, chunk) for chunk in chunks
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for chunk_result in pool.map(_scan_chunk, payloads):
-            for index, holds in chunk_result:
-                if not holds:
-                    # Certificates carry Fractions and nested assignments, so
-                    # they are rebuilt here rather than shipped from workers.
-                    _, certificate = check_rule_property(
-                        rule_name, property_name, profiles[index], cache
-                    )
-                    return index, profiles[index], certificate
+    for index, profile in enumerate(profiles):
+        holds, certificate = check_rule_property(
+            rule_name, property_name, profile, cache
+        )
+        if not holds:
+            return index, profile, certificate
     return None
 
 
-_TABLE1_CACHE: dict[tuple[int, int], Table1Report] = {}
+_TABLE1_CACHE: dict[int, Table1Report] = {}
 
 
-def table1_sweep(
-    cap: int | None = None, workers: int = 1, use_cache: bool = True
-) -> Table1Report:
+def table1_sweep(cap: int | None = None, use_cache: bool = True) -> Table1Report:
     """Confirm the expected rule-by-axiom classification by exhaustive sweep.
 
     Every '-' cell must produce a concrete counterexample; every '+' cell
@@ -480,7 +442,7 @@ def table1_sweep(
     results that contradict the expected sign are reported as
     discrepancies, never reconciled.
     """
-    key = (profile_cap(cap), workers)
+    key = profile_cap(cap)
     if use_cache and key in _TABLE1_CACHE:
         return _TABLE1_CACHE[key]
 
@@ -501,9 +463,7 @@ def table1_sweep(
     for property_name in PROPERTY_NAMES:
         for rule_name in RULE_NAMES:
             expected = EXPECTED_SIGNS[property_name][rule_name]
-            found = _first_violation(
-                rule_name, property_name, main_profiles, cache, workers
-            )
+            found = _first_violation(rule_name, property_name, main_profiles, cache)
             checked = len(main_profiles) if found is None else found[0] + 1
             domain = main_domain
             if found is None and expected == "-":

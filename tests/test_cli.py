@@ -7,6 +7,9 @@ import pytest
 from click.testing import CliRunner
 
 from mudra.cli import main
+from mudra.efficiency import sd_dominates
+from mudra.model import validate_assignment
+from mudra.serialize import assignment_from_data, profile_from_data
 
 FIG1 = {
     "objects": ["o1", "o2", "o3", "o4"],
@@ -236,7 +239,14 @@ class TestCheck:
             ],
         )
         assert result.exit_code == 1
-        assert "dominator" in json.loads(result.output)["certificate"]
+        profile = profile_from_data(FIG1)
+        dominator = assignment_from_data(
+            {"matrix": json.loads(result.output)["certificate"]["dominator"]},
+            profile.instance,
+        )
+        halves = assignment_from_data(ALL_HALVES, profile.instance)
+        assert validate_assignment(dominator).ok
+        assert sd_dominates(dominator, halves, profile)
 
     def test_sd_ef_holds_for_halves(self, runner, paths):
         result = runner.invoke(

@@ -1,5 +1,6 @@
 """SD-efficiency, ex-post efficiency, unanimity and lottery decomposition."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mudra.efficiency import (
+    _trade_along,
+    _trade_cycle,
     check_unanimity,
     decompose_lottery,
     enumerate_discrete,
@@ -15,6 +18,7 @@ from mudra.efficiency import (
     perfect_assignment,
     sd_dominates,
 )
+from mudra.harness import RULES, canonical_instance
 from mudra.model import (
     DiscreteAssignment,
     GuardExceeded,
@@ -24,6 +28,8 @@ from mudra.model import (
     discrete_to_random,
     validate_assignment,
 )
+from mudra.order import prefix_sums
+from mudra.ratlp import Constraint, LinearProgram, solve
 from mudra.rules import mps, random_priority, uniform
 
 F = Fraction
@@ -271,3 +277,126 @@ def test_eating_outcomes_decompose_exactly(profile):
             assert sum(w * d.grid()[i][j] for w, d in terms) == p.matrix[i][j]
     for _, d in terms:
         assert d.is_balanced
+
+
+def test_every_failing_sweep_output_has_a_replayable_dominator(sweep_data):
+    failures = 0
+    for record in sweep_data:
+        profile = record["profile"]
+        for rule_name, entry in record["rules"].items():
+            if entry["sd_efficient"]:
+                continue
+            failures += 1
+            output = entry["output"]
+            dominator = is_sd_efficient(output, profile).dominator
+            assert validate_assignment(dominator).ok, rule_name
+            assert sd_dominates(dominator, output, profile), rule_name
+    assert failures > 0
+
+
+# --------------------------------------------------------------------------
+# The trade-cycle test against the exact surplus program it replaced
+# --------------------------------------------------------------------------
+
+
+def lp_sd_efficient(grid, profile, row_targets):
+    """Oracle: no assignment with these row sums weakly dominates `grid`
+    with positive total prefix surplus.
+
+    Maximizes the sum of every agent's proper prefix sums over the
+    assignments whose prefix sums are at least those of `grid`; `grid` is
+    SD-efficient exactly when the optimum equals its own surplus.
+    """
+    inst = profile.instance
+    n, m = inst.num_agents, inst.num_objects
+    nvars = n * m
+    var = lambda i, j: i * m + j
+
+    def row_of(pairs):
+        coeffs = [F(0)] * nvars
+        for k in pairs:
+            coeffs[k] = F(1)
+        return tuple(coeffs)
+
+    constraints = [
+        Constraint(row_of(var(i, j) for i in range(n)), "=", F(1)) for j in range(m)
+    ] + [
+        Constraint(row_of(var(i, j) for j in range(m)), "=", F(row_targets[i]))
+        for i in range(n)
+    ]
+    base = F(0)
+    objective = [F(0)] * nvars
+    for i, order in enumerate(profile.orders):
+        amounts = {o: F(grid[i][inst.object_index(o)]) for o in inst.objects}
+        sums = prefix_sums(amounts, order)
+        cols = [var(i, inst.object_index(o)) for o in order]
+        for t in range(m - 1):  # the full prefix is the row sum
+            constraints.append(Constraint(row_of(cols[: t + 1]), ">=", sums[t]))
+            base += sums[t]
+        for rank, col in enumerate(cols):
+            objective[col] += m - 1 - rank  # proper prefixes holding that object
+    result = solve(
+        LinearProgram(
+            variables=tuple(f"q{k}" for k in range(nvars)),
+            constraints=tuple(constraints),
+            objective=tuple(objective),
+            sense="max",
+            nonneg=(True,) * nvars,
+        )
+    )
+    assert result.status == "optimal"
+    return result.value == base
+
+
+def assert_cycle_test_matches_oracle(grid, profile, row_targets):
+    cycle = _trade_cycle(grid, profile)
+    assert (cycle is None) == lp_sd_efficient(grid, profile, row_targets), (
+        profile.orders, grid,
+    )
+    if cycle is None:
+        return
+    # The epsilon-trade keeps every row and column sum, so it is a
+    # certificate for unbalanced row sums too.
+    p = RandomAssignment(profile.instance, grid)
+    q = _trade_along(p, cycle)
+    assert all(0 <= v <= 1 for row in q.matrix for v in row)
+    assert [sum(row) for row in q.matrix] == [sum(row) for row in p.matrix]
+    assert [sum(col) for col in zip(*q.matrix)] == [1] * profile.instance.num_objects
+    assert sd_dominates(q, p, profile)
+
+
+def assert_domain_matches_oracle(instance, candidates):
+    orders = list(itertools.permutations(instance.objects))
+    for tail in itertools.product(orders, repeat=instance.num_agents - 1):
+        profile = PreferenceProfile(instance, (instance.objects,) + tail)
+        for d in candidates:
+            sizes = d.bundle_sizes()
+            assert_cycle_test_matches_oracle(
+                d.grid(), profile, [sizes[a] for a in instance.agents]
+            )
+        for rule in RULES.values():
+            output = rule(profile)
+            assert_cycle_test_matches_oracle(
+                output.matrix, profile, [instance.row_target] * instance.num_agents
+            )
+
+
+def test_cycle_test_matches_oracle_on_two_agent_owner_maps():
+    inst = canonical_instance(2, 4, 2)
+    assert_domain_matches_oracle(inst, list(enumerate_discrete(inst, balanced=False)))
+
+
+def test_cycle_test_matches_oracle_on_three_agent_single_unit():
+    inst = canonical_instance(3, 3, 1)
+    assert_domain_matches_oracle(inst, list(enumerate_discrete(inst, balanced=True)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.permutations(("o1", "o2", "o3", "o4")), min_size=4, max_size=4))
+def test_cycle_test_matches_oracle_on_four_agent_single_unit(orders):
+    inst = canonical_instance(4, 4, 1)
+    profile = PreferenceProfile(inst, tuple(tuple(o) for o in orders))
+    for rule in RULES.values():
+        assert_cycle_test_matches_oracle(
+            rule(profile).matrix, profile, [inst.row_target] * 4
+        )
