@@ -10,10 +10,8 @@ for exact enumeration), 3 input error (bad flags, malformed files).
 
 from __future__ import annotations
 
-import sys
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 import click
 
@@ -37,6 +35,7 @@ from mudra.serialize import (
     format_rational,
     load_assignment,
     load_profile,
+    profile_to_data,
 )
 from mudra.strategy import (
     Manipulation,
@@ -400,8 +399,6 @@ def enumerate_cmd(n, m, quota, guard, as_json):
         instance = canonical_instance(n, m, quota)
         profiles = list(enumerate_profiles(instance, cap=guard))
         if as_json:
-            from mudra.serialize import profile_to_data
-
             data = {
                 "command": "enumerate",
                 "count": len(profiles),

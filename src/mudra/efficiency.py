@@ -22,20 +22,18 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .model import (
+    DISCRETE_LIMIT,
     DiscreteAssignment,
-    GuardExceeded,
     Instance,
     PreferenceProfile,
     RandomAssignment,
     discrete_to_random,
+    refuse_over,
     require_balanced,
     validate_assignment,
 )
 from .order import sd_weakly_dominates
 from .ratlp import convex_membership
-
-#: Default cap on the number of discrete assignments an enumeration may visit.
-DEFAULT_ENUMERATION_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -165,36 +163,27 @@ def is_sd_efficient(p: RandomAssignment, profile: PreferenceProfile) -> Efficien
 
 
 def enumerate_discrete(
-    instance: Instance, balanced: bool = True, cap: int = DEFAULT_ENUMERATION_CAP
+    instance: Instance, balanced: bool = True
 ) -> Iterator[DiscreteAssignment]:
     """All discrete assignments in a fixed canonical order.
 
     Balanced: every agent owns exactly `quota` objects.  Unbalanced: every
     owner map, bundle sizes unconstrained.  Refuses to start when the count
-    exceeds `cap`.
+    exceeds DISCRETE_LIMIT.
     """
     n, m = instance.num_agents, instance.num_objects
-    if balanced:
-        require_balanced(instance, "balanced enumeration")
-        count = math.factorial(m)
-        for _ in range(n):
-            count //= math.factorial(instance.quota)
-    else:
-        count = n**m
-    if count > cap:
-        raise GuardExceeded(
-            f"{count} discrete assignments exceed the cap of {cap}"
-        )
-
     if not balanced:
-        def gen_unbalanced() -> Iterator[DiscreteAssignment]:
-            for owners in itertools.product(instance.agents, repeat=m):
-                yield DiscreteAssignment(instance, owners)
-
-        return gen_unbalanced()
+        refuse_over(n**m, DISCRETE_LIMIT, f"{n}^{m} owner maps")
+        return (
+            DiscreteAssignment(instance, owners)
+            for owners in itertools.product(instance.agents, repeat=m)
+        )
+    require_balanced(instance, "balanced enumeration")
+    c = instance.quota
+    count = math.factorial(m) // math.factorial(c) ** n
+    refuse_over(count, DISCRETE_LIMIT, f"{m}!/({c}!)^{n} balanced assignments")
 
     def gen_balanced() -> Iterator[DiscreteAssignment]:
-        quota = instance.quota
         objects = instance.objects
 
         def fill(remaining: tuple[str, ...], agents: tuple[str, ...], acc: dict):
@@ -204,7 +193,7 @@ def enumerate_discrete(
                 )
                 return
             head, rest = agents[0], agents[1:]
-            for bundle in itertools.combinations(remaining, quota):
+            for bundle in itertools.combinations(remaining, c):
                 for o in bundle:
                     acc[o] = head
                 left = tuple(o for o in remaining if o not in bundle)
@@ -219,7 +208,6 @@ def is_ex_post_efficient(
     p: RandomAssignment,
     profile: PreferenceProfile,
     allow_unbalanced: bool = False,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> EfficiencyVerdict:
     """Is `p` a convex combination of SD-efficient discrete assignments?
 
@@ -232,9 +220,9 @@ def is_ex_post_efficient(
     check = validate_assignment(p)
     if not check.ok:
         raise ValueError(f"input is not a feasible random assignment: {check.reason}")
-    candidates = list(enumerate_discrete(inst, balanced=not allow_unbalanced, cap=cap))
     survivors = tuple(
-        d for d in candidates if _trade_cycle(d.grid(), profile) is None
+        d for d in enumerate_discrete(inst, balanced=not allow_unbalanced)
+        if _trade_cycle(d.grid(), profile) is None
     )
     target = [v for row in p.matrix for v in row]
     generators = [[v for row in d.grid() for v in row] for d in survivors]

@@ -16,11 +16,9 @@ order and all searches return the first witness in that order.
 
 from __future__ import annotations
 
-import itertools
-import math
 import os
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,16 +36,18 @@ from mudra.fairness import (
     is_weak_sd_envy_free,
 )
 from mudra.model import (
+    ORDER_LIMIT,
+    PROFILE_LIMIT,
     DiscreteAssignment,
-    GuardExceeded,
     Instance,
     PreferenceProfile,
     RandomAssignment,
     discrete_to_random,
+    orderings,
 )
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
 from mudra.rules import mps, mps_trace, ops, priority_rule, random_priority, uniform
-from mudra.serialize import assignment_to_data, format_rational, profile_to_data
+from mudra.serialize import assignment_to_data, format_rational
 from mudra.strategy import (
     find_dl_manipulation,
     find_group_manipulation,
@@ -56,14 +56,13 @@ from mudra.strategy import (
 )
 
 GUARD_ENV_VAR = "MUDRA_GUARD"
-DEFAULT_PROFILE_CAP = 10**6
 
 
 def profile_cap(override: int | None = None) -> int:
     """Effective profile-enumeration guard.
 
     Explicit `override` wins, then the MUDRA_GUARD environment variable,
-    then the built-in default of one million profiles.
+    then the built-in PROFILE_LIMIT of one million profiles.
     """
     if override is not None:
         return override
@@ -73,7 +72,7 @@ def profile_cap(override: int | None = None) -> int:
             return int(env)
         except ValueError as exc:
             raise ValueError(f"{GUARD_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_PROFILE_CAP
+    return PROFILE_LIMIT
 
 
 def canonical_instance(n: int, m: int, quota: int | None = None) -> Instance:
@@ -100,19 +99,17 @@ def enumerate_profiles(
 
     The order is the lexicographic product of per-agent permutations of the
     instance's object tuple, first agent varying slowest.  Refuses domains
-    with more than `cap` profiles (default :func:`profile_cap`).
+    with more than `cap` profiles (default :func:`profile_cap`) before
+    building any of them.
     """
     n, m = instance.num_agents, instance.num_objects
-    total = math.factorial(m) ** n
-    limit = profile_cap(cap)
-    if total > limit:
-        raise GuardExceeded(
-            f"profile space has {total} profiles which exceeds the guard of "
-            f"{limit}; raise the guard (--guard / {GUARD_ENV_VAR}) to proceed"
-        )
-    orders = list(itertools.permutations(instance.objects))
-    for combo in itertools.product(orders, repeat=n):
-        yield PreferenceProfile(instance=instance, orders=combo)
+    combos = orderings(
+        instance.objects,
+        profile_cap(cap),
+        f"({m}!)^{n} profiles (a guard settable by --guard / {GUARD_ENV_VAR})",
+        repeat=n,
+    )
+    return (PreferenceProfile(instance=instance, orders=combo) for combo in combos)
 
 
 # --------------------------------------------------------------------------
@@ -256,15 +253,19 @@ def _weak_sd_envy_freeness(profile, output, rule, *, allow_unbalanced=False):
     return False, {"envious": cert.envious, "envied": cert.envied}
 
 
-def _nontrivial_permutations(labels: tuple[str, ...]) -> Iterator[dict[str, str]]:
-    """Every relabelling of `labels` but the identity, generated lazily."""
-    for image in itertools.permutations(labels):
-        if image != labels:
-            yield dict(zip(labels, image))
+def _nontrivial_permutations(
+    labels: tuple[str, ...], what: str
+) -> Iterator[dict[str, str]]:
+    """Every relabelling of `labels` but the identity, generated lazily.
+
+    Refuses more than 8 labels (ORDER_LIMIT orders) before generating any.
+    """
+    images = orderings(labels, ORDER_LIMIT, f"{len(labels)}! {what} relabellings")
+    return (dict(zip(labels, image)) for image in images if image != labels)
 
 
-def _equivariance(check, labels, profile, rule) -> tuple[bool, dict | None]:
-    for mapping in _nontrivial_permutations(labels):
+def _equivariance(check, labels, what, profile, rule) -> tuple[bool, dict | None]:
+    for mapping in _nontrivial_permutations(labels, what):
         verdict = check(rule, profile, mapping)
         if not verdict:
             return False, {
@@ -275,11 +276,13 @@ def _equivariance(check, labels, profile, rule) -> tuple[bool, dict | None]:
 
 
 def _anonymity(profile, output, rule, *, allow_unbalanced=False):
-    return _equivariance(check_anonymity, profile.instance.agents, profile, rule)
+    agents = profile.instance.agents
+    return _equivariance(check_anonymity, agents, "agent", profile, rule)
 
 
 def _neutrality(profile, output, rule, *, allow_unbalanced=False):
-    return _equivariance(check_neutrality, profile.instance.objects, profile, rule)
+    objects = profile.instance.objects
+    return _equivariance(check_neutrality, objects, "object", profile, rule)
 
 
 def _no_manipulation(finder, profile, rule) -> tuple[bool, dict | None]:
@@ -416,7 +419,7 @@ class Table1Report:
 def _first_violation(
     rule_name: str,
     property_name: str,
-    profiles: Sequence[PreferenceProfile],
+    profiles: Iterable[PreferenceProfile],
     cache: OutputCache,
 ) -> tuple[int, PreferenceProfile, dict] | None:
     """First profile (canonical order) where the rule violates the property."""
@@ -469,11 +472,13 @@ def table1_sweep(cap: int | None = None, use_cache: bool = True) -> Table1Report
             if found is None and expected == "-":
                 # No two-agent counterexample; this sign concerns
                 # single-unit behaviour, so extend the search there.
-                aux_found = _search_aux_domain(rule_name, property_name, cap)
+                aux_profiles = enumerate_profiles(canonical_instance(4, 4, 1), cap)
+                aux_found = _first_violation(
+                    rule_name, property_name, aux_profiles, OutputCache()
+                )
                 if aux_found is not None:
-                    index, profile, certificate = aux_found
-                    checked += index + 1
-                    found = (index, profile, certificate)
+                    found = aux_found
+                    checked += found[0] + 1
                     domain = aux_domain
             observed = "supported-by-sweep" if found is None else "counterexample-found"
             matched = (expected == "-") == (found is not None)
@@ -495,20 +500,6 @@ def table1_sweep(cap: int | None = None, use_cache: bool = True) -> Table1Report
     if use_cache:
         _TABLE1_CACHE[key] = report
     return report
-
-
-def _search_aux_domain(
-    rule_name: str, property_name: str, cap: int | None
-) -> tuple[int, PreferenceProfile, dict] | None:
-    aux_instance = canonical_instance(4, 4, 1)
-    cache = OutputCache()
-    for index, profile in enumerate(enumerate_profiles(aux_instance, cap)):
-        holds, certificate = check_rule_property(
-            rule_name, property_name, profile, cache
-        )
-        if not holds:
-            return index, profile, certificate
-    return None
 
 
 # --------------------------------------------------------------------------

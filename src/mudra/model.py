@@ -11,10 +11,11 @@ are rejected at construction time.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 #: The single numeric type used everywhere.  Always in lowest terms with a
 #: positive denominator, which `fractions.Fraction` guarantees.
@@ -22,7 +23,49 @@ Rational = Fraction
 
 
 class GuardExceeded(Exception):
-    """An enumeration was refused because it would exceed its size cap."""
+    """An enumeration was refused because it would exceed its guard."""
+
+
+# Guards of the exhaustive enumerations, each compared with the exact size of
+# what an enumeration would visit before it visits any of it.
+PROFILE_LIMIT = 10**6  # profiles; `--guard` and MUDRA_GUARD override it
+DISCRETE_LIMIT = 10**6  # discrete assignments screened for ex-post efficiency
+MISREPORT_LIMIT = math.factorial(6)  # one agent's misreports
+JOINT_LIMIT = 10**6  # a coalition's joint misreports
+ORDER_LIMIT = math.factorial(8)  # rp priority orders; agent or object relabellings
+
+
+def refuse_over(count: int, limit: int, what: str) -> None:
+    """Refuse an enumeration of `count` items when that exceeds `limit`.
+
+    This is the only place that raises GuardExceeded: every exhaustive
+    enumeration calls it with the exact size of what it is about to visit
+    (or any number past `limit` once that size is known to be past it),
+    before it visits or allocates any of it.  `what` names the size, as in
+    "9! priority orders"; the count is not printed, because a refused count
+    can have more digits than `str` converts.
+    """
+    if count > limit:
+        raise GuardExceeded(f"{what} exceed the guard of {limit}")
+
+
+def orderings(
+    labels: Sequence[str], limit: int, what: str, repeat: int | None = None
+) -> Iterator[tuple]:
+    """The strict orders of `labels`, guarded, as a lazy stream.
+
+    Orders are permutations of `labels` in lexicographic order; with
+    `repeat`, the stream is every `repeat`-tuple of orders in product order,
+    first position varying slowest.  Refuses when the len(labels)! orders
+    (their `repeat`-th power with `repeat`) exceed `limit`.
+    """
+    count = math.factorial(len(labels))
+    if repeat is not None and count <= limit:
+        # Past the limit, every power is too; skip a power of millions of digits.
+        count **= repeat
+    refuse_over(count, limit, what)
+    orders = itertools.permutations(labels)
+    return orders if repeat is None else itertools.product(orders, repeat=repeat)
 
 
 def _check_rational(value: object, where: str) -> Fraction:

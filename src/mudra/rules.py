@@ -14,7 +14,6 @@ eats the min(quota, #remaining) most preferred available objects at once.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -22,20 +21,19 @@ from fractions import Fraction
 from typing import AbstractSet, Callable, Sequence
 
 from .model import (
+    ORDER_LIMIT,
     DiscreteAssignment,
-    GuardExceeded,
     Instance,
     PreferenceProfile,
     RandomAssignment,
+    discrete_to_random,
+    orderings,
     require_balanced,
 )
 
 #: Maps (preference order, available objects, #not-yet-exhausted) to the set
 #: of objects the agent eats next.
 DemandPolicy = Callable[[Sequence[str], AbstractSet[str], int], frozenset[str]]
-
-#: Factorials beyond 8 agents make exact priority averaging unreasonable.
-RP_DEFAULT_CAP = 8
 
 
 def top_k(k: int) -> DemandPolicy:
@@ -162,27 +160,21 @@ def serial_dictator(profile: PreferenceProfile, priority: Sequence[str]) -> Disc
 
 def priority_rule(profile: PreferenceProfile) -> RandomAssignment:
     """Serial dictatorship under the fixed priority order of the instance's agents."""
-    from .model import discrete_to_random
-
     return discrete_to_random(serial_dictator(profile, profile.instance.agents))
 
 
-def random_priority(profile: PreferenceProfile, cap: int = RP_DEFAULT_CAP) -> RandomAssignment:
+def random_priority(profile: PreferenceProfile) -> RandomAssignment:
     """Exact average of serial dictatorship over all n! priority orders.
 
-    Refuses instances with more than `cap` agents: the average is exact, so
-    there is no sampling fallback.
+    Refuses instances with more than 8 agents (ORDER_LIMIT orders): the
+    average is exact, so there is no sampling fallback.
     """
     inst = profile.instance
     require_balanced(inst, "random priority")
     n = inst.num_agents
-    if n > cap:
-        raise GuardExceeded(
-            f"exact random priority is infeasible for {n} agents "
-            f"({n}! = {math.factorial(n)} priority orders exceeds cap {cap}!)"
-        )
+    priorities = orderings(inst.agents, ORDER_LIMIT, f"{n}! priority orders")
     totals = [[Fraction(0)] * inst.num_objects for _ in inst.agents]
-    for priority in itertools.permutations(inst.agents):
+    for priority in priorities:
         picked = serial_dictator(profile, priority)
         for j, owner in enumerate(picked.owners):
             totals[inst.agent_index(owner)][j] += 1

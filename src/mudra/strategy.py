@@ -18,20 +18,20 @@ under one joint misreport.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .model import GuardExceeded, PreferenceProfile, RandomAssignment, require_balanced
+from .model import (
+    JOINT_LIMIT,
+    MISREPORT_LIMIT,
+    PreferenceProfile,
+    RandomAssignment,
+    orderings,
+    refuse_over,
+    require_balanced,
+)
 from .order import DlVerdict, SdVerdict, dl_compare, sd_compare
-
-#: Factorial growth makes exhaustive misreport scans unreasonable past this
-#: many objects.
-DEFAULT_MAX_OBJECTS = 6
-
-#: Cap on the size of a joint misreport space (m! to the coalition size).
-DEFAULT_JOINT_CAP = 10**6
 
 Rule = Callable[[PreferenceProfile], RandomAssignment]
 
@@ -57,16 +57,12 @@ class Manipulation:
         raise KeyError(f"agent {agent!r} is not part of this manipulation")
 
 
-def all_strict_orders(
-    objects: Sequence[str], max_objects: int = DEFAULT_MAX_OBJECTS
-) -> Iterator[tuple[str, ...]]:
-    """All strict orders over `objects` in canonical lexicographic sequence."""
-    if len(objects) > max_objects:
-        raise GuardExceeded(
-            f"{len(objects)}! = {math.factorial(len(objects))} strict orders "
-            f"exceed the cap of {max_objects} objects"
-        )
-    return itertools.permutations(objects)
+def all_strict_orders(objects: Sequence[str]) -> Iterator[tuple[str, ...]]:
+    """All strict orders over `objects` in canonical lexicographic sequence.
+
+    Refuses more than 6 objects (MISREPORT_LIMIT orders).
+    """
+    return orderings(objects, MISREPORT_LIMIT, f"{len(objects)}! strict orders")
 
 
 def _scan_individual(
@@ -75,14 +71,13 @@ def _scan_individual(
     agent: str,
     qualifies: Callable[[dict, dict, tuple[str, ...]], bool],
     kind: ManipulationKind,
-    max_objects: int,
 ) -> Manipulation | None:
     require_balanced(profile.instance, "manipulation search")
-    inst = profile.instance
+    misreports = all_strict_orders(profile.instance.objects)
     true_order = profile.order_of(agent)
     truthful = rule(profile)
     truth_alloc = truthful.allocation(agent)
-    for mis in all_strict_orders(inst.objects, max_objects):
+    for mis in misreports:
         if mis == true_order:
             continue
         outcome = rule(profile.with_order(agent, mis))
@@ -98,8 +93,7 @@ def _scan_individual(
 
 
 def find_weak_sd_manipulation(
-    rule: Rule, profile: PreferenceProfile, agent: str,
-    max_objects: int = DEFAULT_MAX_OBJECTS,
+    rule: Rule, profile: PreferenceProfile, agent: str
 ) -> Manipulation | None:
     """First misreport whose outcome strictly SD-dominates the truthful one."""
     return _scan_individual(
@@ -107,26 +101,22 @@ def find_weak_sd_manipulation(
         lambda alt, truth, order: sd_compare(alt, truth, order)
         is SdVerdict.FIRST_STRICTLY_DOMINATES,
         ManipulationKind.STRICT_SD,
-        max_objects,
     )
 
 
 def find_dl_manipulation(
-    rule: Rule, profile: PreferenceProfile, agent: str,
-    max_objects: int = DEFAULT_MAX_OBJECTS,
+    rule: Rule, profile: PreferenceProfile, agent: str
 ) -> Manipulation | None:
     """First misreport whose outcome wins downward lexicographically."""
     return _scan_individual(
         rule, profile, agent,
         lambda alt, truth, order: dl_compare(alt, truth, order) is DlVerdict.FIRST,
         ManipulationKind.DL_IMPROVEMENT,
-        max_objects,
     )
 
 
 def find_sd_manipulation(
-    rule: Rule, profile: PreferenceProfile, agent: str,
-    max_objects: int = DEFAULT_MAX_OBJECTS,
+    rule: Rule, profile: PreferenceProfile, agent: str
 ) -> Manipulation | None:
     """First misreport whose outcome the truthful one fails to weakly dominate."""
     return _scan_individual(
@@ -134,7 +124,6 @@ def find_sd_manipulation(
         lambda alt, truth, order: sd_compare(truth, alt, order)
         not in (SdVerdict.EQUAL, SdVerdict.FIRST_STRICTLY_DOMINATES),
         ManipulationKind.NOT_SD_DOMINATED,
-        max_objects,
     )
 
 
@@ -142,14 +131,13 @@ def find_group_manipulation(
     rule: Rule,
     profile: PreferenceProfile,
     coalition: Sequence[str],
-    max_objects: int = DEFAULT_MAX_OBJECTS,
-    joint_cap: int = DEFAULT_JOINT_CAP,
 ) -> Manipulation | None:
     """First joint misreport making every coalition member strictly better.
 
     Joint misreports are enumerated as the canonical product of per-member
     misreport sequences; every member's outcome must strictly SD-dominate
-    their truthful outcome under their true order.
+    their truthful outcome under their true order.  Refuses more than 6
+    objects, and joint spaces past JOINT_LIMIT.
     """
     require_balanced(profile.instance, "manipulation search")
     inst = profile.instance
@@ -160,21 +148,15 @@ def find_group_manipulation(
         raise ValueError("coalition lists an agent twice")
     for a in members:
         inst.agent_index(a)  # raises on unknown agents
-    m = inst.num_objects
-    if m > max_objects:
-        raise GuardExceeded(
-            f"{m}! strict orders exceed the cap of {max_objects} objects"
-        )
-    if math.factorial(m) ** len(members) > joint_cap:
-        raise GuardExceeded(
-            f"joint misreport space ({m}!)^{len(members)} exceeds the cap of {joint_cap}"
-        )
+    m, k = inst.num_objects, len(members)
+    refuse_over(math.factorial(m), MISREPORT_LIMIT, f"{m}! strict orders")
+    joints = orderings(
+        inst.objects, JOINT_LIMIT, f"({m}!)^{k} joint misreports", repeat=k
+    )
     true_orders = {a: profile.order_of(a) for a in members}
     truthful = rule(profile)
     truth_allocs = {a: truthful.allocation(a) for a in members}
-    for joint in itertools.product(
-        itertools.permutations(inst.objects), repeat=len(members)
-    ):
+    for joint in joints:
         reports = dict(zip(members, joint))
         if all(reports[a] == true_orders[a] for a in members):
             continue

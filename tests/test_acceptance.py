@@ -258,7 +258,11 @@ def test_criterion_06_mps_axiom_sweep_on_the_full_two_agent_domain(sweep_data):
         (F(1), F(0), F(0), F(1)),
     )
 
-    assert dl_witnesses
+    # The README's counts: the witnesses cover 264 of the 576 profiles and
+    # 384 of the 1,152 profile-agent pairs.
+    assert len(sweep_data) == 576
+    assert len({record["profile"].orders for record, _, _ in dl_witnesses}) == 264
+    assert len(dl_witnesses) == 384
     assert any(
         record["profile"].orders == witness.orders and agent == "1"
         for record, agent, _ in dl_witnesses

@@ -441,6 +441,12 @@ class TestEnumerate:
         assert result.exit_code == 2
         assert "refused" in result.stderr
 
+    def test_refusal_of_a_count_too_long_to_print(self, runner):
+        # (200!)^200 has more digits than str() converts by default.
+        result = runner.invoke(main, ["enumerate", "--n", "200", "--m", "200"])
+        assert result.exit_code == 2
+        assert "refused: (200!)^200 profiles" in result.stderr
+
     def test_explicit_guard_flag(self, runner):
         result = runner.invoke(main, ["enumerate", "--n", "2", "--m", "3", "--guard", "10"])
         assert result.exit_code == 2
@@ -450,3 +456,32 @@ class TestEnumerate:
             main, ["enumerate", "--n", "2", "--m", "3"], env={"MUDRA_GUARD": "10"}
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("guard, code", [("36", 0), ("35", 2)])
+    def test_guard_boundary(self, runner, guard, code):
+        # 3!^2 = 36 profiles, by flag and by environment variable.
+        args = ["enumerate", "--n", "2", "--m", "3"]
+        assert runner.invoke(main, args + ["--guard", guard]).exit_code == code
+        assert runner.invoke(main, args, env={"MUDRA_GUARD": guard}).exit_code == code
+
+
+NINE = [f"o{j}" for j in range(1, 10)]
+
+
+class TestRelabellingGuard:
+    @pytest.mark.parametrize(
+        "prop, preferences",
+        [
+            ("anonymity", {str(i): NINE for i in range(1, 10)}),
+            ("neutrality", {"1": NINE}),
+        ],
+    )
+    def test_nine_labels_refused(self, runner, paths, prop, preferences):
+        quota = len(NINE) // len(preferences)
+        data = {"objects": NINE, "quota": quota, "preferences": preferences}
+        result = runner.invoke(
+            main,
+            ["check", "--property", prop, "--rule", "uniform", "--profile", paths("p.json", data)],
+        )
+        assert result.exit_code == 2
+        assert "refused: 9!" in result.stderr

@@ -152,8 +152,19 @@ class TestEnumerateDiscrete:
         assert len(list(enumerate_discrete(inst, balanced=True))) == 1
 
     def test_cap_refusal(self):
-        with pytest.raises(GuardExceeded):
-            list(enumerate_discrete(FIG_PROFILE.instance, balanced=False, cap=10))
+        # 2^20 owner maps exceed the guard of 10^6: refused at the call,
+        # before one candidate is built or screened.
+        inst = canonical_instance(2, 20)
+        with pytest.raises(GuardExceeded, match=r"2\^20"):
+            enumerate_discrete(inst, balanced=False)
+        profile = PreferenceProfile(inst, (inst.objects, inst.objects))
+        with pytest.raises(GuardExceeded, match=r"2\^20"):
+            is_ex_post_efficient(uniform(inst), profile, allow_unbalanced=True)
+
+    def test_guard_boundary_answers(self):
+        # 2^19 owner maps are within the guard, so the stream starts.
+        inst = Instance(tuple("12"), tuple(f"o{j}" for j in range(19)), 10, relaxed=True)
+        assert next(enumerate_discrete(inst, balanced=False)).owners == ("1",) * 19
 
 
 class TestIsExPostEfficient:

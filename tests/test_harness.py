@@ -22,7 +22,13 @@ from mudra.harness import (
     profile_cap,
     reproduce,
 )
-from mudra.model import GuardExceeded, PreferenceProfile, validate_assignment
+from mudra.model import (
+    DiscreteAssignment,
+    GuardExceeded,
+    PreferenceProfile,
+    discrete_to_random,
+    validate_assignment,
+)
 from mudra.serialize import assignment_from_data, save_assignment, save_profile
 
 F = Fraction
@@ -72,6 +78,14 @@ class TestEnumerateProfiles:
         with pytest.raises(GuardExceeded):
             list(enumerate_profiles(inst, cap=10))
 
+    def test_guard_boundary(self):
+        # 3!^2 = 36 profiles: answered at a guard of 36, refused at 35 when
+        # called, before one profile is built.
+        inst = canonical_instance(2, 3)
+        assert sum(1 for _ in enumerate_profiles(inst, cap=36)) == 36
+        with pytest.raises(GuardExceeded, match="guard"):
+            enumerate_profiles(inst, cap=35)
+
 
 class TestProfileCap:
     def test_default(self):
@@ -89,6 +103,33 @@ class TestProfileCap:
         monkeypatch.setenv(GUARD_ENV_VAR, "lots")
         with pytest.raises(ValueError, match=GUARD_ENV_VAR):
             profile_cap()
+
+
+def never_called(profile):
+    raise AssertionError("the rule ran although the guard should refuse first")
+
+
+class TestRelabellingGuard:
+    @staticmethod
+    def diagonal(n):
+        """n x n profile and the fixed rule giving object o_j to agent j."""
+        inst = canonical_instance(n, n)
+        fixed = discrete_to_random(DiscreteAssignment(inst, inst.agents))
+        return PreferenceProfile(inst, (inst.objects,) * n), lambda _: fixed
+
+    @pytest.mark.parametrize("name", ["anonymity", "neutrality"])
+    def test_nine_labels_refused_before_the_rule_runs(self, name):
+        profile, _ = self.diagonal(9)
+        with pytest.raises(GuardExceeded, match="9!"):
+            PROPERTIES[name].check(profile, None, never_called)
+
+    @pytest.mark.parametrize("name", ["anonymity", "neutrality"])
+    def test_eight_labels_answer(self, name):
+        # The fixed rule is neither anonymous nor neutral, so the check
+        # answers at the first relabelling.
+        profile, rule = self.diagonal(8)
+        holds, certificate = PROPERTIES[name].check(profile, None, rule)
+        assert not holds and certificate["mismatch"]
 
 
 class TestCheckRuleProperty:

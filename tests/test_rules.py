@@ -114,6 +114,11 @@ class TestSerialDictatorship:
             (F(0), F(1, 2), F(1), F(1, 2)),
         )
 
+    def test_random_priority_answers_at_eight_agents(self):
+        order = tuple(f"o{j}" for j in range(1, 9))
+        profile = make_profile([order] * 8, quota=1)
+        assert random_priority(profile).matrix == ((F(1, 8),) * 8,) * 8
+
     def test_random_priority_refuses_large_instances(self):
         n = 9
         order = tuple(f"o{j}" for j in range(1, n + 1))

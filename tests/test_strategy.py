@@ -33,6 +33,13 @@ def make_profile(orders, quota):
 # two agents fighting over a, with b freeing up a bargaining wedge
 STAGGERED = make_profile([("a", "b", "c", "d"), ("b", "c", "a", "d")], quota=2)
 
+# the largest object set a misreport scan answers for
+SIX_OBJECTS = make_profile([tuple("abcdef"), tuple("fedcba"), tuple("cdabef")], quota=2)
+
+
+def never_called(profile):
+    raise AssertionError("the rule ran although the guard should refuse first")
+
 
 def assert_replayable(rule, profile, manipulation):
     """The stored outcome must equal a fresh run of the misreported profile."""
@@ -48,6 +55,22 @@ class TestAllStrictOrders:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             all_strict_orders(tuple("abcdefg"))
+
+
+class TestMisreportGuard:
+    SEVEN = make_profile([tuple("abcdefg")], quota=7)
+    FINDERS = (find_sd_manipulation, find_dl_manipulation, find_weak_sd_manipulation)
+
+    def test_six_objects_answer(self):
+        for finder in self.FINDERS:
+            assert finder(lambda p: uniform(p.instance), SIX_OBJECTS, "1") is None
+
+    def test_seven_objects_refused_before_the_rule_runs(self):
+        for finder in self.FINDERS:
+            with pytest.raises(GuardExceeded, match="7!"):
+                finder(never_called, self.SEVEN, "1")
+        with pytest.raises(GuardExceeded, match="7!"):
+            find_group_manipulation(never_called, self.SEVEN, ("1",))
 
 
 class TestWeakSdManipulation:
@@ -187,8 +210,9 @@ class TestGroupManipulation:
             find_group_manipulation(mps, self.PROFILE, ("1", "9"))
 
     def test_joint_cap_refusal(self):
+        # (6!)^3 joint misreports exceed the guard of 10^6.
         with pytest.raises(GuardExceeded, match="joint"):
-            find_group_manipulation(mps, self.PROFILE, ("1", "2"), joint_cap=10)
+            find_group_manipulation(never_called, SIX_OBJECTS, ("1", "2", "3"))
 
 
 class TestRelaxedRejected:
