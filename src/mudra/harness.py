@@ -6,7 +6,8 @@ preference-profile domains.  The main entry points are
 * :func:`enumerate_profiles` -- canonical, guarded profile streams;
 * :func:`table1_sweep` -- confirms the expected +/- classification of the
   five bundled rules against ten axioms, storing a concrete counterexample
-  for every '-' cell and sweeping the full domain for every '+' cell;
+  for every '-' cell and covering the full domain for every '+' cell (one
+  profile per object-relabelling orbit once the rule is verified neutral);
 * :func:`reproduce` -- replays the named reference scenarios shipped with
   the library and diffs the computed values against the recorded ones.
 
@@ -369,6 +370,9 @@ class TableCell:
     observed: str
     matched: bool
     domain: str
+    #: Profiles covered, in canonical order up to the witness: each checked
+    #: directly or, for a verified-neutral rule, through its orbit's
+    #: representative.
     profiles_checked: int
     witness_orders: tuple[tuple[str, ...], ...] | None = None
     certificate: dict | None = None
@@ -439,11 +443,23 @@ def table1_sweep(cap: int | None = None, use_cache: bool = True) -> Table1Report
     """Confirm the expected rule-by-axiom classification by exhaustive sweep.
 
     Every '-' cell must produce a concrete counterexample; every '+' cell
-    must survive the full sweep of the 576 two-agent four-object profiles.
-    A '-' cell with no two-agent counterexample falls back to the
-    single-unit domain (four agents, four objects, quota one).  Observed
+    must hold on all 576 two-agent four-object profiles.  A '-' cell with
+    no two-agent counterexample falls back to the single-unit domain (four
+    agents, four objects, quota one), swept profile by profile.  Observed
     results that contradict the expected sign are reported as
     discrepancies, never reconciled.
+
+    On the two-agent domain each rule's neutrality is checked first, at one
+    profile R per object-relabelling orbit: f(τR) = τf(R) and
+    f(στR) = στf(R) give f(στR) = σf(τR), so a violation anywhere in the
+    orbit shows at R.  A rule found neutral there is neutral on the whole
+    domain, every other table property is then invariant under object
+    relabelling, and the rule's cells are swept over the representatives
+    only.  Relabelling acts freely on strict profiles, so the profiles
+    whose first order is the object tuple are one per orbit; they are the
+    first m! = 24 in canonical order, each the first of its orbit, so
+    witnesses, certificates and profile counts are those of the unreduced
+    sweep.  A rule that fails neutrality is swept unreduced.
     """
     key = profile_cap(cap)
     if use_cache and key in _TABLE1_CACHE:
@@ -451,6 +467,9 @@ def table1_sweep(cap: int | None = None, use_cache: bool = True) -> Table1Report
 
     main_instance = canonical_instance(2, 4, 2)
     main_profiles = list(enumerate_profiles(main_instance, cap))
+    # One per orbit, leading the canonical order: an index among them is an
+    # index in the domain.
+    representatives = [p for p in main_profiles if p.orders[0] == main_instance.objects]
     main_domain = "n=2, m=4, c=2"
     aux_domain = "n=4, m=4, c=1 (single-unit)"
     cache = OutputCache()
@@ -462,11 +481,21 @@ def table1_sweep(cap: int | None = None, use_cache: bool = True) -> Table1Report
             cache.output(rule_name, profile)
         rule_seconds.append((rule_name, time.perf_counter() - started))
 
+    neutrality = {
+        rule_name: _first_violation(rule_name, "neutrality", representatives, cache)
+        for rule_name in RULE_NAMES
+    }
+
     cells = []
     for property_name in PROPERTY_NAMES:
         for rule_name in RULE_NAMES:
             expected = EXPECTED_SIGNS[property_name][rule_name]
-            found = _first_violation(rule_name, property_name, main_profiles, cache)
+            if property_name == "neutrality":
+                found = neutrality[rule_name]
+            else:
+                neutral = neutrality[rule_name] is None
+                swept = representatives if neutral else main_profiles
+                found = _first_violation(rule_name, property_name, swept, cache)
             checked = len(main_profiles) if found is None else found[0] + 1
             domain = main_domain
             if found is None and expected == "-":

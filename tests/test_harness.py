@@ -1,6 +1,7 @@
 """Profile enumeration, scenario replay, and the classification sweep."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,19 +17,23 @@ from mudra.harness import (
     RULE_NAMES,
     RULES,
     OutputCache,
+    _first_violation,
     canonical_instance,
     check_rule_property,
     enumerate_profiles,
     profile_cap,
     reproduce,
+    table1_sweep,
 )
 from mudra.model import (
     DiscreteAssignment,
     GuardExceeded,
     PreferenceProfile,
     discrete_to_random,
+    permute_objects,
     validate_assignment,
 )
+from mudra.rules import mps, uniform
 from mudra.serialize import assignment_from_data, save_assignment, save_profile
 
 F = Fraction
@@ -266,6 +271,103 @@ class TestTable1Sweep:
         assert set(data["rule_seconds"]) == set(RULE_NAMES)
 
     def test_memoized_between_calls(self, table1_report):
-        from mudra.harness import table1_sweep
-
         assert table1_sweep() is table1_report
+
+
+def representative(profile):
+    """The member of the profile's object-relabelling orbit whose first
+    order is the instance's object tuple."""
+    objects = profile.instance.objects
+    return permute_objects(profile, dict(zip(profile.orders[0], objects)))
+
+
+#: table1 property -> its verdict in a `sweep_data` rule record.
+SWEEP_DATA_VERDICTS = {
+    "sd-efficiency": lambda v: v["sd_efficient"],
+    "ex-post-efficiency": lambda v: v["ex_post"],
+    "unanimity": lambda v: v["unanimous"],
+    "sd-envy-freeness": lambda v: v["sd_envy_free"],
+    "weak-sd-envy-freeness": lambda v: v["weak_sd_envy_free"],
+    **{
+        f"{kind}-strategyproofness": (
+            lambda v, kind=kind: all(m is None for m in v["manipulations"][kind].values())
+        )
+        for kind in ("sd", "dl", "weak-sd")
+    },
+}
+
+
+class TestOrbitReduction:
+    """The table1 sweep checks one profile per object-relabelling orbit for a
+    rule it has verified neutral; these tests hold it to the unreduced sweep."""
+
+    @pytest.mark.parametrize("n, m, quota", [(2, 4, 2), (3, 3, 1)])
+    def test_representatives_come_first_in_their_orbits(self, n, m, quota):
+        instance = canonical_instance(n, m, quota)
+        profiles = list(enumerate_profiles(instance))
+        index = {p.orders: i for i, p in enumerate(profiles)}
+        firsts = [i for i, p in enumerate(profiles) if p.orders[0] == instance.objects]
+        # One per orbit of m! profiles: (m!)^(n-1), which is m! at n = 2.
+        assert firsts == list(range(len(profiles) // math.factorial(m)))
+        for i, profile in enumerate(profiles):
+            assert index[representative(profile).orders] <= i
+
+    @pytest.mark.parametrize("property_name", list(SWEEP_DATA_VERDICTS))
+    def test_cells_match_the_unreduced_verdicts(
+        self, property_name, sweep_data, table1_report
+    ):
+        verdict = SWEEP_DATA_VERDICTS[property_name]
+        for rule in RULE_NAMES:
+            holds = [verdict(record["rules"][rule]) for record in sweep_data]
+            cell = table1_report.cell(rule, property_name)
+            first = holds.index(False) if False in holds else None
+            if cell.domain.startswith("n=2"):
+                expected = None if first is None else cell.profiles_checked - 1
+                assert first == expected, (rule, property_name)
+                if first is not None:
+                    assert cell.witness_orders == sweep_data[first]["profile"].orders
+            else:
+                assert first is None, (rule, property_name)
+            by_orbit = {}
+            for record, ok in zip(sweep_data, holds):
+                by_orbit.setdefault(representative(record["profile"]).orders, set()).add(ok)
+            assert len(by_orbit) == 24
+            assert all(len(v) == 1 for v in by_orbit.values()), (rule, property_name)
+
+    def test_anonymity_cells_match_an_unreduced_scan(self, main_profiles, table1_report):
+        cache = OutputCache()
+        for rule in RULE_NAMES:
+            found = _first_violation(rule, "anonymity", main_profiles, cache)
+            cell = table1_report.cell(rule, "anonymity")
+            if found is None:
+                assert cell.observed == "supported-by-sweep"
+                assert cell.profiles_checked == len(main_profiles)
+            else:
+                assert cell.profiles_checked == found[0] + 1
+                assert cell.witness_orders == found[1].orders
+                assert cell.certificate == found[2]
+
+    def test_non_neutral_rule_is_swept_unreduced(self, monkeypatch, main_profiles):
+        # mps on every orbit representative, yet neither neutral nor unanimous.
+        def mps_if_o1_first(profile):
+            if profile.orders[0][0] == "o1":
+                return mps(profile)
+            return uniform(profile.instance)
+
+        monkeypatch.setitem(RULES, "uniform", mps_if_o1_first)
+        monkeypatch.setattr("mudra.harness.PROPERTY_NAMES", ("neutrality", "unanimity"))
+        report = table1_sweep(use_cache=False)
+        cache = OutputCache()
+        for property_name in ("neutrality", "unanimity"):
+            cell = report.cell("uniform", property_name)
+            index, profile, certificate = _first_violation(
+                "uniform", property_name, main_profiles, cache
+            )
+            assert cell.domain.startswith("n=2")
+            assert cell.profiles_checked == index + 1
+            assert cell.witness_orders == profile.orders
+            assert cell.certificate == certificate
+        # The unanimity witness lies off the representatives, where a sweep
+        # that assumed neutrality would never look.
+        witness = report.cell("uniform", "unanimity").witness_orders
+        assert witness[0] != main_profiles[0].instance.objects
