@@ -210,6 +210,8 @@ def check(token, profile_path, assignment_path, rule_name, allow_unbalanced, as_
         if assignment_path is not None:
             assignment = load_assignment(assignment_path, profile.instance)
         prop = _BY_TOKEN[token]
+        if allow_unbalanced and token != "ex-post":
+            raise click.UsageError("--allow-unbalanced only applies to --property ex-post")
         given = {"assignment": assignment_path, "rule": rule_name}
         if prop.judges and all(given[what] is None for what in prop.judges):
             wanted = " or ".join(f"--{what}" for what in prop.judges)

@@ -9,7 +9,7 @@ becomes the certificate: trading the largest feasible epsilon along it gives
 an assignment that SD-dominates the input.  The test holds for any fixed row
 sums, so it also screens unbalanced discrete candidates.  Ex-post efficiency
 enumerates discrete assignments, keeps the SD-efficient ones and asks, by an
-exact linear program, whether the input is a convex combination of the
+exact feasibility simplex, whether the input is a convex combination of the
 survivors.
 """
 

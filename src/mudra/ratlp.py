@@ -1,18 +1,17 @@
-"""Exact linear programming over the rationals.
+"""Exact feasibility of A x = b, x >= 0 over the rationals.
 
-A small two-phase primal simplex with Bland's anti-cycling rule.  Everything
-is `fractions.Fraction`: no floats, no tolerances, so verdicts (optimal,
-infeasible, unbounded) are exact and deterministic.
+A phase-one primal simplex with Bland's anti-cycling rule.  Everything is
+`fractions.Fraction`: no floats, no tolerances, so the verdict is exact and
+deterministic, and it comes with a certificate either way:
 
-Variables are free unless flagged nonnegative; free variables are split into
-positive and negative parts internally.  Infeasible programs come with a
-Farkas certificate `f`, one multiplier per constraint, satisfying
+    feasible:    a point x with A x == b and x >= 0;
+    infeasible:  a Farkas vector y, one multiplier per row, with
+                 sum_k y_k * a_kj <= 0 for every column j and
+                 sum_k y_k * b_k > 0.
 
-    f_k >= 0 for ">="-rows,  f_k <= 0 for "<="-rows,  f_k free for "="-rows,
-    sum_k f_k * a_kj == 0 for free variables (<= 0 for nonnegative ones),
-    sum_k f_k * b_k > 0,
-
-which jointly contradict feasibility.
+By Farkas's lemma exactly one of the two exists, so substituting the
+certificate settles the question.  The one problem mudra solves here is the
+hull test of ex-post efficiency (`convex_membership`).
 """
 
 from __future__ import annotations
@@ -23,227 +22,88 @@ from typing import Sequence
 
 from .model import _check_rational
 
-RELATIONS = ("<=", "=", ">=")
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple[Fraction, ...]
-    relation: str
-    rhs: Fraction
+class Feasibility:
+    """The answer of `solve`, with the point or the Farkas vector."""
 
-    def __post_init__(self) -> None:
-        if self.relation not in RELATIONS:
-            raise ValueError(f"unknown relation {self.relation!r}")
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple(_check_rational(c, "constraint coefficient") for c in self.coeffs),
-        )
-        object.__setattr__(self, "rhs", _check_rational(self.rhs, "constraint rhs"))
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    variables: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
-    objective: tuple[Fraction, ...]
-    sense: str = "max"
-    nonneg: tuple[bool, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if len(set(self.variables)) != len(self.variables):
-            raise ValueError("duplicate variable names")
-        if self.sense not in ("max", "min"):
-            raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
-        if len(self.objective) != len(self.variables):
-            raise ValueError("objective length does not match variable count")
-        object.__setattr__(
-            self,
-            "objective",
-            tuple(_check_rational(c, "objective coefficient") for c in self.objective),
-        )
-        for k, con in enumerate(self.constraints):
-            if len(con.coeffs) != len(self.variables):
-                raise ValueError(f"constraint {k} has wrong coefficient count")
-        if self.nonneg is not None and len(self.nonneg) != len(self.variables):
-            raise ValueError("nonneg flags do not match variable count")
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    value: Fraction | None = None
-    point: dict[str, Fraction] | None = None
+    status: str  # "feasible" | "infeasible"
+    point: tuple[Fraction, ...] | None = None
     farkas: tuple[Fraction, ...] | None = None
 
 
-def _pivot(rows, rhs, obj_rows, values, basis, r, e):
-    """Bring column e into the basis at row r, updating all carried rows."""
-    prow = rows[r]
-    factor = prow[e]
-    if factor != 1:
-        rows[r] = prow = [x / factor for x in prow]
-        rhs[r] = rhs[r] / factor
-    beta = rhs[r]
-    for i, row in enumerate(rows):
-        if i == r:
-            continue
-        f = row[e]
-        if f:
-            rows[i] = [x - f * y if y else x for x, y in zip(row, prow)]
-            rhs[i] -= f * beta
-    for k, obj in enumerate(obj_rows):
-        f = obj[e]
-        if f:
-            obj_rows[k] = [x - f * y if y else x for x, y in zip(obj, prow)]
-            values[k] += f * beta
-    basis[r] = e
+def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Feasibility:
+    """Decide whether some x >= 0 has `rows` . x == `rhs`, with a certificate.
 
+    Every entry must be an int or a Fraction; floats raise TypeError.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
+    nvars = len(rows[0]) if rows else 0
+    nrows = len(rows)
+    # A row with a negative right-hand side is negated, so that each row's
+    # artificial column starts basic at |b_k|.
+    signs: list[int] = []
+    tableau: list[list[Fraction]] = []
+    b: list[Fraction] = []
+    for k, (row, b_k) in enumerate(zip(rows, rhs)):
+        if len(row) != nvars:
+            raise ValueError(f"row {k} has {len(row)} entries, expected {nvars}")
+        b_k = _check_rational(b_k, f"right-hand side {k}")
+        sign = -1 if b_k < 0 else 1
+        entries = [sign * _check_rational(a, f"entry ({k}, {j})") for j, a in enumerate(row)]
+        entries += [ONE if i == k else ZERO for i in range(nrows)]
+        signs.append(sign)
+        tableau.append(entries)
+        b.append(sign * b_k)
+    basis = list(range(nvars, nvars + nrows))
 
-def _bland_entering(obj, allowed):
-    for j in range(allowed):
-        if obj[j] > 0:
-            return j
-    return None
-
-
-def _bland_leaving(rows, rhs, basis, e):
-    best = None
-    best_ratio = None
-    for r, row in enumerate(rows):
-        a = row[e]
-        if a > 0:
-            ratio = rhs[r] / a
-            if best is None or ratio < best_ratio or (
-                ratio == best_ratio and basis[r] < basis[best]
-            ):
-                best, best_ratio = r, ratio
-    return best
-
-
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve exactly; the returned point and value are certified rationals."""
-    nvars = len(lp.variables)
-    nonneg = lp.nonneg if lp.nonneg is not None else (False,) * nvars
-    maximize = lp.sense == "max"
-    cost = list(lp.objective) if maximize else [-c for c in lp.objective]
-
-    # Structural columns: a nonnegative variable keeps one column, a free
-    # variable splits into a difference of two.
-    columns: list[tuple[int, int]] = []
-    for j in range(nvars):
-        columns.append((j, 1))
-        if not nonneg[j]:
-            columns.append((j, -1))
-    nstruct = len(columns)
-
-    nrows = len(lp.constraints)
-    flips = [1] * nrows
-    slack_of: dict[int, int] = {}
-    ncols = nstruct
-    relations = []
-    for k, con in enumerate(lp.constraints):
-        rel = con.relation
-        if con.rhs < 0:
-            flips[k] = -1
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        relations.append(rel)
-        if rel != "=":
-            slack_of[k] = ncols
-            ncols += 1
-    art_of = {k: ncols + k for k in range(nrows)}
-    ncols += nrows
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    basis: list[int] = []
-    zero = Fraction(0)
-    for k, con in enumerate(lp.constraints):
-        row = [zero] * ncols
-        for col, (j, sign) in enumerate(columns):
-            v = con.coeffs[j] * sign * flips[k]
-            if v:
-                row[col] = v
-        if k in slack_of:
-            row[slack_of[k]] = Fraction(1) if relations[k] == "<=" else Fraction(-1)
-        row[art_of[k]] = Fraction(1)
-        rows.append(row)
-        rhs.append(con.rhs * flips[k])
-        basis.append(slack_of[k] if relations[k] == "<=" else art_of[k])
-
-    # Phase 1: maximize minus the artificial sum.  Reduced-cost rows for both
-    # phases are carried through every pivot.
-    obj1 = [zero] * ncols
-    for k in range(nrows):
-        obj1[art_of[k]] = Fraction(-1)
-    obj2 = [zero] * ncols
-    for col, (j, sign) in enumerate(columns):
-        obj2[col] = cost[j] * sign
-    values = [zero, zero]
-    obj_rows = [obj1, obj2]
-    for r, bcol in enumerate(basis):
-        if obj_rows[0][bcol]:
-            f = obj_rows[0][bcol]
-            obj_rows[0] = [x - f * y if y else x for x, y in zip(obj_rows[0], rows[r])]
-            values[0] += f * rhs[r]
-
+    # Maximise minus the sum of the artificials.  `cost` is the reduced-cost
+    # row with the artificial basis priced out, and `value` the objective.
+    cost = [sum((row[j] for row in tableau), ZERO) for j in range(nvars)]
+    cost += [ZERO] * nrows
+    value = -sum(b, ZERO)
     while True:
-        e = _bland_entering(obj_rows[0], ncols)
+        # Bland: the first improving column enters (artificials may), and a
+        # tie in the ratio test leaves by the lower basic column.
+        e = next((j for j, c in enumerate(cost) if c > 0), None)
         if e is None:
             break
-        r = _bland_leaving(rows, rhs, basis, e)
-        if r is None:  # phase-1 objective is bounded above by zero
-            raise RuntimeError("phase 1 unbounded; this cannot happen")
-        _pivot(rows, rhs, obj_rows, values, basis, r, e)
+        r, best = None, None
+        for i, row in enumerate(tableau):
+            if row[e] > 0:
+                ratio = b[i] / row[e]
+                if r is None or ratio < best or (ratio == best and basis[i] < basis[r]):
+                    r, best = i, ratio
+        # The objective is bounded above by zero, so some row always leaves.
+        prow = tableau[r]
+        factor = prow[e]
+        if factor != 1:
+            tableau[r] = prow = [x / factor for x in prow]
+            b[r] /= factor
+        for i, row in enumerate(tableau):
+            f = row[e]
+            if i != r and f:
+                tableau[i] = [x - f * y if y else x for x, y in zip(row, prow)]
+                b[i] -= f * b[r]
+        f = cost[e]
+        cost = [x - f * y if y else x for x, y in zip(cost, prow)]
+        value += f * b[r]
+        basis[r] = e
 
-    if values[0] != 0:
-        # Infeasible.  Recover the simplex multipliers from the artificial
-        # columns (each started as a unit column) and flip signs back.
-        farkas = []
-        for k in range(nrows):
-            y_k = Fraction(-1) - obj_rows[0][art_of[k]]
-            farkas.append(-y_k * flips[k])
-        return LpSolution(status="infeasible", farkas=tuple(farkas))
-
-    # Drive leftover artificials out of the basis; rows that cannot pivot are
-    # redundant equalities and are dropped.
-    art_cols = set(art_of.values())
-    keep: list[int] = []
-    for r in range(nrows):
-        if basis[r] in art_cols:
-            e = next(
-                (j for j in range(nstruct + len(slack_of)) if rows[r][j] != 0), None
-            )
-            if e is None:
-                continue
-            _pivot(rows, rhs, obj_rows, values, basis, r, e)
-        keep.append(r)
-    cut = nstruct + len(slack_of)
-    rows = [rows[r][:cut] for r in keep]
-    rhs = [rhs[r] for r in keep]
-    basis = [basis[r] for r in keep]
-    obj_rows = [obj_rows[1][:cut]]
-    values = [values[1]]
-    ncols = cut
-
-    while True:
-        e = _bland_entering(obj_rows[0], ncols)
-        if e is None:
-            break
-        r = _bland_leaving(rows, rhs, basis, e)
-        if r is None:
-            return LpSolution(status="unbounded")
-        _pivot(rows, rhs, obj_rows, values, basis, r, e)
-
-    solution = [zero] * nvars
-    for r, bcol in enumerate(basis):
-        if bcol < nstruct:
-            j, sign = columns[bcol]
-            solution[j] += rhs[r] * sign
-    value = sum(c * v for c, v in zip(lp.objective, solution))
-    point = dict(zip(lp.variables, solution))
-    return LpSolution(status="optimal", value=value, point=point)
+    if value != 0:
+        # The simplex multipliers sit in the artificial columns, each of
+        # which started as a unit column; undo the row negations.
+        farkas = tuple((1 + cost[nvars + k]) * signs[k] for k in range(nrows))
+        return Feasibility("infeasible", farkas=farkas)
+    point = [ZERO] * nvars
+    for r, col in enumerate(basis):
+        if col < nvars:
+            point[col] = b[r]
+    return Feasibility("feasible", point=tuple(point))
 
 
 @dataclass(frozen=True)
@@ -267,32 +127,9 @@ def convex_membership(
     for g, gen in enumerate(generators):
         if len(gen) != dim:
             raise ValueError(f"generator {g} has dimension {len(gen)}, expected {dim}")
-    names = tuple(f"w{g}" for g in range(len(generators)))
-    constraints = []
-    for d in range(dim):
-        constraints.append(
-            Constraint(
-                coeffs=tuple(Fraction(gen[d]) for gen in generators),
-                relation="=",
-                rhs=Fraction(target[d]),
-            )
-        )
-    constraints.append(
-        Constraint(
-            coeffs=tuple(Fraction(1) for _ in generators),
-            relation="=",
-            rhs=Fraction(1),
-        )
-    )
-    lp = LinearProgram(
-        variables=names,
-        constraints=tuple(constraints),
-        objective=tuple(Fraction(0) for _ in generators),
-        sense="max",
-        nonneg=tuple(True for _ in generators),
-    )
-    result = solve(lp)
-    if result.status == "optimal":
-        return HullResult(True, weights=tuple(result.point[n] for n in names))
-    assert result.status == "infeasible"
+    rows = [[gen[d] for gen in generators] for d in range(dim)]
+    rows.append([1] * len(generators))
+    result = solve(rows, [*target, 1])
+    if result.status == "feasible":
+        return HullResult(True, weights=result.point)
     return HullResult(False, farkas=result.farkas)

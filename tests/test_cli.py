@@ -303,6 +303,17 @@ class TestCheck:
         )
         assert result.exit_code == 3
 
+    def test_allow_unbalanced_outside_ex_post_is_a_usage_error(self, runner, paths):
+        result = runner.invoke(
+            main,
+            [
+                "check", "--property", "anonymity", "--rule", "mps",
+                "--profile", paths("p.json", FIG1), "--allow-unbalanced",
+            ],
+        )
+        assert result.exit_code == 3
+        assert "--allow-unbalanced only applies to --property ex-post" in result.output
+
 
 class TestManipulate:
     def test_weak_sd_witness_against_ops(self, runner, paths):

@@ -3,7 +3,8 @@
 A static check over the source with the standard library's `ast`: a name
 bound by `import` or `from ... import` must be read somewhere in the same
 module.  `__init__.py` is exempt, because the names it imports are the
-package's re-exports.
+package's re-exports: each of those must be listed in `__all__`, and every
+name in `__all__` must resolve on the package.
 """
 
 from __future__ import annotations
@@ -13,21 +14,27 @@ from pathlib import Path
 
 import pytest
 
+import mudra
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mudra"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names the module imports but never reads, in import order."""
-    tree = ast.parse(source)
+def imported_names(source: str) -> list[str]:
+    """Names bound by `import` and `from ... import`, in import order."""
     imported: list[str] = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             imported += [(a.asname or a.name).split(".")[0] for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [name for name in imported if name not in used]
+    return imported
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names the module imports but never reads, in import order."""
+    used = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    return [name for name in imported_names(source) if name not in used]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -38,3 +45,12 @@ def test_module_uses_every_import(path):
 def test_the_check_sees_an_unused_import():
     source = "import os\nimport sys\nfrom math import pi, tau\nprint(sys.argv, tau)\n"
     assert unused_imports(source) == ["os", "pi"]
+
+
+def test_every_public_name_resolves():
+    assert [name for name in mudra.__all__ if not hasattr(mudra, name)] == []
+
+
+def test_every_reexport_is_public():
+    source = (PACKAGE / "__init__.py").read_text()
+    assert [n for n in imported_names(source) if n not in mudra.__all__] == []

@@ -1,198 +1,96 @@
-"""Exact rational LP solver and convex hull membership."""
+"""Exact feasibility of A x = b, x >= 0, and convex hull membership."""
 
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mudra.ratlp import Constraint, LinearProgram, convex_membership, solve
+from mudra.ratlp import convex_membership, solve
 
 F = Fraction
 
 
-def lp(variables, constraints, objective, sense="max", nonneg=True):
-    n = len(variables)
-    return LinearProgram(
-        variables=tuple(variables),
-        constraints=tuple(
-            Constraint(tuple(F(c) for c in coeffs), rel, F(rhs))
-            for coeffs, rel, rhs in constraints
-        ),
-        objective=tuple(F(c) for c in objective),
-        sense=sense,
-        nonneg=(nonneg,) * n if isinstance(nonneg, bool) else tuple(nonneg),
-    )
-
-
-def assert_farkas_refutes(program: LinearProgram, farkas) -> None:
-    """Re-verify an infeasibility certificate against its program."""
-    assert farkas is not None and len(farkas) == len(program.constraints)
-    nonneg = program.nonneg or (False,) * len(program.variables)
-    for f, con in zip(farkas, program.constraints):
-        if con.relation == ">=":
-            assert f >= 0
-        elif con.relation == "<=":
-            assert f <= 0
-    for j, is_nonneg in enumerate(nonneg):
-        combo = sum(f * con.coeffs[j] for f, con in zip(farkas, program.constraints))
-        if is_nonneg:
-            assert combo <= 0
-        else:
-            assert combo == 0
-    assert sum(f * con.rhs for f, con in zip(farkas, program.constraints)) > 0
+def assert_certificate(rows, rhs, result) -> None:
+    """Check whichever certificate `solve` returned; by Farkas's lemma that
+    settles the answer without a reference solver."""
+    if result.status == "feasible":
+        point = result.point
+        assert len(point) == len(rows[0]) and all(x >= 0 for x in point)
+        for row, b in zip(rows, rhs):
+            assert sum(a * x for a, x in zip(row, point)) == b
+    else:
+        assert result.status == "infeasible"
+        y = result.farkas
+        assert len(y) == len(rows)
+        for column in zip(*rows):
+            assert sum(f * a for f, a in zip(y, column)) <= 0
+        assert sum(f * b for f, b in zip(y, rhs)) > 0
 
 
 class TestSolve:
-    def test_box_maximum(self):
-        program = lp(
-            ("x", "y"),
-            [((1, 0), "<=", 2), ((0, 1), "<=", 3)],
-            (1, 1),
-        )
-        result = solve(program)
-        assert result.status == "optimal"
-        assert result.value == 5
-        assert result.point == {"x": 2, "y": 3}
-
     def test_exact_thirds(self):
-        program = lp(("y",), [((3,), "<=", 1)], (1,))
-        assert solve(program).value == F(1, 3)
-
-    def test_equalities_with_free_variables(self):
-        program = lp(
-            ("x", "y"),
-            [((1, 1), "=", 1), ((1, -1), "=", 0)],
-            (0, 0),
-            nonneg=False,
-        )
-        result = solve(program)
-        assert result.status == "optimal"
-        assert result.point == {"x": F(1, 2), "y": F(1, 2)}
-
-    def test_min_sense(self):
-        program = lp(("x",), [((1,), ">=", 3)], (1,), sense="min")
-        result = solve(program)
-        assert result.status == "optimal" and result.value == 3
+        result = solve([[3]], [1])
+        assert result.status == "feasible" and result.point == (F(1, 3),)
 
     def test_infeasible_with_certificate(self):
-        program = lp(
-            ("x",),
-            [((1,), ">=", 2), ((1,), "<=", 1)],
-            (0,),
-        )
-        result = solve(program)
+        rows, rhs = [[1, 1], [1, -1]], [1, 2]  # x = 3/2 forces y = -1/2
+        result = solve(rows, rhs)
         assert result.status == "infeasible"
-        assert_farkas_refutes(program, result.farkas)
-
-    def test_unbounded(self):
-        program = lp(("x",), [], (1,))
-        assert solve(program).status == "unbounded"
+        assert_certificate(rows, rhs, result)
 
     def test_negative_rhs_feasibility(self):
-        # phase-1 must handle rows whose slack basis starts infeasible
-        program = lp(
-            ("x", "y"),
-            [((-1, -1), "<=", -3), ((1, 0), "<=", 2), ((0, 1), "<=", 2)],
-            (1, 2),
-        )
-        result = solve(program)
-        assert result.status == "optimal"
-        assert result.value == 6
-        assert result.point == {"x": 2, "y": 2}
+        # a negative right-hand side is negated before its artificial starts basic
+        rows, rhs = [[-1, -1, 0], [1, 0, 1]], [-3, 2]
+        result = solve(rows, rhs)
+        assert result.status == "feasible"
+        assert_certificate(rows, rhs, result)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="right-hand sides"):
+            solve([[1, 0]], [1, 1])
+        with pytest.raises(ValueError, match="row 1"):
+            solve([[1, 0], [1]], [1, 1])
 
     def test_determinism(self):
-        program = lp(
-            ("x", "y", "z"),
-            [((1, 1, 1), "=", 1), ((1, -1, 0), "<=", 0)],
-            (2, 1, 1),
-        )
-        first = solve(program)
-        second = solve(program)
-        assert first == second
-
-    def test_duplicate_variables_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            lp(("x", "x"), [], (1, 1))
-
-    def test_objective_length_checked(self):
-        with pytest.raises(ValueError, match="objective"):
-            LinearProgram(
-                variables=("x",),
-                constraints=(),
-                objective=(F(1), F(1)),
-            )
-
-    def test_unknown_relation_rejected(self):
-        with pytest.raises(ValueError, match="relation"):
-            Constraint((F(1),), "<", F(1))
+        rows, rhs = [[1, 1, 1, 0], [1, -1, 0, 1]], [1, 0]
+        assert solve(rows, rhs) == solve(rows, rhs)
 
 
-# --------------------------------------------------------------------------
-# Brute-force vertex oracle over a bounded 2-variable box
-# --------------------------------------------------------------------------
-
-BOX = [((1, 0), "<=", 3), ((0, 1), "<=", 3)]
+small = st.integers(min_value=-3, max_value=3)
 
 
-def vertex_oracle(constraints):
-    """Optimal value of max x+2y over nonneg (x, y) via vertex enumeration."""
-    rows = [(F(a), F(b), rel, F(r)) for (a, b), rel, r in constraints]
-    # boundary lines of every constraint plus the nonnegativity axes
-    lines = [(a, b, r) for a, b, rel, r in rows]
-    lines += [(F(1), F(0), F(0)), (F(0), F(1), F(0))]
-    candidates = []
-    for (a1, b1, r1), (a2, b2, r2) in combinations(lines, 2):
-        det = a1 * b2 - a2 * b1
-        if det == 0:
-            continue
-        x = (r1 * b2 - r2 * b1) / det
-        y = (a1 * r2 - a2 * r1) / det
-        candidates.append((x, y))
-    best = None
-    for x, y in candidates:
-        if x < 0 or y < 0:
-            continue
-        ok = True
-        for a, b, rel, r in rows:
-            lhs = a * x + b * y
-            if rel == "<=" and lhs > r:
-                ok = False
-            elif rel == ">=" and lhs < r:
-                ok = False
-            elif rel == "=" and lhs != r:
-                ok = False
-        if ok:
-            value = x + 2 * y
-            best = value if best is None else max(best, value)
-    return best
-
-
-coeff = st.integers(min_value=-3, max_value=3)
-rhs_value = st.integers(min_value=-2, max_value=6)
-relation = st.sampled_from(["<=", ">="])
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.tuples(coeff, coeff), relation, rhs_value),
-        min_size=0,
-        max_size=3,
-    )
-)
-def test_solver_agrees_with_vertex_oracle(extra):
-    constraints = BOX + extra
-    program = lp(("x", "y"), constraints, (1, 2))
-    result = solve(program)
-    expected = vertex_oracle(constraints)
-    if expected is None:
-        assert result.status == "infeasible"
-        assert_farkas_refutes(program, result.farkas)
+@st.composite
+def systems(draw):
+    """A small integer system A x = b; half the time b = A x0 for some x0 >= 0."""
+    nrows = draw(st.integers(min_value=1, max_value=4))
+    ncols = draw(st.integers(min_value=0, max_value=5))
+    rows = draw(st.lists(st.lists(small, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.integers(min_value=0, max_value=3),
+                           min_size=ncols, max_size=ncols))
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
     else:
-        assert result.status == "optimal"
-        assert result.value == expected
+        rhs = draw(st.lists(small, min_size=nrows, max_size=nrows))
+    return rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems())
+def test_solve_returns_a_valid_certificate(system):
+    rows, rhs = system
+    assert_certificate(rows, rhs, solve(rows, rhs))
+
+
+@pytest.mark.parametrize(
+    "target, generators",
+    [([0.1, 0.9], [[1, 0], [0, 1]]), ([F(1, 2), F(1, 2)], [[1.0, 0], [0, 1]])],
+    ids=["target", "generator"],
+)
+def test_convex_membership_rejects_floats(target, generators):
+    with pytest.raises(TypeError, match="floating point"):
+        convex_membership(target, generators)
 
 
 class TestConvexMembership:
