@@ -212,18 +212,23 @@ def check(token, profile_path, assignment_path, rule_name, allow_unbalanced, as_
         prop = _BY_TOKEN[token]
         if allow_unbalanced and token != "ex-post":
             raise click.UsageError("--allow-unbalanced only applies to --property ex-post")
-        given = {"assignment": assignment_path, "rule": rule_name}
-        if prop.judges and all(given[what] is None for what in prop.judges):
+        given = [
+            what for what, value in (("assignment", assignment_path), ("rule", rule_name))
+            if value is not None
+        ]
+        if len(given) > 1:
+            raise click.UsageError("--assignment and --rule cannot be given together")
+        for what in given:
+            if what not in prop.judges:
+                raise click.UsageError(f"--{what} does not apply to --property {token}")
+        if not given and "profile" not in prop.judges:
             wanted = " or ".join(f"--{what}" for what in prop.judges)
             raise click.UsageError(f"--property {token} requires {wanted}")
 
         started = time.perf_counter()
-        rule = None
-        if rule_name is not None and "rule" in prop.judges:
-            rule = OutputCache().callable(rule_name)
-        holds, certificate = prop.check(
-            profile, None if rule else assignment, rule, allow_unbalanced=allow_unbalanced
-        )
+        rule = None if rule_name is None else OutputCache().callable(rule_name)
+        extra = {"allow_unbalanced": True} if allow_unbalanced else {}
+        holds, certificate = prop.check(profile, assignment, rule, **extra)
         seconds = time.perf_counter() - started
         data = {
             "command": "check",

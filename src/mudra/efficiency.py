@@ -38,7 +38,6 @@ from .ratlp import convex_membership
 
 @dataclass(frozen=True)
 class EfficiencyVerdict:
-    property_name: str
     holds: bool
     dominator: RandomAssignment | None = None
     decomposition: tuple[tuple[Fraction, DiscreteAssignment], ...] | None = None
@@ -158,8 +157,8 @@ def is_sd_efficient(p: RandomAssignment, profile: PreferenceProfile) -> Efficien
         raise ValueError(f"input is not a feasible random assignment: {check.reason}")
     cycle = _trade_cycle(p.matrix, profile)
     if cycle is None:
-        return EfficiencyVerdict("sd-efficiency", True)
-    return EfficiencyVerdict("sd-efficiency", False, dominator=_trade_along(p, cycle))
+        return EfficiencyVerdict(True)
+    return EfficiencyVerdict(False, dominator=_trade_along(p, cycle))
 
 
 def enumerate_discrete(
@@ -231,12 +230,9 @@ def is_ex_post_efficient(
         decomposition = tuple(
             (w, d) for w, d in zip(hull.weights, survivors) if w != 0
         )
-        return EfficiencyVerdict(
-            "ex-post-efficiency", True,
-            decomposition=decomposition, survivors=survivors,
-        )
+        return EfficiencyVerdict(True, decomposition=decomposition, survivors=survivors)
     return EfficiencyVerdict(
-        "ex-post-efficiency", False, survivors=survivors, farkas=hull.farkas,
+        False, survivors=survivors, farkas=hull.farkas,
         detail=f"not in the convex hull of the {len(survivors)} SD-efficient "
                f"discrete assignments",
     )
@@ -317,14 +313,12 @@ def check_unanimity(
     require_balanced(profile.instance, "unanimity")
     perfect = perfect_assignment(profile)
     if perfect is None:
-        return EfficiencyVerdict(
-            "unanimity", True, detail="vacuous: no perfect assignment exists"
-        )
+        return EfficiencyVerdict(True, detail="vacuous: no perfect assignment exists")
     outcome = rule(profile)
     wanted = discrete_to_random(perfect)
     if outcome.matrix == wanted.matrix:
-        return EfficiencyVerdict("unanimity", True, decomposition=((Fraction(1), perfect),))
+        return EfficiencyVerdict(True, decomposition=((Fraction(1), perfect),))
     return EfficiencyVerdict(
-        "unanimity", False, survivors=(perfect,),
+        False, survivors=(perfect,),
         detail="a perfect assignment exists but the rule returns something else",
     )

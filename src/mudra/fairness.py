@@ -28,7 +28,6 @@ class EnvyCertificate:
 
 @dataclass(frozen=True)
 class FairnessVerdict:
-    property_name: str
     holds: bool
     certificate: EnvyCertificate | None = None
 
@@ -49,11 +48,8 @@ def is_sd_envy_free(p: RandomAssignment, profile: PreferenceProfile) -> Fairness
             theirs = prefix_sums(p.allocation(other), order)
             for obj, mine, its in zip(order, own, theirs):
                 if mine < its:
-                    return FairnessVerdict(
-                        "sd-envy-freeness", False,
-                        EnvyCertificate(agent, other, obj),
-                    )
-    return FairnessVerdict("sd-envy-freeness", True)
+                    return FairnessVerdict(False, EnvyCertificate(agent, other, obj))
+    return FairnessVerdict(True)
 
 
 def is_weak_sd_envy_free(p: RandomAssignment, profile: PreferenceProfile) -> FairnessVerdict:
@@ -73,16 +69,12 @@ def is_weak_sd_envy_free(p: RandomAssignment, profile: PreferenceProfile) -> Fai
                         order, prefix_sums(own, order), prefix_sums(theirs, order)
                     ) if a < b
                 )
-                return FairnessVerdict(
-                    "weak-sd-envy-freeness", False,
-                    EnvyCertificate(agent, other, first),
-                )
-    return FairnessVerdict("weak-sd-envy-freeness", True)
+                return FairnessVerdict(False, EnvyCertificate(agent, other, first))
+    return FairnessVerdict(True)
 
 
 @dataclass(frozen=True)
 class EquivarianceVerdict:
-    property_name: str
     holds: bool
     permutation: tuple[tuple[str, str], ...]
     #: First (agent, object) cell where the two sides disagree.
@@ -111,9 +103,7 @@ def check_anonymity(
     left = rule(permute_agents(profile, pi))
     right = permute_agents(rule(profile), pi)
     mismatch = _first_mismatch(left, right)
-    return EquivarianceVerdict(
-        "anonymity", mismatch is None, tuple(sorted(pi.items())), mismatch
-    )
+    return EquivarianceVerdict(mismatch is None, tuple(sorted(pi.items())), mismatch)
 
 
 def check_neutrality(
@@ -126,6 +116,4 @@ def check_neutrality(
     left = rule(permute_objects(profile, sigma))
     right = permute_objects(rule(profile), sigma)
     mismatch = _first_mismatch(left, right)
-    return EquivarianceVerdict(
-        "neutrality", mismatch is None, tuple(sorted(sigma.items())), mismatch
-    )
+    return EquivarianceVerdict(mismatch is None, tuple(sorted(sigma.items())), mismatch)

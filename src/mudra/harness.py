@@ -170,9 +170,10 @@ EXPECTED_SIGNS: dict[str, dict[str, str]] = {
 #: The properties the table1 sweep classifies, in table order.
 PROPERTY_NAMES: tuple[str, ...] = tuple(EXPECTED_SIGNS)
 
-#: (profile, output, rule, *, allow_unbalanced=False) -> (holds, certificate).
-#: `output` is the assignment judged at `profile` and `rule` the rule that
-#: produced it; either may be None when the caller judges only the other.
+#: (profile, output, rule) -> (holds, certificate).  `output` is the
+#: assignment judged at `profile` and `rule` the rule that produced it; either
+#: may be None when the caller judges only the other.  The ex-post checker
+#: alone also takes `allow_unbalanced`.
 Checker = Callable[..., tuple[bool, dict | None]]
 
 
@@ -181,8 +182,9 @@ class Property:
     """One registry entry: the checker and how `mudra check` reaches it."""
 
     check: Checker
-    #: What `mudra check` must be given, any one of: "assignment" (the
-    #: checker reads `output`), "rule" (it reruns `rule`), or neither.
+    #: What the checker can judge: "assignment" (it reads `output`), "rule"
+    #: (it reruns `rule`) or "profile" (it answers from the profile alone).
+    #: `mudra check` needs one of them and refuses a flag for anything else.
     judges: tuple[str, ...]
     #: The `mudra check --property` token, or None when only the sweep checks it.
     token: str | None = None
@@ -192,7 +194,7 @@ def _matrix_data(p: RandomAssignment) -> dict:
     return assignment_to_data(p)["matrix"]
 
 
-def _sd_efficiency(profile, output, rule, *, allow_unbalanced=False):
+def _sd_efficiency(profile, output, rule):
     verdict = is_sd_efficient(output, profile)
     if verdict:
         return True, None
@@ -215,7 +217,7 @@ def _ex_post_efficiency(profile, output, rule, *, allow_unbalanced=False):
     }
 
 
-def _unanimity(profile, output, rule, *, allow_unbalanced=False):
+def _unanimity(profile, output, rule):
     # With a rule, check_unanimity runs it only when a perfect assignment exists.
     verdict = check_unanimity(rule or (lambda _: output), profile)
     if verdict:
@@ -226,7 +228,7 @@ def _unanimity(profile, output, rule, *, allow_unbalanced=False):
     }
 
 
-def _perfect(profile, output, rule, *, allow_unbalanced=False):
+def _perfect(profile, output, rule):
     perfect = perfect_assignment(profile)
     if perfect is None:
         return False, {"detail": "no perfect assignment exists for this profile"}
@@ -234,7 +236,7 @@ def _perfect(profile, output, rule, *, allow_unbalanced=False):
     return holds, {"owners": list(perfect.owners)}
 
 
-def _sd_envy_freeness(profile, output, rule, *, allow_unbalanced=False):
+def _sd_envy_freeness(profile, output, rule):
     verdict = is_sd_envy_free(output, profile)
     if verdict:
         return True, None
@@ -246,7 +248,7 @@ def _sd_envy_freeness(profile, output, rule, *, allow_unbalanced=False):
     }
 
 
-def _weak_sd_envy_freeness(profile, output, rule, *, allow_unbalanced=False):
+def _weak_sd_envy_freeness(profile, output, rule):
     verdict = is_weak_sd_envy_free(output, profile)
     if verdict:
         return True, None
@@ -276,12 +278,12 @@ def _equivariance(check, labels, what, profile, rule) -> tuple[bool, dict | None
     return True, None
 
 
-def _anonymity(profile, output, rule, *, allow_unbalanced=False):
+def _anonymity(profile, output, rule):
     agents = profile.instance.agents
     return _equivariance(check_anonymity, agents, "agent", profile, rule)
 
 
-def _neutrality(profile, output, rule, *, allow_unbalanced=False):
+def _neutrality(profile, output, rule):
     objects = profile.instance.objects
     return _equivariance(check_neutrality, objects, "object", profile, rule)
 
@@ -308,15 +310,15 @@ def _no_manipulation(finder, profile, rule) -> tuple[bool, dict | None]:
 
 # The finders are looked up at call time, not stored in the registry, so
 # that rebinding a module name (as a call tracer does) reaches every caller.
-def _sd_strategyproofness(profile, output, rule, *, allow_unbalanced=False):
+def _sd_strategyproofness(profile, output, rule):
     return _no_manipulation(find_sd_manipulation, profile, rule)
 
 
-def _dl_strategyproofness(profile, output, rule, *, allow_unbalanced=False):
+def _dl_strategyproofness(profile, output, rule):
     return _no_manipulation(find_dl_manipulation, profile, rule)
 
 
-def _weak_sd_strategyproofness(profile, output, rule, *, allow_unbalanced=False):
+def _weak_sd_strategyproofness(profile, output, rule):
     return _no_manipulation(find_weak_sd_manipulation, profile, rule)
 
 
@@ -325,7 +327,7 @@ PROPERTIES: dict[str, Property] = {
     "sd-efficiency": Property(_sd_efficiency, ("assignment",), "sd-efficient"),
     "ex-post-efficiency": Property(_ex_post_efficiency, ("assignment",), "ex-post"),
     "unanimity": Property(_unanimity, ("assignment", "rule"), "unanimity"),
-    "perfect": Property(_perfect, (), "perfect"),
+    "perfect": Property(_perfect, ("assignment", "profile"), "perfect"),
     "sd-envy-freeness": Property(_sd_envy_freeness, ("assignment",), "sd-ef"),
     "weak-sd-envy-freeness": Property(_weak_sd_envy_freeness, ("assignment",), "weak-sd-ef"),
     "anonymity": Property(_anonymity, ("rule",), "anonymity"),

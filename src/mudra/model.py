@@ -218,9 +218,6 @@ class RandomAssignment:
         inst = self.instance
         return self.matrix[inst.agent_index(agent)][inst.object_index(obj)]
 
-    def row(self, index: int) -> tuple[Fraction, ...]:
-        return self.matrix[index]
-
     def allocation(self, agent: str) -> dict[str, Fraction]:
         """Row of `agent` as an object -> probability mapping."""
         row = self.matrix[self.instance.agent_index(agent)]

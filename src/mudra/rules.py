@@ -7,9 +7,9 @@ computed exactly; objects hitting zero leave the market and demand sets are
 recomputed.  Each phase exhausts at least one object, so there are at most m
 phases and all breakpoints are exact rationals.
 
-The two eating rules differ only in their demand policy: the one-at-a-time
-rule eats the single most preferred available object, the multi-unit rule
-eats the min(quota, #remaining) most preferred available objects at once.
+The two eating rules differ only in the demand size: each agent eats its
+min(size, #remaining) most preferred available objects at once, with size 1
+for the one-at-a-time rule and the quota for the multi-unit rule.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Callable, Sequence
+from typing import Container, Sequence
 
 from .model import (
     ORDER_LIMIT,
@@ -30,28 +30,6 @@ from .model import (
     orderings,
     require_balanced,
 )
-
-#: Maps (preference order, available objects, #not-yet-exhausted) to the set
-#: of objects the agent eats next.
-DemandPolicy = Callable[[Sequence[str], AbstractSet[str], int], frozenset[str]]
-
-
-def top_k(k: int) -> DemandPolicy:
-    """Demand policy eating the min(k, #remaining) most preferred available objects."""
-    if k < 1:
-        raise ValueError("demand size must be at least 1")
-
-    def policy(order: Sequence[str], available: AbstractSet[str], remaining: int) -> frozenset[str]:
-        take = min(k, remaining)
-        chosen = []
-        for o in order:
-            if o in available:
-                chosen.append(o)
-                if len(chosen) == take:
-                    break
-        return frozenset(chosen)
-
-    return policy
 
 
 @dataclass(frozen=True)
@@ -78,24 +56,23 @@ class EatingTrace:
         return tuple(phase.end for phase in self.phases)
 
 
-def simulate_eating(profile: PreferenceProfile, policy: DemandPolicy) -> EatingTrace:
-    """Run the simultaneous eating procedure to exhaustion of all objects."""
+def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
+    """Run the simultaneous eating procedure to exhaustion of all objects.
+
+    Each agent eats its min(`size`, #remaining) most preferred available
+    objects at once.
+    """
+    if size < 1:
+        raise ValueError("demand size must be at least 1")
     inst = profile.instance
     remaining = {o: Fraction(1) for o in inst.objects}
     eaten = [dict.fromkeys(inst.objects, Fraction(0)) for _ in inst.agents]
     phases: list[Phase] = []
     now = Fraction(0)
     while remaining:
-        available = frozenset(remaining)
-        demand = tuple(
-            policy(order, available, len(remaining)) for order in profile.orders
-        )
+        take = min(size, len(remaining))
+        demand = tuple(_top(order, remaining, take) for order in profile.orders)
         eaters = Counter(o for s in demand for o in s)
-        if not eaters:
-            raise RuntimeError("demand policy returned empty sets while objects remain")
-        for s in demand:
-            if not s <= available:
-                raise RuntimeError("demand policy chose an unavailable object")
         # Earliest exhaustion among objects currently being eaten; exact, so
         # simultaneous exhaustions land on the same breakpoint and merge here.
         dt = min(remaining[o] / k for o, k in eaters.items())
@@ -112,9 +89,20 @@ def simulate_eating(profile: PreferenceProfile, policy: DemandPolicy) -> EatingT
     return EatingTrace(profile, tuple(phases), RandomAssignment(inst, matrix))
 
 
+def _top(order: Sequence[str], available: Container[str], take: int) -> frozenset[str]:
+    """The first `take` objects of `order` that are `available`."""
+    chosen = []
+    for o in order:
+        if o in available:
+            chosen.append(o)
+            if len(chosen) == take:
+                break
+    return frozenset(chosen)
+
+
 def mps_trace(profile: PreferenceProfile) -> EatingTrace:
     """Multi-unit eating: each agent eats its top min(quota, #remaining) objects."""
-    return simulate_eating(profile, top_k(profile.instance.quota))
+    return simulate_eating(profile, profile.instance.quota)
 
 
 def mps(profile: PreferenceProfile) -> RandomAssignment:
@@ -123,7 +111,7 @@ def mps(profile: PreferenceProfile) -> RandomAssignment:
 
 def ops_trace(profile: PreferenceProfile) -> EatingTrace:
     """One-at-a-time eating: each agent eats its single most preferred available object."""
-    return simulate_eating(profile, top_k(1))
+    return simulate_eating(profile, 1)
 
 
 def ops(profile: PreferenceProfile) -> RandomAssignment:

@@ -1,9 +1,10 @@
 """Deterministic searches for profitable misreports.
 
-Misreports range over all strict orders of the object set, enumerated in a
-canonical lexicographic sequence (permutations of the instance's object
-tuple), so the first witness found is reproducible.  Three individual
-notions are covered:
+Every search is one scan over a coalition's joint misreports: each member
+reports a strict order of the object set, enumerated in a canonical
+lexicographic sequence (permutations of the instance's object tuple, first
+member varying slowest), so the first witness found is reproducible.  One
+agent is a coalition of one, and three individual notions are covered:
 
 * weak SD violation: some misreport's outcome strictly SD-dominates truth;
 * DL violation: some misreport's outcome beats truth downward
@@ -12,7 +13,7 @@ notions are covered:
   misreport's outcome (incomparability already suffices).
 
 Group manipulations require every coalition member to strictly SD-improve
-under one joint misreport.
+under one joint misreport; a weak SD violation is one by a coalition of one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .model import (
     JOINT_LIMIT,
@@ -57,59 +58,63 @@ class Manipulation:
         raise KeyError(f"agent {agent!r} is not part of this manipulation")
 
 
-def all_strict_orders(objects: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """All strict orders over `objects` in canonical lexicographic sequence.
-
-    Refuses more than 6 objects (MISREPORT_LIMIT orders).
-    """
-    return orderings(objects, MISREPORT_LIMIT, f"{len(objects)}! strict orders")
-
-
-def _scan_individual(
+def _scan(
     rule: Rule,
     profile: PreferenceProfile,
-    agent: str,
-    qualifies: Callable[[dict, dict, tuple[str, ...]], bool],
+    members: tuple[str, ...],
+    improves: Callable[[dict, dict, tuple[str, ...]], bool],
     kind: ManipulationKind,
 ) -> Manipulation | None:
+    """First joint misreport of `members` under which every member improves.
+
+    Refuses relaxed instances, more than 6 objects and more than 10^6 joint
+    misreports before the rule runs.
+    """
     require_balanced(profile.instance, "manipulation search")
-    misreports = all_strict_orders(profile.instance.objects)
-    true_order = profile.order_of(agent)
+    objects = profile.instance.objects
+    m, k = len(objects), len(members)
+    refuse_over(math.factorial(m), MISREPORT_LIMIT, f"{m}! strict orders")
+    joints = orderings(objects, JOINT_LIMIT, f"({m}!)^{k} joint misreports", repeat=k)
+    true_orders = tuple(profile.order_of(a) for a in members)
     truthful = rule(profile)
-    truth_alloc = truthful.allocation(agent)
-    for mis in misreports:
-        if mis == true_order:
+    truths = tuple(
+        (a, truthful.allocation(a), order) for a, order in zip(members, true_orders)
+    )
+    for joint in joints:
+        if joint == true_orders:
             continue
-        outcome = rule(profile.with_order(agent, mis))
-        if qualifies(outcome.allocation(agent), truth_alloc, true_order):
+        outcome = rule(profile.with_orders(dict(zip(members, joint))))
+        for a, truth, order in truths:
+            if not improves(outcome.allocation(a), truth, order):
+                break
+        else:
             return Manipulation(
                 kind=kind,
-                coalition=(agent,),
-                misreports=((agent, mis),),
+                coalition=members,
+                misreports=tuple(zip(members, joint)),
                 truthful=truthful,
                 manipulated=outcome,
             )
     return None
 
 
+def _strictly_sd_better(alt: dict, truth: dict, order: tuple[str, ...]) -> bool:
+    return sd_compare(alt, truth, order) is SdVerdict.FIRST_STRICTLY_DOMINATES
+
+
 def find_weak_sd_manipulation(
     rule: Rule, profile: PreferenceProfile, agent: str
 ) -> Manipulation | None:
     """First misreport whose outcome strictly SD-dominates the truthful one."""
-    return _scan_individual(
-        rule, profile, agent,
-        lambda alt, truth, order: sd_compare(alt, truth, order)
-        is SdVerdict.FIRST_STRICTLY_DOMINATES,
-        ManipulationKind.STRICT_SD,
-    )
+    return _scan(rule, profile, (agent,), _strictly_sd_better, ManipulationKind.STRICT_SD)
 
 
 def find_dl_manipulation(
     rule: Rule, profile: PreferenceProfile, agent: str
 ) -> Manipulation | None:
     """First misreport whose outcome wins downward lexicographically."""
-    return _scan_individual(
-        rule, profile, agent,
+    return _scan(
+        rule, profile, (agent,),
         lambda alt, truth, order: dl_compare(alt, truth, order) is DlVerdict.FIRST,
         ManipulationKind.DL_IMPROVEMENT,
     )
@@ -119,8 +124,8 @@ def find_sd_manipulation(
     rule: Rule, profile: PreferenceProfile, agent: str
 ) -> Manipulation | None:
     """First misreport whose outcome the truthful one fails to weakly dominate."""
-    return _scan_individual(
-        rule, profile, agent,
+    return _scan(
+        rule, profile, (agent,),
         lambda alt, truth, order: sd_compare(truth, alt, order)
         not in (SdVerdict.EQUAL, SdVerdict.FIRST_STRICTLY_DOMINATES),
         ManipulationKind.NOT_SD_DOMINATED,
@@ -137,40 +142,14 @@ def find_group_manipulation(
     Joint misreports are enumerated as the canonical product of per-member
     misreport sequences; every member's outcome must strictly SD-dominate
     their truthful outcome under their true order.  Refuses more than 6
-    objects, and joint spaces past JOINT_LIMIT.
+    objects, and more than 10^6 joint misreports.
     """
     require_balanced(profile.instance, "manipulation search")
-    inst = profile.instance
     members = tuple(coalition)
     if not members:
         raise ValueError("coalition must not be empty")
     if len(set(members)) != len(members):
         raise ValueError("coalition lists an agent twice")
     for a in members:
-        inst.agent_index(a)  # raises on unknown agents
-    m, k = inst.num_objects, len(members)
-    refuse_over(math.factorial(m), MISREPORT_LIMIT, f"{m}! strict orders")
-    joints = orderings(
-        inst.objects, JOINT_LIMIT, f"({m}!)^{k} joint misreports", repeat=k
-    )
-    true_orders = {a: profile.order_of(a) for a in members}
-    truthful = rule(profile)
-    truth_allocs = {a: truthful.allocation(a) for a in members}
-    for joint in joints:
-        reports = dict(zip(members, joint))
-        if all(reports[a] == true_orders[a] for a in members):
-            continue
-        outcome = rule(profile.with_orders(reports))
-        if all(
-            sd_compare(outcome.allocation(a), truth_allocs[a], true_orders[a])
-            is SdVerdict.FIRST_STRICTLY_DOMINATES
-            for a in members
-        ):
-            return Manipulation(
-                kind=ManipulationKind.STRICT_SD,
-                coalition=members,
-                misreports=tuple((a, reports[a]) for a in members),
-                truthful=truthful,
-                manipulated=outcome,
-            )
-    return None
+        profile.instance.agent_index(a)  # raises on unknown agents
+    return _scan(rule, profile, members, _strictly_sd_better, ManipulationKind.STRICT_SD)

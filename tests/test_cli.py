@@ -38,6 +38,13 @@ DISJOINT_TOPS = {
     },
 }
 
+DISJOINT_TOPS_PERFECT = {
+    "matrix": {
+        "1": {"o1": "1", "o2": "1", "o3": "0", "o4": "0"},
+        "2": {"o1": "0", "o2": "0", "o3": "1", "o4": "1"},
+    }
+}
+
 TWO_PAIRS_SINGLE_UNIT = {
     "objects": ["a", "b", "c", "d"],
     "quota": 1,
@@ -313,6 +320,34 @@ class TestCheck:
         )
         assert result.exit_code == 3
         assert "--allow-unbalanced only applies to --property ex-post" in result.output
+
+    @pytest.mark.parametrize(
+        "token, flags, message",
+        [
+            ("sd-efficient", ["--assignment", "--rule"], "cannot be given together"),
+            ("sd-efficient", ["--rule"], "--rule does not apply to --property sd-efficient"),
+            ("perfect", ["--rule"], "--rule does not apply to --property perfect"),
+            ("neutrality", ["--rule", "--assignment"], "cannot be given together"),
+            ("neutrality", ["--assignment"], "--assignment does not apply to --property neutrality"),
+            ("unanimity", ["--assignment", "--rule"], "cannot be given together"),
+        ],
+    )
+    def test_flag_the_property_does_not_judge_is_a_usage_error(
+        self, runner, paths, token, flags, message
+    ):
+        values = {"--assignment": paths("a.json", DISJOINT_TOPS_PERFECT), "--rule": "uniform"}
+        argv = ["check", "--property", token, "--profile", paths("p.json", DISJOINT_TOPS)]
+        for flag in flags:
+            argv += [flag, values[flag]]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 3
+        assert message in result.output
+
+    def test_unanimity_judges_what_it_is_given(self, runner, paths):
+        argv = ["check", "--property", "unanimity", "--profile", paths("p.json", DISJOINT_TOPS)]
+        perfect = runner.invoke(main, argv + ["--assignment", paths("a.json", DISJOINT_TOPS_PERFECT)])
+        assert perfect.exit_code == 0
+        assert runner.invoke(main, argv + ["--rule", "uniform"]).exit_code == 1
 
 
 class TestManipulate:

@@ -187,7 +187,7 @@ def test_check_prints_the_sweep_certificate(tmp_path, orders, rule):
         inputs = []
         if "rule" in prop.judges:
             inputs.append(["--rule", rule])
-        if "assignment" in prop.judges or not prop.judges:
+        if "assignment" in prop.judges:
             inputs.append(["--assignment", str(assignment_path)])
         for extra in inputs:
             argv = ["check", "--property", prop.token, "--profile", str(profile_path)]

@@ -24,7 +24,7 @@ from mudra.rules import (
     priority_rule,
     random_priority,
     serial_dictator,
-    top_k,
+    simulate_eating,
     uniform,
 )
 
@@ -177,18 +177,11 @@ class TestRelaxedInstances:
             random_priority(self.RELAXED)
 
 
-class TestTopKPolicy:
-    def test_picks_most_preferred_available(self):
-        policy = top_k(2)
-        assert policy(("a", "b", "c", "d"), {"b", "c", "d"}, 3) == {"b", "c"}
-
-    def test_take_shrinks_with_remaining(self):
-        policy = top_k(2)
-        assert policy(("a", "b", "c", "d"), {"d"}, 1) == {"d"}
-
-    def test_rejects_nonpositive_k(self):
-        with pytest.raises(ValueError):
-            top_k(0)
+def test_simulate_eating_rejects_nonpositive_size():
+    profile = make_profile([("a", "b"), ("b", "a")])
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="demand size"):
+            simulate_eating(profile, size)
 
 
 # --------------------------------------------------------------------------

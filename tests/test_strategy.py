@@ -1,15 +1,16 @@
 """Misreport searches: individual (three improvement notions) and group."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from mudra.harness import RULE_NAMES, OutputCache
 from mudra.model import GuardExceeded, Instance, PreferenceProfile
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
 from mudra.rules import mps, ops, priority_rule, random_priority, uniform
 from mudra.strategy import (
     ManipulationKind,
-    all_strict_orders,
     find_dl_manipulation,
     find_group_manipulation,
     find_sd_manipulation,
@@ -46,15 +47,6 @@ def assert_replayable(rule, profile, manipulation):
     misreported = profile.with_orders(dict(manipulation.misreports))
     assert rule(misreported).matrix == manipulation.manipulated.matrix
     assert rule(profile).matrix == manipulation.truthful.matrix
-
-
-class TestAllStrictOrders:
-    def test_counts_permutations(self):
-        assert len(list(all_strict_orders(("a", "b", "c", "d")))) == 24
-
-    def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            all_strict_orders(tuple("abcdefg"))
 
 
 class TestMisreportGuard:
@@ -223,3 +215,139 @@ class TestRelaxedRejected:
         prof = PreferenceProfile(inst, (("o1", "o2", "o3"), ("o3", "o2", "o1")))
         with pytest.raises(ValueError, match="balanced"):
             find_weak_sd_manipulation(mps, prof, "1")
+
+
+# --------------------------------------------------------------------------
+# An independent oracle: brute-force first witness on every 3x3 c=1 profile
+# --------------------------------------------------------------------------
+
+THREE_BY_THREE = Instance(agents=("1", "2", "3"), objects=("o1", "o2", "o3"), quota=1)
+TWO_BY_FOUR = Instance(agents=("1", "2"), objects=("o1", "o2", "o3", "o4"), quota=2)
+
+#: kind -> (finder, the kind it reports, improvement test on (alt, truth, order)).
+INDIVIDUAL = {
+    "weak-sd": (
+        find_weak_sd_manipulation,
+        ManipulationKind.STRICT_SD,
+        lambda alt, truth, order: sd_compare(alt, truth, order)
+        is SdVerdict.FIRST_STRICTLY_DOMINATES,
+    ),
+    "sd": (
+        find_sd_manipulation,
+        ManipulationKind.NOT_SD_DOMINATED,
+        lambda alt, truth, order: sd_compare(truth, alt, order)
+        not in (SdVerdict.EQUAL, SdVerdict.FIRST_STRICTLY_DOMINATES),
+    ),
+    "dl": (
+        find_dl_manipulation,
+        ManipulationKind.DL_IMPROVEMENT,
+        lambda alt, truth, order: dl_compare(alt, truth, order) is DlVerdict.FIRST,
+    ),
+}
+
+
+#: Witnesses the oracle finds per rule and kind, over 3x3 c=1 and the 2x4 slice:
+#: pinned so that agreement on "no witness" alone cannot pass the tests.
+EXPECTED_INDIVIDUAL_WITNESSES = {
+    "uniform": {"weak-sd": 0, "sd": 0, "dl": 0},
+    "priority": {"weak-sd": 0, "sd": 0, "dl": 0},
+    "rp": {"weak-sd": 0, "sd": 0, "dl": 0},
+    "ops": {"weak-sd": 14, "sd": 86, "dl": 14},
+    "mps": {"weak-sd": 0, "sd": 96, "dl": 16},
+}
+#: Profiles of 3x3 c=1 where agents 1 and 2 gain together.
+EXPECTED_PAIR_WITNESSES = {"uniform": 0, "priority": 0, "rp": 6, "ops": 6, "mps": 6}
+
+
+def brute_force_witness(rule, profile, coalition, improves):
+    """First joint report, in canonical order, under which every member improves.
+
+    Reports run over the product of the members' permutations of the object
+    tuple, first member slowest; the all-truthful report is skipped.  Returns
+    (joint report, truthful outcome, manipulated outcome), or None.
+    """
+    inst = profile.instance
+    rows = [inst.agents.index(a) for a in coalition]
+    truthful = rule(profile)
+    for joint in itertools.product(itertools.permutations(inst.objects), repeat=len(rows)):
+        orders = list(profile.orders)
+        for i, order in zip(rows, joint):
+            orders[i] = order
+        if tuple(orders) == profile.orders:
+            continue
+        outcome = rule(PreferenceProfile(inst, tuple(orders)))
+        if all(
+            improves(
+                dict(zip(inst.objects, outcome.matrix[i])),
+                dict(zip(inst.objects, truthful.matrix[i])),
+                profile.orders[i],
+            )
+            for i in rows
+        ):
+            return joint, truthful, outcome
+    return None
+
+
+def assert_same_witness(found, expected, kind, coalition):
+    if expected is None:
+        assert found is None
+        return
+    joint, truthful, outcome = expected
+    assert found is not None
+    assert found.kind is kind
+    assert found.coalition == coalition
+    assert found.misreports == tuple(zip(coalition, joint))
+    assert found.truthful.matrix == truthful.matrix
+    assert found.manipulated.matrix == outcome.matrix
+
+
+@pytest.fixture(scope="module")
+def cache():
+    """One memo of rule outputs: every misreported 3x3 profile is in the domain."""
+    return OutputCache()
+
+
+def three_by_three_profiles():
+    orders = list(itertools.permutations(THREE_BY_THREE.objects))
+    for combo in itertools.product(orders, repeat=3):
+        yield PreferenceProfile(THREE_BY_THREE, combo)
+
+
+def two_by_four_profiles():
+    """The 24 profiles of 2x4 c=2 where agent 1 reports the object tuple.
+
+    On 3x3 c=1 no rule has a weak-SD or a DL witness; here ops and mps do.
+    """
+    for order in itertools.permutations(TWO_BY_FOUR.objects):
+        yield PreferenceProfile(TWO_BY_FOUR, (TWO_BY_FOUR.objects, order))
+
+
+@pytest.mark.parametrize("rule_name", RULE_NAMES)
+def test_individual_searches_match_brute_force(rule_name, cache):
+    rule = cache.callable(rule_name)
+    witnesses = dict.fromkeys(INDIVIDUAL, 0)
+    for profile in itertools.chain(three_by_three_profiles(), two_by_four_profiles()):
+        for agent in profile.instance.agents:
+            for name, (finder, kind, improves) in INDIVIDUAL.items():
+                expected = brute_force_witness(rule, profile, (agent,), improves)
+                found = finder(rule, profile, agent)
+                assert_same_witness(found, expected, kind, (agent,))
+                witnesses[name] += expected is not None
+            # one agent is a coalition of one
+            assert find_group_manipulation(rule, profile, (agent,)) == (
+                find_weak_sd_manipulation(rule, profile, agent)
+            )
+    assert witnesses == EXPECTED_INDIVIDUAL_WITNESSES[rule_name]
+
+
+@pytest.mark.parametrize("rule_name", RULE_NAMES)
+def test_pair_search_matches_brute_force(rule_name, cache):
+    rule = cache.callable(rule_name)
+    improves = INDIVIDUAL["weak-sd"][2]
+    witnesses = 0
+    for profile in three_by_three_profiles():
+        expected = brute_force_witness(rule, profile, ("1", "2"), improves)
+        found = find_group_manipulation(rule, profile, ("1", "2"))
+        assert_same_witness(found, expected, ManipulationKind.STRICT_SD, ("1", "2"))
+        witnesses += expected is not None
+    assert witnesses == EXPECTED_PAIR_WITNESSES[rule_name]
