@@ -10,13 +10,15 @@ for exact enumeration), 3 input error (bad flags, malformed files).
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
+from collections.abc import Iterable
 from contextlib import contextmanager
 
 import click
 
 from mudra.harness import (
-    GUARD_ENV_VAR,
     PROPERTIES,
     RULE_NAMES,
     RULES,
@@ -124,6 +126,13 @@ def _manipulation_data(m: Manipulation) -> dict:
         "truthful": assignment_to_data(m.truthful),
         "manipulated": assignment_to_data(m.manipulated),
     }
+
+
+def _echo_batched(chunks: Iterable[str], size: int = 2048) -> None:
+    """Write `chunks` in batches of `size`, without newlines of its own."""
+    chunks = iter(chunks)
+    while batch := "".join(itertools.islice(chunks, size)):
+        click.echo(batch, nl=False)
 
 
 def _parse_csv(value: str, what: str) -> tuple[str, ...]:
@@ -346,15 +355,14 @@ def reproduce_cmd(case_id, as_json):
 
 
 @main.command(name="table1")
-@click.option("--guard", type=int, default=None, help=f"Profile cap (or set {GUARD_ENV_VAR}).")
 @click.option("--json", "as_json", is_flag=True)
-def table1_cmd(guard, as_json):
+def table1_cmd(as_json):
     """Confirm the expected rule-by-axiom classification by exhaustive sweep.
 
     Exit code 0 when every cell matches its expected sign, 1 otherwise.
     """
     with _exit_codes():
-        report = table1_sweep(cap=guard)
+        report = table1_sweep()
         properties = []
         for cell in report.cells:
             if cell.property_name not in properties:
@@ -398,28 +406,37 @@ def table1_cmd(guard, as_json):
 @click.option("--n", "n", type=int, required=True, help="Number of agents.")
 @click.option("--m", "m", type=int, required=True, help="Number of objects.")
 @click.option("--c", "quota", type=int, default=None, help="Quota (default ceil(m/n)).")
-@click.option("--guard", type=int, default=None, help=f"Profile cap (or set {GUARD_ENV_VAR}).")
 @click.option("--json", "as_json", is_flag=True)
-def enumerate_cmd(n, m, quota, guard, as_json):
-    """Enumerate all strict preference profiles on the canonical instance."""
+def enumerate_cmd(n, m, quota, as_json):
+    """Enumerate all strict preference profiles on the canonical instance.
+
+    Profiles are written as they are generated, never held all at once.
+    """
     with _exit_codes():
         instance = canonical_instance(n, m, quota)
-        profiles = list(enumerate_profiles(instance, cap=guard))
+        profiles = enumerate_profiles(instance)
+        count = math.factorial(m) ** n
         if as_json:
-            data = {
-                "command": "enumerate",
-                "count": len(profiles),
-                "profiles": [profile_to_data(p) for p in profiles],
-            }
-            click.echo(canonical_dumps(data))
+            # The text of canonical_dumps on the whole listing (then echo's
+            # newline), one profile at a time; head and tail are those of a
+            # one-item listing.
+            head, tail = canonical_dumps(
+                {"command": "enumerate", "count": count, "profiles": [0]}
+            ).split("    0")
+            items = (
+                ("    " if index == 0 else ",\n    ")
+                + canonical_dumps(profile_to_data(p)).rstrip("\n").replace("\n", "\n    ")
+                for index, p in enumerate(profiles)
+            )
+            _echo_batched(itertools.chain([head], items, [tail, "\n"]))
         else:
-            for index, p in enumerate(profiles):
-                orders = " | ".join(
-                    f"{agent}: {'>'.join(p.order_of(agent))}"
-                    for agent in instance.agents
-                )
-                click.echo(f"{index}: {orders}")
-            click.echo(f"total: {len(profiles)}")
+            lines = (
+                f"{index}: "
+                + " | ".join(f"{a}: {'>'.join(o)}" for a, o in zip(instance.agents, p.orders))
+                + "\n"
+                for index, p in enumerate(profiles)
+            )
+            _echo_batched(itertools.chain(lines, [f"total: {count}\n"]))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ order and all searches return the first witness in that order.
 
 from __future__ import annotations
 
-import os
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -50,30 +49,12 @@ from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
 from mudra.rules import mps, mps_trace, ops, priority_rule, random_priority, uniform
 from mudra.serialize import assignment_to_data, format_rational
 from mudra.strategy import (
+    Manipulation,
     find_dl_manipulation,
     find_group_manipulation,
     find_sd_manipulation,
     find_weak_sd_manipulation,
 )
-
-GUARD_ENV_VAR = "MUDRA_GUARD"
-
-
-def profile_cap(override: int | None = None) -> int:
-    """Effective profile-enumeration guard.
-
-    Explicit `override` wins, then the MUDRA_GUARD environment variable,
-    then the built-in PROFILE_LIMIT of one million profiles.
-    """
-    if override is not None:
-        return override
-    env = os.environ.get(GUARD_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"{GUARD_ENV_VAR} must be an integer, got {env!r}") from exc
-    return PROFILE_LIMIT
 
 
 def canonical_instance(n: int, m: int, quota: int | None = None) -> Instance:
@@ -93,23 +74,15 @@ def canonical_instance(n: int, m: int, quota: int | None = None) -> Instance:
     return Instance(agents=agents, objects=objects, quota=quota, relaxed=relaxed)
 
 
-def enumerate_profiles(
-    instance: Instance, cap: int | None = None
-) -> Iterator[PreferenceProfile]:
+def enumerate_profiles(instance: Instance) -> Iterator[PreferenceProfile]:
     """All strict-preference profiles on `instance`, canonically ordered.
 
     The order is the lexicographic product of per-agent permutations of the
     instance's object tuple, first agent varying slowest.  Refuses domains
-    with more than `cap` profiles (default :func:`profile_cap`) before
-    building any of them.
+    with more than PROFILE_LIMIT profiles when called, before building any.
     """
     n, m = instance.num_agents, instance.num_objects
-    combos = orderings(
-        instance.objects,
-        profile_cap(cap),
-        f"({m}!)^{n} profiles (a guard settable by --guard / {GUARD_ENV_VAR})",
-        repeat=n,
-    )
+    combos = orderings(instance.objects, PROFILE_LIMIT, f"({m}!)^{n} profiles", repeat=n)
     return (PreferenceProfile(instance=instance, orders=combo) for combo in combos)
 
 
@@ -438,10 +411,11 @@ def _first_violation(
     return None
 
 
-_TABLE1_CACHE: dict[int, Table1Report] = {}
+#: The report of the first sweep run with `use_cache`, returned by later ones.
+_table1_memo: Table1Report | None = None
 
 
-def table1_sweep(cap: int | None = None, use_cache: bool = True) -> Table1Report:
+def table1_sweep(use_cache: bool = True) -> Table1Report:
     """Confirm the expected rule-by-axiom classification by exhaustive sweep.
 
     Every '-' cell must produce a concrete counterexample; every '+' cell
@@ -462,13 +436,16 @@ def table1_sweep(cap: int | None = None, use_cache: bool = True) -> Table1Report
     first m! = 24 in canonical order, each the first of its orbit, so
     witnesses, certificates and profile counts are those of the unreduced
     sweep.  A rule that fails neutrality is swept unreduced.
+
+    Both domains are within the profile guard.  With `use_cache` the first
+    report is kept and returned by every later call with `use_cache`.
     """
-    key = profile_cap(cap)
-    if use_cache and key in _TABLE1_CACHE:
-        return _TABLE1_CACHE[key]
+    global _table1_memo
+    if use_cache and _table1_memo is not None:
+        return _table1_memo
 
     main_instance = canonical_instance(2, 4, 2)
-    main_profiles = list(enumerate_profiles(main_instance, cap))
+    main_profiles = list(enumerate_profiles(main_instance))
     # One per orbit, leading the canonical order: an index among them is an
     # index in the domain.
     representatives = [p for p in main_profiles if p.orders[0] == main_instance.objects]
@@ -503,7 +480,7 @@ def table1_sweep(cap: int | None = None, use_cache: bool = True) -> Table1Report
             if found is None and expected == "-":
                 # No two-agent counterexample; this sign concerns
                 # single-unit behaviour, so extend the search there.
-                aux_profiles = enumerate_profiles(canonical_instance(4, 4, 1), cap)
+                aux_profiles = enumerate_profiles(canonical_instance(4, 4, 1))
                 aux_found = _first_violation(
                     rule_name, property_name, aux_profiles, OutputCache()
                 )
@@ -529,7 +506,7 @@ def table1_sweep(cap: int | None = None, use_cache: bool = True) -> Table1Report
 
     report = Table1Report(cells=tuple(cells), rule_seconds=tuple(rule_seconds))
     if use_cache:
-        _TABLE1_CACHE[key] = report
+        _table1_memo = report
     return report
 
 
@@ -567,16 +544,9 @@ class ReproduceReport:
         }
 
 
-def _rows(instance: Instance, fractions: Sequence[Sequence]) -> RandomAssignment:
-    matrix = tuple(
-        tuple(Fraction(v) for v in row) for row in fractions
-    )
-    return RandomAssignment(instance=instance, matrix=matrix)
-
-
-def _fmt_matrix(p: RandomAssignment) -> str:
+def _fmt_matrix(matrix: Sequence[Sequence[Fraction]]) -> str:
     return "[" + "; ".join(
-        " ".join(format_rational(v) for v in row) for row in p.matrix
+        " ".join(format_rational(v) for v in row) for row in matrix
     ) + "]"
 
 
@@ -586,27 +556,41 @@ def _eq_line(label: str, got, want, fmt=str) -> CheckLine:
     return CheckLine(label, ok, detail)
 
 
+def _matrix_line(label: str, got: RandomAssignment, rows: Sequence[Sequence]) -> CheckLine:
+    """Does `got` equal the recorded matrix `rows` (ints or Fractions)?"""
+    want = RandomAssignment(instance=got.instance, matrix=rows).matrix
+    return _eq_line(label, got.matrix, want, fmt=_fmt_matrix)
+
+
+def _manipulation_lines(
+    label: str, found: Manipulation | None, witness, want, rows: Sequence[Sequence]
+) -> list[CheckLine]:
+    """Is `witness(found)` the recorded misreport `want`?  And, when a
+    manipulation was found, is its outcome the recorded matrix `rows`?"""
+    lines = [_eq_line(label, None if found is None else witness(found), want)]
+    if found is not None:
+        label = "manipulated outcome matches the recorded matrix"
+        lines.append(_matrix_line(label, found.manipulated, rows))
+    return lines
+
+
+#: The two-agent profile of `figure1` and `expost`, whose top objects
+#: interleave, and its recorded multi-unit eating outcome.
+_INTERLEAVED = PreferenceProfile(
+    instance=canonical_instance(2, 4, 2),
+    orders=(("o1", "o2", "o3", "o4"), ("o3", "o2", "o4", "o1")),
+)
+_INTERLEAVED_MPS = (
+    (Fraction(7, 8), Fraction(1, 2), Fraction(1, 4), Fraction(3, 8)),
+    (Fraction(1, 8), Fraction(1, 2), Fraction(3, 4), Fraction(5, 8)),
+)
+_MPS_LABEL = "multi-unit eating outcome matches the recorded matrix"
+
+
 def _reproduce_figure1() -> ReproduceReport:
-    instance = canonical_instance(2, 4, 2)
-    profile = PreferenceProfile(
-        instance=instance,
-        orders=(("o1", "o2", "o3", "o4"), ("o3", "o2", "o4", "o1")),
-    )
-    trace = mps_trace(profile)
-    expected = _rows(
-        instance,
-        [
-            [Fraction(7, 8), Fraction(1, 2), Fraction(1, 4), Fraction(3, 8)],
-            [Fraction(1, 8), Fraction(1, 2), Fraction(3, 4), Fraction(5, 8)],
-        ],
-    )
+    trace = mps_trace(_INTERLEAVED)
     lines = [
-        _eq_line(
-            "multi-unit eating outcome matches the recorded matrix",
-            trace.assignment.matrix,
-            expected.matrix,
-            fmt=lambda m: _fmt_matrix(RandomAssignment(instance=instance, matrix=m)),
-        ),
+        _matrix_line(_MPS_LABEL, trace.assignment, _INTERLEAVED_MPS),
         _eq_line(
             "eating breakpoints are 1/2, 3/4, 7/8, 9/8",
             trace.breakpoints,
@@ -624,7 +608,7 @@ def _reproduce_figure1() -> ReproduceReport:
         (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(3, 4)),
     )
     caption_bad = all(
-        sum(row) != instance.quota for row in caption
+        sum(row) != _INTERLEAVED.instance.quota for row in caption
     ) and caption != trace.assignment.matrix
     lines.append(
         CheckLine(
@@ -638,27 +622,9 @@ def _reproduce_figure1() -> ReproduceReport:
 
 
 def _reproduce_expost() -> ReproduceReport:
-    instance = canonical_instance(2, 4, 2)
-    profile = PreferenceProfile(
-        instance=instance,
-        orders=(("o1", "o2", "o3", "o4"), ("o3", "o2", "o4", "o1")),
-    )
+    profile = _INTERLEAVED
     p = mps(profile)
-    expected = _rows(
-        instance,
-        [
-            [Fraction(7, 8), Fraction(1, 2), Fraction(1, 4), Fraction(3, 8)],
-            [Fraction(1, 8), Fraction(1, 2), Fraction(3, 4), Fraction(5, 8)],
-        ],
-    )
-    lines = [
-        _eq_line(
-            "multi-unit eating outcome matches the recorded matrix",
-            p.matrix,
-            expected.matrix,
-            fmt=lambda m: _fmt_matrix(RandomAssignment(instance=instance, matrix=m)),
-        )
-    ]
+    lines = [_matrix_line(_MPS_LABEL, p, _INTERLEAVED_MPS)]
     balanced = is_ex_post_efficient(p, profile)
     lines.append(
         CheckLine(
@@ -703,15 +669,8 @@ def _reproduce_pareto_decomp() -> ReproduceReport:
     )
     p = mps(profile)
     half = Fraction(1, 2)
-    uniform_half = _rows(instance, [[half] * 4, [half] * 4])
-    lines = [
-        _eq_line(
-            "multi-unit eating outcome is the all-1/2 matrix",
-            p.matrix,
-            uniform_half.matrix,
-            fmt=lambda m: _fmt_matrix(RandomAssignment(instance=instance, matrix=m)),
-        )
-    ]
+    label = "multi-unit eating outcome is the all-1/2 matrix"
+    lines = [_matrix_line(label, p, [[half] * 4, [half] * 4])]
     terms = decompose_lottery(p)
     resum = [
         [sum(w * d.grid()[i][j] for w, d in terms) for j in range(4)] for i in range(2)
@@ -752,54 +711,26 @@ def _reproduce_pareto_decomp() -> ReproduceReport:
     return ReproduceReport(case="pareto-decomp", lines=tuple(lines))
 
 
-def _theorem1_profile() -> PreferenceProfile:
+def _reproduce_theorem1() -> ReproduceReport:
     instance = Instance(agents=("1", "2"), objects=("a", "b", "c", "d"), quota=2)
-    return PreferenceProfile(
+    profile = PreferenceProfile(
         instance=instance, orders=(("a", "b", "c", "d"), ("b", "c", "a", "d"))
     )
-
-
-def _reproduce_theorem1() -> ReproduceReport:
-    profile = _theorem1_profile()
-    instance = profile.instance
-    truth = ops(profile)
-    expected_truth = _rows(
-        instance,
-        [[1, 0, Fraction(1, 2), Fraction(1, 2)], [0, 1, Fraction(1, 2), Fraction(1, 2)]],
-    )
+    half = Fraction(1, 2)
     lines = [
-        _eq_line(
+        _matrix_line(
             "one-at-a-time eating outcome matches the recorded matrix",
-            truth.matrix,
-            expected_truth.matrix,
-            fmt=lambda m: _fmt_matrix(RandomAssignment(instance=instance, matrix=m)),
-        )
-    ]
-    manipulation = find_weak_sd_manipulation(ops, profile, "1")
-    got_witness = None if manipulation is None else manipulation.misreport_of("1")
-    lines.append(
-        _eq_line(
+            ops(profile),
+            [[1, 0, half, half], [0, 1, half, half]],
+        ),
+        *_manipulation_lines(
             "agent 1 has the recorded strict-SD misreport b,a,c,d",
-            got_witness,
+            find_weak_sd_manipulation(ops, profile, "1"),
+            lambda found: found.misreport_of("1"),
             ("b", "a", "c", "d"),
-        )
-    )
-    if manipulation is not None:
-        expected_manip = _rows(
-            instance,
-            [
-                [1, Fraction(1, 2), 0, Fraction(1, 2)],
-                [0, Fraction(1, 2), 1, Fraction(1, 2)],
-            ],
-        )
-        lines.append(
-            _eq_line(
-                "manipulated outcome matches the recorded matrix",
-                manipulation.manipulated.matrix,
-                expected_manip.matrix,
-                fmt=lambda m: _fmt_matrix(RandomAssignment(instance=instance, matrix=m)),
-            )
-        )
+            [[1, half, 0, half], [0, half, 1, half]],
+        ),
+    ]
     return ReproduceReport(case="theorem1", lines=tuple(lines))
 
 
@@ -810,52 +741,31 @@ def _reproduce_theorem2() -> ReproduceReport:
     r1 = ("a", "b", "c", "d")
     r2 = ("b", "c", "a", "d")
     profile = PreferenceProfile(instance=instance, orders=(r1, r1, r2, r2))
-    truth = mps(profile)
     quarter, half = Fraction(1, 4), Fraction(1, 2)
-    expected_truth = _rows(
-        instance,
-        [
-            [half, 0, quarter, quarter],
-            [half, 0, quarter, quarter],
-            [0, half, quarter, quarter],
-            [0, half, quarter, quarter],
-        ],
-    )
     lines = [
-        _eq_line(
+        _matrix_line(
             "single-unit eating outcome matches the recorded matrix",
-            truth.matrix,
-            expected_truth.matrix,
-            fmt=lambda m: _fmt_matrix(RandomAssignment(instance=instance, matrix=m)),
-        )
-    ]
-    manipulation = find_group_manipulation(mps, profile, ("1", "2"))
-    witness = None if manipulation is None else manipulation.misreports
-    lines.append(
-        _eq_line(
+            mps(profile),
+            [
+                [half, 0, quarter, quarter],
+                [half, 0, quarter, quarter],
+                [0, half, quarter, quarter],
+                [0, half, quarter, quarter],
+            ],
+        ),
+        *_manipulation_lines(
             "coalition {1,2} has the recorded joint misreport b,a,c,d",
-            witness,
+            find_group_manipulation(mps, profile, ("1", "2")),
+            lambda found: found.misreports,
             (("1", ("b", "a", "c", "d")), ("2", ("b", "a", "c", "d"))),
-        )
-    )
-    if manipulation is not None:
-        expected_manip = _rows(
-            instance,
             [
                 [half, quarter, 0, quarter],
                 [half, quarter, 0, quarter],
                 [0, quarter, half, quarter],
                 [0, quarter, half, quarter],
             ],
-        )
-        lines.append(
-            _eq_line(
-                "manipulated outcome matches the recorded matrix",
-                manipulation.manipulated.matrix,
-                expected_manip.matrix,
-                fmt=lambda m: _fmt_matrix(RandomAssignment(instance=instance, matrix=m)),
-            )
-        )
+        ),
+    ]
     return ReproduceReport(case="theorem2", lines=tuple(lines))
 
 
@@ -865,10 +775,8 @@ def _reproduce_example1() -> ReproduceReport:
         instance=instance,
         orders=(("o1", "o2", "o3", "o4"), ("o2", "o1", "o3", "o4")),
     )
-    p = _rows(
-        instance,
-        [[1, 0, Fraction(1, 2), Fraction(1, 2)], [0, 1, Fraction(1, 2), Fraction(1, 2)]],
-    )
+    half = Fraction(1, 2)
+    p = RandomAssignment(instance, ((1, 0, half, half), (0, 1, half, half)))
     own = p.allocation("1")
     other = p.allocation("2")
     order = profile.order_of("1")

@@ -28,7 +28,7 @@ class GuardExceeded(Exception):
 
 # Guards of the exhaustive enumerations, each compared with the exact size of
 # what an enumeration would visit before it visits any of it.
-PROFILE_LIMIT = 10**6  # profiles; `--guard` and MUDRA_GUARD override it
+PROFILE_LIMIT = 10**6  # profiles listed or swept; read only by enumerate_profiles
 DISCRETE_LIMIT = 10**6  # discrete assignments screened for ex-post efficiency
 MISREPORT_LIMIT = math.factorial(6)  # one agent's misreports
 JOINT_LIMIT = 10**6  # a coalition's joint misreports

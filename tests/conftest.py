@@ -1,10 +1,11 @@
 """Shared fixtures: the canonical two-agent domain and its exhaustive sweeps.
 
 `sweep_data` is the expensive one: for each of the 576 profiles it records
-every rule's output together with per-axiom verdicts and manipulation-search
-results.  It is computed once per session and shared by the axiom, hierarchy
-and acceptance tests.  `table1_report` runs the classification sweep through
-the harness memo, so CLI tests replaying it do not pay for a second sweep.
+every rule's output together with per-axiom verdicts, the hull LP answer
+behind ex-post efficiency, and manipulation-search results.  It is computed
+once per session and shared by the axiom, hierarchy and acceptance tests.
+`table1_report` runs the classification sweep through the harness memo, so
+CLI tests replaying it do not pay for a second sweep.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def sweep_data(main_profiles, balanced_assignments):
         for rule_name in RULE_NAMES:
             rule = cache.callable(rule_name)
             output = cache.output(rule_name, profile)
-            target = [v for row in output.matrix for v in row]
+            hull = convex_membership([v for row in output.matrix for v in row], grids)
             manipulations = {
                 kind: {
                     agent: finder(rule, profile, agent)
@@ -76,7 +77,8 @@ def sweep_data(main_profiles, balanced_assignments):
             per_rule[rule_name] = {
                 "output": output,
                 "sd_efficient": bool(is_sd_efficient(output, profile)),
-                "ex_post": convex_membership(target, grids).in_hull,
+                "hull": hull,
+                "ex_post": hull.in_hull,
                 "unanimous": bool(check_unanimity(rule, profile)),
                 "sd_envy_free": bool(is_sd_envy_free(output, profile)),
                 "weak_sd_envy_free": bool(is_weak_sd_envy_free(output, profile)),

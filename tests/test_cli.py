@@ -1,15 +1,23 @@
 """Exit-code contract and output shapes of every CLI verb."""
 
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from mudra.cli import main
 from mudra.efficiency import sd_dominates
+from mudra.harness import canonical_instance, enumerate_profiles
 from mudra.model import validate_assignment
-from mudra.serialize import assignment_from_data, profile_from_data
+from mudra.serialize import (
+    assignment_from_data,
+    canonical_dumps,
+    profile_from_data,
+    profile_to_data,
+)
 
 FIG1 = {
     "objects": ["o1", "o2", "o3", "o4"],
@@ -493,22 +501,25 @@ class TestEnumerate:
         assert result.exit_code == 2
         assert "refused: (200!)^200 profiles" in result.stderr
 
-    def test_explicit_guard_flag(self, runner):
-        result = runner.invoke(main, ["enumerate", "--n", "2", "--m", "3", "--guard", "10"])
-        assert result.exit_code == 2
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 3)])
+    def test_streamed_json_is_the_canonical_listing(self, runner, n, m):
+        profiles = list(enumerate_profiles(canonical_instance(n, m)))
+        data = {
+            "command": "enumerate",
+            "count": len(profiles),
+            "profiles": [profile_to_data(p) for p in profiles],
+        }
+        result = runner.invoke(main, ["enumerate", "--n", str(n), "--m", str(m), "--json"])
+        assert result.exit_code == 0
+        assert result.output == canonical_dumps(data) + "\n"
 
-    def test_guard_env_variable(self, runner):
-        result = runner.invoke(
-            main, ["enumerate", "--n", "2", "--m", "3"], env={"MUDRA_GUARD": "10"}
-        )
-        assert result.exit_code == 2
-
-    @pytest.mark.parametrize("guard, code", [("36", 0), ("35", 2)])
-    def test_guard_boundary(self, runner, guard, code):
-        # 3!^2 = 36 profiles, by flag and by environment variable.
+    def test_the_profile_guard_is_not_settable(self, runner):
         args = ["enumerate", "--n", "2", "--m", "3"]
-        assert runner.invoke(main, args + ["--guard", guard]).exit_code == code
-        assert runner.invoke(main, args, env={"MUDRA_GUARD": guard}).exit_code == code
+        for argv in (args, ["table1"]):
+            assert runner.invoke(main, argv + ["--guard", "10"]).exit_code == 3
+        result = runner.invoke(main, args, env={"MUDRA_GUARD": "10"})
+        assert result.exit_code == 0
+        assert result.output.splitlines()[-1] == "total: 36"
 
 
 NINE = [f"o{j}" for j in range(1, 10)]
@@ -531,3 +542,14 @@ class TestRelabellingGuard:
         )
         assert result.exit_code == 2
         assert "refused: 9!" in result.stderr
+
+
+def test_readme_command_line_names_only_real_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    synopses = [line.split() for line in block.splitlines() if line.startswith("mudra ")]
+    assert {words[1] for words in synopses} == set(main.commands)
+    for words in synopses:
+        opts = {opt for param in main.commands[words[1]].params for opt in param.opts}
+        flags = set(re.findall(r"--[\w-]+", " ".join(words)))
+        assert flags <= opts, (words[1], flags - opts)

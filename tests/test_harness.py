@@ -11,7 +11,6 @@ from mudra.cli import main
 from mudra.efficiency import sd_dominates
 from mudra.harness import (
     EXPECTED_SIGNS,
-    GUARD_ENV_VAR,
     PROPERTIES,
     PROPERTY_NAMES,
     RULE_NAMES,
@@ -21,7 +20,6 @@ from mudra.harness import (
     canonical_instance,
     check_rule_property,
     enumerate_profiles,
-    profile_cap,
     reproduce,
     table1_sweep,
 )
@@ -78,36 +76,15 @@ class TestEnumerateProfiles:
         with pytest.raises(GuardExceeded, match="guard"):
             list(enumerate_profiles(inst))
 
-    def test_explicit_cap_override(self):
-        inst = canonical_instance(2, 3)
-        with pytest.raises(GuardExceeded):
-            list(enumerate_profiles(inst, cap=10))
-
     def test_guard_boundary(self):
-        # 3!^2 = 36 profiles: answered at a guard of 36, refused at 35 when
-        # called, before one profile is built.
-        inst = canonical_instance(2, 3)
-        assert sum(1 for _ in enumerate_profiles(inst, cap=36)) == 36
-        with pytest.raises(GuardExceeded, match="guard"):
-            enumerate_profiles(inst, cap=35)
-
-
-class TestProfileCap:
-    def test_default(self):
-        assert profile_cap() == 10**6
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV_VAR, "123")
-        assert profile_cap() == 123
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV_VAR, "123")
-        assert profile_cap(7) == 7
-
-    def test_bad_env_value(self, monkeypatch):
-        monkeypatch.setenv(GUARD_ENV_VAR, "lots")
-        with pytest.raises(ValueError, match=GUARD_ENV_VAR):
-            profile_cap()
+        # (6!)^2 = 518,400 profiles are within the guard of 10^6: the stream
+        # starts and yields lazily.  2^20 = 1,048,576 are refused when called,
+        # before one profile is built.
+        first = next(enumerate_profiles(canonical_instance(2, 6)))
+        assert first.orders == (first.instance.objects,) * 2
+        refusal = r"^\(2!\)\^20 profiles exceed the guard of 1000000$"
+        with pytest.raises(GuardExceeded, match=refusal):
+            enumerate_profiles(canonical_instance(20, 2))
 
 
 def never_called(profile):

@@ -1,12 +1,15 @@
 """Exact feasibility of A x = b, x >= 0, and convex hull membership."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mudra.harness import RULE_NAMES
 from mudra.ratlp import convex_membership, solve
+from mudra.serialize import format_rational
 
 F = Fraction
 
@@ -134,3 +137,23 @@ class TestConvexMembership:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             convex_membership([F(0)], [[F(0), F(1)]])
+
+
+#: SHA-256 of every hull LP answer in `sweep_data`: one line per (profile,
+#: rule), "weights" or "farkas" and then the entries as p/q strings.
+SWEEP_HULL_DIGEST = "af7dbc521a3629042de3dd4a1ad202bcaa989705c7a23bf9ee66d02244e4e390"
+
+
+def test_sweep_hull_answers_are_pinned(sweep_data):
+    # A valid certificate is not unique: a change of pivoting that returns
+    # another vertex or Farkas vector keeps every verdict but fails here.
+    digest = hashlib.sha256()
+    answers = 0
+    for record in sweep_data:
+        for rule_name in RULE_NAMES:
+            hull = record["rules"][rule_name]["hull"]
+            kind, entries = ("weights", hull.weights) if hull.in_hull else ("farkas", hull.farkas)
+            digest.update(f"{kind} {' '.join(map(format_rational, entries))}\n".encode())
+            answers += 1
+    assert answers == 2880
+    assert digest.hexdigest() == SWEEP_HULL_DIGEST
