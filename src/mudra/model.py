@@ -27,23 +27,26 @@ class GuardExceeded(Exception):
 
 
 # Guards of the exhaustive enumerations, each compared with the exact size of
-# what an enumeration would visit before it visits any of it.
+# what an enumeration would visit (for rp, an upper bound on it) before it
+# visits any of it.
 PROFILE_LIMIT = 10**6  # profiles listed or swept; read only by enumerate_profiles
 DISCRETE_LIMIT = 10**6  # discrete assignments screened for ex-post efficiency
 MISREPORT_LIMIT = math.factorial(6)  # one agent's misreports
 JOINT_LIMIT = 10**6  # a coalition's joint misreports
-ORDER_LIMIT = math.factorial(8)  # rp priority orders; agent or object relabellings
+ORDER_LIMIT = math.factorial(8)  # agent or object relabellings
+STATE_LIMIT = 10**6  # rp pick states, bounded from above before any is built
 
 
 def refuse_over(count: int, limit: int, what: str) -> None:
     """Refuse an enumeration of `count` items when that exceeds `limit`.
 
     This is the only place that raises GuardExceeded: every exhaustive
-    enumeration calls it with the exact size of what it is about to visit
-    (or any number past `limit` once that size is known to be past it),
-    before it visits or allocates any of it.  `what` names the size, as in
-    "9! priority orders"; the count is not printed, because a refused count
-    can have more digits than `str` converts.
+    enumeration calls it with the exact size of what it is about to visit,
+    or an upper bound on it (or any number past `limit` once that size is
+    known to be past it), before it visits or allocates any of it.  `what`
+    names the size, as in "9! agent relabellings"; the count is not
+    printed, because a refused count can have more digits than `str`
+    converts.
     """
     if count > limit:
         raise GuardExceeded(f"{what} exceed the guard of {limit}")
@@ -70,9 +73,11 @@ def orderings(
 
 def _check_rational(value: object, where: str) -> Fraction:
     # ints are fine, floats never are: exactness is the whole point.
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError(f"{where}: floating point value {value!r} rejected")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"{where}: expected a rational, got {type(value).__name__}")
 

@@ -21,13 +21,13 @@ from fractions import Fraction
 from typing import Container, Sequence
 
 from .model import (
-    ORDER_LIMIT,
+    STATE_LIMIT,
     DiscreteAssignment,
     Instance,
     PreferenceProfile,
     RandomAssignment,
     discrete_to_random,
-    orderings,
+    refuse_over,
     require_balanced,
 )
 
@@ -154,18 +154,61 @@ def priority_rule(profile: PreferenceProfile) -> RandomAssignment:
 def random_priority(profile: PreferenceProfile) -> RandomAssignment:
     """Exact average of serial dictatorship over all n! priority orders.
 
-    Refuses instances with more than 8 agents (ORDER_LIMIT orders): the
-    average is exact, so there is no sampling fallback.
+    Once k agents have picked, the rest of serial dictatorship depends only
+    on the state (who has picked, which objects are taken).  One forward
+    pass over the states, layer by layer, carries the number w of priority
+    prefixes that reach each; agent i picking next from a state of layer k
+    does so in w * (n-k-1)! of the n! orders.  The counts are integers,
+    divided by n! once at the end, so the average is exact.
+
+    Computing RP probabilities is #P-complete, so the number of states is
+    exponential in the worst case.  An upper bound on it is compared with
+    STATE_LIMIT before any state is built: every instance of up to 9
+    agents is admitted, and up to 11 at quota 1.
     """
     inst = profile.instance
     require_balanced(inst, "random priority")
-    n = inst.num_agents
-    priorities = orderings(inst.agents, ORDER_LIMIT, f"{n}! priority orders")
-    totals = [[Fraction(0)] * inst.num_objects for _ in inst.agents]
-    for priority in priorities:
-        picked = serial_dictator(profile, priority)
-        for j, owner in enumerate(picked.owners):
-            totals[inst.agent_index(owner)][j] += 1
-    weight = Fraction(1, math.factorial(n))
-    matrix = tuple(tuple(v * weight for v in row) for row in totals)
+    n, m, quota = inst.num_agents, inst.num_objects, inst.quota
+    refuse_over(_state_bound(n, m, quota), STATE_LIMIT, f"rp states of {n} agents")
+    column = {o: j for j, o in enumerate(inst.objects)}
+    prefs = [tuple(column[o] for o in order) for order in profile.orders]
+    totals = [[0] * m for _ in inst.agents]
+    layer = Counter({(0, 0): 1})  # (who picked, what is taken) bitmasks -> prefixes
+    for k in range(n):
+        orders_per_prefix = math.factorial(n - k - 1)
+        successors: Counter[tuple[int, int]] = Counter()
+        for (picked, taken), ways in layer.items():
+            share = ways * orders_per_prefix
+            for i, order in enumerate(prefs):
+                if picked >> i & 1:
+                    continue
+                row, grabbed, left = totals[i], taken, quota
+                for j in order:
+                    if not grabbed >> j & 1:
+                        grabbed |= 1 << j
+                        row[j] += share
+                        left -= 1
+                        if not left:
+                            break
+                successors[picked | 1 << i, grabbed] += ways
+        layer = successors
+    orders = math.factorial(n)
+    matrix = tuple(tuple(Fraction(v, orders) for v in row) for row in totals)
     return RandomAssignment(inst, matrix)
+
+
+def _state_bound(n: int, m: int, quota: int) -> int:
+    """Upper bound on the pick states of `random_priority`.
+
+    Layer k has at most C(n, k) * C(m, k * quota) states (who picked, what is
+    taken) and at most n!/(n-k)! (one per priority prefix of length k).  The
+    sum stops once it passes STATE_LIMIT, so a refused bound is any number
+    past the limit.
+    """
+    total, prefixes = 0, 1
+    for k in range(n + 1):
+        total += min(math.comb(n, k) * math.comb(m, k * quota), prefixes)
+        if total > STATE_LIMIT:
+            break
+        prefixes *= n - k
+    return total

@@ -161,6 +161,16 @@ class TestCompute:
         row = json.loads(result.output)["matrix"]["1"]
         assert row == {"o1": "1/2", "o2": "3/4", "o3": "1/4"}
 
+    def test_rp_refused_past_the_state_guard(self, runner, paths):
+        objects = [f"o{j}" for j in range(1, 13)]
+        data = {"objects": objects, "quota": 1,
+                "preferences": {str(i): objects for i in range(1, 13)}}
+        result = runner.invoke(
+            main, ["compute", "--rule", "rp", "--profile", paths("p.json", data), "--json"]
+        )
+        assert result.exit_code == 2
+        assert "refused: rp states of 12 agents" in result.stderr
+
     def test_malformed_file(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope", encoding="utf-8")

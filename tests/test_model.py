@@ -91,6 +91,16 @@ class TestRandomAssignment:
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             RandomAssignment(INST, ((0.5, 0.5, 0.5, 0.5), (0.5, 0.5, 0.5, 0.5)))
+        half = Fraction(1, 2)
+        with pytest.raises(TypeError, match="floating point"):
+            RandomAssignment(INST, ((half, half, half, 0.5), (half,) * 4))
+
+    def test_ints_converted_and_fractions_kept(self):
+        half = Fraction(1, 2)
+        out = RandomAssignment(INST, ((1, 1, 0, 0), (0, 0, half, 1)))
+        assert all(type(v) is Fraction for row in out.matrix for v in row)
+        assert out.matrix[0] == (1, 1, 0, 0)
+        assert out.matrix[1][2] is half
 
     def test_validate_flags_bad_column_then_row(self):
         half = Fraction(1, 2)

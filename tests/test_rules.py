@@ -7,6 +7,10 @@ most n), so the fixed-step replay hits every breakpoint exactly and must
 reproduce the engine's outcome with zero error.
 """
 
+import hashlib
+import itertools
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mudra.harness import canonical_instance, enumerate_profiles
 from mudra.model import GuardExceeded, Instance, PreferenceProfile, validate_assignment
 from mudra.order import sd_weakly_dominates
 from mudra.rules import (
@@ -27,6 +32,7 @@ from mudra.rules import (
     simulate_eating,
     uniform,
 )
+from mudra.serialize import format_rational
 
 F = Fraction
 
@@ -120,11 +126,17 @@ class TestSerialDictatorship:
         assert random_priority(profile).matrix == ((F(1, 8),) * 8,) * 8
 
     def test_random_priority_refuses_large_instances(self):
-        n = 9
-        order = tuple(f"o{j}" for j in range(1, n + 1))
-        profile = make_profile([order] * n, quota=1)
-        with pytest.raises(GuardExceeded, match="9!"):
-            random_priority(profile)
+        # The state bound admits 11 agents at quota 1 and refuses 12; 10 at
+        # quota 2 is refused too.  At 200 agents the refusal comes before any
+        # state is built, or the call would not return.
+        def same_orders(n, quota):
+            order = tuple(f"o{j:03d}" for j in range(1, n * quota + 1))
+            return make_profile([order] * n, quota=quota)
+
+        assert random_priority(same_orders(11, 1)).matrix == ((F(1, 11),) * 11,) * 11
+        for n, quota in ((12, 1), (10, 2), (200, 1)):
+            with pytest.raises(GuardExceeded, match=f"rp states of {n} agents"):
+                random_priority(same_orders(n, quota))
 
 
 class TestUniform:
@@ -321,3 +333,69 @@ def test_mps_weakly_dominates_uniform_share_for_every_agent(profile):
 def test_random_priority_is_feasible_and_anonymous_in_expectation(profile):
     out = random_priority(profile)
     assert validate_assignment(out).ok
+
+
+# --------------------------------------------------------------------------
+# Random priority against the average over all n! priority orders
+# --------------------------------------------------------------------------
+
+
+def average_over_priority_orders(profile):
+    """The n! oracle: serial dictatorship averaged over every priority order."""
+    inst = profile.instance
+    counts = [[0] * inst.num_objects for _ in inst.agents]
+    for priority in itertools.permutations(inst.agents):
+        for j, owner in enumerate(serial_dictator(profile, priority).owners):
+            counts[inst.agent_index(owner)][j] += 1
+    orders = math.factorial(inst.num_agents)
+    return tuple(tuple(F(v, orders) for v in row) for row in counts)
+
+
+@pytest.mark.parametrize("n, m, quota, size", [(2, 4, 2, 576), (3, 3, 1, 216)])
+def test_random_priority_equals_the_order_average_exhaustively(n, m, quota, size):
+    profiles = list(enumerate_profiles(canonical_instance(n, m, quota)))
+    assert len(profiles) == size
+    for profile in profiles:
+        assert random_priority(profile).matrix == average_over_priority_orders(profile)
+
+
+@st.composite
+def priority_profiles(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    quota = draw(st.integers(min_value=1, max_value=2 if n <= 4 else 1))
+    objects = tuple(f"o{j}" for j in range(1, n * quota + 1))
+    inst = Instance(
+        agents=tuple(str(i) for i in range(1, n + 1)),
+        objects=objects,
+        quota=quota,
+    )
+    orders = tuple(tuple(draw(st.permutations(objects))) for _ in inst.agents)
+    return PreferenceProfile(inst, orders)
+
+
+@settings(max_examples=40, deadline=None)
+@given(priority_profiles())
+def test_random_priority_equals_the_order_average(profile):
+    assert random_priority(profile).matrix == average_over_priority_orders(profile)
+
+
+# The n! average of five seeded profiles of each shape below, in sequence,
+# one line of row-major entries per profile.  Up to 8! orders per profile
+# is too slow to recompute here, so the answers are pinned by digest.
+PINNED_SHAPES = ((4, 8, 2), (6, 6, 1), (7, 7, 1), (8, 8, 1))
+PINNED_RP_DIGEST = "435b5fc6b419e0e62cfea176c88df90760d6749b1afd4a1dcddd624df473484e"
+
+
+def test_random_priority_answers_are_pinned_up_to_eight_agents():
+    rng = random.Random(2014)
+    digest = hashlib.sha256()
+    answers = 0
+    for n, m, quota in PINNED_SHAPES:
+        objects = [f"o{j}" for j in range(1, m + 1)]
+        for _ in range(5):
+            profile = make_profile([rng.sample(objects, m) for _ in range(n)], quota=quota)
+            entries = (v for row in random_priority(profile).matrix for v in row)
+            digest.update(f"{' '.join(map(format_rational, entries))}\n".encode())
+            answers += 1
+    assert answers == 20
+    assert digest.hexdigest() == PINNED_RP_DIGEST
