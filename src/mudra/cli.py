@@ -22,13 +22,12 @@ from mudra.harness import (
     PROPERTIES,
     RULE_NAMES,
     RULES,
-    OutputCache,
     canonical_instance,
     enumerate_profiles,
     reproduce as run_reproduce,
     table1_sweep,
 )
-from mudra.model import GuardExceeded, RandomAssignment, discrete_to_random
+from mudra.model import GuardExceeded, RandomAssignment, discrete_to_random, require_feasible
 from mudra.rules import mps_trace, ops_trace, serial_dictator
 from mudra.serialize import (
     SchemaError,
@@ -167,18 +166,17 @@ def compute(rule, profile_path, permutation, with_trace, relaxed, as_json):
     """Run an assignment rule on a profile and print the random assignment."""
     with _exit_codes():
         profile = load_profile(profile_path, relaxed=relaxed)
+        if permutation is not None and rule != "priority":
+            raise click.UsageError("--permutation only applies to --rule priority")
+        if with_trace and rule not in ("ops", "mps"):
+            raise click.UsageError("--trace only applies to the eating rules (ops, mps)")
+        # The trace carries the assignment, so the rule runs once either way.
+        trace = (ops_trace if rule == "ops" else mps_trace)(profile) if with_trace else None
         if permutation is not None:
-            if rule != "priority":
-                raise click.UsageError("--permutation only applies to --rule priority")
             priority = _parse_csv(permutation, "--permutation")
             output = discrete_to_random(serial_dictator(profile, priority))
         else:
-            output = RULES[rule](profile)
-        trace = None
-        if with_trace:
-            if rule not in ("ops", "mps"):
-                raise click.UsageError("--trace only applies to the eating rules (ops, mps)")
-            trace = (ops_trace if rule == "ops" else mps_trace)(profile)
+            output = RULES[rule](profile) if trace is None else trace.assignment
         data = {"command": "compute", "rule": rule, **assignment_to_data(output)}
         human = [f"rule: {rule}", _matrix_table(output)]
         if trace is not None:
@@ -235,7 +233,9 @@ def check(token, profile_path, assignment_path, rule_name, allow_unbalanced, as_
             raise click.UsageError(f"--property {token} requires {wanted}")
 
         started = time.perf_counter()
-        rule = None if rule_name is None else OutputCache().callable(rule_name)
+        if assignment is not None:
+            require_feasible(assignment)
+        rule = None if rule_name is None else RULES[rule_name]
         extra = {"allow_unbalanced": True} if allow_unbalanced else {}
         holds, certificate = prop.check(profile, assignment, rule, **extra)
         seconds = time.perf_counter() - started

@@ -30,7 +30,7 @@ from .model import (
     discrete_to_random,
     refuse_over,
     require_balanced,
-    validate_assignment,
+    require_feasible,
 )
 from .order import sd_weakly_dominates
 from .ratlp import convex_membership
@@ -152,9 +152,7 @@ def is_sd_efficient(p: RandomAssignment, profile: PreferenceProfile) -> Efficien
     require_balanced(inst, "SD-efficiency")
     if p.instance != inst:
         raise ValueError("assignment and profile must share one instance")
-    check = validate_assignment(p)
-    if not check.ok:
-        raise ValueError(f"input is not a feasible random assignment: {check.reason}")
+    require_feasible(p)
     cycle = _trade_cycle(p.matrix, profile)
     if cycle is None:
         return EfficiencyVerdict(True)
@@ -216,9 +214,7 @@ def is_ex_post_efficient(
     """
     inst = profile.instance
     require_balanced(inst, "ex-post efficiency")
-    check = validate_assignment(p)
-    if not check.ok:
-        raise ValueError(f"input is not a feasible random assignment: {check.reason}")
+    require_feasible(p)
     survivors = tuple(
         d for d in enumerate_discrete(inst, balanced=not allow_unbalanced)
         if _trade_cycle(d.grid(), profile) is None
@@ -250,9 +246,7 @@ def decompose_lottery(
     """
     inst = p.instance
     require_balanced(inst, "lottery decomposition")
-    check = validate_assignment(p)
-    if not check.ok:
-        raise ValueError(f"input is not a feasible random assignment: {check.reason}")
+    require_feasible(p)
     n, m, quota = inst.num_agents, inst.num_objects, inst.quota
     work = [list(row) for row in p.matrix]
     terms: list[tuple[Fraction, DiscreteAssignment]] = []

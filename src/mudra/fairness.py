@@ -1,9 +1,11 @@
 """Fairness and symmetry checks: envy-freeness in the stochastic dominance
 sense, anonymity and neutrality as equivariance of a rule under relabelings.
+Each pair of notions is decided by one routine: `_first_envy`, `equivariance`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -14,7 +16,6 @@ from .model import (
     permute_objects,
     require_balanced,
 )
-from .order import SdVerdict, prefix_sums, sd_compare
 
 
 @dataclass(frozen=True)
@@ -35,42 +36,48 @@ class FairnessVerdict:
         return self.holds
 
 
-def is_sd_envy_free(p: RandomAssignment, profile: PreferenceProfile) -> FairnessVerdict:
-    """Every agent must weakly SD-prefer its own row to every other row."""
+def _first_envy(p: RandomAssignment, profile: PreferenceProfile, weak: bool) -> FairnessVerdict:
+    """The first envious pair, agents in instance order, or a pass.
+
+    Each agent's prefix sums are taken once, and every other row is summed
+    down the same order until the pair is decided: envy is at the first
+    prefix where the other row holds more.  With `weak` envy must also be
+    strict SD-dominance, so a prefix where it holds less clears the pair.
+    """
     inst = profile.instance
-    require_balanced(inst, "SD envy-freeness")
-    for i, agent in enumerate(inst.agents):
-        order = profile.orders[i]
-        own = prefix_sums(p.allocation(agent), order)
-        for other in inst.agents:
+    column = {obj: j for j, obj in enumerate(inst.objects)}
+    for agent, order, own in zip(inst.agents, profile.orders, p.matrix):
+        ranked = [column[obj] for obj in order]
+        own_sums = tuple(itertools.accumulate(own[j] for j in ranked))
+        for other, theirs in zip(inst.agents, p.matrix):
             if other == agent:
                 continue
-            theirs = prefix_sums(p.allocation(other), order)
-            for obj, mine, its in zip(order, own, theirs):
-                if mine < its:
-                    return FairnessVerdict(False, EnvyCertificate(agent, other, obj))
+            its = 0
+            envied_at = None
+            for obj, j, mine in zip(order, ranked, own_sums):
+                its += theirs[j]
+                if mine < its and envied_at is None:
+                    envied_at = obj
+                    if not weak:
+                        break
+                elif weak and mine > its:
+                    envied_at = None
+                    break
+            if envied_at is not None:
+                return FairnessVerdict(False, EnvyCertificate(agent, other, envied_at))
     return FairnessVerdict(True)
+
+
+def is_sd_envy_free(p: RandomAssignment, profile: PreferenceProfile) -> FairnessVerdict:
+    """Every agent must weakly SD-prefer its own row to every other row."""
+    require_balanced(profile.instance, "SD envy-freeness")
+    return _first_envy(p, profile, weak=False)
 
 
 def is_weak_sd_envy_free(p: RandomAssignment, profile: PreferenceProfile) -> FairnessVerdict:
     """No other agent's row may strictly SD-dominate an agent's own row."""
-    inst = profile.instance
-    require_balanced(inst, "weak SD envy-freeness")
-    for agent in inst.agents:
-        order = profile.order_of(agent)
-        own = p.allocation(agent)
-        for other in inst.agents:
-            if other == agent:
-                continue
-            theirs = p.allocation(other)
-            if sd_compare(theirs, own, order) is SdVerdict.FIRST_STRICTLY_DOMINATES:
-                first = next(
-                    obj for obj, a, b in zip(
-                        order, prefix_sums(own, order), prefix_sums(theirs, order)
-                    ) if a < b
-                )
-                return FairnessVerdict(False, EnvyCertificate(agent, other, first))
-    return FairnessVerdict(True)
+    require_balanced(profile.instance, "weak SD envy-freeness")
+    return _first_envy(p, profile, weak=True)
 
 
 @dataclass(frozen=True)
@@ -84,36 +91,37 @@ class EquivarianceVerdict:
         return self.holds
 
 
-def _first_mismatch(a: RandomAssignment, b: RandomAssignment) -> tuple[str, str] | None:
-    inst = a.instance
-    for agent, row_a, row_b in zip(inst.agents, a.matrix, b.matrix):
-        for obj, va, vb in zip(inst.objects, row_a, row_b):
-            if va != vb:
-                return (agent, obj)
-    return None
+Rule = Callable[[PreferenceProfile], RandomAssignment]
+
+
+def equivariance(
+    rule: Rule, profile: PreferenceProfile, relabel: Callable, mapping: Mapping[str, str],
+    truthful: RandomAssignment | None = None,
+) -> EquivarianceVerdict:
+    """Relabelling by `mapping` first or applying the rule first must agree.
+
+    `relabel` is `permute_agents` or `permute_objects`; `truthful`, when
+    given, is rule(profile), so a scan of many relabellings runs it once.
+    """
+    left = rule(relabel(profile, mapping)).matrix
+    right = relabel(truthful or rule(profile), mapping).matrix
+    cells = itertools.product(profile.instance.agents, profile.instance.objects)
+    values = zip(cells, itertools.chain(*left), itertools.chain(*right))
+    mismatch = next((cell for cell, a, b in values if a != b), None)
+    return EquivarianceVerdict(mismatch is None, tuple(sorted(mapping.items())), mismatch)
 
 
 def check_anonymity(
-    rule: Callable[[PreferenceProfile], RandomAssignment],
-    profile: PreferenceProfile,
-    pi: Mapping[str, str],
+    rule: Rule, profile: PreferenceProfile, pi: Mapping[str, str]
 ) -> EquivarianceVerdict:
     """Relabeling agents first or applying the rule first must agree."""
     require_balanced(profile.instance, "anonymity")
-    left = rule(permute_agents(profile, pi))
-    right = permute_agents(rule(profile), pi)
-    mismatch = _first_mismatch(left, right)
-    return EquivarianceVerdict(mismatch is None, tuple(sorted(pi.items())), mismatch)
+    return equivariance(rule, profile, permute_agents, pi)
 
 
 def check_neutrality(
-    rule: Callable[[PreferenceProfile], RandomAssignment],
-    profile: PreferenceProfile,
-    sigma: Mapping[str, str],
+    rule: Rule, profile: PreferenceProfile, sigma: Mapping[str, str]
 ) -> EquivarianceVerdict:
     """Relabeling objects first or applying the rule first must agree."""
     require_balanced(profile.instance, "neutrality")
-    left = rule(permute_objects(profile, sigma))
-    right = permute_objects(rule(profile), sigma)
-    mismatch = _first_mismatch(left, right)
-    return EquivarianceVerdict(mismatch is None, tuple(sorted(sigma.items())), mismatch)
+    return equivariance(rule, profile, permute_objects, sigma)

@@ -29,12 +29,7 @@ from mudra.efficiency import (
     is_sd_efficient,
     perfect_assignment,
 )
-from mudra.fairness import (
-    check_anonymity,
-    check_neutrality,
-    is_sd_envy_free,
-    is_weak_sd_envy_free,
-)
+from mudra.fairness import equivariance, is_sd_envy_free, is_weak_sd_envy_free
 from mudra.model import (
     ORDER_LIMIT,
     PROFILE_LIMIT,
@@ -44,6 +39,9 @@ from mudra.model import (
     RandomAssignment,
     discrete_to_random,
     orderings,
+    permute_agents,
+    permute_objects,
+    require_balanced,
 )
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
 from mudra.rules import mps, mps_trace, ops, priority_rule, random_priority, uniform
@@ -191,12 +189,14 @@ def _ex_post_efficiency(profile, output, rule, *, allow_unbalanced=False):
 
 
 def _unanimity(profile, output, rule):
-    # With a rule, check_unanimity runs it only when a perfect assignment exists.
-    verdict = check_unanimity(rule or (lambda _: output), profile)
+    # A rule is run only when a perfect assignment exists, and then once.
+    if output is None and perfect_assignment(profile) is not None:
+        output = rule(profile)
+    verdict = check_unanimity(lambda _: output, profile)
     if verdict:
         return True, {"detail": verdict.detail} if verdict.detail else None
     return False, {
-        "output": _matrix_data(output or rule(profile)),
+        "output": _matrix_data(output),
         "perfect": list(verdict.survivors[0].owners),
     }
 
@@ -229,20 +229,16 @@ def _weak_sd_envy_freeness(profile, output, rule):
     return False, {"envious": cert.envious, "envied": cert.envied}
 
 
-def _nontrivial_permutations(
-    labels: tuple[str, ...], what: str
-) -> Iterator[dict[str, str]]:
-    """Every relabelling of `labels` but the identity, generated lazily.
-
-    Refuses more than 8 labels (ORDER_LIMIT orders) before generating any.
-    """
+def _equivariance(relabel, labels, what, profile, output, rule) -> tuple[bool, dict | None]:
+    """Is `rule` equivariant under every relabelling of `labels` but the
+    identity?  The rule runs on `profile` itself once; more than 8 labels
+    (ORDER_LIMIT orders) are refused before any relabelling is made."""
     images = orderings(labels, ORDER_LIMIT, f"{len(labels)}! {what} relabellings")
-    return (dict(zip(labels, image)) for image in images if image != labels)
-
-
-def _equivariance(check, labels, what, profile, rule) -> tuple[bool, dict | None]:
-    for mapping in _nontrivial_permutations(labels, what):
-        verdict = check(rule, profile, mapping)
+    truthful = rule(profile) if output is None else output
+    for image in images:
+        if image == labels:
+            continue
+        verdict = equivariance(rule, profile, relabel, dict(zip(labels, image)), truthful)
         if not verdict:
             return False, {
                 "permutation": dict(verdict.permutation),
@@ -252,13 +248,13 @@ def _equivariance(check, labels, what, profile, rule) -> tuple[bool, dict | None
 
 
 def _anonymity(profile, output, rule):
-    agents = profile.instance.agents
-    return _equivariance(check_anonymity, agents, "agent", profile, rule)
+    require_balanced(profile.instance, "anonymity")
+    return _equivariance(permute_agents, profile.instance.agents, "agent", profile, output, rule)
 
 
 def _neutrality(profile, output, rule):
-    objects = profile.instance.objects
-    return _equivariance(check_neutrality, objects, "object", profile, rule)
+    require_balanced(profile.instance, "neutrality")
+    return _equivariance(permute_objects, profile.instance.objects, "object", profile, output, rule)
 
 
 def _no_manipulation(finder, profile, rule) -> tuple[bool, dict | None]:

@@ -6,11 +6,14 @@ orders over objects.  A random assignment is an n-by-m matrix of exact
 rational probabilities; a discrete assignment maps each object to one owner.
 
 All arithmetic is exact: probabilities are `fractions.Fraction` and floats
-are rejected at construction time.
+are rejected at construction time.  `require_feasible` is the one refusal of
+an infeasible matrix, validating each assignment once; relabelling agents and
+relabelling objects share one routine and one bijection check.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -228,6 +231,10 @@ class RandomAssignment:
         row = self.matrix[self.instance.agent_index(agent)]
         return dict(zip(self.instance.objects, row))
 
+    @functools.cached_property
+    def _feasibility(self) -> ValidationResult:
+        return validate_assignment(self)
+
 
 @dataclass(frozen=True)
 class DiscreteAssignment:
@@ -329,14 +336,33 @@ def discrete_to_random(assignment: DiscreteAssignment) -> RandomAssignment:
     return RandomAssignment(assignment.instance, assignment.grid())
 
 
-def _check_agent_permutation(instance: Instance, pi: Mapping[str, str]) -> None:
-    if set(pi.keys()) != set(instance.agents) or set(pi.values()) != set(instance.agents):
-        raise ValueError("not a permutation of the agent set")
+def require_feasible(assignment: RandomAssignment) -> None:
+    """Refuse an infeasible assignment; each assignment is validated once."""
+    check = assignment._feasibility
+    if not check.ok:
+        raise ValueError(f"input is not a feasible random assignment: {check.reason}")
 
 
-def _check_object_permutation(instance: Instance, sigma: Mapping[str, str]) -> None:
-    if set(sigma.keys()) != set(instance.objects) or set(sigma.values()) != set(instance.objects):
-        raise ValueError("not a permutation of the object set")
+def _relabel(x, mapping: Mapping[str, str], agents: bool):
+    """The one body of `permute_agents` (`agents`) and `permute_objects`."""
+    what = "agent" if agents else "object"
+    if not isinstance(x, (PreferenceProfile, RandomAssignment)):
+        raise TypeError(f"cannot permute {what}s of {type(x).__name__}")
+    labels = x.instance.agents if agents else x.instance.objects
+    position = {label: k for k, label in enumerate(labels)}
+    if mapping.keys() != position.keys() or set(mapping.values()) != position.keys():
+        raise ValueError(f"not a permutation of the {what} set")
+    # A label's row (agents) or column (objects) is that of the label mapped onto it.
+    inverse = {image: label for label, image in mapping.items()}
+    source = [position[inverse[label]] for label in labels]
+    rows = x.orders if isinstance(x, PreferenceProfile) else x.matrix
+    if agents:
+        rows = tuple(rows[k] for k in source)
+    elif isinstance(x, PreferenceProfile):
+        rows = tuple(tuple(mapping[o] for o in order) for order in rows)
+    else:
+        rows = tuple(tuple(row[k] for k in source) for row in rows)
+    return type(x)(x.instance, rows)
 
 
 def permute_agents(x, pi: Mapping[str, str]):
@@ -346,21 +372,7 @@ def permute_agents(x, pi: Mapping[str, str]):
     assignment, a's row moves to pi(a).  Composing with the inverse is the
     identity.
     """
-    if isinstance(x, PreferenceProfile):
-        inst = x.instance
-        _check_agent_permutation(inst, pi)
-        new_orders: list[tuple[str, ...]] = [()] * inst.num_agents
-        for agent, order in zip(inst.agents, x.orders):
-            new_orders[inst.agent_index(pi[agent])] = order
-        return PreferenceProfile(inst, tuple(new_orders))
-    if isinstance(x, RandomAssignment):
-        inst = x.instance
-        _check_agent_permutation(inst, pi)
-        new_rows: list[tuple[Fraction, ...]] = [()] * inst.num_agents
-        for agent, row in zip(inst.agents, x.matrix):
-            new_rows[inst.agent_index(pi[agent])] = row
-        return RandomAssignment(inst, tuple(new_rows))
-    raise TypeError(f"cannot permute agents of {type(x).__name__}")
+    return _relabel(x, pi, agents=True)
 
 
 def permute_objects(x, sigma: Mapping[str, str]):
@@ -369,20 +381,4 @@ def permute_objects(x, sigma: Mapping[str, str]):
     For a profile, every occurrence of object o becomes sigma(o); for a
     random assignment, the column of o moves to sigma(o).
     """
-    if isinstance(x, PreferenceProfile):
-        inst = x.instance
-        _check_object_permutation(inst, sigma)
-        return PreferenceProfile(
-            inst, tuple(tuple(sigma[o] for o in order) for order in x.orders)
-        )
-    if isinstance(x, RandomAssignment):
-        inst = x.instance
-        _check_object_permutation(inst, sigma)
-        new_rows = []
-        for row in x.matrix:
-            new_row: list[Fraction] = [Fraction(0)] * inst.num_objects
-            for obj, v in zip(inst.objects, row):
-                new_row[inst.object_index(sigma[obj])] = v
-            new_rows.append(tuple(new_row))
-        return RandomAssignment(inst, tuple(new_rows))
-    raise TypeError(f"cannot permute objects of {type(x).__name__}")
+    return _relabel(x, sigma, agents=False)

@@ -71,6 +71,8 @@ def profile_from_data(data: Any, relaxed: bool = False) -> PreferenceProfile:
     for j, o in enumerate(objects):
         if not isinstance(o, str):
             raise SchemaError(f"objects[{j}]", "object ids must be strings")
+    if not objects:
+        raise SchemaError("objects", "at least one object is required")
     if len(set(objects)) != len(objects):
         raise SchemaError("objects", "duplicate object ids")
     quota = _require(data, "quota", int, "")
@@ -89,9 +91,11 @@ def profile_from_data(data: Any, relaxed: bool = False) -> PreferenceProfile:
                 path, "preference list is not a strict order over the object set"
             )
         orders.append(tuple(order))
+    if set(agents) & set(objects):
+        raise SchemaError("preferences", "agent and object ids must be disjoint")
     try:
         instance = Instance(agents, tuple(objects), quota, relaxed=relaxed)
-    except ValueError as exc:
+    except ValueError as exc:  # what is left to refuse concerns the quota
         raise SchemaError("quota", str(exc)) from None
     return PreferenceProfile(instance, tuple(orders))
 

@@ -7,12 +7,17 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from mudra import rules
 from mudra.cli import main
 from mudra.efficiency import sd_dominates
-from mudra.harness import canonical_instance, enumerate_profiles
+from mudra.harness import PROPERTIES, canonical_instance, enumerate_profiles
 from mudra.model import validate_assignment
+from mudra.rules import simulate_eating
 from mudra.serialize import (
+    SchemaError,
     assignment_from_data,
     canonical_dumps,
     profile_from_data,
@@ -79,6 +84,40 @@ ALL_HALVES = {
 }
 
 
+#: `compute --trace` at FIG1, byte for byte.
+TRACED = {
+    "ops": """rule: ops
+   o1   o2  o3   o4
+1   1  1/2   0  1/2
+2   0  1/2   1  1/2
+phase [0, 1): 1 eats o1 | 2 eats o3
+phase [1, 3/2): 1 eats o2 | 2 eats o2
+phase [3/2, 2): 1 eats o4 | 2 eats o4
+""",
+    "mps": """rule: mps
+    o1   o2   o3   o4
+1  7/8  1/2  1/4  3/8
+2  1/8  1/2  3/4  5/8
+phase [0, 1/2): 1 eats o1,o2 | 2 eats o2,o3
+phase [1/2, 3/4): 1 eats o1,o3 | 2 eats o3,o4
+phase [3/4, 7/8): 1 eats o1,o4 | 2 eats o1,o4
+phase [7/8, 9/8): 1 eats o4 | 2 eats o4
+""",
+}
+
+TWO_BY_TWO = {
+    "objects": ["o1", "o2"],
+    "quota": 1,
+    "preferences": {"1": ["o1", "o2"], "2": ["o2", "o1"]},
+}
+
+#: A 2x2 matrix with entries in [0, 1] whose column o2 sums to 1/3.
+THIRD_OF_O2 = {"matrix": {"1": {"o1": "1", "o2": "1/3"}, "2": {"o1": "0", "o2": "0"}}}
+
+#: The `check` tokens that judge a given `--assignment`.
+ASSIGNMENT_TOKENS = [prop.token for prop in PROPERTIES.values() if "assignment" in prop.judges]
+
+
 @pytest.fixture()
 def runner():
     return CliRunner()
@@ -131,6 +170,27 @@ class TestCompute:
         data = json.loads(result.output)
         assert data["matrix"]["2"]["o3"] == "1"
         assert data["matrix"]["1"]["o4"] == "1"
+
+    @pytest.mark.parametrize("rule", ["ops", "mps"])
+    def test_trace_runs_the_eating_rule_once(self, runner, paths, monkeypatch, rule):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return simulate_eating(*args)
+
+        monkeypatch.setattr(rules, "simulate_eating", counted)
+        path = paths("p.json", FIG1)
+        traced = runner.invoke(main, ["compute", "--rule", rule, "--profile", path, "--trace"])
+        assert traced.exit_code == 0 and len(calls) == 1
+        assert traced.stdout == TRACED[rule]
+        as_json = runner.invoke(
+            main, ["compute", "--rule", rule, "--profile", path, "--trace", "--json"]
+        )
+        plain = runner.invoke(main, ["compute", "--rule", rule, "--profile", path, "--json"])
+        assert len(calls) == 3
+        data = json.loads(as_json.stdout)
+        assert data.pop("trace") and data == json.loads(plain.stdout)
 
     def test_permutation_rejected_for_other_rules(self, runner, paths):
         result = runner.invoke(
@@ -361,6 +421,17 @@ class TestCheck:
         assert result.exit_code == 3
         assert message in result.output
 
+    @pytest.mark.parametrize("token", ASSIGNMENT_TOKENS)
+    def test_infeasible_assignment_is_refused_for_every_property(self, runner, paths, token):
+        argv = ["check", "--property", token, "--profile", paths("p.json", TWO_BY_TWO),
+                "--assignment", paths("a.json", THIRD_OF_O2)]
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 3
+        assert result.stderr == (
+            "input error: input is not a feasible random assignment: "
+            "column o2 sums to 1/3, expected 1\n"
+        )
+
     def test_unanimity_judges_what_it_is_given(self, runner, paths):
         argv = ["check", "--property", "unanimity", "--profile", paths("p.json", DISJOINT_TOPS)]
         perfect = runner.invoke(main, argv + ["--assignment", paths("a.json", DISJOINT_TOPS_PERFECT)])
@@ -563,3 +634,71 @@ def test_readme_command_line_names_only_real_flags():
         opts = {opt for param in main.commands[words[1]].params for opt in param.opts}
         flags = set(re.findall(r"--[\w-]+", " ".join(words)))
         assert flags <= opts, (words[1], flags - opts)
+
+
+# --------------------------------------------------------------------------
+# Fuzzing `check --assignment`: an exit code from the contract, never a traceback
+# --------------------------------------------------------------------------
+
+ENTRY = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=6).map(str),
+    st.integers(min_value=-2, max_value=3),
+    st.sampled_from(["1/0", "x", "", "1/-3"]),
+    st.floats(min_value=0, max_value=1),
+    st.none(),
+)
+
+
+@st.composite
+def feasible_two_by_two(draw):
+    x = draw(st.fractions(min_value=0, max_value=1, max_denominator=6))
+    return {"matrix": {"1": {"o1": str(x), "o2": str(1 - x)},
+                       "2": {"o1": str(1 - x), "o2": str(x)}}}
+
+
+@st.composite
+def fuzzed_matrix(draw):
+    """Random entries under agent and object keys that may miss or add one."""
+    def keys(usual, spare):
+        return st.one_of(st.just(usual), st.lists(st.sampled_from(usual + [spare]), unique=True))
+
+    agents = draw(keys(["1", "2"], "3"))
+    objects = draw(keys(["o1", "o2"], "o3"))
+    return {"matrix": {a: {o: draw(ENTRY) for o in objects} for a in agents}}
+
+
+ASSIGNMENT_DATA = st.one_of(
+    feasible_two_by_two(),
+    fuzzed_matrix(),
+    st.fixed_dictionaries({"matrix": st.one_of(st.none(), st.lists(st.integers(), max_size=2))}),
+    st.just({}),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+def refused(data, instance) -> bool:
+    """Is the file malformed, or does `validate_assignment` reject it?"""
+    try:
+        assignment = assignment_from_data(data, instance)
+    except (SchemaError, ValueError, TypeError):
+        return True
+    return not validate_assignment(assignment).ok
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(ASSIGNMENT_DATA)
+def test_fuzzed_assignments_exit_by_the_contract(tmp_path_factory, data):
+    folder = tmp_path_factory.mktemp("fuzz")
+    profile_path, assignment_path = folder / "p.json", folder / "a.json"
+    profile_path.write_text(json.dumps(TWO_BY_TWO), encoding="utf-8")
+    assignment_path.write_text(json.dumps(data), encoding="utf-8")
+    instance = profile_from_data(TWO_BY_TWO).instance
+    want_refusal = refused(data, instance)
+    runner = CliRunner()
+    for token in ASSIGNMENT_TOKENS:
+        argv = ["check", "--property", token, "--profile", str(profile_path),
+                "--assignment", str(assignment_path)]
+        result = runner.invoke(main, argv)
+        assert result.exception is None or isinstance(result.exception, SystemExit), token
+        assert result.exit_code in (0, 1, 3), token
+        assert (result.exit_code == 3) == want_refusal, (token, result.stderr)

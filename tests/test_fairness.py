@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mudra.efficiency import enumerate_discrete
 from mudra.fairness import (
     check_anonymity,
     check_neutrality,
@@ -17,7 +20,8 @@ from mudra.model import (
     RandomAssignment,
     discrete_to_random,
 )
-from mudra.order import upper_contour_sum
+from mudra.harness import RULES, canonical_instance, enumerate_profiles
+from mudra.order import SdVerdict, prefix_sums, sd_compare, upper_contour_sum
 from mudra.rules import mps, ops, priority_rule, random_priority, uniform
 
 F = Fraction
@@ -130,3 +134,80 @@ class TestNeutrality:
         constant = discrete_to_random(DiscreteAssignment(INST, ("1", "1", "2", "2")))
         verdict = check_neutrality(lambda p: constant, IDENTICAL, self.ROTATE)
         assert not verdict.holds
+
+
+# --------------------------------------------------------------------------
+# The one prefix-sum scan against the two envy checks it replaced
+# --------------------------------------------------------------------------
+
+
+def oracle_sd_envy(p, prof):
+    """The SD envy check as written before the shared scan: full prefix sums."""
+    inst = prof.instance
+    for i, agent in enumerate(inst.agents):
+        order = prof.orders[i]
+        own = prefix_sums(p.allocation(agent), order)
+        for other in inst.agents:
+            if other == agent:
+                continue
+            theirs = prefix_sums(p.allocation(other), order)
+            for obj, mine, its in zip(order, own, theirs):
+                if mine < its:
+                    return False, (agent, other, obj)
+    return True, None
+
+
+def oracle_weak_sd_envy(p, prof):
+    """The weak-SD envy check as written before the shared scan: sd_compare."""
+    for agent in prof.instance.agents:
+        order = prof.order_of(agent)
+        own = p.allocation(agent)
+        for other in prof.instance.agents:
+            if other == agent:
+                continue
+            theirs = p.allocation(other)
+            if sd_compare(theirs, own, order) is SdVerdict.FIRST_STRICTLY_DOMINATES:
+                first = next(
+                    obj for obj, a, b in zip(
+                        order, prefix_sums(own, order), prefix_sums(theirs, order)
+                    ) if a < b
+                )
+                return False, (agent, other, first)
+    return True, None
+
+
+def envy_pair(verdict):
+    cert = verdict.certificate
+    return verdict.holds, None if cert is None else (cert.envious, cert.envied, cert.prefix_object)
+
+
+def assert_envy_matches_oracles(p, prof):
+    assert envy_pair(is_sd_envy_free(p, prof)) == oracle_sd_envy(p, prof)
+    assert envy_pair(is_weak_sd_envy_free(p, prof)) == oracle_weak_sd_envy(p, prof)
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 2), (3, 3, 1)])
+def test_envy_scan_matches_oracles_exhaustively(shape):
+    """Every balanced discrete assignment and rule output at every profile."""
+    inst = canonical_instance(*shape)
+    discrete = [discrete_to_random(d) for d in enumerate_discrete(inst)]
+    for prof in enumerate_profiles(inst):
+        for p in discrete + [rule(prof) for rule in RULES.values()]:
+            assert_envy_matches_oracles(p, prof)
+
+
+SINGLE_UNIT_4 = canonical_instance(4, 4, 1)
+QUARTERS = st.sampled_from([F(k, 4) for k in range(5)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.permutations(SINGLE_UNIT_4.objects), min_size=4, max_size=4),
+    st.lists(st.lists(QUARTERS, min_size=4, max_size=4), min_size=4, max_size=4),
+)
+def test_envy_scan_matches_oracles_on_single_unit_four(orders, rows):
+    """Rule outputs and arbitrary quarter-valued matrices, ties included."""
+    prof = PreferenceProfile(SINGLE_UNIT_4, tuple(tuple(o) for o in orders))
+    drawn = RandomAssignment(SINGLE_UNIT_4, tuple(tuple(row) for row in rows))
+    for p in [drawn] + [rule(prof) for rule in RULES.values()]:
+        assert_envy_matches_oracles(p, prof)

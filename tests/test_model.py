@@ -1,9 +1,10 @@
 """Core data model: instances, profiles, assignment matrices, permutations."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mudra.model import (
@@ -16,6 +17,8 @@ from mudra.model import (
     permute_objects,
     validate_assignment,
 )
+from mudra.efficiency import enumerate_discrete
+from mudra.harness import RULES, canonical_instance, enumerate_profiles
 
 INST = Instance(agents=("1", "2"), objects=("o1", "o2", "o3", "o4"), quota=2)
 
@@ -211,3 +214,102 @@ def test_object_permutation_round_trips(prof):
     sigma = dict(zip(objects, objects[1:] + objects[:1]))
     inverse = {v: k for k, v in sigma.items()}
     assert permute_objects(permute_objects(prof, sigma), inverse).orders == prof.orders
+
+
+# --------------------------------------------------------------------------
+# The one relabelling routine against the two bodies it replaced
+# --------------------------------------------------------------------------
+
+
+def oracle_permute_agents(x, pi):
+    """`permute_agents` as written before the shared routine."""
+    inst = x.instance
+    if set(pi.keys()) != set(inst.agents) or set(pi.values()) != set(inst.agents):
+        raise ValueError("not a permutation of the agent set")
+    rows = x.orders if isinstance(x, PreferenceProfile) else x.matrix
+    new_rows = [()] * inst.num_agents
+    for agent, row in zip(inst.agents, rows):
+        new_rows[inst.agent_index(pi[agent])] = row
+    return type(x)(inst, tuple(new_rows))
+
+
+def oracle_permute_objects(x, sigma):
+    """`permute_objects` as written before the shared routine."""
+    inst = x.instance
+    if set(sigma.keys()) != set(inst.objects) or set(sigma.values()) != set(inst.objects):
+        raise ValueError("not a permutation of the object set")
+    if isinstance(x, PreferenceProfile):
+        return PreferenceProfile(inst, tuple(tuple(sigma[o] for o in order) for order in x.orders))
+    new_rows = []
+    for row in x.matrix:
+        new_row = [Fraction(0)] * inst.num_objects
+        for obj, v in zip(inst.objects, row):
+            new_row[inst.object_index(sigma[obj])] = v
+        new_rows.append(tuple(new_row))
+    return RandomAssignment(inst, tuple(new_rows))
+
+
+def outcome(fn, *args):
+    """The value `fn` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def all_maps(labels):
+    """Every map of `labels` into itself, bijection or not, then a map with a
+    missing key, one with a foreign key and one with a foreign image."""
+    for images in itertools.product(labels, repeat=len(labels)):
+        yield dict(zip(labels, images))
+    yield dict(zip(labels[1:], labels[1:]))
+    yield {**dict(zip(labels, labels)), "x": labels[0]}
+    yield {**dict(zip(labels, labels)), labels[0]: "x"}
+
+
+def assert_relabelling_matches_oracles(x, agent_maps, object_maps):
+    for new, old, maps in (
+        (permute_agents, oracle_permute_agents, agent_maps),
+        (permute_objects, oracle_permute_objects, object_maps),
+    ):
+        for mapping in maps:
+            assert outcome(new, x, mapping) == outcome(old, x, mapping), mapping
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 2), (3, 3, 1)])
+def test_relabelling_matches_oracles_exhaustively(shape):
+    """Every profile and one rule output per profile (the rules taken in
+    turn) under every relabelling; the first profile and every balanced
+    discrete assignment also under every non-bijection, which must raise
+    the same error."""
+    inst = canonical_instance(*shape)
+    agent_maps = list(all_maps(inst.agents))
+    object_maps = list(all_maps(inst.objects))
+    agent_perms = [dict(zip(inst.agents, p)) for p in itertools.permutations(inst.agents)]
+    object_perms = [dict(zip(inst.objects, p)) for p in itertools.permutations(inst.objects)]
+    rules = list(RULES.values())
+    profiles = list(enumerate_profiles(inst))
+    for x in [profiles[0]] + [discrete_to_random(d) for d in enumerate_discrete(inst)]:
+        assert_relabelling_matches_oracles(x, agent_maps, object_maps)
+    for index, prof in enumerate(profiles):
+        output = rules[index % len(rules)](prof)
+        for x in (prof, output):
+            assert_relabelling_matches_oracles(x, agent_perms, object_perms)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.permutations(("o1", "o2", "o3", "o4")), min_size=4, max_size=4),
+       st.permutations(("1", "2", "3", "4")), st.permutations(("o1", "o2", "o3", "o4")))
+def test_relabelling_matches_oracles_on_single_unit_four(orders, agent_images, object_images):
+    inst = canonical_instance(4, 4, 1)
+    prof = PreferenceProfile(inst, tuple(tuple(o) for o in orders))
+    pi = dict(zip(inst.agents, agent_images))
+    sigma = dict(zip(inst.objects, object_images))
+    for x in [prof] + [rule(prof) for rule in RULES.values()]:
+        assert_relabelling_matches_oracles(x, [pi], [sigma])
+
+
+def test_relabelling_refuses_other_types():
+    for permute in (permute_agents, permute_objects):
+        with pytest.raises(TypeError, match="cannot permute"):
+            permute(DiscreteAssignment(INST, ("1", "1", "2", "2")), {})

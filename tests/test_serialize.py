@@ -102,6 +102,27 @@ class TestProfileSchema:
         with pytest.raises(SchemaError, match="quota"):
             profile_from_data(data)
 
+    @pytest.mark.parametrize(
+        "changes, path, message",
+        [
+            ({"objects": [], "preferences": {"1": []}}, "objects", "at least one object"),
+            (
+                {"preferences": {"o1": ["o1", "o2", "o3", "o4"], "2": ["o1", "o2", "o3", "o4"]}},
+                "preferences", "agent and object ids must be disjoint",
+            ),
+            ({"quota": 3}, "quota", "cannot be split"),
+        ],
+    )
+    def test_instance_errors_name_the_field_at_fault(self, tmp_path, changes, path, message):
+        """From data and from a file, each error carries the path of its field."""
+        data = dict(PROFILE_DATA, **changes)
+        target = tmp_path / "p.json"
+        target.write_text(canonical_dumps(data), encoding="utf-8")
+        for load in (lambda: profile_from_data(data), lambda: load_profile(target)):
+            with pytest.raises(SchemaError, match=message) as err:
+                load()
+            assert err.value.path == path
+
     def test_relaxed_flag_permits_leftovers(self):
         data = {
             "objects": ["o1", "o2", "o3"],
