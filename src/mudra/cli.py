@@ -1,7 +1,9 @@
-"""Command-line front-end.
+"""Command-line front-end: flags, input checks and rendering.
 
-Verbs: compute, check, manipulate, reproduce, table1, enumerate.  Outputs
-are JSON when --json is passed, aligned human tables otherwise.
+Verbs: compute, check, manipulate, reproduce, table1, enumerate.  Each verb
+but enumerate builds one result dict from the library's answer and prints it
+as JSON when --json is passed; otherwise a renderer draws the human text,
+aligned tables included, from that same dict.
 
 Exit codes: 0 all expectations met, 1 discrepancy found (a failing check,
 a reproduction diff, a sweep mismatch), 2 guard refusal (domain too large
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 
 import click
@@ -27,7 +29,7 @@ from mudra.harness import (
     reproduce as run_reproduce,
     table1_sweep,
 )
-from mudra.model import GuardExceeded, RandomAssignment, discrete_to_random, require_feasible
+from mudra.model import GuardExceeded, discrete_to_random, require_feasible
 from mudra.rules import mps_trace, ops_trace, serial_dictator
 from mudra.serialize import (
     SchemaError,
@@ -38,13 +40,9 @@ from mudra.serialize import (
     load_profile,
     profile_to_data,
 )
-from mudra.strategy import (
-    Manipulation,
-    find_dl_manipulation,
-    find_group_manipulation,
-    find_sd_manipulation,
-    find_weak_sd_manipulation,
-)
+# Imported under this name, which the bench's tracer test reads.
+from mudra.strategy import FINDERS as _KIND_FINDERS
+from mudra.strategy import Manipulation, find_group_manipulation, first_manipulation
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 1
@@ -68,38 +66,21 @@ def _exit_codes():
         raise SystemExit(EXIT_INPUT) from exc
 
 
-def _emit(data: dict, as_json: bool, human: str) -> None:
-    click.echo(canonical_dumps(data) if as_json else human)
+def _emit(data: dict, as_json: bool, render: Callable[[dict], Iterable[str]]) -> None:
+    """Print `data` as JSON, or the human lines `render` draws from it."""
+    click.echo(canonical_dumps(data) if as_json else "\n".join(render(data)))
 
 
-def _matrix_table(p: RandomAssignment) -> str:
-    inst = p.instance
-    header = [""] + list(inst.objects)
-    body = [
-        [agent] + [format_rational(v) for v in p.matrix[i]]
-        for i, agent in enumerate(inst.agents)
-    ]
-    widths = [
-        max(len(row[j]) for row in [header] + body) for j in range(len(header))
-    ]
-    return "\n".join(
-        "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-        for row in [header] + body
-    )
+def _aligned(rows: list[list[str]], justify=str.rjust) -> list[str]:
+    """`rows` as text lines, each column padded to its widest cell."""
+    widths = [max(len(row[j]) for row in rows) for j in range(len(rows[0]))]
+    return ["  ".join(justify(cell, w) for cell, w in zip(row, widths)) for row in rows]
 
 
-def _trace_lines(trace) -> list[str]:
-    inst = trace.profile.instance
-    lines = []
-    for phase in trace.phases:
-        eats = " | ".join(
-            f"{agent} eats {','.join(o for o in inst.objects if o in phase.eating[i])}"
-            for i, agent in enumerate(inst.agents)
-        )
-        lines.append(
-            f"phase [{format_rational(phase.start)}, {format_rational(phase.end)}): {eats}"
-        )
-    return lines
+def _matrix_lines(matrix: dict) -> list[str]:
+    """The table of an `assignment_to_data` matrix: agents down, objects across."""
+    objects = list(next(iter(matrix.values())))
+    return _aligned([["", *objects]] + [[agent, *row.values()] for agent, row in matrix.items()])
 
 
 def _trace_data(trace) -> list[dict]:
@@ -178,11 +159,19 @@ def compute(rule, profile_path, permutation, with_trace, relaxed, as_json):
         else:
             output = RULES[rule](profile) if trace is None else trace.assignment
         data = {"command": "compute", "rule": rule, **assignment_to_data(output)}
-        human = [f"rule: {rule}", _matrix_table(output)]
         if trace is not None:
             data["trace"] = _trace_data(trace)
-            human.extend(_trace_lines(trace))
-        _emit(data, as_json, "\n".join(human))
+        _emit(data, as_json, _render_compute)
+
+
+def _render_compute(data: dict) -> Iterator[str]:
+    yield f"rule: {data['rule']}"
+    yield from _matrix_lines(data["matrix"])
+    for phase in data.get("trace", ()):
+        eats = " | ".join(
+            f"{agent} eats {','.join(objects)}" for agent, objects in phase["eating"].items()
+        )
+        yield f"phase [{phase['start']}, {phase['end']}): {eats}"
 
 
 #: `--property` token -> registry entry, for the properties `check` offers.
@@ -246,18 +235,15 @@ def check(token, profile_path, assignment_path, rule_name, allow_unbalanced, as_
             "certificate": certificate,
             "seconds": seconds,
         }
-        human = [f"property: {token}", f"verdict: {'holds' if holds else 'FAILS'}"]
-        if certificate:
-            human.append(f"certificate: {canonical_dumps(certificate)}")
-        _emit(data, as_json, "\n".join(human))
+        _emit(data, as_json, _render_check)
         raise SystemExit(EXIT_OK if holds else EXIT_DISCREPANCY)
 
 
-_KIND_FINDERS = {
-    "sd": find_sd_manipulation,
-    "weak-sd": find_weak_sd_manipulation,
-    "dl": find_dl_manipulation,
-}
+def _render_check(data: dict) -> Iterator[str]:
+    yield f"property: {data['property']}"
+    yield f"verdict: {'holds' if data['verdict'] else 'FAILS'}"
+    if data["certificate"]:
+        yield f"certificate: {canonical_dumps(data['certificate'])}"
 
 
 @main.command()
@@ -268,9 +254,7 @@ _KIND_FINDERS = {
 )
 @click.option("--agent", default=None, help="Restrict the search to this agent.")
 @click.option("--coalition", default=None, help="Agents of the coalition, e.g. 1,2.")
-@click.option(
-    "--kind", type=click.Choice(("sd", "weak-sd", "dl", "group")), required=True,
-)
+@click.option("--kind", type=click.Choice((*_KIND_FINDERS, "group")), required=True)
 @click.option("--json", "as_json", is_flag=True)
 def manipulate(rule_name, profile_path, agent, coalition, kind, as_json):
     """Search for a profitable misreport against a rule.
@@ -293,17 +277,10 @@ def manipulate(rule_name, profile_path, agent, coalition, kind, as_json):
         else:
             if coalition is not None:
                 raise click.UsageError("--coalition requires --kind group")
-            finder = _KIND_FINDERS[kind]
-            if agent is not None:
-                if agent not in profile.instance.agents:
-                    raise click.UsageError(f"unknown agent {agent!r}")
-                found = finder(rule, profile, agent)
-            else:
-                found = None
-                for candidate in profile.instance.agents:
-                    found = finder(rule, profile, candidate)
-                    if found is not None:
-                        break
+            if agent is not None and agent not in profile.instance.agents:
+                raise click.UsageError(f"unknown agent {agent!r}")
+            agents = profile.instance.agents if agent is None else (agent,)
+            found = first_manipulation(rule, profile, kind, agents)
         data = {
             "command": "manipulate",
             "rule": rule_name,
@@ -311,25 +288,26 @@ def manipulate(rule_name, profile_path, agent, coalition, kind, as_json):
             "found": found is not None,
             "manipulation": None if found is None else _manipulation_data(found),
         }
-        if found is None:
-            human = "none"
-        else:
-            reports = "; ".join(
-                f"{a}: {','.join(order)}" for a, order in found.misreports
-            )
-            human = "\n".join(
-                [
-                    f"manipulation found ({found.kind.value}) for "
-                    f"{'coalition' if len(found.coalition) > 1 else 'agent'} "
-                    f"{','.join(found.coalition)}",
-                    f"misreport {reports}",
-                    "truthful:",
-                    _matrix_table(found.truthful),
-                    "manipulated:",
-                    _matrix_table(found.manipulated),
-                ]
-            )
-        _emit(data, as_json, human)
+        _emit(data, as_json, _render_manipulate)
+
+
+def _render_manipulate(data: dict) -> Iterator[str]:
+    found = data["manipulation"]
+    if found is None:
+        yield "none"
+        return
+    coalition = found["coalition"]
+    yield (
+        f"manipulation found ({found['kind']}) for "
+        f"{'coalition' if len(coalition) > 1 else 'agent'} {','.join(coalition)}"
+    )
+    yield "misreport " + "; ".join(
+        f"{agent}: {','.join(order)}" for agent, order in found["misreports"].items()
+    )
+    yield "truthful:"
+    yield from _matrix_lines(found["truthful"]["matrix"])
+    yield "manipulated:"
+    yield from _matrix_lines(found["manipulated"]["matrix"])
 
 
 @main.command(name="reproduce")
@@ -342,16 +320,19 @@ def reproduce_cmd(case_id, as_json):
     Exit code 0 when every line matches, 1 when any diff is found.
     """
     with _exit_codes():
-        report = run_reproduce(case_id)
-        human = [f"case {report.case}: {'OK' if report.ok else 'DIFFS FOUND'}"]
-        for line in report.lines:
-            human.append(f"  {'PASS' if line.ok else 'FAIL'}  {line.label}")
-            if line.detail:
-                human.append(f"        {line.detail}")
-        for note in report.notes:
-            human.append(f"note: {note}")
-        _emit(report.to_data(), as_json, "\n".join(human))
-        raise SystemExit(EXIT_OK if report.ok else EXIT_DISCREPANCY)
+        data = run_reproduce(case_id).to_data()
+        _emit(data, as_json, _render_reproduce)
+        raise SystemExit(EXIT_OK if data["ok"] else EXIT_DISCREPANCY)
+
+
+def _render_reproduce(data: dict) -> Iterator[str]:
+    yield f"case {data['case']}: {'OK' if data['ok'] else 'DIFFS FOUND'}"
+    for line in data["lines"]:
+        yield f"  {'PASS' if line['ok'] else 'FAIL'}  {line['label']}"
+        if line["detail"]:
+            yield f"        {line['detail']}"
+    for note in data["notes"]:
+        yield f"note: {note}"
 
 
 @main.command(name="table1")
@@ -362,44 +343,39 @@ def table1_cmd(as_json):
     Exit code 0 when every cell matches its expected sign, 1 otherwise.
     """
     with _exit_codes():
-        report = table1_sweep()
-        properties = []
-        for cell in report.cells:
-            if cell.property_name not in properties:
-                properties.append(cell.property_name)
-        header = ["property"] + list(RULE_NAMES)
-        rows = []
-        for prop in properties:
-            row = [prop]
-            for rule in RULE_NAMES:
-                cell = report.cell(rule, prop)
-                shown = "-" if cell.observed == "counterexample-found" else "+"
-                row.append(shown if cell.matched else f"{shown}!")
-            rows.append(row)
-        widths = [
-            max(len(r[j]) for r in [header] + rows) for j in range(len(header))
-        ]
-        human = [
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-            for row in [header] + rows
-        ]
-        for cell in report.discrepancies:
-            witness = (
-                "no counterexample on full sweep"
-                if cell.witness_orders is None
-                else " | ".join(",".join(o) for o in cell.witness_orders)
-            )
-            human.append(
-                f"DISCREPANCY {cell.rule} x {cell.property_name}: expected "
-                f"'{cell.expected}', observed {cell.observed} ({witness}; "
-                f"domain {cell.domain})"
-            )
-        human.append(
-            "wall-clock per rule over the main domain: "
-            + ", ".join(f"{rule} {secs:.2f}s" for rule, secs in report.rule_seconds)
+        data = table1_sweep().to_data()
+        _emit(data, as_json, _render_table1)
+        raise SystemExit(EXIT_OK if data["ok"] else EXIT_DISCREPANCY)
+
+
+def _render_table1(data: dict) -> Iterator[str]:
+    signs: dict[str, dict[str, str]] = {}  # property -> rule -> shown sign
+    for cell in data["cells"]:
+        shown = "-" if cell["observed"] == "counterexample-found" else "+"
+        signs.setdefault(cell["property"], {})[cell["rule"]] = (
+            shown if cell["matched"] else f"{shown}!"
         )
-        _emit(report.to_data(), as_json, "\n".join(human))
-        raise SystemExit(EXIT_OK if report.ok else EXIT_DISCREPANCY)
+    yield from _aligned(
+        [["property", *RULE_NAMES]]
+        + [[prop, *(row[rule] for rule in RULE_NAMES)] for prop, row in signs.items()],
+        str.ljust,
+    )
+    for cell in data["cells"]:
+        if cell["matched"]:
+            continue
+        witness = (
+            "no counterexample on full sweep"
+            if cell["witness"] is None
+            else " | ".join(",".join(order) for order in cell["witness"])
+        )
+        yield (
+            f"DISCREPANCY {cell['rule']} x {cell['property']}: expected "
+            f"'{cell['expected']}', observed {cell['observed']} ({witness}; "
+            f"domain {cell['domain']})"
+        )
+    yield "wall-clock per rule over the main domain: " + ", ".join(
+        f"{rule} {secs:.2f}s" for rule, secs in data["rule_seconds"].items()
+    )
 
 
 @main.command(name="enumerate")

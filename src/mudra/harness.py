@@ -21,6 +21,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from mudra.efficiency import (
     check_unanimity,
@@ -48,10 +49,9 @@ from mudra.rules import mps, mps_trace, ops, priority_rule, random_priority, uni
 from mudra.serialize import assignment_to_data, format_rational
 from mudra.strategy import (
     Manipulation,
-    find_dl_manipulation,
     find_group_manipulation,
-    find_sd_manipulation,
     find_weak_sd_manipulation,
+    first_manipulation,
 )
 
 
@@ -257,38 +257,22 @@ def _neutrality(profile, output, rule):
     return _equivariance(permute_objects, profile.instance.objects, "object", profile, output, rule)
 
 
-def _no_manipulation(finder, profile, rule) -> tuple[bool, dict | None]:
-    for agent in profile.instance.agents:
-        manipulation = finder(rule, profile, agent)
-        if manipulation is not None:
-            return False, {
-                "agent": agent,
-                "misreport": list(manipulation.misreport_of(agent)),
-                "kind": manipulation.kind.value,
-                "truthful-row": {
-                    o: format_rational(v)
-                    for o, v in manipulation.truthful.allocation(agent).items()
-                },
-                "manipulated-row": {
-                    o: format_rational(v)
-                    for o, v in manipulation.manipulated.allocation(agent).items()
-                },
-            }
-    return True, None
-
-
-# The finders are looked up at call time, not stored in the registry, so
-# that rebinding a module name (as a call tracer does) reaches every caller.
-def _sd_strategyproofness(profile, output, rule):
-    return _no_manipulation(find_sd_manipulation, profile, rule)
-
-
-def _dl_strategyproofness(profile, output, rule):
-    return _no_manipulation(find_dl_manipulation, profile, rule)
-
-
-def _weak_sd_strategyproofness(profile, output, rule):
-    return _no_manipulation(find_weak_sd_manipulation, profile, rule)
+def _no_manipulation(kind, profile, output, rule) -> tuple[bool, dict | None]:
+    found = first_manipulation(rule, profile, kind, profile.instance.agents)
+    if found is None:
+        return True, None
+    (agent,) = found.coalition
+    return False, {
+        "agent": agent,
+        "misreport": list(found.misreport_of(agent)),
+        "kind": found.kind.value,
+        "truthful-row": {
+            o: format_rational(v) for o, v in found.truthful.allocation(agent).items()
+        },
+        "manipulated-row": {
+            o: format_rational(v) for o, v in found.manipulated.allocation(agent).items()
+        },
+    }
 
 
 #: The property registry behind both the table1 sweep and `mudra check`.
@@ -301,9 +285,9 @@ PROPERTIES: dict[str, Property] = {
     "weak-sd-envy-freeness": Property(_weak_sd_envy_freeness, ("assignment",), "weak-sd-ef"),
     "anonymity": Property(_anonymity, ("rule",), "anonymity"),
     "neutrality": Property(_neutrality, ("rule",), "neutrality"),
-    "sd-strategyproofness": Property(_sd_strategyproofness, ("rule",)),
-    "dl-strategyproofness": Property(_dl_strategyproofness, ("rule",)),
-    "weak-sd-strategyproofness": Property(_weak_sd_strategyproofness, ("rule",)),
+    "sd-strategyproofness": Property(partial(_no_manipulation, "sd"), ("rule",)),
+    "dl-strategyproofness": Property(partial(_no_manipulation, "dl"), ("rule",)),
+    "weak-sd-strategyproofness": Property(partial(_no_manipulation, "weak-sd"), ("rule",)),
 }
 
 
@@ -337,9 +321,6 @@ class TableCell:
     rule: str
     property_name: str
     expected: str
-    #: "counterexample-found" or "supported-by-sweep".
-    observed: str
-    matched: bool
     domain: str
     #: Profiles covered, in canonical order up to the witness: each checked
     #: directly or, for a verified-neutral rule, through its orbit's
@@ -347,6 +328,16 @@ class TableCell:
     profiles_checked: int
     witness_orders: tuple[tuple[str, ...], ...] | None = None
     certificate: dict | None = None
+
+    @property
+    def observed(self) -> str:
+        """Either "counterexample-found" or "supported-by-sweep"."""
+        return "supported-by-sweep" if self.witness_orders is None else "counterexample-found"
+
+    @property
+    def matched(self) -> bool:
+        """Does the observation agree with the expected sign?"""
+        return (self.expected == "-") == (self.witness_orders is not None)
 
     def to_data(self) -> dict:
         return {
@@ -484,15 +475,11 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
                     found = aux_found
                     checked += found[0] + 1
                     domain = aux_domain
-            observed = "supported-by-sweep" if found is None else "counterexample-found"
-            matched = (expected == "-") == (found is not None)
             cells.append(
                 TableCell(
                     rule=rule_name,
                     property_name=property_name,
                     expected=expected,
-                    observed=observed,
-                    matched=matched,
                     domain=domain,
                     profiles_checked=checked,
                     witness_orders=None if found is None else found[1].orders,

@@ -1,6 +1,7 @@
 """JSON serialization for profiles, assignments and reports.
 
-Rationals travel as strings "p/q" (plain integers may appear as "k") so that
+Rationals travel as strings "p/q" (plain integers may appear as "k", and
+input may also use plain decimals such as "0.25", never exponents) so that
 files round-trip exactly.  Schema violations raise `SchemaError` carrying the
 JSON path of the offending element.
 
@@ -33,7 +34,8 @@ class SchemaError(Exception):
 
 
 def parse_rational(value: Any, path: str) -> Fraction:
-    """Parse "p/q" or "k" (string) into an exact rational."""
+    """Parse "p/q", "k" or a plain decimal such as "0.25" into an exact rational.
+    Exponents are refused: `Fraction("1e9999999")` would build 10**9999999."""
     if isinstance(value, bool):
         raise SchemaError(path, f"expected a rational string, got {value!r}")
     if isinstance(value, int):
@@ -42,6 +44,8 @@ def parse_rational(value: Any, path: str) -> Fraction:
         raise SchemaError(path, f"floating point value {value!r} is not allowed")
     if not isinstance(value, str):
         raise SchemaError(path, f"expected a rational string, got {type(value).__name__}")
+    if "e" in value or "E" in value:
+        raise SchemaError(path, f"malformed rational {value!r} (exponents are not accepted)")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:

@@ -14,6 +14,10 @@ agent is a coalition of one, and three individual notions are covered:
 
 Group manipulations require every coalition member to strictly SD-improve
 under one joint misreport; a weak SD violation is one by a coalition of one.
+
+`FINDERS` maps each individual kind to its finder, and `first_manipulation`
+is the one first-agent search behind `mudra manipulate` and the property
+registry's strategyproofness checks.
 """
 
 from __future__ import annotations
@@ -153,3 +157,25 @@ def find_group_manipulation(
     for a in members:
         profile.instance.agent_index(a)  # raises on unknown agents
     return _scan(rule, profile, members, _strictly_sd_better, ManipulationKind.STRICT_SD)
+
+
+#: Individual misreport kind -> its finder.  Callers look a finder up here
+#: at call time, so that rebinding a value (as a call tracer does) reaches
+#: every caller.
+FINDERS: dict[str, Callable[[Rule, PreferenceProfile, str], Manipulation | None]] = {
+    "sd": find_sd_manipulation,
+    "weak-sd": find_weak_sd_manipulation,
+    "dl": find_dl_manipulation,
+}
+
+
+def first_manipulation(
+    rule: Rule, profile: PreferenceProfile, kind: str, agents: Sequence[str]
+) -> Manipulation | None:
+    """The `kind` manipulation of the first of `agents` that has one."""
+    finder = FINDERS[kind]
+    for agent in agents:
+        found = finder(rule, profile, agent)
+        if found is not None:
+            return found
+    return None

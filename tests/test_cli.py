@@ -432,6 +432,19 @@ class TestCheck:
             "column o2 sums to 1/3, expected 1\n"
         )
 
+    def test_exponent_entry_is_refused_quickly(self, runner, paths):
+        entries = {"o1": "1e10000000", "o2": "1/2", "o3": "1/2", "o4": "1/2"}
+        matrix = {"matrix": {"1": entries, "2": entries}}
+        result = runner.invoke(
+            main,
+            [
+                "check", "--property", "sd-ef", "--profile", paths("p.json", FIG1),
+                "--assignment", paths("a.json", matrix),
+            ],
+        )
+        assert result.exit_code == 3
+        assert "malformed rational" in result.stderr
+
     def test_unanimity_judges_what_it_is_given(self, runner, paths):
         argv = ["check", "--property", "unanimity", "--profile", paths("p.json", DISJOINT_TOPS)]
         perfect = runner.invoke(main, argv + ["--assignment", paths("a.json", DISJOINT_TOPS_PERFECT)])
@@ -452,6 +465,23 @@ class TestManipulate:
         data = json.loads(result.output)
         assert data["found"] is True
         assert data["manipulation"]["misreports"] == {"1": ["b", "a", "c", "d"]}
+
+    def test_without_agent_the_first_manipulating_agent_is_reported(self, runner, paths):
+        # STAGGERED with the agents swapped: agent 1 has no manipulation.
+        swapped = {
+            **STAGGERED,
+            "preferences": {"1": ["b", "c", "a", "d"], "2": ["a", "b", "c", "d"]},
+        }
+        args = ["manipulate", "--rule", "ops", "--kind", "weak-sd",
+                "--profile", paths("p.json", swapped)]
+        alone = runner.invoke(main, [*args, "--agent", "1", "--json"])
+        assert json.loads(alone.output)["found"] is False
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.output.splitlines()[:2] == [
+            "manipulation found (strict-sd) for agent 2",
+            "misreport 2: b,a,c,d",
+        ]
 
     def test_mps_resists_weak_sd_here(self, runner, paths):
         result = runner.invoke(
@@ -643,7 +673,7 @@ def test_readme_command_line_names_only_real_flags():
 ENTRY = st.one_of(
     st.fractions(min_value=-1, max_value=2, max_denominator=6).map(str),
     st.integers(min_value=-2, max_value=3),
-    st.sampled_from(["1/0", "x", "", "1/-3"]),
+    st.sampled_from(["1/0", "x", "", "1/-3", "1e10000000"]),
     st.floats(min_value=0, max_value=1),
     st.none(),
 )

@@ -4,19 +4,23 @@ A static check over the source with the standard library's `ast`: a name
 bound by `import` or `from ... import` must be read somewhere in the same
 module.  `__init__.py` is exempt, because the names it imports are the
 package's re-exports: each of those must be listed in `__all__`, and every
-name in `__all__` must resolve on the package.
+name in `__all__` must resolve on the package.  The names the bench's call
+tracer patches must resolve too.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 import mudra
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mudra"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mudra"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -54,3 +58,24 @@ def test_every_public_name_resolves():
 def test_every_reexport_is_public():
     source = (PACKAGE / "__init__.py").read_text()
     assert [n for n in imported_names(source) if n not in mudra.__all__] == []
+
+
+def test_every_traced_name_resolves():
+    """Every binding site in `perfbench/tracer.py`'s tables, and the kind
+    table the bench reads from the CLI, exists in the package."""
+    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        site for site in tracer.SPANS + tracer.COUNTERS
+        if not callable(getattr(importlib.import_module(site[1]), site[2], None))
+    ]
+    missing += [
+        site for site in tracer.METHODS
+        if not callable(getattr(getattr(importlib.import_module(site[1]), site[2], None),
+                                site[3], None))
+    ]
+    assert missing == []
+    cli = importlib.import_module("mudra.cli")
+    assert [name for name in tracer.COMMANDS if not hasattr(cli, name)] == []
+    assert set(cli._KIND_FINDERS) == {"sd", "weak-sd", "dl"}

@@ -1,5 +1,6 @@
 """JSON round trips and schema error reporting."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,18 @@ class TestRationals:
     def test_garbage_rejected(self):
         with pytest.raises(SchemaError, match="malformed"):
             parse_rational("seven eighths", "x")
+
+    def test_plain_decimal_accepted(self):
+        assert parse_rational("0.25", "x") == F(1, 4)
+        assert parse_rational("-1.5", "x") == F(-3, 2)
+
+    @pytest.mark.parametrize("text", ["1e10000000", "1E10000000", "2.5e-3"])
+    def test_exponents_refused_before_any_arithmetic(self, text):
+        # Fraction("1e10000000") builds a 33-Mbit numerator in seconds.
+        started = time.perf_counter()
+        with pytest.raises(SchemaError, match="malformed rational"):
+            parse_rational(text, "matrix.1.o1")
+        assert time.perf_counter() - started < 0.1
 
     def test_floats_rejected(self):
         with pytest.raises(SchemaError, match="floating point"):

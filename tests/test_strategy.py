@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mudra.harness import RULE_NAMES, OutputCache
+from mudra.harness import RULE_NAMES, OutputCache, check_rule_property
 from mudra.model import GuardExceeded, Instance, PreferenceProfile
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
 from mudra.rules import mps, ops, priority_rule, random_priority, uniform
@@ -15,6 +15,7 @@ from mudra.strategy import (
     find_group_manipulation,
     find_sd_manipulation,
     find_weak_sd_manipulation,
+    first_manipulation,
 )
 
 F = Fraction
@@ -327,16 +328,29 @@ def test_individual_searches_match_brute_force(rule_name, cache):
     rule = cache.callable(rule_name)
     witnesses = dict.fromkeys(INDIVIDUAL, 0)
     for profile in itertools.chain(three_by_three_profiles(), two_by_four_profiles()):
+        first = {}  # kind -> (first agent with a witness, their misreport)
         for agent in profile.instance.agents:
             for name, (finder, kind, improves) in INDIVIDUAL.items():
                 expected = brute_force_witness(rule, profile, (agent,), improves)
                 found = finder(rule, profile, agent)
                 assert_same_witness(found, expected, kind, (agent,))
                 witnesses[name] += expected is not None
+                if expected is not None:
+                    first.setdefault(name, (agent, expected[0][0]))
             # one agent is a coalition of one
             assert find_group_manipulation(rule, profile, (agent,)) == (
                 find_weak_sd_manipulation(rule, profile, agent)
             )
+        # The first-agent search and the registry's certificate name that agent.
+        for name in INDIVIDUAL:
+            found = first_manipulation(rule, profile, name, profile.instance.agents)
+            assert (found and found.misreports[0]) == first.get(name)
+            holds, certificate = check_rule_property(
+                rule_name, f"{name}-strategyproofness", profile, cache
+            )
+            assert holds == (name not in first)
+            if not holds:
+                assert (certificate["agent"], tuple(certificate["misreport"])) == first[name]
     assert witnesses == EXPECTED_INDIVIDUAL_WITNESSES[rule_name]
 
 
