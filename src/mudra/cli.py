@@ -13,7 +13,6 @@ for exact enumeration), 3 input error (bad flags, malformed files).
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
@@ -26,8 +25,10 @@ from mudra.harness import (
     RULES,
     canonical_instance,
     enumerate_profiles,
+    profile_count,
     reproduce as run_reproduce,
     table1_sweep,
+    witness_text,
 )
 from mudra.model import GuardExceeded, discrete_to_random, require_feasible
 from mudra.rules import mps_trace, ops_trace, serial_dictator
@@ -363,14 +364,10 @@ def _render_table1(data: dict) -> Iterator[str]:
     for cell in data["cells"]:
         if cell["matched"]:
             continue
-        witness = (
-            "no counterexample on full sweep"
-            if cell["witness"] is None
-            else " | ".join(",".join(order) for order in cell["witness"])
-        )
         yield (
             f"DISCREPANCY {cell['rule']} x {cell['property']}: expected "
-            f"'{cell['expected']}', observed {cell['observed']} ({witness}; "
+            f"'{cell['expected']}', observed {cell['observed']} "
+            f"({witness_text(cell['witness'])}; "
             f"domain {cell['domain']})"
         )
     yield "wall-clock per rule over the main domain: " + ", ".join(
@@ -389,9 +386,9 @@ def enumerate_cmd(n, m, quota, as_json):
     Profiles are written as they are generated, never held all at once.
     """
     with _exit_codes():
+        count = profile_count(n, m)
         instance = canonical_instance(n, m, quota)
         profiles = enumerate_profiles(instance)
-        count = math.factorial(m) ** n
         if as_json:
             # The text of canonical_dumps on the whole listing (then echo's
             # newline), one profile at a time; head and tail are those of a

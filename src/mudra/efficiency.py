@@ -16,7 +16,6 @@ survivors.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -27,10 +26,12 @@ from .model import (
     Instance,
     PreferenceProfile,
     RandomAssignment,
+    capped_product,
     discrete_to_random,
     refuse_over,
     require_balanced,
     require_feasible,
+    require_shared_instance,
 )
 from .order import sd_weakly_dominates
 from .ratlp import convex_membership
@@ -53,13 +54,13 @@ def perfect_assignment(profile: PreferenceProfile) -> DiscreteAssignment | None:
     """The assignment giving everyone their top quota objects, if one exists."""
     inst = profile.instance
     require_balanced(inst, "perfection")
-    owners: dict[str, str] = {}
-    for agent, order in zip(inst.agents, profile.orders):
-        for obj in order[: inst.quota]:
-            if obj in owners:
+    owners: list[str | None] = [None] * inst.num_objects
+    for agent, ranked in zip(inst.agents, profile.ranked):
+        for j in ranked[: inst.quota]:
+            if owners[j] is not None:
                 return None
-            owners[obj] = agent
-    return DiscreteAssignment(inst, tuple(owners[o] for o in inst.objects))
+            owners[j] = agent
+    return DiscreteAssignment(inst, tuple(owners))
 
 
 def sd_dominates(q: RandomAssignment, p: RandomAssignment, profile: PreferenceProfile) -> bool:
@@ -90,12 +91,9 @@ def _trade_cycle(
     Lemma 3, with the bound on a that quotas add).  The cycle is returned as
     its edges (i, a, b): agent index, then object indices.
     """
-    inst = profile.instance
-    m = inst.num_objects
+    m = profile.instance.num_objects
     edges: list[dict[int, int]] = [{} for _ in range(m)]  # a -> {b: agent}
-    for i, order in enumerate(profile.orders):
-        row = grid[i]
-        ranked = [inst.object_index(o) for o in order]
+    for i, (row, ranked) in enumerate(zip(grid, profile.ranked)):
         for t, a in enumerate(ranked):
             if row[a] < 1:
                 for b in ranked[t + 1:]:
@@ -148,10 +146,8 @@ def _trade_along(p: RandomAssignment, cycle: list[tuple[int, int, int]]) -> Rand
 
 def is_sd_efficient(p: RandomAssignment, profile: PreferenceProfile) -> EfficiencyVerdict:
     """Exact SD-efficiency test; failures carry a dominating assignment."""
-    inst = profile.instance
-    require_balanced(inst, "SD-efficiency")
-    if p.instance != inst:
-        raise ValueError("assignment and profile must share one instance")
+    require_balanced(profile.instance, "SD-efficiency")
+    require_shared_instance(p, profile)
     require_feasible(p)
     cycle = _trade_cycle(p.matrix, profile)
     if cycle is None:
@@ -170,14 +166,18 @@ def enumerate_discrete(
     """
     n, m = instance.num_agents, instance.num_objects
     if not balanced:
-        refuse_over(n**m, DISCRETE_LIMIT, f"{n}^{m} owner maps")
+        count = capped_product(itertools.repeat(n, m), DISCRETE_LIMIT)
+        refuse_over(count, DISCRETE_LIMIT, f"{n}^{m} owner maps")
         return (
             DiscreteAssignment(instance, owners)
             for owners in itertools.product(instance.agents, repeat=m)
         )
     require_balanced(instance, "balanced enumeration")
     c = instance.quota
-    count = math.factorial(m) // math.factorial(c) ** n
+    # m!/(c!)^n is the product over agents k >= 1 of C((k+1)c, c), each
+    # C((k+1)c, c) the product of (kc+i)/i for i = 1..c: factors of at least 2.
+    factors = (Fraction(k * c + i, i) for k in range(1, n) for i in range(1, c + 1))
+    count = capped_product(factors, DISCRETE_LIMIT)
     refuse_over(count, DISCRETE_LIMIT, f"{m}!/({c}!)^{n} balanced assignments")
 
     def gen_balanced() -> Iterator[DiscreteAssignment]:
@@ -214,6 +214,7 @@ def is_ex_post_efficient(
     """
     inst = profile.instance
     require_balanced(inst, "ex-post efficiency")
+    require_shared_instance(p, profile)
     require_feasible(p)
     survivors = tuple(
         d for d in enumerate_discrete(inst, balanced=not allow_unbalanced)

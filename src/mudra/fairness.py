@@ -15,6 +15,7 @@ from .model import (
     permute_agents,
     permute_objects,
     require_balanced,
+    require_shared_instance,
 )
 
 
@@ -45,26 +46,26 @@ def _first_envy(p: RandomAssignment, profile: PreferenceProfile, weak: bool) -> 
     strict SD-dominance, so a prefix where it holds less clears the pair.
     """
     inst = profile.instance
-    column = {obj: j for j, obj in enumerate(inst.objects)}
-    for agent, order, own in zip(inst.agents, profile.orders, p.matrix):
-        ranked = [column[obj] for obj in order]
+    require_shared_instance(p, profile)
+    for agent, ranked, own in zip(inst.agents, profile.ranked, p.matrix):
         own_sums = tuple(itertools.accumulate(own[j] for j in ranked))
         for other, theirs in zip(inst.agents, p.matrix):
             if other == agent:
                 continue
             its = 0
             envied_at = None
-            for obj, j, mine in zip(order, ranked, own_sums):
+            for j, mine in zip(ranked, own_sums):
                 its += theirs[j]
                 if mine < its and envied_at is None:
-                    envied_at = obj
+                    envied_at = j
                     if not weak:
                         break
                 elif weak and mine > its:
                     envied_at = None
                     break
             if envied_at is not None:
-                return FairnessVerdict(False, EnvyCertificate(agent, other, envied_at))
+                certificate = EnvyCertificate(agent, other, inst.objects[envied_at])
+                return FairnessVerdict(False, certificate)
     return FairnessVerdict(True)
 
 

@@ -17,6 +17,7 @@ order and all searches return the first witness in that order.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -39,9 +40,11 @@ from mudra.model import (
     PreferenceProfile,
     RandomAssignment,
     discrete_to_random,
+    order_count,
     orderings,
     permute_agents,
     permute_objects,
+    refuse_over,
     require_balanced,
 )
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
@@ -72,6 +75,16 @@ def canonical_instance(n: int, m: int, quota: int | None = None) -> Instance:
     return Instance(agents=agents, objects=objects, quota=quota, relaxed=relaxed)
 
 
+def profile_count(n: int, m: int) -> int:
+    """The (m!)^n profiles of n agents on m objects, refused past PROFILE_LIMIT.
+
+    Needs no instance, so a refusal comes before any label is built.
+    """
+    count = order_count(m, n, PROFILE_LIMIT)
+    refuse_over(count, PROFILE_LIMIT, f"({m}!)^{n} profiles")
+    return count
+
+
 def enumerate_profiles(instance: Instance) -> Iterator[PreferenceProfile]:
     """All strict-preference profiles on `instance`, canonically ordered.
 
@@ -79,8 +92,9 @@ def enumerate_profiles(instance: Instance) -> Iterator[PreferenceProfile]:
     instance's object tuple, first agent varying slowest.  Refuses domains
     with more than PROFILE_LIMIT profiles when called, before building any.
     """
-    n, m = instance.num_agents, instance.num_objects
-    combos = orderings(instance.objects, PROFILE_LIMIT, f"({m}!)^{n} profiles", repeat=n)
+    profile_count(instance.num_agents, instance.num_objects)
+    orders = itertools.permutations(instance.objects)
+    combos = itertools.product(orders, repeat=instance.num_agents)
     return (PreferenceProfile(instance=instance, orders=combo) for combo in combos)
 
 
@@ -353,6 +367,14 @@ class TableCell:
             else [list(order) for order in self.witness_orders],
             "certificate": self.certificate,
         }
+
+
+def witness_text(witness: Sequence[Sequence[str]] | None) -> str:
+    """A table1 cell's witness profile as one line of text: its orders,
+    each comma-joined, separated by " | "."""
+    if witness is None:
+        return "no counterexample found"
+    return " | ".join(",".join(order) for order in witness)
 
 
 @dataclass(frozen=True)
@@ -793,17 +815,12 @@ def _reproduce_table1() -> ReproduceReport:
     )
     notes = []
     for cell in report.discrepancies:
-        witness = (
-            "none found"
-            if cell.witness_orders is None
-            else " | ".join(",".join(order) for order in cell.witness_orders)
-        )
         lines.append(
             CheckLine(
                 f"{cell.rule} x {cell.property_name}: expected '{cell.expected}', "
                 f"observed {cell.observed}",
                 False,
-                f"domain {cell.domain}; witness {witness}",
+                f"domain {cell.domain}; witness {witness_text(cell.witness_orders)}",
             )
         )
         if cell.rule == "mps" and cell.property_name == "dl-strategyproofness":

@@ -4,6 +4,8 @@ An instance has n agents and m objects with a per-agent quota c (m = n * c
 unless the instance is explicitly relaxed).  Agents hold strict preference
 orders over objects.  A random assignment is an n-by-m matrix of exact
 rational probabilities; a discrete assignment maps each object to one owner.
+`PreferenceProfile.ranked` is the one place where the rules and checkers
+get orders as column indices rather than object names.
 
 All arithmetic is exact: probabilities are `fractions.Fraction` and floats
 are rejected at construction time.  `require_feasible` is the one refusal of
@@ -18,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 #: The single numeric type used everywhere.  Always in lowest terms with a
 #: positive denominator, which `fractions.Fraction` guarantees.
@@ -55,6 +57,27 @@ def refuse_over(count: int, limit: int, what: str) -> None:
         raise GuardExceeded(f"{what} exceed the guard of {limit}")
 
 
+def capped_product(factors: Iterable[int | Fraction], limit: int) -> int | Fraction:
+    """The product of `factors`, each at least 1, computed only up to `limit`.
+
+    Multiplying stops at the first partial product past `limit`, which is
+    returned: the factors left cannot bring it back, so it is a count that
+    `refuse_over` refuses without the exact size ever being computed.
+    """
+    total: int | Fraction = 1
+    for factor in factors:
+        total *= factor
+        if total > limit:
+            break
+    return total
+
+
+def order_count(m: int, repeat: int, limit: int) -> int | Fraction:
+    """(m!)^repeat, the `repeat`-tuples of strict orders of m labels, capped at `limit`."""
+    factors = itertools.chain.from_iterable(itertools.repeat(range(2, m + 1), repeat))
+    return capped_product(factors, limit)
+
+
 def orderings(
     labels: Sequence[str], limit: int, what: str, repeat: int | None = None
 ) -> Iterator[tuple]:
@@ -65,11 +88,7 @@ def orderings(
     first position varying slowest.  Refuses when the len(labels)! orders
     (their `repeat`-th power with `repeat`) exceed `limit`.
     """
-    count = math.factorial(len(labels))
-    if repeat is not None and count <= limit:
-        # Past the limit, every power is too; skip a power of millions of digits.
-        count **= repeat
-    refuse_over(count, limit, what)
+    refuse_over(order_count(len(labels), 1 if repeat is None else repeat, limit), limit, what)
     orders = itertools.permutations(labels)
     return orders if repeat is None else itertools.product(orders, repeat=repeat)
 
@@ -178,6 +197,12 @@ class PreferenceProfile:
                     f"preferences of agent {agent!r} are not a strict order "
                     f"over the object set"
                 )
+
+    @functools.cached_property
+    def ranked(self) -> tuple[tuple[int, ...], ...]:
+        """Each order as column indices into `instance.objects`, best first."""
+        column = {o: j for j, o in enumerate(self.instance.objects)}.__getitem__
+        return tuple(tuple(map(column, order)) for order in self.orders)
 
     def order_of(self, agent: str) -> tuple[str, ...]:
         return self.orders[self.instance.agent_index(agent)]
@@ -334,6 +359,12 @@ def discrete_to_random(assignment: DiscreteAssignment) -> RandomAssignment:
             f"assignments embed as random assignments"
         )
     return RandomAssignment(assignment.instance, assignment.grid())
+
+
+def require_shared_instance(assignment: RandomAssignment, profile: PreferenceProfile) -> None:
+    """Refuse to judge `assignment` against a profile of another instance."""
+    if assignment.instance != profile.instance:
+        raise ValueError("assignment and profile must share one instance")
 
 
 def require_feasible(assignment: RandomAssignment) -> None:

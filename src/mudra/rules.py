@@ -10,6 +10,9 @@ phases and all breakpoints are exact rationals.
 The two eating rules differ only in the demand size: each agent eats its
 min(size, #remaining) most preferred available objects at once, with size 1
 for the one-at-a-time rule and the quota for the multi-unit rule.
+
+Rules read orders only through `PreferenceProfile.ranked`, as column indices;
+eating and serial dictatorship read each from the top only as far as `_top` needs.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Container, Sequence
 
 from .model import (
@@ -65,39 +69,38 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
     if size < 1:
         raise ValueError("demand size must be at least 1")
     inst = profile.instance
-    remaining = {o: Fraction(1) for o in inst.objects}
-    eaten = [dict.fromkeys(inst.objects, Fraction(0)) for _ in inst.agents]
+    remaining = dict.fromkeys(range(inst.num_objects), Fraction(1))  # column -> left
+    eaten = [[Fraction(0)] * inst.num_objects for _ in inst.agents]
     phases: list[Phase] = []
     now = Fraction(0)
     while remaining:
         take = min(size, len(remaining))
-        demand = tuple(_top(order, remaining, take) for order in profile.orders)
-        eaters = Counter(o for s in demand for o in s)
+        demand = [_top(ranked, remaining, take) for ranked in profile.ranked]
+        eaters = Counter(chain.from_iterable(demand))
         # Earliest exhaustion among objects currently being eaten; exact, so
         # simultaneous exhaustions land on the same breakpoint and merge here.
-        dt = min(remaining[o] / k for o, k in eaters.items())
-        for o, k in eaters.items():
-            remaining[o] -= dt * k
-        for acc, s in zip(eaten, demand):
-            for o in s:
-                acc[o] += dt
-        phases.append(Phase(now, now + dt, demand))
+        dt = min(remaining[j] / k for j, k in eaters.items())
+        for j, k in eaters.items():
+            remaining[j] -= dt * k
+        for row, columns in zip(eaten, demand):
+            for j in columns:
+                row[j] += dt
+        eating = tuple(frozenset(map(inst.objects.__getitem__, columns)) for columns in demand)
+        phases.append(Phase(now, now + dt, eating))
         now += dt
-        for o in [o for o, left in remaining.items() if left == 0]:
-            del remaining[o]
-    matrix = tuple(tuple(acc[o] for o in inst.objects) for acc in eaten)
-    return EatingTrace(profile, tuple(phases), RandomAssignment(inst, matrix))
+        remaining = {j: left for j, left in remaining.items() if left}
+    return EatingTrace(profile, tuple(phases), RandomAssignment(inst, tuple(map(tuple, eaten))))
 
 
-def _top(order: Sequence[str], available: Container[str], take: int) -> frozenset[str]:
-    """The first `take` objects of `order` that are `available`."""
+def _top(ranked: Sequence[int], available: Container[int], take: int) -> list[int]:
+    """The first `take` columns of `ranked` that are `available`, read no further."""
     chosen = []
-    for o in order:
-        if o in available:
-            chosen.append(o)
+    for j in ranked:
+        if j in available:
+            chosen.append(j)
             if len(chosen) == take:
                 break
-    return frozenset(chosen)
+    return chosen
 
 
 def mps_trace(profile: PreferenceProfile) -> EatingTrace:
@@ -132,18 +135,13 @@ def serial_dictator(profile: PreferenceProfile, priority: Sequence[str]) -> Disc
     require_balanced(inst, "serial dictatorship")
     if list(sorted(priority)) != sorted(inst.agents):
         raise ValueError("priority order must list every agent exactly once")
-    owners: dict[str, str] = {}
-    taken: set[str] = set()
+    owners: list[str | None] = [None] * inst.num_objects
+    free = set(range(inst.num_objects))
     for agent in priority:
-        picked = 0
-        for o in profile.order_of(agent):
-            if o not in taken:
-                owners[o] = agent
-                taken.add(o)
-                picked += 1
-                if picked == inst.quota:
-                    break
-    return DiscreteAssignment(inst, tuple(owners[o] for o in inst.objects))
+        for j in _top(profile.ranked[inst.agent_index(agent)], free, inst.quota):
+            owners[j] = agent
+            free.discard(j)
+    return DiscreteAssignment(inst, tuple(owners))
 
 
 def priority_rule(profile: PreferenceProfile) -> RandomAssignment:
@@ -170,8 +168,6 @@ def random_priority(profile: PreferenceProfile) -> RandomAssignment:
     require_balanced(inst, "random priority")
     n, m, quota = inst.num_agents, inst.num_objects, inst.quota
     refuse_over(_state_bound(n, m, quota), STATE_LIMIT, f"rp states of {n} agents")
-    column = {o: j for j, o in enumerate(inst.objects)}
-    prefs = [tuple(column[o] for o in order) for order in profile.orders]
     totals = [[0] * m for _ in inst.agents]
     layer = Counter({(0, 0): 1})  # (who picked, what is taken) bitmasks -> prefixes
     for k in range(n):
@@ -179,7 +175,7 @@ def random_priority(profile: PreferenceProfile) -> RandomAssignment:
         successors: Counter[tuple[int, int]] = Counter()
         for (picked, taken), ways in layer.items():
             share = ways * orders_per_prefix
-            for i, order in enumerate(prefs):
+            for i, order in enumerate(profile.ranked):
                 if picked >> i & 1:
                     continue
                 row, grabbed, left = totals[i], taken, quota

@@ -163,6 +163,8 @@ def _load_json(source: str | Path | IO[str]) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise SchemaError("$", "invalid JSON: nested too deeply") from None
 
 
 def load_profile(source: str | Path | IO[str], relaxed: bool = False) -> PreferenceProfile:

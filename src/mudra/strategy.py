@@ -23,7 +23,6 @@ registry's strategyproofness checks.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -32,6 +31,7 @@ from .model import (
     MISREPORT_LIMIT,
     PreferenceProfile,
     RandomAssignment,
+    order_count,
     orderings,
     refuse_over,
     require_balanced,
@@ -77,7 +77,7 @@ def _scan(
     require_balanced(profile.instance, "manipulation search")
     objects = profile.instance.objects
     m, k = len(objects), len(members)
-    refuse_over(math.factorial(m), MISREPORT_LIMIT, f"{m}! strict orders")
+    refuse_over(order_count(m, 1, MISREPORT_LIMIT), MISREPORT_LIMIT, f"{m}! strict orders")
     joints = orderings(objects, JOINT_LIMIT, f"({m}!)^{k} joint misreports", repeat=k)
     true_orders = tuple(profile.order_of(a) for a in members)
     truthful = rule(profile)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -241,6 +242,21 @@ class TestCompute:
     def test_missing_file(self, runner):
         result = runner.invoke(main, ["compute", "--rule", "mps", "--profile", "nope.json"])
         assert result.exit_code == 3
+
+    def test_deeply_nested_files_are_input_errors(self, runner, paths, tmp_path):
+        # The JSON decoder recurses once per level; 100,000 levels exhaust it.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        for argv in (
+            ["compute", "--rule", "mps", "--profile", str(deep)],
+            ["check", "--property", "sd-efficient", "--profile", paths("p.json", FIG1),
+             "--assignment", str(deep)],
+        ):
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 3
+            assert isinstance(result.exception, SystemExit)
+            assert "invalid JSON: nested too deeply" in result.stderr
+            assert "Traceback" not in result.stderr
 
 
 class TestCheck:
@@ -611,6 +627,22 @@ class TestEnumerate:
         result = runner.invoke(main, ["enumerate", "--n", "200", "--m", "200"])
         assert result.exit_code == 2
         assert "refused: (200!)^200 profiles" in result.stderr
+
+    @pytest.mark.parametrize(
+        "n, m, refusal",
+        [(1, 1_000_000, "(1000000!)^1 profiles"), (1_000_000, 2, "(2!)^1000000 profiles")],
+    )
+    def test_refusal_comes_before_the_instance(self, runner, monkeypatch, n, m, refusal):
+        # Neither m! nor a million agent labels is built before the guard refuses.
+        def unbuilt(*args):
+            raise AssertionError("the instance was built before the refusal")
+
+        monkeypatch.setattr("mudra.cli.canonical_instance", unbuilt)
+        start = time.perf_counter()
+        result = runner.invoke(main, ["enumerate", "--n", str(n), "--m", str(m)])
+        assert time.perf_counter() - start < 2
+        assert result.exit_code == 2
+        assert f"refused: {refusal} exceed the guard of 1000000" in result.stderr
 
     @pytest.mark.parametrize("n, m", [(2, 3), (3, 3)])
     def test_streamed_json_is_the_canonical_listing(self, runner, n, m):

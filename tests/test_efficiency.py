@@ -1,6 +1,7 @@
 """SD-efficiency, ex-post efficiency, unanimity and lottery decomposition."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,16 @@ class TestEnumerateDiscrete:
         profile = PreferenceProfile(inst, (inst.objects, inst.objects))
         with pytest.raises(GuardExceeded, match=r"2\^20"):
             is_ex_post_efficient(uniform(inst), profile, allow_unbalanced=True)
+
+    @pytest.mark.parametrize("n, c", [(2, 10), (2, 12), (3, 4), (4, 4), (9, 1), (10, 1)])
+    def test_balanced_refusal_is_the_exact_count(self, n, c):
+        # m!/(c!)^n balanced assignments, against the guard of 10^6.
+        inst = canonical_instance(n, n * c, c)
+        if math.factorial(n * c) // math.factorial(c) ** n > 10**6:
+            with pytest.raises(GuardExceeded, match=rf"{n * c}!/\({c}!\)\^{n} balanced"):
+                enumerate_discrete(inst)
+        else:
+            assert len(next(enumerate_discrete(inst)).owners) == n * c
 
     def test_guard_boundary_answers(self):
         # 2^19 owner maps are within the guard, so the stream starts.

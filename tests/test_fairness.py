@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mudra.efficiency import enumerate_discrete
+from mudra.efficiency import enumerate_discrete, is_ex_post_efficient, is_sd_efficient
 from mudra.fairness import (
     check_anonymity,
     check_neutrality,
@@ -94,6 +94,16 @@ class TestWeakSdEnvyFreeness:
         assert not sd.holds
         assert (sd.certificate.envious, sd.certificate.envied) == ("1", "4")
         assert is_weak_sd_envy_free(p, prof).holds
+
+
+@pytest.mark.parametrize(
+    "check", [is_sd_envy_free, is_weak_sd_envy_free, is_sd_efficient, is_ex_post_efficient]
+)
+def test_an_assignment_from_another_instance_is_refused(check):
+    four = canonical_instance(4, 4, 1)
+    output = mps(PreferenceProfile(four, (four.objects,) * 4))
+    with pytest.raises(ValueError, match="assignment and profile must share one instance"):
+        check(output, IDENTICAL)
 
 
 class TestAnonymity:

@@ -22,6 +22,7 @@ from mudra.harness import (
     enumerate_profiles,
     reproduce,
     table1_sweep,
+    witness_text,
 )
 from mudra.model import (
     DiscreteAssignment,
@@ -54,6 +55,13 @@ class TestCanonicalInstance:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             canonical_instance(0, 4)
+
+
+def test_witness_text_has_one_form_per_branch():
+    # The one formatter behind `table1` and `reproduce table1` discrepancies.
+    assert witness_text(None) == "no counterexample found"
+    assert witness_text((("o1", "o2"), ("o2", "o1"))) == "o1,o2 | o2,o1"
+    assert witness_text([["o1", "o2"], ["o2", "o1"]]) == "o1,o2 | o2,o1"
 
 
 class TestEnumerateProfiles:

@@ -1,6 +1,7 @@
 """Core data model: instances, profiles, assignment matrices, permutations."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from mudra.model import (
     Instance,
     PreferenceProfile,
     RandomAssignment,
+    capped_product,
     discrete_to_random,
+    order_count,
     permute_agents,
     permute_objects,
     validate_assignment,
@@ -25,6 +28,21 @@ INST = Instance(agents=("1", "2"), objects=("o1", "o2", "o3", "o4"), quota=2)
 
 def profile(*orders):
     return PreferenceProfile(INST, tuple(tuple(o) for o in orders))
+
+
+class TestCappedCount:
+    def test_exact_up_to_the_limit(self):
+        assert capped_product([2, 3, 4], 24) == 24
+        assert capped_product([], 5) == 1
+        assert capped_product([Fraction(3, 2), Fraction(4, 3)], 5) == 2
+        for m, repeat in [(3, 2), (4, 1), (1, 10**6), (0, 3), (5, 0)]:
+            assert order_count(m, repeat, 10**6) == math.factorial(m) ** repeat
+
+    def test_stops_at_the_first_product_past_the_limit(self):
+        assert capped_product(itertools.count(2), 100) == 120  # 2*3*4*5, never 6
+        # (10^6)! and (2!)^(10^6) are never computed: a few factors decide.
+        assert 10**6 < order_count(10**6, 1, 10**6) <= math.factorial(10)
+        assert order_count(2, 10**6, 10**6) == 2**20
 
 
 class TestInstance:

@@ -7,21 +7,33 @@ most n), so the fixed-step replay hits every breakpoint exactly and must
 reproduce the engine's outcome with zero error.
 """
 
+import ast
 import hashlib
 import itertools
 import math
 import random
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mudra.efficiency import perfect_assignment
 from mudra.harness import canonical_instance, enumerate_profiles
-from mudra.model import GuardExceeded, Instance, PreferenceProfile, validate_assignment
+from mudra.model import (
+    DiscreteAssignment,
+    GuardExceeded,
+    Instance,
+    PreferenceProfile,
+    RandomAssignment,
+    validate_assignment,
+)
 from mudra.order import sd_weakly_dominates
 from mudra.rules import (
+    _top,
     mps,
     mps_trace,
     ops,
@@ -399,3 +411,174 @@ def test_random_priority_answers_are_pinned_up_to_eight_agents():
             answers += 1
     assert answers == 20
     assert digest.hexdigest() == PINNED_RP_DIGEST
+
+
+# --------------------------------------------------------------------------
+# The column-index view against the name-keyed rules it replaced
+# --------------------------------------------------------------------------
+
+
+def named_simulate_eating(profile, size):
+    """Oracle: the eating engine keyed by object names, reading `orders`."""
+    inst = profile.instance
+    remaining = {o: F(1) for o in inst.objects}
+    eaten = [dict.fromkeys(inst.objects, F(0)) for _ in inst.agents]
+    phases = []
+    now = F(0)
+    while remaining:
+        take = min(size, len(remaining))
+        demand = tuple(
+            frozenset([o for o in order if o in remaining][:take]) for order in profile.orders
+        )
+        eaters = Counter(o for s in demand for o in s)
+        dt = min(remaining[o] / k for o, k in eaters.items())
+        for o, k in eaters.items():
+            remaining[o] -= dt * k
+        for acc, s in zip(eaten, demand):
+            for o in s:
+                acc[o] += dt
+        phases.append((now, now + dt, demand))
+        now += dt
+        for o in [o for o, left in remaining.items() if left == 0]:
+            del remaining[o]
+    return tuple(tuple(acc[o] for o in inst.objects) for acc in eaten), tuple(phases)
+
+
+def named_serial_dictator(profile, priority):
+    """Oracle: serial dictatorship over name-keyed `owners` and `taken`."""
+    inst = profile.instance
+    owners, taken = {}, set()
+    for agent in priority:
+        picked = 0
+        for o in profile.order_of(agent):
+            if o not in taken:
+                owners[o] = agent
+                taken.add(o)
+                picked += 1
+                if picked == inst.quota:
+                    break
+    return tuple(owners[o] for o in inst.objects)
+
+
+def named_perfect_assignment(profile):
+    """Oracle: everyone's top quota objects, by slicing name orders."""
+    inst = profile.instance
+    owners = {}
+    for agent, order in zip(inst.agents, profile.orders):
+        for obj in order[: inst.quota]:
+            if obj in owners:
+                return None
+            owners[obj] = agent
+    return tuple(owners[o] for o in inst.objects)
+
+
+def assert_rules_match_named_oracles(profile):
+    inst = profile.instance
+    for size in sorted({1, inst.quota}):
+        trace = simulate_eating(profile, size)
+        matrix, phases = named_simulate_eating(profile, size)
+        assert trace.assignment.matrix == matrix
+        assert tuple((ph.start, ph.end, ph.eating) for ph in trace.phases) == phases
+    if inst.relaxed:
+        return
+    for priority in itertools.permutations(inst.agents):
+        assert serial_dictator(profile, priority).owners == named_serial_dictator(
+            profile, priority
+        )
+    perfect = perfect_assignment(profile)
+    assert (perfect and perfect.owners) == named_perfect_assignment(profile)
+
+
+@pytest.mark.parametrize("n, m, quota", [(2, 4, 2), (3, 3, 1)])
+def test_index_view_rules_match_named_oracles_exhaustively(n, m, quota):
+    for profile in enumerate_profiles(canonical_instance(n, m, quota)):
+        assert_rules_match_named_oracles(profile)
+
+
+@st.composite
+def oracle_profiles(draw):
+    n, m = draw(st.sampled_from([(3, 6), (4, 8), (2, 3)]))
+    inst = canonical_instance(n, m)
+    orders = tuple(tuple(draw(st.permutations(inst.objects))) for _ in inst.agents)
+    return PreferenceProfile(inst, orders)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_profiles())
+def test_index_view_rules_match_named_oracles(profile):
+    assert_rules_match_named_oracles(profile)
+
+
+def test_perfect_assignment_with_an_empty_agent_id():
+    # "" is a valid agent id, so the owner list marks a free column with None.
+    inst = Instance(("", "b"), ("x", "y", "z", "w"), 2)
+    for orders, owners in [
+        ((("x", "y", "z", "w"), ("z", "w", "x", "y")), ("", "", "b", "b")),
+        ((("z", "x", "y", "w"), ("y", "w", "x", "z")), ("", "b", "", "b")),
+        ((("x", "y", "z", "w"), ("y", "z", "x", "w")), None),
+    ]:
+        profile = PreferenceProfile(inst, orders)
+        assert named_perfect_assignment(profile) == owners
+        perfect = perfect_assignment(profile)
+        assert (perfect and perfect.owners) == owners
+    assert serial_dictator(profile, ("b", "")).owners == ("", "b", "b", "")
+
+
+class RecordingOrder(Sequence):
+    """A ranked order that records the deepest position read."""
+
+    def __init__(self, columns):
+        self.columns = tuple(columns)
+        self.deepest = -1
+
+    def __len__(self):
+        return len(self.columns)
+
+    def __getitem__(self, k):
+        item = self.columns[k]  # raises IndexError past the end, ending iteration
+        self.deepest = max(self.deepest, k)
+        return item
+
+
+@pytest.mark.parametrize(
+    "available, take, chosen, deepest",
+    [
+        ({0, 1, 2, 3, 4, 5}, 2, [3, 1], 1),
+        ({0, 2, 4}, 2, [4, 0], 3),
+        ({5}, 1, [5], 4),
+        ({1, 2}, 3, [1, 2], 5),
+    ],
+)
+def test_top_reads_no_further_than_its_last_pick(available, take, chosen, deepest):
+    order = RecordingOrder([3, 1, 4, 0, 5, 2])
+    assert _top(order, available, take) == chosen
+    assert order.deepest == deepest
+
+
+RULES_SOURCE = Path(__file__).resolve().parents[1] / "src" / "mudra" / "rules.py"
+
+
+def order_reads(source):
+    """Lines where `source` reads `.orders` or `.order_of` of anything."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("orders", "order_of")
+    ]
+
+
+def test_rules_read_orders_only_through_the_ranked_view():
+    assert order_reads(RULES_SOURCE.read_text()) == []
+
+
+def test_the_order_check_sees_a_read():
+    source = "a = p.ranked[0]\nb = p.orders\nc = p.order_of('1')\n"
+    assert order_reads(source) == [2, 3]
+
+
+def test_ranked_view_is_built_on_first_use_and_cached():
+    profile = make_profile([("o2", "o1", "o3", "o4"), ("o4", "o3", "o2", "o1")])
+    assert "ranked" not in vars(profile)
+    assert profile.ranked == ((1, 0, 2, 3), (3, 2, 1, 0))
+    assert profile.ranked is profile.ranked
+    assert profile == make_profile([("o2", "o1", "o3", "o4"), ("o4", "o3", "o2", "o1")])
