@@ -29,7 +29,6 @@ from mudra.order import (
     prefix_sums,
     sd_compare,
     sd_weakly_dominates,
-    upper_contour_sum,
 )
 from mudra.rules import (
     EatingTrace,
@@ -160,6 +159,5 @@ __all__ = [
     "simulate_eating",
     "table1_sweep",
     "uniform",
-    "upper_contour_sum",
     "validate_assignment",
 ]

@@ -22,6 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 from .model import (
     DISCRETE_LIMIT,
+    HULL_LIMIT,
     DiscreteAssignment,
     Instance,
     PreferenceProfile,
@@ -65,17 +66,12 @@ def perfect_assignment(profile: PreferenceProfile) -> DiscreteAssignment | None:
 
 def sd_dominates(q: RandomAssignment, p: RandomAssignment, profile: PreferenceProfile) -> bool:
     """True when every agent weakly prefers q to p and someone strictly does."""
-    if q.instance != profile.instance or p.instance != profile.instance:
-        raise ValueError("assignments and profile must share one instance")
-    strict = False
-    for agent in profile.instance.agents:
-        qa, pa = q.allocation(agent), p.allocation(agent)
-        order = profile.order_of(agent)
-        if not sd_weakly_dominates(qa, pa, order):
-            return False
-        if qa != pa:
-            strict = True
-    return strict
+    require_shared_instance(q, profile)
+    require_shared_instance(p, profile)
+    return (
+        all(map(sd_weakly_dominates, q.matrix, p.matrix, profile.ranked))
+        and q.matrix != p.matrix
+    )
 
 
 def _trade_cycle(
@@ -210,16 +206,19 @@ def is_ex_post_efficient(
 
     With `allow_unbalanced` the candidate pool is every owner map and each
     candidate is screened with row sums pinned to its own bundle sizes;
-    otherwise only balanced assignments compete.
+    otherwise only balanced assignments compete.  Refuses more than
+    HULL_LIMIT survivors before the hull LP is built.
     """
     inst = profile.instance
     require_balanced(inst, "ex-post efficiency")
     require_shared_instance(p, profile)
     require_feasible(p)
-    survivors = tuple(
+    screened = (
         d for d in enumerate_discrete(inst, balanced=not allow_unbalanced)
         if _trade_cycle(d.grid(), profile) is None
     )
+    survivors = tuple(itertools.islice(screened, HULL_LIMIT + 1))
+    refuse_over(len(survivors), HULL_LIMIT, "SD-efficient discrete assignments")
     target = [v for row in p.matrix for v in row]
     generators = [[v for row in d.grid() for v in row] for d in survivors]
     hull = convex_membership(target, generators)

@@ -4,8 +4,9 @@ An instance has n agents and m objects with a per-agent quota c (m = n * c
 unless the instance is explicitly relaxed).  Agents hold strict preference
 orders over objects.  A random assignment is an n-by-m matrix of exact
 rational probabilities; a discrete assignment maps each object to one owner.
-`PreferenceProfile.ranked` is the one place where the rules and checkers
-get orders as column indices rather than object names.
+`PreferenceProfile.ranked` holds each order as column indices: the rules and
+checkers read orders only through it, and compare matrix rows along it
+rather than name-keyed allocations.
 
 All arithmetic is exact: probabilities are `fractions.Fraction` and floats
 are rejected at construction time.  `require_feasible` is the one refusal of
@@ -40,6 +41,10 @@ MISREPORT_LIMIT = math.factorial(6)  # one agent's misreports
 JOINT_LIMIT = 10**6  # a coalition's joint misreports
 ORDER_LIMIT = math.factorial(8)  # agent or object relabellings
 STATE_LIMIT = 10**6  # rp pick states, bounded from above before any is built
+# Columns of the ex-post hull LP, one per SD-efficient discrete assignment;
+# screening stops at the first survivor past it.  On a 2-core 2.1 GHz VM the
+# LP took 4.5 s at 343 columns, 14.5 s at 448, 23 s at 924 and 6 min at 2,520.
+HULL_LIMIT = 400
 
 
 def refuse_over(count: int, limit: int, what: str) -> None:

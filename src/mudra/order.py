@@ -1,19 +1,27 @@
 """Stochastic dominance and downward lexicographic comparison of allocations.
 
-An allocation vector assigns each object a rational amount.  Given a strict
-preference order, the prefix sums (cumulative amounts over ever-larger upper
-contour sets) fully determine both comparisons: stochastic dominance compares
-prefix sums pointwise, the downward lexicographic order compares amounts
-object by object from the most preferred down.
+An allocation vector gives each object a rational amount, and every function
+here reads it as `amounts[key]` at the keys a strict preference order lists,
+most preferred first: object names for a name-keyed mapping, or column
+indices (`PreferenceProfile.ranked`) for a matrix row.  The prefix sums
+(cumulative amounts over ever-larger upper contour sets) fully determine
+both comparisons: stochastic dominance compares prefix sums pointwise, the
+downward lexicographic order compares amounts key by key from the most
+preferred down.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union
 
-AllocationVector = Mapping[str, Fraction]
+#: Amounts read at the keys of an order: an object -> amount mapping under an
+#: order of object names, or a matrix row under an order of column indices.
+AllocationVector = Union[Mapping[str, Fraction], Sequence[Fraction]]
+#: A strict order of the keys of an allocation vector, most preferred first.
+Order = Union[Sequence[str], Sequence[int]]
 
 
 class SdVerdict(enum.Enum):
@@ -29,34 +37,12 @@ class DlVerdict(enum.Enum):
     EQUAL = "equal"
 
 
-def _amount(amounts: AllocationVector, obj: str) -> Fraction:
-    try:
-        return amounts[obj]
-    except KeyError:
-        raise KeyError(f"allocation vector has no amount for object {obj!r}") from None
-
-
-def upper_contour_sum(amounts: AllocationVector, order: Sequence[str], obj: str) -> Fraction:
-    """Total amount over objects weakly preferred to `obj` under `order`."""
-    total = Fraction(0)
-    for o in order:
-        total += _amount(amounts, o)
-        if o == obj:
-            return total
-    raise ValueError(f"object {obj!r} does not appear in the preference order")
-
-
-def prefix_sums(amounts: AllocationVector, order: Sequence[str]) -> tuple[Fraction, ...]:
+def prefix_sums(amounts: AllocationVector, order: Order) -> tuple[Fraction, ...]:
     """Cumulative amounts along `order`, one entry per prefix."""
-    sums = []
-    total = Fraction(0)
-    for o in order:
-        total += _amount(amounts, o)
-        sums.append(total)
-    return tuple(sums)
+    return tuple(itertools.accumulate(amounts[key] for key in order))
 
 
-def sd_compare(a: AllocationVector, b: AllocationVector, order: Sequence[str]) -> SdVerdict:
+def sd_compare(a: AllocationVector, b: AllocationVector, order: Order) -> SdVerdict:
     """Compare two allocation vectors by stochastic dominance under `order`.
 
     First strictly dominates when every prefix sum of `a` is at least the
@@ -65,33 +51,29 @@ def sd_compare(a: AllocationVector, b: AllocationVector, order: Sequence[str]) -
     """
     a_ge_b = True
     b_ge_a = True
-    strict = False
     for pa, pb in zip(prefix_sums(a, order), prefix_sums(b, order)):
-        if pa != pb:
-            strict = True
-            if pa < pb:
-                a_ge_b = False
-            else:
-                b_ge_a = False
+        if pa < pb:
+            a_ge_b = False
+        elif pa > pb:
+            b_ge_a = False
     if a_ge_b and b_ge_a:
         return SdVerdict.EQUAL
     if a_ge_b:
         return SdVerdict.FIRST_STRICTLY_DOMINATES
     if b_ge_a:
         return SdVerdict.SECOND_STRICTLY_DOMINATES
-    assert strict
     return SdVerdict.INCOMPARABLE
 
 
-def sd_weakly_dominates(a: AllocationVector, b: AllocationVector, order: Sequence[str]) -> bool:
+def sd_weakly_dominates(a: AllocationVector, b: AllocationVector, order: Order) -> bool:
     """True when `a` is at least as good as `b` at every prefix of `order`."""
     return sd_compare(a, b, order) in (SdVerdict.EQUAL, SdVerdict.FIRST_STRICTLY_DOMINATES)
 
 
-def dl_compare(a: AllocationVector, b: AllocationVector, order: Sequence[str]) -> DlVerdict:
-    """Downward lexicographic comparison: first differing amount decides."""
-    for o in order:
-        va, vb = _amount(a, o), _amount(b, o)
+def dl_compare(a: AllocationVector, b: AllocationVector, order: Order) -> DlVerdict:
+    """Downward lexicographic comparison: the first differing amount decides."""
+    for key in order:
+        va, vb = a[key], b[key]
         if va != vb:
             return DlVerdict.FIRST if va > vb else DlVerdict.SECOND
     return DlVerdict.EQUAL

@@ -56,22 +56,20 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def _require(data: Any, key: str, kind: type, path: str) -> Any:
+def _require(data: Any, key: str, kind: type) -> Any:
+    """The value at `key` of the top-level object `data`, which must be a `kind`."""
     if not isinstance(data, dict):
-        raise SchemaError(path, f"expected an object, got {type(data).__name__}")
+        raise SchemaError("$", f"expected an object, got {type(data).__name__}")
     if key not in data:
-        raise SchemaError(f"{path}.{key}" if path else key, "missing")
+        raise SchemaError(key, "missing")
     value = data[key]
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise SchemaError(
-            f"{path}.{key}" if path else key,
-            f"expected {kind.__name__}, got {type(value).__name__}",
-        )
+        raise SchemaError(key, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
 def profile_from_data(data: Any, relaxed: bool = False) -> PreferenceProfile:
-    objects = _require(data, "objects", list, "")
+    objects = _require(data, "objects", list)
     for j, o in enumerate(objects):
         if not isinstance(o, str):
             raise SchemaError(f"objects[{j}]", "object ids must be strings")
@@ -79,8 +77,8 @@ def profile_from_data(data: Any, relaxed: bool = False) -> PreferenceProfile:
         raise SchemaError("objects", "at least one object is required")
     if len(set(objects)) != len(objects):
         raise SchemaError("objects", "duplicate object ids")
-    quota = _require(data, "quota", int, "")
-    prefs = _require(data, "preferences", dict, "")
+    quota = _require(data, "quota", int)
+    prefs = _require(data, "preferences", dict)
     if not prefs:
         raise SchemaError("preferences", "at least one agent is required")
     agents = tuple(prefs.keys())
@@ -116,7 +114,7 @@ def profile_to_data(profile: PreferenceProfile) -> dict:
 
 
 def assignment_from_data(data: Any, instance: Instance) -> RandomAssignment:
-    matrix = _require(data, "matrix", dict, "")
+    matrix = _require(data, "matrix", dict)
     if set(matrix.keys()) != set(instance.agents):
         raise SchemaError("matrix", "agent keys must match the instance's agent set")
     rows = []

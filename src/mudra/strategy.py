@@ -36,7 +36,7 @@ from .model import (
     refuse_over,
     require_balanced,
 )
-from .order import DlVerdict, SdVerdict, dl_compare, sd_compare
+from .order import AllocationVector, DlVerdict, Order, SdVerdict, dl_compare, sd_compare
 
 Rule = Callable[[PreferenceProfile], RandomAssignment]
 
@@ -66,30 +66,31 @@ def _scan(
     rule: Rule,
     profile: PreferenceProfile,
     members: tuple[str, ...],
-    improves: Callable[[dict, dict, tuple[str, ...]], bool],
+    improves: Callable[[AllocationVector, AllocationVector, Order], bool],
     kind: ManipulationKind,
 ) -> Manipulation | None:
     """First joint misreport of `members` under which every member improves.
 
-    Refuses relaxed instances, more than 6 objects and more than 10^6 joint
-    misreports before the rule runs.
+    Each member is judged on their matrix row, the outcome's against the
+    truthful one, along their `ranked` order.  Refuses relaxed instances,
+    more than 6 objects and more than 10^6 joint misreports before the rule
+    runs.
     """
     require_balanced(profile.instance, "manipulation search")
     objects = profile.instance.objects
     m, k = len(objects), len(members)
     refuse_over(order_count(m, 1, MISREPORT_LIMIT), MISREPORT_LIMIT, f"{m}! strict orders")
     joints = orderings(objects, JOINT_LIMIT, f"({m}!)^{k} joint misreports", repeat=k)
-    true_orders = tuple(profile.order_of(a) for a in members)
+    rows = tuple(map(profile.instance.agent_index, members))
+    true_orders = tuple(profile.orders[i] for i in rows)
     truthful = rule(profile)
-    truths = tuple(
-        (a, truthful.allocation(a), order) for a, order in zip(members, true_orders)
-    )
+    truths = tuple((i, truthful.matrix[i], profile.ranked[i]) for i in rows)
     for joint in joints:
         if joint == true_orders:
             continue
         outcome = rule(profile.with_orders(dict(zip(members, joint))))
-        for a, truth, order in truths:
-            if not improves(outcome.allocation(a), truth, order):
+        for i, truth, ranked in truths:
+            if not improves(outcome.matrix[i], truth, ranked):
                 break
         else:
             return Manipulation(
@@ -102,7 +103,7 @@ def _scan(
     return None
 
 
-def _strictly_sd_better(alt: dict, truth: dict, order: tuple[str, ...]) -> bool:
+def _strictly_sd_better(alt: AllocationVector, truth: AllocationVector, order: Order) -> bool:
     return sd_compare(alt, truth, order) is SdVerdict.FIRST_STRICTLY_DOMINATES
 
 

@@ -258,6 +258,18 @@ class TestCompute:
             assert "invalid JSON: nested too deeply" in result.stderr
             assert "Traceback" not in result.stderr
 
+    def test_top_level_that_is_not_an_object_is_named(self, runner, paths, tmp_path):
+        listed = tmp_path / "list.json"
+        listed.write_text("[1, 2]", encoding="utf-8")
+        for argv in (
+            ["compute", "--rule", "mps", "--profile", str(listed)],
+            ["check", "--property", "sd-efficient", "--profile", paths("p.json", FIG1),
+             "--assignment", str(listed)],
+        ):
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 3
+            assert result.stderr == "input error: $: expected an object, got list\n"
+
 
 class TestCheck:
     def test_balanced_ex_post_fails(self, runner, paths):
@@ -295,6 +307,24 @@ class TestCheck:
             grid = [Fraction(owner == a) for a in agents for owner in owners]
             assert sum(fd * gd for fd, gd in zip(f[:-1], grid)) + f[-1] <= 0
         assert "convex hull" in cert["detail"]
+
+    def test_ex_post_refused_past_the_hull_guard(self, runner, paths):
+        # Under one shared order all 2,520 balanced assignments of 4x8 c=2 are
+        # SD-efficient; screening stops at the 401st, before the hull LP.
+        objects = [f"o{j}" for j in range(1, 9)]
+        profile = {"objects": objects, "quota": 2,
+                   "preferences": {str(i): objects for i in range(1, 5)}}
+        matrix = {str(i): {o: "1/4" for o in objects} for i in range(1, 5)}
+        start = time.perf_counter()
+        result = runner.invoke(main, [
+            "check", "--property", "ex-post", "--profile", paths("p.json", profile),
+            "--assignment", paths("a.json", {"matrix": matrix}),
+        ])
+        assert time.perf_counter() - start < 5
+        assert result.exit_code == 2
+        assert "refused: SD-efficient discrete assignments exceed the guard of 400" in (
+            result.stderr
+        )
 
     def test_unbalanced_ex_post_holds_with_decomposition(self, runner, paths):
         result = runner.invoke(

@@ -21,7 +21,7 @@ from mudra.model import (
     discrete_to_random,
 )
 from mudra.harness import RULES, canonical_instance, enumerate_profiles
-from mudra.order import SdVerdict, prefix_sums, sd_compare, upper_contour_sum
+from mudra.order import SdVerdict, prefix_sums, sd_compare
 from mudra.rules import mps, ops, priority_rule, random_priority, uniform
 
 F = Fraction
@@ -49,8 +49,9 @@ class TestSdEnvyFreeness:
         # carries strictly more of the envious agent's upper contour set
         p = priority_rule(IDENTICAL)
         order = IDENTICAL.order_of(cert.envious)
-        own = upper_contour_sum(p.allocation(cert.envious), order, cert.prefix_object)
-        other = upper_contour_sum(p.allocation(cert.envied), order, cert.prefix_object)
+        at = order.index(cert.prefix_object)
+        own = prefix_sums(p.allocation(cert.envious), order)[at]
+        other = prefix_sums(p.allocation(cert.envied), order)[at]
         assert own < other
 
     def test_eating_rules_are_envy_free_here(self):

@@ -13,7 +13,6 @@ from mudra.order import (
     prefix_sums,
     sd_compare,
     sd_weakly_dominates,
-    upper_contour_sum,
 )
 
 ORDER = ("o1", "o2", "o3", "o4")
@@ -29,23 +28,21 @@ B = vec(0, 1, F(1, 2), F(1, 2))
 
 
 class TestUpperContourSum:
+    """The sum over an object's upper contour set is its entry of `prefix_sums`."""
+
     def test_prefix_at_second_object(self):
-        assert upper_contour_sum(A, ORDER, "o2") == 1
+        assert prefix_sums(A, ORDER)[1] == 1
 
     def test_prefix_at_third_object(self):
-        assert upper_contour_sum(A, ORDER, "o3") == F(3, 2)
+        assert prefix_sums(A, ORDER)[2] == F(3, 2)
 
     def test_least_preferred_gives_row_sum(self):
-        assert upper_contour_sum(A, ORDER, "o4") == 2
-        assert upper_contour_sum(B, ORDER, "o4") == 2
-
-    def test_unknown_object_rejected(self):
-        with pytest.raises(ValueError, match="does not appear"):
-            upper_contour_sum(A, ORDER, "o9")
+        assert prefix_sums(A, ORDER)[3] == 2
+        assert prefix_sums(B, ORDER)[3] == 2
 
     def test_missing_amount_rejected(self):
         with pytest.raises(KeyError, match="o4"):
-            upper_contour_sum({"o1": F(1)}, ("o1", "o4"), "o4")
+            prefix_sums({"o1": F(1)}, ("o1", "o4"))
 
 
 class TestSdCompare:
@@ -147,3 +144,19 @@ def test_dl_totally_orders_any_set(vs):
     ranked = sorted(vs, key=lambda v: tuple(v[o] for o in ORDER), reverse=True)
     for earlier, later in zip(ranked, ranked[1:]):
         assert dl_compare(earlier, later, ORDER) in (DlVerdict.FIRST, DlVerdict.EQUAL)
+
+
+#: Column order of the matrix rows below, unlike ORDER.
+COLUMNS = ("o3", "o1", "o4", "o2")
+
+
+@given(vectors, vectors, st.permutations(ORDER))
+def test_matrix_rows_read_at_column_indices_agree_with_names(a, b, order):
+    """A row under an order of column indices runs the same comparisons."""
+    row_a = tuple(a[o] for o in COLUMNS)
+    row_b = tuple(b[o] for o in COLUMNS)
+    ranked = tuple(COLUMNS.index(o) for o in order)
+    assert prefix_sums(row_a, ranked) == prefix_sums(a, order)
+    assert sd_compare(row_a, row_b, ranked) is sd_compare(a, b, order)
+    assert sd_weakly_dominates(row_a, row_b, ranked) == sd_weakly_dominates(a, b, order)
+    assert dl_compare(row_a, row_b, ranked) is dl_compare(a, b, order)

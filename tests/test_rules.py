@@ -555,15 +555,18 @@ def test_top_reads_no_further_than_its_last_pick(available, take, chosen, deepes
     assert order.deepest == deepest
 
 
-RULES_SOURCE = Path(__file__).resolve().parents[1] / "src" / "mudra" / "rules.py"
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "mudra"
+RULES_SOURCE = SOURCES / "rules.py"
+#: The name-keyed views of a row and of an order.
+NAME_KEYED = ("allocation", "order_of")
 
 
-def order_reads(source):
-    """Lines where `source` reads `.orders` or `.order_of` of anything."""
+def order_reads(source, attrs=("orders", "order_of")):
+    """Lines where `source` reads one of the attributes `attrs` of anything."""
     return [
         node.lineno
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr in ("orders", "order_of")
+        if isinstance(node, ast.Attribute) and node.attr in attrs
     ]
 
 
@@ -574,6 +577,17 @@ def test_rules_read_orders_only_through_the_ranked_view():
 def test_the_order_check_sees_a_read():
     source = "a = p.ranked[0]\nb = p.orders\nc = p.order_of('1')\n"
     assert order_reads(source) == [2, 3]
+
+
+@pytest.mark.parametrize("module", ["rules", "fairness", "efficiency", "strategy"])
+def test_rules_and_checkers_read_rows_and_ranked_orders(module):
+    """No name-keyed row or order: matrix rows are read along `ranked`."""
+    assert order_reads((SOURCES / f"{module}.py").read_text(), NAME_KEYED) == []
+
+
+def test_the_name_keyed_check_sees_a_call():
+    source = "a = p.matrix[0]\nb = p.allocation('1')\nc = q.order_of('1')\nd = q.orders\n"
+    assert order_reads(source, NAME_KEYED) == [2, 3]
 
 
 def test_ranked_view_is_built_on_first_use_and_cached():

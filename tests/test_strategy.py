@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mudra.efficiency import sd_dominates
 from mudra.harness import RULE_NAMES, OutputCache, check_rule_property
 from mudra.model import GuardExceeded, Instance, PreferenceProfile
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
@@ -224,6 +225,11 @@ class TestRelaxedRejected:
 
 THREE_BY_THREE = Instance(agents=("1", "2", "3"), objects=("o1", "o2", "o3"), quota=1)
 TWO_BY_FOUR = Instance(agents=("1", "2"), objects=("o1", "o2", "o3", "o4"), quota=2)
+#: 3x3 c=1 with agents and objects listed out of label order, so that a row
+#: or column index mistaken for a label shows against the name-keyed oracle.
+#: Its rows and columns play the roles of THREE_BY_THREE's, position by
+#: position, so its witness counts are those of THREE_BY_THREE.
+SHUFFLED = Instance(agents=("3", "1", "2"), objects=("o3", "o1", "o2"), quota=1)
 
 #: kind -> (finder, the kind it reports, improvement test on (alt, truth, order)).
 INDIVIDUAL = {
@@ -256,8 +262,12 @@ EXPECTED_INDIVIDUAL_WITNESSES = {
     "ops": {"weak-sd": 14, "sd": 86, "dl": 14},
     "mps": {"weak-sd": 0, "sd": 96, "dl": 16},
 }
-#: Profiles of 3x3 c=1 where agents 1 and 2 gain together.
+#: Profiles of 3x3 c=1 where agents 1 and 2 gain together (of SHUFFLED too:
+#: there they are rows 2 and 3, and the rules that gain are anonymous).
 EXPECTED_PAIR_WITNESSES = {"uniform": 0, "priority": 0, "rp": 6, "ops": 6, "mps": 6}
+#: Ordered pairs (q, p) of the rules' outputs on one SHUFFLED profile where q
+#: SD-dominates p, summed over all 216 profiles.
+EXPECTED_SD_DOMINATED_PAIRS = 678
 
 
 def brute_force_witness(rule, profile, coalition, improves):
@@ -308,10 +318,17 @@ def cache():
     return OutputCache()
 
 
-def three_by_three_profiles():
-    orders = list(itertools.permutations(THREE_BY_THREE.objects))
-    for combo in itertools.product(orders, repeat=3):
-        yield PreferenceProfile(THREE_BY_THREE, combo)
+@pytest.fixture(scope="module")
+def shuffled_cache():
+    """The memo of SHUFFLED: `OutputCache` keys outputs by orders alone, and
+    SHUFFLED's orders are also orders of THREE_BY_THREE."""
+    return OutputCache()
+
+
+def all_profiles(instance):
+    orders = list(itertools.permutations(instance.objects))
+    for combo in itertools.product(orders, repeat=instance.num_agents):
+        yield PreferenceProfile(instance, combo)
 
 
 def two_by_four_profiles():
@@ -323,11 +340,11 @@ def two_by_four_profiles():
         yield PreferenceProfile(TWO_BY_FOUR, (TWO_BY_FOUR.objects, order))
 
 
-@pytest.mark.parametrize("rule_name", RULE_NAMES)
-def test_individual_searches_match_brute_force(rule_name, cache):
+def individual_witnesses(rule_name, profiles, cache):
+    """Check every finder against the oracle; count the oracle's witnesses."""
     rule = cache.callable(rule_name)
     witnesses = dict.fromkeys(INDIVIDUAL, 0)
-    for profile in itertools.chain(three_by_three_profiles(), two_by_four_profiles()):
+    for profile in profiles:
         first = {}  # kind -> (first agent with a witness, their misreport)
         for agent in profile.instance.agents:
             for name, (finder, kind, improves) in INDIVIDUAL.items():
@@ -351,17 +368,54 @@ def test_individual_searches_match_brute_force(rule_name, cache):
             assert holds == (name not in first)
             if not holds:
                 assert (certificate["agent"], tuple(certificate["misreport"])) == first[name]
-    assert witnesses == EXPECTED_INDIVIDUAL_WITNESSES[rule_name]
+    return witnesses
 
 
 @pytest.mark.parametrize("rule_name", RULE_NAMES)
-def test_pair_search_matches_brute_force(rule_name, cache):
-    rule = cache.callable(rule_name)
+def test_individual_searches_match_brute_force(rule_name, cache, shuffled_cache):
+    square = individual_witnesses(rule_name, all_profiles(THREE_BY_THREE), cache)
+    sliced = individual_witnesses(rule_name, two_by_four_profiles(), cache)
+    total = {name: square[name] + sliced[name] for name in INDIVIDUAL}
+    assert total == EXPECTED_INDIVIDUAL_WITNESSES[rule_name]
+    assert individual_witnesses(rule_name, all_profiles(SHUFFLED), shuffled_cache) == square
+
+
+@pytest.mark.parametrize("rule_name", RULE_NAMES)
+def test_pair_search_matches_brute_force(rule_name, cache, shuffled_cache):
     improves = INDIVIDUAL["weak-sd"][2]
-    witnesses = 0
-    for profile in three_by_three_profiles():
-        expected = brute_force_witness(rule, profile, ("1", "2"), improves)
-        found = find_group_manipulation(rule, profile, ("1", "2"))
-        assert_same_witness(found, expected, ManipulationKind.STRICT_SD, ("1", "2"))
-        witnesses += expected is not None
-    assert witnesses == EXPECTED_PAIR_WITNESSES[rule_name]
+    for instance, memo in ((THREE_BY_THREE, cache), (SHUFFLED, shuffled_cache)):
+        rule = memo.callable(rule_name)
+        witnesses = 0
+        for profile in all_profiles(instance):
+            expected = brute_force_witness(rule, profile, ("1", "2"), improves)
+            found = find_group_manipulation(rule, profile, ("1", "2"))
+            assert_same_witness(found, expected, ManipulationKind.STRICT_SD, ("1", "2"))
+            witnesses += expected is not None
+        assert witnesses == EXPECTED_PAIR_WITNESSES[rule_name]
+
+
+def name_keyed_sd_dominates(q, p, profile):
+    """`sd_dominates` over name-keyed rows and each agent's order of names."""
+    strict = False
+    for agent, order in zip(profile.instance.agents, profile.orders):
+        mine, theirs = q.allocation(agent), p.allocation(agent)
+        sums = zip(
+            itertools.accumulate(mine[o] for o in order),
+            itertools.accumulate(theirs[o] for o in order),
+        )
+        if any(a < b for a, b in sums):
+            return False
+        strict = strict or mine != theirs
+    return strict
+
+
+def test_sd_dominates_matches_name_keyed_oracle(shuffled_cache):
+    """Every ordered pair of the five rules' outputs on every SHUFFLED profile."""
+    dominated = 0
+    for profile in all_profiles(SHUFFLED):
+        outputs = [shuffled_cache.output(rule_name, profile) for rule_name in RULE_NAMES]
+        for q, p in itertools.product(outputs, repeat=2):
+            expected = name_keyed_sd_dominates(q, p, profile)
+            assert sd_dominates(q, p, profile) == expected
+            dominated += expected
+    assert dominated == EXPECTED_SD_DOMINATED_PAIRS
