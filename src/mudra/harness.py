@@ -17,7 +17,6 @@ order and all searches return the first witness in that order.
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -92,9 +91,8 @@ def enumerate_profiles(instance: Instance) -> Iterator[PreferenceProfile]:
     instance's object tuple, first agent varying slowest.  Refuses domains
     with more than PROFILE_LIMIT profiles when called, before building any.
     """
-    profile_count(instance.num_agents, instance.num_objects)
-    orders = itertools.permutations(instance.objects)
-    combos = itertools.product(orders, repeat=instance.num_agents)
+    n, m = instance.num_agents, instance.num_objects
+    combos = orderings(instance.objects, PROFILE_LIMIT, f"({m}!)^{n} profiles", repeat=n)
     return (PreferenceProfile(instance=instance, orders=combo) for combo in combos)
 
 
@@ -114,13 +112,13 @@ RULE_NAMES: tuple[str, ...] = tuple(RULES)
 
 
 class OutputCache:
-    """Memo of rule outputs keyed by (rule, orders) within one sweep."""
+    """Memo of rule outputs keyed by (rule, profile): profile equality includes the instance."""
 
     def __init__(self) -> None:
-        self._outputs: dict[tuple[str, tuple[tuple[str, ...], ...]], RandomAssignment] = {}
+        self._outputs: dict[tuple[str, PreferenceProfile], RandomAssignment] = {}
 
     def output(self, rule_name: str, profile: PreferenceProfile) -> RandomAssignment:
-        key = (rule_name, profile.orders)
+        key = (rule_name, profile)
         hit = self._outputs.get(key)
         if hit is None:
             hit = RULES[rule_name](profile)
@@ -490,9 +488,7 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
                 # No two-agent counterexample; this sign concerns
                 # single-unit behaviour, so extend the search there.
                 aux_profiles = enumerate_profiles(canonical_instance(4, 4, 1))
-                aux_found = _first_violation(
-                    rule_name, property_name, aux_profiles, OutputCache()
-                )
+                aux_found = _first_violation(rule_name, property_name, aux_profiles, cache)
                 if aux_found is not None:
                     found = aux_found
                     checked += found[0] + 1

@@ -214,10 +214,7 @@ class PreferenceProfile:
 
     def with_order(self, agent: str, order: Sequence[str]) -> "PreferenceProfile":
         """Profile where `agent` reports `order` and everyone else is unchanged."""
-        i = self.instance.agent_index(agent)
-        new = list(self.orders)
-        new[i] = tuple(order)
-        return PreferenceProfile(self.instance, tuple(new))
+        return self.with_orders({agent: order})
 
     def with_orders(self, reports: Mapping[str, Sequence[str]]) -> "PreferenceProfile":
         new = list(self.orders)
@@ -324,15 +321,10 @@ class ValidationResult:
 def validate_assignment(assignment: RandomAssignment) -> ValidationResult:
     """Check entry bounds, unit column sums and per-agent row sums.
 
-    Shape problems raise ValueError (they are structural, not a matter of
-    feasibility).  Constraint violations are reported in scan order: entries
-    row-major first, then columns, then rows.
+    Constraint violations are reported in scan order: entries row-major
+    first, then columns, then rows.
     """
     inst = assignment.instance
-    if len(assignment.matrix) != inst.num_agents or any(
-        len(row) != inst.num_objects for row in assignment.matrix
-    ):
-        raise ValueError("matrix dimensions do not match the instance")
     for agent, row in zip(inst.agents, assignment.matrix):
         for obj, v in zip(inst.objects, row):
             if v < 0 or v > 1:

@@ -1,9 +1,12 @@
-"""JSON serialization for profiles, assignments and reports.
+r"""JSON serialization for profiles, assignments and reports.
 
-Rationals travel as strings "p/q" (plain integers may appear as "k", and
-input may also use plain decimals such as "0.25", never exponents) so that
-files round-trip exactly.  Schema violations raise `SchemaError` carrying the
-JSON path of the offending element.
+Rationals travel as strings "p/q" so that files round-trip exactly.  An
+input string must match `-?[0-9]+(/[0-9]+|\.[0-9]+)?` over ASCII digits:
+"p/q", an integer "k" or a plain decimal such as "0.25", with an optional
+leading minus and nothing else (no spaces, "+", underscores, exponents, or
+a decimal point without digits on both sides), so every supported Python
+reads the same strings.  Schema violations raise `SchemaError` carrying
+the JSON path of the offending element.
 
 Profile files::
 
@@ -17,6 +20,7 @@ Assignment files::
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import IO, Any
@@ -35,7 +39,8 @@ class SchemaError(Exception):
 
 def parse_rational(value: Any, path: str) -> Fraction:
     """Parse "p/q", "k" or a plain decimal such as "0.25" into an exact rational.
-    Exponents are refused: `Fraction("1e9999999")` would build 10**9999999."""
+    Other spellings are refused before `Fraction`, which reads more of them (a
+    different set on each Python) and would build 10**9999999 from "1e9999999"."""
     if isinstance(value, bool):
         raise SchemaError(path, f"expected a rational string, got {value!r}")
     if isinstance(value, int):
@@ -44,8 +49,8 @@ def parse_rational(value: Any, path: str) -> Fraction:
         raise SchemaError(path, f"floating point value {value!r} is not allowed")
     if not isinstance(value, str):
         raise SchemaError(path, f"expected a rational string, got {type(value).__name__}")
-    if "e" in value or "E" in value:
-        raise SchemaError(path, f"malformed rational {value!r} (exponents are not accepted)")
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?", value):
+        raise SchemaError(path, f"malformed rational {value!r} (expected p/q, k or a decimal)")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:

@@ -595,6 +595,72 @@ class TestManipulate:
         assert result.exit_code == 3
 
 
+def fig1_rows(first, second):
+    """An assignment file for FIG1 whose rows are `first` and `second`."""
+    return {"matrix": {"1": dict(zip(FIG1["objects"], first)),
+                       "2": dict(zip(FIG1["objects"], second))}}
+
+
+#: One case per input refusal: the verb and its flags, the profile file, the
+#: assignment file (or None), and the last line the refusal prints.
+INPUT_REFUSALS = {
+    "entry-outside-unit-interval": (
+        ["check", "--property", "sd-ef"], FIG1,
+        fig1_rows(("3/2", "-1/2", "1/2", "1/2"), ("-1/2", "3/2", "1/2", "1/2")),
+        "input error: input is not a feasible random assignment: "
+        "entry (1, o1) = 3/2 outside [0, 1]",
+    ),
+    "row-sum": (
+        ["check", "--property", "sd-ef"], FIG1,
+        fig1_rows(("1", "1", "1", "0"), ("0", "0", "0", "1")),
+        "input error: input is not a feasible random assignment: row 1 sums to 3, expected 2",
+    ),
+    "boolean-entry": (
+        ["check", "--property", "sd-ef"], FIG1,
+        fig1_rows((True, "1", "0", "0"), ("0", "0", "1", "1")),
+        "input error: matrix.1.o1: expected a rational string, got True",
+    ),
+    "row-not-an-object": (
+        ["check", "--property", "sd-ef"], FIG1,
+        {"matrix": {"1": ["1", "1", "0", "0"], "2": {"o1": "0", "o2": "0", "o3": "1", "o4": "1"}}},
+        "input error: matrix.1: row must map objects to rationals",
+    ),
+    "object-id-not-a-string": (
+        ["compute", "--rule", "mps"], {**FIG1, "objects": [1, "o2", "o3", "o4"]}, None,
+        "input error: objects[0]: object ids must be strings",
+    ),
+    "no-agents": (
+        ["compute", "--rule", "mps"], {**FIG1, "preferences": {}}, None,
+        "input error: preferences: at least one agent is required",
+    ),
+    "order-not-a-list": (
+        ["compute", "--rule", "mps"],
+        {**FIG1, "preferences": {**FIG1["preferences"], "1": "o1o2o3o4"}}, None,
+        "input error: preferences.1: preference list must be a list of object ids",
+    ),
+    "empty-coalition": (
+        ["manipulate", "--rule", "mps", "--kind", "group", "--coalition", ","], FIG1, None,
+        "Error: --coalition must be a comma-separated list",
+    ),
+    "agent-with-group": (
+        ["manipulate", "--rule", "mps", "--kind", "group", "--coalition", "1,2",
+         "--agent", "1"], FIG1, None,
+        "Error: --agent does not apply to --kind group",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_REFUSALS.values(), ids=list(INPUT_REFUSALS))
+def test_input_refusal_names_its_cause(runner, paths, case):
+    argv, profile, assignment, message = case
+    argv = [*argv, "--profile", paths("p.json", profile)]
+    if assignment is not None:
+        argv += ["--assignment", paths("a.json", assignment)]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 3
+    assert result.stderr.splitlines()[-1] == message
+
+
 class TestReproduce:
     def test_clean_case(self, runner):
         result = runner.invoke(main, ["reproduce", "example1"])

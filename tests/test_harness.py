@@ -27,6 +27,7 @@ from mudra.harness import (
 from mudra.model import (
     DiscreteAssignment,
     GuardExceeded,
+    Instance,
     PreferenceProfile,
     discrete_to_random,
     permute_objects,
@@ -93,6 +94,20 @@ class TestEnumerateProfiles:
         refusal = r"^\(2!\)\^20 profiles exceed the guard of 1000000$"
         with pytest.raises(GuardExceeded, match=refusal):
             enumerate_profiles(canonical_instance(20, 2))
+
+
+def test_output_cache_keeps_instances_apart():
+    # Both profiles list the same orders, on instances that label the rows
+    # and columns differently: the second must not be served the first's output.
+    square = canonical_instance(3, 3, 1)
+    shuffled = Instance(agents=("3", "1", "2"), objects=("o3", "o1", "o2"), quota=1)
+    orders = (("o1", "o2", "o3"), ("o2", "o3", "o1"), ("o3", "o1", "o2"))
+    cache = OutputCache()
+    cache.output("priority", PreferenceProfile(square, orders))
+    copy = PreferenceProfile(shuffled, orders)
+    served = cache.output("priority", copy)
+    assert served.instance == shuffled
+    assert served == RULES["priority"](copy)
 
 
 def never_called(profile):

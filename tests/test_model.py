@@ -84,6 +84,10 @@ class TestPreferenceProfile:
         with pytest.raises(ValueError, match="strict order"):
             profile(("o1", "o1", "o3", "o4"), ("o1", "o2", "o3", "o4"))
 
+    def test_one_order_per_agent(self):
+        with pytest.raises(ValueError, match=r"^expected 2 preference orders, got 1$"):
+            profile(("o1", "o2", "o3", "o4"))
+
     def test_with_order_replaces_one_agent(self):
         base = profile(("o1", "o2", "o3", "o4"), ("o4", "o3", "o2", "o1"))
         changed = base.with_order("2", ("o2", "o1", "o3", "o4"))
@@ -151,6 +155,10 @@ class TestDiscreteAssignment:
         assert d.bundle("2") == ("o3", "o4")
         assert d.bundle_sizes() == {"1": 2, "2": 2}
         assert d.is_balanced
+
+    def test_one_owner_per_object(self):
+        with pytest.raises(ValueError, match=r"^expected one owner per object \(4\), got 3$"):
+            DiscreteAssignment(INST, ("1", "1", "2"))
 
     def test_unknown_owner_rejected(self):
         with pytest.raises(ValueError, match="unknown agent"):

@@ -63,6 +63,28 @@ class TestRationals:
             parse_rational(text, "matrix.1.o1")
         assert time.perf_counter() - started < 0.1
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("7/8", F(7, 8)), ("-7/8", F(-7, 8)), ("12", F(12)), ("-3", F(-3)),
+            ("0.25", F(1, 4)), ("-1.5", F(-3, 2)), ("007/8", F(7, 8)),
+            # `Fraction` reads each of these on some supported Python only,
+            # or on all of them though the file format never allowed it.
+            ("1_0", None), ("1 / 2", None), ("\u0661/2", None), (" 1/2 ", None),
+            ("+1/2", None), (".5", None), ("5.", None), ("1/-2", None), ("1.5/2", None),
+            ("1/2\n", None), ("", None), ("nan", None), ("inf", None),
+            ("1e10000000", None), ("1E10000000", None), ("2.5e-3", None),
+            # past the default int conversion limit of 4,300 digits
+            pytest.param("1" * 5000, None, id="5000-digits"), ("1/0", None),
+        ],
+    )
+    def test_one_grammar_on_every_python(self, text, value):
+        if value is not None:
+            assert parse_rational(text, "x") == value
+            return
+        with pytest.raises(SchemaError, match="malformed rational"):
+            parse_rational(text, "x")
+
     def test_floats_rejected(self):
         with pytest.raises(SchemaError, match="floating point"):
             parse_rational(0.5, "x")

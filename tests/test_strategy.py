@@ -314,14 +314,8 @@ def assert_same_witness(found, expected, kind, coalition):
 
 @pytest.fixture(scope="module")
 def cache():
-    """One memo of rule outputs: every misreported 3x3 profile is in the domain."""
-    return OutputCache()
-
-
-@pytest.fixture(scope="module")
-def shuffled_cache():
-    """The memo of SHUFFLED: `OutputCache` keys outputs by orders alone, and
-    SHUFFLED's orders are also orders of THREE_BY_THREE."""
+    """One memo of rule outputs for every instance here: each misreported
+    profile is a profile of a swept domain."""
     return OutputCache()
 
 
@@ -372,19 +366,19 @@ def individual_witnesses(rule_name, profiles, cache):
 
 
 @pytest.mark.parametrize("rule_name", RULE_NAMES)
-def test_individual_searches_match_brute_force(rule_name, cache, shuffled_cache):
+def test_individual_searches_match_brute_force(rule_name, cache):
     square = individual_witnesses(rule_name, all_profiles(THREE_BY_THREE), cache)
     sliced = individual_witnesses(rule_name, two_by_four_profiles(), cache)
     total = {name: square[name] + sliced[name] for name in INDIVIDUAL}
     assert total == EXPECTED_INDIVIDUAL_WITNESSES[rule_name]
-    assert individual_witnesses(rule_name, all_profiles(SHUFFLED), shuffled_cache) == square
+    assert individual_witnesses(rule_name, all_profiles(SHUFFLED), cache) == square
 
 
 @pytest.mark.parametrize("rule_name", RULE_NAMES)
-def test_pair_search_matches_brute_force(rule_name, cache, shuffled_cache):
+def test_pair_search_matches_brute_force(rule_name, cache):
     improves = INDIVIDUAL["weak-sd"][2]
-    for instance, memo in ((THREE_BY_THREE, cache), (SHUFFLED, shuffled_cache)):
-        rule = memo.callable(rule_name)
+    rule = cache.callable(rule_name)
+    for instance in (THREE_BY_THREE, SHUFFLED):
         witnesses = 0
         for profile in all_profiles(instance):
             expected = brute_force_witness(rule, profile, ("1", "2"), improves)
@@ -409,11 +403,11 @@ def name_keyed_sd_dominates(q, p, profile):
     return strict
 
 
-def test_sd_dominates_matches_name_keyed_oracle(shuffled_cache):
+def test_sd_dominates_matches_name_keyed_oracle(cache):
     """Every ordered pair of the five rules' outputs on every SHUFFLED profile."""
     dominated = 0
     for profile in all_profiles(SHUFFLED):
-        outputs = [shuffled_cache.output(rule_name, profile) for rule_name in RULE_NAMES]
+        outputs = [cache.output(rule_name, profile) for rule_name in RULE_NAMES]
         for q, p in itertools.product(outputs, repeat=2):
             expected = name_keyed_sd_dominates(q, p, profile)
             assert sd_dominates(q, p, profile) == expected
