@@ -91,8 +91,8 @@ def _trace_data(trace) -> list[dict]:
             "start": format_rational(phase.start),
             "end": format_rational(phase.end),
             "eating": {
-                agent: [o for o in inst.objects if o in phase.eating[i]]
-                for i, agent in enumerate(inst.agents)
+                agent: [inst.objects[j] for j in sorted(columns)]
+                for agent, columns in zip(inst.agents, phase.eating)
             },
         }
         for phase in trace.phases
@@ -321,7 +321,7 @@ def reproduce_cmd(case_id, as_json):
     Exit code 0 when every line matches, 1 when any diff is found.
     """
     with _exit_codes():
-        data = run_reproduce(case_id).to_data()
+        data = run_reproduce(case_id)
         _emit(data, as_json, _render_reproduce)
         raise SystemExit(EXIT_OK if data["ok"] else EXIT_DISCREPANCY)
 

@@ -1,6 +1,6 @@
 """Efficiency notions: perfection, SD-dominance, SD-efficiency, ex-post
-efficiency, unanimity, and decomposition of random assignments into lotteries
-over discrete assignments.
+efficiency, and decomposition of random assignments into lotteries over
+discrete assignments.
 
 SD-efficiency is decided by a trade-cycle test over the objects: the input
 is SD-efficient exactly when no cycle of objects exists along which every
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .model import (
     DISCRETE_LIMIT,
@@ -28,7 +28,6 @@ from .model import (
     PreferenceProfile,
     RandomAssignment,
     capped_product,
-    discrete_to_random,
     refuse_over,
     require_balanced,
     require_feasible,
@@ -222,9 +221,9 @@ def is_ex_post_efficient(
     target = [v for row in p.matrix for v in row]
     generators = [[v for row in d.grid() for v in row] for d in survivors]
     hull = convex_membership(target, generators)
-    if hull.in_hull:
+    if hull.status == "feasible":
         decomposition = tuple(
-            (w, d) for w, d in zip(hull.weights, survivors) if w != 0
+            (w, d) for w, d in zip(hull.point, survivors) if w != 0
         )
         return EfficiencyVerdict(True, decomposition=decomposition, survivors=survivors)
     return EfficiencyVerdict(
@@ -298,21 +297,3 @@ def _balanced_support_assignment(
             )
     return owner
 
-
-def check_unanimity(
-    rule: Callable[[PreferenceProfile], RandomAssignment],
-    profile: PreferenceProfile,
-) -> EfficiencyVerdict:
-    """When a perfect assignment exists the rule must return exactly it."""
-    require_balanced(profile.instance, "unanimity")
-    perfect = perfect_assignment(profile)
-    if perfect is None:
-        return EfficiencyVerdict(True, detail="vacuous: no perfect assignment exists")
-    outcome = rule(profile)
-    wanted = discrete_to_random(perfect)
-    if outcome.matrix == wanted.matrix:
-        return EfficiencyVerdict(True, decomposition=((Fraction(1), perfect),))
-    return EfficiencyVerdict(
-        False, survivors=(perfect,),
-        detail="a perfect assignment exists but the rule returns something else",
-    )

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from mudra.efficiency import (
-    check_unanimity,
     decompose_lottery,
     is_ex_post_efficient,
     is_sd_efficient,
@@ -201,16 +200,17 @@ def _ex_post_efficiency(profile, output, rule, *, allow_unbalanced=False):
 
 
 def _unanimity(profile, output, rule):
-    # A rule is run only when a perfect assignment exists, and then once.
-    if output is None and perfect_assignment(profile) is not None:
+    """When a perfect assignment exists the output must be exactly it; the
+    rule runs only then, and once."""
+    require_balanced(profile.instance, "unanimity")
+    perfect = perfect_assignment(profile)
+    if perfect is None:
+        return True, {"detail": "vacuous: no perfect assignment exists"}
+    if output is None:
         output = rule(profile)
-    verdict = check_unanimity(lambda _: output, profile)
-    if verdict:
-        return True, {"detail": verdict.detail} if verdict.detail else None
-    return False, {
-        "output": _matrix_data(output),
-        "perfect": list(verdict.survivors[0].owners),
-    }
+    if output.matrix == discrete_to_random(perfect).matrix:
+        return True, None
+    return False, {"output": _matrix_data(output), "perfect": list(perfect.owners)}
 
 
 def _perfect(profile, output, rule):
@@ -516,33 +516,19 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckLine:
-    label: str
-    ok: bool
-    detail: str | None = None
-
-    def to_data(self) -> dict:
-        return {"label": self.label, "ok": self.ok, "detail": self.detail}
+def _line(label: str, ok: bool, detail: str | None) -> dict:
+    """One checked line of a reproduce report."""
+    return {"label": label, "ok": ok, "detail": detail}
 
 
-@dataclass(frozen=True)
-class ReproduceReport:
-    case: str
-    lines: tuple[CheckLine, ...]
-    notes: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return all(line.ok for line in self.lines)
-
-    def to_data(self) -> dict:
-        return {
-            "case": self.case,
-            "ok": self.ok,
-            "lines": [line.to_data() for line in self.lines],
-            "notes": list(self.notes),
-        }
+def _report(case: str, lines: list[dict], notes: Sequence[str] = ()) -> dict:
+    """A reproduce report: it passes when every line does."""
+    return {
+        "case": case,
+        "ok": all(line["ok"] for line in lines),
+        "lines": lines,
+        "notes": list(notes),
+    }
 
 
 def _fmt_matrix(matrix: Sequence[Sequence[Fraction]]) -> str:
@@ -551,13 +537,13 @@ def _fmt_matrix(matrix: Sequence[Sequence[Fraction]]) -> str:
     ) + "]"
 
 
-def _eq_line(label: str, got, want, fmt=str) -> CheckLine:
+def _eq_line(label: str, got, want, fmt=str) -> dict:
     ok = got == want
     detail = f"computed {fmt(got)}" if ok else f"computed {fmt(got)}, expected {fmt(want)}"
-    return CheckLine(label, ok, detail)
+    return _line(label, ok, detail)
 
 
-def _matrix_line(label: str, got: RandomAssignment, rows: Sequence[Sequence]) -> CheckLine:
+def _matrix_line(label: str, got: RandomAssignment, rows: Sequence[Sequence]) -> dict:
     """Does `got` equal the recorded matrix `rows` (ints or Fractions)?"""
     want = RandomAssignment(instance=got.instance, matrix=rows).matrix
     return _eq_line(label, got.matrix, want, fmt=_fmt_matrix)
@@ -565,7 +551,7 @@ def _matrix_line(label: str, got: RandomAssignment, rows: Sequence[Sequence]) ->
 
 def _manipulation_lines(
     label: str, found: Manipulation | None, witness, want, rows: Sequence[Sequence]
-) -> list[CheckLine]:
+) -> list[dict]:
     """Is `witness(found)` the recorded misreport `want`?  And, when a
     manipulation was found, is its outcome the recorded matrix `rows`?"""
     lines = [_eq_line(label, None if found is None else witness(found), want)]
@@ -588,7 +574,7 @@ _INTERLEAVED_MPS = (
 _MPS_LABEL = "multi-unit eating outcome matches the recorded matrix"
 
 
-def _reproduce_figure1() -> ReproduceReport:
+def _reproduce_figure1() -> dict:
     trace = mps_trace(_INTERLEAVED)
     lines = [
         _matrix_line(_MPS_LABEL, trace.assignment, _INTERLEAVED_MPS),
@@ -612,23 +598,23 @@ def _reproduce_figure1() -> ReproduceReport:
         sum(row) != _INTERLEAVED.instance.quota for row in caption
     ) and caption != trace.assignment.matrix
     lines.append(
-        CheckLine(
+        _line(
             "closing matrix printed with the illustration is a transcription slip",
             caption_bad,
             "its rows sum to 7/4 and 9/4 (quota is 2); the computed matrix above "
             "is the consistent value",
         )
     )
-    return ReproduceReport(case="figure1", lines=tuple(lines))
+    return _report("figure1", lines)
 
 
-def _reproduce_expost() -> ReproduceReport:
+def _reproduce_expost() -> dict:
     profile = _INTERLEAVED
     p = mps(profile)
     lines = [_matrix_line(_MPS_LABEL, p, _INTERLEAVED_MPS)]
     balanced = is_ex_post_efficient(p, profile)
     lines.append(
-        CheckLine(
+        _line(
             "not ex-post efficient over balanced discrete assignments",
             not balanced.holds,
             f"SD-efficient balanced assignments: "
@@ -651,7 +637,7 @@ def _reproduce_expost() -> ReproduceReport:
             "'Known discrepancies' for the analysis."
         )
     lines.append(
-        CheckLine(
+        _line(
             "recorded claim: still not ex-post efficient when unbalanced "
             "assignments are allowed",
             not unbalanced.holds,
@@ -659,10 +645,10 @@ def _reproduce_expost() -> ReproduceReport:
             "exists" if unbalanced.holds else None,
         )
     )
-    return ReproduceReport(case="expost", lines=tuple(lines), notes=tuple(notes))
+    return _report("expost", lines, notes)
 
 
-def _reproduce_pareto_decomp() -> ReproduceReport:
+def _reproduce_pareto_decomp() -> dict:
     instance = canonical_instance(2, 4, 2)
     profile = PreferenceProfile(
         instance=instance,
@@ -677,7 +663,7 @@ def _reproduce_pareto_decomp() -> ReproduceReport:
         [sum(w * d.grid()[i][j] for w, d in terms) for j in range(4)] for i in range(2)
     ]
     lines.append(
-        CheckLine(
+        _line(
             "lottery decomposition has two 1/2-weight terms and re-sums exactly",
             len(terms) == 2
             and all(w == half for w, _ in terms)
@@ -702,17 +688,17 @@ def _reproduce_pareto_decomp() -> ReproduceReport:
         not is_sd_efficient(discrete_to_random(d), profile).holds for d in recorded
     )
     lines.append(
-        CheckLine(
+        _line(
             "the recorded half/half pair re-sums to the outcome and both of its "
             "assignments are SD-dominated",
             mixes_back and both_dominated,
             "pair: 1.2.2.1 and 2.1.1.2",
         )
     )
-    return ReproduceReport(case="pareto-decomp", lines=tuple(lines))
+    return _report("pareto-decomp", lines)
 
 
-def _reproduce_theorem1() -> ReproduceReport:
+def _reproduce_theorem1() -> dict:
     instance = Instance(agents=("1", "2"), objects=("a", "b", "c", "d"), quota=2)
     profile = PreferenceProfile(
         instance=instance, orders=(("a", "b", "c", "d"), ("b", "c", "a", "d"))
@@ -732,10 +718,10 @@ def _reproduce_theorem1() -> ReproduceReport:
             [[1, half, 0, half], [0, half, 1, half]],
         ),
     ]
-    return ReproduceReport(case="theorem1", lines=tuple(lines))
+    return _report("theorem1", lines)
 
 
-def _reproduce_theorem2() -> ReproduceReport:
+def _reproduce_theorem2() -> dict:
     instance = Instance(
         agents=("1", "2", "3", "4"), objects=("a", "b", "c", "d"), quota=1
     )
@@ -767,10 +753,10 @@ def _reproduce_theorem2() -> ReproduceReport:
             ],
         ),
     ]
-    return ReproduceReport(case="theorem2", lines=tuple(lines))
+    return _report("theorem2", lines)
 
 
-def _reproduce_example1() -> ReproduceReport:
+def _reproduce_example1() -> dict:
     instance = canonical_instance(2, 4, 2)
     profile = PreferenceProfile(
         instance=instance,
@@ -795,15 +781,15 @@ def _reproduce_example1() -> ReproduceReport:
             fmt=lambda v: v.value,
         ),
     ]
-    return ReproduceReport(case="example1", lines=tuple(lines))
+    return _report("example1", lines)
 
 
-def _reproduce_table1() -> ReproduceReport:
+def _reproduce_table1() -> dict:
     report = table1_sweep()
     lines = []
     matched = sum(1 for cell in report.cells if cell.matched)
     lines.append(
-        CheckLine(
+        _line(
             f"{matched}/{len(report.cells)} classification cells confirmed",
             matched == len(report.cells),
             None,
@@ -812,7 +798,7 @@ def _reproduce_table1() -> ReproduceReport:
     notes = []
     for cell in report.discrepancies:
         lines.append(
-            CheckLine(
+            _line(
                 f"{cell.rule} x {cell.property_name}: expected '{cell.expected}', "
                 f"observed {cell.observed}",
                 False,
@@ -828,10 +814,10 @@ def _reproduce_table1() -> ReproduceReport:
                 "see the README section 'Known discrepancies' for the "
                 "analysis."
             )
-    return ReproduceReport(case="table1", lines=tuple(lines), notes=tuple(notes))
+    return _report("table1", lines, notes)
 
 
-_REPRODUCE_CASES: dict[str, Callable[[], ReproduceReport]] = {
+_REPRODUCE_CASES: dict[str, Callable[[], dict]] = {
     "figure1": _reproduce_figure1,
     "expost": _reproduce_expost,
     "pareto-decomp": _reproduce_pareto_decomp,
@@ -844,8 +830,12 @@ _REPRODUCE_CASES: dict[str, Callable[[], ReproduceReport]] = {
 REPRODUCE_CASE_IDS: tuple[str, ...] = tuple(_REPRODUCE_CASES)
 
 
-def reproduce(case_id: str) -> ReproduceReport:
-    """Replay a named reference scenario and diff against recorded values."""
+def reproduce(case_id: str) -> dict:
+    """Replay a named reference scenario and diff against recorded values.
+
+    The report is the dict `mudra reproduce --json` prints: `case`, `ok`,
+    `lines` (each with `label`, `ok`, `detail`) and `notes`.
+    """
     runner = _REPRODUCE_CASES.get(case_id)
     if runner is None:
         known = ", ".join(REPRODUCE_CASE_IDS)

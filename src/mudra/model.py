@@ -114,9 +114,10 @@ class Instance:
     """Agents, objects and the per-agent quota.
 
     `quota` is the number of objects each agent receives.  For a balanced
-    instance m = n * quota.  A relaxed instance (m not a multiple of n) must
-    be flagged explicitly and requires quota = ceil(m / n); only the eating
-    rules accept relaxed instances.
+    instance m = n * quota.  An unbalanced instance (m not a multiple of n)
+    must be flagged `relaxed` and requires quota = ceil(m / n); only the
+    eating rules accept it.  The flag admits that shape and changes nothing
+    else: a relaxed instance with m = n * quota is balanced.
     """
 
     agents: tuple[str, ...]
@@ -177,8 +178,12 @@ class Instance:
 
 
 def require_balanced(instance: Instance, what: str) -> None:
-    """Refuse a relaxed instance for `what`, which needs m = n * quota."""
-    if instance.relaxed:
+    """Refuse an unbalanced instance for `what`, which needs m = n * quota.
+
+    The shape decides, not the `relaxed` flag: a relaxed instance whose m is
+    n * quota after all is balanced.
+    """
+    if instance.num_objects != instance.num_agents * instance.quota:
         raise ValueError(f"{what} is only defined for balanced instances (m = n * quota)")
 
 
@@ -281,9 +286,6 @@ class DiscreteAssignment:
         for obj, owner in zip(inst.objects, self.owners):
             if owner not in known:
                 raise ValueError(f"object {obj!r} owned by unknown agent {owner!r}")
-
-    def owner_of(self, obj: str) -> str:
-        return self.owners[self.instance.object_index(obj)]
 
     def bundle(self, agent: str) -> tuple[str, ...]:
         return tuple(o for o, a in zip(self.instance.objects, self.owners) if a == agent)

@@ -106,22 +106,14 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Feasib
     return Feasibility("feasible", point=tuple(point))
 
 
-@dataclass(frozen=True)
-class HullResult:
-    """Membership of a point in the convex hull of finitely many generators."""
-
-    in_hull: bool
-    weights: tuple[Fraction, ...] | None = None
-    farkas: tuple[Fraction, ...] | None = None
-
-
 def convex_membership(
     target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
-) -> HullResult:
+) -> Feasibility:
     """Decide whether `target` is a convex combination of `generators`.
 
-    Returns exact weights when it is; otherwise a Farkas certificate over the
-    coordinate rows plus the weight-sum row, in that order.
+    This is `solve` on the coordinate rows plus the weight-sum row, in that
+    order: when feasible its point is the weights, one per generator;
+    otherwise its Farkas vector has one multiplier per row.
     """
     dim = len(target)
     for g, gen in enumerate(generators):
@@ -129,7 +121,4 @@ def convex_membership(
             raise ValueError(f"generator {g} has dimension {len(gen)}, expected {dim}")
     rows = [[gen[d] for gen in generators] for d in range(dim)]
     rows.append([1] * len(generators))
-    result = solve(rows, [*target, 1])
-    if result.status == "feasible":
-        return HullResult(True, weights=result.point)
-    return HullResult(False, farkas=result.farkas)
+    return solve(rows, [*target, 1])

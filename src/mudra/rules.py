@@ -38,15 +38,12 @@ from .model import (
 
 @dataclass(frozen=True)
 class Phase:
-    """Half-open eating interval [start, end) with one demand set per agent."""
+    """Half-open eating interval [start, end).  `eating` has one demand per
+    agent: the column indices of the objects it eats, best first."""
 
     start: Fraction
     end: Fraction
-    eating: tuple[frozenset[str], ...]
-
-    @property
-    def duration(self) -> Fraction:
-        return self.end - self.start
+    eating: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -85,8 +82,7 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
         for row, columns in zip(eaten, demand):
             for j in columns:
                 row[j] += dt
-        eating = tuple(frozenset(map(inst.objects.__getitem__, columns)) for columns in demand)
-        phases.append(Phase(now, now + dt, eating))
+        phases.append(Phase(now, now + dt, tuple(map(tuple, demand))))
         now += dt
         remaining = {j: left for j, left in remaining.items() if left}
     return EatingTrace(profile, tuple(phases), RandomAssignment(inst, tuple(map(tuple, eaten))))

@@ -174,15 +174,5 @@ def load_profile(source: str | Path | IO[str], relaxed: bool = False) -> Prefere
     return profile_from_data(_load_json(source), relaxed=relaxed)
 
 
-def save_profile(profile: PreferenceProfile, target: str | Path) -> None:
-    Path(target).write_text(canonical_dumps(profile_to_data(profile)), encoding="utf-8")
-
-
 def load_assignment(source: str | Path | IO[str], instance: Instance) -> RandomAssignment:
     return assignment_from_data(_load_json(source), instance)
-
-
-def save_assignment(assignment: RandomAssignment, target: str | Path) -> None:
-    Path(target).write_text(
-        canonical_dumps(assignment_to_data(assignment)), encoding="utf-8"
-    )

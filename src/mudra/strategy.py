@@ -72,7 +72,7 @@ def _scan(
     """First joint misreport of `members` under which every member improves.
 
     Each member is judged on their matrix row, the outcome's against the
-    truthful one, along their `ranked` order.  Refuses relaxed instances,
+    truthful one, along their `ranked` order.  Refuses unbalanced instances,
     more than 6 objects and more than 10^6 joint misreports before the rule
     runs.
     """

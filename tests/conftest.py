@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from mudra.efficiency import check_unanimity, enumerate_discrete, is_sd_efficient
+from mudra.efficiency import enumerate_discrete, is_sd_efficient, perfect_assignment
 from mudra.fairness import is_sd_envy_free, is_weak_sd_envy_free
 from mudra.harness import (
     RULE_NAMES,
@@ -62,6 +62,8 @@ def sweep_data(main_profiles, balanced_assignments):
             if is_sd_efficient(discrete_to_random(d), profile).holds
         )
         grids = [[v for row in d.grid() for v in row] for d in survivors]
+        perfect = perfect_assignment(profile)
+        perfect_matrix = None if perfect is None else discrete_to_random(perfect).matrix
         per_rule = {}
         for rule_name in RULE_NAMES:
             rule = cache.callable(rule_name)
@@ -78,8 +80,8 @@ def sweep_data(main_profiles, balanced_assignments):
                 "output": output,
                 "sd_efficient": bool(is_sd_efficient(output, profile)),
                 "hull": hull,
-                "ex_post": hull.in_hull,
-                "unanimous": bool(check_unanimity(rule, profile)),
+                "ex_post": hull.status == "feasible",
+                "unanimous": perfect is None or output.matrix == perfect_matrix,
                 "sd_envy_free": bool(is_sd_envy_free(output, profile)),
                 "weak_sd_envy_free": bool(is_weak_sd_envy_free(output, profile)),
                 "manipulations": manipulations,

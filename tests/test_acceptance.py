@@ -365,12 +365,12 @@ def test_criterion_09_lp_screening_agrees_with_brute_force_and_certificates_resu
         grids = [grids_by_owners[d.owners] for d in record["survivors"]]
         target = [v for row in record["rules"]["mps"]["output"].matrix for v in row]
         result = convex_membership(target, grids)
-        if result.in_hull:
-            assert sum(result.weights) == 1
-            assert all(w >= 0 for w in result.weights)
+        if result.status == "feasible":
+            assert sum(result.point) == 1
+            assert all(w >= 0 for w in result.point)
             for idx in range(len(target)):
                 assert (
-                    sum(w * g[idx] for w, g in zip(result.weights, grids))
+                    sum(w * g[idx] for w, g in zip(result.point, grids))
                     == target[idx]
                 )
         else:

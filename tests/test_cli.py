@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mudra import rules
 from mudra.cli import main
 from mudra.efficiency import sd_dominates
-from mudra.harness import PROPERTIES, canonical_instance, enumerate_profiles
+from mudra.harness import PROPERTIES, RULE_NAMES, canonical_instance, enumerate_profiles
 from mudra.model import validate_assignment
 from mudra.rules import simulate_eating
 from mudra.serialize import (
@@ -221,6 +221,17 @@ class TestCompute:
         assert result.exit_code == 0
         row = json.loads(result.output)["matrix"]["1"]
         assert row == {"o1": "1/2", "o2": "3/4", "o3": "1/4"}
+
+    def test_relaxed_changes_nothing_on_a_balanced_profile(self, runner, paths):
+        # --relaxed only admits m != n * quota; on 2x4 c=2 every rule,
+        # the balanced-only ones included, prints what it prints without it.
+        path = paths("p.json", FIG1)
+        for rule in RULE_NAMES:
+            argv = ["compute", "--rule", rule, "--profile", path, "--json"]
+            plain = runner.invoke(main, argv)
+            relaxed = runner.invoke(main, argv + ["--relaxed"])
+            assert (plain.exit_code, relaxed.exit_code) == (0, 0), (rule, relaxed.output)
+            assert relaxed.output == plain.output, rule
 
     def test_rp_refused_past_the_state_guard(self, runner, paths):
         objects = [f"o{j}" for j in range(1, 13)]

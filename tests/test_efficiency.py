@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mudra.efficiency import (
     _trade_along,
     _trade_cycle,
-    check_unanimity,
     decompose_lottery,
     enumerate_discrete,
     is_ex_post_efficient,
@@ -19,7 +18,7 @@ from mudra.efficiency import (
     perfect_assignment,
     sd_dominates,
 )
-from mudra.harness import RULES, canonical_instance
+from mudra.harness import RULES, canonical_instance, check_rule_property
 from mudra.model import (
     DiscreteAssignment,
     GuardExceeded,
@@ -246,21 +245,23 @@ class TestDecomposeLottery:
 
 
 class TestCheckUnanimity:
+    """The registry's unanimity checker, reached as the sweep reaches it."""
+
     def test_eating_rule_returns_the_perfect_assignment(self):
         profile = make_profile([("o1", "o2", "o3", "o4"), ("o3", "o4", "o1", "o2")])
-        assert check_unanimity(mps, profile).holds
+        assert check_rule_property("mps", "unanimity", profile) == (True, None)
 
     def test_uniform_fails_when_perfect_exists(self):
         profile = make_profile([("o1", "o2", "o3", "o4"), ("o3", "o4", "o1", "o2")])
-        verdict = check_unanimity(lambda p: uniform(p.instance), profile)
-        assert not verdict.holds
-        assert verdict.survivors[0].owners == ("1", "1", "2", "2")
+        holds, certificate = check_rule_property("uniform", "unanimity", profile)
+        assert not holds
+        assert certificate["perfect"] == ["1", "1", "2", "2"]
 
     def test_vacuous_without_perfect_assignment(self):
         profile = make_profile([("o1", "o2", "o3", "o4"), ("o2", "o1", "o3", "o4")])
-        verdict = check_unanimity(lambda p: uniform(p.instance), profile)
-        assert verdict.holds
-        assert "vacuous" in verdict.detail
+        holds, certificate = check_rule_property("uniform", "unanimity", profile)
+        assert holds
+        assert "vacuous" in certificate["detail"]
 
 
 def test_ex_post_checker_agrees_with_cached_sweep_verdicts(sweep_data):

@@ -18,6 +18,7 @@ from mudra.model import (
     order_count,
     permute_agents,
     permute_objects,
+    require_balanced,
     validate_assignment,
 )
 from mudra.efficiency import enumerate_discrete
@@ -59,6 +60,17 @@ class TestInstance:
             Instance(
                 agents=("1", "2"), objects=("o1", "o2", "o3"), quota=1, relaxed=True
             )
+
+    def test_relaxed_flag_on_a_balanced_shape_is_balanced(self):
+        inst = Instance(
+            agents=("1", "2"), objects=("o1", "o2", "o3", "o4"), quota=2, relaxed=True
+        )
+        require_balanced(inst, "the uniform rule")
+        unbalanced = Instance(
+            agents=("1", "2"), objects=("o1", "o2", "o3"), quota=2, relaxed=True
+        )
+        with pytest.raises(ValueError, match="balanced instances"):
+            require_balanced(unbalanced, "the uniform rule")
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate agent"):
@@ -151,7 +163,7 @@ class TestRandomAssignment:
 class TestDiscreteAssignment:
     def test_owner_bookkeeping(self):
         d = DiscreteAssignment(INST, ("1", "1", "2", "2"))
-        assert d.owner_of("o2") == "1"
+        assert d.owners[INST.object_index("o2")] == "1"
         assert d.bundle("2") == ("o3", "o4")
         assert d.bundle_sizes() == {"1": 2, "2": 2}
         assert d.is_balanced

@@ -106,19 +106,19 @@ class TestConvexMembership:
     def test_interior_point_with_exact_weights(self):
         target = [F(1, 4), F(1, 4)]
         res = convex_membership(target, self.TRIANGLE)
-        assert res.in_hull
-        assert sum(res.weights) == 1
-        assert all(w >= 0 for w in res.weights)
+        assert res.status == "feasible"
+        assert sum(res.point) == 1
+        assert all(w >= 0 for w in res.point)
         for d in range(2):
             assert (
-                sum(w * g[d] for w, g in zip(res.weights, self.TRIANGLE))
+                sum(w * g[d] for w, g in zip(res.point, self.TRIANGLE))
                 == target[d]
             )
 
     def test_outside_point_gets_separating_certificate(self):
         target = [F(1), F(1)]
         res = convex_membership(target, self.TRIANGLE)
-        assert not res.in_hull
+        assert res.status == "infeasible"
         *coords, offset = res.farkas
         # the functional f.x + offset separates the target from every generator
         for g in self.TRIANGLE:
@@ -127,12 +127,12 @@ class TestConvexMembership:
 
     def test_vertex_is_in_hull_with_unit_weight(self):
         res = convex_membership([F(1), F(0)], self.TRIANGLE)
-        assert res.in_hull
-        assert res.weights[1] == 1
+        assert res.status == "feasible"
+        assert res.point[1] == 1
 
     def test_single_generator(self):
-        assert convex_membership([F(2)], [[F(2)]]).in_hull
-        assert not convex_membership([F(3)], [[F(2)]]).in_hull
+        assert convex_membership([F(2)], [[F(2)]]).status == "feasible"
+        assert convex_membership([F(3)], [[F(2)]]).status == "infeasible"
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -152,7 +152,8 @@ def test_sweep_hull_answers_are_pinned(sweep_data):
     for record in sweep_data:
         for rule_name in RULE_NAMES:
             hull = record["rules"][rule_name]["hull"]
-            kind, entries = ("weights", hull.weights) if hull.in_hull else ("farkas", hull.farkas)
+            feasible = hull.status == "feasible"
+            kind, entries = ("weights", hull.point) if feasible else ("farkas", hull.farkas)
             digest.update(f"{kind} {' '.join(map(format_rational, entries))}\n".encode())
             answers += 1
     assert answers == 2880

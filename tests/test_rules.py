@@ -75,10 +75,8 @@ class TestGoldenOutcomes:
             (F(1, 8), F(1, 2), F(3, 4), F(5, 8)),
         )
         assert trace.breakpoints == (F(1, 2), F(3, 4), F(7, 8), F(9, 8))
-        assert trace.phases[0].eating == (
-            frozenset({"o1", "o2"}),
-            frozenset({"o2", "o3"}),
-        )
+        # Columns, best first: agent 1 eats o1 and o2, agent 2 eats o3 and o2.
+        assert trace.phases[0].eating == ((0, 1), (2, 1))
 
     def test_mps_opposed_tails_gives_all_halves(self):
         profile = make_profile([("o1", "o2", "o3", "o4"), ("o2", "o1", "o4", "o3")])
@@ -224,16 +222,17 @@ def check_trace_invariants(trace, k):
     for phase in trace.phases:
         available = {o for o in inst.objects if eaten_total[o] < 1}
         take = min(k, len(available))
+        eating = [[inst.objects[j] for j in columns] for columns in phase.eating]
         for i, order in enumerate(trace.profile.orders):
-            expected = frozenset([o for o in order if o in available][:take])
-            assert phase.eating[i] == expected
-        counts = Counter(o for s in phase.eating for o in s)
+            assert eating[i] == [o for o in order if o in available][:take]
+        duration = phase.end - phase.start
+        counts = Counter(o for s in eating for o in s)
         for o, eaters in counts.items():
-            eaten_total[o] += phase.duration * eaters
+            eaten_total[o] += duration * eaters
             assert eaten_total[o] <= 1
         for i in range(inst.num_agents):
-            for o in phase.eating[i]:
-                acc[i][o] += phase.duration
+            for o in eating[i]:
+                acc[i][o] += duration
     assert all(v == 1 for v in eaten_total.values())
     for i, agent in enumerate(inst.agents):
         assert trace.assignment.allocation(agent) == acc[i]
@@ -428,7 +427,7 @@ def named_simulate_eating(profile, size):
     while remaining:
         take = min(size, len(remaining))
         demand = tuple(
-            frozenset([o for o in order if o in remaining][:take]) for order in profile.orders
+            tuple([o for o in order if o in remaining][:take]) for order in profile.orders
         )
         eaters = Counter(o for s in demand for o in s)
         dt = min(remaining[o] / k for o, k in eaters.items())
@@ -478,7 +477,11 @@ def assert_rules_match_named_oracles(profile):
         trace = simulate_eating(profile, size)
         matrix, phases = named_simulate_eating(profile, size)
         assert trace.assignment.matrix == matrix
-        assert tuple((ph.start, ph.end, ph.eating) for ph in trace.phases) == phases
+        named = tuple(
+            (ph.start, ph.end, tuple(tuple(inst.objects[j] for j in cols) for cols in ph.eating))
+            for ph in trace.phases
+        )
+        assert named == phases
     if inst.relaxed:
         return
     for priority in itertools.permutations(inst.agents):
