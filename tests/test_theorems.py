@@ -9,17 +9,27 @@ profiles on larger shapes and assert what is proved for every profile:
   (JET 100, 2001), at quota 1: probabilistic serial (`ops`) is SD-efficient
   and SD-envy-free, and random priority (`rp`) is weak-SD-envy-free;
 - every bundled rule is neutral, and every one but fixed-priority serial
-  dictatorship is anonymous.
+  dictatorship is anonymous;
+- strategyproofness, where the 6! misreport guard admits a scan: `mps` has
+  no weak-SD manipulation (the source paper, for every quota); at quota 1
+  `ops` has none either, and `rp` has no SD manipulation and is ex-post
+  efficient (Bogomolnaia and Moulin).  `mps` is not asserted
+  DL-strategyproof: the table1 sweep refutes that.
 
-Each test has a bounded example count.  The verdicts go through the
+Each test has a bounded example count; the strategyproofness scans run on
+fixed seeded profiles, because one scan of a 3x6 profile reruns the rule on
+3 x 720 misreports.  The verdicts go through the
 property registry, so they exercise the same checkers as `mudra check` and
 `table1`.
 """
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mudra.harness import RULE_NAMES, canonical_instance, check_rule_property
+from mudra.harness import RULE_NAMES, canonical_instance, check_rule_property, enumerate_profiles
 from mudra.model import PreferenceProfile
 
 
@@ -40,6 +50,21 @@ def profiles(draw, n, m, quota):
         rest = [o for o in inst.objects if o not in bundle]
         orders.append(tuple(draw(st.permutations(bundle))) + tuple(draw(st.permutations(rest))))
     return PreferenceProfile(inst, tuple(orders))
+
+
+def seeded_profiles(n, m, quota, count, seed=2014):
+    """`count` profiles on the canonical n x m instance, orders drawn from `seed`."""
+    rng = random.Random(seed)
+    inst = canonical_instance(n, m, quota)
+    return [
+        PreferenceProfile(inst, tuple(tuple(rng.sample(inst.objects, m)) for _ in inst.agents))
+        for _ in range(count)
+    ]
+
+
+def orders_id(profile):
+    """A profile's orders as digit strings, as in "315462|634251|123465"."""
+    return "|".join("".join(o.removeprefix("o") for o in order) for order in profile.orders)
 
 
 def holds(rule, prop, profile):
@@ -74,3 +99,28 @@ def test_rules_are_neutral_and_all_but_priority_anonymous(profile):
         holds(rule, "neutrality", profile)
         if rule != "priority":
             holds(rule, "anonymity", profile)
+
+
+@pytest.mark.parametrize(
+    "profile", seeded_profiles(3, 6, 2, 2) + seeded_profiles(4, 4, 1, 10), ids=orders_id
+)
+def test_mps_has_no_weak_sd_manipulation(profile):
+    holds("mps", "weak-sd-strategyproofness", profile)
+
+
+@pytest.mark.parametrize(
+    "profile", seeded_profiles(4, 4, 1, 10) + seeded_profiles(5, 5, 1, 2), ids=orders_id
+)
+def test_ps_has_no_weak_sd_manipulation_at_quota_one(profile):
+    holds("ops", "weak-sd-strategyproofness", profile)
+
+
+@pytest.mark.parametrize(
+    "profiles",
+    [list(enumerate_profiles(canonical_instance(3, 3, 1))), seeded_profiles(4, 4, 1, 10)],
+    ids=["3x3-all", "4x4-seeded"],
+)
+def test_rp_is_sd_strategyproof_and_ex_post_efficient_at_quota_one(profiles):
+    for profile in profiles:
+        holds("rp", "sd-strategyproofness", profile)
+        holds("rp", "ex-post-efficiency", profile)
