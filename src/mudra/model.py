@@ -9,9 +9,13 @@ checkers read orders only through it, and compare matrix rows along it
 rather than name-keyed allocations.
 
 All arithmetic is exact: probabilities are `fractions.Fraction` and floats
-are rejected at construction time.  `require_feasible` is the one refusal of
-an infeasible matrix, validating each assignment once; relabelling agents and
-relabelling objects share one routine and one bijection check.
+are rejected at construction time.  A `RandomAssignment` also carries a
+cached integer view, its common `denominator` and the integer `numerators`
+of its rows, for loops that compare entries without `Fraction` arithmetic;
+`from_numerators` builds an assignment from such integers and keeps that
+view.  `require_feasible` is the one refusal of an infeasible matrix,
+validating each assignment once; relabelling agents and relabelling objects
+share one routine and one bijection check.
 """
 
 from __future__ import annotations
@@ -164,6 +168,11 @@ class Instance:
         """Exact per-agent total probability mass: m / n."""
         return Fraction(self.num_objects, self.num_agents)
 
+    @functools.cached_property
+    def columns(self) -> dict[str, int]:
+        """Each object's column index in `objects`."""
+        return {o: j for j, o in enumerate(self.objects)}
+
     def agent_index(self, agent: str) -> int:
         try:
             return self.agents.index(agent)
@@ -200,18 +209,13 @@ class PreferenceProfile:
             raise ValueError(
                 f"expected {inst.num_agents} preference orders, got {len(self.orders)}"
             )
-        objs = set(inst.objects)
         for agent, order in zip(inst.agents, self.orders):
-            if len(order) != len(objs) or set(order) != objs:
-                raise ValueError(
-                    f"preferences of agent {agent!r} are not a strict order "
-                    f"over the object set"
-                )
+            _require_strict_order(inst, agent, order)
 
     @functools.cached_property
     def ranked(self) -> tuple[tuple[int, ...], ...]:
         """Each order as column indices into `instance.objects`, best first."""
-        column = {o: j for j, o in enumerate(self.instance.objects)}.__getitem__
+        column = self.instance.columns.__getitem__
         return tuple(tuple(map(column, order)) for order in self.orders)
 
     def order_of(self, agent: str) -> tuple[str, ...]:
@@ -222,10 +226,31 @@ class PreferenceProfile:
         return self.with_orders({agent: order})
 
     def with_orders(self, reports: Mapping[str, Sequence[str]]) -> "PreferenceProfile":
-        new = list(self.orders)
-        for agent, order in reports.items():
-            new[self.instance.agent_index(agent)] = tuple(order)
-        return PreferenceProfile(self.instance, tuple(new))
+        """Profile where each agent of `reports` reports its order and everyone
+        else is unchanged.
+
+        Only the reported orders are checked and ranked: the other agents'
+        orders and `ranked` rows carry over from this profile.
+        """
+        inst = self.instance
+        reported = {inst.agent_index(agent): tuple(order) for agent, order in reports.items()}
+        orders, ranked = list(self.orders), list(self.ranked)
+        column = inst.columns.__getitem__
+        for i in sorted(reported):
+            orders[i] = reported[i]
+            _require_strict_order(inst, inst.agents[i], orders[i])
+            ranked[i] = tuple(map(column, orders[i]))
+        new = object.__new__(PreferenceProfile)
+        new.__dict__.update(instance=inst, orders=tuple(orders), ranked=tuple(ranked))
+        return new
+
+
+def _require_strict_order(instance: Instance, agent: str, order: Sequence[str]) -> None:
+    """Refuse an order of `agent` that is not a strict order of the object set."""
+    if len(order) != instance.num_objects or instance.columns.keys() != set(order):
+        raise ValueError(
+            f"preferences of agent {agent!r} are not a strict order over the object set"
+        )
 
 
 @dataclass(frozen=True)
@@ -241,18 +266,42 @@ class RandomAssignment:
             raise ValueError(
                 f"matrix has {len(self.matrix)} rows, expected {inst.num_agents}"
             )
-        checked = []
         for agent, row in zip(inst.agents, self.matrix):
             if len(row) != inst.num_objects:
                 raise ValueError(
                     f"row of agent {agent!r} has {len(row)} entries, "
                     f"expected {inst.num_objects}"
                 )
-            checked.append(
-                tuple(_check_rational(v, f"entry ({agent}, {o})")
-                      for o, v in zip(inst.objects, row))
-            )
-        object.__setattr__(self, "matrix", tuple(checked))
+        if type(self.matrix) is tuple and all(
+            type(row) is tuple and all(type(v) is Fraction for v in row) for row in self.matrix
+        ):
+            return  # already what the rebuild below would make
+        object.__setattr__(self, "matrix", tuple(
+            tuple(_check_rational(v, f"entry ({agent}, {o})") for o, v in zip(inst.objects, row))
+            for agent, row in zip(inst.agents, self.matrix)
+        ))
+
+    @classmethod
+    def from_numerators(
+        cls, instance: Instance, numerators: Sequence[Sequence[int]], denominator: int
+    ) -> "RandomAssignment":
+        """The assignment whose entries are `numerators` over `denominator`.
+
+        Its integer view comes with it, reduced to the lcm of the entries'
+        denominators; each distinct numerator becomes one `Fraction`.
+        """
+        common = math.gcd(denominator, *itertools.chain.from_iterable(numerators))
+        denominator //= common
+        rows = tuple(tuple(v // common for v in row) for row in numerators)
+        values: dict[int, Fraction] = {}
+        matrix = tuple(
+            tuple(values[v] if v in values else values.setdefault(v, Fraction(v, denominator))
+                  for v in row)
+            for row in rows
+        )
+        assignment = cls(instance, matrix)
+        assignment.__dict__.update(denominator=denominator, numerators=rows)
+        return assignment
 
     def entry(self, agent: str, obj: str) -> Fraction:
         inst = self.instance
@@ -262,6 +311,17 @@ class RandomAssignment:
         """Row of `agent` as an object -> probability mapping."""
         row = self.matrix[self.instance.agent_index(agent)]
         return dict(zip(self.instance.objects, row))
+
+    @functools.cached_property
+    def denominator(self) -> int:
+        """The matrix's common denominator: the lcm of its entries' denominators."""
+        return math.lcm(*(v.denominator for row in self.matrix for v in row))
+
+    @functools.cached_property
+    def numerators(self) -> tuple[tuple[int, ...], ...]:
+        """The matrix times `denominator`, row per agent: exact integers."""
+        d = self.denominator
+        return tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in self.matrix)
 
     @functools.cached_property
     def _feasibility(self) -> ValidationResult:

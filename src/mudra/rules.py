@@ -5,7 +5,9 @@ each object of its current demand set at speed 1, so an object consumed by k
 agents depletes at rate k.  The phase ends at the earliest exhaustion time,
 computed exactly; objects hitting zero leave the market and demand sets are
 recomputed.  Each phase exhausts at least one object, so there are at most m
-phases and all breakpoints are exact rationals.
+phases and all breakpoints are exact rationals.  The engine computes them on
+integers, as numerators over one running denominator; only the trace's
+phase bounds and the output matrix are `Fraction`s, built after the loop.
 
 The two eating rules differ only in the demand size: each agent eats its
 min(size, #remaining) most preferred available objects at once, with size 1
@@ -61,31 +63,51 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
     """Run the simultaneous eating procedure to exhaustion of all objects.
 
     Each agent eats its min(`size`, #remaining) most preferred available
-    objects at once.
+    objects at once.  The loop runs on integers: every amount left and the
+    clock are numerators over one running denominator, which each phase
+    first multiplies by the lcm of its eater counts, so that the phase's
+    length min(left / eaters) is an exact integer quotient.  The `Fraction`
+    matrix and phase bounds are built once, after the loop.
     """
     if size < 1:
         raise ValueError("demand size must be at least 1")
     inst = profile.instance
-    remaining = dict.fromkeys(range(inst.num_objects), Fraction(1))  # column -> left
-    eaten = [[Fraction(0)] * inst.num_objects for _ in inst.agents]
-    phases: list[Phase] = []
-    now = Fraction(0)
+    scale = 1  # the running denominator of `remaining` and `now`
+    remaining = dict.fromkeys(range(inst.num_objects), 1)  # column -> numerator left
+    now = 0
+    ends: list[tuple[int, int]] = []  # per phase: end time as (numerator, denominator)
+    demands: list[tuple[tuple[int, ...], ...]] = []
     while remaining:
         take = min(size, len(remaining))
-        demand = [_top(ranked, remaining, take) for ranked in profile.ranked]
+        demand = tuple(tuple(_top(ranked, remaining, take)) for ranked in profile.ranked)
         eaters = Counter(chain.from_iterable(demand))
+        step = math.lcm(*eaters.values())
+        if step > 1:
+            scale *= step
+            now *= step
+            remaining = {j: left * step for j, left in remaining.items()}
         # Earliest exhaustion among objects currently being eaten; exact, so
         # simultaneous exhaustions land on the same breakpoint and merge here.
-        dt = min(remaining[j] / k for j, k in eaters.items())
+        dt = min(remaining[j] // k for j, k in eaters.items())
         for j, k in eaters.items():
             remaining[j] -= dt * k
+        now += dt
+        ends.append((now, scale))
+        demands.append(demand)
+        remaining = {j: left for j, left in remaining.items() if left}
+    # Each agent gets the length of every phase in which it eats a column,
+    # all over the final denominator.
+    eaten = [[0] * inst.num_objects for _ in inst.agents]
+    before = 0
+    for (end, denominator), demand in zip(ends, demands):
+        end *= scale // denominator
         for row, columns in zip(eaten, demand):
             for j in columns:
-                row[j] += dt
-        phases.append(Phase(now, now + dt, tuple(map(tuple, demand))))
-        now += dt
-        remaining = {j: left for j, left in remaining.items() if left}
-    return EatingTrace(profile, tuple(phases), RandomAssignment(inst, tuple(map(tuple, eaten))))
+                row[j] += end - before
+        before = end
+    bounds = [Fraction(0)] + [Fraction(end, denominator) for end, denominator in ends]
+    phases = tuple(map(Phase, bounds, bounds[1:], demands))
+    return EatingTrace(profile, phases, RandomAssignment.from_numerators(inst, eaten, scale))
 
 
 def _top(ranked: Sequence[int], available: Container[int], take: int) -> list[int]:
@@ -184,9 +206,7 @@ def random_priority(profile: PreferenceProfile) -> RandomAssignment:
                             break
                 successors[picked | 1 << i, grabbed] += ways
         layer = successors
-    orders = math.factorial(n)
-    matrix = tuple(tuple(Fraction(v, orders) for v in row) for row in totals)
-    return RandomAssignment(inst, matrix)
+    return RandomAssignment.from_numerators(inst, totals, math.factorial(n))
 
 
 def _state_bound(n: int, m: int, quota: int) -> int:

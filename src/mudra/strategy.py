@@ -72,9 +72,12 @@ def _scan(
     """First joint misreport of `members` under which every member improves.
 
     Each member is judged on their matrix row, the outcome's against the
-    truthful one, along their `ranked` order.  Refuses unbalanced instances,
-    more than 6 objects and more than 10^6 joint misreports before the rule
-    runs.
+    truthful one, along their `ranked` order.  The rows are compared as
+    integers: the outcome's numerators times the truthful denominator
+    against the truthful numerators times the outcome's denominator, which
+    orders them exactly as the `Fraction` rows.  Refuses unbalanced
+    instances, more than 6 objects and more than 10^6 joint misreports
+    before the rule runs.
     """
     require_balanced(profile.instance, "manipulation search")
     objects = profile.instance.objects
@@ -84,13 +87,19 @@ def _scan(
     rows = tuple(map(profile.instance.agent_index, members))
     true_orders = tuple(profile.orders[i] for i in rows)
     truthful = rule(profile)
-    truths = tuple((i, truthful.matrix[i], profile.ranked[i]) for i in rows)
+    truth_scale = truthful.denominator
+    truths = tuple((i, truthful.numerators[i], profile.ranked[i]) for i in rows)
     for joint in joints:
         if joint == true_orders:
             continue
         outcome = rule(profile.with_orders(dict(zip(members, joint))))
+        scale, numerators = outcome.denominator, outcome.numerators
         for i, truth, ranked in truths:
-            if not improves(outcome.matrix[i], truth, ranked):
+            alt = numerators[i]
+            if scale != truth_scale:
+                alt = [v * truth_scale for v in alt]
+                truth = [v * scale for v in truth]
+            if not improves(alt, truth, ranked):
                 break
         else:
             return Manipulation(

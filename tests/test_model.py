@@ -115,6 +115,48 @@ class TestPreferenceProfile:
         )
         assert swapped.orders == (base.orders[1], base.orders[0])
 
+    @pytest.mark.parametrize("reports", [
+        {"2": ["o2", "o1", "o3", "o4"]},
+        {"2": ("o1", "o2", "o3", "o4"), "1": ("o4", "o3", "o2", "o1")},
+        {},
+    ])
+    def test_with_orders_equals_the_constructed_profile(self, reports):
+        base = profile(("o1", "o2", "o3", "o4"), ("o4", "o3", "o2", "o1"))
+        changed = base.with_orders(reports)
+        orders = tuple(
+            tuple(reports.get(agent, order)) for agent, order in zip(INST.agents, base.orders)
+        )
+        built = PreferenceProfile(INST, orders)
+        assert changed == built and hash(changed) == hash(built)
+        assert changed.orders == built.orders
+        assert changed.ranked == built.ranked
+        # an unreported row carries over the very tuple of the base profile
+        assert all(
+            changed.ranked[i] is base.ranked[i]
+            for i, agent in enumerate(INST.agents)
+            if agent not in reports
+        )
+
+    @pytest.mark.parametrize("bad", [
+        ("o1", "o2", "o3"),
+        ("o1", "o1", "o3", "o4"),
+        ("o1", "o2", "o3", "o4", "o5"),
+        ("o1", "o2", "o3", "x"),
+    ])
+    def test_with_orders_refuses_a_bad_report_as_the_constructor_does(self, bad):
+        base = profile(("o1", "o2", "o3", "o4"), ("o4", "o3", "o2", "o1"))
+        with pytest.raises(ValueError) as built:
+            PreferenceProfile(INST, (base.orders[0], bad))
+        with pytest.raises(ValueError) as reported:
+            base.with_orders({"2": bad})
+        assert str(reported.value) == str(built.value)
+        assert str(built.value) == (
+            "preferences of agent '2' are not a strict order over the object set"
+        )
+        # with two bad reports, the first agent's is named, as by the constructor
+        with pytest.raises(ValueError, match="agent '1'"):
+            base.with_orders({"2": bad, "1": bad})
+
 
 class TestRandomAssignment:
     def test_shape_checked_at_construction(self):
@@ -139,6 +181,44 @@ class TestRandomAssignment:
         assert out.matrix[0] == (1, 1, 0, 0)
         assert out.matrix[1][2] is half
 
+    def test_list_rows_become_tuples(self):
+        half = Fraction(1, 2)
+        out = RandomAssignment(INST, [[half, half, half, 1], [half, half, half, 0]])
+        assert type(out.matrix) is tuple
+        assert all(type(row) is tuple for row in out.matrix)
+        assert out.matrix == ((half, half, half, 1), (half, half, half, 0))
+
+    def test_a_fraction_matrix_is_kept_as_given(self):
+        matrix = ((Fraction(1, 2),) * 4, (Fraction(1, 2),) * 4)
+        assert RandomAssignment(INST, matrix).matrix is matrix
+
+    def test_integer_view_resums_to_the_matrix(self):
+        out = RandomAssignment(INST, (
+            (Fraction(1, 6), Fraction(3, 4), Fraction(1, 2), 1),
+            (Fraction(5, 6), Fraction(1, 4), Fraction(1, 2), 0),
+        ))
+        assert out.denominator == 12 == math.lcm(6, 4, 2)
+        assert out.numerators == ((2, 9, 6, 12), (10, 3, 6, 0))
+        assert tuple(
+            tuple(Fraction(v, out.denominator) for v in row) for row in out.numerators
+        ) == out.matrix
+        assert out.numerators is out.numerators
+
+    def test_from_numerators_reduces_to_the_lcm_of_the_denominators(self):
+        out = RandomAssignment.from_numerators(INST, [[2, 4, 6, 12], [10, 8, 6, 0]], 12)
+        assert out.matrix == (
+            (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), 1),
+            (Fraction(5, 6), Fraction(2, 3), Fraction(1, 2), 0),
+        )
+        assert all(type(v) is Fraction for row in out.matrix for v in row)
+        assert (out.denominator, out.numerators) == (6, ((1, 2, 3, 6), (5, 4, 3, 0)))
+        # the same view as one computed from the Fractions
+        fresh = RandomAssignment(INST, out.matrix)
+        assert (fresh.denominator, fresh.numerators) == (out.denominator, out.numerators)
+        assert out == fresh
+        zeros = RandomAssignment.from_numerators(INST, [[0] * 4] * 2, 7)
+        assert (zeros.denominator, zeros.numerators) == (1, ((0,) * 4,) * 2)
+
     def test_validate_flags_bad_column_then_row(self):
         half = Fraction(1, 2)
         ok = RandomAssignment(INST, ((half,) * 4, (half,) * 4))
@@ -158,6 +238,20 @@ class TestRandomAssignment:
             "o1": 1, "o2": 0, "o3": half, "o4": half,
         }
         assert p.entry("2", "o2") == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.fractions(min_value=0, max_value=1, max_denominator=30) | st.integers(0, 1),
+    min_size=8, max_size=8,
+))
+def test_integer_view_is_the_matrix_over_the_lcm_of_its_denominators(entries):
+    out = RandomAssignment(INST, (entries[:4], entries[4:]))
+    assert out.denominator == math.lcm(*(Fraction(v).denominator for v in entries))
+    for row, numerators in zip(out.matrix, out.numerators):
+        for value, numerator in zip(row, numerators):
+            assert type(numerator) is int
+            assert Fraction(numerator, out.denominator) == value
 
 
 class TestDiscreteAssignment:

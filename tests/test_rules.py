@@ -8,17 +8,19 @@ reproduce the engine's outcome with zero error.
 """
 
 import ast
+import contextlib
 import hashlib
 import itertools
 import math
 import random
+import signal
 from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from mudra.efficiency import perfect_assignment
@@ -512,6 +514,121 @@ def test_index_view_rules_match_named_oracles(profile):
     assert_rules_match_named_oracles(profile)
 
 
+# --------------------------------------------------------------------------
+# The integer eating engine against the Fraction loop it replaced
+# --------------------------------------------------------------------------
+
+
+def fraction_simulate_eating(profile, size):
+    """Oracle: the eating loop on column indices with every amount a Fraction."""
+    inst = profile.instance
+    remaining = dict.fromkeys(range(inst.num_objects), F(1))  # column -> left
+    eaten = [[F(0)] * inst.num_objects for _ in inst.agents]
+    phases = []
+    now = F(0)
+    while remaining:
+        take = min(size, len(remaining))
+        demand = [_top(ranked, remaining, take) for ranked in profile.ranked]
+        eaters = Counter(itertools.chain.from_iterable(demand))
+        dt = min(remaining[j] / k for j, k in eaters.items())
+        for j, k in eaters.items():
+            remaining[j] -= dt * k
+        for row, columns in zip(eaten, demand):
+            for j in columns:
+                row[j] += dt
+        phases.append((now, now + dt, tuple(map(tuple, demand))))
+        now += dt
+        remaining = {j: left for j, left in remaining.items() if left}
+    return tuple(map(tuple, eaten)), tuple(phases)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail instead of hanging: an engine whose phases stop exhausting
+    objects (a zero-length phase) would loop forever."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_engine_matches_fraction_oracle(profile):
+    for size in sorted({1, profile.instance.quota}):
+        with deadline(5):
+            trace = simulate_eating(profile, size)
+        matrix, phases = fraction_simulate_eating(profile, size)
+        assert trace.assignment.matrix == matrix
+        assert tuple((ph.start, ph.end, ph.eating) for ph in trace.phases) == phases
+        assert all(type(t) is F for ph in trace.phases for t in (ph.start, ph.end))
+
+
+@pytest.mark.parametrize("n, m, quota", [(2, 4, 2), (3, 3, 1)])
+def test_integer_engine_matches_fraction_loop_exhaustively(n, m, quota):
+    for profile in enumerate_profiles(canonical_instance(n, m, quota)):
+        assert_engine_matches_fraction_oracle(profile)
+
+
+#: (agents, objects, quota, relaxed): the balanced shapes, then one relaxed
+#: instance of 7 objects for 3 agents.
+ENGINE_SHAPES = [(3, 6, 2, False), (4, 8, 2, False)] + [
+    (n, n, 1, False) for n in range(4, 9)
+] + [(3, 7, 3, True)]
+
+
+@st.composite
+def engine_profiles(draw):
+    n, m, quota, relaxed = draw(st.sampled_from(ENGINE_SHAPES))
+    inst = Instance(
+        tuple(str(i) for i in range(1, n + 1)),
+        tuple(f"o{j}" for j in range(1, m + 1)),
+        quota,
+        relaxed,
+    )
+    orders = tuple(tuple(draw(st.permutations(inst.objects))) for _ in inst.agents)
+    return PreferenceProfile(inst, orders)
+
+
+# No shrinking: an engine that hangs would spend the whole deadline on every
+# shrink step.  The exhaustive test above gives small failing profiles.
+@settings(max_examples=80, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(engine_profiles())
+def test_integer_engine_matches_fraction_loop(profile):
+    assert_engine_matches_fraction_oracle(profile)
+
+
+def widest_phase_length(trace):
+    """The most significant bits of any phase length, as the engine holds it:
+    an integer over the running denominator, which each phase multiplies by
+    the lcm of its eater counts."""
+    widest, scale = 0, 1
+    for ph in trace.phases:
+        scale *= math.lcm(*Counter(itertools.chain.from_iterable(ph.eating)).values())
+        length = (ph.end - ph.start) * scale
+        assert length.denominator == 1
+        odd = length.numerator >> (length.numerator & -length.numerator).bit_length() - 1
+        widest = max(widest, odd.bit_length())
+    return widest
+
+
+def test_integer_engine_stays_exact_past_float_precision():
+    """On 30x30 the phase lengths outgrow a float's 53-bit mantissa, where a
+    quotient taken through float division would be rounded."""
+    inst = canonical_instance(30, 30, 1)
+    rng = random.Random(2014)
+    for _ in range(3):
+        orders = tuple(tuple(rng.sample(inst.objects, 30)) for _ in inst.agents)
+        profile = PreferenceProfile(inst, orders)
+        assert_engine_matches_fraction_oracle(profile)
+        assert widest_phase_length(ops_trace(profile)) > 53
+
+
 def test_perfect_assignment_with_an_empty_agent_id():
     # "" is a valid agent id, so the owner list marks a free column with None.
     inst = Instance(("", "b"), ("x", "y", "z", "w"), 2)
@@ -599,3 +716,33 @@ def test_ranked_view_is_built_on_first_use_and_cached():
     assert profile.ranked == ((1, 0, 2, 3), (3, 2, 1, 0))
     assert profile.ranked is profile.ranked
     assert profile == make_profile([("o2", "o1", "o3", "o4"), ("o4", "o3", "o2", "o1")])
+
+
+def fraction_names_in_loops(source, function):
+    """Lines of `function`'s `while` loops that name `Fraction`."""
+    tree = ast.parse(source)
+    (body,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function]
+    return [
+        node.lineno
+        for loop in ast.walk(body)
+        if isinstance(loop, ast.While)
+        for node in ast.walk(loop)
+        if (isinstance(node, ast.Name) and node.id == "Fraction")
+        or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+    ]
+
+
+def test_eating_loop_names_no_fraction():
+    """The engine loop runs on integers; Fractions are built after it."""
+    assert fraction_names_in_loops(RULES_SOURCE.read_text(), "simulate_eating") == []
+
+
+def test_the_fraction_check_sees_a_name():
+    source = (
+        "def simulate_eating(p):\n"
+        "    x = Fraction(0)\n"
+        "    while p:\n"
+        "        p = Fraction(p)\n"
+        "        q = fractions.Fraction(1, 2)\n"
+    )
+    assert fraction_names_in_loops(source, "simulate_eating") == [4, 5]

@@ -4,11 +4,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mudra.efficiency import sd_dominates
 from mudra.harness import RULE_NAMES, OutputCache, check_rule_property
-from mudra.model import GuardExceeded, Instance, PreferenceProfile
-from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
+from mudra.model import GuardExceeded, Instance, PreferenceProfile, RandomAssignment
+from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare, sd_weakly_dominates
 from mudra.rules import mps, ops, priority_rule, random_priority, uniform
 from mudra.strategy import (
     ManipulationKind,
@@ -413,3 +415,45 @@ def test_sd_dominates_matches_name_keyed_oracle(cache):
             assert sd_dominates(q, p, profile) == expected
             dominated += expected
     assert dominated == EXPECTED_SD_DOMINATED_PAIRS
+
+
+# --------------------------------------------------------------------------
+# Integer row comparisons against Fraction ones
+# --------------------------------------------------------------------------
+
+ONE_AGENT = make_profile([("a", "b", "c")], quota=3)
+amounts = st.fractions(min_value=0, max_value=1, max_denominator=12)
+
+
+@st.composite
+def row_pairs(draw):
+    """A truthful row and an outcome row, often one small transfer apart so
+    that dominance and equality are drawn as well as incomparability."""
+    truth = [draw(amounts) for _ in range(3)]
+    if draw(st.booleans()):
+        return truth, [draw(amounts) for _ in range(3)]
+    alt = list(truth)
+    giver, taker = draw(st.permutations(range(3)))[:2]
+    moved = draw(amounts) * draw(st.sampled_from([0, 1, F(1, 7), F(5, 11)]))
+    alt[giver] -= moved
+    alt[taker] += moved
+    return truth, alt
+
+
+@settings(max_examples=120, deadline=None)
+@given(row_pairs())
+def test_scan_verdicts_equal_fraction_comparisons(rows):
+    """The scan compares numerators cross-multiplied by the other row's
+    common denominator; its verdicts equal `sd_compare` and `dl_compare`
+    on the Fraction rows, whatever the two denominators."""
+    truth, alt = (RandomAssignment(ONE_AGENT.instance, (tuple(row),)) for row in rows)
+    rule = lambda p: truth if p == ONE_AGENT else alt  # noqa: E731
+    order = ONE_AGENT.orders[0]
+    a, t = alt.allocation("1"), truth.allocation("1")
+    expected = {
+        find_weak_sd_manipulation: sd_compare(a, t, order) is SdVerdict.FIRST_STRICTLY_DOMINATES,
+        find_dl_manipulation: dl_compare(a, t, order) is DlVerdict.FIRST,
+        find_sd_manipulation: not sd_weakly_dominates(t, a, order),
+    }
+    for finder, found in expected.items():
+        assert (finder(rule, ONE_AGENT, "1") is not None) == found, finder.__name__
