@@ -293,13 +293,8 @@ class RandomAssignment:
         common = math.gcd(denominator, *itertools.chain.from_iterable(numerators))
         denominator //= common
         rows = tuple(tuple(v // common for v in row) for row in numerators)
-        values: dict[int, Fraction] = {}
-        matrix = tuple(
-            tuple(values[v] if v in values else values.setdefault(v, Fraction(v, denominator))
-                  for v in row)
-            for row in rows
-        )
-        assignment = cls(instance, matrix)
+        values = {v: Fraction(v, denominator) for v in set(itertools.chain.from_iterable(rows))}
+        assignment = cls(instance, tuple(tuple(map(values.__getitem__, row)) for row in rows))
         assignment.__dict__.update(denominator=denominator, numerators=rows)
         return assignment
 
