@@ -18,9 +18,8 @@ profiles on larger shapes and assert what is proved for every profile:
 
 Each test has a bounded example count; the strategyproofness scans run on
 fixed seeded profiles, because one scan of a 3x6 profile reruns the rule on
-3 x 720 misreports.  The verdicts go through the
-property registry, so they exercise the same checkers as `mudra check` and
-`table1`.
+3 x 720 misreports.  The verdicts go through the property registry, so they
+exercise the same checkers as `mudra check` and `table1`.
 """
 
 import random
