@@ -10,7 +10,10 @@ an assignment that SD-dominates the input.  The test holds for any fixed row
 sums, so it also screens unbalanced discrete candidates.  Ex-post efficiency
 enumerates discrete assignments, keeps the SD-efficient ones and asks, by an
 exact feasibility simplex, whether the input is a convex combination of the
-survivors.
+survivors.  SD-dominance, the trade and the lottery decomposition compute on
+integer `numerators` over each assignment's `denominator` (SD-dominance
+scales each matrix's by the other's); `Fraction`s are built only for the
+dominator's entries and the lottery weights.
 """
 
 from __future__ import annotations
@@ -67,14 +70,14 @@ def sd_dominates(q: RandomAssignment, p: RandomAssignment, profile: PreferencePr
     """True when every agent weakly prefers q to p and someone strictly does."""
     require_shared_instance(q, profile)
     require_shared_instance(p, profile)
-    return (
-        all(map(sd_weakly_dominates, q.matrix, p.matrix, profile.ranked))
-        and q.matrix != p.matrix
-    )
+    q_scale, p_scale = q.denominator, p.denominator
+    q_rows = [[v * p_scale for v in row] for row in q.numerators]
+    p_rows = [[v * q_scale for v in row] for row in p.numerators]
+    return all(map(sd_weakly_dominates, q_rows, p_rows, profile.ranked)) and q_rows != p_rows
 
 
 def _trade_cycle(
-    grid: Sequence[Sequence[Fraction]], profile: PreferenceProfile
+    grid: Sequence[Sequence[Fraction | int]], profile: PreferenceProfile
 ) -> list[tuple[int, int, int]] | None:
     """A cycle of the trade graph of `grid`, or None when it has none.
 
@@ -131,12 +134,13 @@ def _trade_along(p: RandomAssignment, cycle: list[tuple[int, int, int]]) -> Rand
     the largest step that keeps every entry in [0, 1], and each trader
     moves mass up its own order, so the result SD-dominates `p`.
     """
-    work = [list(row) for row in p.matrix]
-    eps = min(min(work[i][b], 1 - work[i][a]) for i, a, b in cycle)
+    d = p.denominator
+    work = [list(row) for row in p.numerators]
+    eps = min(min(work[i][b], d - work[i][a]) for i, a, b in cycle)
     for i, a, b in cycle:
         work[i][a] += eps
         work[i][b] -= eps
-    return RandomAssignment(p.instance, tuple(tuple(row) for row in work))
+    return RandomAssignment.from_numerators(p.instance, work, d)
 
 
 def is_sd_efficient(p: RandomAssignment, profile: PreferenceProfile) -> EfficiencyVerdict:
@@ -247,25 +251,25 @@ def decompose_lottery(
     require_balanced(inst, "lottery decomposition")
     require_feasible(p)
     n, m, quota = inst.num_agents, inst.num_objects, inst.quota
-    work = [list(row) for row in p.matrix]
+    d = p.denominator
+    work = [list(row) for row in p.numerators]
     terms: list[tuple[Fraction, DiscreteAssignment]] = []
-    total = Fraction(0)
-    while total < 1:
+    total = 0
+    while total < d:
         owner = _balanced_support_assignment(work, n, m, quota)
         weight = min(work[owner[j]][j] for j in range(m))
         assert weight > 0
         for j in range(m):
             work[owner[j]][j] -= weight
         total += weight
-        terms.append(
-            (weight, DiscreteAssignment(inst, tuple(inst.agents[owner[j]] for j in range(m))))
-        )
+        owners = tuple(inst.agents[owner[j]] for j in range(m))
+        terms.append((Fraction(weight, d), DiscreteAssignment(inst, owners)))
     assert all(v == 0 for row in work for v in row)
     return tuple(terms)
 
 
 def _balanced_support_assignment(
-    work: Sequence[Sequence[Fraction]], n: int, m: int, quota: int
+    work: Sequence[Sequence[int]], n: int, m: int, quota: int
 ) -> list[int]:
     """Match every object to an agent with positive entry, quota per agent.
 

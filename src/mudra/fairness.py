@@ -1,6 +1,8 @@
 """Fairness and symmetry checks: envy-freeness in the stochastic dominance
 sense, anonymity and neutrality as equivariance of a rule under relabelings.
 Each pair of notions is decided by one routine: `_first_envy`, `equivariance`.
+The envy scan sums integer `numerators` rows: every row of one matrix shares
+its `denominator`, so their prefix sums order exactly as the `Fraction` ones.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ def _first_envy(p: RandomAssignment, profile: PreferenceProfile, weak: bool) -> 
     """
     inst = profile.instance
     require_shared_instance(p, profile)
-    for agent, ranked, own in zip(inst.agents, profile.ranked, p.matrix):
+    for agent, ranked, own in zip(inst.agents, profile.ranked, p.numerators):
         own_sums = tuple(itertools.accumulate(own[j] for j in ranked))
-        for other, theirs in zip(inst.agents, p.matrix):
+        for other, theirs in zip(inst.agents, p.numerators):
             if other == agent:
                 continue
             its = 0

@@ -278,12 +278,8 @@ def _no_manipulation(kind, profile, output, rule) -> tuple[bool, dict | None]:
         "agent": agent,
         "misreport": list(found.misreport_of(agent)),
         "kind": found.kind.value,
-        "truthful-row": {
-            o: format_rational(v) for o, v in found.truthful.allocation(agent).items()
-        },
-        "manipulated-row": {
-            o: format_rational(v) for o, v in found.manipulated.allocation(agent).items()
-        },
+        "truthful-row": _matrix_data(found.truthful)[agent],
+        "manipulated-row": _matrix_data(found.manipulated)[agent],
     }
 
 

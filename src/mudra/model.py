@@ -11,9 +11,10 @@ rather than name-keyed allocations.
 All arithmetic is exact: probabilities are `fractions.Fraction` and floats
 are rejected at construction time.  A `RandomAssignment` also carries a
 cached integer view, its common `denominator` and the integer `numerators`
-of its rows, for loops that compare entries without `Fraction` arithmetic;
+of its rows: `validate_assignment` and the checkers compute on it, and
 `from_numerators` builds an assignment from such integers and keeps that
-view.  `require_feasible` is the one refusal of an infeasible matrix,
+view.  A discrete assignment's `grid` is a 0/1 integer matrix.
+`require_feasible` is the one refusal of an infeasible matrix,
 validating each assignment once; relabelling agents and relabelling objects
 share one routine and one bijection check.
 """
@@ -23,13 +24,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
-
-#: The single numeric type used everywhere.  Always in lowest terms with a
-#: positive denominator, which `fractions.Fraction` guarantees.
-Rational = Fraction
 
 
 class GuardExceeded(Exception):
@@ -121,13 +118,13 @@ class Instance:
     instance m = n * quota.  An unbalanced instance (m not a multiple of n)
     must be flagged `relaxed` and requires quota = ceil(m / n); only the
     eating rules accept it.  The flag admits that shape and changes nothing
-    else: a relaxed instance with m = n * quota is balanced.
+    else, equality included: a relaxed instance with m = n * quota is balanced.
     """
 
     agents: tuple[str, ...]
     objects: tuple[str, ...]
     quota: int
-    relaxed: bool = False
+    relaxed: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.agents:
@@ -162,11 +159,6 @@ class Instance:
     @property
     def num_objects(self) -> int:
         return len(self.objects)
-
-    @property
-    def row_target(self) -> Fraction:
-        """Exact per-agent total probability mass: m / n."""
-        return Fraction(self.num_objects, self.num_agents)
 
     @functools.cached_property
     def columns(self) -> dict[str, int]:
@@ -355,11 +347,10 @@ class DiscreteAssignment:
     def is_balanced(self) -> bool:
         return all(s == self.instance.quota for s in self.bundle_sizes().values())
 
-    def grid(self) -> tuple[tuple[Fraction, ...], ...]:
-        """0/1 matrix of this assignment (rows may be unbalanced)."""
+    def grid(self) -> tuple[tuple[int, ...], ...]:
+        """0/1 integer matrix of this assignment (rows may be unbalanced)."""
         return tuple(
-            tuple(Fraction(1) if owner == agent else Fraction(0)
-                  for owner in self.owners)
+            tuple(int(owner == agent) for owner in self.owners)
             for agent in self.instance.agents
         )
 
@@ -378,28 +369,31 @@ class ValidationResult:
 def validate_assignment(assignment: RandomAssignment) -> ValidationResult:
     """Check entry bounds, unit column sums and per-agent row sums.
 
+    On the integer view over D = `denominator`: numerators in [0, D], column
+    sums D, and row sums t with t * n == D * m (D * m / n need not be whole).
     Constraint violations are reported in scan order: entries row-major
     first, then columns, then rows.
     """
     inst = assignment.instance
-    for agent, row in zip(inst.agents, assignment.matrix):
+    d, rows = assignment.denominator, assignment.numerators
+    for agent, row in zip(inst.agents, rows):
         for obj, v in zip(inst.objects, row):
-            if v < 0 or v > 1:
+            if v < 0 or v > d:
                 return ValidationResult(
-                    False, f"entry ({agent}, {obj}) = {v} outside [0, 1]"
+                    False, f"entry ({agent}, {obj}) = {Fraction(v, d)} outside [0, 1]"
                 )
-    for j, obj in enumerate(inst.objects):
-        total = sum(row[j] for row in assignment.matrix)
-        if total != 1:
+    for obj, column in zip(inst.objects, zip(*rows)):
+        total = sum(column)
+        if total != d:
             return ValidationResult(
-                False, f"column {obj} sums to {total}, expected 1"
+                False, f"column {obj} sums to {Fraction(total, d)}, expected 1"
             )
-    target = inst.row_target
-    for agent, row in zip(inst.agents, assignment.matrix):
+    n, m = inst.num_agents, inst.num_objects
+    for agent, row in zip(inst.agents, rows):
         total = sum(row)
-        if total != target:
+        if total * n != d * m:
             return ValidationResult(
-                False, f"row {agent} sums to {total}, expected {target}"
+                False, f"row {agent} sums to {Fraction(total, d)}, expected {Fraction(m, n)}"
             )
     return ValidationResult(True)
 
@@ -412,7 +406,7 @@ def discrete_to_random(assignment: DiscreteAssignment) -> RandomAssignment:
             f"assignment is unbalanced (bundle sizes {sizes}); only balanced "
             f"assignments embed as random assignments"
         )
-    return RandomAssignment(assignment.instance, assignment.grid())
+    return RandomAssignment.from_numerators(assignment.instance, assignment.grid(), 1)
 
 
 def require_shared_instance(assignment: RandomAssignment, profile: PreferenceProfile) -> None:

@@ -1,13 +1,14 @@
 """Stochastic dominance and downward lexicographic comparison of allocations.
 
-An allocation vector gives each object a rational amount, and every function
-here reads it as `amounts[key]` at the keys a strict preference order lists,
-most preferred first: object names for a name-keyed mapping, or column
-indices (`PreferenceProfile.ranked`) for a matrix row.  The prefix sums
-(cumulative amounts over ever-larger upper contour sets) fully determine
-both comparisons: stochastic dominance compares prefix sums pointwise, the
-downward lexicographic order compares amounts key by key from the most
-preferred down.
+An allocation vector gives each object an amount, a `Fraction` or an int (a
+numerator over a denominator that both compared vectors share), and every
+function here reads it as `amounts[key]` at the keys a strict preference
+order lists, most preferred first: object names for a name-keyed mapping, or
+column indices (`PreferenceProfile.ranked`) for a matrix row.  The prefix
+sums (cumulative amounts over ever-larger upper contour sets) fully
+determine both comparisons: stochastic dominance compares prefix sums
+pointwise, the downward lexicographic order compares amounts key by key
+from the most preferred down.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 #: Amounts read at the keys of an order: an object -> amount mapping under an
-#: order of object names, or a matrix row under an order of column indices.
-AllocationVector = Union[Mapping[str, Fraction], Sequence[Fraction]]
+#: order of object names, or a matrix row under an order of column indices;
+#: amounts are Fractions, or numerators over one shared denominator.
+AllocationVector = Union[Mapping[str, Fraction | int], Sequence[Fraction | int]]
 #: A strict order of the keys of an allocation vector, most preferred first.
 Order = Union[Sequence[str], Sequence[int]]
 
@@ -37,7 +39,7 @@ class DlVerdict(enum.Enum):
     EQUAL = "equal"
 
 
-def prefix_sums(amounts: AllocationVector, order: Order) -> tuple[Fraction, ...]:
+def prefix_sums(amounts: AllocationVector, order: Order) -> tuple[Fraction | int, ...]:
     """Cumulative amounts along `order`, one entry per prefix."""
     return tuple(itertools.accumulate(amounts[key] for key in order))
 

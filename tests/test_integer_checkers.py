@@ -1,0 +1,229 @@
+"""The checkers on the integer view against the Fraction bodies they replaced.
+
+Feasibility, both envy notions, SD-dominance, the trade-cycle dominator and
+the lottery decomposition compute on each assignment's integer `numerators`
+over its `denominator`.  The oracles below are the same routines with every
+amount a `Fraction`; on matrices with mixed denominators, feasible or not,
+both must give equal verdicts, refusal texts and certificates.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mudra.efficiency import (
+    _balanced_support_assignment,
+    _trade_along,
+    _trade_cycle,
+    decompose_lottery,
+    enumerate_discrete,
+    is_sd_efficient,
+    sd_dominates,
+)
+from mudra.fairness import EnvyCertificate, FairnessVerdict, is_sd_envy_free, is_weak_sd_envy_free
+from mudra.harness import canonical_instance
+from mudra.model import (
+    DiscreteAssignment,
+    PreferenceProfile,
+    RandomAssignment,
+    ValidationResult,
+    validate_assignment,
+)
+from mudra.order import sd_weakly_dominates
+
+F = Fraction
+
+
+# --------------------------------------------------------------------------
+# Oracles: the Fraction bodies
+# --------------------------------------------------------------------------
+
+
+def fraction_validate_assignment(assignment):
+    inst = assignment.instance
+    for agent, row in zip(inst.agents, assignment.matrix):
+        for obj, v in zip(inst.objects, row):
+            if v < 0 or v > 1:
+                return ValidationResult(False, f"entry ({agent}, {obj}) = {v} outside [0, 1]")
+    for j, obj in enumerate(inst.objects):
+        total = sum(row[j] for row in assignment.matrix)
+        if total != 1:
+            return ValidationResult(False, f"column {obj} sums to {total}, expected 1")
+    target = Fraction(inst.num_objects, inst.num_agents)
+    for agent, row in zip(inst.agents, assignment.matrix):
+        total = sum(row)
+        if total != target:
+            return ValidationResult(False, f"row {agent} sums to {total}, expected {target}")
+    return ValidationResult(True)
+
+
+def fraction_first_envy(p, profile, weak):
+    inst = profile.instance
+    for agent, ranked, own in zip(inst.agents, profile.ranked, p.matrix):
+        own_sums = tuple(itertools.accumulate(own[j] for j in ranked))
+        for other, theirs in zip(inst.agents, p.matrix):
+            if other == agent:
+                continue
+            its = 0
+            envied_at = None
+            for j, mine in zip(ranked, own_sums):
+                its += theirs[j]
+                if mine < its and envied_at is None:
+                    envied_at = j
+                    if not weak:
+                        break
+                elif weak and mine > its:
+                    envied_at = None
+                    break
+            if envied_at is not None:
+                certificate = EnvyCertificate(agent, other, inst.objects[envied_at])
+                return FairnessVerdict(False, certificate)
+    return FairnessVerdict(True)
+
+
+def fraction_sd_dominates(q, p, profile):
+    return (
+        all(map(sd_weakly_dominates, q.matrix, p.matrix, profile.ranked))
+        and q.matrix != p.matrix
+    )
+
+
+def fraction_trade_along(p, cycle):
+    work = [list(row) for row in p.matrix]
+    eps = min(min(work[i][b], 1 - work[i][a]) for i, a, b in cycle)
+    for i, a, b in cycle:
+        work[i][a] += eps
+        work[i][b] -= eps
+    return RandomAssignment(p.instance, tuple(tuple(row) for row in work))
+
+
+def fraction_decompose_lottery(p):
+    inst = p.instance
+    n, m, quota = inst.num_agents, inst.num_objects, inst.quota
+    work = [list(row) for row in p.matrix]
+    terms = []
+    total = Fraction(0)
+    while total < 1:
+        owner = _balanced_support_assignment(work, n, m, quota)
+        weight = min(work[owner[j]][j] for j in range(m))
+        for j in range(m):
+            work[owner[j]][j] -= weight
+        total += weight
+        terms.append(
+            (weight, DiscreteAssignment(inst, tuple(inst.agents[owner[j]] for j in range(m))))
+        )
+    return tuple(terms)
+
+
+# --------------------------------------------------------------------------
+# Matrices with mixed denominators, feasible and not
+# --------------------------------------------------------------------------
+
+#: Balanced shapes; the relaxed 2x3 instance comes last.
+SHAPES = [(2, 4, 2), (3, 3, 1), (2, 6, 3), (3, 6, 2), (2, 3, 2)]
+INSTANCES = {shape: canonical_instance(*shape) for shape in SHAPES}
+DISCRETE = {
+    shape: list(enumerate_discrete(inst)) for shape, inst in INSTANCES.items() if not inst.relaxed
+}
+
+amounts = st.fractions(min_value=-1, max_value=2, max_denominator=12)
+weights = st.fractions(min_value=F(1, 12), max_value=3, max_denominator=12)
+
+
+@st.composite
+def feasible_matrices(draw, shape):
+    """A lottery over balanced discrete assignments with drawn weights; on
+    the relaxed 2x3 instance, rows summing to 3/2 and columns to 1."""
+    if shape not in DISCRETE:
+        a = draw(st.fractions(min_value=0, max_value=1, max_denominator=6))
+        low, high = max(F(0), F(1, 2) - a), min(F(1), F(3, 2) - a)
+        b = draw(st.fractions(min_value=low, max_value=high, max_denominator=12))
+        row = [a, b, F(3, 2) - a - b]
+        return [row, [1 - v for v in row]]
+    terms = draw(st.lists(st.sampled_from(DISCRETE[shape]), min_size=1, max_size=4))
+    raw = [draw(weights) for _ in terms]
+    total = sum(raw)
+    n, m = shape[0], shape[1]
+    rows = [[F(0)] * m for _ in range(n)]
+    for w, d in zip(raw, terms):
+        for i, row in enumerate(d.grid()):
+            for j, v in enumerate(row):
+                rows[i][j] += w / total * v
+    return rows
+
+
+@st.composite
+def matrices(draw, shape):
+    """A feasible matrix, often broken: a negative entry, an entry above 1,
+    a bad column sum, a bad row sum with every column intact, or noise."""
+    rows = draw(feasible_matrices(shape))
+    n, m = len(rows), len(rows[0])
+    i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    j = draw(st.integers(0, m - 1))
+    x = draw(st.fractions(min_value=F(1, 12), max_value=1, max_denominator=12))
+    fault = draw(st.sampled_from(["none", "none", "negative", "above", "column", "row", "noise"]))
+    if fault == "negative":
+        rows[i][j] = -x
+    elif fault == "above":
+        rows[i][j] = 1 + x
+    elif fault == "column":
+        rows[i][j] += x
+    elif fault == "row" and i != k:
+        rows[i][j] += x
+        rows[k][j] -= x
+    elif fault == "noise":
+        for row in rows:
+            for t in range(m):
+                if draw(st.booleans()):
+                    row[t] = draw(amounts)
+    return RandomAssignment(INSTANCES[shape], tuple(map(tuple, rows)))
+
+
+@st.composite
+def cases(draw):
+    """A shape, a profile on it and two matrices drawn independently."""
+    shape = draw(st.sampled_from(SHAPES))
+    inst = INSTANCES[shape]
+    orders = tuple(tuple(draw(st.permutations(inst.objects))) for _ in inst.agents)
+    return PreferenceProfile(inst, orders), draw(matrices(shape)), draw(matrices(shape))
+
+
+def dominance_pairs(p, q, dominators):
+    """The drawn pair both ways, a matrix against itself, and each matrix
+    against its dominator both ways."""
+    pairs = [(p, q), (q, p), (p, p)]
+    for x, dominator in dominators.items():
+        pairs += [(dominator, x), (x, dominator)]
+    return pairs
+
+
+@settings(max_examples=250, deadline=None)
+@given(cases())
+def test_checkers_match_the_fraction_oracles(case):
+    profile, p, q = case
+    balanced = not profile.instance.relaxed
+    dominators = {}
+    for x in (p, q):
+        feasible = validate_assignment(x)
+        assert feasible == fraction_validate_assignment(x)
+        if not balanced:
+            continue
+        assert is_sd_envy_free(x, profile) == fraction_first_envy(x, profile, weak=False)
+        assert is_weak_sd_envy_free(x, profile) == fraction_first_envy(x, profile, weak=True)
+        if not feasible:
+            continue
+        terms = decompose_lottery(x)
+        assert terms == fraction_decompose_lottery(x)
+        assert all(type(w) is F for w, _ in terms)
+        cycle = _trade_cycle(x.matrix, profile)
+        verdict = is_sd_efficient(x, profile)
+        assert verdict.holds == (cycle is None)
+        if cycle is not None:
+            expected = fraction_trade_along(x, cycle).matrix
+            assert verdict.dominator.matrix == _trade_along(x, cycle).matrix == expected
+            assert all(type(v) is F for row in verdict.dominator.matrix for v in row)
+            dominators[x] = verdict.dominator
+    for a, b in dominance_pairs(p, q, dominators):
+        assert sd_dominates(a, b, profile) == fraction_sd_dominates(a, b, profile)

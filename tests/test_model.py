@@ -22,7 +22,8 @@ from mudra.model import (
     validate_assignment,
 )
 from mudra.efficiency import enumerate_discrete
-from mudra.harness import RULES, canonical_instance, enumerate_profiles
+from mudra.fairness import is_sd_envy_free
+from mudra.harness import RULES, OutputCache, canonical_instance, enumerate_profiles
 
 INST = Instance(agents=("1", "2"), objects=("o1", "o2", "o3", "o4"), quota=2)
 
@@ -55,7 +56,10 @@ class TestInstance:
         inst = Instance(
             agents=("1", "2"), objects=("o1", "o2", "o3"), quota=2, relaxed=True
         )
-        assert inst.row_target == Fraction(3, 2)
+        half = Fraction(1, 2)
+        assert validate_assignment(RandomAssignment(inst, ((1, half, 0), (0, half, 1))))
+        skewed = validate_assignment(RandomAssignment(inst, ((1, 1, 0), (0, 0, 1))))
+        assert skewed.reason == "row 1 sums to 2, expected 3/2"
         with pytest.raises(ValueError, match="ceil"):
             Instance(
                 agents=("1", "2"), objects=("o1", "o2", "o3"), quota=1, relaxed=True
@@ -71,6 +75,17 @@ class TestInstance:
         )
         with pytest.raises(ValueError, match="balanced instances"):
             require_balanced(unbalanced, "the uniform rule")
+
+    def test_relaxed_flag_is_not_part_of_equality(self):
+        objects = ("o1", "o2", "o3", "o4")
+        flagged = Instance(agents=("1", "2"), objects=objects, quota=2, relaxed=True)
+        assert flagged == INST and hash(flagged) == hash(INST)
+        orders = (objects, objects[::-1])
+        q = PreferenceProfile(flagged, orders)
+        assert q == profile(*orders) and hash(q) == hash(profile(*orders))
+        assert is_sd_envy_free(RULES["mps"](q), profile(*orders))
+        cache = OutputCache()
+        assert cache.output("mps", q) is cache.output("mps", profile(*orders))
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate agent"):

@@ -718,10 +718,16 @@ def test_ranked_view_is_built_on_first_use_and_cached():
     assert profile == make_profile([("o2", "o1", "o3", "o4"), ("o4", "o3", "o2", "o1")])
 
 
-def fraction_names_in_loops(source, function):
-    """Lines of `function`'s `while` loops that name `Fraction`."""
+def function_node(source, function):
+    """The one definition of `function` in `source`."""
     tree = ast.parse(source)
     (body,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == function]
+    return body
+
+
+def fraction_names_in_loops(source, function):
+    """Lines of `function`'s `while` loops that name `Fraction`."""
+    body = function_node(source, function)
     return [
         node.lineno
         for loop in ast.walk(body)
@@ -746,3 +752,38 @@ def test_the_fraction_check_sees_a_name():
         "        q = fractions.Fraction(1, 2)\n"
     )
     assert fraction_names_in_loops(source, "simulate_eating") == [4, 5]
+
+
+#: The checkers that compute on `numerators` over `denominator`, by module.
+INTEGER_ROUTINES = [
+    ("model", "validate_assignment"),
+    ("fairness", "_first_envy"),
+    ("efficiency", "sd_dominates"),
+    ("efficiency", "_trade_along"),
+    ("efficiency", "decompose_lottery"),
+]
+
+
+def matrix_reads(source, function):
+    """Lines of `function` that read the `matrix` attribute of anything."""
+    return [
+        node.lineno
+        for node in ast.walk(function_node(source, function))
+        if isinstance(node, ast.Attribute) and node.attr == "matrix"
+    ]
+
+
+@pytest.mark.parametrize("module, function", INTEGER_ROUTINES)
+def test_integer_checkers_never_read_the_fraction_matrix(module, function):
+    assert matrix_reads((SOURCES / f"{module}.py").read_text(), function) == []
+
+
+def test_the_matrix_check_sees_a_read():
+    source = (
+        "def g(p):\n"
+        "    return p.matrix\n"
+        "def f(p, q):\n"
+        "    d = p.denominator\n"
+        "    return p.matrix[0], q.numerators, [row for row in q.matrix]\n"
+    )
+    assert matrix_reads(source, "f") == [5, 5]
