@@ -105,13 +105,19 @@ def equivariance(
 
     `relabel` is `permute_agents` or `permute_objects`; `truthful`, when
     given, is rule(profile), so a scan of many relabellings runs it once.
+    The two sides are compared on their reduced integer views, which are
+    equal exactly when the matrices are; a `Fraction` matrix is read only
+    to name the first mismatching cell.
     """
-    left = rule(relabel(profile, mapping)).matrix
-    right = relabel(truthful or rule(profile), mapping).matrix
+    left = rule(relabel(profile, mapping))
+    right = relabel(truthful or rule(profile), mapping)
+    permutation = tuple(sorted(mapping.items()))
+    if left.denominator == right.denominator and left.numerators == right.numerators:
+        return EquivarianceVerdict(True, permutation)
     cells = itertools.product(profile.instance.agents, profile.instance.objects)
-    values = zip(cells, itertools.chain(*left), itertools.chain(*right))
-    mismatch = next((cell for cell, a, b in values if a != b), None)
-    return EquivarianceVerdict(mismatch is None, tuple(sorted(mapping.items())), mismatch)
+    values = zip(cells, itertools.chain(*left.matrix), itertools.chain(*right.matrix))
+    mismatch = next(cell for cell, a, b in values if a != b)
+    return EquivarianceVerdict(False, permutation, mismatch)
 
 
 def check_anonymity(

@@ -12,11 +12,14 @@ All arithmetic is exact: probabilities are `fractions.Fraction` and floats
 are rejected at construction time.  A `RandomAssignment` also carries a
 cached integer view, its common `denominator` and the integer `numerators`
 of its rows: `validate_assignment` and the checkers compute on it, and
-`from_numerators` builds an assignment from such integers and keeps that
-view.  A discrete assignment's `grid` is a 0/1 integer matrix.
+`from_numerators` builds an assignment from such integers: it holds only
+that view, and builds its `Fraction` matrix the first time `matrix` is
+read (equality, hashing and `repr` read it, so they are those of the
+matrix).  A discrete assignment's `grid` is a 0/1 integer matrix.
 `require_feasible` is the one refusal of an infeasible matrix,
 validating each assignment once; relabelling agents and relabelling objects
-share one routine and one bijection check.
+share one routine and one bijection check, and relabel an assignment's
+integer view.
 """
 
 from __future__ import annotations
@@ -254,16 +257,7 @@ class RandomAssignment:
 
     def __post_init__(self) -> None:
         inst = self.instance
-        if len(self.matrix) != inst.num_agents:
-            raise ValueError(
-                f"matrix has {len(self.matrix)} rows, expected {inst.num_agents}"
-            )
-        for agent, row in zip(inst.agents, self.matrix):
-            if len(row) != inst.num_objects:
-                raise ValueError(
-                    f"row of agent {agent!r} has {len(row)} entries, "
-                    f"expected {inst.num_objects}"
-                )
+        _require_shape(inst, self.matrix)
         if type(self.matrix) is tuple and all(
             type(row) is tuple and all(type(v) is Fraction for v in row) for row in self.matrix
         ):
@@ -279,16 +273,31 @@ class RandomAssignment:
     ) -> "RandomAssignment":
         """The assignment whose entries are `numerators` over `denominator`.
 
-        Its integer view comes with it, reduced to the lcm of the entries'
-        denominators; each distinct numerator becomes one `Fraction`.
+        It holds the integer view, reduced to the lcm of the entries'
+        denominators, and refuses rows of the wrong shape as the constructor
+        does.  `matrix` is built on first read, one `Fraction` per distinct
+        numerator, so a caller that reads only the integer view builds none.
         """
+        _require_shape(instance, numerators)
         common = math.gcd(denominator, *itertools.chain.from_iterable(numerators))
-        denominator //= common
-        rows = tuple(tuple(v // common for v in row) for row in numerators)
-        values = {v: Fraction(v, denominator) for v in set(itertools.chain.from_iterable(rows))}
-        assignment = cls(instance, tuple(tuple(map(values.__getitem__, row)) for row in rows))
-        assignment.__dict__.update(denominator=denominator, numerators=rows)
+        assignment = object.__new__(cls)
+        assignment.__dict__.update(
+            instance=instance,
+            denominator=denominator // common,
+            numerators=tuple(tuple(v // common for v in row) for row in numerators),
+        )
         return assignment
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute missing from the instance: `matrix`
+        # of an assignment made by `from_numerators` and not yet read.
+        state = self.__dict__
+        if name != "matrix" or "numerators" not in state:
+            raise AttributeError(name)
+        d, rows = state["denominator"], state["numerators"]
+        values = {v: Fraction(v, d) for v in set(itertools.chain.from_iterable(rows))}
+        matrix = state["matrix"] = tuple(tuple(map(values.__getitem__, row)) for row in rows)
+        return matrix
 
     def entry(self, agent: str, obj: str) -> Fraction:
         inst = self.instance
@@ -313,6 +322,16 @@ class RandomAssignment:
     @functools.cached_property
     def _feasibility(self) -> ValidationResult:
         return validate_assignment(self)
+
+
+def _require_shape(instance: Instance, rows: Sequence[Sequence]) -> None:
+    """Refuse a matrix without one row per agent and one entry per object."""
+    n, m = instance.num_agents, instance.num_objects
+    if len(rows) != n:
+        raise ValueError(f"matrix has {len(rows)} rows, expected {n}")
+    for agent, row in zip(instance.agents, rows):
+        if len(row) != m:
+            raise ValueError(f"row of agent {agent!r} has {len(row)} entries, expected {m}")
 
 
 @dataclass(frozen=True)
@@ -434,14 +453,17 @@ def _relabel(x, mapping: Mapping[str, str], agents: bool):
     # A label's row (agents) or column (objects) is that of the label mapped onto it.
     inverse = {image: label for label, image in mapping.items()}
     source = [position[inverse[label]] for label in labels]
-    rows = x.orders if isinstance(x, PreferenceProfile) else x.matrix
+    profile = isinstance(x, PreferenceProfile)
+    rows = x.orders if profile else x.numerators
     if agents:
         rows = tuple(rows[k] for k in source)
-    elif isinstance(x, PreferenceProfile):
+    elif profile:
         rows = tuple(tuple(mapping[o] for o in order) for order in rows)
     else:
         rows = tuple(tuple(row[k] for k in source) for row in rows)
-    return type(x)(x.instance, rows)
+    if profile:
+        return PreferenceProfile(x.instance, rows)
+    return RandomAssignment.from_numerators(x.instance, rows, x.denominator)
 
 
 def permute_agents(x, pi: Mapping[str, str]):

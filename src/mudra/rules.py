@@ -6,19 +6,24 @@ agents depletes at rate k.  The phase ends at the earliest exhaustion time,
 computed exactly; objects hitting zero leave the market and demand sets are
 recomputed.  Each phase exhausts at least one object, so there are at most m
 phases and all breakpoints are exact rationals.  The engine computes them on
-integers, as numerators over one running denominator; only the trace's
-phase bounds and the output matrix are `Fraction`s, built after the loop.
+integers, as numerators over one running denominator.  The trace's phase
+bounds and the output matrix are `Fraction`s, each built the first time a
+caller reads it; a caller that reads only the integer view builds none.
 
 The two eating rules differ only in the demand size: each agent eats its
 min(size, #remaining) most preferred available objects at once, with size 1
 for the one-at-a-time rule and the quota for the multi-unit rule.
 
-Rules read orders only through `PreferenceProfile.ranked`, as column indices;
-eating and serial dictatorship read each from the top only as far as `_top` needs.
+Rules read a profile only through `instance` and `ranked`, whose rows they
+only iterate, from the top.  Eating, serial dictatorship and `rp` read each
+row only as far as their next pick needs.  The misreport scan relies on
+this: it learns which entries of a report a rule read by handing it the
+reported rows through a view that logs them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -50,9 +55,18 @@ class Phase:
 
 @dataclass(frozen=True)
 class EatingTrace:
+    """An eating run: per phase its end, as (numerator, denominator), and its
+    demands.  The `Fraction` phases are built on first read."""
+
     profile: PreferenceProfile
-    phases: tuple[Phase, ...]
+    ends: tuple[tuple[int, int], ...]
+    demands: tuple[tuple[tuple[int, ...], ...], ...]
     assignment: RandomAssignment
+
+    @functools.cached_property
+    def phases(self) -> tuple[Phase, ...]:
+        bounds = [Fraction(0)] + [Fraction(end, denominator) for end, denominator in self.ends]
+        return tuple(map(Phase, bounds, bounds[1:], self.demands))
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -66,8 +80,9 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
     objects at once.  The loop runs on integers: every amount left and the
     clock are numerators over one running denominator, which each phase
     first multiplies by the lcm of its eater counts, so that the phase's
-    length min(left / eaters) is an exact integer quotient.  The `Fraction`
-    matrix and phase bounds are built once, after the loop.
+    length min(left / eaters) is an exact integer quotient.  The
+    assignment is built from the final numerators, and the trace keeps each
+    phase's end and demand; their `Fraction`s are built on first read.
     """
     if size < 1:
         raise ValueError("demand size must be at least 1")
@@ -105,9 +120,8 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
             for j in columns:
                 row[j] += end - before
         before = end
-    bounds = [Fraction(0)] + [Fraction(end, denominator) for end, denominator in ends]
-    phases = tuple(map(Phase, bounds, bounds[1:], demands))
-    return EatingTrace(profile, phases, RandomAssignment.from_numerators(inst, eaten, scale))
+    assignment = RandomAssignment.from_numerators(inst, eaten, scale)
+    return EatingTrace(profile, tuple(ends), tuple(demands), assignment)
 
 
 def _top(ranked: Sequence[int], available: Container[int], take: int) -> list[int]:
@@ -142,9 +156,8 @@ def ops(profile: PreferenceProfile) -> RandomAssignment:
 def uniform(instance: Instance) -> RandomAssignment:
     """Every agent gets every object with probability 1/n."""
     require_balanced(instance, "the uniform rule")
-    share = Fraction(1, instance.num_agents)
-    row = tuple(share for _ in instance.objects)
-    return RandomAssignment(instance, tuple(row for _ in instance.agents))
+    n = instance.num_agents
+    return RandomAssignment.from_numerators(instance, ((1,) * instance.num_objects,) * n, n)
 
 
 def serial_dictator(profile: PreferenceProfile, priority: Sequence[str]) -> DiscreteAssignment:

@@ -15,6 +15,11 @@ agent is a coalition of one, and three individual notions are covered:
 Group manipulations require every coalition member to strictly SD-improve
 under one joint misreport; a weak SD violation is one by a coalition of one.
 
+A rule handed to a search must be deterministic and read the reported
+orders only through `PreferenceProfile.ranked`, or not at all; every rule
+of `harness.RULES` does.  The scan then runs the rule once per distinct
+set of entries it reads, not once per report (see `_scan`).
+
 `FINDERS` maps each individual kind to its finder, and `first_manipulation`
 is the one first-agent search behind `mudra manipulate` and the property
 registry's strategyproofness checks.
@@ -22,9 +27,11 @@ registry's strategyproofness checks.
 
 from __future__ import annotations
 
+import copy
 import enum
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .model import (
     JOINT_LIMIT,
@@ -62,6 +69,83 @@ class Manipulation:
         raise KeyError(f"agent {agent!r} is not part of this manipulation")
 
 
+class _ReportedRow:
+    """A coalition member's reported `ranked` row, as a rule reads it.
+
+    It supports iteration and `len` only.  The first time the rule reads a
+    position, the view appends ((member, position), column) to the log that
+    the members' views share; reads always start at the top, so `read`, the
+    number of positions read so far, is also the next one to log.
+    """
+
+    __slots__ = ("row", "member", "log", "read")
+
+    def __init__(self, row: tuple[int, ...], member: int, log: list) -> None:
+        self.row, self.member, self.log, self.read = row, member, log, 0
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.row) if self.read == len(self.row) else self._reading()
+
+    def _reading(self) -> Iterator[int]:
+        for position, column in enumerate(self.row):
+            if position == self.read:
+                self.read += 1
+                self.log.append(((self.member, position), column))
+            yield column
+
+
+def _record(reported: PreferenceProfile, rows: tuple[int, ...]) -> list:
+    """Put the `ranked` rows `rows` of `reported`, a profile made for one
+    run, behind views; returns the log they share.  `ranked` is a cached
+    property, so its value is replaced in the instance dict."""
+    log: list = []
+    ranked = list(reported.ranked)
+    for member, i in enumerate(rows):
+        ranked[i] = _ReportedRow(ranked[i], member, log)
+    reported.__dict__["ranked"] = tuple(ranked)
+    return log
+
+
+def _grown(trie: tuple | None, log: list, coalition_size: int) -> tuple | None:
+    """`trie` with one more judged run, whose first reads are `log`.
+
+    A node is (read, branches): the (member, position) the rule reads next,
+    and per column found there the next node, or None for the end of a run.
+    Returns None, which switches pruning off, when the run read some
+    member's row not at all: the rule then did not read the report through
+    the views alone (a memo hit, say), so its reads do not decide its output.
+    """
+    if len({member for (member, _), _ in log}) < coalition_size:
+        return None
+    node = trie = trie or (log[0][0], {})
+    for (_, column), (following, _) in zip(log, log[1:]):
+        branches = node[1]
+        node = branches.get(column)
+        if node is None:
+            node = branches[column] = (following, {})
+    node[1][log[-1][1]] = None
+    return trie
+
+
+def _judged(trie: tuple, joint: tuple, ranked_of: dict) -> bool:
+    """Does `joint` walk `trie` to the end of a run already judged?
+
+    Then the rule would read the same entries, find the same columns and
+    return that run's outcome again.  `ranked_of` maps each order to its
+    `ranked` row."""
+    node = trie
+    while node is not None:
+        (member, position), branches = node
+        column = ranked_of[joint[member]][position]
+        if column not in branches:
+            return False
+        node = branches[column]
+    return True
+
+
 def _scan(
     rule: Rule,
     profile: PreferenceProfile,
@@ -75,9 +159,19 @@ def _scan(
     truthful one, along their `ranked` order.  The rows are compared as
     integers: the outcome's numerators times the truthful denominator
     against the truthful numerators times the outcome's denominator, which
-    orders them exactly as the `Fraction` rows.  Refuses unbalanced
-    instances, more than 6 objects and more than 10^6 joint misreports
-    before the rule runs.
+    orders them exactly as the `Fraction` rows; no `Fraction` matrix is
+    built.  Refuses unbalanced instances, more than 6 objects and more than
+    10^6 joint misreports before the rule runs.
+
+    Each run reads the members' rows through `_ReportedRow` views, and the
+    trie of `_grown` keeps the positions it read and the columns found
+    there.  A deterministic rule that reads reports only through `ranked`
+    makes the same reads and returns the same outcome for every report that
+    agrees on them, so a report that walks the trie to a judged run is
+    skipped: that outcome was no improvement.  Reports are visited in the
+    same order either way, so the first witness is the same.  The first run
+    that does not read every member's row ends the recording, and every
+    later report of the scan runs.
     """
     require_balanced(profile.instance, "manipulation search")
     objects = profile.instance.objects
@@ -86,13 +180,20 @@ def _scan(
     joints = orderings(objects, JOINT_LIMIT, f"({m}!)^{k} joint misreports", repeat=k)
     rows = tuple(map(profile.instance.agent_index, members))
     true_orders = tuple(profile.orders[i] for i in rows)
-    truthful = rule(profile)
+    reported = copy.copy(profile)
+    log = _record(reported, rows)
+    truthful = rule(reported)
+    trie = _grown(None, log, k)
+    ranked_of = dict(zip(itertools.permutations(objects), itertools.permutations(range(m))))
     truth_scale = truthful.denominator
     truths = tuple((i, truthful.numerators[i], profile.ranked[i]) for i in rows)
     for joint in joints:
-        if joint == true_orders:
+        if joint == true_orders or trie is not None and _judged(trie, joint, ranked_of):
             continue
-        outcome = rule(profile.with_orders(dict(zip(members, joint))))
+        reported = profile.with_orders(dict(zip(members, joint)))
+        if trie is not None:
+            log = _record(reported, rows)
+        outcome = rule(reported)
         scale, numerators = outcome.denominator, outcome.numerators
         for i, truth, ranked in truths:
             alt = numerators[i]
@@ -109,6 +210,8 @@ def _scan(
                 truthful=truthful,
                 manipulated=outcome,
             )
+        if trie is not None:
+            trie = _grown(trie, log, k)
     return None
 
 

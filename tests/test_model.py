@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,55 @@ class TestRandomAssignment:
         assert out == fresh
         zeros = RandomAssignment.from_numerators(INST, [[0] * 4] * 2, 7)
         assert (zeros.denominator, zeros.numerators) == (1, ((0,) * 4,) * 2)
+
+    LAZY_ROWS = [[2, 4, 6, 12], [10, 8, 6, 0]]
+    BUILT = (
+        (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2), 1),
+        (Fraction(5, 6), Fraction(2, 3), Fraction(1, 2), 0),
+    )
+
+    def lazy(self):
+        out = RandomAssignment.from_numerators(INST, self.LAZY_ROWS, 12)
+        assert "matrix" not in vars(out)
+        return out
+
+    @pytest.mark.parametrize("same", [
+        lambda a, b: a == b and b == a,
+        lambda a, b: hash(a) == hash(b),
+        lambda a, b: repr(a) == repr(b),
+    ], ids=["eq", "hash", "repr"])
+    def test_from_numerators_agrees_with_the_constructor_before_any_read(self, same):
+        built = RandomAssignment(INST, self.BUILT)
+        assert same(self.lazy(), built)
+        other = RandomAssignment(INST, ((Fraction(1, 2),) * 4,) * 2)
+        assert not same(self.lazy(), other)
+
+    def test_from_numerators_builds_the_matrix_once_on_first_read(self):
+        out = self.lazy()
+        matrix = out.matrix
+        assert matrix == self.BUILT
+        assert all(type(v) is Fraction for row in matrix for v in row)
+        assert type(matrix) is tuple and all(type(row) is tuple for row in matrix)
+        assert out.matrix is matrix and vars(out)["matrix"] is matrix
+        # one Fraction per distinct numerator
+        assert matrix[0][2] is matrix[1][2]
+        assert not hasattr(out, "no_such_attribute")
+
+    def test_from_numerators_refuses_the_wrong_shape(self):
+        with pytest.raises(ValueError, match="matrix has 1 rows, expected 2"):
+            RandomAssignment.from_numerators(INST, [[1, 1, 1, 1]], 2)
+        with pytest.raises(ValueError, match="row of agent '2' has 3 entries, expected 4"):
+            RandomAssignment.from_numerators(INST, [[1, 1, 1, 1], [1, 1, 1]], 2)
+
+    def test_pickle_round_trip_before_and_after_the_matrix_is_read(self):
+        built = RandomAssignment(INST, self.BUILT)
+        for out in (self.lazy(), built):
+            copy = pickle.loads(pickle.dumps(out))
+            assert copy == built and hash(copy) == hash(built)
+            assert (copy.denominator, copy.numerators) == (6, ((1, 2, 3, 6), (5, 4, 3, 0)))
+        read = self.lazy()
+        read.matrix
+        assert pickle.loads(pickle.dumps(read)).matrix == self.BUILT
 
     def test_validate_flags_bad_column_then_row(self):
         half = Fraction(1, 2)

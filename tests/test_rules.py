@@ -80,6 +80,17 @@ class TestGoldenOutcomes:
         # Columns, best first: agent 1 eats o1 and o2, agent 2 eats o3 and o2.
         assert trace.phases[0].eating == ((0, 1), (2, 1))
 
+    def test_trace_and_assignment_build_fractions_on_first_read(self):
+        trace = mps_trace(FIG_PROFILE)
+        assert "phases" not in vars(trace) and "matrix" not in vars(trace.assignment)
+        assert trace.assignment.numerators == ((7, 4, 2, 3), (1, 4, 6, 5))
+        assert "matrix" not in vars(trace.assignment)
+        phases = trace.phases
+        assert phases is trace.phases and len(phases) == 4
+        assert all(type(t) is F for ph in phases for t in (ph.start, ph.end))
+        assert trace.assignment == mps_trace(FIG_PROFILE).assignment
+        assert "matrix" in vars(trace.assignment)
+
     def test_mps_opposed_tails_gives_all_halves(self):
         profile = make_profile([("o1", "o2", "o3", "o4"), ("o2", "o1", "o4", "o3")])
         assert mps(profile).matrix == ((F(1, 2),) * 4, (F(1, 2),) * 4)
@@ -692,6 +703,95 @@ def order_reads(source, attrs=("orders", "order_of")):
 
 def test_rules_read_orders_only_through_the_ranked_view():
     assert order_reads(RULES_SOURCE.read_text()) == []
+
+
+HARNESS_SOURCE = SOURCES / "harness.py"
+#: All a rule may read of a profile.
+PROFILE_READS = ("ranked", "instance")
+
+
+def profile_misuses(function, param, definitions, checked):
+    """(function, line) of every use of the profile `param` in `function`,
+    and in each function of `definitions` it passes the profile to, other
+    than reading `ranked` or `instance`.  Passing the profile to a class of
+    `definitions` stores it (an `EatingTrace` keeps its profile)."""
+    name = getattr(function, "name", "<lambda>")
+    parents = {
+        child: parent for parent in ast.walk(function) for child in ast.iter_child_nodes(parent)
+    }
+    found = []
+    for use in ast.walk(function):
+        if not (isinstance(use, ast.Name) and use.id == param):
+            continue
+        parent = parents[use]
+        if isinstance(parent, ast.Attribute) and parent.attr in PROFILE_READS:
+            continue
+        callee = isinstance(parent, ast.Call) and use in parent.args and definitions.get(
+            getattr(parent.func, "id", None)
+        )
+        if isinstance(callee, ast.ClassDef):
+            continue
+        if isinstance(callee, ast.FunctionDef):
+            position = parent.args.index(use)
+            if (callee.name, position) not in checked:
+                checked.add((callee.name, position))
+                callee_param = callee.args.args[position].arg
+                found += profile_misuses(callee, callee_param, definitions, checked)
+            continue
+        found.append((name, use.lineno))
+    return found
+
+
+def rule_misuses(rules_source, harness_source):
+    """`profile_misuses` of each rule behind the `RULES` dict of `harness_source`:
+    a lambda there, or a function of `rules_source` that it names."""
+    definitions = {
+        node.name: node
+        for node in ast.parse(rules_source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    (registry,) = [
+        node.value
+        for node in ast.walk(ast.parse(harness_source))
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "RULES"
+    ]
+    misuses = {}
+    for key, value in zip(registry.keys, registry.values):
+        function = value if isinstance(value, ast.Lambda) else definitions[value.id]
+        misuses[key.value] = profile_misuses(
+            function, function.args.args[0].arg, definitions, set()
+        )
+    return misuses
+
+
+def test_every_rule_reads_profiles_only_through_ranked_and_instance():
+    """The misreport scan's contract: a rule reads reported orders only
+    through `ranked`, or not at all, here and in every function it hands
+    the profile to."""
+    misuses = rule_misuses(RULES_SOURCE.read_text(), HARNESS_SOURCE.read_text())
+    assert misuses == {name: [] for name in ("uniform", "priority", "rp", "ops", "mps")}
+
+
+def test_the_rule_read_check_sees_an_orders_read():
+    rules_source = (
+        "class Trace:\n"
+        "    pass\n"
+        "def good(profile):\n"
+        "    return Trace(profile), helper(profile.instance, profile)\n"
+        "def helper(inst, p):\n"
+        "    return p.ranked, p.orders[0][-1]\n"
+        "def leaky(profile):\n"
+        "    q = profile\n"
+        "    return outside(profile), q\n"
+    )
+    harness_source = (
+        "RULES: dict = {'good': good, 'leaky': leaky, 'lambda': lambda p: p.orders}\n"
+    )
+    assert rule_misuses(rules_source, harness_source) == {
+        "good": [("helper", 6)],
+        "leaky": [("leaky", 8), ("leaky", 9)],
+        "lambda": [("<lambda>", 1)],
+    }
 
 
 def test_the_order_check_sees_a_read():

@@ -1,6 +1,7 @@
 """Misreport searches: individual (three improvement notions) and group."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mudra.efficiency import sd_dominates
-from mudra.harness import RULE_NAMES, OutputCache, check_rule_property
+from mudra.harness import RULE_NAMES, RULES, OutputCache, check_rule_property
 from mudra.model import GuardExceeded, Instance, PreferenceProfile, RandomAssignment
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare, sd_weakly_dominates
 from mudra.rules import mps, ops, priority_rule, random_priority, uniform
@@ -337,26 +338,29 @@ def two_by_four_profiles():
 
 
 def individual_witnesses(rule_name, profiles, cache):
-    """Check every finder against the oracle; count the oracle's witnesses."""
-    rule = cache.callable(rule_name)
+    """Check every finder against the oracle; count the oracle's witnesses.
+
+    The finders get the rule itself, so that their scans prune by the
+    rule's reads; the oracle and the registry get the memo, which the scan
+    cannot prune by (the registry's scans run every misreport)."""
+    rule, memo = RULES[rule_name], cache.callable(rule_name)
     witnesses = dict.fromkeys(INDIVIDUAL, 0)
     for profile in profiles:
         first = {}  # kind -> (first agent with a witness, their misreport)
         for agent in profile.instance.agents:
+            found = {}
             for name, (finder, kind, improves) in INDIVIDUAL.items():
-                expected = brute_force_witness(rule, profile, (agent,), improves)
-                found = finder(rule, profile, agent)
-                assert_same_witness(found, expected, kind, (agent,))
+                expected = brute_force_witness(memo, profile, (agent,), improves)
+                found[name] = finder(rule, profile, agent)
+                assert_same_witness(found[name], expected, kind, (agent,))
                 witnesses[name] += expected is not None
                 if expected is not None:
                     first.setdefault(name, (agent, expected[0][0]))
             # one agent is a coalition of one
-            assert find_group_manipulation(rule, profile, (agent,)) == (
-                find_weak_sd_manipulation(rule, profile, agent)
-            )
+            assert find_group_manipulation(rule, profile, (agent,)) == found["weak-sd"]
         # The first-agent search and the registry's certificate name that agent.
         for name in INDIVIDUAL:
-            found = first_manipulation(rule, profile, name, profile.instance.agents)
+            found = first_manipulation(memo, profile, name, profile.instance.agents)
             assert (found and found.misreports[0]) == first.get(name)
             holds, certificate = check_rule_property(
                 rule_name, f"{name}-strategyproofness", profile, cache
@@ -379,15 +383,104 @@ def test_individual_searches_match_brute_force(rule_name, cache):
 @pytest.mark.parametrize("rule_name", RULE_NAMES)
 def test_pair_search_matches_brute_force(rule_name, cache):
     improves = INDIVIDUAL["weak-sd"][2]
-    rule = cache.callable(rule_name)
+    rule, memo = RULES[rule_name], cache.callable(rule_name)
     for instance in (THREE_BY_THREE, SHUFFLED):
         witnesses = 0
         for profile in all_profiles(instance):
-            expected = brute_force_witness(rule, profile, ("1", "2"), improves)
+            expected = brute_force_witness(memo, profile, ("1", "2"), improves)
             found = find_group_manipulation(rule, profile, ("1", "2"))
             assert_same_witness(found, expected, ManipulationKind.STRICT_SD, ("1", "2"))
             witnesses += expected is not None
         assert witnesses == EXPECTED_PAIR_WITNESSES[rule_name]
+
+
+six_object_orders = st.permutations(SIX_OBJECTS.instance.objects).map(tuple)
+
+
+@pytest.mark.parametrize("rule_name", RULE_NAMES)
+@settings(max_examples=2, deadline=None)
+@given(
+    orders=st.tuples(six_object_orders, six_object_orders, six_object_orders),
+    agent=st.sampled_from(SIX_OBJECTS.instance.agents),
+)
+def test_searches_match_brute_force_on_six_objects(rule_name, orders, agent):
+    """The widest scan: 720 reports of one agent on 3x6 c=2."""
+    profile = PreferenceProfile(SIX_OBJECTS.instance, orders)
+    memo = OutputCache().callable(rule_name)
+    for finder, kind, improves in INDIVIDUAL.values():
+        expected = brute_force_witness(memo, profile, (agent,), improves)
+        assert_same_witness(finder(RULES[rule_name], profile, agent), expected, kind, (agent,))
+
+
+class CountedRule:
+    """A rule that counts its runs and hands each profile through as given."""
+
+    def __init__(self, rule):
+        self.rule, self.runs = rule, 0
+
+    def __call__(self, profile):
+        self.runs += 1
+        return self.rule(profile)
+
+
+FOUR_BY_FOUR = Instance(agents=("1", "2", "3", "4"), objects=("a", "b", "c", "d"), quota=1)
+
+
+def seeded_profile(instance, seed):
+    rng = random.Random(seed)
+    m = instance.num_objects
+    return PreferenceProfile(
+        instance, tuple(tuple(rng.sample(instance.objects, m)) for _ in instance.agents)
+    )
+
+
+@pytest.mark.parametrize("rule_name", RULE_NAMES)
+def test_searches_match_brute_force_on_seeded_four_objects(rule_name):
+    """On four objects a rule can stop two or more positions short of the
+    end of a report, so the scan skips reports that differ only there."""
+    rule, memo = RULES[rule_name], OutputCache().callable(rule_name)
+    for seed in range(12):
+        profile = seeded_profile(FOUR_BY_FOUR, seed)
+        for agent in FOUR_BY_FOUR.agents:
+            for finder, kind, improves in INDIVIDUAL.values():
+                expected = brute_force_witness(memo, profile, (agent,), improves)
+                assert_same_witness(finder(rule, profile, agent), expected, kind, (agent,))
+
+
+#: A seeded 4x4 c=1 profile where no rule has a witness for the pair {1, 2}.
+PAIR_PROFILE = seeded_profile(FOUR_BY_FOUR, 1)
+#: Rule runs of the {1, 2} scan on PAIR_PROFILE: the truthful run and one
+#: per joint report whose reads no earlier run shared, of 575.  `uniform`
+#: reads no order, so its scan runs every report.
+EXPECTED_PAIR_RUNS = {"uniform": 576, "priority": 24, "rp": 380, "ops": 356, "mps": 356}
+
+
+@pytest.mark.parametrize("rule_name", RULE_NAMES)
+def test_pair_scan_runs_the_rule_once_per_distinct_read(rule_name):
+    rule = CountedRule(RULES[rule_name])
+    assert find_group_manipulation(rule, PAIR_PROFILE, ("1", "2")) is None
+    assert rule.runs == EXPECTED_PAIR_RUNS[rule_name]
+    # A memo hit reads nothing, so a scan through a warm memo prunes nothing.
+    cache = OutputCache()
+    cache.output(rule_name, PAIR_PROFILE)
+    memo = CountedRule(cache.callable(rule_name))
+    assert find_group_manipulation(memo, PAIR_PROFILE, ("1", "2")) is None
+    assert memo.runs == 576
+
+
+def test_scan_reads_no_fraction_of_an_outcome():
+    """Outcomes are judged on their integer view: the scan builds no matrix."""
+    outcomes = []
+
+    def kept(profile):
+        outcomes.append(mps(profile))
+        return outcomes[-1]
+
+    assert find_weak_sd_manipulation(kept, SIX_OBJECTS, "1") is None
+    assert len(outcomes) > 1
+    assert not any("matrix" in vars(outcome) for outcome in outcomes)
+    found = find_dl_manipulation(kept, STAGGERED, "1")
+    assert "matrix" not in vars(found.manipulated) and "matrix" not in vars(found.truthful)
 
 
 def name_keyed_sd_dominates(q, p, profile):
