@@ -10,10 +10,11 @@ an assignment that SD-dominates the input.  The test holds for any fixed row
 sums, so it also screens unbalanced discrete candidates.  Ex-post efficiency
 enumerates discrete assignments, keeps the SD-efficient ones and asks, by an
 exact feasibility simplex, whether the input is a convex combination of the
-survivors.  SD-dominance, the trade and the lottery decomposition compute on
-integer `numerators` over each assignment's `denominator` (SD-dominance
-scales each matrix's by the other's); `Fraction`s are built only for the
-dominator's entries and the lottery weights.
+survivors.  The trade-cycle test, SD-dominance, the trade and the lottery
+decomposition compute on integer `numerators` over each assignment's
+`denominator` (SD-dominance scales each matrix's by the other's);
+`Fraction`s are built only for the dominator's entries and the lottery
+weights.
 """
 
 from __future__ import annotations
@@ -77,23 +78,25 @@ def sd_dominates(q: RandomAssignment, p: RandomAssignment, profile: PreferencePr
 
 
 def _trade_cycle(
-    grid: Sequence[Sequence[Fraction | int]], profile: PreferenceProfile
+    rows: Sequence[Sequence[int]], full: int, profile: PreferenceProfile
 ) -> list[tuple[int, int, int]] | None:
-    """A cycle of the trade graph of `grid`, or None when it has none.
+    """A cycle of the trade graph of `rows`, or None when it has none.
 
-    The graph's nodes are the objects.  It has an edge a -> b, labelled with
+    `rows` are integer amounts of which `full` is all of an object: the
+    `numerators` over `denominator`, or a 0/1 grid with `full` 1.  The
+    graph's nodes are the objects.  It has an edge a -> b, labelled with
     agent i, when i prefers a to b, holds some of b and less than all of a,
     so i would give up some b for more a.  Whatever the row sums, balanced
-    or not, some assignment with the same row sums SD-dominates `grid`
+    or not, some assignment with the same row sums SD-dominates `rows`
     exactly when this graph has a cycle (Bogomolnaia and Moulin 2001,
     Lemma 3, with the bound on a that quotas add).  The cycle is returned as
     its edges (i, a, b): agent index, then object indices.
     """
     m = profile.instance.num_objects
     edges: list[dict[int, int]] = [{} for _ in range(m)]  # a -> {b: agent}
-    for i, (row, ranked) in enumerate(zip(grid, profile.ranked)):
+    for i, (row, ranked) in enumerate(zip(rows, profile.ranked)):
         for t, a in enumerate(ranked):
-            if row[a] < 1:
+            if row[a] < full:
                 for b in ranked[t + 1:]:
                     if row[b] > 0:
                         edges[a].setdefault(b, i)
@@ -148,7 +151,7 @@ def is_sd_efficient(p: RandomAssignment, profile: PreferenceProfile) -> Efficien
     require_balanced(profile.instance, "SD-efficiency")
     require_shared_instance(p, profile)
     require_feasible(p)
-    cycle = _trade_cycle(p.matrix, profile)
+    cycle = _trade_cycle(p.numerators, p.denominator, profile)
     if cycle is None:
         return EfficiencyVerdict(True)
     return EfficiencyVerdict(False, dominator=_trade_along(p, cycle))
@@ -218,7 +221,7 @@ def is_ex_post_efficient(
     require_feasible(p)
     screened = (
         d for d in enumerate_discrete(inst, balanced=not allow_unbalanced)
-        if _trade_cycle(d.grid(), profile) is None
+        if _trade_cycle(d.grid(), 1, profile) is None
     )
     survivors = tuple(itertools.islice(screened, HULL_LIMIT + 1))
     refuse_over(len(survivors), HULL_LIMIT, "SD-efficient discrete assignments")

@@ -106,17 +106,19 @@ def equivariance(
     `relabel` is `permute_agents` or `permute_objects`; `truthful`, when
     given, is rule(profile), so a scan of many relabellings runs it once.
     The two sides are compared on their reduced integer views, which are
-    equal exactly when the matrices are; a `Fraction` matrix is read only
-    to name the first mismatching cell.
+    equal exactly when the matrices are; the first mismatching cell is found
+    by cross-multiplying numerators.
     """
     left = rule(relabel(profile, mapping))
     right = relabel(truthful or rule(profile), mapping)
     permutation = tuple(sorted(mapping.items()))
-    if left.denominator == right.denominator and left.numerators == right.numerators:
+    if left == right:
         return EquivarianceVerdict(True, permutation)
     cells = itertools.product(profile.instance.agents, profile.instance.objects)
-    values = zip(cells, itertools.chain(*left.matrix), itertools.chain(*right.matrix))
-    mismatch = next(cell for cell, a, b in values if a != b)
+    values = zip(cells, itertools.chain(*left.numerators), itertools.chain(*right.numerators))
+    mismatch = next(
+        cell for cell, a, b in values if a * right.denominator != b * left.denominator
+    )
     return EquivarianceVerdict(False, permutation, mismatch)
 
 

@@ -208,7 +208,7 @@ def _unanimity(profile, output, rule):
         return True, {"detail": "vacuous: no perfect assignment exists"}
     if output is None:
         output = rule(profile)
-    if output.matrix == discrete_to_random(perfect).matrix:
+    if output == discrete_to_random(perfect):
         return True, None
     return False, {"output": _matrix_data(output), "perfect": list(perfect.owners)}
 
@@ -217,7 +217,7 @@ def _perfect(profile, output, rule):
     perfect = perfect_assignment(profile)
     if perfect is None:
         return False, {"detail": "no perfect assignment exists for this profile"}
-    holds = output is None or output.matrix == discrete_to_random(perfect).matrix
+    holds = output is None or output == discrete_to_random(perfect)
     return holds, {"owners": list(perfect.owners)}
 
 

@@ -8,18 +8,18 @@ rational probabilities; a discrete assignment maps each object to one owner.
 checkers read orders only through it, and compare matrix rows along it
 rather than name-keyed allocations.
 
-All arithmetic is exact: probabilities are `fractions.Fraction` and floats
-are rejected at construction time.  A `RandomAssignment` also carries a
-cached integer view, its common `denominator` and the integer `numerators`
-of its rows: `validate_assignment` and the checkers compute on it, and
-`from_numerators` builds an assignment from such integers: it holds only
-that view, and builds its `Fraction` matrix the first time `matrix` is
-read (equality, hashing and `repr` read it, so they are those of the
-matrix).  A discrete assignment's `grid` is a 0/1 integer matrix.
-`require_feasible` is the one refusal of an infeasible matrix,
-validating each assignment once; relabelling agents and relabelling objects
-share one routine and one bijection check, and relabel an assignment's
-integer view.
+All arithmetic is exact, and floats are rejected at construction time.  A
+`RandomAssignment` is stored in one form only: integer `numerators` over
+one common `denominator`, the lcm of its entries' denominators.  The form
+is canonical, so equality, hashing and `repr`, which read it, are those of
+the matrix.  Its constructor takes a matrix of ints and `Fraction`s, and
+keeps the checked entries as `matrix`; `from_numerators` takes integers,
+and builds `matrix` only when it is read.  Both end in one reduction.
+`validate_assignment` and the checkers compute on the integer view.  A
+discrete assignment's `grid` is a 0/1 integer matrix.  `require_feasible`
+is the one refusal of an infeasible matrix, validating each assignment
+once; relabelling agents and relabelling objects share one routine and one
+bijection check, and relabel an assignment's integer view.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class Instance:
             raise ValueError("duplicate object ids")
         if set(self.agents) & set(self.objects):
             raise ValueError("agent and object ids must be disjoint")
-        if not isinstance(self.quota, int) or self.quota < 1:
+        if not isinstance(self.quota, int) or isinstance(self.quota, bool) or self.quota < 1:
             raise ValueError(f"quota must be a positive integer, got {self.quota!r}")
         n, m = len(self.agents), len(self.objects)
         if self.relaxed:
@@ -248,24 +248,28 @@ def _require_strict_order(instance: Instance, agent: str, order: Sequence[str]) 
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RandomAssignment:
-    """Row-per-agent, column-per-object matrix of exact probabilities."""
+    """Row-per-agent, column-per-object matrix of exact probabilities.
+
+    Stored as `numerators` over `denominator`, the lcm of the entries'
+    denominators: a canonical form, read by equality, hashing and `repr`.
+    """
 
     instance: Instance
-    matrix: tuple[tuple[Fraction, ...], ...]
+    denominator: int
+    numerators: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        inst = self.instance
-        _require_shape(inst, self.matrix)
-        if type(self.matrix) is tuple and all(
-            type(row) is tuple and all(type(v) is Fraction for v in row) for row in self.matrix
-        ):
-            return  # already what the rebuild below would make
-        object.__setattr__(self, "matrix", tuple(
-            tuple(_check_rational(v, f"entry ({agent}, {o})") for o, v in zip(inst.objects, row))
-            for agent, row in zip(inst.agents, self.matrix)
-        ))
+    def __init__(self, instance: Instance, matrix: Sequence[Sequence[int | Fraction]]) -> None:
+        _require_shape(instance, matrix)
+        checked = tuple(
+            tuple(_check_rational(v, f"entry ({a}, {o})") for o, v in zip(instance.objects, row))
+            for a, row in zip(instance.agents, matrix)
+        )
+        d = math.lcm(*(v.denominator for row in checked for v in row))
+        rows = [[v.numerator * (d // v.denominator) for v in row] for row in checked]
+        self._reduce(instance, rows, d)
+        self.__dict__["matrix"] = checked
 
     @classmethod
     def from_numerators(
@@ -273,31 +277,29 @@ class RandomAssignment:
     ) -> "RandomAssignment":
         """The assignment whose entries are `numerators` over `denominator`.
 
-        It holds the integer view, reduced to the lcm of the entries'
-        denominators, and refuses rows of the wrong shape as the constructor
-        does.  `matrix` is built on first read, one `Fraction` per distinct
-        numerator, so a caller that reads only the integer view builds none.
+        It refuses rows of the wrong shape as the constructor does, and
+        builds no `Fraction` until `matrix` is read.
         """
         _require_shape(instance, numerators)
-        common = math.gcd(denominator, *itertools.chain.from_iterable(numerators))
         assignment = object.__new__(cls)
-        assignment.__dict__.update(
-            instance=instance,
-            denominator=denominator // common,
-            numerators=tuple(tuple(v // common for v in row) for row in numerators),
-        )
+        assignment._reduce(instance, numerators, denominator)
         return assignment
 
-    def __getattr__(self, name: str):
-        # Reached only for an attribute missing from the instance: `matrix`
-        # of an assignment made by `from_numerators` and not yet read.
-        state = self.__dict__
-        if name != "matrix" or "numerators" not in state:
-            raise AttributeError(name)
-        d, rows = state["denominator"], state["numerators"]
+    def _reduce(self, instance: Instance, numerators: Sequence[Sequence[int]], d: int) -> None:
+        """Store `numerators` over `d`, divided by their gcd: both constructors end here."""
+        common = math.gcd(d, *itertools.chain.from_iterable(numerators))
+        self.__dict__.update(
+            instance=instance,
+            denominator=d // common,
+            numerators=tuple(tuple(v // common for v in row) for row in numerators),
+        )
+
+    @functools.cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as `Fraction`s, one built per distinct numerator."""
+        d, rows = self.denominator, self.numerators
         values = {v: Fraction(v, d) for v in set(itertools.chain.from_iterable(rows))}
-        matrix = state["matrix"] = tuple(tuple(map(values.__getitem__, row)) for row in rows)
-        return matrix
+        return tuple(tuple(map(values.__getitem__, row)) for row in rows)
 
     def entry(self, agent: str, obj: str) -> Fraction:
         inst = self.instance
@@ -307,17 +309,6 @@ class RandomAssignment:
         """Row of `agent` as an object -> probability mapping."""
         row = self.matrix[self.instance.agent_index(agent)]
         return dict(zip(self.instance.objects, row))
-
-    @functools.cached_property
-    def denominator(self) -> int:
-        """The matrix's common denominator: the lcm of its entries' denominators."""
-        return math.lcm(*(v.denominator for row in self.matrix for v in row))
-
-    @functools.cached_property
-    def numerators(self) -> tuple[tuple[int, ...], ...]:
-        """The matrix times `denominator`, row per agent: exact integers."""
-        d = self.denominator
-        return tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in self.matrix)
 
     @functools.cached_property
     def _feasibility(self) -> ValidationResult:

@@ -358,7 +358,8 @@ def lp_sd_efficient(grid, profile):
 
 
 def assert_cycle_test_matches_oracle(grid, profile):
-    cycle = _trade_cycle(grid, profile)
+    p = RandomAssignment(profile.instance, grid)
+    cycle = _trade_cycle(p.numerators, p.denominator, profile)
     assert (cycle is None) == lp_sd_efficient(grid, profile), (
         profile.orders, grid,
     )
@@ -366,7 +367,6 @@ def assert_cycle_test_matches_oracle(grid, profile):
         return
     # The epsilon-trade keeps every row and column sum, so it is a
     # certificate for unbalanced row sums too.
-    p = RandomAssignment(profile.instance, grid)
     q = _trade_along(p, cycle)
     assert all(0 <= v <= 1 for row in q.matrix for v in row)
     assert [sum(row) for row in q.matrix] == [sum(row) for row in p.matrix]

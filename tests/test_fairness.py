@@ -121,6 +121,19 @@ class TestAnonymity:
         assert not verdict.holds
         assert verdict.mismatch is not None
 
+    def test_mismatch_is_the_first_cell_of_unequal_value(self):
+        # The two sides have denominators 4 and 2; cell (1, o1) is 1/2 on
+        # both, though its numerators 2 and 1 differ.
+        staggered = profile(("o1", "o2", "o3", "o4"), ("o3", "o2", "o4", "o1"))
+        halves = RandomAssignment(INST, ((F(1, 2),) * 4,) * 2)
+        skewed = RandomAssignment(
+            INST, ((F(1, 2), F(1, 4), F(3, 4), F(1, 2)), (F(1, 2), F(3, 4), F(1, 4), F(1, 2)))
+        )
+        verdict = check_anonymity(
+            lambda q: halves if q == staggered else skewed, staggered, self.SWAP
+        )
+        assert not verdict.holds and verdict.mismatch == ("1", "o2")
+
     def test_identity_permutation_is_trivial(self):
         identity = {"1": "1", "2": "2"}
         assert check_anonymity(priority_rule, IDENTICAL, identity).holds

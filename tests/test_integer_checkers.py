@@ -1,10 +1,11 @@
 """The checkers on the integer view against the Fraction bodies they replaced.
 
-Feasibility, both envy notions, SD-dominance, the trade-cycle dominator and
-the lottery decomposition compute on each assignment's integer `numerators`
-over its `denominator`.  The oracles below are the same routines with every
-amount a `Fraction`; on matrices with mixed denominators, feasible or not,
-both must give equal verdicts, refusal texts and certificates.
+Feasibility, both envy notions, SD-dominance, the trade-cycle test, its
+dominator and the lottery decomposition compute on each assignment's
+integer `numerators` over its `denominator`.  The oracles below are the
+same routines with every amount a `Fraction`; on matrices with mixed
+denominators, feasible or not, both must give equal verdicts, refusal
+texts and certificates.
 """
 
 import itertools
@@ -217,7 +218,9 @@ def test_checkers_match_the_fraction_oracles(case):
         terms = decompose_lottery(x)
         assert terms == fraction_decompose_lottery(x)
         assert all(type(w) is F for w, _ in terms)
-        cycle = _trade_cycle(x.matrix, profile)
+        # the Fraction matrix with 1 as all of an object is the oracle
+        cycle = _trade_cycle(x.numerators, x.denominator, profile)
+        assert cycle == _trade_cycle(x.matrix, 1, profile)
         verdict = is_sd_efficient(x, profile)
         assert verdict.holds == (cycle is None)
         if cycle is not None:

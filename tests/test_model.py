@@ -88,6 +88,13 @@ class TestInstance:
         cache = OutputCache()
         assert cache.output("mps", q) is cache.output("mps", profile(*orders))
 
+    def test_bool_quota_rejected(self):
+        # bool is an int; a True quota would be written as `"quota": true`,
+        # which the profile loader refuses.
+        for quota in (True, False):
+            with pytest.raises(ValueError, match="quota must be a positive integer"):
+                Instance(agents=("1",), objects=("o1",), quota=quota)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate agent"):
             Instance(agents=("1", "1"), objects=("o1", "o2"), quota=1)
@@ -205,8 +212,14 @@ class TestRandomAssignment:
         assert out.matrix == ((half, half, half, 1), (half, half, half, 0))
 
     def test_a_fraction_matrix_is_kept_as_given(self):
-        matrix = ((Fraction(1, 2),) * 4, (Fraction(1, 2),) * 4)
-        assert RandomAssignment(INST, matrix).matrix is matrix
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        matrix = ((half,) * 4, (third, 2 * third, Fraction(1), Fraction(0)))
+        out = RandomAssignment(INST, matrix)
+        assert out.matrix == matrix
+        assert all(a is b for row, given in zip(out.matrix, matrix) for a, b in zip(row, given))
+        # the stored state is the integer view; `matrix` is its cache
+        assert vars(out).keys() == {"instance", "denominator", "numerators", "matrix"}
+        assert (out.denominator, out.numerators) == (6, ((3, 3, 3, 3), (2, 4, 6, 0)))
 
     def test_integer_view_resums_to_the_matrix(self):
         out = RandomAssignment(INST, (
@@ -309,14 +322,20 @@ class TestRandomAssignment:
 @given(st.lists(
     st.fractions(min_value=0, max_value=1, max_denominator=30) | st.integers(0, 1),
     min_size=8, max_size=8,
-))
-def test_integer_view_is_the_matrix_over_the_lcm_of_its_denominators(entries):
+), st.integers(min_value=1, max_value=12))
+def test_integer_view_is_the_matrix_over_the_lcm_of_its_denominators(entries, k):
     out = RandomAssignment(INST, (entries[:4], entries[4:]))
     assert out.denominator == math.lcm(*(Fraction(v).denominator for v in entries))
     for row, numerators in zip(out.matrix, out.numerators):
         for value, numerator in zip(row, numerators):
             assert type(numerator) is int
             assert Fraction(numerator, out.denominator) == value
+    # the form is canonical: the same rows at k times the denominator reduce to it
+    scaled = RandomAssignment.from_numerators(
+        INST, [[v * k for v in row] for row in out.numerators], out.denominator * k
+    )
+    assert scaled == out and hash(scaled) == hash(out) and repr(scaled) == repr(out)
+    assert "matrix" not in vars(scaled)
 
 
 class TestDiscreteAssignment:

@@ -89,7 +89,7 @@ class TestGoldenOutcomes:
         assert phases is trace.phases and len(phases) == 4
         assert all(type(t) is F for ph in phases for t in (ph.start, ph.end))
         assert trace.assignment == mps_trace(FIG_PROFILE).assignment
-        assert "matrix" in vars(trace.assignment)
+        assert "matrix" not in vars(trace.assignment)  # `==` builds no matrix
 
     def test_mps_opposed_tails_gives_all_halves(self):
         profile = make_profile([("o1", "o2", "o3", "o4"), ("o2", "o1", "o4", "o3")])
@@ -858,9 +858,14 @@ def test_the_fraction_check_sees_a_name():
 INTEGER_ROUTINES = [
     ("model", "validate_assignment"),
     ("fairness", "_first_envy"),
+    ("fairness", "equivariance"),
     ("efficiency", "sd_dominates"),
+    ("efficiency", "_trade_cycle"),
     ("efficiency", "_trade_along"),
+    ("efficiency", "is_sd_efficient"),
     ("efficiency", "decompose_lottery"),
+    ("harness", "_unanimity"),
+    ("harness", "_perfect"),
 ]
 
 
@@ -887,3 +892,50 @@ def test_the_matrix_check_sees_a_read():
         "    return p.matrix[0], q.numerators, [row for row in q.matrix]\n"
     )
     assert matrix_reads(source, "f") == [5, 5]
+
+
+#: Every function of the package that may read a `Fraction` matrix: the
+#: entry and row accessors, the JSON writer, the ex-post hull LP's target,
+#: and the reproduce helpers that print or re-sum recorded matrices.
+MATRIX_READERS = {
+    ("model", "entry"),
+    ("model", "allocation"),
+    ("serialize", "assignment_to_data"),
+    ("efficiency", "is_ex_post_efficient"),
+    ("harness", "_matrix_line"),
+    ("harness", "_reproduce_figure1"),
+    ("harness", "_reproduce_pareto_decomp"),
+}
+
+
+def matrix_readers(module, source):
+    """(module, name) of each function of `source` that reads `matrix`; a
+    nested function's read counts for it and for each function around it."""
+    return {
+        (module, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Attribute) and n.attr == "matrix" for n in ast.walk(node))
+    }
+
+
+def test_only_the_listed_functions_read_the_fraction_matrix():
+    readers = set().union(
+        *(matrix_readers(path.stem, path.read_text()) for path in SOURCES.glob("*.py"))
+    )
+    assert readers == MATRIX_READERS
+
+
+def test_the_reader_list_sees_methods_and_nested_functions():
+    source = (
+        "def f(p):\n"
+        "    def g():\n"
+        "        return p.matrix\n"
+        "    return g\n"
+        "class A:\n"
+        "    def h(self):\n"
+        "        return self.matrix[0]\n"
+        "    def k(self):\n"
+        "        return self.numerators, self.__dict__['matrix']\n"
+    )
+    assert matrix_readers("m", source) == {("m", "f"), ("m", "g"), ("m", "h")}
