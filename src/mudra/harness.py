@@ -221,24 +221,17 @@ def _perfect(profile, output, rule):
     return holds, {"owners": list(perfect.owners)}
 
 
-def _sd_envy_freeness(profile, output, rule):
-    verdict = is_sd_envy_free(output, profile)
+def _envy_freeness(weak, profile, output, rule):
+    """SD envy-freeness, or with `weak` its weak form, whose certificate
+    names no prefix object."""
+    verdict = (is_weak_sd_envy_free if weak else is_sd_envy_free)(output, profile)
     if verdict:
         return True, None
     cert = verdict.certificate
-    return False, {
-        "envious": cert.envious,
-        "envied": cert.envied,
-        "prefix-object": cert.prefix_object,
-    }
-
-
-def _weak_sd_envy_freeness(profile, output, rule):
-    verdict = is_weak_sd_envy_free(output, profile)
-    if verdict:
-        return True, None
-    cert = verdict.certificate
-    return False, {"envious": cert.envious, "envied": cert.envied}
+    data = {"envious": cert.envious, "envied": cert.envied}
+    if not weak:
+        data["prefix-object"] = cert.prefix_object
+    return False, data
 
 
 def _equivariance(relabel, labels, what, profile, output, rule) -> tuple[bool, dict | None]:
@@ -289,8 +282,8 @@ PROPERTIES: dict[str, Property] = {
     "ex-post-efficiency": Property(_ex_post_efficiency, ("assignment",), "ex-post"),
     "unanimity": Property(_unanimity, ("assignment", "rule"), "unanimity"),
     "perfect": Property(_perfect, ("assignment", "profile"), "perfect"),
-    "sd-envy-freeness": Property(_sd_envy_freeness, ("assignment",), "sd-ef"),
-    "weak-sd-envy-freeness": Property(_weak_sd_envy_freeness, ("assignment",), "weak-sd-ef"),
+    "sd-envy-freeness": Property(partial(_envy_freeness, False), ("assignment",), "sd-ef"),
+    "weak-sd-envy-freeness": Property(partial(_envy_freeness, True), ("assignment",), "weak-sd-ef"),
     "anonymity": Property(_anonymity, ("rule",), "anonymity"),
     "neutrality": Property(_neutrality, ("rule",), "neutrality"),
     "sd-strategyproofness": Property(partial(_no_manipulation, "sd"), ("rule",)),

@@ -23,7 +23,7 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Any
+from typing import Any
 
 from .model import Instance, PreferenceProfile, RandomAssignment
 
@@ -157,11 +157,8 @@ def canonical_dumps(data: Any) -> str:
     return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
 
 
-def _load_json(source: str | Path | IO[str]) -> Any:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+def _load_json(source: str | Path) -> Any:
+    text = Path(source).read_text(encoding="utf-8")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -170,9 +167,9 @@ def _load_json(source: str | Path | IO[str]) -> Any:
         raise SchemaError("$", "invalid JSON: nested too deeply") from None
 
 
-def load_profile(source: str | Path | IO[str], relaxed: bool = False) -> PreferenceProfile:
+def load_profile(source: str | Path, relaxed: bool = False) -> PreferenceProfile:
     return profile_from_data(_load_json(source), relaxed=relaxed)
 
 
-def load_assignment(source: str | Path | IO[str], instance: Instance) -> RandomAssignment:
+def load_assignment(source: str | Path, instance: Instance) -> RandomAssignment:
     return assignment_from_data(_load_json(source), instance)

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import copy
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -73,8 +72,8 @@ class _ReportedRow:
     """A coalition member's reported `ranked` row, as a rule reads it.
 
     It supports iteration and `len` only.  The first time the rule reads a
-    position, the view appends ((member, position), column) to the log that
-    the members' views share; reads always start at the top, so `read`, the
+    position, the view appends (member, position) to the log that the
+    members' views share; reads always start at the top, so `read`, the
     number of positions read so far, is also the next one to log.
     """
 
@@ -93,7 +92,7 @@ class _ReportedRow:
         for position, column in enumerate(self.row):
             if position == self.read:
                 self.read += 1
-                self.log.append(((self.member, position), column))
+                self.log.append((self.member, position))
             yield column
 
 
@@ -109,86 +108,104 @@ def _record(reported: PreferenceProfile, rows: tuple[int, ...]) -> list:
     return log
 
 
-def _grown(trie: tuple | None, log: list, coalition_size: int) -> tuple | None:
-    """`trie` with one more judged run, whose first reads are `log`.
+def _grown(trie: tuple | None, log: list, joint: tuple) -> tuple | None:
+    """`trie` with one more judged run: the report `joint`, whose reads are `log`.
 
     A node is (read, branches): the (member, position) the rule reads next,
-    and per column found there the next node, or None for the end of a run.
-    Returns None, which switches pruning off, when the run read some
+    and per object reported there the next node, or None for the end of a
+    run.  Returns None, which switches pruning off, when the run read some
     member's row not at all: the rule then did not read the report through
     the views alone (a memo hit, say), so its reads do not decide its output.
     """
-    if len({member for (member, _), _ in log}) < coalition_size:
+    if len({member for member, _ in log}) < len(joint):
         return None
-    node = trie = trie or (log[0][0], {})
-    for (_, column), (following, _) in zip(log, log[1:]):
-        branches = node[1]
-        node = branches.get(column)
+    node = trie = trie or (log[0], {})
+    for (member, position), following in zip(log, log[1:]):
+        branches, reported = node[1], joint[member][position]
+        node = branches.get(reported)
         if node is None:
-            node = branches[column] = (following, {})
-    node[1][log[-1][1]] = None
+            node = branches[reported] = (following, {})
+    member, position = log[-1]
+    node[1][joint[member][position]] = None
     return trie
 
 
-def _judged(trie: tuple, joint: tuple, ranked_of: dict) -> bool:
-    """Does `joint` walk `trie` to the end of a run already judged?
+def _judged(trie: tuple, joint: tuple) -> bool:
+    """Does the report `joint` walk `trie` to the end of a run already judged?
 
-    Then the rule would read the same entries, find the same columns and
-    return that run's outcome again.  `ranked_of` maps each order to its
-    `ranked` row."""
+    Then the rule would read the same positions, find the same objects there
+    and return that run's outcome again."""
     node = trie
     while node is not None:
         (member, position), branches = node
-        column = ranked_of[joint[member]][position]
-        if column not in branches:
+        reported = joint[member][position]
+        if reported not in branches:
             return False
-        node = branches[column]
+        node = branches[reported]
     return True
 
 
+#: What "improves" means for each kind of manipulation, on a member's row
+#: under a misreport, their truthful row and their `ranked` order.
+_IMPROVES: dict[ManipulationKind, Callable[[AllocationVector, AllocationVector, Order], bool]] = {
+    ManipulationKind.STRICT_SD: lambda alt, truth, order: (
+        sd_compare(alt, truth, order) is SdVerdict.FIRST_STRICTLY_DOMINATES
+    ),
+    ManipulationKind.DL_IMPROVEMENT: lambda alt, truth, order: (
+        dl_compare(alt, truth, order) is DlVerdict.FIRST
+    ),
+    ManipulationKind.NOT_SD_DOMINATED: lambda alt, truth, order: (
+        sd_compare(truth, alt, order) not in (SdVerdict.EQUAL, SdVerdict.FIRST_STRICTLY_DOMINATES)
+    ),
+}
+
+
 def _scan(
-    rule: Rule,
-    profile: PreferenceProfile,
-    members: tuple[str, ...],
-    improves: Callable[[AllocationVector, AllocationVector, Order], bool],
-    kind: ManipulationKind,
+    rule: Rule, profile: PreferenceProfile, coalition: Sequence[str], kind: ManipulationKind
 ) -> Manipulation | None:
-    """First joint misreport of `members` under which every member improves.
+    """First joint misreport of `coalition` under which every member improves,
+    as `_IMPROVES[kind]` defines it.
 
     Each member is judged on their matrix row, the outcome's against the
     truthful one, along their `ranked` order.  The rows are compared as
     integers: the outcome's numerators times the truthful denominator
     against the truthful numerators times the outcome's denominator, which
     orders them exactly as the `Fraction` rows; no `Fraction` matrix is
-    built.  Refuses unbalanced instances, more than 6 objects and more than
+    built.  Refuses unbalanced instances, an empty coalition, one that lists
+    an agent twice or an unknown agent, more than 6 objects and more than
     10^6 joint misreports before the rule runs.
 
     Each run reads the members' rows through `_ReportedRow` views, and the
-    trie of `_grown` keeps the positions it read and the columns found
-    there.  A deterministic rule that reads reports only through `ranked`
-    makes the same reads and returns the same outcome for every report that
-    agrees on them, so a report that walks the trie to a judged run is
-    skipped: that outcome was no improvement.  Reports are visited in the
-    same order either way, so the first witness is the same.  The first run
-    that does not read every member's row ends the recording, and every
+    trie of `_grown` keeps the positions it read and the objects the report
+    lists there.  A deterministic rule that reads reports only through
+    `ranked` makes the same reads and returns the same outcome for every
+    report that agrees on them, so a report that walks the trie to a judged
+    run is skipped: that outcome was no improvement.  Reports are visited in
+    the same order either way, so the first witness is the same.  The first
+    run that does not read every member's row ends the recording, and every
     later report of the scan runs.
     """
     require_balanced(profile.instance, "manipulation search")
+    members = tuple(coalition)
+    if not members:
+        raise ValueError("coalition must not be empty")
+    if len(set(members)) != len(members):
+        raise ValueError("coalition lists an agent twice")
+    rows = tuple(map(profile.instance.agent_index, members))  # raises on unknown agents
     objects = profile.instance.objects
     m, k = len(objects), len(members)
     refuse_over(order_count(m, 1, MISREPORT_LIMIT), MISREPORT_LIMIT, f"{m}! strict orders")
     joints = orderings(objects, JOINT_LIMIT, f"({m}!)^{k} joint misreports", repeat=k)
-    rows = tuple(map(profile.instance.agent_index, members))
+    improves = _IMPROVES[kind]
     true_orders = tuple(profile.orders[i] for i in rows)
     reported = copy.copy(profile)
     log = _record(reported, rows)
     truthful = rule(reported)
-    trie = _grown(None, log, k)
-    ranked_of = dict(zip(itertools.permutations(objects), itertools.permutations(range(m))))
+    trie = _grown(None, log, true_orders)
     truth_scale = truthful.denominator
     truths = tuple((i, truthful.numerators[i], profile.ranked[i]) for i in rows)
     for joint in joints:
-        if joint == true_orders or trie is not None and _judged(trie, joint, ranked_of):
+        if joint == true_orders or trie is not None and _judged(trie, joint):
             continue
         reported = profile.with_orders(dict(zip(members, joint)))
         if trie is not None:
@@ -211,42 +228,29 @@ def _scan(
                 manipulated=outcome,
             )
         if trie is not None:
-            trie = _grown(trie, log, k)
+            trie = _grown(trie, log, joint)
     return None
-
-
-def _strictly_sd_better(alt: AllocationVector, truth: AllocationVector, order: Order) -> bool:
-    return sd_compare(alt, truth, order) is SdVerdict.FIRST_STRICTLY_DOMINATES
 
 
 def find_weak_sd_manipulation(
     rule: Rule, profile: PreferenceProfile, agent: str
 ) -> Manipulation | None:
     """First misreport whose outcome strictly SD-dominates the truthful one."""
-    return _scan(rule, profile, (agent,), _strictly_sd_better, ManipulationKind.STRICT_SD)
+    return _scan(rule, profile, (agent,), ManipulationKind.STRICT_SD)
 
 
 def find_dl_manipulation(
     rule: Rule, profile: PreferenceProfile, agent: str
 ) -> Manipulation | None:
     """First misreport whose outcome wins downward lexicographically."""
-    return _scan(
-        rule, profile, (agent,),
-        lambda alt, truth, order: dl_compare(alt, truth, order) is DlVerdict.FIRST,
-        ManipulationKind.DL_IMPROVEMENT,
-    )
+    return _scan(rule, profile, (agent,), ManipulationKind.DL_IMPROVEMENT)
 
 
 def find_sd_manipulation(
     rule: Rule, profile: PreferenceProfile, agent: str
 ) -> Manipulation | None:
     """First misreport whose outcome the truthful one fails to weakly dominate."""
-    return _scan(
-        rule, profile, (agent,),
-        lambda alt, truth, order: sd_compare(truth, alt, order)
-        not in (SdVerdict.EQUAL, SdVerdict.FIRST_STRICTLY_DOMINATES),
-        ManipulationKind.NOT_SD_DOMINATED,
-    )
+    return _scan(rule, profile, (agent,), ManipulationKind.NOT_SD_DOMINATED)
 
 
 def find_group_manipulation(
@@ -258,18 +262,11 @@ def find_group_manipulation(
 
     Joint misreports are enumerated as the canonical product of per-member
     misreport sequences; every member's outcome must strictly SD-dominate
-    their truthful outcome under their true order.  Refuses more than 6
-    objects, and more than 10^6 joint misreports.
+    their truthful outcome under their true order.  Refuses an empty or
+    repeating coalition, unknown agents, more than 6 objects, and more than
+    10^6 joint misreports.
     """
-    require_balanced(profile.instance, "manipulation search")
-    members = tuple(coalition)
-    if not members:
-        raise ValueError("coalition must not be empty")
-    if len(set(members)) != len(members):
-        raise ValueError("coalition lists an agent twice")
-    for a in members:
-        profile.instance.agent_index(a)  # raises on unknown agents
-    return _scan(rule, profile, members, _strictly_sd_better, ManipulationKind.STRICT_SD)
+    return _scan(rule, profile, coalition, ManipulationKind.STRICT_SD)
 
 
 #: Individual misreport kind -> its finder.  Callers look a finder up here

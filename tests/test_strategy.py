@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mudra.efficiency import sd_dominates
@@ -394,6 +394,14 @@ def test_pair_search_matches_brute_force(rule_name, cache):
         assert witnesses == EXPECTED_PAIR_WITNESSES[rule_name]
 
 
+def seeded_profile(instance, seed):
+    rng = random.Random(seed)
+    m = instance.num_objects
+    return PreferenceProfile(
+        instance, tuple(tuple(rng.sample(instance.objects, m)) for _ in instance.agents)
+    )
+
+
 six_object_orders = st.permutations(SIX_OBJECTS.instance.objects).map(tuple)
 
 
@@ -403,6 +411,10 @@ six_object_orders = st.permutations(SIX_OBJECTS.instance.objects).map(tuple)
     orders=st.tuples(six_object_orders, six_object_orders, six_object_orders),
     agent=st.sampled_from(SIX_OBJECTS.instance.agents),
 )
+# A rule that reads more than its views show (an `mps` that runs `ops` when
+# the first order ends in the first object) gives a different first witness
+# here: the scan's skips then rest on reads that do not decide the output.
+@example(orders=seeded_profile(SIX_OBJECTS.instance, 1).orders, agent="1")
 def test_searches_match_brute_force_on_six_objects(rule_name, orders, agent):
     """The widest scan: 720 reports of one agent on 3x6 c=2."""
     profile = PreferenceProfile(SIX_OBJECTS.instance, orders)
@@ -424,14 +436,6 @@ class CountedRule:
 
 
 FOUR_BY_FOUR = Instance(agents=("1", "2", "3", "4"), objects=("a", "b", "c", "d"), quota=1)
-
-
-def seeded_profile(instance, seed):
-    rng = random.Random(seed)
-    m = instance.num_objects
-    return PreferenceProfile(
-        instance, tuple(tuple(rng.sample(instance.objects, m)) for _ in instance.agents)
-    )
 
 
 @pytest.mark.parametrize("rule_name", RULE_NAMES)
@@ -466,6 +470,20 @@ def test_pair_scan_runs_the_rule_once_per_distinct_read(rule_name):
     memo = CountedRule(cache.callable(rule_name))
     assert find_group_manipulation(memo, PAIR_PROFILE, ("1", "2")) is None
     assert memo.runs == 576
+
+
+def test_a_row_read_outside_the_views_switches_pruning_off():
+    """A run that reads some member's row not at all through its view ends
+    the recording: here only agent 1's top object is read through a view,
+    and `mps` then runs on a rebuilt profile that no view sees."""
+
+    def rebuilt(profile):
+        next(iter(profile.ranked[0]))
+        return mps(PreferenceProfile(profile.instance, profile.orders))
+
+    rule = CountedRule(rebuilt)
+    assert find_group_manipulation(rule, PAIR_PROFILE, ("1", "2")) is None
+    assert rule.runs == 576
 
 
 def test_scan_reads_no_fraction_of_an_outcome():
