@@ -1,6 +1,8 @@
 """Exact-arithmetic toolkit for multi-unit random assignment.
 
-Everything is computed over ``fractions.Fraction``; no floats anywhere.
+Arithmetic is exact and floats are refused: an assignment is integer rows
+over one common denominator, and a ``fractions.Fraction`` is built only for a
+value a caller reads or in the ex-post hull LP, the one ``Fraction`` solver.
 The package bundles five assignment rules (uniform, fixed-priority serial
 dictatorship, random priority, one-at-a-time eating, multi-unit eating),
 stochastic-dominance and lexicographic comparisons, efficiency / fairness /

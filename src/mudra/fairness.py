@@ -1,6 +1,7 @@
 """Fairness and symmetry checks: envy-freeness in the stochastic dominance
-sense, anonymity and neutrality as equivariance of a rule under relabelings.
-Each pair of notions is decided by one routine: `_first_envy`, `equivariance`.
+sense, anonymity and neutrality as equivariance of a rule under every
+relabelling of its agents or objects.  Each pair of notions is decided by
+one routine: `_first_envy`, `_first_asymmetry`.
 The envy scan sums integer `numerators` rows: every row of one matrix shares
 its `denominator`, so their prefix sums order exactly as the `Fraction` ones.
 """
@@ -9,11 +10,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from .model import (
+    ORDER_LIMIT,
     PreferenceProfile,
     RandomAssignment,
+    orderings,
     permute_agents,
     permute_objects,
     require_balanced,
@@ -86,8 +89,10 @@ def is_weak_sd_envy_free(p: RandomAssignment, profile: PreferenceProfile) -> Fai
 @dataclass(frozen=True)
 class EquivarianceVerdict:
     holds: bool
-    permutation: tuple[tuple[str, str], ...]
-    #: First (agent, object) cell where the two sides disagree.
+    #: The first failing relabelling as sorted (label, image) pairs, and the
+    #: first (agent, object) cell where its two sides disagree; both are
+    #: None when the verdict holds.
+    permutation: tuple[tuple[str, str], ...] | None = None
     mismatch: tuple[str, str] | None = None
 
     def __bool__(self) -> bool:
@@ -97,42 +102,49 @@ class EquivarianceVerdict:
 Rule = Callable[[PreferenceProfile], RandomAssignment]
 
 
-def equivariance(
-    rule: Rule, profile: PreferenceProfile, relabel: Callable, mapping: Mapping[str, str],
-    truthful: RandomAssignment | None = None,
-) -> EquivarianceVerdict:
-    """Relabelling by `mapping` first or applying the rule first must agree.
-
-    `relabel` is `permute_agents` or `permute_objects`; `truthful`, when
-    given, is rule(profile), so a scan of many relabellings runs it once.
-    The two sides are compared on their reduced integer views, which are
-    equal exactly when the matrices are; the first mismatching cell is found
-    by cross-multiplying numerators.
+def _first_asymmetry(rule, profile, relabel, labels, what, truthful) -> EquivarianceVerdict:
+    """The first relabelling of `labels`, in lexicographic order past the
+    identity, under which relabelling first and applying the rule first
+    disagree, with the first cell where they do (by cross-multiplied
+    numerators); or a pass.  More than 8 labels are refused before the rule
+    runs, and the rule runs on `profile` once unless `truthful` is its output.
     """
-    left = rule(relabel(profile, mapping))
-    right = relabel(truthful or rule(profile), mapping)
-    permutation = tuple(sorted(mapping.items()))
-    if left == right:
-        return EquivarianceVerdict(True, permutation)
-    cells = itertools.product(profile.instance.agents, profile.instance.objects)
-    values = zip(cells, itertools.chain(*left.numerators), itertools.chain(*right.numerators))
-    mismatch = next(
-        cell for cell, a, b in values if a * right.denominator != b * left.denominator
-    )
-    return EquivarianceVerdict(False, permutation, mismatch)
+    images = orderings(labels, ORDER_LIMIT, f"{len(labels)}! {what} relabellings")
+    if truthful is None:
+        truthful = rule(profile)
+    for image in images:
+        if image == labels:
+            continue
+        mapping = dict(zip(labels, image))
+        left = rule(relabel(profile, mapping))
+        right = relabel(truthful, mapping)
+        if left != right:
+            cells = itertools.product(profile.instance.agents, profile.instance.objects)
+            sides = zip(cells, *(itertools.chain(*side.numerators) for side in (left, right)))
+            mismatch = next(
+                cell for cell, a, b in sides if a * right.denominator != b * left.denominator
+            )
+            return EquivarianceVerdict(False, tuple(sorted(mapping.items())), mismatch)
+    return EquivarianceVerdict(True)
 
 
 def check_anonymity(
-    rule: Rule, profile: PreferenceProfile, pi: Mapping[str, str]
+    rule: Rule, profile: PreferenceProfile, truthful: RandomAssignment | None = None
 ) -> EquivarianceVerdict:
-    """Relabeling agents first or applying the rule first must agree."""
+    """Under every relabelling of the agents, relabelling first or applying
+    the rule first must agree.  `truthful`, when given, is rule(profile)."""
     require_balanced(profile.instance, "anonymity")
-    return equivariance(rule, profile, permute_agents, pi)
+    return _first_asymmetry(
+        rule, profile, permute_agents, profile.instance.agents, "agent", truthful
+    )
 
 
 def check_neutrality(
-    rule: Rule, profile: PreferenceProfile, sigma: Mapping[str, str]
+    rule: Rule, profile: PreferenceProfile, truthful: RandomAssignment | None = None
 ) -> EquivarianceVerdict:
-    """Relabeling objects first or applying the rule first must agree."""
+    """Under every relabelling of the objects, relabelling first or applying
+    the rule first must agree.  `truthful`, when given, is rule(profile)."""
     require_balanced(profile.instance, "neutrality")
-    return equivariance(rule, profile, permute_objects, sigma)
+    return _first_asymmetry(
+        rule, profile, permute_objects, profile.instance.objects, "object", truthful
+    )

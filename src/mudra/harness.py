@@ -29,9 +29,13 @@ from mudra.efficiency import (
     is_sd_efficient,
     perfect_assignment,
 )
-from mudra.fairness import equivariance, is_sd_envy_free, is_weak_sd_envy_free
+from mudra.fairness import (
+    check_anonymity,
+    check_neutrality,
+    is_sd_envy_free,
+    is_weak_sd_envy_free,
+)
 from mudra.model import (
-    ORDER_LIMIT,
     PROFILE_LIMIT,
     DiscreteAssignment,
     Instance,
@@ -40,8 +44,6 @@ from mudra.model import (
     discrete_to_random,
     order_count,
     orderings,
-    permute_agents,
-    permute_objects,
     refuse_over,
     require_balanced,
 )
@@ -234,32 +236,13 @@ def _envy_freeness(weak, profile, output, rule):
     return False, data
 
 
-def _equivariance(relabel, labels, what, profile, output, rule) -> tuple[bool, dict | None]:
-    """Is `rule` equivariant under every relabelling of `labels` but the
-    identity?  The rule runs on `profile` itself once; more than 8 labels
-    (ORDER_LIMIT orders) are refused before any relabelling is made."""
-    images = orderings(labels, ORDER_LIMIT, f"{len(labels)}! {what} relabellings")
-    truthful = rule(profile) if output is None else output
-    for image in images:
-        if image == labels:
-            continue
-        verdict = equivariance(rule, profile, relabel, dict(zip(labels, image)), truthful)
-        if not verdict:
-            return False, {
-                "permutation": dict(verdict.permutation),
-                "mismatch": list(verdict.mismatch),
-            }
-    return True, None
-
-
-def _anonymity(profile, output, rule):
-    require_balanced(profile.instance, "anonymity")
-    return _equivariance(permute_agents, profile.instance.agents, "agent", profile, output, rule)
-
-
-def _neutrality(profile, output, rule):
-    require_balanced(profile.instance, "neutrality")
-    return _equivariance(permute_objects, profile.instance.objects, "object", profile, output, rule)
+def _symmetry(agents, profile, output, rule):
+    """Anonymity, or without `agents` neutrality.  The checkers are read as
+    module globals at call time, so a rebinding of either name reaches here."""
+    verdict = (check_anonymity if agents else check_neutrality)(rule, profile, output)
+    if verdict:
+        return True, None
+    return False, {"permutation": dict(verdict.permutation), "mismatch": list(verdict.mismatch)}
 
 
 def _no_manipulation(kind, profile, output, rule) -> tuple[bool, dict | None]:
@@ -284,8 +267,8 @@ PROPERTIES: dict[str, Property] = {
     "perfect": Property(_perfect, ("assignment", "profile"), "perfect"),
     "sd-envy-freeness": Property(partial(_envy_freeness, False), ("assignment",), "sd-ef"),
     "weak-sd-envy-freeness": Property(partial(_envy_freeness, True), ("assignment",), "weak-sd-ef"),
-    "anonymity": Property(_anonymity, ("rule",), "anonymity"),
-    "neutrality": Property(_neutrality, ("rule",), "neutrality"),
+    "anonymity": Property(partial(_symmetry, True), ("rule",), "anonymity"),
+    "neutrality": Property(partial(_symmetry, False), ("rule",), "neutrality"),
     "sd-strategyproofness": Property(partial(_no_manipulation, "sd"), ("rule",)),
     "dl-strategyproofness": Property(partial(_no_manipulation, "dl"), ("rule",)),
     "weak-sd-strategyproofness": Property(partial(_no_manipulation, "weak-sd"), ("rule",)),

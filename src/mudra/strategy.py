@@ -71,7 +71,7 @@ class Manipulation:
 class _ReportedRow:
     """A coalition member's reported `ranked` row, as a rule reads it.
 
-    It supports iteration and `len` only.  The first time the rule reads a
+    It supports iteration only.  The first time the rule reads a
     position, the view appends (member, position) to the log that the
     members' views share; reads always start at the top, so `read`, the
     number of positions read so far, is also the next one to log.
@@ -81,9 +81,6 @@ class _ReportedRow:
 
     def __init__(self, row: tuple[int, ...], member: int, log: list) -> None:
         self.row, self.member, self.log, self.read = row, member, log, 0
-
-    def __len__(self) -> int:
-        return len(self.row)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.row) if self.read == len(self.row) else self._reading()

@@ -45,6 +45,8 @@ class Mutant:
 
 
 STRATEGY_TESTS = ("tests/test_strategy.py",)
+MODEL_TESTS = ("tests/test_model.py",)
+FAIRNESS_TESTS = ("tests/test_fairness.py",)
 
 MUTANTS = (
     # A rule that peeks past its reads: it looks at the last object of the
@@ -95,6 +97,65 @@ MUTANTS = (
         '        raise ValueError("coalition lists an agent twice")\n',
         "",
         STRATEGY_TESTS,
+    ),
+    # Input refusals: without each, a malformed value passes or is refused
+    # for another reason.
+    Mutant(
+        "instance-without-agents-accepted",
+        "model.py",
+        '        if not self.agents:\n'
+        '            raise ValueError("instance needs at least one agent")\n',
+        "",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "instance-without-objects-accepted",
+        "model.py",
+        '        if not self.objects:\n'
+        '            raise ValueError("instance needs at least one object")\n',
+        "",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "non-rational-entry-accepted",
+        "model.py",
+        '    raise TypeError(f"{where}: expected a rational, got {type(value).__name__}")\n',
+        "    return value\n",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "unknown-object-indexed",
+        "model.py",
+        '            raise KeyError(f"unknown object {obj!r}") from None\n',
+        "            return -1\n",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "non-string-rational-accepted",
+        "serialize.py",
+        "    if not isinstance(value, str):\n"
+        '        raise SchemaError(path, f"expected a rational string, '
+        'got {type(value).__name__}")\n',
+        "",
+        ("tests/test_serialize.py",),
+    ),
+    # The relabelling scan: it compares reduced views of unequal
+    # denominators, and it must walk every image, not only the first.
+    Mutant(
+        "raw-numerators-mismatch",
+        "fairness.py",
+        "if a * right.denominator != b * left.denominator",
+        "if a != b",
+        FAIRNESS_TESTS,
+    ),
+    Mutant(
+        "first-image-only",
+        "fairness.py",
+        '    images = orderings(labels, ORDER_LIMIT, f"{len(labels)}! {what} relabellings")\n',
+        '    images = itertools.islice(\n'
+        '        orderings(labels, ORDER_LIMIT, f"{len(labels)}! {what} relabellings"), 2\n'
+        '    )\n',
+        FAIRNESS_TESTS,
     ),
 )
 

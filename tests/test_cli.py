@@ -631,6 +631,16 @@ INPUT_REFUSALS = {
         fig1_rows((True, "1", "0", "0"), ("0", "0", "1", "1")),
         "input error: matrix.1.o1: expected a rational string, got True",
     ),
+    "null-entry": (
+        ["check", "--property", "sd-ef"], FIG1,
+        fig1_rows((None, "1", "0", "0"), ("0", "0", "1", "1")),
+        "input error: matrix.1.o1: expected a rational string, got NoneType",
+    ),
+    "list-entry": (
+        ["check", "--property", "sd-ef"], FIG1,
+        fig1_rows(("1", "1", "0", ["0"]), ("0", "0", "1", "1")),
+        "input error: matrix.1.o4: expected a rational string, got list",
+    ),
     "row-not-an-object": (
         ["check", "--property", "sd-ef"], FIG1,
         {"matrix": {"1": ["1", "1", "0", "0"], "2": {"o1": "0", "o2": "0", "o3": "1", "o4": "1"}}},

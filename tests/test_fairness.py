@@ -108,17 +108,19 @@ def test_an_assignment_from_another_instance_is_refused(check):
 
 
 class TestAnonymity:
-    SWAP = {"1": "2", "2": "1"}
+    SWAP = (("1", "2"), ("2", "1"))
 
     def test_symmetric_rule_commutes_with_agent_relabeling(self):
         staggered = profile(("o1", "o2", "o3", "o4"), ("o3", "o2", "o4", "o1"))
         for rule in (mps, ops, lambda p: uniform(p.instance), random_priority):
-            assert check_anonymity(rule, staggered, self.SWAP).holds
+            verdict = check_anonymity(rule, staggered)
+            assert verdict.holds and verdict.permutation is verdict.mismatch is None
 
     def test_fixed_priority_is_not_anonymous(self):
         staggered = profile(("o1", "o2", "o3", "o4"), ("o3", "o2", "o4", "o1"))
-        verdict = check_anonymity(priority_rule, staggered, self.SWAP)
+        verdict = check_anonymity(priority_rule, staggered)
         assert not verdict.holds
+        assert verdict.permutation == self.SWAP
         assert verdict.mismatch is not None
 
     def test_mismatch_is_the_first_cell_of_unequal_value(self):
@@ -129,20 +131,27 @@ class TestAnonymity:
         skewed = RandomAssignment(
             INST, ((F(1, 2), F(1, 4), F(3, 4), F(1, 2)), (F(1, 2), F(3, 4), F(1, 4), F(1, 2)))
         )
-        verdict = check_anonymity(
-            lambda q: halves if q == staggered else skewed, staggered, self.SWAP
-        )
+        verdict = check_anonymity(lambda q: halves if q == staggered else skewed, staggered)
         assert not verdict.holds and verdict.mismatch == ("1", "o2")
 
     def test_identity_permutation_is_trivial(self):
-        identity = {"1": "1", "2": "2"}
-        assert check_anonymity(priority_rule, IDENTICAL, identity).holds
+        # One agent has only the identity relabelling, which is skipped: the
+        # rule runs once, on the profile itself, and anything is anonymous.
+        alone = Instance(agents=("1",), objects=("o1", "o2"), quota=2)
+        runs = []
+
+        def rule(p):
+            runs.append(p)
+            return priority_rule(p)
+
+        solo = PreferenceProfile(alone, (("o2", "o1"),))
+        assert check_anonymity(rule, solo).holds
+        assert runs == [solo]
 
 
 class TestNeutrality:
-    ROTATE = {"o1": "o2", "o2": "o3", "o3": "o4", "o4": "o1"}
-
     def test_all_bundled_rules_commute_with_object_relabeling(self):
+        # Every one of the 23 non-identity relabellings of four objects.
         staggered = profile(("o1", "o2", "o3", "o4"), ("o3", "o2", "o4", "o1"))
         rules = (
             lambda p: uniform(p.instance),
@@ -152,12 +161,16 @@ class TestNeutrality:
             mps,
         )
         for rule in rules:
-            assert check_neutrality(rule, staggered, self.ROTATE).holds
+            assert check_neutrality(rule, staggered).holds
 
     def test_constant_rule_is_not_neutral(self):
+        # The first image, swapping o3 and o4, commutes with the constant
+        # output; the second, swapping o2 and o3, does not.
         constant = discrete_to_random(DiscreteAssignment(INST, ("1", "1", "2", "2")))
-        verdict = check_neutrality(lambda p: constant, IDENTICAL, self.ROTATE)
+        verdict = check_neutrality(lambda p: constant, IDENTICAL)
         assert not verdict.holds
+        assert verdict.permutation == (("o1", "o1"), ("o2", "o3"), ("o3", "o2"), ("o4", "o4"))
+        assert verdict.mismatch == ("1", "o2")
 
 
 # --------------------------------------------------------------------------

@@ -270,6 +270,10 @@ class TestTable1Sweep:
         assert cell.domain.startswith("n=4")
         assert cell.observed == "counterexample-found"
 
+    def test_unknown_cell_is_refused(self, table1_report):
+        with pytest.raises(KeyError, match="'mps', 'fancyness'"):
+            table1_report.cell("mps", "fancyness")
+
     def test_rule_timings_recorded(self, table1_report):
         assert [rule for rule, _ in table1_report.rule_seconds] == list(RULE_NAMES)
         assert all(secs >= 0 for _, secs in table1_report.rule_seconds)

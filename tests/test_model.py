@@ -111,6 +111,19 @@ class TestInstance:
         with pytest.raises(KeyError):
             INST.agent_index("9")
 
+    def test_unknown_object_index_rejected(self):
+        with pytest.raises(KeyError, match="unknown object 'o9'"):
+            INST.object_index("o9")
+
+    def test_no_agents_rejected(self):
+        # Without this check the quota check still refuses, with another message.
+        with pytest.raises(ValueError, match="at least one agent"):
+            Instance(agents=(), objects=("o1",), quota=1)
+
+    def test_no_objects_rejected(self):
+        with pytest.raises(ValueError, match="at least one object"):
+            Instance(agents=("1",), objects=(), quota=1)
+
 
 class TestPreferenceProfile:
     def test_orders_must_be_permutations(self):
@@ -196,6 +209,11 @@ class TestRandomAssignment:
         half = Fraction(1, 2)
         with pytest.raises(TypeError, match="floating point"):
             RandomAssignment(INST, ((half, half, half, 0.5), (half,) * 4))
+
+    def test_non_rational_entries_rejected(self):
+        half = Fraction(1, 2)
+        with pytest.raises(TypeError, match="expected a rational, got str"):
+            RandomAssignment(INST, ((half, half, half, "1/2"), (half,) * 4))
 
     def test_ints_converted_and_fractions_kept(self):
         half = Fraction(1, 2)

@@ -858,7 +858,7 @@ def test_the_fraction_check_sees_a_name():
 INTEGER_ROUTINES = [
     ("model", "validate_assignment"),
     ("fairness", "_first_envy"),
-    ("fairness", "equivariance"),
+    ("fairness", "_first_asymmetry"),
     ("efficiency", "sd_dominates"),
     ("efficiency", "_trade_cycle"),
     ("efficiency", "_trade_along"),

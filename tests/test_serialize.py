@@ -87,6 +87,11 @@ class TestRationals:
         with pytest.raises(SchemaError, match="floating point"):
             parse_rational(0.5, "x")
 
+    @pytest.mark.parametrize("value, kind", [(None, "NoneType"), (["1/2"], "list")])
+    def test_non_string_values_rejected(self, value, kind):
+        with pytest.raises(SchemaError, match=f"expected a rational string, got {kind}"):
+            parse_rational(value, "x")
+
     def test_error_carries_path(self):
         with pytest.raises(SchemaError) as err:
             parse_rational("1/0", "matrix.1.o2")

@@ -145,6 +145,11 @@ class TestSdManipulation:
         )
         assert_replayable(mps, STAGGERED, found)
 
+    def test_misreport_of_a_non_member_is_refused(self):
+        found = find_sd_manipulation(mps, STAGGERED, "1")
+        with pytest.raises(KeyError, match="agent '2' is not part of this manipulation"):
+            found.misreport_of("2")
+
     def test_uniform_is_immune_by_construction(self):
         rule = lambda p: uniform(p.instance)
         for agent in ("1", "2"):
