@@ -177,11 +177,10 @@ def _render_compute(data: dict) -> Iterator[str]:
 
 #: `--property` token -> registry entry, for the properties `check` offers.
 _BY_TOKEN = {prop.token: prop for prop in PROPERTIES.values() if prop.token}
-PROPERTY_TOKENS = tuple(_BY_TOKEN)
 
 
 @main.command()
-@click.option("--property", "token", type=click.Choice(PROPERTY_TOKENS), required=True)
+@click.option("--property", "token", type=click.Choice(tuple(_BY_TOKEN)), required=True)
 @click.option(
     "--profile", "profile_path", required=True,
     type=click.Path(exists=True, dir_okay=False),

@@ -64,7 +64,7 @@ def perfect_assignment(profile: PreferenceProfile) -> DiscreteAssignment | None:
             if owners[j] is not None:
                 return None
             owners[j] = agent
-    return DiscreteAssignment(inst, tuple(owners))
+    return DiscreteAssignment(inst, owners)
 
 
 def sd_dominates(q: RandomAssignment, p: RandomAssignment, profile: PreferenceProfile) -> bool:

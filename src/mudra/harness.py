@@ -134,26 +134,6 @@ class OutputCache:
 # Property registry
 # --------------------------------------------------------------------------
 
-#: Reference classification being confirmed by the sweep: property -> rule -> sign.
-EXPECTED_SIGNS: dict[str, dict[str, str]] = {
-    prop: dict(zip(RULE_NAMES, signs))
-    for prop, signs in {
-        "sd-efficiency": "-+-+-",
-        "ex-post-efficiency": "-+++-",
-        "unanimity": "-++++",
-        "sd-envy-freeness": "+--++",
-        "weak-sd-envy-freeness": "+-+++",
-        "anonymity": "+-+++",
-        "neutrality": "+++++",
-        "sd-strategyproofness": "+++--",
-        "dl-strategyproofness": "+++-+",
-        "weak-sd-strategyproofness": "+++-+",
-    }.items()
-}
-
-#: The properties the table1 sweep classifies, in table order.
-PROPERTY_NAMES: tuple[str, ...] = tuple(EXPECTED_SIGNS)
-
 #: (profile, output, rule) -> (holds, certificate).  `output` is the
 #: assignment judged at `profile` and `rule` the rule that produced it; either
 #: may be None when the caller judges only the other.  The ex-post checker
@@ -163,7 +143,8 @@ Checker = Callable[..., tuple[bool, dict | None]]
 
 @dataclass(frozen=True)
 class Property:
-    """One registry entry: the checker and how `mudra check` reaches it."""
+    """One registry entry: the checker, how `mudra check` reaches it and its
+    table1 row."""
 
     check: Checker
     #: What the checker can judge: "assignment" (it reads `output`), "rule"
@@ -172,6 +153,9 @@ class Property:
     judges: tuple[str, ...]
     #: The `mudra check --property` token, or None when only the sweep checks it.
     token: str | None = None
+    #: The recorded table1 sign of each rule, in `RULE_NAMES` order, or None
+    #: for a property table1 does not classify.
+    signs: str | None = None
 
 
 def _matrix_data(p: RandomAssignment) -> dict:
@@ -261,18 +245,25 @@ def _no_manipulation(kind, profile, output, rule) -> tuple[bool, dict | None]:
 
 #: The property registry behind both the table1 sweep and `mudra check`.
 PROPERTIES: dict[str, Property] = {
-    "sd-efficiency": Property(_sd_efficiency, ("assignment",), "sd-efficient"),
-    "ex-post-efficiency": Property(_ex_post_efficiency, ("assignment",), "ex-post"),
-    "unanimity": Property(_unanimity, ("assignment", "rule"), "unanimity"),
+    # signs: one per rule, in the order uniform, priority, rp, ops, mps
+    "sd-efficiency": Property(_sd_efficiency, ("assignment",), "sd-efficient",       signs="-+-+-"),
+    "ex-post-efficiency": Property(_ex_post_efficiency, ("assignment",), "ex-post",  signs="-+++-"),
+    "unanimity": Property(_unanimity, ("assignment", "rule"), "unanimity",           signs="-++++"),
     "perfect": Property(_perfect, ("assignment", "profile"), "perfect"),
-    "sd-envy-freeness": Property(partial(_envy_freeness, False), ("assignment",), "sd-ef"),
-    "weak-sd-envy-freeness": Property(partial(_envy_freeness, True), ("assignment",), "weak-sd-ef"),
-    "anonymity": Property(partial(_symmetry, True), ("rule",), "anonymity"),
-    "neutrality": Property(partial(_symmetry, False), ("rule",), "neutrality"),
-    "sd-strategyproofness": Property(partial(_no_manipulation, "sd"), ("rule",)),
-    "dl-strategyproofness": Property(partial(_no_manipulation, "dl"), ("rule",)),
-    "weak-sd-strategyproofness": Property(partial(_no_manipulation, "weak-sd"), ("rule",)),
+    "sd-envy-freeness": Property(
+        partial(_envy_freeness, False), ("assignment",), "sd-ef",                    signs="+--++"),
+    "weak-sd-envy-freeness": Property(
+        partial(_envy_freeness, True), ("assignment",), "weak-sd-ef",                signs="+-+++"),
+    "anonymity": Property(partial(_symmetry, True), ("rule",), "anonymity",          signs="+-+++"),
+    "neutrality": Property(partial(_symmetry, False), ("rule",), "neutrality",       signs="+++++"),
+    "sd-strategyproofness": Property(partial(_no_manipulation, "sd"), ("rule",),     signs="+++--"),
+    "dl-strategyproofness": Property(partial(_no_manipulation, "dl"), ("rule",),     signs="+++-+"),
+    "weak-sd-strategyproofness": Property(
+        partial(_no_manipulation, "weak-sd"), ("rule",),                             signs="+++-+"),
 }
+
+#: The properties the table1 sweep classifies, in table order.
+PROPERTY_NAMES: tuple[str, ...] = tuple(name for name, prop in PROPERTIES.items() if prop.signs)
 
 
 def check_rule_property(
@@ -291,6 +282,8 @@ def check_rule_property(
     prop = PROPERTIES.get(property_name)
     if prop is None:
         raise ValueError(f"unknown property {property_name!r}")
+    if rule_name not in RULES:
+        raise ValueError(f"unknown rule {rule_name!r}")
     cache = cache or OutputCache()
     return prop.check(profile, cache.output(rule_name, profile), cache.callable(rule_name))
 
@@ -446,8 +439,7 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
 
     cells = []
     for property_name in PROPERTY_NAMES:
-        for rule_name in RULE_NAMES:
-            expected = EXPECTED_SIGNS[property_name][rule_name]
+        for rule_name, expected in zip(RULE_NAMES, PROPERTIES[property_name].signs, strict=True):
             if property_name == "neutrality":
                 found = neutrality[rule_name]
             else:

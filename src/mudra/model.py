@@ -39,7 +39,7 @@ class GuardExceeded(Exception):
 # Guards of the exhaustive enumerations, each compared with the exact size of
 # what an enumeration would visit (for rp, an upper bound on it) before it
 # visits any of it.
-PROFILE_LIMIT = 10**6  # profiles listed or swept; read only by enumerate_profiles
+PROFILE_LIMIT = 10**6  # profiles listed, swept or counted by profile_count
 DISCRETE_LIMIT = 10**6  # discrete assignments screened for ex-post efficiency
 MISREPORT_LIMIT = math.factorial(6)  # one agent's misreports
 JOINT_LIMIT = 10**6  # a coalition's joint misreports
@@ -130,6 +130,8 @@ class Instance:
     relaxed: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "agents", tuple(self.agents))
+        object.__setattr__(self, "objects", tuple(self.objects))
         if not self.agents:
             raise ValueError("instance needs at least one agent")
         if not self.objects:
@@ -199,6 +201,7 @@ class PreferenceProfile:
     orders: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "orders", tuple(map(tuple, self.orders)))
         inst = self.instance
         if len(self.orders) != inst.num_agents:
             raise ValueError(
@@ -333,6 +336,7 @@ class DiscreteAssignment:
     owners: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "owners", tuple(self.owners))
         inst = self.instance
         if len(self.owners) != inst.num_objects:
             raise ValueError(
@@ -343,9 +347,6 @@ class DiscreteAssignment:
         for obj, owner in zip(inst.objects, self.owners):
             if owner not in known:
                 raise ValueError(f"object {obj!r} owned by unknown agent {owner!r}")
-
-    def bundle(self, agent: str) -> tuple[str, ...]:
-        return tuple(o for o, a in zip(self.instance.objects, self.owners) if a == agent)
 
     def bundle_sizes(self) -> dict[str, int]:
         sizes = {a: 0 for a in self.instance.agents}

@@ -172,7 +172,7 @@ def serial_dictator(profile: PreferenceProfile, priority: Sequence[str]) -> Disc
         for j in _top(profile.ranked[inst.agent_index(agent)], free, inst.quota):
             owners[j] = agent
             free.discard(j)
-    return DiscreteAssignment(inst, tuple(owners))
+    return DiscreteAssignment(inst, owners)
 
 
 def priority_rule(profile: PreferenceProfile) -> RandomAssignment:

@@ -68,7 +68,7 @@ def _require(data: Any, key: str, kind: type) -> Any:
     if key not in data:
         raise SchemaError(key, "missing")
     value = data[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind):
         raise SchemaError(key, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -97,14 +97,14 @@ def profile_from_data(data: Any, relaxed: bool = False) -> PreferenceProfile:
             raise SchemaError(
                 path, "preference list is not a strict order over the object set"
             )
-        orders.append(tuple(order))
+        orders.append(order)
     if set(agents) & set(objects):
         raise SchemaError("preferences", "agent and object ids must be disjoint")
     try:
-        instance = Instance(agents, tuple(objects), quota, relaxed=relaxed)
+        instance = Instance(agents, objects, quota, relaxed=relaxed)
     except ValueError as exc:  # what is left to refuse concerns the quota
         raise SchemaError("quota", str(exc)) from None
-    return PreferenceProfile(instance, tuple(orders))
+    return PreferenceProfile(instance, orders)
 
 
 def profile_to_data(profile: PreferenceProfile) -> dict:

@@ -10,7 +10,6 @@ from click.testing import CliRunner
 from mudra.cli import main
 from mudra.efficiency import sd_dominates
 from mudra.harness import (
-    EXPECTED_SIGNS,
     PROPERTIES,
     PROPERTY_NAMES,
     RULE_NAMES,
@@ -164,6 +163,14 @@ class TestCheckRuleProperty:
         with pytest.raises(ValueError, match="unknown property"):
             check_rule_property("mps", "fancyness", profile)
 
+    def test_unknown_rule(self):
+        inst = canonical_instance(2, 4)
+        profile = next(iter(enumerate_profiles(inst)))
+        cache = OutputCache()
+        with pytest.raises(ValueError, match="unknown rule 'nosuch'"):
+            check_rule_property("nosuch", "sd-efficiency", profile, cache)
+        assert not cache._outputs
+
 
 PARITY_PROFILES = {
     "fig1": (("o1", "o2", "o3", "o4"), ("o3", "o2", "o4", "o1")),
@@ -242,9 +249,8 @@ class TestTable1Sweep:
     def test_every_expected_sign_has_a_cell(self, table1_report):
         assert len(table1_report.cells) == len(PROPERTY_NAMES) * len(RULE_NAMES)
         for prop in PROPERTY_NAMES:
-            for rule in RULE_NAMES:
-                cell = table1_report.cell(rule, prop)
-                assert cell.expected == EXPECTED_SIGNS[prop][rule]
+            for rule, sign in zip(RULE_NAMES, PROPERTIES[prop].signs, strict=True):
+                assert table1_report.cell(rule, prop).expected == sign
 
     def test_minus_cells_store_replayable_counterexamples(self, table1_report):
         for cell in table1_report.cells:

