@@ -48,7 +48,6 @@ class EfficiencyVerdict:
     decomposition: tuple[tuple[Fraction, DiscreteAssignment], ...] | None = None
     survivors: tuple[DiscreteAssignment, ...] | None = None
     farkas: tuple[Fraction, ...] | None = None
-    detail: str | None = None
 
     def __bool__(self) -> bool:
         return self.holds
@@ -101,31 +100,25 @@ def _trade_cycle(
                     if row[b] > 0:
                         edges[a].setdefault(b, i)
 
+    # Depth-first: `untried` holds the starts, in column order, and then the
+    # untried edges, in insertion order, of each node on the walk `path`.
     state = [0] * m  # 0 unvisited, 1 on the current path, 2 finished
     path: list[int] = []
-
-    def visit(a: int) -> list[int] | None:
-        state[a] = 1
-        path.append(a)
-        for b in edges[a]:
+    untried = [iter(range(m))]
+    while untried:
+        for b in untried[-1]:
             if state[b] == 1:
-                return path[path.index(b):]
+                cycle = path[path.index(b):]
+                return [(edges[a][b], a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
             if state[b] == 0:
-                cycle = visit(b)
-                if cycle is not None:
-                    return cycle
-        state[a] = 2
-        path.pop()
-        return None
-
-    for start in range(m):
-        if state[start] == 0:
-            cycle = visit(start)
-            if cycle is not None:
-                return [
-                    (edges[a][b], a, b)
-                    for a, b in zip(cycle, cycle[1:] + cycle[:1])
-                ]
+                state[b] = 1
+                path.append(b)
+                untried.append(iter(edges[b]))
+                break
+        else:
+            untried.pop()
+            if path:
+                state[path.pop()] = 2
     return None
 
 
@@ -182,25 +175,20 @@ def enumerate_discrete(
     count = capped_product(factors, DISCRETE_LIMIT)
     refuse_over(count, DISCRETE_LIMIT, f"{m}!/({c}!)^{n} balanced assignments")
 
-    def gen_balanced() -> Iterator[DiscreteAssignment]:
-        objects = instance.objects
+    objects = instance.objects
 
-        def fill(remaining: tuple[str, ...], agents: tuple[str, ...], acc: dict):
-            if not agents:
-                yield DiscreteAssignment(
-                    instance, tuple(acc[o] for o in objects)
-                )
-                return
-            head, rest = agents[0], agents[1:]
-            for bundle in itertools.combinations(remaining, c):
-                for o in bundle:
-                    acc[o] = head
-                left = tuple(o for o in remaining if o not in bundle)
-                yield from fill(left, rest, acc)
+    def fill(remaining: tuple[str, ...], agents: tuple[str, ...], acc: dict):
+        if not agents:
+            yield DiscreteAssignment(instance, tuple(acc[o] for o in objects))
+            return
+        head, rest = agents[0], agents[1:]
+        for bundle in itertools.combinations(remaining, c):
+            for o in bundle:
+                acc[o] = head
+            left = tuple(o for o in remaining if o not in bundle)
+            yield from fill(left, rest, acc)
 
-        yield from fill(objects, instance.agents, {})
-
-    return gen_balanced()
+    return fill(objects, instance.agents, {})
 
 
 def is_ex_post_efficient(
@@ -233,11 +221,7 @@ def is_ex_post_efficient(
             (w, d) for w, d in zip(hull.point, survivors) if w != 0
         )
         return EfficiencyVerdict(True, decomposition=decomposition, survivors=survivors)
-    return EfficiencyVerdict(
-        False, survivors=survivors, farkas=hull.farkas,
-        detail=f"not in the convex hull of the {len(survivors)} SD-efficient "
-               f"discrete assignments",
-    )
+    return EfficiencyVerdict(False, survivors=survivors, farkas=hull.farkas)
 
 
 def decompose_lottery(
@@ -278,29 +262,43 @@ def _balanced_support_assignment(
 
     Augmenting-path matching over agent slots; existence follows from the
     integrality of transportation polytopes, so failure means the input was
-    not a valid partial lottery.
+    not a valid partial lottery.  Each object's search is depth-first and
+    tries agents in order, each agent's slots by index, and no slot twice.
+    So the slots one search has tried are a prefix of each agent's, and
+    `tried[i]` counts agent i's.
     """
     slot_obj: dict[tuple[int, int], int] = {}
     owner = [-1] * m
 
-    def try_assign(j: int, seen: set[tuple[int, int]]) -> bool:
+    def slots(j: int) -> Iterator[tuple[int, int]]:
         for i in range(n):
-            if work[i][j] > 0:
-                for k in range(quota):
-                    slot = (i, k)
-                    if slot in seen:
-                        continue
-                    seen.add(slot)
-                    if slot not in slot_obj or try_assign(slot_obj[slot], seen):
-                        slot_obj[slot] = j
-                        owner[j] = i
-                        return True
-        return False
+            while work[i][j] > 0 and tried[i] < quota:
+                tried[i] += 1
+                yield i, tried[i] - 1
 
     for j in range(m):
-        if not try_assign(j, set()):
+        # `path` is the slots taken so far, one per object moved, and
+        # `untried` the slots left for j and for each object displaced.
+        tried = [0] * n
+        path: list[tuple[int, int]] = []
+        untried = [slots(j)]
+        while untried:
+            slot = next(untried[-1], None)
+            if slot is None:
+                untried.pop()
+                if path:
+                    path.pop()
+            elif slot in slot_obj:
+                path.append(slot)
+                untried.append(slots(slot_obj[slot]))
+            else:
+                moved = [j, *(slot_obj[s] for s in path)]
+                for obj, (i, k) in zip(moved, [*path, slot]):
+                    slot_obj[i, k] = obj
+                    owner[obj] = i
+                break
+        else:
             raise RuntimeError(
                 "no balanced assignment on the support; input is not a valid lottery"
             )
     return owner
-

@@ -25,18 +25,14 @@ from .model import (
 
 
 @dataclass(frozen=True)
-class EnvyCertificate:
-    envious: str
-    envied: str
-    #: First object (walking down the envious agent's order) whose prefix sum
-    #: is strictly larger in the envied agent's allocation.
-    prefix_object: str
-
-
-@dataclass(frozen=True)
 class FairnessVerdict:
     holds: bool
-    certificate: EnvyCertificate | None = None
+    #: The first envious agent, the agent it envies, and the first object
+    #: (walking down the envious agent's order) whose prefix sum is strictly
+    #: larger in the envied agent's allocation; all None when the verdict holds.
+    envious: str | None = None
+    envied: str | None = None
+    prefix_object: str | None = None
 
     def __bool__(self) -> bool:
         return self.holds
@@ -69,8 +65,7 @@ def _first_envy(p: RandomAssignment, profile: PreferenceProfile, weak: bool) -> 
                     envied_at = None
                     break
             if envied_at is not None:
-                certificate = EnvyCertificate(agent, other, inst.objects[envied_at])
-                return FairnessVerdict(False, certificate)
+                return FairnessVerdict(False, agent, other, inst.objects[envied_at])
     return FairnessVerdict(True)
 
 

@@ -181,7 +181,8 @@ def _ex_post_efficiency(profile, output, rule, *, allow_unbalanced=False):
     return False, {
         "sd-efficient-discrete": [list(d.owners) for d in verdict.survivors],
         "farkas": [format_rational(v) for v in verdict.farkas],
-        "detail": verdict.detail,
+        "detail": f"not in the convex hull of the {len(verdict.survivors)} SD-efficient "
+                  f"discrete assignments",
     }
 
 
@@ -213,10 +214,9 @@ def _envy_freeness(weak, profile, output, rule):
     verdict = (is_weak_sd_envy_free if weak else is_sd_envy_free)(output, profile)
     if verdict:
         return True, None
-    cert = verdict.certificate
-    data = {"envious": cert.envious, "envied": cert.envied}
+    data = {"envious": verdict.envious, "envied": verdict.envied}
     if not weak:
-        data["prefix-object"] = cert.prefix_object
+        data["prefix-object"] = verdict.prefix_object
     return False, data
 
 

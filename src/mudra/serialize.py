@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
@@ -165,6 +166,9 @@ def _load_json(source: str | Path) -> Any:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     except RecursionError:  # the decoder recurses once per nesting level
         raise SchemaError("$", "invalid JSON: nested too deeply") from None
+    except ValueError:  # an integer longer than int() reads from a string
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError("$", f"invalid JSON: an integer of more than {limit} digits") from None
 
 
 def load_profile(source: str | Path, relaxed: bool = False) -> PreferenceProfile:

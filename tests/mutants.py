@@ -14,10 +14,13 @@ kill ("timed out"), and may use MEMORY_LIMIT bytes of address space, so a
 mutant that loops or allocates without end cannot hang the runner or
 exhaust the machine (without tracebacks, a test that hits the limit fails
 cleanly).  It prints "killed", "timed out" or "survived" with the seconds
-taken, and exits 1 if any mutant survives.  pytest does not collect this
-file (its name does not start with `test_`); `tests/test_mutants.py` checks
-in Tier-1 that every snippet still occurs exactly once, so a refactor
-cannot silently empty a mutant.  Standard library only (POSIX: `resource`).
+taken, and after "killed" the id of the first failing test; it exits 1 if
+any mutant survives.  A run that fails without naming a test, such as a
+collection error (pytest's exit code 2), stops the runner with pytest's
+output.  pytest does not collect this file (its name does not start with
+`test_`); `tests/test_mutants.py` checks in Tier-1 that every snippet still
+occurs exactly once, so a refactor cannot silently empty a mutant.
+Standard library only (POSIX: `resource`).
 """
 
 from __future__ import annotations
@@ -123,6 +126,14 @@ MUTANTS = (
         "strategy.py",
         "        for i, truth, ranked in truths:\n",
         "        for i, truth, ranked in truths[:1]:\n",
+        STRATEGY_TESTS,
+    ),
+    # A member who does not improve ends the check of a joint report.
+    Mutant(
+        "member-without-gain-skipped",
+        "strategy.py",
+        "            if not improves(alt, truth, ranked):\n                break\n",
+        "            if not improves(alt, truth, ranked):\n                continue\n",
         STRATEGY_TESTS,
     ),
     # Input refusals: without each, a malformed value passes or is refused
@@ -289,6 +300,13 @@ MUTANTS = (
         FAIRNESS_TESTS,
     ),
     Mutant(
+        "envious-and-envied-swapped",
+        "fairness.py",
+        "FairnessVerdict(False, agent, other, inst.objects[envied_at])",
+        "FairnessVerdict(False, other, agent, inst.objects[envied_at])",
+        FAIRNESS_TESTS,
+    ),
+    Mutant(
         "weak-envy-never-cleared",
         "fairness.py",
         "                elif weak and mine > its:\n",
@@ -331,6 +349,22 @@ MUTANTS = (
         "                    if row[b] >= 0:\n",
         EFFICIENCY_TESTS,
     ),
+    # The two searches that are loops: a finished object stays marked as on
+    # the walk, and a dead end's slot stays on the augmenting path.
+    Mutant(
+        "finished-node-left-on-path",
+        "efficiency.py",
+        "                state[path.pop()] = 2\n",
+        "                path.pop()\n",
+        EFFICIENCY_TESTS,
+    ),
+    Mutant(
+        "dead-end-slot-kept",
+        "efficiency.py",
+        "                if path:\n                    path.pop()\n",
+        "",
+        ("tests/test_search_loops.py",),
+    ),
     Mutant(
         "hull-guard-one-short",
         "efficiency.py",
@@ -361,6 +395,13 @@ MUTANTS = (
         "",
         RULES_TESTS,
     ),
+    Mutant(
+        "eating-clock-doubled",
+        "rules.py",
+        "        now += dt\n",
+        "        now += 2 * dt\n",
+        RULES_TESTS,
+    ),
     # Exhausted objects stay on the menu: the eating loop makes no progress
     # and grows its trace until MEMORY_LIMIT stops it.
     Mutant(
@@ -384,10 +425,10 @@ def _cap_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def verdict(mutant: Mutant) -> str:
+def verdict(mutant: Mutant) -> tuple[str, str]:
     """Apply `mutant` to a temporary copy of the tree and run its tests:
-    "killed" when they fail, "timed out" when they outrun TIMEOUT, else
-    "survived"."""
+    "killed" with the first failing test's id when they fail, "timed out"
+    when they outrun TIMEOUT, else "survived" (the id is then empty)."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         for name in COPIED:
@@ -410,11 +451,19 @@ def verdict(mutant: Mutant) -> str:
                 timeout=TIMEOUT, preexec_fn=_cap_memory,
             )
         except subprocess.TimeoutExpired:
-            return "timed out"
-    # 1: a test failed; 2: collection failed.  Anything else is no verdict.
-    if result.returncode not in (0, 1, 2):
+            return "timed out", ""
+    if result.returncode == 0:
+        return "survived", ""
+    # 1: a test failed.  Anything else, a collection error (2) included, is
+    # no verdict, and so is a failure that names no test.
+    failed = [
+        line.split(" - ")[0].split(" ", 1)[1]
+        for line in result.stdout.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    ]
+    if result.returncode != 1 or not failed:
         raise SystemExit(f"{mutant.name}: pytest exited {result.returncode}\n{result.stdout}")
-    return "killed" if result.returncode else "survived"
+    return "killed", failed[0]
 
 
 def main() -> int:
@@ -422,8 +471,9 @@ def main() -> int:
     total = time.perf_counter()
     for mutant in MUTANTS:
         start = time.perf_counter()
-        outcome = verdict(mutant)
-        print(f"{outcome:9}  {time.perf_counter() - start:6.1f} s  {mutant.name}", flush=True)
+        outcome, test = verdict(mutant)
+        print(f"{outcome:9}  {time.perf_counter() - start:6.1f} s  {mutant.name}  {test}".rstrip(),
+              flush=True)
         if outcome == "survived":
             survivors.append(mutant.name)
     print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed "

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -128,7 +129,8 @@ def runner():
 def paths(tmp_path):
     def write(name, data):
         target = tmp_path / name
-        target.write_text(json.dumps(data), encoding="utf-8")
+        text = data if isinstance(data, str) else json.dumps(data)
+        target.write_text(text, encoding="utf-8")
         return str(target)
 
     return write
@@ -612,8 +614,20 @@ def fig1_rows(first, second):
                        "2": dict(zip(FIG1["objects"], second))}}
 
 
-#: One case per input refusal: the verb and its flags, the profile file, the
-#: assignment file (or None), and the last line the refusal prints.
+def with_long_integer(data):
+    """`data` as JSON text, its "LONG" value an integer of 5,000 digits:
+    past the digit limit of `int()` on a string, so `json.dumps` cannot
+    write it."""
+    return json.dumps(data).replace('"LONG"', "9" * 5000)
+
+
+LONG_INTEGER_REFUSAL = (
+    f"input error: $: invalid JSON: an integer of more than {sys.get_int_max_str_digits()} digits"
+)
+
+#: One case per input refusal: the verb and its flags, the profile file (data
+#: or JSON text), the assignment file (or None), and the last line the
+#: refusal prints.
 INPUT_REFUSALS = {
     "entry-outside-unit-interval": (
         ["check", "--property", "sd-ef"], FIG1,
@@ -658,6 +672,15 @@ INPUT_REFUSALS = {
         ["compute", "--rule", "mps"],
         {**FIG1, "preferences": {**FIG1["preferences"], "1": "o1o2o3o4"}}, None,
         "input error: preferences.1: preference list must be a list of object ids",
+    ),
+    "long-integer-quota": (
+        ["compute", "--rule", "mps"], with_long_integer({**FIG1, "quota": "LONG"}), None,
+        LONG_INTEGER_REFUSAL,
+    ),
+    "long-integer-entry": (
+        ["check", "--property", "sd-ef"], FIG1,
+        with_long_integer(fig1_rows(("LONG", "1", "0", "0"), ("0", "0", "1", "1"))),
+        LONG_INTEGER_REFUSAL,
     ),
     "empty-coalition": (
         ["manipulate", "--rule", "mps", "--kind", "group", "--coalition", ","], FIG1, None,

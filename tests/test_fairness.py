@@ -43,15 +43,14 @@ class TestSdEnvyFreeness:
     def test_dictatorship_creates_envy_under_identical_preferences(self):
         verdict = is_sd_envy_free(priority_rule(IDENTICAL), IDENTICAL)
         assert not verdict.holds
-        cert = verdict.certificate
-        assert (cert.envious, cert.envied) == ("2", "1")
+        assert (verdict.envious, verdict.envied) == ("2", "1")
         # re-verify: at the certificate's prefix object, the envied bundle
         # carries strictly more of the envious agent's upper contour set
         p = priority_rule(IDENTICAL)
-        order = IDENTICAL.order_of(cert.envious)
-        at = order.index(cert.prefix_object)
-        own = prefix_sums(p.allocation(cert.envious), order)[at]
-        other = prefix_sums(p.allocation(cert.envied), order)[at]
+        order = IDENTICAL.order_of(verdict.envious)
+        at = order.index(verdict.prefix_object)
+        own = prefix_sums(p.allocation(verdict.envious), order)[at]
+        other = prefix_sums(p.allocation(verdict.envied), order)[at]
         assert own < other
 
     def test_eating_rules_are_envy_free_here(self):
@@ -73,7 +72,7 @@ class TestWeakSdEnvyFreeness:
     def test_dictatorship_fails_even_the_weak_notion(self):
         verdict = is_weak_sd_envy_free(priority_rule(IDENTICAL), IDENTICAL)
         assert not verdict.holds
-        assert verdict.certificate.envious == "2"
+        assert verdict.envious == "2"
 
     def test_weaker_than_sd_envy_freeness(self):
         # four dictators with partial overlap: agent 1 envies agent 4's
@@ -93,7 +92,7 @@ class TestWeakSdEnvyFreeness:
         p = random_priority(prof)
         sd = is_sd_envy_free(p, prof)
         assert not sd.holds
-        assert (sd.certificate.envious, sd.certificate.envied) == ("1", "4")
+        assert (sd.envious, sd.envied) == ("1", "4")
         assert is_weak_sd_envy_free(p, prof).holds
 
 
@@ -214,8 +213,9 @@ def oracle_weak_sd_envy(p, prof):
 
 
 def envy_pair(verdict):
-    cert = verdict.certificate
-    return verdict.holds, None if cert is None else (cert.envious, cert.envied, cert.prefix_object)
+    if verdict.holds:
+        return True, None
+    return False, (verdict.envious, verdict.envied, verdict.prefix_object)
 
 
 def assert_envy_matches_oracles(p, prof):

@@ -23,7 +23,7 @@ from mudra.efficiency import (
     is_sd_efficient,
     sd_dominates,
 )
-from mudra.fairness import EnvyCertificate, FairnessVerdict, is_sd_envy_free, is_weak_sd_envy_free
+from mudra.fairness import FairnessVerdict, is_sd_envy_free, is_weak_sd_envy_free
 from mudra.harness import canonical_instance
 from mudra.model import (
     DiscreteAssignment,
@@ -79,8 +79,7 @@ def fraction_first_envy(p, profile, weak):
                     envied_at = None
                     break
             if envied_at is not None:
-                certificate = EnvyCertificate(agent, other, inst.objects[envied_at])
-                return FairnessVerdict(False, certificate)
+                return FairnessVerdict(False, agent, other, inst.objects[envied_at])
     return FairnessVerdict(True)
 
 
