@@ -28,6 +28,7 @@ from mudra.efficiency import (
     is_ex_post_efficient,
     is_sd_efficient,
     perfect_assignment,
+    sd_dominates,
 )
 from mudra.fairness import (
     check_anonymity,
@@ -353,12 +354,6 @@ class Table1Report:
     def discrepancies(self) -> tuple[TableCell, ...]:
         return tuple(cell for cell in self.cells if not cell.matched)
 
-    def cell(self, rule: str, property_name: str) -> TableCell:
-        for c in self.cells:
-            if c.rule == rule and c.property_name == property_name:
-                return c
-        raise KeyError((rule, property_name))
-
     def to_data(self) -> dict:
         return {
             "ok": self.ok,
@@ -495,10 +490,24 @@ def _report(case: str, lines: list[dict], notes: Sequence[str] = ()) -> dict:
     }
 
 
-def _fmt_matrix(matrix: Sequence[Sequence[Fraction]]) -> str:
-    return "[" + "; ".join(
-        " ".join(format_rational(v) for v in row) for row in matrix
-    ) + "]"
+def _fmt_assignment(p: RandomAssignment) -> str:
+    """`p` as one line, rows in agent order: "[7/8 1/2 1/4 3/8; 1/8 1/2 3/4 5/8]"."""
+    return "[" + "; ".join(" ".join(row.values()) for row in _matrix_data(p).values()) + "]"
+
+
+def _terms_text(terms: Iterable[tuple[Fraction, DiscreteAssignment]]) -> str:
+    """A lottery's (weight, discrete assignment) terms as "1/4 * 1.1.1.2, ..."."""
+    return ", ".join(f"{format_rational(w)} * {'.'.join(d.owners)}" for w, d in terms)
+
+
+def _lottery(terms: Sequence[tuple[Fraction, DiscreteAssignment]]) -> RandomAssignment:
+    """The weighted sum of a lottery's terms, discrete assignments of one instance."""
+    instance = terms[0][1].instance
+    rows = [[0] * instance.num_objects for _ in instance.agents]
+    for weight, d in terms:
+        for j, owner in enumerate(d.owners):
+            rows[instance.agent_index(owner)][j] += weight
+    return RandomAssignment(instance, rows)
 
 
 def _eq_line(label: str, got, want, fmt=str) -> dict:
@@ -509,8 +518,7 @@ def _eq_line(label: str, got, want, fmt=str) -> dict:
 
 def _matrix_line(label: str, got: RandomAssignment, rows: Sequence[Sequence]) -> dict:
     """Does `got` equal the recorded matrix `rows` (ints or Fractions)?"""
-    want = RandomAssignment(instance=got.instance, matrix=rows).matrix
-    return _eq_line(label, got.matrix, want, fmt=_fmt_matrix)
+    return _eq_line(label, got, RandomAssignment(got.instance, rows), fmt=_fmt_assignment)
 
 
 def _manipulation_lines(
@@ -560,7 +568,7 @@ def _reproduce_figure1() -> dict:
     )
     caption_bad = all(
         sum(row) != _INTERLEAVED.instance.quota for row in caption
-    ) and caption != trace.assignment.matrix
+    ) and RandomAssignment(_INTERLEAVED.instance, caption) != trace.assignment
     lines.append(
         _line(
             "closing matrix printed with the illustration is a transcription slip",
@@ -588,10 +596,7 @@ def _reproduce_expost() -> dict:
     unbalanced = is_ex_post_efficient(p, profile, allow_unbalanced=True)
     notes = []
     if unbalanced.holds:
-        terms = ", ".join(
-            f"{format_rational(w)} * {'.'.join(d.owners)}"
-            for w, d in unbalanced.decomposition
-        )
+        terms = _terms_text(unbalanced.decomposition)
         notes.append(
             "The recorded claim says the outcome stays outside the convex hull "
             "even when unbalanced assignments are allowed, but an exact "
@@ -623,39 +628,28 @@ def _reproduce_pareto_decomp() -> dict:
     label = "multi-unit eating outcome is the all-1/2 matrix"
     lines = [_matrix_line(label, p, [[half] * 4, [half] * 4])]
     terms = decompose_lottery(p)
-    resum = [
-        [sum(w * d.grid()[i][j] for w, d in terms) for j in range(4)] for i in range(2)
-    ]
     lines.append(
         _line(
             "lottery decomposition has two 1/2-weight terms and re-sums exactly",
-            len(terms) == 2
-            and all(w == half for w, _ in terms)
-            and tuple(tuple(row) for row in resum) == p.matrix,
-            "terms: " + ", ".join(
-                f"{format_rational(w)} * {'.'.join(d.owners)}" for w, d in terms
-            ),
+            len(terms) == 2 and all(w == half for w, _ in terms) and _lottery(terms) == p,
+            "terms: " + _terms_text(terms),
         )
     )
     # Recorded pair of discrete assignments witnessing that SOME
-    # decomposition of this outcome uses only SD-dominated assignments.
+    # decomposition of this outcome uses only SD-dominated assignments; each
+    # dominator `is_sd_efficient` returns is replayed.
     recorded = [
-        DiscreteAssignment(instance, ("1", "2", "2", "1")),
-        DiscreteAssignment(instance, ("2", "1", "1", "2")),
+        (half, DiscreteAssignment(instance, ("1", "2", "2", "1"))),
+        (half, DiscreteAssignment(instance, ("2", "1", "1", "2"))),
     ]
-    mixes_back = all(
-        half * (recorded[0].grid()[i][j] + recorded[1].grid()[i][j]) == p.matrix[i][j]
-        for i in range(2)
-        for j in range(4)
-    )
-    both_dominated = all(
-        not is_sd_efficient(discrete_to_random(d), profile).holds for d in recorded
-    )
+    pair = [discrete_to_random(d) for _, d in recorded]
+    verdicts = [(q, is_sd_efficient(q, profile)) for q in pair]
+    both_dominated = all(not v and sd_dominates(v.dominator, q, profile) for q, v in verdicts)
     lines.append(
         _line(
             "the recorded half/half pair re-sums to the outcome and both of its "
             "assignments are SD-dominated",
-            mixes_back and both_dominated,
+            _lottery(recorded) == p and both_dominated,
             "pair: 1.2.2.1 and 2.1.1.2",
         )
     )
@@ -750,15 +744,9 @@ def _reproduce_example1() -> dict:
 
 def _reproduce_table1() -> dict:
     report = table1_sweep()
-    lines = []
-    matched = sum(1 for cell in report.cells if cell.matched)
-    lines.append(
-        _line(
-            f"{matched}/{len(report.cells)} classification cells confirmed",
-            matched == len(report.cells),
-            None,
-        )
-    )
+    matched = sum(cell.matched for cell in report.cells)
+    total = len(report.cells)
+    lines = [_line(f"{matched}/{total} classification cells confirmed", matched == total, None)]
     notes = []
     for cell in report.discrepancies:
         lines.append(

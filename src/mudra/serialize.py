@@ -158,10 +158,21 @@ def canonical_dumps(data: Any) -> str:
     return json.dumps(data, indent=2, ensure_ascii=False) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object's members as a dict, refusing a key given twice, whose
+    earlier values `json` would silently drop."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise SchemaError("$", f"key {repeated!r} appears twice in one object")
+    return data
+
+
 def _load_json(source: str | Path) -> Any:
     text = Path(source).read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     except RecursionError:  # the decoder recurses once per nesting level

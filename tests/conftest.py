@@ -5,7 +5,8 @@ every rule's output together with per-axiom verdicts, the hull LP answer
 behind ex-post efficiency, and manipulation-search results.  It is computed
 once per session and shared by the axiom, hierarchy and acceptance tests.
 `table1_report` runs the classification sweep through the harness memo, so
-CLI tests replaying it do not pay for a second sweep.
+CLI tests replaying it do not pay for a second sweep; `table1_cells` keys its
+cells by (rule, property).
 """
 
 from __future__ import annotations
@@ -95,3 +96,8 @@ def sweep_data(main_profiles, balanced_assignments):
 @pytest.fixture(scope="session")
 def table1_report():
     return table1_sweep()
+
+
+@pytest.fixture(scope="session")
+def table1_cells(table1_report):
+    return {(cell.rule, cell.property_name): cell for cell in table1_report.cells}

@@ -418,6 +418,40 @@ MUTANTS = (
         '        return False, {"detail": "vacuous: no perfect assignment exists"}\n',
         ("tests/test_harness.py",),
     ),
+    # Scenario replay and JSON loading.
+    Mutant(
+        "lottery-drops-its-last-term",
+        "harness.py",
+        "    for weight, d in terms:\n",
+        "    for weight, d in terms[:-1]:\n",
+        ("tests/test_harness.py",),
+    ),
+    Mutant(
+        "matrix-line-always-matches",
+        "harness.py",
+        "    return _eq_line(label, got, RandomAssignment(got.instance, rows), fmt=_fmt_assignment)\n",
+        '    return _line(label, got is not None, f"computed {_fmt_assignment(got)}")\n',
+        ("tests/test_harness.py",),
+    ),
+    Mutant(
+        "dominator-not-replayed",
+        "harness.py",
+        "all(not v and sd_dominates(v.dominator, q, profile) for q, v in verdicts)",
+        "all(not v for q, v in verdicts)",
+        ("tests/test_harness.py",),
+    ),
+    Mutant(
+        "repeated-keys-accepted",
+        "serialize.py",
+        "    data = dict(pairs)\n"
+        "    if len(data) < len(pairs):\n"
+        "        keys = [key for key, _ in pairs]\n"
+        "        repeated = next(key for key in keys if keys.count(key) > 1)\n"
+        '        raise SchemaError("$", f"key {repeated!r} appears twice in one object")\n'
+        "    return data\n",
+        "    return dict(pairs)\n",
+        ("tests/test_cli.py",),
+    ),
 )
 
 

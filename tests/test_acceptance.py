@@ -165,13 +165,13 @@ def test_criterion_03_interleaved_outcome_fails_ex_post_both_modes():
 
 
 def test_criterion_04_rules_clearing_three_axiom_sweep_are_weakly_manipulable(
-    table1_report,
+    table1_cells,
 ):
     passing = {
         rule
         for rule in ("uniform", "priority", "rp", "ops", "mps")
         if all(
-            table1_report.cell(rule, prop).observed == "supported-by-sweep"
+            table1_cells[rule, prop].observed == "supported-by-sweep"
             for prop in ("anonymity", "neutrality", "sd-efficiency")
         )
     }
@@ -282,7 +282,9 @@ def test_criterion_06_mps_axiom_sweep_on_the_full_two_agent_domain(sweep_data):
         )
 
 
-def test_criterion_07_classification_table_matches_expected_signs(table1_report):
+def test_criterion_07_classification_table_matches_expected_signs(
+    table1_report, table1_cells
+):
     """Every '-' cell has a counterexample, and the only mismatched cell is
     the refuted recorded '+' for mps x dl-strategyproofness.
 
@@ -306,7 +308,7 @@ def test_criterion_07_classification_table_matches_expected_signs(table1_report)
     assert len(table1_report.cells) == 50
     assert sum(c.matched for c in table1_report.cells) == 49
 
-    cell = table1_report.cell("mps", "dl-strategyproofness")
+    cell = table1_cells["mps", "dl-strategyproofness"]
     cert = cell.certificate
     profile = PreferenceProfile(canonical_instance(2, 4, 2), cell.witness_orders)
     objects = profile.instance.objects

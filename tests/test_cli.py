@@ -682,6 +682,31 @@ INPUT_REFUSALS = {
         with_long_integer(fig1_rows(("LONG", "1", "0", "0"), ("0", "0", "1", "1"))),
         LONG_INTEGER_REFUSAL,
     ),
+    # `json` alone keeps the last copy of a repeated key, so these files were
+    # answered (the first two) or refused for a column sum (the third).
+    "repeated-agent": (
+        ["compute", "--rule", "mps"],
+        '{"objects": ["o1", "o2", "o3", "o4"], "quota": 2, "preferences": '
+        '{"1": ["o1", "o2", "o3", "o4"], "2": ["o3", "o2", "o4", "o1"], '
+        '"2": ["o1", "o2", "o3", "o4"]}}',
+        None,
+        "input error: $: key '2' appears twice in one object",
+    ),
+    "repeated-matrix": (
+        ["check", "--property", "sd-ef"], FIG1,
+        '{"matrix": {"1": {"o1": "1", "o2": "1", "o3": "0", "o4": "0"}, '
+        '"2": {"o1": "0", "o2": "0", "o3": "1", "o4": "1"}}, '
+        '"matrix": {"1": {"o1": "1", "o2": "0", "o3": "1", "o4": "0"}, '
+        '"2": {"o1": "0", "o2": "1", "o3": "0", "o4": "1"}}}',
+        "input error: $: key 'matrix' appears twice in one object",
+    ),
+    "repeated-row": (
+        ["check", "--property", "sd-ef"], FIG1,
+        '{"matrix": {"1": {"o1": "1", "o2": "1", "o3": "0", "o4": "0"}, '
+        '"2": {"o1": "0", "o2": "0", "o3": "1", "o4": "1"}, '
+        '"1": {"o1": "0", "o2": "0", "o3": "1", "o4": "1"}}}',
+        "input error: $: key '1' appears twice in one object",
+    ),
     "empty-coalition": (
         ["manipulate", "--rule", "mps", "--kind", "group", "--coalition", ","], FIG1, None,
         "Error: --coalition must be a comma-separated list",

@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+from mudra import harness
 from mudra.cli import main
-from mudra.efficiency import sd_dominates
+from mudra.efficiency import EfficiencyVerdict, sd_dominates
 from mudra.harness import (
     PROPERTIES,
     PROPERTY_NAMES,
@@ -222,6 +223,27 @@ class TestReproduce:
         report = reproduce(case)
         assert report["ok"], [line["label"] for line in report["lines"] if not line["ok"]]
 
+    def test_a_failed_matrix_line_prints_both_matrices(self, monkeypatch):
+        recorded = tuple(row[::-1] for row in harness._INTERLEAVED_MPS)
+        monkeypatch.setattr(harness, "_INTERLEAVED_MPS", recorded)
+        line = reproduce("figure1")["lines"][0]
+        assert line["ok"] is False
+        assert line["detail"] == (
+            "computed [7/8 1/2 1/4 3/8; 1/8 1/2 3/4 5/8], "
+            "expected [3/8 1/4 1/2 7/8; 5/8 3/4 1/2 1/8]"
+        )
+
+    def test_a_dominator_that_does_not_dominate_fails_the_pair_line(self, monkeypatch):
+        # Each recorded assignment is judged not SD-efficient, but the
+        # "dominator" offered is the assignment itself, which does not dominate it.
+        def self_dominated(q, profile):
+            return EfficiencyVerdict(holds=False, dominator=q)
+
+        monkeypatch.setattr(harness, "is_sd_efficient", self_dominated)
+        report = reproduce("pareto-decomp")
+        assert [line["ok"] for line in report["lines"]] == [True, True, False]
+        assert report["lines"][2]["label"].endswith("are SD-dominated")
+
     def test_replay_is_deterministic(self):
         assert reproduce("example1") == reproduce("example1")
 
@@ -246,11 +268,11 @@ class TestReproduce:
 
 
 class TestTable1Sweep:
-    def test_every_expected_sign_has_a_cell(self, table1_report):
+    def test_every_expected_sign_has_a_cell(self, table1_report, table1_cells):
         assert len(table1_report.cells) == len(PROPERTY_NAMES) * len(RULE_NAMES)
         for prop in PROPERTY_NAMES:
             for rule, sign in zip(RULE_NAMES, PROPERTIES[prop].signs, strict=True):
-                assert table1_report.cell(rule, prop).expected == sign
+                assert table1_cells[rule, prop].expected == sign
 
     def test_minus_cells_store_replayable_counterexamples(self, table1_report):
         for cell in table1_report.cells:
@@ -271,14 +293,10 @@ class TestTable1Sweep:
                 assert cell.profiles_checked == 576
                 assert cell.witness_orders is None
 
-    def test_single_unit_fallback_is_used_for_rp_envy(self, table1_report):
-        cell = table1_report.cell("rp", "sd-envy-freeness")
+    def test_single_unit_fallback_is_used_for_rp_envy(self, table1_cells):
+        cell = table1_cells["rp", "sd-envy-freeness"]
         assert cell.domain.startswith("n=4")
         assert cell.observed == "counterexample-found"
-
-    def test_unknown_cell_is_refused(self, table1_report):
-        with pytest.raises(KeyError, match="'mps', 'fancyness'"):
-            table1_report.cell("mps", "fancyness")
 
     def test_rule_timings_recorded(self, table1_report):
         assert [rule for rule, _ in table1_report.rule_seconds] == list(RULE_NAMES)
@@ -337,7 +355,7 @@ VIOLATION_COUNTS = {
 }
 
 
-def test_violation_count_of_every_table1_cell(sweep_data, main_profiles, table1_report):
+def test_violation_count_of_every_table1_cell(sweep_data, main_profiles, table1_cells):
     cache = OutputCache()
     counts = {}
     for rule in RULE_NAMES:
@@ -351,7 +369,7 @@ def test_violation_count_of_every_table1_cell(sweep_data, main_profiles, table1_
         )
         # Neutral at every orbit representative is neutral on the whole
         # domain (see `table1_sweep`), so a neutrality cell that held counts 0.
-        cell = table1_report.cell(rule, "neutrality")
+        cell = table1_cells[rule, "neutrality"]
         assert cell.observed == "supported-by-sweep", rule
         counts["neutrality", rule] = 0
     assert counts == {
@@ -378,12 +396,12 @@ class TestOrbitReduction:
 
     @pytest.mark.parametrize("property_name", list(SWEEP_DATA_VERDICTS))
     def test_cells_match_the_unreduced_verdicts(
-        self, property_name, sweep_data, table1_report
+        self, property_name, sweep_data, table1_cells
     ):
         verdict = SWEEP_DATA_VERDICTS[property_name]
         for rule in RULE_NAMES:
             holds = [verdict(record["rules"][rule]) for record in sweep_data]
-            cell = table1_report.cell(rule, property_name)
+            cell = table1_cells[rule, property_name]
             first = holds.index(False) if False in holds else None
             if cell.domain.startswith("n=2"):
                 expected = None if first is None else cell.profiles_checked - 1
@@ -398,11 +416,11 @@ class TestOrbitReduction:
             assert len(by_orbit) == 24
             assert all(len(v) == 1 for v in by_orbit.values()), (rule, property_name)
 
-    def test_anonymity_cells_match_an_unreduced_scan(self, main_profiles, table1_report):
+    def test_anonymity_cells_match_an_unreduced_scan(self, main_profiles, table1_cells):
         cache = OutputCache()
         for rule in RULE_NAMES:
             found = _first_violation(rule, "anonymity", main_profiles, cache)
-            cell = table1_report.cell(rule, "anonymity")
+            cell = table1_cells[rule, "anonymity"]
             if found is None:
                 assert cell.observed == "supported-by-sweep"
                 assert cell.profiles_checked == len(main_profiles)
@@ -421,9 +439,10 @@ class TestOrbitReduction:
         monkeypatch.setitem(RULES, "uniform", mps_if_o1_first)
         monkeypatch.setattr("mudra.harness.PROPERTY_NAMES", ("neutrality", "unanimity"))
         report = table1_sweep(use_cache=False)
+        cells = {(cell.rule, cell.property_name): cell for cell in report.cells}
         cache = OutputCache()
         for property_name in ("neutrality", "unanimity"):
-            cell = report.cell("uniform", property_name)
+            cell = cells["uniform", property_name]
             index, profile, certificate = _first_violation(
                 "uniform", property_name, main_profiles, cache
             )
@@ -433,5 +452,5 @@ class TestOrbitReduction:
             assert cell.certificate == certificate
         # The unanimity witness lies off the representatives, where a sweep
         # that assumed neutrality would never look.
-        witness = report.cell("uniform", "unanimity").witness_orders
+        witness = cells["uniform", "unanimity"].witness_orders
         assert witness[0] != main_profiles[0].instance.objects

@@ -1,6 +1,6 @@
 """The mutation corpus of `tests/mutants.py` stays applicable.
 
-Running the mutants takes about four and a half minutes (`python3
+Running the mutants takes about five minutes (`python3
 tests/mutants.py`); this only checks that every mutant still names one
 place in its module and test files that exist.
 """

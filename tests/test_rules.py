@@ -895,16 +895,12 @@ def test_the_matrix_check_sees_a_read():
 
 
 #: Every function of the package that may read a `Fraction` matrix: the
-#: entry and row accessors, the JSON writer, the ex-post hull LP's target,
-#: and the reproduce helpers that print or re-sum recorded matrices.
+#: entry and row accessors, the JSON writer and the ex-post hull LP's target.
 MATRIX_READERS = {
     ("model", "entry"),
     ("model", "allocation"),
     ("serialize", "assignment_to_data"),
     ("efficiency", "is_ex_post_efficient"),
-    ("harness", "_matrix_line"),
-    ("harness", "_reproduce_figure1"),
-    ("harness", "_reproduce_pareto_decomp"),
 }
 
 
