@@ -51,11 +51,28 @@ def parse_rational(value: Any, path: str) -> Fraction:
     if not isinstance(value, str):
         raise SchemaError(path, f"expected a rational string, got {type(value).__name__}")
     if not re.fullmatch(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?", value):
-        raise SchemaError(path, f"malformed rational {value!r} (expected p/q, k or a decimal)")
+        raise SchemaError(path, f"malformed rational {_echo(value)} (expected p/q, k or a decimal)")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(path, f"malformed rational {value!r} ({exc})") from None
+    except ZeroDivisionError as exc:
+        raise SchemaError(path, f"malformed rational {_echo(value)} ({exc})") from None
+    except ValueError:  # a part longer than int() reads from a string
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(
+            path, f"rational {_echo(value)}: an integer of more than {limit} digits"
+        ) from None
+
+
+#: The longest input string a refusal repeats in full.
+ECHO_LIMIT = 40
+
+
+def _echo(text: str) -> str:
+    """`text` as a refusal quotes it: whole when short, else its first
+    ECHO_LIMIT characters and its length."""
+    if len(text) <= ECHO_LIMIT:
+        return repr(text)
+    return f"{text[:ECHO_LIMIT]!r}... ({len(text)} characters)"
 
 
 def format_rational(value: Fraction) -> str:
@@ -170,7 +187,10 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 
 def _load_json(source: str | Path) -> Any:
-    text = Path(source).read_text(encoding="utf-8")
+    try:
+        text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError("$", f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:

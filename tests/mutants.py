@@ -19,7 +19,8 @@ any mutant survives.  A run that fails without naming a test, such as a
 collection error (pytest's exit code 2), stops the runner with pytest's
 output.  pytest does not collect this file (its name does not start with
 `test_`); `tests/test_mutants.py` checks in Tier-1 that every snippet still
-occurs exactly once, so a refactor cannot silently empty a mutant.
+occurs exactly once and that every mutated module compiles, so a refactor
+cannot silently empty or break a mutant.
 Standard library only (POSIX: `resource`).
 """
 
@@ -450,6 +451,26 @@ MUTANTS = (
         '        raise SchemaError("$", f"key {repeated!r} appears twice in one object")\n'
         "    return data\n",
         "    return dict(pairs)\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "refused-string-echoed-whole",
+        "serialize.py",
+        "    if len(text) <= ECHO_LIMIT:\n"
+        "        return repr(text)\n"
+        '    return f"{text[:ECHO_LIMIT]!r}... ({len(text)} characters)"\n',
+        "    return repr(text)\n",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "undecodable-file-unrefused",
+        "serialize.py",
+        "    try:\n"
+        '        text = Path(source).read_text(encoding="utf-8")\n'
+        "    except UnicodeDecodeError as exc:\n"
+        '        raise SchemaError("$", f"not UTF-8 text ({exc.reason} at byte {exc.start})") '
+        "from None\n",
+        '    text = Path(source).read_text(encoding="utf-8")\n',
         ("tests/test_cli.py",),
     ),
 )

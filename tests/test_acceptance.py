@@ -20,7 +20,6 @@ from mudra.efficiency import (
 from mudra.harness import canonical_instance
 from mudra.model import Instance, PreferenceProfile, discrete_to_random
 from mudra.order import DlVerdict, dl_compare, sd_weakly_dominates
-from mudra.ratlp import convex_membership
 from mudra.rules import mps, mps_trace, ops
 from mudra.strategy import find_group_manipulation, find_weak_sd_manipulation
 
@@ -347,12 +346,10 @@ def test_criterion_09_lp_screening_agrees_with_brute_force_and_certificates_resu
     sweep_data, balanced_assignments
 ):
     randoms = [discrete_to_random(d) for d in balanced_assignments]
-    grids_by_owners = {
-        d.owners: [v for row in d.grid() for v in row] for d in balanced_assignments
-    }
     for record in sweep_data:
         profile = record["profile"]
-        lp_efficient = {d.owners for d in record["survivors"]}
+        verdict = record["rules"]["mps"]["ex_post"]
+        lp_efficient = {d.owners for d in verdict.survivors}
         brute = {
             d.owners
             for d, rd in zip(balanced_assignments, randoms)
@@ -364,20 +361,19 @@ def test_criterion_09_lp_screening_agrees_with_brute_force_and_certificates_resu
         }
         assert brute == lp_efficient
 
-        grids = [grids_by_owners[d.owners] for d in record["survivors"]]
         target = [v for row in record["rules"]["mps"]["output"].matrix for v in row]
-        result = convex_membership(target, grids)
-        if result.status == "feasible":
-            assert sum(result.point) == 1
-            assert all(w >= 0 for w in result.point)
+        if verdict.holds:
+            weights = [w for w, _ in verdict.decomposition]
+            terms = [[v for row in d.grid() for v in row] for _, d in verdict.decomposition]
+            assert {d.owners for _, d in verdict.decomposition} <= lp_efficient
+            assert sum(weights) == 1
+            assert all(w > 0 for w in weights)
             for idx in range(len(target)):
-                assert (
-                    sum(w * g[idx] for w, g in zip(result.point, grids))
-                    == target[idx]
-                )
+                assert sum(w * g[idx] for w, g in zip(weights, terms)) == target[idx]
         else:
-            f = result.farkas
-            for g in grids:
+            f = verdict.farkas
+            for d in verdict.survivors:
+                g = [v for row in d.grid() for v in row]
                 assert sum(fd * gd for fd, gd in zip(f[:-1], g)) + f[-1] <= 0
             assert sum(fd * td for fd, td in zip(f[:-1], target)) + f[-1] > 0
 

@@ -283,6 +283,18 @@ class TestCompute:
             assert result.exit_code == 3
             assert result.stderr == "input error: $: expected an object, got list\n"
 
+    def test_a_file_that_is_not_utf8_is_named(self, runner, paths, tmp_path):
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b"\xff{}")
+        for argv in (
+            ["compute", "--rule", "mps", "--profile", str(latin)],
+            ["check", "--property", "sd-efficient", "--profile", paths("p.json", FIG1),
+             "--assignment", str(latin)],
+        ):
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 3
+            assert result.stderr == "input error: $: not UTF-8 text (invalid start byte at byte 0)\n"
+
 
 class TestCheck:
     def test_balanced_ex_post_fails(self, runner, paths):
@@ -681,6 +693,19 @@ INPUT_REFUSALS = {
         ["check", "--property", "sd-ef"], FIG1,
         with_long_integer(fig1_rows(("LONG", "1", "0", "0"), ("0", "0", "1", "1"))),
         LONG_INTEGER_REFUSAL,
+    ),
+    # A refused string is quoted by its first 40 characters and its length.
+    "long-rational-entry": (
+        ["check", "--property", "sd-ef"], FIG1,
+        fig1_rows(("1/" + "9" * 5000, "1", "0", "0"), ("0", "0", "1", "1")),
+        f"input error: matrix.1.o1: rational {'1/' + '9' * 38!r}... (5002 characters): "
+        f"an integer of more than {sys.get_int_max_str_digits()} digits",
+    ),
+    "long-malformed-entry": (
+        ["check", "--property", "sd-ef"], FIG1,
+        fig1_rows(("x" * 100_000, "1", "0", "0"), ("0", "0", "1", "1")),
+        f"input error: matrix.1.o1: malformed rational {'x' * 40!r}... (100000 characters) "
+        "(expected p/q, k or a decimal)",
     ),
     # `json` alone keeps the last copy of a repeated key, so these files were
     # answered (the first two) or refused for a column sum (the third).

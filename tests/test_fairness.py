@@ -1,5 +1,6 @@
 """Envy-freeness and the symmetry properties (anonymity, neutrality)."""
 
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -21,8 +22,9 @@ from mudra.model import (
     discrete_to_random,
 )
 from mudra.harness import RULES, canonical_instance, enumerate_profiles
-from mudra.order import SdVerdict, prefix_sums, sd_compare
+from mudra.order import prefix_sums
 from mudra.rules import mps, ops, priority_rule, random_priority, uniform
+from oracles import oracle_sd_envy, oracle_weak_sd_envy
 
 F = Fraction
 
@@ -173,54 +175,13 @@ class TestNeutrality:
 
 
 # --------------------------------------------------------------------------
-# The one prefix-sum scan against the two envy checks it replaced
+# The envy scan against the plain envy definitions
 # --------------------------------------------------------------------------
 
 
-def oracle_sd_envy(p, prof):
-    """The SD envy check as written before the shared scan: full prefix sums."""
-    inst = prof.instance
-    for i, agent in enumerate(inst.agents):
-        order = prof.orders[i]
-        own = prefix_sums(p.allocation(agent), order)
-        for other in inst.agents:
-            if other == agent:
-                continue
-            theirs = prefix_sums(p.allocation(other), order)
-            for obj, mine, its in zip(order, own, theirs):
-                if mine < its:
-                    return False, (agent, other, obj)
-    return True, None
-
-
-def oracle_weak_sd_envy(p, prof):
-    """The weak-SD envy check as written before the shared scan: sd_compare."""
-    for agent in prof.instance.agents:
-        order = prof.order_of(agent)
-        own = p.allocation(agent)
-        for other in prof.instance.agents:
-            if other == agent:
-                continue
-            theirs = p.allocation(other)
-            if sd_compare(theirs, own, order) is SdVerdict.FIRST_STRICTLY_DOMINATES:
-                first = next(
-                    obj for obj, a, b in zip(
-                        order, prefix_sums(own, order), prefix_sums(theirs, order)
-                    ) if a < b
-                )
-                return False, (agent, other, first)
-    return True, None
-
-
-def envy_pair(verdict):
-    if verdict.holds:
-        return True, None
-    return False, (verdict.envious, verdict.envied, verdict.prefix_object)
-
-
 def assert_envy_matches_oracles(p, prof):
-    assert envy_pair(is_sd_envy_free(p, prof)) == oracle_sd_envy(p, prof)
-    assert envy_pair(is_weak_sd_envy_free(p, prof)) == oracle_weak_sd_envy(p, prof)
+    assert astuple(is_sd_envy_free(p, prof)) == oracle_sd_envy(p, prof)
+    assert astuple(is_weak_sd_envy_free(p, prof)) == oracle_weak_sd_envy(p, prof)
 
 
 @pytest.mark.parametrize("shape", [(2, 4, 2), (3, 3, 1)])

@@ -321,7 +321,7 @@ def representative(profile):
 #: table1 property -> its verdict in a `sweep_data` rule record.
 SWEEP_DATA_VERDICTS = {
     "sd-efficiency": lambda v: v["sd_efficient"],
-    "ex-post-efficiency": lambda v: v["ex_post"],
+    "ex-post-efficiency": lambda v: v["ex_post"].holds,
     "unanimity": lambda v: v["unanimous"],
     "sd-envy-freeness": lambda v: v["sd_envy_free"],
     "weak-sd-envy-freeness": lambda v: v["weak_sd_envy_free"],
@@ -355,8 +355,7 @@ VIOLATION_COUNTS = {
 }
 
 
-def test_violation_count_of_every_table1_cell(sweep_data, main_profiles, table1_cells):
-    cache = OutputCache()
+def test_violation_count_of_every_table1_cell(sweep_data, table1_cells):
     counts = {}
     for rule in RULE_NAMES:
         for property_name, verdict in SWEEP_DATA_VERDICTS.items():
@@ -364,8 +363,7 @@ def test_violation_count_of_every_table1_cell(sweep_data, main_profiles, table1_
                 not verdict(record["rules"][rule]) for record in sweep_data
             )
         counts["anonymity", rule] = sum(
-            not check_rule_property(rule, "anonymity", profile, cache)[0]
-            for profile in main_profiles
+            not record["rules"][rule]["anonymity"][0] for record in sweep_data
         )
         # Neutral at every orbit representative is neutral on the whole
         # domain (see `table1_sweep`), so a neutrality cell that held counts 0.
@@ -416,18 +414,18 @@ class TestOrbitReduction:
             assert len(by_orbit) == 24
             assert all(len(v) == 1 for v in by_orbit.values()), (rule, property_name)
 
-    def test_anonymity_cells_match_an_unreduced_scan(self, main_profiles, table1_cells):
-        cache = OutputCache()
+    def test_anonymity_cells_match_an_unreduced_scan(self, sweep_data, table1_cells):
         for rule in RULE_NAMES:
-            found = _first_violation(rule, "anonymity", main_profiles, cache)
+            verdicts = [record["rules"][rule]["anonymity"] for record in sweep_data]
+            found = next((i for i, (holds, _) in enumerate(verdicts) if not holds), None)
             cell = table1_cells[rule, "anonymity"]
             if found is None:
                 assert cell.observed == "supported-by-sweep"
-                assert cell.profiles_checked == len(main_profiles)
+                assert cell.profiles_checked == len(sweep_data)
             else:
-                assert cell.profiles_checked == found[0] + 1
-                assert cell.witness_orders == found[1].orders
-                assert cell.certificate == found[2]
+                assert cell.profiles_checked == found + 1
+                assert cell.witness_orders == sweep_data[found]["profile"].orders
+                assert cell.certificate == verdicts[found][1]
 
     def test_non_neutral_rule_is_swept_unreduced(self, monkeypatch, main_profiles):
         # mps on every orbit representative, yet neither neutral nor unanimous.

@@ -5,7 +5,8 @@ bound by `import` or `from ... import` must be read somewhere in the same
 module.  `__init__.py` is checked like every other module: it binds no
 names, because each name is imported from the module that defines it, so
 a re-export added there would be an import it never reads.  The names the
-bench's call tracer patches must resolve too.
+bench's call tracer patches must resolve too, and the test oracles of
+`tests/oracles.py` may import nothing from the package but `mudra.model`.
 """
 
 from __future__ import annotations
@@ -47,6 +48,38 @@ def test_module_uses_every_import(path):
 def test_the_check_sees_an_unused_import():
     source = "import os\nimport sys\nfrom math import pi, tau\nprint(sys.argv, tau)\n"
     assert unused_imports(source) == ["os", "pi"]
+
+
+def package_imports(source: str) -> list[str]:
+    """The modules of `mudra` other than `mudra.model` that `source` imports."""
+    modules: list[str] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "mudra":
+            modules += [f"mudra.{a.name}" for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+    return [
+        name for name in modules
+        if (name == "mudra" or name.startswith("mudra.")) and name != "mudra.model"
+    ]
+
+
+def test_oracles_import_only_the_model():
+    """An oracle that calls the code it checks is not an oracle."""
+    assert package_imports((ROOT / "tests" / "oracles.py").read_text()) == []
+
+
+def test_the_oracle_check_sees_a_package_import():
+    source = (
+        "import itertools\n"
+        "from mudra.model import RandomAssignment\n"
+        "from mudra import model, rules\n"
+        "from mudra.order import prefix_sums\n"
+        "import mudra.fairness\n"
+    )
+    assert package_imports(source) == ["mudra.rules", "mudra.order", "mudra.fairness"]
 
 
 def test_every_traced_name_resolves():

@@ -1,14 +1,15 @@
-"""The checkers on the integer view against the Fraction bodies they replaced.
+"""The checkers on the integer view against plain `Fraction` replays.
 
 Feasibility, both envy notions, SD-dominance, the trade-cycle test, its
 dominator and the lottery decomposition compute on each assignment's
-integer `numerators` over its `denominator`.  The oracles below are the
-same routines with every amount a `Fraction`; on matrices with mixed
-denominators, feasible or not, both must give equal verdicts, refusal
-texts and certificates.
+integer `numerators` over its `denominator`.  On matrices with mixed
+denominators, feasible or not, they must give the verdicts, refusal texts
+and certificates of the plain oracles in `tests/oracles.py`.  The one
+oracle kept here, `fraction_decompose_lottery`, runs `efficiency`'s
+support matching on purpose: it checks the subtraction loop around it.
 """
 
-import itertools
+from dataclasses import astuple
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -23,80 +24,23 @@ from mudra.efficiency import (
     is_sd_efficient,
     sd_dominates,
 )
-from mudra.fairness import FairnessVerdict, is_sd_envy_free, is_weak_sd_envy_free
+from mudra.fairness import is_sd_envy_free, is_weak_sd_envy_free
 from mudra.harness import canonical_instance
 from mudra.model import (
     DiscreteAssignment,
     PreferenceProfile,
     RandomAssignment,
-    ValidationResult,
     validate_assignment,
 )
-from mudra.order import sd_weakly_dominates
+from oracles import (
+    fraction_trade_along,
+    fraction_validate_assignment,
+    name_keyed_sd_dominates,
+    oracle_sd_envy,
+    oracle_weak_sd_envy,
+)
 
 F = Fraction
-
-
-# --------------------------------------------------------------------------
-# Oracles: the Fraction bodies
-# --------------------------------------------------------------------------
-
-
-def fraction_validate_assignment(assignment):
-    inst = assignment.instance
-    for agent, row in zip(inst.agents, assignment.matrix):
-        for obj, v in zip(inst.objects, row):
-            if v < 0 or v > 1:
-                return ValidationResult(False, f"entry ({agent}, {obj}) = {v} outside [0, 1]")
-    for j, obj in enumerate(inst.objects):
-        total = sum(row[j] for row in assignment.matrix)
-        if total != 1:
-            return ValidationResult(False, f"column {obj} sums to {total}, expected 1")
-    target = Fraction(inst.num_objects, inst.num_agents)
-    for agent, row in zip(inst.agents, assignment.matrix):
-        total = sum(row)
-        if total != target:
-            return ValidationResult(False, f"row {agent} sums to {total}, expected {target}")
-    return ValidationResult(True)
-
-
-def fraction_first_envy(p, profile, weak):
-    inst = profile.instance
-    for agent, ranked, own in zip(inst.agents, profile.ranked, p.matrix):
-        own_sums = tuple(itertools.accumulate(own[j] for j in ranked))
-        for other, theirs in zip(inst.agents, p.matrix):
-            if other == agent:
-                continue
-            its = 0
-            envied_at = None
-            for j, mine in zip(ranked, own_sums):
-                its += theirs[j]
-                if mine < its and envied_at is None:
-                    envied_at = j
-                    if not weak:
-                        break
-                elif weak and mine > its:
-                    envied_at = None
-                    break
-            if envied_at is not None:
-                return FairnessVerdict(False, agent, other, inst.objects[envied_at])
-    return FairnessVerdict(True)
-
-
-def fraction_sd_dominates(q, p, profile):
-    return (
-        all(map(sd_weakly_dominates, q.matrix, p.matrix, profile.ranked))
-        and q.matrix != p.matrix
-    )
-
-
-def fraction_trade_along(p, cycle):
-    work = [list(row) for row in p.matrix]
-    eps = min(min(work[i][b], 1 - work[i][a]) for i, a, b in cycle)
-    for i, a, b in cycle:
-        work[i][a] += eps
-        work[i][b] -= eps
-    return RandomAssignment(p.instance, tuple(tuple(row) for row in work))
 
 
 def fraction_decompose_lottery(p):
@@ -210,8 +154,8 @@ def test_checkers_match_the_fraction_oracles(case):
         assert feasible == fraction_validate_assignment(x)
         if not balanced:
             continue
-        assert is_sd_envy_free(x, profile) == fraction_first_envy(x, profile, weak=False)
-        assert is_weak_sd_envy_free(x, profile) == fraction_first_envy(x, profile, weak=True)
+        assert astuple(is_sd_envy_free(x, profile)) == oracle_sd_envy(x, profile)
+        assert astuple(is_weak_sd_envy_free(x, profile)) == oracle_weak_sd_envy(x, profile)
         if not feasible:
             continue
         terms = decompose_lottery(x)
@@ -228,4 +172,4 @@ def test_checkers_match_the_fraction_oracles(case):
             assert all(type(v) is F for row in verdict.dominator.matrix for v in row)
             dominators[x] = verdict.dominator
     for a, b in dominance_pairs(p, q, dominators):
-        assert sd_dominates(a, b, profile) == fraction_sd_dominates(a, b, profile)
+        assert sd_dominates(a, b, profile) == name_keyed_sd_dominates(a, b, profile)

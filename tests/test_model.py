@@ -31,6 +31,7 @@ from mudra.harness import (
     check_rule_property,
     enumerate_profiles,
 )
+from oracles import oracle_permute_agents, oracle_permute_objects
 
 INST = Instance(agents=("1", "2"), objects=("o1", "o2", "o3", "o4"), quota=2)
 
@@ -470,36 +471,8 @@ def test_object_permutation_round_trips(prof):
 
 
 # --------------------------------------------------------------------------
-# The one relabelling routine against the two bodies it replaced
+# The one relabelling routine against the plain relabellings
 # --------------------------------------------------------------------------
-
-
-def oracle_permute_agents(x, pi):
-    """`permute_agents` as written before the shared routine."""
-    inst = x.instance
-    if set(pi.keys()) != set(inst.agents) or set(pi.values()) != set(inst.agents):
-        raise ValueError("not a permutation of the agent set")
-    rows = x.orders if isinstance(x, PreferenceProfile) else x.matrix
-    new_rows = [()] * inst.num_agents
-    for agent, row in zip(inst.agents, rows):
-        new_rows[inst.agent_index(pi[agent])] = row
-    return type(x)(inst, tuple(new_rows))
-
-
-def oracle_permute_objects(x, sigma):
-    """`permute_objects` as written before the shared routine."""
-    inst = x.instance
-    if set(sigma.keys()) != set(inst.objects) or set(sigma.values()) != set(inst.objects):
-        raise ValueError("not a permutation of the object set")
-    if isinstance(x, PreferenceProfile):
-        return PreferenceProfile(inst, tuple(tuple(sigma[o] for o in order) for order in x.orders))
-    new_rows = []
-    for row in x.matrix:
-        new_row = [Fraction(0)] * inst.num_objects
-        for obj, v in zip(inst.objects, row):
-            new_row[inst.object_index(sigma[obj])] = v
-        new_rows.append(tuple(new_row))
-    return RandomAssignment(inst, tuple(new_rows))
 
 
 def outcome(fn, *args):

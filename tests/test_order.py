@@ -14,6 +14,7 @@ from mudra.order import (
     sd_compare,
     sd_weakly_dominates,
 )
+from oracles import dl_oracle, sd_oracle
 
 ORDER = ("o1", "o2", "o3", "o4")
 F = Fraction
@@ -86,33 +87,14 @@ amounts = st.fractions(
 vectors = st.builds(vec, amounts, amounts, amounts, amounts)
 
 
-def sd_oracle(a, b):
-    pa, pb = prefix_sums(a, ORDER), prefix_sums(b, ORDER)
-    if pa == pb:
-        return SdVerdict.EQUAL
-    if all(x >= y for x, y in zip(pa, pb)):
-        return SdVerdict.FIRST_STRICTLY_DOMINATES
-    if all(x <= y for x, y in zip(pa, pb)):
-        return SdVerdict.SECOND_STRICTLY_DOMINATES
-    return SdVerdict.INCOMPARABLE
-
-
-def dl_oracle(a, b):
-    ta = tuple(a[o] for o in ORDER)
-    tb = tuple(b[o] for o in ORDER)
-    if ta == tb:
-        return DlVerdict.EQUAL
-    return DlVerdict.FIRST if ta > tb else DlVerdict.SECOND
-
-
 @given(vectors, vectors)
 def test_sd_matches_prefix_sum_oracle(a, b):
-    assert sd_compare(a, b, ORDER) is sd_oracle(a, b)
+    assert sd_compare(a, b, ORDER).name == sd_oracle(a, b, ORDER)
 
 
 @given(vectors, vectors)
 def test_dl_matches_lexicographic_oracle(a, b):
-    assert dl_compare(a, b, ORDER) is dl_oracle(a, b)
+    assert dl_compare(a, b, ORDER).name == dl_oracle(a, b, ORDER)
 
 
 MIRROR = {

@@ -140,7 +140,9 @@ class TestConvexMembership:
 
 
 #: SHA-256 of every hull LP answer in `sweep_data`: one line per (profile,
-#: rule), "weights" or "farkas" and then the entries as p/q strings.
+#: rule), "weights" or "farkas" and then the entries as p/q strings.  The
+#: weights are rebuilt from the ex-post verdict: each survivor's weight in
+#: the decomposition, or 0 for a survivor it leaves out.
 SWEEP_HULL_DIGEST = "af7dbc521a3629042de3dd4a1ad202bcaa989705c7a23bf9ee66d02244e4e390"
 
 
@@ -151,9 +153,12 @@ def test_sweep_hull_answers_are_pinned(sweep_data):
     answers = 0
     for record in sweep_data:
         for rule_name in RULE_NAMES:
-            hull = record["rules"][rule_name]["hull"]
-            feasible = hull.status == "feasible"
-            kind, entries = ("weights", hull.point) if feasible else ("farkas", hull.farkas)
+            verdict = record["rules"][rule_name]["ex_post"]
+            if verdict.holds:
+                weights = {d: w for w, d in verdict.decomposition}
+                kind, entries = "weights", [weights.get(d, 0) for d in verdict.survivors]
+            else:
+                kind, entries = "farkas", verdict.farkas
             digest.update(f"{kind} {' '.join(map(format_rational, entries))}\n".encode())
             answers += 1
     assert answers == 2880

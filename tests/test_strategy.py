@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mudra.efficiency import sd_dominates
 from mudra.harness import RULE_NAMES, RULES, OutputCache, check_rule_property
 from mudra.model import GuardExceeded, Instance, PreferenceProfile, RandomAssignment
-from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare, sd_weakly_dominates
+from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
 from mudra.rules import mps, ops, priority_rule, random_priority, uniform
 from mudra.strategy import (
     ManipulationKind,
@@ -21,6 +21,7 @@ from mudra.strategy import (
     find_weak_sd_manipulation,
     first_manipulation,
 )
+from oracles import dl_oracle, name_keyed_sd_dominates, sd_oracle
 
 F = Fraction
 
@@ -244,19 +245,18 @@ INDIVIDUAL = {
     "weak-sd": (
         find_weak_sd_manipulation,
         ManipulationKind.STRICT_SD,
-        lambda alt, truth, order: sd_compare(alt, truth, order)
-        is SdVerdict.FIRST_STRICTLY_DOMINATES,
+        lambda alt, truth, order: sd_oracle(alt, truth, order) == "FIRST_STRICTLY_DOMINATES",
     ),
     "sd": (
         find_sd_manipulation,
         ManipulationKind.NOT_SD_DOMINATED,
-        lambda alt, truth, order: sd_compare(truth, alt, order)
-        not in (SdVerdict.EQUAL, SdVerdict.FIRST_STRICTLY_DOMINATES),
+        lambda alt, truth, order: sd_oracle(truth, alt, order)
+        not in ("EQUAL", "FIRST_STRICTLY_DOMINATES"),
     ),
     "dl": (
         find_dl_manipulation,
         ManipulationKind.DL_IMPROVEMENT,
-        lambda alt, truth, order: dl_compare(alt, truth, order) is DlVerdict.FIRST,
+        lambda alt, truth, order: dl_oracle(alt, truth, order) == "FIRST",
     ),
 }
 
@@ -506,21 +506,6 @@ def test_scan_reads_no_fraction_of_an_outcome():
     assert "matrix" not in vars(found.manipulated) and "matrix" not in vars(found.truthful)
 
 
-def name_keyed_sd_dominates(q, p, profile):
-    """`sd_dominates` over name-keyed rows and each agent's order of names."""
-    strict = False
-    for agent, order in zip(profile.instance.agents, profile.orders):
-        mine, theirs = q.allocation(agent), p.allocation(agent)
-        sums = zip(
-            itertools.accumulate(mine[o] for o in order),
-            itertools.accumulate(theirs[o] for o in order),
-        )
-        if any(a < b for a, b in sums):
-            return False
-        strict = strict or mine != theirs
-    return strict
-
-
 def test_sd_dominates_matches_name_keyed_oracle(cache):
     """Every ordered pair of the five rules' outputs on every SHUFFLED profile."""
     dominated = 0
@@ -560,16 +545,12 @@ def row_pairs(draw):
 @given(row_pairs())
 def test_scan_verdicts_equal_fraction_comparisons(rows):
     """The scan compares numerators cross-multiplied by the other row's
-    common denominator; its verdicts equal `sd_compare` and `dl_compare`
-    on the Fraction rows, whatever the two denominators."""
+    common denominator; its verdicts equal the brute-force oracle's
+    improvement tests on the Fraction rows, whatever the two denominators."""
     truth, alt = (RandomAssignment(ONE_AGENT.instance, (tuple(row),)) for row in rows)
     rule = lambda p: truth if p == ONE_AGENT else alt  # noqa: E731
     order = ONE_AGENT.orders[0]
     a, t = alt.allocation("1"), truth.allocation("1")
-    expected = {
-        find_weak_sd_manipulation: sd_compare(a, t, order) is SdVerdict.FIRST_STRICTLY_DOMINATES,
-        find_dl_manipulation: dl_compare(a, t, order) is DlVerdict.FIRST,
-        find_sd_manipulation: not sd_weakly_dominates(t, a, order),
-    }
-    for finder, found in expected.items():
-        assert (finder(rule, ONE_AGENT, "1") is not None) == found, finder.__name__
+    for finder, _, improves in INDIVIDUAL.values():
+        found = finder(rule, ONE_AGENT, "1") is not None
+        assert found == improves(a, t, order), finder.__name__
