@@ -64,7 +64,7 @@ def dl_oracle(a, b, order):
     return "FIRST" if ta > tb else "SECOND"
 
 
-def _first_envy(p, profile, weak):
+def _envy(p, profile, weak):
     """(holds, envious, envied, object), the fields of a `FairnessVerdict`:
     the first pair, agents in instance order, where the envied row has the
     larger sum over some upper contour set of the envious agent's order,
@@ -88,12 +88,12 @@ def _first_envy(p, profile, weak):
 
 def oracle_sd_envy(p, profile):
     """SD envy: some other row is larger over some upper contour set."""
-    return _first_envy(p, profile, weak=False)
+    return _envy(p, profile, weak=False)
 
 
 def oracle_weak_sd_envy(p, profile):
     """Weak-SD envy: some other row strictly SD-dominates the agent's own."""
-    return _first_envy(p, profile, weak=True)
+    return _envy(p, profile, weak=True)
 
 
 def name_keyed_sd_dominates(q, p, profile):
