@@ -16,9 +16,11 @@ for the one-at-a-time rule and the quota for the multi-unit rule.
 
 Rules read a profile only through `instance` and `ranked`, whose rows they
 only iterate, from the top.  Eating, serial dictatorship and `rp` read each
-row only as far as their next pick needs.  The misreport scan relies on
-this: it learns which entries of a report a rule read by handing it the
-reported rows through a view that logs them.
+row only as far as their next pick needs, and not at all where the pick is
+forced: eating reads no row once one object is left, and `rp` none for the
+agent that picks last.  The misreport scan relies on this: it learns which
+entries of a report a rule read by handing it the reported rows through a
+view that logs them, and skips the reports that differ only elsewhere.
 """
 
 from __future__ import annotations
@@ -83,6 +85,8 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
     length min(left / eaters) is an exact integer quotient.  The
     assignment is built from the final numerators, and the trace keeps each
     phase's end and demand; their `Fraction`s are built on first read.
+    Once one object is left, every agent eats it whatever its order, so
+    that phase reads no row.
     """
     if size < 1:
         raise ValueError("demand size must be at least 1")
@@ -93,8 +97,11 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
     ends: list[tuple[int, int]] = []  # per phase: end time as (numerator, denominator)
     demands: list[tuple[tuple[int, ...], ...]] = []
     while remaining:
-        take = min(size, len(remaining))
-        demand = tuple(tuple(_top(ranked, remaining, take)) for ranked in profile.ranked)
+        if len(remaining) == 1:
+            demand = (tuple(remaining),) * inst.num_agents
+        else:
+            take = min(size, len(remaining))
+            demand = tuple(tuple(_top(ranked, remaining, take)) for ranked in profile.ranked)
         eaters = Counter(chain.from_iterable(demand))
         step = math.lcm(*eaters.values())
         if step > 1:
@@ -188,7 +195,9 @@ def random_priority(profile: PreferenceProfile) -> RandomAssignment:
     pass over the states, layer by layer, carries the number w of priority
     prefixes that reach each; agent i picking next from a state of layer k
     does so in w * (n-k-1)! of the n! orders.  The counts are integers,
-    divided by n! once at the end, so the average is exact.
+    divided by n! once at the end, so the average is exact.  The one agent
+    left in a state of layer n-1 picks last and takes the `quota` objects
+    still free whatever its order, so its row is not read there.
 
     Computing RP probabilities is #P-complete, so the number of states is
     exponential in the worst case.  An upper bound on it is compared with
@@ -201,7 +210,7 @@ def random_priority(profile: PreferenceProfile) -> RandomAssignment:
     refuse_over(_state_bound(n, m, quota), STATE_LIMIT, f"rp states of {n} agents")
     totals = [[0] * m for _ in inst.agents]
     layer = Counter({(0, 0): 1})  # (who picked, what is taken) bitmasks -> prefixes
-    for k in range(n):
+    for k in range(n - 1):
         orders_per_prefix = math.factorial(n - k - 1)
         successors: Counter[tuple[int, int]] = Counter()
         for (picked, taken), ways in layer.items():
@@ -219,6 +228,12 @@ def random_priority(profile: PreferenceProfile) -> RandomAssignment:
                             break
                 successors[picked | 1 << i, grabbed] += ways
         layer = successors
+    everyone = (1 << n) - 1
+    for (picked, taken), ways in layer.items():
+        row = totals[(everyone ^ picked).bit_length() - 1]  # the last picker
+        for j in range(m):
+            if not taken >> j & 1:
+                row[j] += ways
     return RandomAssignment.from_numerators(inst, totals, math.factorial(n))
 
 

@@ -389,6 +389,36 @@ MUTANTS = (
         RULES_TESTS,
     ),
     Mutant(
+        "rp-last-picker-mistaken",
+        "rules.py",
+        "row = totals[(everyone ^ picked).bit_length() - 1]",
+        "row = totals[picked.bit_length() - 1]",
+        RULES_TESTS,
+    ),
+    Mutant(
+        "eating-forces-two-objects",
+        "rules.py",
+        "        if len(remaining) == 1:\n",
+        "        if len(remaining) <= 2:\n",
+        RULES_TESTS,
+    ),
+    # The forced picks read their rows again: every output stays the same,
+    # and only the pinned run counts of the pair scan change.
+    Mutant(
+        "rp-last-picker-reads-its-row",
+        "rules.py",
+        "    for k in range(n - 1):\n",
+        "    for k in range(n):\n",
+        STRATEGY_TESTS,
+    ),
+    Mutant(
+        "eating-last-object-reads-rows",
+        "rules.py",
+        "        if len(remaining) == 1:\n",
+        "        if not remaining:\n",
+        STRATEGY_TESTS,
+    ),
+    Mutant(
         "partial-priority-accepted",
         "rules.py",
         "    if list(sorted(priority)) != sorted(inst.agents):\n"

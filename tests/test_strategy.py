@@ -456,12 +456,39 @@ def test_searches_match_brute_force_on_seeded_four_objects(rule_name):
                 assert_same_witness(finder(rule, profile, agent), expected, kind, (agent,))
 
 
+#: Seeds of 4x4 c=1 profiles for pair scans: 1 has no witness for {1, 2},
+#: 13 one for `rp` only, 20 one for `ops` and `mps` only, 50 one for all three.
+PAIR_SEEDS = (1, 13, 20, 50)
+#: Witnesses for the pair {1, 2} over PAIR_SEEDS.
+EXPECTED_SEEDED_PAIR_WITNESSES = {"uniform": 0, "priority": 0, "rp": 2, "ops": 2, "mps": 2}
+
+
+@pytest.mark.parametrize("rule_name", RULE_NAMES)
+def test_pair_search_matches_brute_force_on_seeded_four_objects(rule_name):
+    """On 4x4 c=1 the rules stop reading a report where their picks are
+    forced (the last object eaten, the last agent to pick in `rp`), so a
+    pair scan skips every report that differs from a judged one only there."""
+    improves = INDIVIDUAL["weak-sd"][2]
+    rule, memo = RULES[rule_name], OutputCache().callable(rule_name)
+    witnesses = 0
+    for seed in PAIR_SEEDS:
+        profile = seeded_profile(FOUR_BY_FOUR, seed)
+        expected = brute_force_witness(memo, profile, ("1", "2"), improves)
+        found = find_group_manipulation(rule, profile, ("1", "2"))
+        assert_same_witness(found, expected, ManipulationKind.STRICT_SD, ("1", "2"))
+        witnesses += expected is not None
+    assert witnesses == EXPECTED_SEEDED_PAIR_WITNESSES[rule_name]
+
+
 #: A seeded 4x4 c=1 profile where no rule has a witness for the pair {1, 2}.
 PAIR_PROFILE = seeded_profile(FOUR_BY_FOUR, 1)
 #: Rule runs of the {1, 2} scan on PAIR_PROFILE: the truthful run and one
 #: per joint report whose reads no earlier run shared, of 575.  `uniform`
-#: reads no order, so its scan runs every report.
-EXPECTED_PAIR_RUNS = {"uniform": 576, "priority": 24, "rp": 380, "ops": 356, "mps": 356}
+#: reads no order, so its scan runs every report.  The eating rules read no
+#: row once one object is left, and `rp` no row of the agent that picks
+#: last, so more reports share their reads with a judged run.  Reading
+#: those rows too would take `rp` to 380 runs, and `ops` and `mps` to 356.
+EXPECTED_PAIR_RUNS = {"uniform": 576, "priority": 24, "rp": 240, "ops": 176, "mps": 176}
 
 
 @pytest.mark.parametrize("rule_name", RULE_NAMES)
