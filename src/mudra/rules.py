@@ -17,10 +17,12 @@ for the one-at-a-time rule and the quota for the multi-unit rule.
 Rules read a profile only through `instance` and `ranked`, whose rows they
 only iterate, from the top.  Eating, serial dictatorship and `rp` read each
 row only as far as their next pick needs, and not at all where the pick is
-forced: eating reads no row once one object is left, and `rp` none for the
-agent that picks last.  The misreport scan relies on this: it learns which
-entries of a report a rule read by handing it the reported rows through a
-view that logs them, and skips the reports that differ only elsewhere.
+forced: eating reads no row once one object is left, and serial
+dictatorship and `rp` none for the agent that picks last, who takes the
+`quota` objects still free.  The misreport scan relies on this: it learns
+which entries of a report a rule read by handing it the reported rows
+through a view that logs them, and skips the reports that differ only
+elsewhere.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Container, Sequence
 
 from .model import (
@@ -102,21 +103,28 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
         else:
             take = min(size, len(remaining))
             demand = tuple(tuple(_top(ranked, remaining, take)) for ranked in profile.ranked)
-        eaters = Counter(chain.from_iterable(demand))
+        eaters: dict[int, int] = {}  # column -> agents eating it
+        for columns in demand:
+            for j in columns:
+                eaters[j] = eaters.get(j, 0) + 1
         step = math.lcm(*eaters.values())
         if step > 1:
             scale *= step
             now *= step
-            remaining = {j: left * step for j, left in remaining.items()}
+            for j in remaining:
+                remaining[j] *= step
         # Earliest exhaustion among objects currently being eaten; exact, so
         # simultaneous exhaustions land on the same breakpoint and merge here.
         dt = min(remaining[j] // k for j, k in eaters.items())
         for j, k in eaters.items():
-            remaining[j] -= dt * k
+            left = remaining[j] - dt * k
+            if left:
+                remaining[j] = left
+            else:
+                del remaining[j]
         now += dt
         ends.append((now, scale))
         demands.append(demand)
-        remaining = {j: left for j, left in remaining.items() if left}
     # Each agent gets the length of every phase in which it eats a column,
     # all over the final denominator.
     eaten = [[0] * inst.num_objects for _ in inst.agents]
@@ -133,6 +141,10 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
 
 def _top(ranked: Sequence[int], available: Container[int], take: int) -> list[int]:
     """The first `take` columns of `ranked` that are `available`, read no further."""
+    if take == 1:
+        for j in ranked:
+            if j in available:
+                return [j]
     chosen = []
     for j in ranked:
         if j in available:
@@ -168,17 +180,23 @@ def uniform(instance: Instance) -> RandomAssignment:
 
 
 def serial_dictator(profile: PreferenceProfile, priority: Sequence[str]) -> DiscreteAssignment:
-    """Agents pick their best `quota` remaining objects in priority order."""
+    """Agents pick their best `quota` remaining objects in priority order.
+
+    The last agent takes the `quota` objects still free, so its row is not read.
+    """
     inst = profile.instance
     require_balanced(inst, "serial dictatorship")
     if list(sorted(priority)) != sorted(inst.agents):
         raise ValueError("priority order must list every agent exactly once")
     owners: list[str | None] = [None] * inst.num_objects
     free = set(range(inst.num_objects))
-    for agent in priority:
+    *pickers, last = priority
+    for agent in pickers:
         for j in _top(profile.ranked[inst.agent_index(agent)], free, inst.quota):
             owners[j] = agent
             free.discard(j)
+    for j in free:
+        owners[j] = last
     return DiscreteAssignment(inst, owners)
 
 

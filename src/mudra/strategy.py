@@ -15,10 +15,12 @@ agent is a coalition of one, and three individual notions are covered:
 Group manipulations require every coalition member to strictly SD-improve
 under one joint misreport; a weak SD violation is one by a coalition of one.
 
-A rule handed to a search must be deterministic and read the reported
-orders only through `PreferenceProfile.ranked`, or not at all; every rule
-of `harness.RULES` does.  The scan then runs the rule once per distinct
-set of entries it reads, not once per report (see `_scan`).
+A rule handed to a search must be deterministic.  One that reads the
+reported orders only through `PreferenceProfile.ranked`, as every rule of
+`harness.RULES` does, runs once per distinct set of entries it reads, not
+once per report, and once in all if it reads none (see `_scan`).  One that
+reads them another way, through `orders` or an output memo's key lookup,
+runs on every report.
 
 `FINDERS` maps each individual kind to its finder, and `first_manipulation`
 is the one first-agent search behind `mudra manipulate` and the property
@@ -68,13 +70,26 @@ class Manipulation:
         raise KeyError(f"agent {agent!r} is not part of this manipulation")
 
 
+class _Run:
+    """What one rule run read of the coalition's report: `reads`, the
+    (member, position) of each entry read through a `_ReportedRow`, in
+    order, and `flagged`, set once a member's reported order was read
+    another way (see `_ReportedOrder`)."""
+
+    __slots__ = ("reads", "flagged")
+
+    def __init__(self) -> None:
+        self.reads: list[tuple[int, int]] = []
+        self.flagged = False
+
+
 class _ReportedRow:
     """A coalition member's reported `ranked` row, as a rule reads it.
 
     It supports iteration only.  The first time the rule reads a
-    position, the view appends (member, position) to the log that the
-    members' views share; reads always start at the top, so `read`, the
-    number of positions read so far, is also the next one to log.
+    position, the view appends (member, position) to the reads of the
+    run; reads always start at the top, so `read`, the number of
+    positions read so far, is also the next one to log.
     """
 
     __slots__ = ("row", "member", "log", "read")
@@ -93,29 +108,71 @@ class _ReportedRow:
             yield column
 
 
-def _record(reported: PreferenceProfile, rows: tuple[int, ...]) -> list:
+def _flagging(method: Callable) -> Callable:
+    """The tuple method `method`, flagging the marked order's run first."""
+
+    def read(self, *args):
+        self.run.flagged = True
+        return method(self, *args)
+
+    return read
+
+
+class _ReportedOrder(tuple):
+    """A coalition member's reported `orders` entry: a tuple that flags its
+    run when it is hashed, compared, iterated, indexed or searched.
+
+    A rule reads an order so when it looks the profile up in an output
+    memo or rebuilds the profile; what it reads then is in no view's log.
+    Flagging is idempotent, since a memo keeps the profile of a miss as its
+    key and compares later lookups against it.
+    """
+
+    def __new__(cls, order: tuple[str, ...], run: _Run) -> "_ReportedOrder":
+        marked = super().__new__(cls, order)
+        marked.run = run
+        return marked
+
+    __hash__ = _flagging(tuple.__hash__)
+    __eq__ = _flagging(tuple.__eq__)
+    __ne__ = _flagging(tuple.__ne__)
+    __lt__ = _flagging(tuple.__lt__)
+    __le__ = _flagging(tuple.__le__)
+    __gt__ = _flagging(tuple.__gt__)
+    __ge__ = _flagging(tuple.__ge__)
+    __iter__ = _flagging(tuple.__iter__)
+    __getitem__ = _flagging(tuple.__getitem__)
+    __contains__ = _flagging(tuple.__contains__)
+    index = _flagging(tuple.index)
+    count = _flagging(tuple.count)
+
+
+def _record(reported: PreferenceProfile, rows: tuple[int, ...]) -> _Run:
     """Put the `ranked` rows `rows` of `reported`, a profile made for one
-    run, behind views; returns the log they share.  `ranked` is a cached
-    property, so its value is replaced in the instance dict."""
-    log: list = []
-    ranked = list(reported.ranked)
+    run, behind views, and its `orders` entries there behind markers;
+    returns the run they report to.  `ranked` is a cached property and the
+    profile is frozen, so both values are replaced in the instance dict."""
+    run = _Run()
+    ranked, orders = list(reported.ranked), list(reported.orders)
     for member, i in enumerate(rows):
-        ranked[i] = _ReportedRow(ranked[i], member, log)
-    reported.__dict__["ranked"] = tuple(ranked)
-    return log
+        ranked[i] = _ReportedRow(ranked[i], member, run.reads)
+        orders[i] = _ReportedOrder(orders[i], run)
+    reported.__dict__.update(ranked=tuple(ranked), orders=tuple(orders))
+    return run
 
 
-def _grown(trie: tuple | None, log: list, joint: tuple) -> tuple | None:
-    """`trie` with one more judged run: the report `joint`, whose reads are `log`.
+def _grown(trie: tuple | None, run: _Run, joint: tuple) -> tuple | None:
+    """`trie` with one more judged run: the report `joint`, read as `run` records.
 
     A node is (read, branches): the (member, position) the rule reads next,
     and per object reported there the next node, or None for the end of a
-    run.  Returns None, which switches pruning off, when the run read some
-    member's row not at all: the rule then did not read the report through
-    the views alone (a memo hit, say), so its reads do not decide its output.
+    run.  Returns None, which switches pruning off, when the run is
+    flagged: the rule then read the report other than through the views
+    alone (a memo lookup, say), so its reads do not decide its output.
     """
-    if len({member for member, _ in log}) < len(joint):
+    if run.flagged:
         return None
+    log = run.reads
     node = trie = trie or (log[0], {})
     for (member, position), following in zip(log, log[1:]):
         branches, reported = node[1], joint[member][position]
@@ -178,9 +235,12 @@ def _scan(
     `ranked` makes the same reads and returns the same outcome for every
     report that agrees on them, so a report that walks the trie to a judged
     run is skipped: that outcome was no improvement.  Reports are visited in
-    the same order either way, so the first witness is the same.  The first
-    run that does not read every member's row ends the recording, and every
-    later report of the scan runs.
+    the same order either way, so the first witness is the same.  A
+    truthful run that reads no entry reads none on any report, so the scan
+    ends there with no witness.  The members' `orders` entries are behind
+    `_ReportedOrder` markers: the first run that reads one (a memo lookup,
+    a rule that rebuilds the profile) ends the recording, and every later
+    report of the scan runs.
     """
     require_balanced(profile.instance, "manipulation search")
     members = tuple(coalition)
@@ -196,9 +256,11 @@ def _scan(
     improves = _IMPROVES[kind]
     true_orders = tuple(profile.orders[i] for i in rows)
     reported = copy.copy(profile)
-    log = _record(reported, rows)
+    run = _record(reported, rows)
     truthful = rule(reported)
-    trie = _grown(None, log, true_orders)
+    if not run.reads and not run.flagged:
+        return None  # the rule read no report, so every report gives `truthful`
+    trie = _grown(None, run, true_orders)
     truth_scale = truthful.denominator
     truths = tuple((i, truthful.numerators[i], profile.ranked[i]) for i in rows)
     for joint in joints:
@@ -206,7 +268,7 @@ def _scan(
             continue
         reported = profile.with_orders(dict(zip(members, joint)))
         if trie is not None:
-            log = _record(reported, rows)
+            run = _record(reported, rows)
         outcome = rule(reported)
         scale, numerators = outcome.denominator, outcome.numerators
         for i, truth, ranked in truths:
@@ -225,7 +287,7 @@ def _scan(
                 manipulated=outcome,
             )
         if trie is not None:
-            trie = _grown(trie, log, joint)
+            trie = _grown(trie, run, joint)
     return None
 
 

@@ -98,11 +98,29 @@ MUTANTS = (
         "            if False:\n",
         STRATEGY_TESTS,
     ),
+    # Pruning stops only on a run that read nothing through the views: a
+    # run that read a row there and the orders another way still prunes.
     Mutant(
         "pruning-kept-after-an-unread-row",
         "strategy.py",
-        "    if len({member for member, _ in log}) < len(joint):\n",
-        "    if not log:\n",
+        "    if run.flagged:\n        return None\n",
+        "    if not run.reads:\n        return None\n",
+        STRATEGY_TESTS,
+    ),
+    # Reads of `orders` outside the views: the trie ignores the flag, or the
+    # scan ends after a truthful run that read no row although it is flagged.
+    Mutant(
+        "flag-ignored",
+        "strategy.py",
+        "    if run.flagged:\n        return None\n",
+        "",
+        STRATEGY_TESTS,
+    ),
+    Mutant(
+        "scan-ends-on-a-flagged-run",
+        "strategy.py",
+        "    if not run.reads and not run.flagged:\n",
+        "    if not run.reads:\n",
         STRATEGY_TESTS,
     ),
     Mutant(
@@ -438,8 +456,33 @@ MUTANTS = (
     Mutant(
         "eaten-objects-kept",
         "rules.py",
-        "for j, left in remaining.items() if left}",
-        "for j, left in remaining.items() if left >= 0}",
+        "            if left:\n                remaining[j] = left\n",
+        "            if left >= 0:\n                remaining[j] = left\n",
+        RULES_TESTS,
+    ),
+    # A one-at-a-time eater keeps its top column after it is exhausted:
+    # `_top`'s one-column path skips the availability test.
+    Mutant(
+        "eating-keeps-an-exhausted-column",
+        "rules.py",
+        "            if j in available:\n                return [j]\n",
+        "            return [j]\n",
+        RULES_TESTS,
+    ),
+    # Serial dictatorship's last picker reads its row (every output stays
+    # the same), or takes objects other than the ones still free.
+    Mutant(
+        "last-dictator-reads-its-row",
+        "rules.py",
+        "    for agent in pickers:\n",
+        "    for agent in priority:\n",
+        RULES_TESTS,
+    ),
+    Mutant(
+        "last-dictator-takes-the-wrong-objects",
+        "rules.py",
+        "    for j in free:",
+        "    for j in range(inst.quota):",
         RULES_TESTS,
     ),
     Mutant(

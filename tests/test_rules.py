@@ -635,16 +635,28 @@ def test_top_reads_no_further_than_its_last_pick(available, take, chosen, deepes
     assert order.deepest == deepest
 
 
-@pytest.mark.parametrize("rule", [ops, mps, random_priority], ids=lambda rule: rule.__name__)
-def test_forced_picks_read_no_row(rule):
+HALVES = ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "rule, matrix, deepest",
+    [
+        pytest.param(ops, HALVES, [0, 0], id="ops"),
+        pytest.param(mps, HALVES, [0, 0], id="mps"),
+        pytest.param(random_priority, HALVES, [0, 0], id="random_priority"),
+        pytest.param(priority_rule, ((1, 0), (0, 1)), [0, -1], id="priority_rule"),
+    ],
+)
+def test_forced_picks_read_no_row(rule, matrix, deepest):
     """Both agents rank a first on 2x2 c=1.  Once a is gone, b is forced:
     the eating rules read no row for the last object, and `rp` none for
-    the agent that picks last, so no row is read past its top."""
+    the agent that picks last, so no row is read past its top.  Under
+    `priority` agent 2 picks last and its row is not read at all."""
     profile = make_profile([("a", "b"), ("a", "b")], quota=1)
     rows = (RecordingOrder((0, 1)), RecordingOrder((0, 1)))
     profile.__dict__["ranked"] = rows  # `ranked` is a cached property
-    assert rule(profile).matrix == ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
-    assert [row.deepest for row in rows] == [0, 0]
+    assert rule(profile).matrix == matrix
+    assert [row.deepest for row in rows] == deepest
 
 
 SOURCES = Path(__file__).resolve().parents[1] / "src" / "mudra"

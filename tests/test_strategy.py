@@ -484,11 +484,12 @@ def test_pair_search_matches_brute_force_on_seeded_four_objects(rule_name):
 PAIR_PROFILE = seeded_profile(FOUR_BY_FOUR, 1)
 #: Rule runs of the {1, 2} scan on PAIR_PROFILE: the truthful run and one
 #: per joint report whose reads no earlier run shared, of 575.  `uniform`
-#: reads no order, so its scan runs every report.  The eating rules read no
-#: row once one object is left, and `rp` no row of the agent that picks
-#: last, so more reports share their reads with a judged run.  Reading
-#: those rows too would take `rp` to 380 runs, and `ops` and `mps` to 356.
-EXPECTED_PAIR_RUNS = {"uniform": 576, "priority": 24, "rp": 240, "ops": 176, "mps": 176}
+#: reads no order, so its truthful run reads nothing and ends the scan.  The
+#: eating rules read no row once one object is left, and `rp` no row of the
+#: agent that picks last, so more reports share their reads with a judged
+#: run.  Reading those rows too would take `rp` to 380 runs, and `ops` and
+#: `mps` to 356.
+EXPECTED_PAIR_RUNS = {"uniform": 1, "priority": 24, "rp": 240, "ops": 176, "mps": 176}
 
 
 @pytest.mark.parametrize("rule_name", RULE_NAMES)
@@ -505,9 +506,11 @@ def test_pair_scan_runs_the_rule_once_per_distinct_read(rule_name):
 
 
 def test_a_row_read_outside_the_views_switches_pruning_off():
-    """A run that reads some member's row not at all through its view ends
-    the recording: here only agent 1's top object is read through a view,
-    and `mps` then runs on a rebuilt profile that no view sees."""
+    """A run that reads a member's reported order other than through its
+    view ends the recording: here agent 1's top object is read through a
+    view, and `mps` then runs on a profile rebuilt from `orders`.  Building
+    it iterates the orders, which flags the run, so its one logged read,
+    which does not decide the output, prunes nothing."""
 
     def rebuilt(profile):
         next(iter(profile.ranked[0]))
@@ -516,6 +519,45 @@ def test_a_row_read_outside_the_views_switches_pruning_off():
     rule = CountedRule(rebuilt)
     assert find_group_manipulation(rule, PAIR_PROFILE, ("1", "2")) is None
     assert rule.runs == 576
+
+
+def read_another_way(rule_name, profile):
+    """`rule_name` three ways that read a report other than through its
+    `ranked` view: on a profile rebuilt from `orders`, through a cold
+    output memo and through a memo that already holds the truthful outcome.
+    The first and the last read no entry through the views at all."""
+    rule, warm = RULES[rule_name], OutputCache()
+    warm.output(rule_name, profile)
+    return {
+        "rebuilt": lambda p: rule(PreferenceProfile(p.instance, p.orders)),
+        "cold memo": OutputCache().callable(rule_name),
+        "warm memo": warm.callable(rule_name),
+    }
+
+
+#: Profiles where `ops` has a witness of agent 1 for every individual
+#: notion (3x6 c=2), and one for sd and one for the pair {1, 2} (4x4 c=1).
+OTHER_WAY_PROFILES = (seeded_profile(SIX_OBJECTS.instance, 1), seeded_profile(FOUR_BY_FOUR, 20))
+
+
+@pytest.mark.parametrize("way", ("rebuilt", "cold memo", "warm memo"))
+def test_reads_outside_the_views_find_the_oracle_witness(way):
+    """A rule that reads the report other than through the views may read
+    no entry there and still depend on it: the scan must run every report,
+    not end after the truthful run, and find the oracle's first witness."""
+    memo = OutputCache().callable("ops")
+    witnesses = 0
+    for profile in OTHER_WAY_PROFILES:
+        rule = read_another_way("ops", profile)[way]
+        for finder, kind, improves in INDIVIDUAL.values():
+            expected = brute_force_witness(memo, profile, ("1",), improves)
+            assert_same_witness(finder(rule, profile, "1"), expected, kind, ("1",))
+            witnesses += expected is not None
+    profile, improves = OTHER_WAY_PROFILES[1], INDIVIDUAL["weak-sd"][2]
+    expected = brute_force_witness(memo, profile, ("1", "2"), improves)
+    found = find_group_manipulation(read_another_way("ops", profile)[way], profile, ("1", "2"))
+    assert_same_witness(found, expected, ManipulationKind.STRICT_SD, ("1", "2"))
+    assert witnesses + (expected is not None) == 5
 
 
 def test_scan_reads_no_fraction_of_an_outcome():
