@@ -10,11 +10,11 @@ an assignment that SD-dominates the input.  The test holds for any fixed row
 sums, so it also screens unbalanced discrete candidates.  Ex-post efficiency
 enumerates discrete assignments, keeps the SD-efficient ones and asks, by an
 exact feasibility simplex, whether the input is a convex combination of the
-survivors.  The trade-cycle test, SD-dominance, the trade and the lottery
-decomposition compute on integer `numerators` over each assignment's
-`denominator` (SD-dominance scales each matrix's by the other's);
-`Fraction`s are built only for the dominator's entries and the lottery
-weights.
+survivors.  The trade-cycle test, SD-dominance, the trade, the hull LP
+and the lottery decomposition compute on integer `numerators` over each
+assignment's `denominator` (SD-dominance scales each matrix's by the
+other's); `Fraction`s are built only for the dominator's entries, the hull
+LP's answer and the lottery weights.
 """
 
 from __future__ import annotations
@@ -213,9 +213,9 @@ def is_ex_post_efficient(
     )
     survivors = tuple(itertools.islice(screened, HULL_LIMIT + 1))
     refuse_over(len(survivors), HULL_LIMIT, "SD-efficient discrete assignments")
-    target = [v for row in p.matrix for v in row]
+    target = [v for row in p.numerators for v in row]
     generators = [[v for row in d.grid() for v in row] for d in survivors]
-    hull = convex_membership(target, generators)
+    hull = convex_membership(target, p.denominator, generators)
     if hull.status == "feasible":
         decomposition = tuple(
             (w, d) for w, d in zip(hull.point, survivors) if w != 0

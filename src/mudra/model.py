@@ -46,8 +46,8 @@ JOINT_LIMIT = 10**6  # a coalition's joint misreports
 ORDER_LIMIT = math.factorial(8)  # agent or object relabellings
 STATE_LIMIT = 10**6  # rp pick states, bounded from above before any is built
 # Columns of the ex-post hull LP, one per SD-efficient discrete assignment;
-# screening stops at the first survivor past it.  On a 2-core 2.1 GHz VM the
-# LP took 4.5 s at 343 columns, 14.5 s at 448, 23 s at 924 and 6 min at 2,520.
+# screening stops at the first survivor past it.  On a 2-core shared VM the LP
+# took 0.5 s at 448 columns, 0.8 s at 538, 1.9 s at 720 and 7.3 s at 2,520.
 HULL_LIMIT = 400
 
 

@@ -1,8 +1,9 @@
-"""Exact feasibility of A x = b, x >= 0 over the rationals.
+"""Exact feasibility of A x = b, x >= 0 for integer A and b.
 
-A phase-one primal simplex with Bland's anti-cycling rule.  Everything is
-`fractions.Fraction`: no floats, no tolerances, so the verdict is exact and
-deterministic, and it comes with a certificate either way:
+A phase-one primal simplex with Bland's anti-cycling rule on a
+fraction-free (Bareiss) tableau: every entry stays an integer and every
+pivot divides exactly, with no floats and no tolerances, so the verdict is
+exact and deterministic.  It comes with a certificate either way:
 
     feasible:    a point x with A x == b and x >= 0;
     infeasible:  a Farkas vector y, one multiplier per row, with
@@ -20,11 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import _check_rational
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class Feasibility:
@@ -35,85 +31,82 @@ class Feasibility:
     farkas: tuple[Fraction, ...] | None = None
 
 
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Feasibility:
+def solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> Feasibility:
     """Decide whether some x >= 0 has `rows` . x == `rhs`, with a certificate.
 
-    Every entry must be an int or a Fraction; floats raise TypeError.
+    Every entry must be an int: a float, a Fraction or a bool raises TypeError.
     """
     if len(rows) != len(rhs):
         raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
     nvars = len(rows[0]) if rows else 0
     nrows = len(rows)
-    # A row with a negative right-hand side is negated, so that each row's
-    # artificial column starts basic at |b_k|.
+    # A row is its entries, its artificial's unit column and its right-hand
+    # side; one with a negative right-hand side is negated, so that its
+    # artificial starts basic at |b_k|.
     signs: list[int] = []
-    tableau: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    tableau: list[list[int]] = []
     for k, (row, b_k) in enumerate(zip(rows, rhs)):
         if len(row) != nvars:
             raise ValueError(f"row {k} has {len(row)} entries, expected {nvars}")
-        b_k = _check_rational(b_k, f"right-hand side {k}")
+        for v in (*row, b_k):
+            if type(v) is not int:  # a bool is an int to Python, but no coefficient
+                raise TypeError(f"row {k}: expected an int, got {type(v).__name__} {v!r}")
         sign = -1 if b_k < 0 else 1
-        entries = [sign * _check_rational(a, f"entry ({k}, {j})") for j, a in enumerate(row)]
-        entries += [ONE if i == k else ZERO for i in range(nrows)]
+        entries = [sign * a for a in row] + [int(i == k) for i in range(nrows)]
+        tableau.append(entries + [sign * b_k])
         signs.append(sign)
-        tableau.append(entries)
-        b.append(sign * b_k)
     basis = list(range(nvars, nvars + nrows))
 
-    # Maximise minus the sum of the artificials.  `cost` is the reduced-cost
-    # row with the artificial basis priced out, and `value` the objective.
-    cost = [sum((row[j] for row in tableau), ZERO) for j in range(nvars)]
-    cost += [ZERO] * nrows
-    value = -sum(b, ZERO)
+    # Maximise minus the sum of the artificials.  Adding every row to that
+    # objective's row prices the artificial basis out: `cost` is the reduced
+    # costs and then minus the objective.  The rows and `cost` are over `d`.
+    cost = [sum(column) for column in zip(*tableau, [0] * nvars + [-1] * nrows + [0])]
+    d = 1
     while True:
         # Bland: the first improving column enters (artificials may), and a
         # tie in the ratio test leaves by the lower basic column.
-        e = next((j for j, c in enumerate(cost) if c > 0), None)
+        e = next((j for j in range(nvars + nrows) if cost[j] > 0), None)
         if e is None:
             break
-        r, best = None, None
+        r = None
         for i, row in enumerate(tableau):
-            if row[e] > 0:
-                ratio = b[i] / row[e]
-                if r is None or ratio < best or (ratio == best and basis[i] < basis[r]):
-                    r, best = i, ratio
+            # The least (row[-1] / row[e], basis[i]), the ratio cross-multiplied.
+            if row[e] > 0 and (r is None or (row[-1] * tableau[r][e], basis[i])
+                               < (tableau[r][-1] * row[e], basis[r])):
+                r = i
         # The objective is bounded above by zero, so some row always leaves.
-        prow = tableau[r]
-        factor = prow[e]
-        if factor != 1:
-            tableau[r] = prow = [x / factor for x in prow]
-            b[r] /= factor
+        # The pivot row stays; each other row divides exactly by the old d.
+        prow, p = tableau[r], tableau[r][e]
         for i, row in enumerate(tableau):
-            f = row[e]
-            if i != r and f:
-                tableau[i] = [x - f * y if y else x for x, y in zip(row, prow)]
-                b[i] -= f * b[r]
+            if i != r:
+                f = row[e]
+                tableau[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]
         f = cost[e]
-        cost = [x - f * y if y else x for x, y in zip(cost, prow)]
-        value += f * b[r]
-        basis[r] = e
+        cost = [(p * x - f * y) // d for x, y in zip(cost, prow)]
+        basis[r], d = e, p
 
-    if value != 0:
+    if cost[-1]:
         # The simplex multipliers sit in the artificial columns, each of
         # which started as a unit column; undo the row negations.
-        farkas = tuple((1 + cost[nvars + k]) * signs[k] for k in range(nrows))
+        farkas = tuple(Fraction((d + cost[nvars + k]) * signs[k], d) for k in range(nrows))
         return Feasibility("infeasible", farkas=farkas)
-    point = [ZERO] * nvars
-    for r, col in enumerate(basis):
+    point = [Fraction(0)] * nvars
+    for row, col in zip(tableau, basis):
         if col < nvars:
-            point[col] = b[r]
+            point[col] = Fraction(row[-1], d)
     return Feasibility("feasible", point=tuple(point))
 
 
 def convex_membership(
-    target: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]
+    target: Sequence[int], denominator: int, generators: Sequence[Sequence[int]]
 ) -> Feasibility:
-    """Decide whether `target` is a convex combination of `generators`.
+    """Decide whether `target` / `denominator` is a convex combination of
+    the integer `generators`.
 
     This is `solve` on the coordinate rows plus the weight-sum row, in that
-    order: when feasible its point is the weights, one per generator;
-    otherwise its Farkas vector has one multiplier per row.
+    order, with right-hand side `target` and `denominator`.  Scaling the
+    right-hand side changes no pivot, so the point over `denominator` is the
+    weights, one per generator, and the Farkas vector is unchanged.
     """
     dim = len(target)
     for g, gen in enumerate(generators):
@@ -121,4 +114,7 @@ def convex_membership(
             raise ValueError(f"generator {g} has dimension {len(gen)}, expected {dim}")
     rows = [[gen[d] for gen in generators] for d in range(dim)]
     rows.append([1] * len(generators))
-    return solve(rows, [*target, 1])
+    hull = solve(rows, [*target, denominator])
+    if hull.status == "infeasible":
+        return hull
+    return Feasibility("feasible", point=tuple(w / denominator for w in hull.point))

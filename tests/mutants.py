@@ -14,13 +14,15 @@ kill ("timed out"), and may use MEMORY_LIMIT bytes of address space, so a
 mutant that loops or allocates without end cannot hang the runner or
 exhaust the machine (without tracebacks, a test that hits the limit fails
 cleanly).  It prints "killed", "timed out" or "survived" with the seconds
-taken, and after "killed" the id of the first failing test; it exits 1 if
-any mutant survives.  A run that fails without naming a test, such as a
-collection error (pytest's exit code 2), stops the runner with pytest's
-output.  pytest does not collect this file (its name does not start with
-`test_`); `tests/test_mutants.py` checks in Tier-1 that every snippet still
-occurs exactly once and that every mutated module compiles, so a refactor
-cannot silently empty or break a mutant.
+taken, and after "killed" the id of the first failing test if pytest
+printed one; it exits 1 if any mutant survives.  pytest's exit code 1 is a
+kill even when no test is named, as when MEMORY_LIMIT strikes while pytest
+writes its summary; any other nonzero exit, such as a collection error
+(exit code 2), stops the runner with pytest's output (`classify`).
+pytest does not collect this file (its name does not start with `test_`);
+`tests/test_mutants.py` checks in Tier-1 that every snippet still occurs
+exactly once and that every mutated module compiles, so a refactor cannot
+silently empty or break a mutant.
 Standard library only (POSIX: `resource`).
 """
 
@@ -394,8 +396,43 @@ MUTANTS = (
     Mutant(
         "ratio-tie-leaves-higher-column",
         "ratlp.py",
-        "basis[i] < basis[r]",
-        "basis[i] > basis[r]",
+        "(row[-1] * tableau[r][e], basis[i])\n"
+        "                               < (tableau[r][-1] * row[e], basis[r])",
+        "(row[-1] * tableau[r][e], -basis[i])\n"
+        "                               < (tableau[r][-1] * row[e], -basis[r])",
+        ("tests/test_ratlp.py",),
+    ),
+    # The fraction-free tableau: a row divides by the new pivot instead of
+    # the old one, the ratio test compares right-hand sides without their
+    # divisors, the Farkas vector stays over d, or the hull weights stay
+    # over the assignment's denominator.
+    Mutant(
+        "row-update-divides-by-the-new-pivot",
+        "ratlp.py",
+        "tableau[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]",
+        "tableau[i] = [(p * x - f * y) // p for x, y in zip(row, prow)]",
+        ("tests/test_ratlp.py",),
+    ),
+    Mutant(
+        "ratio-test-not-cross-multiplied",
+        "ratlp.py",
+        "(row[-1] * tableau[r][e], basis[i])\n"
+        "                               < (tableau[r][-1] * row[e], basis[r])",
+        "(row[-1], basis[i])\n                               < (tableau[r][-1], basis[r])",
+        ("tests/test_ratlp.py",),
+    ),
+    Mutant(
+        "farkas-not-divided-by-d",
+        "ratlp.py",
+        "Fraction((d + cost[nvars + k]) * signs[k], d)",
+        "Fraction((d + cost[nvars + k]) * signs[k])",
+        ("tests/test_ratlp.py",),
+    ),
+    Mutant(
+        "hull-weights-not-divided-by-the-denominator",
+        "ratlp.py",
+        "point=tuple(w / denominator for w in hull.point)",
+        "point=hull.point",
         ("tests/test_ratlp.py",),
     ),
     # Rules and the registry.
@@ -555,8 +592,7 @@ def _cap_memory() -> None:
 
 def verdict(mutant: Mutant) -> tuple[str, str]:
     """Apply `mutant` to a temporary copy of the tree and run its tests:
-    "killed" with the first failing test's id when they fail, "timed out"
-    when they outrun TIMEOUT, else "survived" (the id is then empty)."""
+    "timed out" when they outrun TIMEOUT, else `classify`'s verdict."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         for name in COPIED:
@@ -580,18 +616,24 @@ def verdict(mutant: Mutant) -> tuple[str, str]:
             )
         except subprocess.TimeoutExpired:
             return "timed out", ""
-    if result.returncode == 0:
+    return classify(mutant.name, result.returncode, result.stdout)
+
+
+def classify(name: str, returncode: int, stdout: str) -> tuple[str, str]:
+    """The verdict of mutant `name`'s finished pytest run: "survived" on exit
+    code 0, "killed" on 1 (a test failed) with the first failing test's id,
+    or "" when pytest printed none.  Any other code, a collection error (2)
+    included, is no verdict and stops the runner."""
+    if returncode == 0:
         return "survived", ""
-    # 1: a test failed.  Anything else, a collection error (2) included, is
-    # no verdict, and so is a failure that names no test.
+    if returncode != 1:
+        raise SystemExit(f"{name}: pytest exited {returncode}\n{stdout}")
     failed = [
         line.split(" - ")[0].split(" ", 1)[1]
-        for line in result.stdout.splitlines()
+        for line in stdout.splitlines()
         if line.startswith(("FAILED ", "ERROR "))
     ]
-    if result.returncode != 1 or not failed:
-        raise SystemExit(f"{mutant.name}: pytest exited {result.returncode}\n{result.stdout}")
-    return "killed", failed[0]
+    return "killed", failed[0] if failed else ""
 
 
 def main() -> int:

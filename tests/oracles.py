@@ -6,15 +6,27 @@ and takes its own prefix sums with `itertools.accumulate`; none calls the
 code it checks.  `tests/test_imports.py` holds this module to importing
 nothing else from `mudra`.
 
-The oracles of search algorithms (the eating loops, serial dictatorship,
-the trade cycle, the brute-force misreport scan) stay next to the tests
-that run them.
+`make_profile` is the tests' one profile builder.  The oracles of search
+algorithms (the eating loops, serial dictatorship, the trade cycle, the
+brute-force misreport scan) stay next to the tests that run them.
 """
 
 import itertools
 from fractions import Fraction
 
-from mudra.model import PreferenceProfile, RandomAssignment, ValidationResult
+from mudra.model import Instance, PreferenceProfile, RandomAssignment, ValidationResult
+
+
+def make_profile(orders, quota=None, relaxed=False):
+    """The profile of `orders` with agents "1" to "n", the first order's
+    objects sorted, and quota ceil(m / n) unless one is given."""
+    orders = tuple(tuple(o) for o in orders)
+    n = len(orders)
+    objects = tuple(sorted(orders[0]))
+    if quota is None:
+        quota = -(-len(objects) // n)
+    agents = tuple(str(i) for i in range(1, n + 1))
+    return PreferenceProfile(Instance(agents, objects, quota, relaxed=relaxed), orders)
 
 
 def fraction_validate_assignment(assignment):

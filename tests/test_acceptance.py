@@ -18,26 +18,13 @@ from mudra.efficiency import (
     sd_dominates,
 )
 from mudra.harness import canonical_instance
-from mudra.model import Instance, PreferenceProfile, discrete_to_random
+from mudra.model import PreferenceProfile, discrete_to_random
 from mudra.order import DlVerdict, dl_compare, sd_weakly_dominates
 from mudra.rules import mps, mps_trace, ops
 from mudra.strategy import find_group_manipulation, find_weak_sd_manipulation
+from oracles import make_profile
 
 F = Fraction
-
-
-def make_profile(orders, quota=None):
-    orders = tuple(tuple(o) for o in orders)
-    objects = tuple(sorted(orders[0]))
-    n = len(orders)
-    if quota is None:
-        quota = -(-len(objects) // n)
-    inst = Instance(
-        agents=tuple(str(i) for i in range(1, n + 1)),
-        objects=objects,
-        quota=quota,
-    )
-    return PreferenceProfile(inst, orders)
 
 
 INTERLEAVED = make_profile([("o1", "o2", "o3", "o4"), ("o3", "o2", "o4", "o1")])

@@ -30,19 +30,9 @@ from mudra.model import (
 )
 from mudra.ratlp import solve
 from mudra.rules import mps, random_priority, uniform
+from oracles import make_profile
 
 F = Fraction
-
-
-def make_profile(orders, quota=2):
-    orders = tuple(tuple(o) for o in orders)
-    objects = tuple(sorted(orders[0]))
-    inst = Instance(
-        agents=tuple(str(i) for i in range(1, len(orders) + 1)),
-        objects=objects,
-        quota=quota,
-    )
-    return PreferenceProfile(inst, orders)
 
 
 FIG_PROFILE = make_profile([("o1", "o2", "o3", "o4"), ("o3", "o2", "o4", "o1")])

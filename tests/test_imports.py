@@ -5,8 +5,9 @@ bound by `import` or `from ... import` must be read somewhere in the same
 module.  `__init__.py` is checked like every other module: it binds no
 names, because each name is imported from the module that defines it, so
 a re-export added there would be an import it never reads.  The names the
-bench's call tracer patches must resolve too, and the test oracles of
-`tests/oracles.py` may import nothing from the package but `mudra.model`.
+bench's call tracer patches must resolve too, the test oracles of
+`tests/oracles.py` may import nothing from the package but `mudra.model`,
+and `ratlp`, which computes on plain integers, imports nothing from it.
 """
 
 from __future__ import annotations
@@ -80,6 +81,14 @@ def test_the_oracle_check_sees_a_package_import():
         "import mudra.fairness\n"
     )
     assert package_imports(source) == ["mudra.rules", "mudra.order", "mudra.fairness"]
+
+
+def test_the_lp_imports_nothing_from_the_package():
+    source = (PACKAGE / "ratlp.py").read_text()
+    assert not [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("mudra"))
+    ]
 
 
 def test_every_traced_name_resolves():

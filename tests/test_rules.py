@@ -47,23 +47,9 @@ from mudra.rules import (
     uniform,
 )
 from mudra.serialize import format_rational
+from oracles import make_profile
 
 F = Fraction
-
-
-def make_profile(orders, quota=None, relaxed=False):
-    orders = tuple(tuple(o) for o in orders)
-    objects = tuple(sorted(orders[0]))
-    n = len(orders)
-    if quota is None:
-        quota = -(-len(objects) // n)
-    inst = Instance(
-        agents=tuple(str(i) for i in range(1, n + 1)),
-        objects=objects,
-        quota=quota,
-        relaxed=relaxed,
-    )
-    return PreferenceProfile(inst, orders)
 
 
 FIG_PROFILE = make_profile([("o1", "o2", "o3", "o4"), ("o3", "o2", "o4", "o1")])
@@ -828,13 +814,13 @@ def test_the_fraction_check_sees_a_name():
 
 
 #: Every function of the package that may read a `Fraction` matrix: the
-#: entry and row accessors, the JSON writer and the ex-post hull LP's target.
-#: The checkers that compute on `numerators` over `denominator` are not here.
+#: entry and row accessors and the JSON writer, all at the edges.  The
+#: checkers and the hull LP, which compute on `numerators` over
+#: `denominator`, are not here.
 MATRIX_READERS = {
     ("model", "entry"),
     ("model", "allocation"),
     ("serialize", "assignment_to_data"),
-    ("efficiency", "is_ex_post_efficient"),
 }
 
 

@@ -21,20 +21,9 @@ from mudra.strategy import (
     find_weak_sd_manipulation,
     first_manipulation,
 )
-from oracles import dl_oracle, name_keyed_sd_dominates, sd_oracle
+from oracles import dl_oracle, make_profile, name_keyed_sd_dominates, sd_oracle
 
 F = Fraction
-
-
-def make_profile(orders, quota):
-    orders = tuple(tuple(o) for o in orders)
-    objects = tuple(sorted(orders[0]))
-    inst = Instance(
-        agents=tuple(str(i) for i in range(1, len(orders) + 1)),
-        objects=objects,
-        quota=quota,
-    )
-    return PreferenceProfile(inst, orders)
 
 
 # two agents fighting over a, with b freeing up a bargaining wedge
