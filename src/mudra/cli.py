@@ -12,6 +12,7 @@ for exact enumeration), 3 input error (bad flags, malformed files).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -30,7 +31,12 @@ from mudra.harness import (
     table1_sweep,
     witness_text,
 )
-from mudra.model import GuardExceeded, discrete_to_random, require_feasible
+from mudra.model import (
+    GuardExceeded,
+    PreferenceProfile,
+    discrete_to_random,
+    require_feasible,
+)
 from mudra.rules import mps_trace, ops_trace, serial_dictator
 from mudra.serialize import (
     SchemaError,
@@ -107,6 +113,12 @@ def _manipulation_data(m: Manipulation) -> dict:
         "truthful": assignment_to_data(m.truthful),
         "manipulated": assignment_to_data(m.manipulated),
     }
+
+
+def _nested(data, depth: int) -> str:
+    """The text of `data` in canonical_dumps, as it reads nested `depth`
+    levels deep: its lines after the first indented by 4 * `depth`."""
+    return canonical_dumps(data).rstrip("\n").replace("\n", "\n" + "    " * depth)
 
 
 def _echo_batched(chunks: Iterable[str], size: int = 2048) -> None:
@@ -391,13 +403,23 @@ def enumerate_cmd(n, m, quota, as_json):
         if as_json:
             # The text of canonical_dumps on the whole listing (then echo's
             # newline), one profile at a time; head and tail are those of a
-            # one-item listing.
+            # one-item listing.  A profile's text is that of its instance
+            # with each order's text, dumped once per order, in the place
+            # of its agent's null.
             head, tail = canonical_dumps(
                 {"command": "enumerate", "count": count, "profiles": [0]}
             ).split("    0")
+            truthful = PreferenceProfile(instance, [instance.objects] * n)
+            template = {**profile_to_data(truthful), "preferences": dict.fromkeys(instance.agents)}
+            pieces = _nested(template, 1).split("null")
+
+            @functools.cache
+            def order_text(order):
+                return _nested(list(order), 2)
+
             items = (
                 ("    " if index == 0 else ",\n    ")
-                + canonical_dumps(profile_to_data(p)).rstrip("\n").replace("\n", "\n    ")
+                + "".join(itertools.chain(*zip(pieces, map(order_text, p.orders)), pieces[-1:]))
                 for index, p in enumerate(profiles)
             )
             _echo_batched(itertools.chain([head], items, [tail, "\n"]))

@@ -15,6 +15,8 @@ is canonical, so equality, hashing and `repr`, which read it, are those of
 the matrix.  Its constructor takes a matrix of ints and `Fraction`s, and
 keeps the checked entries as `matrix`; `from_numerators` takes integers,
 and builds `matrix` only when it is read.  Both end in one reduction.
+The rules, the checkers and the JSON reader behind the CLI build with
+`from_numerators`; the constructor is for callers that hold `Fraction`s.
 `validate_assignment` and the checkers compute on the integer view.  A
 discrete assignment's `grid` is a 0/1 integer matrix.  `require_feasible`
 is the one refusal of an infeasible matrix, validating each assignment

@@ -255,8 +255,9 @@ def random_priority(profile: PreferenceProfile) -> RandomAssignment:
     return RandomAssignment.from_numerators(inst, totals, math.factorial(n))
 
 
+@functools.cache
 def _state_bound(n: int, m: int, quota: int) -> int:
-    """Upper bound on the pick states of `random_priority`.
+    """Upper bound on the pick states of `random_priority`, computed once per shape.
 
     Layer k has at most C(n, k) * C(m, k * quota) states (who picked, what is
     taken) and at most n!/(n-k)! (one per priority prefix of length k).  The

@@ -8,6 +8,15 @@ a decimal point without digits on both sides), so every supported Python
 reads the same strings.  Schema violations raise `SchemaError` carrying
 the JSON path of the offending element.
 
+Assignments cross this edge on integers.  `parse_pair` is the one parser
+of that grammar, and it holds every refusal; it reads an entry as a
+reduced pair (p, q).  `assignment_from_data` parses each distinct string
+of a file once and builds the assignment with
+`RandomAssignment.from_numerators` over the lcm of the q's, and
+`assignment_to_data` writes each entry from `numerators` over
+`denominator`, one string per distinct numerator.  Neither builds a
+`Fraction`; `parse_rational` is `parse_pair`'s value as one.
+
 Profile files::
 
     {"objects": ["o1", ...], "quota": 2, "preferences": {"1": ["o1", ...], ...}}
@@ -19,7 +28,9 @@ Assignment files::
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -38,29 +49,50 @@ class SchemaError(Exception):
         super().__init__(f"{path}: {message}")
 
 
-def parse_rational(value: Any, path: str) -> Fraction:
-    """Parse "p/q", "k" or a plain decimal such as "0.25" into an exact rational.
-    Other spellings are refused before `Fraction`, which reads more of them (a
-    different set on each Python) and would build 10**9999999 from "1e9999999"."""
+#: The one grammar of a rational string: sign, whole part, then "/q" or ".digits".
+_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
+
+
+def parse_pair(value: Any, path: str) -> tuple[int, int]:
+    """Parse "p/q", "k", a plain decimal such as "0.25" or a JSON integer into
+    the reduced pair (p, q), q > 0, of the rational it spells.
+    Other spellings are refused before any arithmetic: `Fraction` reads more
+    of them (a different set on each Python) and would build 10**9999999
+    from "1e9999999"."""
     if isinstance(value, bool):
         raise SchemaError(path, f"expected a rational string, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, float):
         raise SchemaError(path, f"floating point value {value!r} is not allowed")
     if not isinstance(value, str):
         raise SchemaError(path, f"expected a rational string, got {type(value).__name__}")
-    if not re.fullmatch(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?", value):
+    match = _RATIONAL.fullmatch(value)
+    if match is None:
         raise SchemaError(path, f"malformed rational {_echo(value)} (expected p/q, k or a decimal)")
+    sign, whole, over, decimals = match.groups()
     try:
-        return Fraction(value)
-    except ZeroDivisionError as exc:
-        raise SchemaError(path, f"malformed rational {_echo(value)} ({exc})") from None
+        if decimals is None:
+            p, q = int(sign + whole), int(over or 1)
+        else:  # the sign is read apart, as "-0.5" has the whole part 0
+            q = 10 ** len(decimals)
+            p = int(whole) * q + int(decimals)
+            if sign:
+                p = -p
     except ValueError:  # a part longer than int() reads from a string
         limit = sys.get_int_max_str_digits()
         raise SchemaError(
             path, f"rational {_echo(value)}: an integer of more than {limit} digits"
         ) from None
+    if not q:
+        raise SchemaError(path, f"malformed rational {_echo(value)} (Fraction({p}, 0))")
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def parse_rational(value: Any, path: str) -> Fraction:
+    """`parse_pair`'s rational as a `Fraction`."""
+    return Fraction(*parse_pair(value, path))
 
 
 #: The longest input string a refusal repeats in full.
@@ -137,9 +169,12 @@ def profile_to_data(profile: PreferenceProfile) -> dict:
 
 
 def assignment_from_data(data: Any, instance: Instance) -> RandomAssignment:
+    """The assignment of `data`, its entries parsed by `parse_pair`, each
+    distinct string once, and scaled to the lcm of their denominators."""
     matrix = _require(data, "matrix", dict)
     if set(matrix.keys()) != set(instance.agents):
         raise SchemaError("matrix", "agent keys must match the instance's agent set")
+    pairs: dict[str, tuple[int, int]] = {}
     rows = []
     for agent in instance.agents:
         row_data = matrix[agent]
@@ -148,24 +183,34 @@ def assignment_from_data(data: Any, instance: Instance) -> RandomAssignment:
             raise SchemaError(path, "row must map objects to rationals")
         if set(row_data.keys()) != set(instance.objects):
             raise SchemaError(path, "object keys must match the instance's object set")
-        rows.append(
-            tuple(
-                parse_rational(row_data[obj], f"{path}.{obj}")
-                for obj in instance.objects
-            )
-        )
-    return RandomAssignment(instance, tuple(rows))
+        row = []
+        for obj in instance.objects:
+            value = row_data[obj]
+            pair = pairs.get(value) if type(value) is str else None
+            if pair is None:
+                pair = parse_pair(value, f"{path}.{obj}")
+                if type(value) is str:
+                    pairs[value] = pair
+            row.append(pair)
+        rows.append(row)
+    d = math.lcm(*(q for row in rows for _, q in row))
+    return RandomAssignment.from_numerators(
+        instance, [[p * (d // q) for p, q in row] for row in rows], d
+    )
 
 
 def assignment_to_data(assignment: RandomAssignment) -> dict:
-    inst = assignment.instance
+    """Each entry as `format_rational` writes it, built from the integer view:
+    one string per distinct numerator, reduced by its gcd with the denominator."""
+    inst, d = assignment.instance, assignment.denominator
+    text = {}
+    for v in set(itertools.chain.from_iterable(assignment.numerators)):
+        g = math.gcd(v, d)
+        text[v] = str(v // g) if g == d else f"{v // g}/{d // g}"
     return {
         "matrix": {
-            agent: {
-                obj: format_rational(v)
-                for obj, v in zip(inst.objects, row)
-            }
-            for agent, row in zip(inst.agents, assignment.matrix)
+            agent: dict(zip(inst.objects, map(text.__getitem__, row)))
+            for agent, row in zip(inst.agents, assignment.numerators)
         }
     }
 

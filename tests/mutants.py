@@ -583,6 +583,43 @@ MUTANTS = (
         '    text = Path(source).read_text(encoding="utf-8")\n',
         ("tests/test_cli.py",),
     ),
+    # The integer JSON edge: reading, memo and writing.
+    Mutant(
+        "decimal-sign-dropped",
+        "serialize.py",
+        "            if sign:\n                p = -p\n",
+        "",
+        SERIALIZE_TESTS,
+    ),
+    Mutant(
+        "entry-memo-keyed-by-column",
+        "serialize.py",
+        "            pair = pairs.get(value) if type(value) is str else None\n"
+        "            if pair is None:\n"
+        '                pair = parse_pair(value, f"{path}.{obj}")\n'
+        "                if type(value) is str:\n"
+        "                    pairs[value] = pair\n",
+        "            pair = pairs.get(obj) if type(value) is str else None\n"
+        "            if pair is None:\n"
+        '                pair = parse_pair(value, f"{path}.{obj}")\n'
+        "                if type(value) is str:\n"
+        "                    pairs[obj] = pair\n",
+        SERIALIZE_TESTS,
+    ),
+    Mutant(
+        "written-entry-not-reduced",
+        "serialize.py",
+        "        g = math.gcd(v, d)\n",
+        "        g = d if v % d == 0 else 1\n",
+        SERIALIZE_TESTS,
+    ),
+    Mutant(
+        "enumerate-drops-the-closing-piece",
+        "cli.py",
+        '"".join(itertools.chain(*zip(pieces, map(order_text, p.orders)), pieces[-1:]))',
+        '"".join(itertools.chain(*zip(pieces, map(order_text, p.orders))))',
+        ("tests/test_cli.py",),
+    ),
 )
 
 

@@ -814,14 +814,10 @@ def test_the_fraction_check_sees_a_name():
 
 
 #: Every function of the package that may read a `Fraction` matrix: the
-#: entry and row accessors and the JSON writer, all at the edges.  The
-#: checkers and the hull LP, which compute on `numerators` over
+#: entry and row accessors, at the edge.  The checkers, the hull LP and the
+#: JSON reader and writer, which compute on `numerators` over
 #: `denominator`, are not here.
-MATRIX_READERS = {
-    ("model", "entry"),
-    ("model", "allocation"),
-    ("serialize", "assignment_to_data"),
-}
+MATRIX_READERS = {("model", "entry"), ("model", "allocation")}
 
 
 def matrix_readers(module, source):

@@ -1,21 +1,25 @@
 """JSON round trips and schema error reporting."""
 
+import re
+import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mudra.model import Instance, PreferenceProfile, RandomAssignment
 from mudra.serialize import (
     SchemaError,
+    _echo,
     assignment_from_data,
     assignment_to_data,
     canonical_dumps,
     format_rational,
     load_assignment,
     load_profile,
+    parse_pair,
     parse_rational,
     profile_from_data,
     profile_to_data,
@@ -269,3 +273,109 @@ def test_any_rational_row_round_trips(values):
     inst = Instance(agents=("1",), objects=("a", "b", "c", "d"), quota=4)
     p = RandomAssignment(inst, (tuple(values),))
     assert assignment_from_data(assignment_to_data(p), inst).matrix == p.matrix
+
+
+def fraction_parse(value, path):
+    """The `Fraction` reading that `parse_pair` replaced, kept as its oracle:
+    the grammar checked by a regex, then `Fraction` reads the string."""
+    if isinstance(value, bool):
+        raise SchemaError(path, f"expected a rational string, got {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise SchemaError(path, f"floating point value {value!r} is not allowed")
+    if not isinstance(value, str):
+        raise SchemaError(path, f"expected a rational string, got {type(value).__name__}")
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?", value):
+        raise SchemaError(path, f"malformed rational {_echo(value)} (expected p/q, k or a decimal)")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise SchemaError(path, f"malformed rational {_echo(value)} ({exc})") from None
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise SchemaError(
+            path, f"rational {_echo(value)}: an integer of more than {limit} digits"
+        ) from None
+
+
+def fraction_assignment(data, instance):
+    """The assignment the oracle reads: each row's entries in object order,
+    then the `Fraction` constructor."""
+    rows = []
+    for agent in instance.agents:
+        row = data["matrix"][agent]
+        rows.append([fraction_parse(row[o], f"matrix.{agent}.{o}") for o in instance.objects])
+    return RandomAssignment(instance, rows)
+
+
+def outcome(read, *args):
+    """What `read(*args)` gives: ("value", v) or ("refused", path, message)."""
+    try:
+        return "value", read(*args)
+    except SchemaError as err:
+        return "refused", err.path, err.message
+
+
+digits = st.text(alphabet="0123456789", min_size=1, max_size=12)
+#: Every accepted spelling: p/q, k and decimals, leading zeros and minus
+#: signs included, and JSON integers.
+spellings = st.one_of(
+    st.builds("{}{}/{}".format, st.sampled_from(["", "-"]), digits, digits.filter(int)),
+    st.builds("{}{}.{}".format, st.sampled_from(["", "-"]), digits, digits),
+    st.builds("{}{}".format, st.sampled_from(["", "-"]), digits),
+    st.integers(min_value=-(10**30), max_value=10**30),
+)
+#: Zero denominators, near misses of the grammar and values of the wrong JSON type.
+near_misses = st.one_of(
+    st.builds("{}{}/{}".format, st.sampled_from(["", "-"]), digits, st.text("0", min_size=1)),
+    st.text(alphabet="0123456789-/.+e _", max_size=12),
+    st.text(max_size=3),
+    st.sampled_from([True, False, None, 0.5, 1.0, ["1/2"], {"p": 1}, "1" * 50, "1/" + "0" * 45]),
+)
+
+
+@settings(max_examples=400)
+@given(spellings)
+def test_the_integer_parser_reads_what_fraction_reads(value):
+    expected = fraction_parse(value, "x")
+    assert parse_pair(value, "x") == (expected.numerator, expected.denominator)
+    assert parse_rational(value, "x") == expected
+
+
+@settings(max_examples=400)
+@given(st.one_of(spellings, near_misses))
+def test_the_integer_parser_refuses_what_the_oracle_refuses(value):
+    expected = outcome(fraction_parse, value, "matrix.1.o2")
+    assert outcome(parse_rational, value, "matrix.1.o2") == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 4301, "-" + "1" * 4301, "1/" + "1" * 4301, "1." + "1" * 4301, "1" * 4301 + ".5",
+     "0." + "1" * 4300, "1" * 4300 + "/0", "-007/0", "-0/0", "-0.50", "0000.000"],
+)
+def test_digit_limits_and_zero_denominators_match_the_oracle(text):
+    assert outcome(parse_rational, text, "x") == outcome(fraction_parse, text, "x")
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(spellings, near_misses), min_size=6, max_size=6))
+def test_a_file_reads_or_is_refused_as_the_oracle_reads_it(entries):
+    """Equal assignments, or the same first bad entry in row order."""
+    inst = Instance(agents=("1", "2"), objects=("a", "b", "c"), quota=2, relaxed=True)
+    data = {"matrix": {"1": dict(zip("abc", entries[:3])), "2": dict(zip("abc", entries[3:]))}}
+    assert outcome(assignment_from_data, data, inst) == outcome(fraction_assignment, data, inst)
+
+
+@given(
+    st.lists(st.integers(min_value=-(10**6), max_value=10**6), min_size=6, max_size=6),
+    st.integers(min_value=1, max_value=10**4),
+)
+def test_written_entries_are_the_strings_of_their_fractions(values, d):
+    inst = Instance(agents=("1", "2"), objects=("a", "b", "c"), quota=2, relaxed=True)
+    p = RandomAssignment.from_numerators(inst, [values[:3], values[3:]], d)
+    matrix = assignment_to_data(p)["matrix"]
+    assert [list(row.values()) for row in matrix.values()] == [
+        [str(Fraction(v, d)) for v in values[:3]], [str(Fraction(v, d)) for v in values[3:]]
+    ]
