@@ -49,7 +49,7 @@ from mudra.model import (
     require_balanced,
 )
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
-from mudra.rules import mps, mps_trace, ops, priority_rule, random_priority, uniform
+from mudra.rules import mps, mps_trace, ops, priority_rule, random_priority, uniform_rule
 from mudra.serialize import assignment_to_data, format_rational
 from mudra.strategy import (
     Manipulation,
@@ -103,7 +103,7 @@ def enumerate_profiles(instance: Instance) -> Iterator[PreferenceProfile]:
 # --------------------------------------------------------------------------
 
 RULES: dict[str, Callable[[PreferenceProfile], RandomAssignment]] = {
-    "uniform": lambda profile: uniform(profile.instance),
+    "uniform": uniform_rule,
     "priority": priority_rule,
     "rp": random_priority,
     "ops": ops,

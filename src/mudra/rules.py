@@ -1,5 +1,10 @@
 """Assignment rules: simultaneous eating, serial dictatorship and friends.
 
+Each bundled rule has an integer kernel, `(instance, ranked) ->
+(numerators, denominator)`, which returns the matrix unreduced; the public
+rule is `RandomAssignment.from_numerators` of it on `profile.ranked`, and
+`KERNELS` maps each public rule to its kernel.
+
 The eating engine advances through phases.  Within a phase every agent eats
 each object of its current demand set at speed 1, so an object consumed by k
 agents depletes at rate k.  The phase ends at the earliest exhaustion time,
@@ -14,15 +19,13 @@ The two eating rules differ only in the demand size: each agent eats its
 min(size, #remaining) most preferred available objects at once, with size 1
 for the one-at-a-time rule and the quota for the multi-unit rule.
 
-Rules read a profile only through `instance` and `ranked`, whose rows they
-only iterate, from the top.  Eating, serial dictatorship and `rp` read each
-row only as far as their next pick needs, and not at all where the pick is
-forced: eating reads no row once one object is left, and serial
-dictatorship and `rp` none for the agent that picks last, who takes the
-`quota` objects still free.  The misreport scan relies on this: it learns
-which entries of a report a rule read by handing it the reported rows
-through a view that logs them, and skips the reports that differ only
-elsewhere.
+Kernels only iterate the rows of `ranked`, from the top, each only as far
+as the next pick needs, and not at all where the pick is forced: eating
+reads no row once one object is left, and serial dictatorship and `rp` none
+for the agent that picks last, who takes the `quota` objects still free.
+The misreport scan calls the kernels on reports held as `ranked` rows, each
+coalition member's behind a view that logs the positions read
+(`strategy._ReportedRow`), and skips the reports that differ only elsewhere.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Container, Sequence
+from typing import Callable, Container, Sequence
 
 from .model import (
     STATE_LIMIT,
@@ -40,10 +43,12 @@ from .model import (
     Instance,
     PreferenceProfile,
     RandomAssignment,
-    discrete_to_random,
     refuse_over,
     require_balanced,
 )
+
+#: (instance, ranked) -> (numerators, denominator): a rule on integers.
+Kernel = Callable[[Instance, Sequence[Sequence[int]]], tuple[Sequence[Sequence[int]], int]]
 
 
 @dataclass(frozen=True)
@@ -80,29 +85,35 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
     """Run the simultaneous eating procedure to exhaustion of all objects.
 
     Each agent eats its min(`size`, #remaining) most preferred available
-    objects at once.  The loop runs on integers: every amount left and the
-    clock are numerators over one running denominator, which each phase
-    first multiplies by the lcm of its eater counts, so that the phase's
-    length min(left / eaters) is an exact integer quotient.  The
-    assignment is built from the final numerators, and the trace keeps each
-    phase's end and demand; their `Fraction`s are built on first read.
-    Once one object is left, every agent eats it whatever its order, so
-    that phase reads no row.
+    objects at once (`_eat`); the phases' `Fraction`s are built on first read.
     """
     if size < 1:
         raise ValueError("demand size must be at least 1")
     inst = profile.instance
+    eaten, scale, ends, demands = _eat(inst, profile.ranked, size)
+    assignment = RandomAssignment.from_numerators(inst, eaten, scale)
+    return EatingTrace(profile, tuple(ends), tuple(demands), assignment)
+
+
+def _eat(instance: Instance, ranked: Sequence[Sequence[int]], size: int) -> tuple:
+    """The eating loop: (numerators, denominator, phase ends, phase demands).
+
+    Every amount left and the clock are numerators over one running
+    denominator, which each phase first multiplies by the lcm of its eater
+    counts, so that the phase's length min(left / eaters) is an exact integer
+    quotient.  Once one object is left, every agent eats it, reading no row.
+    """
     scale = 1  # the running denominator of `remaining` and `now`
-    remaining = dict.fromkeys(range(inst.num_objects), 1)  # column -> numerator left
+    remaining = dict.fromkeys(range(instance.num_objects), 1)  # column -> numerator left
     now = 0
     ends: list[tuple[int, int]] = []  # per phase: end time as (numerator, denominator)
     demands: list[tuple[tuple[int, ...], ...]] = []
     while remaining:
         if len(remaining) == 1:
-            demand = (tuple(remaining),) * inst.num_agents
+            demand = (tuple(remaining),) * instance.num_agents
         else:
             take = min(size, len(remaining))
-            demand = tuple(tuple(_top(ranked, remaining, take)) for ranked in profile.ranked)
+            demand = tuple(tuple(_top(row, remaining, take)) for row in ranked)
         eaters: dict[int, int] = {}  # column -> agents eating it
         for columns in demand:
             for j in columns:
@@ -127,7 +138,7 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
         demands.append(demand)
     # Each agent gets the length of every phase in which it eats a column,
     # all over the final denominator.
-    eaten = [[0] * inst.num_objects for _ in inst.agents]
+    eaten = [[0] * instance.num_objects for _ in instance.agents]
     before = 0
     for (end, denominator), demand in zip(ends, demands):
         end *= scale // denominator
@@ -135,8 +146,7 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
             for j in columns:
                 row[j] += end - before
         before = end
-    assignment = RandomAssignment.from_numerators(inst, eaten, scale)
-    return EatingTrace(profile, tuple(ends), tuple(demands), assignment)
+    return eaten, scale, ends, demands
 
 
 def _top(ranked: Sequence[int], available: Container[int], take: int) -> list[int]:
@@ -172,37 +182,59 @@ def ops(profile: PreferenceProfile) -> RandomAssignment:
     return ops_trace(profile).assignment
 
 
+def _uniform(instance: Instance, ranked: Sequence[Sequence[int]]) -> tuple:
+    n = instance.num_agents
+    return ((1,) * instance.num_objects,) * n, n
+
+
 def uniform(instance: Instance) -> RandomAssignment:
     """Every agent gets every object with probability 1/n."""
     require_balanced(instance, "the uniform rule")
-    n = instance.num_agents
-    return RandomAssignment.from_numerators(instance, ((1,) * instance.num_objects,) * n, n)
+    return RandomAssignment.from_numerators(instance, *_uniform(instance, ()))
+
+
+def uniform_rule(profile: PreferenceProfile) -> RandomAssignment:
+    """The uniform rule of `profile`'s instance; it reads no order."""
+    return uniform(profile.instance)
+
+
+def _dictate(instance: Instance, ranked: Sequence[Sequence[int]], priority: Sequence[int]) -> list:
+    """The owner row of each column when the rows of `priority` pick their
+    best `quota` free objects in turn; the last takes those left, unread."""
+    owners: list[int | None] = [None] * instance.num_objects
+    free = set(range(instance.num_objects))
+    *pickers, last = priority
+    for i in pickers:
+        for j in _top(ranked[i], free, instance.quota):
+            owners[j] = i
+            free.discard(j)
+    for j in free:
+        owners[j] = last
+    return owners
 
 
 def serial_dictator(profile: PreferenceProfile, priority: Sequence[str]) -> DiscreteAssignment:
-    """Agents pick their best `quota` remaining objects in priority order.
-
-    The last agent takes the `quota` objects still free, so its row is not read.
-    """
+    """Agents pick their best `quota` remaining objects in priority order."""
     inst = profile.instance
     require_balanced(inst, "serial dictatorship")
     if list(sorted(priority)) != sorted(inst.agents):
         raise ValueError("priority order must list every agent exactly once")
-    owners: list[str | None] = [None] * inst.num_objects
-    free = set(range(inst.num_objects))
-    *pickers, last = priority
-    for agent in pickers:
-        for j in _top(profile.ranked[inst.agent_index(agent)], free, inst.quota):
-            owners[j] = agent
-            free.discard(j)
-    for j in free:
-        owners[j] = last
-    return DiscreteAssignment(inst, owners)
+    owners = _dictate(inst, profile.ranked, list(map(inst.agent_index, priority)))
+    return DiscreteAssignment(inst, [inst.agents[i] for i in owners])
+
+
+def _priority(instance: Instance, ranked: Sequence[Sequence[int]]) -> tuple:
+    rows = [[0] * instance.num_objects for _ in instance.agents]
+    for j, i in enumerate(_dictate(instance, ranked, range(instance.num_agents))):
+        rows[i][j] = 1
+    return rows, 1
 
 
 def priority_rule(profile: PreferenceProfile) -> RandomAssignment:
     """Serial dictatorship under the fixed priority order of the instance's agents."""
-    return discrete_to_random(serial_dictator(profile, profile.instance.agents))
+    inst = profile.instance
+    require_balanced(inst, "serial dictatorship")
+    return RandomAssignment.from_numerators(inst, *_priority(inst, profile.ranked))
 
 
 def random_priority(profile: PreferenceProfile) -> RandomAssignment:
@@ -210,12 +242,13 @@ def random_priority(profile: PreferenceProfile) -> RandomAssignment:
 
     Once k agents have picked, the rest of serial dictatorship depends only
     on the state (who has picked, which objects are taken).  One forward
-    pass over the states, layer by layer, carries the number w of priority
-    prefixes that reach each; agent i picking next from a state of layer k
-    does so in w * (n-k-1)! of the n! orders.  The counts are integers,
-    divided by n! once at the end, so the average is exact.  The one agent
-    left in a state of layer n-1 picks last and takes the `quota` objects
-    still free whatever its order, so its row is not read there.
+    pass over the states, layer by layer (`_rp`), carries the number w of
+    priority prefixes that reach each; agent i picking next from a state
+    of layer k does so in w * (n-k-1)! of the n! orders.  The counts are
+    integers, divided by n! once at the end, so the average is exact.  The
+    one agent left in a state of layer n-1 picks last and takes the
+    `quota` objects still free whatever its order, so its row is not read
+    there.
 
     Computing RP probabilities is #P-complete, so the number of states is
     exponential in the worst case.  An upper bound on it is compared with
@@ -226,14 +259,19 @@ def random_priority(profile: PreferenceProfile) -> RandomAssignment:
     require_balanced(inst, "random priority")
     n, m, quota = inst.num_agents, inst.num_objects, inst.quota
     refuse_over(_state_bound(n, m, quota), STATE_LIMIT, f"rp states of {n} agents")
-    totals = [[0] * m for _ in inst.agents]
+    return RandomAssignment.from_numerators(inst, *_rp(inst, profile.ranked))
+
+
+def _rp(instance: Instance, ranked: Sequence[Sequence[int]]) -> tuple:
+    n, m, quota = instance.num_agents, instance.num_objects, instance.quota
+    totals = [[0] * m for _ in instance.agents]
     layer = Counter({(0, 0): 1})  # (who picked, what is taken) bitmasks -> prefixes
     for k in range(n - 1):
         orders_per_prefix = math.factorial(n - k - 1)
         successors: Counter[tuple[int, int]] = Counter()
         for (picked, taken), ways in layer.items():
             share = ways * orders_per_prefix
-            for i, order in enumerate(profile.ranked):
+            for i, order in enumerate(ranked):
                 if picked >> i & 1:
                     continue
                 row, grabbed, left = totals[i], taken, quota
@@ -252,7 +290,7 @@ def random_priority(profile: PreferenceProfile) -> RandomAssignment:
         for j in range(m):
             if not taken >> j & 1:
                 row[j] += ways
-    return RandomAssignment.from_numerators(inst, totals, math.factorial(n))
+    return totals, math.factorial(n)
 
 
 @functools.cache
@@ -271,3 +309,14 @@ def _state_bound(n: int, m: int, quota: int) -> int:
             break
         prefixes *= n - k
     return total
+
+
+#: Each bundled rule -> its kernel.  The misreport scan looks a rule up here
+#: by identity, so a wrapped rule (an output memo, a call counter) has none.
+KERNELS: dict[Callable[[PreferenceProfile], RandomAssignment], Kernel] = {
+    uniform_rule: _uniform,
+    priority_rule: _priority,
+    random_priority: _rp,
+    ops: lambda instance, ranked: _eat(instance, ranked, 1)[:2],
+    mps: lambda instance, ranked: _eat(instance, ranked, instance.quota)[:2],
+}

@@ -15,12 +15,12 @@ agent is a coalition of one, and three individual notions are covered:
 Group manipulations require every coalition member to strictly SD-improve
 under one joint misreport; a weak SD violation is one by a coalition of one.
 
-A rule handed to a search must be deterministic.  One that reads the
-reported orders only through `PreferenceProfile.ranked`, as every rule of
-`harness.RULES` does, runs once per distinct set of entries it reads, not
-once per report, and once in all if it reads none (see `_scan`).  One that
-reads them another way, through `orders` or an output memo's key lookup,
-runs on every report.
+A rule handed to a search must be deterministic.  A rule of
+`rules.KERNELS`, as every rule of `harness.RULES` is, is scanned through
+its integer kernel: reports are `ranked` rows, and the kernel runs once
+per distinct set of entries it reads, not once per report, and once in all
+if it reads none (see `_scan`).  Any other rule (an output memo, a call
+counter, a traced rule) runs on every report, on a profile of the report.
 
 `FINDERS` maps each individual kind to its finder, and `first_manipulation`
 is the one first-agent search behind `mudra manipulate` and the property
@@ -29,8 +29,8 @@ registry's strategyproofness checks.
 
 from __future__ import annotations
 
-import copy
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -40,11 +40,11 @@ from .model import (
     PreferenceProfile,
     RandomAssignment,
     order_count,
-    orderings,
     refuse_over,
     require_balanced,
 )
 from .order import AllocationVector, DlVerdict, Order, SdVerdict, dl_compare, sd_compare
+from .rules import KERNELS, Kernel
 
 Rule = Callable[[PreferenceProfile], RandomAssignment]
 
@@ -70,27 +70,12 @@ class Manipulation:
         raise KeyError(f"agent {agent!r} is not part of this manipulation")
 
 
-class _Run:
-    """What one rule run read of the coalition's report: `reads`, the
-    (member, position) of each entry read through a `_ReportedRow`, in
-    order, and `flagged`, set once a member's reported order was read
-    another way (see `_ReportedOrder`)."""
-
-    __slots__ = ("reads", "flagged")
-
-    def __init__(self) -> None:
-        self.reads: list[tuple[int, int]] = []
-        self.flagged = False
-
-
 class _ReportedRow:
-    """A coalition member's reported `ranked` row, as a rule reads it.
+    """A coalition member's reported `ranked` row, as a kernel reads it.
 
-    It supports iteration only.  The first time the rule reads a
-    position, the view appends (member, position) to the reads of the
-    run; reads always start at the top, so `read`, the number of
-    positions read so far, is also the next one to log.
-    """
+    It supports iteration only, and logs (member, position) the first time
+    a position is read; reads start at the top, so `read`, the number of
+    positions read so far, is also the next one to log."""
 
     __slots__ = ("row", "member", "log", "read")
 
@@ -108,71 +93,41 @@ class _ReportedRow:
             yield column
 
 
-def _flagging(method: Callable) -> Callable:
-    """The tuple method `method`, flagging the marked order's run first."""
+def _placed(ranked: list, rows: tuple[int, ...], joint: tuple, viewed: bool) -> list:
+    """Put `joint` into `ranked` at `rows`, behind `_ReportedRow` views when
+    `viewed`; returns the (member, position) log the views share."""
+    log: list[tuple[int, int]] = []
+    for member, (i, row) in enumerate(zip(rows, joint)):
+        ranked[i] = _ReportedRow(row, member, log) if viewed else row
+    return log
 
-    def read(self, *args):
-        self.run.flagged = True
-        return method(self, *args)
 
-    return read
+def _adapted(rule: Rule, profile: PreferenceProfile, rows: tuple[int, ...]) -> Kernel:
+    """`rule` as a kernel for a scan of the members at `rows` of `profile`.
 
-
-class _ReportedOrder(tuple):
-    """A coalition member's reported `orders` entry: a tuple that flags its
-    run when it is hashed, compared, iterated, indexed or searched.
-
-    A rule reads an order so when it looks the profile up in an output
-    memo or rebuilds the profile; what it reads then is in no view's log.
-    Flagging is idempotent, since a memo keeps the profile of a miss as its
-    key and compares later lookups against it.
+    It runs `rule` on a profile built as `with_orders` builds one, without
+    the checks, with the members' orders looked up in a table of this scan.
     """
+    objects = profile.instance.objects
+    names = dict(zip(itertools.permutations(range(len(objects))), itertools.permutations(objects)))
+    orders = list(profile.orders)
 
-    def __new__(cls, order: tuple[str, ...], run: _Run) -> "_ReportedOrder":
-        marked = super().__new__(cls, order)
-        marked.run = run
-        return marked
+    def kernel(instance, ranked):
+        for i in rows:
+            orders[i] = names[ranked[i]]
+        reported = object.__new__(PreferenceProfile)
+        reported.__dict__.update(instance=instance, orders=tuple(orders), ranked=tuple(ranked))
+        outcome = rule(reported)
+        return outcome.numerators, outcome.denominator
 
-    __hash__ = _flagging(tuple.__hash__)
-    __eq__ = _flagging(tuple.__eq__)
-    __ne__ = _flagging(tuple.__ne__)
-    __lt__ = _flagging(tuple.__lt__)
-    __le__ = _flagging(tuple.__le__)
-    __gt__ = _flagging(tuple.__gt__)
-    __ge__ = _flagging(tuple.__ge__)
-    __iter__ = _flagging(tuple.__iter__)
-    __getitem__ = _flagging(tuple.__getitem__)
-    __contains__ = _flagging(tuple.__contains__)
-    index = _flagging(tuple.index)
-    count = _flagging(tuple.count)
+    return kernel
 
 
-def _record(reported: PreferenceProfile, rows: tuple[int, ...]) -> _Run:
-    """Put the `ranked` rows `rows` of `reported`, a profile made for one
-    run, behind views, and its `orders` entries there behind markers;
-    returns the run they report to.  `ranked` is a cached property and the
-    profile is frozen, so both values are replaced in the instance dict."""
-    run = _Run()
-    ranked, orders = list(reported.ranked), list(reported.orders)
-    for member, i in enumerate(rows):
-        ranked[i] = _ReportedRow(ranked[i], member, run.reads)
-        orders[i] = _ReportedOrder(orders[i], run)
-    reported.__dict__.update(ranked=tuple(ranked), orders=tuple(orders))
-    return run
-
-
-def _grown(trie: tuple | None, run: _Run, joint: tuple) -> tuple | None:
-    """`trie` with one more judged run: the report `joint`, read as `run` records.
-
-    A node is (read, branches): the (member, position) the rule reads next,
-    and per object reported there the next node, or None for the end of a
-    run.  Returns None, which switches pruning off, when the run is
-    flagged: the rule then read the report other than through the views
-    alone (a memo lookup, say), so its reads do not decide its output.
-    """
-    if run.flagged:
-        return None
-    log = run.reads
+def _grown(trie: tuple | None, log: list[tuple[int, int]], joint: tuple) -> tuple:
+    """`trie` with one more judged run: the report `joint`, of which the run
+    read the (member, position) entries of `log`, in order.  A node is
+    (read, branches): the (member, position) read next, and per column
+    reported there the next node, or None for the end of a run."""
     node = trie = trie or (log[0], {})
     for (member, position), following in zip(log, log[1:]):
         branches, reported = node[1], joint[member][position]
@@ -187,8 +142,8 @@ def _grown(trie: tuple | None, run: _Run, joint: tuple) -> tuple | None:
 def _judged(trie: tuple, joint: tuple) -> bool:
     """Does the report `joint` walk `trie` to the end of a run already judged?
 
-    Then the rule would read the same positions, find the same objects there
-    and return that run's outcome again."""
+    Then the kernel would read the same positions, find the same columns
+    there and return that run's outcome again."""
     node = trie
     while node is not None:
         (member, position), branches = node
@@ -220,74 +175,68 @@ def _scan(
     """First joint misreport of `coalition` under which every member improves,
     as `_IMPROVES[kind]` defines it.
 
-    Each member is judged on their matrix row, the outcome's against the
-    truthful one, along their `ranked` order.  The rows are compared as
-    integers: the outcome's numerators times the truthful denominator
-    against the truthful numerators times the outcome's denominator, which
-    orders them exactly as the `Fraction` rows; no `Fraction` matrix is
-    built.  Refuses unbalanced instances, an empty coalition, one that lists
-    an agent twice or an unknown agent, more than 6 objects and more than
-    10^6 joint misreports before the rule runs.
+    Refuses unbalanced instances, an empty coalition, one that lists an
+    agent twice or an unknown agent, more than 6 objects and more than 10^6
+    joint misreports before anything is built.  A report is one `ranked`
+    row per member, in the order of the object tuple's permutations.  The
+    rule's kernel (`rules.KERNELS`) runs on it with the other rows of
+    `profile`, and each member's row of numerators is judged against the
+    truthful one, along their `ranked` order, cross-multiplied by the other
+    denominator.  Names and assignments are built only for the witness.
 
-    Each run reads the members' rows through `_ReportedRow` views, and the
-    trie of `_grown` keeps the positions it read and the objects the report
-    lists there.  A deterministic rule that reads reports only through
-    `ranked` makes the same reads and returns the same outcome for every
-    report that agrees on them, so a report that walks the trie to a judged
-    run is skipped: that outcome was no improvement.  Reports are visited in
-    the same order either way, so the first witness is the same.  A
-    truthful run that reads no entry reads none on any report, so the scan
-    ends there with no witness.  The members' `orders` entries are behind
-    `_ReportedOrder` markers: the first run that reads one (a memo lookup,
-    a rule that rebuilds the profile) ends the recording, and every later
-    report of the scan runs.
+    The members' rows reach the kernel behind `_ReportedRow` views, and the
+    trie of `_grown` keeps the positions each run read and the columns
+    there.  A kernel reads a report only through the views, so a report
+    that agrees with a judged run there gives its outcome, no improvement,
+    and is skipped; the visiting order, and so the first witness, is the
+    same.  A truthful run that reads no entry reads none on any report, and
+    ends the scan.  A rule without a kernel runs through `_adapted` on
+    every report, with no views and no trie.
     """
-    require_balanced(profile.instance, "manipulation search")
+    inst = profile.instance
+    require_balanced(inst, "manipulation search")
     members = tuple(coalition)
     if not members:
         raise ValueError("coalition must not be empty")
     if len(set(members)) != len(members):
         raise ValueError("coalition lists an agent twice")
-    rows = tuple(map(profile.instance.agent_index, members))  # raises on unknown agents
-    objects = profile.instance.objects
-    m, k = len(objects), len(members)
+    rows = tuple(map(inst.agent_index, members))  # raises on unknown agents
+    m, k = inst.num_objects, len(members)
     refuse_over(order_count(m, 1, MISREPORT_LIMIT), MISREPORT_LIMIT, f"{m}! strict orders")
-    joints = orderings(objects, JOINT_LIMIT, f"({m}!)^{k} joint misreports", repeat=k)
+    refuse_over(order_count(m, k, JOINT_LIMIT), JOINT_LIMIT, f"({m}!)^{k} joint misreports")
+    kernel = KERNELS.get(rule)
+    pruned = kernel is not None
+    kernel = kernel or _adapted(rule, profile, rows)
+    ranked = list(profile.ranked)
+    true_rows = tuple(ranked[i] for i in rows)
+    log = _placed(ranked, rows, true_rows, pruned)
+    truth, truth_scale = kernel(inst, ranked)
+    if pruned and not log:
+        return None  # the kernel read no report, so every report gives `truth`
+    trie = _grown(None, log, true_rows) if pruned else None
+    truths = tuple((i, truth[i], order) for i, order in zip(rows, true_rows))
     improves = _IMPROVES[kind]
-    true_orders = tuple(profile.orders[i] for i in rows)
-    reported = copy.copy(profile)
-    run = _record(reported, rows)
-    truthful = rule(reported)
-    if not run.reads and not run.flagged:
-        return None  # the rule read no report, so every report gives `truthful`
-    trie = _grown(None, run, true_orders)
-    truth_scale = truthful.denominator
-    truths = tuple((i, truthful.numerators[i], profile.ranked[i]) for i in rows)
-    for joint in joints:
-        if joint == true_orders or trie is not None and _judged(trie, joint):
+    for joint in itertools.product(itertools.permutations(range(m)), repeat=k):
+        if joint == true_rows or pruned and _judged(trie, joint):
             continue
-        reported = profile.with_orders(dict(zip(members, joint)))
-        if trie is not None:
-            run = _record(reported, rows)
-        outcome = rule(reported)
-        scale, numerators = outcome.denominator, outcome.numerators
-        for i, truth, ranked in truths:
+        log = _placed(ranked, rows, joint, pruned)
+        numerators, scale = kernel(inst, ranked)
+        for i, truth_row, order in truths:
             alt = numerators[i]
             if scale != truth_scale:
                 alt = [v * truth_scale for v in alt]
-                truth = [v * scale for v in truth]
-            if not improves(alt, truth, ranked):
+                truth_row = [v * scale for v in truth_row]
+            if not improves(alt, truth_row, order):
                 break
         else:
+            misreports = [tuple(map(inst.objects.__getitem__, row)) for row in joint]
             return Manipulation(
-                kind=kind,
-                coalition=members,
-                misreports=tuple(zip(members, joint)),
-                truthful=truthful,
-                manipulated=outcome,
+                kind, members, tuple(zip(members, misreports)),
+                RandomAssignment.from_numerators(inst, truth, truth_scale),
+                RandomAssignment.from_numerators(inst, numerators, scale),
             )
-        if trie is not None:
-            trie = _grown(trie, run, joint)
+        if pruned:
+            trie = _grown(trie, log, joint)
     return None
 
 

@@ -66,8 +66,8 @@ RULES_TESTS = ("tests/test_rules.py",)
 SERIALIZE_TESTS = ("tests/test_serialize.py",)
 
 MUTANTS = (
-    # A rule that peeks past its reads: it looks at the last object of the
-    # first order without going through `ranked`, so the scan cannot see it.
+    # A public rule that departs from its kernel: it looks at the last
+    # object of the first order, which the kernel the scan runs never does.
     Mutant(
         "mps-peeks-at-a-last-object",
         "rules.py",
@@ -100,29 +100,41 @@ MUTANTS = (
         "            if False:\n",
         STRATEGY_TESTS,
     ),
-    # Pruning stops only on a run that read nothing through the views: a
-    # run that read a row there and the orders another way still prunes.
+    # A rule without a kernel keeps the trie on, and its adapter reads the
+    # members' rows behind the views' backs: the truthful run logs no read
+    # and ends the scan.  `test_reads_outside_the_views_find_the_oracle_witness`
+    # fails on it, as do the memo scans of the brute-force tests.
     Mutant(
-        "pruning-kept-after-an-unread-row",
+        "rule-without-a-kernel-scanned-with-the-trie-on",
         "strategy.py",
-        "    if run.flagged:\n        return None\n",
-        "    if not run.reads:\n        return None\n",
+        "    pruned = kernel is not None\n    kernel = kernel or _adapted(rule, profile, rows)\n",
+        "    pruned = True\n"
+        "    if kernel is None:\n"
+        "        adapted = _adapted(rule, profile, rows)\n"
+        "        kernel = lambda inst, ranked: adapted(\n"
+        "            inst, [getattr(row, 'row', row) for row in ranked]\n"
+        "        )\n",
         STRATEGY_TESTS,
     ),
-    # Reads of `orders` outside the views: the trie ignores the flag, or the
-    # scan ends after a truthful run that read no row although it is flagged.
+    # The witness names the report judged before it.
     Mutant(
-        "flag-ignored",
+        "witness-built-from-the-previous-report",
         "strategy.py",
-        "    if run.flagged:\n        return None\n",
-        "",
-        STRATEGY_TESTS,
-    ),
-    Mutant(
-        "scan-ends-on-a-flagged-run",
-        "strategy.py",
-        "    if not run.reads and not run.flagged:\n",
-        "    if not run.reads:\n",
+        "for row in joint]\n"
+        "            return Manipulation(\n"
+        "                kind, members, tuple(zip(members, misreports)),\n"
+        "                RandomAssignment.from_numerators(inst, truth, truth_scale),\n"
+        "                RandomAssignment.from_numerators(inst, numerators, scale),\n"
+        "            )\n"
+        "        if pruned:\n            trie = _grown(trie, log, joint)\n",
+        "for row in previous]\n"
+        "            return Manipulation(\n"
+        "                kind, members, tuple(zip(members, misreports)),\n"
+        "                RandomAssignment.from_numerators(inst, truth, truth_scale),\n"
+        "                RandomAssignment.from_numerators(inst, numerators, scale),\n"
+        "            )\n"
+        "        previous = joint\n"
+        "        if pruned:\n            trie = _grown(trie, log, joint)\n",
         STRATEGY_TESTS,
     ),
     Mutant(
@@ -134,7 +146,8 @@ MUTANTS = (
         STRATEGY_TESTS,
     ),
     # The trie walk stops advancing: every answer it still gives is right,
-    # and a walk two reads deep spins for ever, so only TIMEOUT kills it.
+    # and a walk two reads deep spins for ever;
+    # `test_a_trie_walk_searches_each_node_once` fails on the first repeat.
     Mutant(
         "trie-walk-stalls",
         "strategy.py",
@@ -145,16 +158,16 @@ MUTANTS = (
     Mutant(
         "first-member-judged-only",
         "strategy.py",
-        "        for i, truth, ranked in truths:\n",
-        "        for i, truth, ranked in truths[:1]:\n",
+        "        for i, truth_row, order in truths:\n",
+        "        for i, truth_row, order in truths[:1]:\n",
         STRATEGY_TESTS,
     ),
     # A member who does not improve ends the check of a joint report.
     Mutant(
         "member-without-gain-skipped",
         "strategy.py",
-        "            if not improves(alt, truth, ranked):\n                break\n",
-        "            if not improves(alt, truth, ranked):\n                continue\n",
+        "            if not improves(alt, truth_row, order):\n                break\n",
+        "            if not improves(alt, truth_row, order):\n                continue\n",
         STRATEGY_TESTS,
     ),
     # Input refusals: without each, a malformed value passes or is refused
@@ -511,15 +524,24 @@ MUTANTS = (
     Mutant(
         "last-dictator-reads-its-row",
         "rules.py",
-        "    for agent in pickers:\n",
-        "    for agent in priority:\n",
+        "    for i in pickers:\n",
+        "    for i in priority:\n",
         RULES_TESTS,
     ),
     Mutant(
         "last-dictator-takes-the-wrong-objects",
         "rules.py",
         "    for j in free:",
-        "    for j in range(inst.quota):",
+        "    for j in range(instance.quota):",
+        RULES_TESTS,
+    ),
+    # The one dictator loop leaves the objects still free unowned, in
+    # `serial_dictator` and in the `priority` kernel alike.
+    Mutant(
+        "dictator-kernel-skips-the-last-pickers-free-objects",
+        "rules.py",
+        "    for j in free:\n        owners[j] = last\n",
+        "",
         RULES_TESTS,
     ),
     Mutant(

@@ -799,7 +799,7 @@ def fraction_names_in_loops(source, function):
 
 def test_eating_loop_names_no_fraction():
     """The engine loop runs on integers; Fractions are built after it."""
-    assert fraction_names_in_loops(RULES_SOURCE.read_text(), "simulate_eating") == []
+    assert fraction_names_in_loops(RULES_SOURCE.read_text(), "_eat") == []
 
 
 def test_the_fraction_check_sees_a_name():

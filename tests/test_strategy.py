@@ -1,6 +1,7 @@
 """Misreport searches: individual (three improvement notions) and group."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,9 +13,11 @@ from mudra.efficiency import sd_dominates
 from mudra.harness import RULE_NAMES, RULES, OutputCache, check_rule_property
 from mudra.model import GuardExceeded, Instance, PreferenceProfile, RandomAssignment
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
-from mudra.rules import mps, ops, priority_rule, random_priority, uniform
+from mudra.rules import KERNELS, mps, ops, priority_rule, random_priority, uniform
 from mudra.strategy import (
     ManipulationKind,
+    _grown,
+    _judged,
     find_dl_manipulation,
     find_group_manipulation,
     find_sd_manipulation,
@@ -31,6 +34,43 @@ STAGGERED = make_profile([("a", "b", "c", "d"), ("b", "c", "a", "d")], quota=2)
 
 # the largest object set a misreport scan answers for
 SIX_OBJECTS = make_profile([tuple("abcdef"), tuple("fedcba"), tuple("cdabef")], quota=2)
+
+
+# The trie walk's bound comes first: a walk that spins would hang every
+# pruned scan of the tests after it.
+
+
+class SearchedOnce(dict):
+    """Trie branches that fail when one walk searches them a second time."""
+
+    searched = False
+
+    def __contains__(self, column):
+        assert not self.searched, "the walk came back to a node it had left"
+        self.searched = True
+        return super().__contains__(column)
+
+
+def searched_once(node):
+    """`node`'s trie, each branch dict a fresh `SearchedOnce`."""
+    if node is None:
+        return None
+    read, branches = node
+    return read, SearchedOnce({column: searched_once(n) for column, n in branches.items()})
+
+
+def test_a_trie_walk_searches_each_node_once():
+    """A walk moves one node down per read, so it ends after at most as
+    many searches as the longest run read entries, and it never spins."""
+    judged = ((2, 0, 1), (1, 0, 2))
+    trie = _grown(None, [(0, 0), (1, 0), (0, 1)], judged)
+    trie = _grown(trie, [(0, 0), (1, 0), (0, 1)], ((2, 1, 0), (1, 2, 0)))
+    trie = _grown(trie, [(0, 0), (1, 0)], ((2, 0, 1), (0, 1, 2)))
+    assert _judged(searched_once(trie), judged)
+    assert _judged(searched_once(trie), ((2, 0, 1), (1, 2, 0)))
+    assert _judged(searched_once(trie), ((2, 1, 0), (0, 2, 1)))
+    assert not _judged(searched_once(trie), ((2, 1, 0), (2, 1, 0)))
+    assert not _judged(searched_once(trie), ((0, 1, 2), (1, 0, 2)))
 
 
 def never_called(profile):
@@ -482,10 +522,14 @@ EXPECTED_PAIR_RUNS = {"uniform": 1, "priority": 24, "rp": 240, "ops": 176, "mps"
 
 
 @pytest.mark.parametrize("rule_name", RULE_NAMES)
-def test_pair_scan_runs_the_rule_once_per_distinct_read(rule_name):
-    rule = CountedRule(RULES[rule_name])
+def test_pair_scan_runs_the_rule_once_per_distinct_read(rule_name, monkeypatch):
+    # The scan runs the kernel that `rules.KERNELS` holds for the rule, so
+    # a counting kernel put there counts the runs.
+    rule, runs = RULES[rule_name], []
+    kernel = KERNELS[rule]
+    monkeypatch.setitem(KERNELS, rule, lambda inst, ranked: runs.append(1) or kernel(inst, ranked))
     assert find_group_manipulation(rule, PAIR_PROFILE, ("1", "2")) is None
-    assert rule.runs == EXPECTED_PAIR_RUNS[rule_name]
+    assert len(runs) == EXPECTED_PAIR_RUNS[rule_name]
     # A memo hit reads nothing, so a scan through a warm memo prunes nothing.
     cache = OutputCache()
     cache.output(rule_name, PAIR_PROFILE)
@@ -495,11 +539,10 @@ def test_pair_scan_runs_the_rule_once_per_distinct_read(rule_name):
 
 
 def test_a_row_read_outside_the_views_switches_pruning_off():
-    """A run that reads a member's reported order other than through its
-    view ends the recording: here agent 1's top object is read through a
-    view, and `mps` then runs on a profile rebuilt from `orders`.  Building
-    it iterates the orders, which flags the run, so its one logged read,
-    which does not decide the output, prunes nothing."""
+    """A rule that is not a key of `rules.KERNELS` is scanned with pruning
+    off from the start: here agent 1's top object is read through `ranked`,
+    and `mps` then runs on a profile rebuilt from `orders`, so that one
+    read, which does not decide the output, prunes nothing."""
 
     def rebuilt(profile):
         next(iter(profile.ranked[0]))
@@ -612,3 +655,95 @@ def test_scan_verdicts_equal_fraction_comparisons(rows):
     for finder, _, improves in INDIVIDUAL.values():
         found = finder(rule, ONE_AGENT, "1") is not None
         assert found == improves(a, t, order), finder.__name__
+
+
+# --------------------------------------------------------------------------
+# The trie against brute force on random kernels
+# --------------------------------------------------------------------------
+
+
+class DecisionKernel:
+    """A kernel whose reads follow a random decision tree over what it has
+    read so far: at each node it stops, or reads the next entry of a row of
+    `ranked` that it has not read to the end, mostly one of the rows
+    `focus`.  Where it stops, it returns an outcome drawn from what it
+    read, mostly the one drawn from `seed` alone, so that a witness is rare
+    and the scan judges many runs first.  Every choice is seeded by `seed`
+    and the (row, column) pairs read, so the kernel is deterministic and
+    reads the report only as the views see it."""
+
+    def __init__(self, seed, stop, focus):
+        self.seed, self.stop, self.focus, self.nodes = seed, stop, focus, {}
+        self.runs = 0
+
+    def node(self, seen, instance):
+        """(row to read next, None) or (None, outcome) at the node `seen`."""
+        if seen not in self.nodes:
+            rng = random.Random(f"{self.seed}:{seen}")
+            n, m = instance.num_agents, instance.num_objects
+            unread = [i for i in range(n) if sum(r == i for r, _ in seen) < m]
+            if unread and rng.random() >= self.stop:
+                focused = [i for i in unread if i in self.focus]
+                if not focused or rng.random() < 0.2:
+                    focused = unread
+                self.nodes[seen] = rng.choice(focused), None
+            else:
+                base = random.Random(self.seed)
+                if rng.random() < 0.15:
+                    base = rng
+                rows = [[base.randrange(3) for _ in range(m)] for _ in range(n)]
+                self.nodes[seen] = None, (rows, base.randrange(1, 4))
+        return self.nodes[seen]
+
+    def __call__(self, instance, ranked):
+        self.runs += 1
+        rows, seen = [iter(row) for row in ranked], ()
+        while True:
+            i, outcome = self.node(seen, instance)
+            if outcome is not None:
+                return outcome
+            seen += ((i, next(rows[i])),)
+
+
+#: (instance, coalition) of each random kernel scan.
+KERNEL_SCANS = (
+    (THREE_BY_THREE, ("1",)),
+    (THREE_BY_THREE, ("3",)),
+    (TWO_BY_FOUR, ("2",)),
+    (FOUR_BY_FOUR, ("2",)),
+    (THREE_BY_THREE, ("1", "2")),
+    (TWO_BY_FOUR, ("1", "2")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    stop=st.sampled_from([0.02, 0.1, 0.3]),
+    scan=st.sampled_from(KERNEL_SCANS),
+    data=st.data(),
+)
+def test_pruned_scans_of_random_kernels_match_brute_force(seed, stop, scan, data):
+    """The trie's soundness beyond the five rules: a kernel may read any
+    row to any depth, in any interleaving, as its reads so far decide."""
+    instance, coalition = scan
+    order = st.permutations(instance.objects).map(tuple)
+    profile = PreferenceProfile(instance, tuple(data.draw(order) for _ in instance.agents))
+    kernel = DecisionKernel(seed, stop, {instance.agent_index(a) for a in coalition})
+
+    def rule(p):
+        return RandomAssignment.from_numerators(p.instance, *kernel(p.instance, p.ranked))
+
+    kinds = INDIVIDUAL.values() if len(coalition) == 1 else [
+        (find_group_manipulation, ManipulationKind.STRICT_SD, INDIVIDUAL["weak-sd"][2])
+    ]
+    who = coalition[0] if len(coalition) == 1 else coalition
+    KERNELS[rule] = kernel
+    try:
+        for finder, kind, improves in kinds:
+            expected = brute_force_witness(rule, profile, coalition, improves)
+            kernel.runs = 0
+            assert_same_witness(finder(rule, profile, who), expected, kind, coalition)
+            assert kernel.runs <= math.factorial(instance.num_objects) ** len(coalition)
+    finally:
+        del KERNELS[rule]
