@@ -151,15 +151,11 @@ def main() -> None:
     help="Priority order over agents for the priority rule, e.g. 2,1.",
 )
 @click.option("--trace", "with_trace", is_flag=True, help="Also emit the eating phases.")
-@click.option(
-    "--relaxed", is_flag=True,
-    help="Accept m != n*quota (eating rules only; quota = ceil(m/n)).",
-)
 @click.option("--json", "as_json", is_flag=True)
-def compute(rule, profile_path, permutation, with_trace, relaxed, as_json):
+def compute(rule, profile_path, permutation, with_trace, as_json):
     """Run an assignment rule on a profile and print the random assignment."""
     with _exit_codes():
-        profile = load_profile(profile_path, relaxed=relaxed)
+        profile = load_profile(profile_path)
         if permutation is not None and rule != "priority":
             raise click.UsageError("--permutation only applies to --rule priority")
         if with_trace and rule not in ("ops", "mps"):
@@ -389,16 +385,15 @@ def _render_table1(data: dict) -> Iterator[str]:
 @main.command(name="enumerate")
 @click.option("--n", "n", type=int, required=True, help="Number of agents.")
 @click.option("--m", "m", type=int, required=True, help="Number of objects.")
-@click.option("--c", "quota", type=int, default=None, help="Quota (default ceil(m/n)).")
 @click.option("--json", "as_json", is_flag=True)
-def enumerate_cmd(n, m, quota, as_json):
+def enumerate_cmd(n, m, as_json):
     """Enumerate all strict preference profiles on the canonical instance.
 
     Profiles are written as they are generated, never held all at once.
     """
     with _exit_codes():
         count = profile_count(n, m)
-        instance = canonical_instance(n, m, quota)
+        instance = canonical_instance(n, m)
         profiles = enumerate_profiles(instance)
         if as_json:
             # The text of canonical_dumps on the whole listing (then echo's

@@ -59,21 +59,15 @@ from mudra.strategy import (
 )
 
 
-def canonical_instance(n: int, m: int, quota: int | None = None) -> Instance:
-    """Instance with agents "1".."n" and objects "o1".."om".
-
-    When `m` is not a multiple of `n` the instance is created in relaxed
-    mode with the ceiling quota, matching how the eating rules treat
-    leftover objects.
+def canonical_instance(n: int, m: int) -> Instance:
+    """Instance with agents "1".."n", objects "o1".."om" and the one quota
+    `Instance` admits, ceil(m/n); it is unbalanced when `n` does not divide `m`.
     """
     if n < 1 or m < 1:
         raise ValueError("need at least one agent and one object")
     agents = tuple(str(i) for i in range(1, n + 1))
     objects = tuple(f"o{j}" for j in range(1, m + 1))
-    if quota is None:
-        quota = -(-m // n)
-    relaxed = m != n * quota
-    return Instance(agents=agents, objects=objects, quota=quota, relaxed=relaxed)
+    return Instance(agents=agents, objects=objects, quota=-(-m // n))
 
 
 def profile_count(n: int, m: int) -> int:
@@ -411,7 +405,7 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
     if use_cache and _table1_memo is not None:
         return _table1_memo
 
-    main_instance = canonical_instance(2, 4, 2)
+    main_instance = canonical_instance(2, 4)
     main_profiles = list(enumerate_profiles(main_instance))
     # One per orbit, leading the canonical order: an index among them is an
     # index in the domain.
@@ -446,7 +440,7 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
             if found is None and expected == "-":
                 # No two-agent counterexample; this sign concerns
                 # single-unit behaviour, so extend the search there.
-                aux_profiles = enumerate_profiles(canonical_instance(4, 4, 1))
+                aux_profiles = enumerate_profiles(canonical_instance(4, 4))
                 aux_found = _first_violation(rule_name, property_name, aux_profiles, cache)
                 if aux_found is not None:
                     found = aux_found
@@ -536,7 +530,7 @@ def _manipulation_lines(
 #: The two-agent profile of `figure1` and `expost`, whose top objects
 #: interleave, and its recorded multi-unit eating outcome.
 _INTERLEAVED = PreferenceProfile(
-    instance=canonical_instance(2, 4, 2),
+    instance=canonical_instance(2, 4),
     orders=(("o1", "o2", "o3", "o4"), ("o3", "o2", "o4", "o1")),
 )
 _INTERLEAVED_MPS = (
@@ -618,7 +612,7 @@ def _reproduce_expost() -> dict:
 
 
 def _reproduce_pareto_decomp() -> dict:
-    instance = canonical_instance(2, 4, 2)
+    instance = canonical_instance(2, 4)
     profile = PreferenceProfile(
         instance=instance,
         orders=(("o1", "o2", "o3", "o4"), ("o2", "o1", "o4", "o3")),
@@ -715,7 +709,7 @@ def _reproduce_theorem2() -> dict:
 
 
 def _reproduce_example1() -> dict:
-    instance = canonical_instance(2, 4, 2)
+    instance = canonical_instance(2, 4)
     profile = PreferenceProfile(
         instance=instance,
         orders=(("o1", "o2", "o3", "o4"), ("o2", "o1", "o3", "o4")),

@@ -1,7 +1,8 @@
 """Core domain types for multi-unit random assignment.
 
-An instance has n agents and m objects with a per-agent quota c (m = n * c
-unless the instance is explicitly relaxed).  Agents hold strict preference
+An instance has n agents and m objects with a per-agent quota
+c = ceil(m / n); it is balanced when m = n * c, as in the paper, and only
+the eating rules accept an unbalanced one.  Agents hold strict preference
 orders over objects.  A random assignment is an n-by-m matrix of exact
 rational probabilities; a discrete assignment maps each object to one owner.
 `PreferenceProfile.ranked` holds each order as column indices: the rules and
@@ -29,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -119,17 +120,15 @@ def _check_rational(value: object, where: str) -> Fraction:
 class Instance:
     """Agents, objects and the per-agent quota.
 
-    `quota` is the number of objects each agent receives.  For a balanced
-    instance m = n * quota.  An unbalanced instance (m not a multiple of n)
-    must be flagged `relaxed` and requires quota = ceil(m / n); only the
-    eating rules accept it.  The flag admits that shape and changes nothing
-    else, equality included: a relaxed instance with m = n * quota is balanced.
+    `quota` is the number of objects each agent receives, and it must be
+    ceil(m / n).  The shape alone says whether the instance is balanced
+    (m = n * quota) or unbalanced (n does not divide m); only the eating
+    rules accept an unbalanced one (`require_balanced`).
     """
 
     agents: tuple[str, ...]
     objects: tuple[str, ...]
     quota: int
-    relaxed: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "agents", tuple(self.agents))
@@ -147,16 +146,10 @@ class Instance:
         if not isinstance(self.quota, int) or isinstance(self.quota, bool) or self.quota < 1:
             raise ValueError(f"quota must be a positive integer, got {self.quota!r}")
         n, m = len(self.agents), len(self.objects)
-        if self.relaxed:
-            if self.quota != math.ceil(Fraction(m, n)):
-                raise ValueError(
-                    f"relaxed instance needs quota = ceil(m/n) = {math.ceil(Fraction(m, n))}, "
-                    f"got {self.quota}"
-                )
-        elif m != n * self.quota:
+        if self.quota != -(-m // n):
             raise ValueError(
                 f"{m} objects cannot be split among {n} agents with quota "
-                f"{self.quota}; pass relaxed=True to allow this"
+                f"{self.quota}; the quota must be ceil(m/n) = {-(-m // n)}"
             )
 
     @property
@@ -188,8 +181,8 @@ class Instance:
 def require_balanced(instance: Instance, what: str) -> None:
     """Refuse an unbalanced instance for `what`, which needs m = n * quota.
 
-    The shape decides, not the `relaxed` flag: a relaxed instance whose m is
-    n * quota after all is balanced.
+    Every rule and check but the eating rules calls it, so an unbalanced
+    instance is refused where it is judged, not where it is built.
     """
     if instance.num_objects != instance.num_agents * instance.quota:
         raise ValueError(f"{what} is only defined for balanced instances (m = n * quota)")
@@ -240,9 +233,15 @@ class PreferenceProfile:
             orders[i] = reported[i]
             _require_strict_order(inst, inst.agents[i], orders[i])
             ranked[i] = tuple(map(column, orders[i]))
-        new = object.__new__(PreferenceProfile)
-        new.__dict__.update(instance=inst, orders=tuple(orders), ranked=tuple(ranked))
-        return new
+        return _unchecked_profile(inst, tuple(orders), tuple(ranked))
+
+
+def _unchecked_profile(instance: Instance, orders: tuple, ranked: tuple) -> PreferenceProfile:
+    """The profile of `orders`, with `ranked` as its `ranked` rows, built
+    without the constructor's checks: the caller vouches for both."""
+    profile = object.__new__(PreferenceProfile)
+    profile.__dict__.update(instance=instance, orders=orders, ranked=ranked)
+    return profile
 
 
 def _require_strict_order(instance: Instance, agent: str, order: Sequence[str]) -> None:

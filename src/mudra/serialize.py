@@ -21,6 +21,9 @@ Profile files::
 
     {"objects": ["o1", ...], "quota": 2, "preferences": {"1": ["o1", ...], ...}}
 
+The quota must be ceil(m/n), or it is refused at `quota`.  An unbalanced
+profile (n does not divide m) loads; whatever needs balance refuses it.
+
 Assignment files::
 
     {"matrix": {"1": {"o1": "7/8", ...}, ...}}
@@ -123,7 +126,7 @@ def _require(data: Any, key: str, kind: type) -> Any:
     return value
 
 
-def profile_from_data(data: Any, relaxed: bool = False) -> PreferenceProfile:
+def profile_from_data(data: Any) -> PreferenceProfile:
     objects = _require(data, "objects", list)
     for j, o in enumerate(objects):
         if not isinstance(o, str):
@@ -151,7 +154,7 @@ def profile_from_data(data: Any, relaxed: bool = False) -> PreferenceProfile:
     if set(agents) & set(objects):
         raise SchemaError("preferences", "agent and object ids must be disjoint")
     try:
-        instance = Instance(agents, objects, quota, relaxed=relaxed)
+        instance = Instance(agents, objects, quota)
     except ValueError as exc:  # what is left to refuse concerns the quota
         raise SchemaError("quota", str(exc)) from None
     return PreferenceProfile(instance, orders)
@@ -247,8 +250,8 @@ def _load_json(source: str | Path) -> Any:
         raise SchemaError("$", f"invalid JSON: an integer of more than {limit} digits") from None
 
 
-def load_profile(source: str | Path, relaxed: bool = False) -> PreferenceProfile:
-    return profile_from_data(_load_json(source), relaxed=relaxed)
+def load_profile(source: str | Path) -> PreferenceProfile:
+    return profile_from_data(_load_json(source))
 
 
 def load_assignment(source: str | Path, instance: Instance) -> RandomAssignment:

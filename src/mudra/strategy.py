@@ -39,6 +39,7 @@ from .model import (
     MISREPORT_LIMIT,
     PreferenceProfile,
     RandomAssignment,
+    _unchecked_profile,
     order_count,
     refuse_over,
     require_balanced,
@@ -105,8 +106,8 @@ def _placed(ranked: list, rows: tuple[int, ...], joint: tuple, viewed: bool) -> 
 def _adapted(rule: Rule, profile: PreferenceProfile, rows: tuple[int, ...]) -> Kernel:
     """`rule` as a kernel for a scan of the members at `rows` of `profile`.
 
-    It runs `rule` on a profile built as `with_orders` builds one, without
-    the checks, with the members' orders looked up in a table of this scan.
+    It runs `rule` on a profile built as `with_orders` builds one, with the
+    members' orders looked up in a table of this scan.
     """
     objects = profile.instance.objects
     names = dict(zip(itertools.permutations(range(len(objects))), itertools.permutations(objects)))
@@ -115,9 +116,7 @@ def _adapted(rule: Rule, profile: PreferenceProfile, rows: tuple[int, ...]) -> K
     def kernel(instance, ranked):
         for i in rows:
             orders[i] = names[ranked[i]]
-        reported = object.__new__(PreferenceProfile)
-        reported.__dict__.update(instance=instance, orders=tuple(orders), ranked=tuple(ranked))
-        outcome = rule(reported)
+        outcome = rule(_unchecked_profile(instance, tuple(orders), tuple(ranked)))
         return outcome.numerators, outcome.denominator
 
     return kernel

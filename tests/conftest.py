@@ -40,7 +40,7 @@ from mudra.strategy import (
 
 @pytest.fixture(scope="session")
 def main_instance():
-    return canonical_instance(2, 4, 2)
+    return canonical_instance(2, 4)
 
 
 @pytest.fixture(scope="session")

@@ -77,7 +77,7 @@ MUTANTS = (
         "    if profile.orders[0][-1] == profile.instance.objects[0]:\n"
         "        return ops_trace(profile).assignment\n"
         "    return mps_trace(profile).assignment\n",
-        STRATEGY_TESTS,
+        (*RULES_TESTS, *STRATEGY_TESTS),
     ),
     Mutant(
         "trie-leaf-one-read-early",
@@ -210,12 +210,22 @@ MUTANTS = (
         "",
         MODEL_TESTS,
     ),
+    # The one admission test of an instance's quota, dropped: any quota passes.
     Mutant(
-        "relaxed-quota-unchecked",
+        "unbalanced-quota-unchecked",
         "model.py",
-        "            if self.quota != math.ceil(Fraction(m, n)):\n",
-        "            if False:\n",
+        "        if self.quota != -(-m // n):\n",
+        "        if False:\n",
         MODEL_TESTS,
+    ),
+    # Balance read as admission: every instance with m != n * quota refused,
+    # so the eating rules never see an unbalanced profile.
+    Mutant(
+        "unbalanced-instance-refused",
+        "model.py",
+        "        if self.quota != -(-m // n):\n",
+        "        if self.quota != -(-m // n) or m != n * self.quota:\n",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "short-row-accepted",

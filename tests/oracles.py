@@ -17,7 +17,7 @@ from fractions import Fraction
 from mudra.model import Instance, PreferenceProfile, RandomAssignment, ValidationResult
 
 
-def make_profile(orders, quota=None, relaxed=False):
+def make_profile(orders, quota=None):
     """The profile of `orders` with agents "1" to "n", the first order's
     objects sorted, and quota ceil(m / n) unless one is given."""
     orders = tuple(tuple(o) for o in orders)
@@ -26,7 +26,7 @@ def make_profile(orders, quota=None, relaxed=False):
     if quota is None:
         quota = -(-len(objects) // n)
     agents = tuple(str(i) for i in range(1, n + 1))
-    return PreferenceProfile(Instance(agents, objects, quota, relaxed=relaxed), orders)
+    return PreferenceProfile(Instance(agents, objects, quota), orders)
 
 
 def fraction_validate_assignment(assignment):

@@ -296,7 +296,7 @@ def test_criterion_07_classification_table_matches_expected_signs(
 
     cell = table1_cells["mps", "dl-strategyproofness"]
     cert = cell.certificate
-    profile = PreferenceProfile(canonical_instance(2, 4, 2), cell.witness_orders)
+    profile = PreferenceProfile(canonical_instance(2, 4), cell.witness_orders)
     objects = profile.instance.objects
     assert_dl_misreport_replays(
         profile,

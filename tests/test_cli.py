@@ -21,10 +21,12 @@ from mudra.rules import simulate_eating
 from mudra.serialize import (
     SchemaError,
     assignment_from_data,
+    assignment_to_data,
     canonical_dumps,
     profile_from_data,
     profile_to_data,
 )
+from mudra.strategy import FINDERS
 
 FIG1 = {
     "objects": ["o1", "o2", "o3", "o4"],
@@ -111,6 +113,13 @@ TWO_BY_TWO = {
     "objects": ["o1", "o2"],
     "quota": 1,
     "preferences": {"1": ["o1", "o2"], "2": ["o2", "o1"]},
+}
+
+#: Two agents, three objects, quota 2: an unbalanced profile.
+TWO_BY_THREE = {
+    "objects": ["o1", "o2", "o3"],
+    "quota": 2,
+    "preferences": {"1": ["o1", "o2", "o3"], "2": ["o3", "o1", "o2"]},
 }
 
 #: A 2x2 matrix with entries in [0, 1] whose column o2 sums to 1/3.
@@ -209,31 +218,13 @@ class TestCompute:
         assert result.exit_code == 3
 
     def test_relaxed_profile(self, runner, paths):
-        relaxed = {
-            "objects": ["o1", "o2", "o3"],
-            "quota": 2,
-            "preferences": {"1": ["o1", "o2", "o3"], "2": ["o3", "o1", "o2"]},
-        }
-        path = paths("p.json", relaxed)
-        refused = runner.invoke(main, ["compute", "--rule", "mps", "--profile", path])
-        assert refused.exit_code == 3
-        result = runner.invoke(
-            main, ["compute", "--rule", "mps", "--profile", path, "--relaxed", "--json"]
-        )
+        # An unbalanced profile needs no flag: mps shares out the leftover
+        # capacity exactly.
+        path = paths("p.json", TWO_BY_THREE)
+        result = runner.invoke(main, ["compute", "--rule", "mps", "--profile", path, "--json"])
         assert result.exit_code == 0
         row = json.loads(result.output)["matrix"]["1"]
         assert row == {"o1": "1/2", "o2": "3/4", "o3": "1/4"}
-
-    def test_relaxed_changes_nothing_on_a_balanced_profile(self, runner, paths):
-        # --relaxed only admits m != n * quota; on 2x4 c=2 every rule,
-        # the balanced-only ones included, prints what it prints without it.
-        path = paths("p.json", FIG1)
-        for rule in RULE_NAMES:
-            argv = ["compute", "--rule", rule, "--profile", path, "--json"]
-            plain = runner.invoke(main, argv)
-            relaxed = runner.invoke(main, argv + ["--relaxed"])
-            assert (plain.exit_code, relaxed.exit_code) == (0, 0), (rule, relaxed.output)
-            assert relaxed.output == plain.output, rule
 
     def test_rp_refused_past_the_state_guard(self, runner, paths):
         objects = [f"o{j}" for j in range(1, 13)]
@@ -753,6 +744,63 @@ def test_input_refusal_names_its_cause(runner, paths, case):
     result = runner.invoke(main, argv)
     assert result.exit_code == 3
     assert result.stderr.splitlines()[-1] == message
+
+
+def unbalanced_invocations() -> dict[str, tuple[list[str], int]]:
+    """Every verb on TWO_BY_THREE, by id: the eating rules answer it, and
+    every other rule, check token and manipulation kind refuses it.  `@mps`
+    stands for the `mps` output as an assignment file."""
+    answered = [
+        ["compute", "--rule", rule, *flags]
+        for rule in ("ops", "mps")
+        for flags in ([], ["--trace"], ["--json"], ["--trace", "--json"])
+    ]
+    refused = [["compute", "--rule", rule] for rule in RULE_NAMES if rule not in ("ops", "mps")]
+    refused.append(["compute", "--rule", "priority", "--permutation", "1,2"])
+    given = {"assignment": ["--assignment", "@mps"], "rule": ["--rule", "mps"], "profile": []}
+    refused += [
+        ["check", "--property", prop.token, *given[what]]
+        for prop in PROPERTIES.values() if prop.token
+        for what in prop.judges
+    ]
+    refused += [["manipulate", "--rule", "mps", "--kind", kind, "--agent", "1"] for kind in FINDERS]
+    refused.append(["manipulate", "--rule", "mps", "--kind", "group", "--coalition", "1,2"])
+    cases = [(argv, 0) for argv in answered] + [(argv, 3) for argv in refused]
+    return {" ".join(argv): (argv, code) for argv, code in cases}
+
+
+UNBALANCED_INVOCATIONS = unbalanced_invocations()
+
+
+@pytest.mark.parametrize(
+    "argv, code", UNBALANCED_INVOCATIONS.values(), ids=list(UNBALANCED_INVOCATIONS)
+)
+def test_unbalanced_profile_on_every_verb(runner, paths, argv, code):
+    mps = assignment_to_data(rules.mps(profile_from_data(TWO_BY_THREE)))
+    files = {"@mps": paths("a.json", mps)}
+    argv = [files.get(a, a) for a in argv] + ["--profile", paths("p.json", TWO_BY_THREE)]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    if code == 3:
+        assert "only defined for balanced instances" in result.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--rule", "mps", "--profile", "@p", "--relaxed"],
+        ["enumerate", "--n", "2", "--m", "4", "--c", "2"],
+    ],
+    ids=["compute --relaxed", "enumerate --c"],
+)
+def test_balance_is_not_settable(runner, paths, argv):
+    # The shape decides balance and quota, so neither option exists.
+    argv = [paths("p.json", TWO_BY_THREE) if a == "@p" else a for a in argv]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 3
+    assert "No such option" in result.stderr
 
 
 class TestReproduce:

@@ -76,7 +76,7 @@ def _corpus() -> dict[str, list[list[str]]]:
     ]
     compute += [
         ["compute", "--rule", "priority", "--profile", "@3x3c1", "--permutation", "3,1,2"],
-        ["compute", "--rule", "ops", "--profile", "@2x3", "--relaxed", "--trace"],
+        ["compute", "--rule", "ops", "--profile", "@2x3", "--trace"],
     ]
     check = [
         ["check", "--property", t, "--profile", f"@{s}", "--assignment", f"@{s}.{r}"]
@@ -117,8 +117,8 @@ def _corpus() -> dict[str, list[list[str]]]:
     reproduce = [["reproduce", case] for case in REPRODUCE_CASE_IDS] + [["table1"]]
     enumerate_ = [
         ["enumerate", "--n", "2", "--m", "3"],
-        ["enumerate", "--n", "3", "--m", "3", "--c", "1"],
-        ["enumerate", "--n", "2", "--m", "4", "--c", "2"],
+        ["enumerate", "--n", "3", "--m", "3"],
+        ["enumerate", "--n", "2", "--m", "4"],
     ]
     corpus = {
         "compute": compute, "check": check, "manipulate": manipulate,

@@ -115,9 +115,7 @@ class TestIsSdEfficient:
         assert is_sd_efficient(p, profile).holds
 
     def test_relaxed_rejected(self):
-        inst = Instance(
-            agents=("1", "2"), objects=("o1", "o2", "o3"), quota=2, relaxed=True
-        )
+        inst = Instance(agents=("1", "2"), objects=("o1", "o2", "o3"), quota=2)
         profile = PreferenceProfile(
             inst, (("o1", "o2", "o3"), ("o3", "o2", "o1"))
         )
@@ -153,7 +151,7 @@ class TestEnumerateDiscrete:
     @pytest.mark.parametrize("n, c", [(2, 10), (2, 12), (3, 4), (4, 4), (9, 1), (10, 1)])
     def test_balanced_refusal_is_the_exact_count(self, n, c):
         # m!/(c!)^n balanced assignments, against the guard of 10^6.
-        inst = canonical_instance(n, n * c, c)
+        inst = canonical_instance(n, n * c)
         if math.factorial(n * c) // math.factorial(c) ** n > 10**6:
             with pytest.raises(GuardExceeded, match=rf"{n * c}!/\({c}!\)\^{n} balanced"):
                 enumerate_discrete(inst)
@@ -162,7 +160,7 @@ class TestEnumerateDiscrete:
 
     def test_guard_boundary_answers(self):
         # 2^19 owner maps are within the guard, so the stream starts.
-        inst = Instance(tuple("12"), tuple(f"o{j}" for j in range(19)), 10, relaxed=True)
+        inst = Instance(tuple("12"), tuple(f"o{j}" for j in range(19)), 10)
         assert next(enumerate_discrete(inst, balanced=False)).owners == ("1",) * 19
 
 
@@ -366,19 +364,19 @@ def assert_domain_matches_oracle(instance, candidates):
 
 
 def test_cycle_test_matches_oracle_on_two_agent_owner_maps():
-    inst = canonical_instance(2, 4, 2)
+    inst = canonical_instance(2, 4)
     assert_domain_matches_oracle(inst, list(enumerate_discrete(inst, balanced=False)))
 
 
 def test_cycle_test_matches_oracle_on_three_agent_single_unit():
-    inst = canonical_instance(3, 3, 1)
+    inst = canonical_instance(3, 3)
     assert_domain_matches_oracle(inst, list(enumerate_discrete(inst, balanced=True)))
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.lists(st.permutations(("o1", "o2", "o3", "o4")), min_size=4, max_size=4))
 def test_cycle_test_matches_oracle_on_four_agent_single_unit(orders):
-    inst = canonical_instance(4, 4, 1)
+    inst = canonical_instance(4, 4)
     profile = PreferenceProfile(inst, tuple(tuple(o) for o in orders))
     for rule in RULES.values():
         assert_cycle_test_matches_oracle(rule(profile).matrix, profile)

@@ -61,9 +61,7 @@ class TestSdEnvyFreeness:
             assert is_sd_envy_free(rule(staggered), staggered).holds
 
     def test_relaxed_rejected(self):
-        inst = Instance(
-            agents=("1", "2"), objects=("o1", "o2", "o3"), quota=2, relaxed=True
-        )
+        inst = Instance(agents=("1", "2"), objects=("o1", "o2", "o3"), quota=2)
         prof = PreferenceProfile(inst, (("o1", "o2", "o3"), ("o3", "o2", "o1")))
         p = RandomAssignment(inst, ((F(1, 2),) * 3, (F(1, 2),) * 3))
         with pytest.raises(ValueError, match="balanced"):
@@ -102,7 +100,7 @@ class TestWeakSdEnvyFreeness:
     "check", [is_sd_envy_free, is_weak_sd_envy_free, is_sd_efficient, is_ex_post_efficient]
 )
 def test_an_assignment_from_another_instance_is_refused(check):
-    four = canonical_instance(4, 4, 1)
+    four = canonical_instance(4, 4)
     output = mps(PreferenceProfile(four, (four.objects,) * 4))
     with pytest.raises(ValueError, match="assignment and profile must share one instance"):
         check(output, IDENTICAL)
@@ -187,14 +185,14 @@ def assert_envy_matches_oracles(p, prof):
 @pytest.mark.parametrize("shape", [(2, 4, 2), (3, 3, 1)])
 def test_envy_scan_matches_oracles_exhaustively(shape):
     """Every balanced discrete assignment and rule output at every profile."""
-    inst = canonical_instance(*shape)
+    inst = canonical_instance(*shape[:2])
     discrete = [discrete_to_random(d) for d in enumerate_discrete(inst)]
     for prof in enumerate_profiles(inst):
         for p in discrete + [rule(prof) for rule in RULES.values()]:
             assert_envy_matches_oracles(p, prof)
 
 
-SINGLE_UNIT_4 = canonical_instance(4, 4, 1)
+SINGLE_UNIT_4 = canonical_instance(4, 4)
 QUARTERS = st.sampled_from([F(k, 4) for k in range(5)])
 
 

@@ -31,6 +31,7 @@ from mudra.model import (
     PreferenceProfile,
     discrete_to_random,
     permute_objects,
+    require_balanced,
     validate_assignment,
 )
 from mudra.rules import mps, uniform
@@ -49,14 +50,14 @@ class TestCanonicalInstance:
         inst = canonical_instance(2, 4)
         assert inst.agents == ("1", "2")
         assert inst.objects == ("o1", "o2", "o3", "o4")
-        assert inst.quota == 2 and not inst.relaxed
+        assert inst.quota == 2
+        require_balanced(inst, "a balanced check")
 
     def test_leftover_objects_imply_relaxed(self):
         inst = canonical_instance(2, 3)
-        assert inst.quota == 2 and inst.relaxed
-
-    def test_explicit_quota(self):
-        assert canonical_instance(4, 4, 1).quota == 1
+        assert inst.quota == 2
+        with pytest.raises(ValueError, match="balanced instances"):
+            require_balanced(inst, "a balanced check")
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -104,7 +105,7 @@ class TestEnumerateProfiles:
 def test_output_cache_keeps_instances_apart():
     # Both profiles list the same orders, on instances that label the rows
     # and columns differently: the second must not be served the first's output.
-    square = canonical_instance(3, 3, 1)
+    square = canonical_instance(3, 3)
     shuffled = Instance(agents=("3", "1", "2"), objects=("o3", "o1", "o2"), quota=1)
     orders = (("o1", "o2", "o3"), ("o2", "o3", "o1"), ("o3", "o1", "o2"))
     cache = OutputCache()
@@ -282,7 +283,7 @@ class TestTable1Sweep:
             assert cell.certificate is not None
             n = len(cell.witness_orders)
             m = len(cell.witness_orders[0])
-            inst = canonical_instance(n, m, 1 if n == m else None)
+            inst = canonical_instance(n, m)
             profile = PreferenceProfile(inst, cell.witness_orders)
             holds, _ = check_rule_property(cell.rule, cell.property_name, profile)
             assert not holds
@@ -383,7 +384,7 @@ class TestOrbitReduction:
 
     @pytest.mark.parametrize("n, m, quota", [(2, 4, 2), (3, 3, 1)])
     def test_representatives_come_first_in_their_orbits(self, n, m, quota):
-        instance = canonical_instance(n, m, quota)
+        instance = canonical_instance(n, m)
         profiles = list(enumerate_profiles(instance))
         index = {p.orders: i for i, p in enumerate(profiles)}
         firsts = [i for i, p in enumerate(profiles) if p.orders[0] == instance.objects]

@@ -65,11 +65,13 @@ def fraction_decompose_lottery(p):
 # Matrices with mixed denominators, feasible and not
 # --------------------------------------------------------------------------
 
-#: Balanced shapes; the relaxed 2x3 instance comes last.
+#: Balanced shapes; the unbalanced 2x3 instance comes last.
 SHAPES = [(2, 4, 2), (3, 3, 1), (2, 6, 3), (3, 6, 2), (2, 3, 2)]
-INSTANCES = {shape: canonical_instance(*shape) for shape in SHAPES}
+INSTANCES = {shape: canonical_instance(*shape[:2]) for shape in SHAPES}
 DISCRETE = {
-    shape: list(enumerate_discrete(inst)) for shape, inst in INSTANCES.items() if not inst.relaxed
+    shape: list(enumerate_discrete(inst))
+    for shape, inst in INSTANCES.items()
+    if inst.num_objects == inst.num_agents * inst.quota
 }
 
 amounts = st.fractions(min_value=-1, max_value=2, max_denominator=12)
@@ -79,7 +81,7 @@ weights = st.fractions(min_value=F(1, 12), max_value=3, max_denominator=12)
 @st.composite
 def feasible_matrices(draw, shape):
     """A lottery over balanced discrete assignments with drawn weights; on
-    the relaxed 2x3 instance, rows summing to 3/2 and columns to 1."""
+    the unbalanced 2x3 instance, rows summing to 3/2 and columns to 1."""
     if shape not in DISCRETE:
         a = draw(st.fractions(min_value=0, max_value=1, max_denominator=6))
         low, high = max(F(0), F(1, 2) - a), min(F(1), F(3, 2) - a)
@@ -147,7 +149,8 @@ def dominance_pairs(p, q, dominators):
 @given(cases())
 def test_checkers_match_the_fraction_oracles(case):
     profile, p, q = case
-    balanced = not profile.instance.relaxed
+    inst = profile.instance
+    balanced = inst.num_objects == inst.num_agents * inst.quota
     dominators = {}
     for x in (p, q):
         feasible = validate_assignment(x)

@@ -23,10 +23,8 @@ from mudra.model import (
     validate_assignment,
 )
 from mudra.efficiency import enumerate_discrete
-from mudra.fairness import is_sd_envy_free
 from mudra.harness import (
     RULES,
-    OutputCache,
     canonical_instance,
     check_rule_property,
     enumerate_profiles,
@@ -57,43 +55,27 @@ class TestCappedCount:
 
 class TestInstance:
     def test_quota_times_agents_must_cover_objects(self):
-        with pytest.raises(ValueError, match="relaxed=True"):
-            Instance(agents=("1", "2"), objects=("o1", "o2", "o3"), quota=2)
+        # The one admission test: quota = ceil(m/n), whether n divides m or not.
+        for m, quota in [(3, 1), (3, 3), (4, 1), (4, 3)]:
+            objects = tuple(f"o{j}" for j in range(1, m + 1))
+            with pytest.raises(ValueError, match=r"cannot be split .* ceil\(m/n\) = 2"):
+                Instance(agents=("1", "2"), objects=objects, quota=quota)
 
     def test_relaxed_requires_ceiling_quota(self):
-        inst = Instance(
-            agents=("1", "2"), objects=("o1", "o2", "o3"), quota=2, relaxed=True
-        )
+        inst = Instance(agents=("1", "2"), objects=("o1", "o2", "o3"), quota=2)
         half = Fraction(1, 2)
         assert validate_assignment(RandomAssignment(inst, ((1, half, 0), (0, half, 1))))
         skewed = validate_assignment(RandomAssignment(inst, ((1, 1, 0), (0, 0, 1))))
         assert skewed.reason == "row 1 sums to 2, expected 3/2"
         with pytest.raises(ValueError, match="ceil"):
-            Instance(
-                agents=("1", "2"), objects=("o1", "o2", "o3"), quota=1, relaxed=True
-            )
+            Instance(agents=("1", "2"), objects=("o1", "o2", "o3"), quota=1)
 
-    def test_relaxed_flag_on_a_balanced_shape_is_balanced(self):
-        inst = Instance(
-            agents=("1", "2"), objects=("o1", "o2", "o3", "o4"), quota=2, relaxed=True
-        )
+    def test_require_balanced_reads_the_shape(self):
+        inst = Instance(agents=("1", "2"), objects=("o1", "o2", "o3", "o4"), quota=2)
         require_balanced(inst, "the uniform rule")
-        unbalanced = Instance(
-            agents=("1", "2"), objects=("o1", "o2", "o3"), quota=2, relaxed=True
-        )
+        unbalanced = Instance(agents=("1", "2"), objects=("o1", "o2", "o3"), quota=2)
         with pytest.raises(ValueError, match="balanced instances"):
             require_balanced(unbalanced, "the uniform rule")
-
-    def test_relaxed_flag_is_not_part_of_equality(self):
-        objects = ("o1", "o2", "o3", "o4")
-        flagged = Instance(agents=("1", "2"), objects=objects, quota=2, relaxed=True)
-        assert flagged == INST and hash(flagged) == hash(INST)
-        orders = (objects, objects[::-1])
-        q = PreferenceProfile(flagged, orders)
-        assert q == profile(*orders) and hash(q) == hash(profile(*orders))
-        assert is_sd_envy_free(RULES["mps"](q), profile(*orders))
-        cache = OutputCache()
-        assert cache.output("mps", q) is cache.output("mps", profile(*orders))
 
     def test_bool_quota_rejected(self):
         # bool is an int; a True quota would be written as `"quota": true`,
@@ -508,7 +490,7 @@ def test_relabelling_matches_oracles_exhaustively(shape):
     turn) under every relabelling; the first profile and every balanced
     discrete assignment also under every non-bijection, which must raise
     the same error."""
-    inst = canonical_instance(*shape)
+    inst = canonical_instance(*shape[:2])
     agent_maps = list(all_maps(inst.agents))
     object_maps = list(all_maps(inst.objects))
     agent_perms = [dict(zip(inst.agents, p)) for p in itertools.permutations(inst.agents)]
@@ -527,7 +509,7 @@ def test_relabelling_matches_oracles_exhaustively(shape):
 @given(st.lists(st.permutations(("o1", "o2", "o3", "o4")), min_size=4, max_size=4),
        st.permutations(("1", "2", "3", "4")), st.permutations(("o1", "o2", "o3", "o4")))
 def test_relabelling_matches_oracles_on_single_unit_four(orders, agent_images, object_images):
-    inst = canonical_instance(4, 4, 1)
+    inst = canonical_instance(4, 4)
     prof = PreferenceProfile(inst, tuple(tuple(o) for o in orders))
     pi = dict(zip(inst.agents, agent_images))
     sigma = dict(zip(inst.objects, object_images))

@@ -24,7 +24,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from mudra.efficiency import perfect_assignment
-from mudra.harness import canonical_instance, enumerate_profiles
+from mudra.harness import RULES, canonical_instance, enumerate_profiles
 from mudra.model import (
     DiscreteAssignment,
     GuardExceeded,
@@ -35,6 +35,7 @@ from mudra.model import (
 )
 from mudra.order import sd_weakly_dominates
 from mudra.rules import (
+    KERNELS,
     _top,
     mps,
     mps_trace,
@@ -165,9 +166,7 @@ class TestUniform:
 
 
 class TestRelaxedInstances:
-    RELAXED = make_profile(
-        [("o1", "o2", "o3"), ("o2", "o1", "o3")], quota=2, relaxed=True
-    )
+    RELAXED = make_profile([("o1", "o2", "o3"), ("o2", "o1", "o3")], quota=2)
 
     def test_eating_rules_accept_leftover_objects(self):
         for rule in (mps, ops):
@@ -180,9 +179,7 @@ class TestRelaxedInstances:
     def test_mps_relaxed_golden(self):
         # tops {o1,o2} and {o3,o1} overlap only on o1; after o1 exhausts at
         # 1/2 both agents share the leftovers equally
-        staggered = make_profile(
-            [("o1", "o2", "o3"), ("o3", "o1", "o2")], quota=2, relaxed=True
-        )
+        staggered = make_profile([("o1", "o2", "o3"), ("o3", "o1", "o2")], quota=2)
         assert mps(staggered).matrix == (
             (F(1, 2), F(3, 4), F(1, 4)),
             (F(1, 2), F(1, 4), F(3, 4)),
@@ -283,9 +280,7 @@ def test_eating_engine_matches_micro_step_oracle_single_unit():
 
 
 def test_eating_engine_matches_micro_step_oracle_relaxed():
-    profile = make_profile(
-        [("o1", "o2", "o3"), ("o3", "o1", "o2")], quota=2, relaxed=True
-    )
+    profile = make_profile([("o1", "o2", "o3"), ("o3", "o1", "o2")], quota=2)
     assert mps(profile).matrix == micro_step_outcome(profile, 2)
     assert ops(profile).matrix == micro_step_outcome(profile, 1)
 
@@ -363,10 +358,30 @@ def average_over_priority_orders(profile):
 
 @pytest.mark.parametrize("n, m, quota, size", [(2, 4, 2, 576), (3, 3, 1, 216)])
 def test_random_priority_equals_the_order_average_exhaustively(n, m, quota, size):
-    profiles = list(enumerate_profiles(canonical_instance(n, m, quota)))
+    profiles = list(enumerate_profiles(canonical_instance(n, m)))
     assert len(profiles) == size
     for profile in profiles:
         assert random_priority(profile).matrix == average_over_priority_orders(profile)
+
+
+@pytest.mark.parametrize("rule", RULES.values(), ids=list(RULES))
+def test_each_public_rule_equals_its_kernel(rule):
+    """The misreport scan runs a rule's `KERNELS` entry on `ranked` rows, and
+    every other caller runs the rule: both must give one assignment.  The
+    eating rules are also run on unbalanced instances, every 2x3 profile
+    and seeded 3x7 ones."""
+    shapes = [(2, 4), (3, 3)] + ([(2, 3)] if rule in (ops, mps) else [])
+    profiles = [p for shape in shapes for p in enumerate_profiles(canonical_instance(*shape))]
+    if rule in (ops, mps):
+        inst, rng = canonical_instance(3, 7), random.Random(37)
+        profiles += [
+            PreferenceProfile(inst, [rng.sample(inst.objects, 7) for _ in inst.agents])
+            for _ in range(30)
+        ]
+    for profile in profiles:
+        inst = profile.instance
+        kernel = RandomAssignment.from_numerators(inst, *KERNELS[rule](inst, profile.ranked))
+        assert rule(profile) == kernel, profile.orders
 
 
 @st.composite
@@ -500,7 +515,7 @@ def assert_rules_match_named_oracles(profile):
         )
         assert named == phases
         assert all(type(t) is F for ph in trace.phases for t in (ph.start, ph.end))
-    if inst.relaxed:
+    if inst.num_objects != inst.num_agents * inst.quota:
         return
     # Every priority order up to 4 agents; 8 agents have 40,320.
     if inst.num_agents <= 4:
@@ -517,26 +532,18 @@ def assert_rules_match_named_oracles(profile):
 
 @pytest.mark.parametrize("n, m, quota", [(2, 4, 2), (3, 3, 1)])
 def test_index_view_rules_match_named_oracles_exhaustively(n, m, quota):
-    for profile in enumerate_profiles(canonical_instance(n, m, quota)):
+    for profile in enumerate_profiles(canonical_instance(n, m)):
         assert_rules_match_named_oracles(profile)
 
 
-#: (agents, objects, quota, relaxed): the balanced shapes, then two relaxed
-#: instances, of 3 objects for 2 agents and of 7 objects for 3 agents.
-ENGINE_SHAPES = [(3, 6, 2, False), (4, 8, 2, False)] + [
-    (n, n, 1, False) for n in range(4, 9)
-] + [(2, 3, 2, True), (3, 7, 3, True)]
+#: (agents, objects): the balanced shapes, then two unbalanced instances, of
+#: 3 objects for 2 agents and of 7 objects for 3 agents.
+ENGINE_SHAPES = [(3, 6), (4, 8)] + [(n, n) for n in range(4, 9)] + [(2, 3), (3, 7)]
 
 
 @st.composite
 def engine_profiles(draw):
-    n, m, quota, relaxed = draw(st.sampled_from(ENGINE_SHAPES))
-    inst = Instance(
-        tuple(str(i) for i in range(1, n + 1)),
-        tuple(f"o{j}" for j in range(1, m + 1)),
-        quota,
-        relaxed,
-    )
+    inst = canonical_instance(*draw(st.sampled_from(ENGINE_SHAPES)))
     orders = tuple(tuple(draw(st.permutations(inst.objects))) for _ in inst.agents)
     return PreferenceProfile(inst, orders)
 
@@ -566,7 +573,7 @@ def widest_phase_length(trace):
 def test_integer_engine_stays_exact_past_float_precision():
     """On 30x30 the phase lengths outgrow a float's 53-bit mantissa, where a
     quotient taken through float division would be rounded."""
-    inst = canonical_instance(30, 30, 1)
+    inst = canonical_instance(30, 30)
     rng = random.Random(2014)
     for _ in range(3):
         orders = tuple(tuple(rng.sample(inst.objects, 30)) for _ in inst.agents)

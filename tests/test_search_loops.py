@@ -148,7 +148,7 @@ def random_lottery(inst, rng):
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_loops_match_the_recursive_oracles(shape):
-    inst = canonical_instance(*shape)
+    inst = canonical_instance(*shape[:2])
     rng = random.Random(sum(shape))
     cycles = 0
     for _ in range(30):

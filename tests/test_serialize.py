@@ -168,16 +168,19 @@ class TestProfileSchema:
                 load()
             assert err.value.path == path
 
-    def test_relaxed_flag_permits_leftovers(self):
+    def test_leftover_objects_load_with_the_ceiling_quota(self):
         data = {
             "objects": ["o1", "o2", "o3"],
             "quota": 2,
             "preferences": {"1": ["o1", "o2", "o3"], "2": ["o3", "o2", "o1"]},
         }
-        with pytest.raises(SchemaError):
-            profile_from_data(data)
-        profile = profile_from_data(data, relaxed=True)
-        assert profile.instance.relaxed
+        assert profile_from_data(data).instance.quota == 2
+        for quota in (1, 3):
+            with pytest.raises(SchemaError, match=r"ceil\(m/n\) = 2") as err:
+                profile_from_data(dict(data, quota=quota))
+            assert err.value.path == "quota"
+        with pytest.raises(TypeError):
+            profile_from_data(data, relaxed=True)
 
 
 class TestAssignmentSchema:
@@ -363,7 +366,7 @@ def test_digit_limits_and_zero_denominators_match_the_oracle(text):
 @given(st.lists(st.one_of(spellings, near_misses), min_size=6, max_size=6))
 def test_a_file_reads_or_is_refused_as_the_oracle_reads_it(entries):
     """Equal assignments, or the same first bad entry in row order."""
-    inst = Instance(agents=("1", "2"), objects=("a", "b", "c"), quota=2, relaxed=True)
+    inst = Instance(agents=("1", "2"), objects=("a", "b", "c"), quota=2)
     data = {"matrix": {"1": dict(zip("abc", entries[:3])), "2": dict(zip("abc", entries[3:]))}}
     assert outcome(assignment_from_data, data, inst) == outcome(fraction_assignment, data, inst)
 
@@ -373,7 +376,7 @@ def test_a_file_reads_or_is_refused_as_the_oracle_reads_it(entries):
     st.integers(min_value=1, max_value=10**4),
 )
 def test_written_entries_are_the_strings_of_their_fractions(values, d):
-    inst = Instance(agents=("1", "2"), objects=("a", "b", "c"), quota=2, relaxed=True)
+    inst = Instance(agents=("1", "2"), objects=("a", "b", "c"), quota=2)
     p = RandomAssignment.from_numerators(inst, [values[:3], values[3:]], d)
     matrix = assignment_to_data(p)["matrix"]
     assert [list(row.values()) for row in matrix.values()] == [

@@ -249,9 +249,7 @@ class TestGroupManipulation:
 
 class TestRelaxedRejected:
     def test_individual(self):
-        inst = Instance(
-            agents=("1", "2"), objects=("o1", "o2", "o3"), quota=2, relaxed=True
-        )
+        inst = Instance(agents=("1", "2"), objects=("o1", "o2", "o3"), quota=2)
         prof = PreferenceProfile(inst, (("o1", "o2", "o3"), ("o3", "o2", "o1")))
         with pytest.raises(ValueError, match="balanced"):
             find_weak_sd_manipulation(mps, prof, "1")

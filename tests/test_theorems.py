@@ -37,7 +37,7 @@ def profiles(draw, n, m, quota):
     """A profile on the canonical n x m instance.  Half the draws rank a
     bundle of `quota` objects per agent, disjoint across agents, on top, so
     a perfect assignment exists and unanimity is not vacuous."""
-    inst = canonical_instance(n, m, quota)
+    inst = canonical_instance(n, m)
     if draw(st.booleans()):
         return PreferenceProfile(
             inst, tuple(tuple(draw(st.permutations(inst.objects))) for _ in inst.agents)
@@ -54,7 +54,7 @@ def profiles(draw, n, m, quota):
 def seeded_profiles(n, m, quota, count, seed=2014):
     """`count` profiles on the canonical n x m instance, orders drawn from `seed`."""
     rng = random.Random(seed)
-    inst = canonical_instance(n, m, quota)
+    inst = canonical_instance(n, m)
     return [
         PreferenceProfile(inst, tuple(tuple(rng.sample(inst.objects, m)) for _ in inst.agents))
         for _ in range(count)
@@ -116,7 +116,7 @@ def test_ps_has_no_weak_sd_manipulation_at_quota_one(profile):
 
 @pytest.mark.parametrize(
     "profiles",
-    [list(enumerate_profiles(canonical_instance(3, 3, 1))), seeded_profiles(4, 4, 1, 10)],
+    [list(enumerate_profiles(canonical_instance(3, 3))), seeded_profiles(4, 4, 1, 10)],
     ids=["3x3-all", "4x4-seeded"],
 )
 def test_rp_is_sd_strategyproof_and_ex_post_efficient_at_quota_one(profiles):
