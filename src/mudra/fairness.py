@@ -4,6 +4,9 @@ relabelling of its agents or objects.  Each pair of notions is decided by
 one routine: `_first_envy`, `_first_asymmetry`.
 The envy scan sums integer `numerators` rows: every row of one matrix shares
 its `denominator`, so their prefix sums order exactly as the `Fraction` ones.
+The symmetry scan relabels `ranked` rows and the truthful numerators, runs
+the rule's integer kernel on each relabelled profile and compares the two
+sides by cross-multiplying; it builds no profile and no assignment.
 """
 
 from __future__ import annotations
@@ -17,11 +20,10 @@ from .model import (
     PreferenceProfile,
     RandomAssignment,
     orderings,
-    permute_agents,
-    permute_objects,
     require_balanced,
     require_shared_instance,
 )
+from .rules import kernel_of
 
 
 @dataclass(frozen=True)
@@ -97,29 +99,45 @@ class EquivarianceVerdict:
 Rule = Callable[[PreferenceProfile], RandomAssignment]
 
 
-def _first_asymmetry(rule, profile, relabel, labels, what, truthful) -> EquivarianceVerdict:
-    """The first relabelling of `labels`, in lexicographic order past the
-    identity, under which relabelling first and applying the rule first
-    disagree, with the first cell where they do (by cross-multiplied
-    numerators); or a pass.  More than 8 labels are refused before the rule
-    runs, and the rule runs on `profile` once unless `truthful` is its output.
+def _first_asymmetry(rule, profile, agents, truthful) -> EquivarianceVerdict:
+    """The first relabelling of the agents (`agents`) or else the objects,
+    in lexicographic order past the identity, under which relabelling first
+    and applying the rule first disagree, with the first cell where they do
+    (row-major, by cross-multiplied numerators); or a pass.
+
+    Both sides are integer rows: the rule's kernel (`rules.kernel_of`) runs
+    on the relabelled `ranked` rows, and the truthful numerators are
+    relabelled in place of the output.  More than 8 labels are refused
+    before the rule runs, and the rule runs on `profile` once unless
+    `truthful` is its output.
     """
-    images = orderings(labels, ORDER_LIMIT, f"{len(labels)}! {what} relabellings")
+    inst = profile.instance
+    labels, what = (inst.agents, "agent") if agents else (inst.objects, "object")
+    positions = range(len(labels))
+    images = orderings(positions, ORDER_LIMIT, f"{len(labels)}! {what} relabellings")
+    kernel, ranked = kernel_of(rule), profile.ranked
     if truthful is None:
-        truthful = rule(profile)
+        truth, scale = kernel(inst, ranked)
+    else:
+        truth, scale = truthful.numerators, truthful.denominator
+    identity = tuple(positions)
     for image in images:
-        if image == labels:
+        if image == identity:
             continue
-        mapping = dict(zip(labels, image))
-        left = rule(relabel(profile, mapping))
-        right = relabel(truthful, mapping)
-        if left != right:
-            cells = itertools.product(profile.instance.agents, profile.instance.objects)
-            sides = zip(cells, *(itertools.chain(*side.numerators) for side in (left, right)))
-            mismatch = next(
-                cell for cell, a, b in sides if a * right.denominator != b * left.denominator
-            )
-            return EquivarianceVerdict(False, tuple(sorted(mapping.items())), mismatch)
+        # Label k becomes label image[k]; source[t] is the label mapped onto t.
+        source = sorted(positions, key=image.__getitem__)
+        if agents:
+            relabelled = tuple(ranked[k] for k in source)
+            right = [truth[k] for k in source]
+        else:
+            relabelled = tuple(tuple(image[j] for j in row) for row in ranked)
+            right = [[row[k] for k in source] for row in truth]
+        left, left_scale = kernel(inst, relabelled)
+        for agent, mine, theirs in zip(inst.agents, left, right):
+            for obj, a, b in zip(inst.objects, mine, theirs):
+                if a * scale != b * left_scale:
+                    mapping = sorted(zip(labels, map(labels.__getitem__, image)))
+                    return EquivarianceVerdict(False, tuple(mapping), (agent, obj))
     return EquivarianceVerdict(True)
 
 
@@ -129,9 +147,7 @@ def check_anonymity(
     """Under every relabelling of the agents, relabelling first or applying
     the rule first must agree.  `truthful`, when given, is rule(profile)."""
     require_balanced(profile.instance, "anonymity")
-    return _first_asymmetry(
-        rule, profile, permute_agents, profile.instance.agents, "agent", truthful
-    )
+    return _first_asymmetry(rule, profile, True, truthful)
 
 
 def check_neutrality(
@@ -140,6 +156,4 @@ def check_neutrality(
     """Under every relabelling of the objects, relabelling first or applying
     the rule first must agree.  `truthful`, when given, is rule(profile)."""
     require_balanced(profile.instance, "neutrality")
-    return _first_asymmetry(
-        rule, profile, permute_objects, profile.instance.objects, "object", truthful
-    )
+    return _first_asymmetry(rule, profile, False, truthful)

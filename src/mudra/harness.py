@@ -49,7 +49,16 @@ from mudra.model import (
     require_balanced,
 )
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
-from mudra.rules import mps, mps_trace, ops, priority_rule, random_priority, uniform_rule
+from mudra.rules import (
+    KERNELS,
+    adapted,
+    mps,
+    mps_trace,
+    ops,
+    priority_rule,
+    random_priority,
+    uniform_rule,
+)
 from mudra.serialize import assignment_to_data, format_rational
 from mudra.strategy import (
     Manipulation,
@@ -108,21 +117,51 @@ RULE_NAMES: tuple[str, ...] = tuple(RULES)
 
 
 class OutputCache:
-    """Memo of rule outputs keyed by (rule, profile): profile equality includes the instance."""
+    """The sweep's memo of rule outputs, itself an integer kernel.
+
+    An entry is keyed by (rule name, `ranked` rows) and holds the unreduced
+    (numerators, denominator) of the rule's kernel in `rules.KERNELS`,
+    looked up at call time: a bundled kernel reads only the rows and the
+    instance's shape, which the rows fix, so profiles of two instances with
+    the same rows share an entry.  A rule with no kernel (a test's stand-in,
+    a traced rule) may read the labels, so its entries are keyed by the
+    instance too, and it runs on the profile of the rows (`rules.adapted`).
+
+    `output` builds a profile's `RandomAssignment`, on its own instance,
+    once.  `callable` returns one rule per name, which carries the memo as
+    its `kernel` for the checks that run on integer rows.
+    """
 
     def __init__(self) -> None:
-        self._outputs: dict[tuple[str, PreferenceProfile], RandomAssignment] = {}
+        self._outputs: dict[tuple, tuple] = {}
+        self._assignments: dict[tuple[str, PreferenceProfile], RandomAssignment] = {}
+        self._rules: dict[str, Callable[[PreferenceProfile], RandomAssignment]] = {}
+
+    def _lookup(self, rule_name: str, instance: Instance, ranked: Sequence[Sequence[int]]):
+        rule = RULES[rule_name]
+        kernel = KERNELS.get(rule)
+        key = (rule_name, tuple(ranked)) if kernel else (rule_name, instance, tuple(ranked))
+        hit = self._outputs.get(key)
+        if hit is None:
+            hit = self._outputs[key] = (kernel or adapted(rule))(instance, ranked)
+        return hit
 
     def output(self, rule_name: str, profile: PreferenceProfile) -> RandomAssignment:
         key = (rule_name, profile)
-        hit = self._outputs.get(key)
+        hit = self._assignments.get(key)
         if hit is None:
-            hit = RULES[rule_name](profile)
-            self._outputs[key] = hit
+            inst = profile.instance
+            numerators, denominator = self._lookup(rule_name, inst, profile.ranked)
+            hit = RandomAssignment.from_numerators(inst, numerators, denominator)
+            self._assignments[key] = hit
         return hit
 
     def callable(self, rule_name: str) -> Callable[[PreferenceProfile], RandomAssignment]:
-        return lambda profile: self.output(rule_name, profile)
+        rule = self._rules.get(rule_name)
+        if rule is None:
+            rule = self._rules[rule_name] = lambda profile: self.output(rule_name, profile)
+            rule.kernel = partial(self._lookup, rule_name)
+        return rule
 
 
 # --------------------------------------------------------------------------
@@ -398,6 +437,13 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
     witnesses, certificates and profile counts are those of the unreduced
     sweep.  A rule that fails neutrality is swept unreduced.
 
+    Every check reads the rules through one `OutputCache`.  It is filled
+    first, by each rule's kernel on all 576 profiles, and `rule_seconds`
+    times that fill per rule; the symmetry and strategyproofness checks
+    then look every relabelled or misreported profile up there by its
+    `ranked` rows, and an assignment is built only where a check judges one
+    or a certificate names one.
+
     Both domains are within the profile guard.  With `use_cache` the first
     report is kept and returned by every later call with `use_cache`.
     """
@@ -416,9 +462,10 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
 
     rule_seconds = []
     for rule_name in RULE_NAMES:
+        kernel = cache.callable(rule_name).kernel
         started = time.perf_counter()
         for profile in main_profiles:
-            cache.output(rule_name, profile)
+            kernel(main_instance, profile.ranked)
         rule_seconds.append((rule_name, time.perf_counter() - started))
 
     neutrality = {

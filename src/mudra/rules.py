@@ -3,7 +3,9 @@
 Each bundled rule has an integer kernel, `(instance, ranked) ->
 (numerators, denominator)`, which returns the matrix unreduced; the public
 rule is `RandomAssignment.from_numerators` of it on `profile.ranked`, and
-`KERNELS` maps each public rule to its kernel.
+`KERNELS` maps each public rule to its kernel.  `kernel_of` gives every
+rule a kernel: an output memo's rule carries one, and any other rule is
+adapted to run on the profile of the rows.
 
 The eating engine advances through phases.  Within a phase every agent eats
 each object of its current demand set at speed 1, so an object consumed by k
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Container, Sequence
@@ -43,6 +44,7 @@ from .model import (
     Instance,
     PreferenceProfile,
     RandomAssignment,
+    _unchecked_profile,
     refuse_over,
     require_balanced,
 )
@@ -265,10 +267,10 @@ def random_priority(profile: PreferenceProfile) -> RandomAssignment:
 def _rp(instance: Instance, ranked: Sequence[Sequence[int]]) -> tuple:
     n, m, quota = instance.num_agents, instance.num_objects, instance.quota
     totals = [[0] * m for _ in instance.agents]
-    layer = Counter({(0, 0): 1})  # (who picked, what is taken) bitmasks -> prefixes
+    layer = {(0, 0): 1}  # (who picked, what is taken) bitmasks -> prefixes
     for k in range(n - 1):
         orders_per_prefix = math.factorial(n - k - 1)
-        successors: Counter[tuple[int, int]] = Counter()
+        successors: dict[tuple[int, int], int] = {}
         for (picked, taken), ways in layer.items():
             share = ways * orders_per_prefix
             for i, order in enumerate(ranked):
@@ -282,7 +284,8 @@ def _rp(instance: Instance, ranked: Sequence[Sequence[int]]) -> tuple:
                         left -= 1
                         if not left:
                             break
-                successors[picked | 1 << i, grabbed] += ways
+                state = picked | 1 << i, grabbed
+                successors[state] = successors.get(state, 0) + ways
         layer = successors
     everyone = (1 << n) - 1
     for (picked, taken), ways in layer.items():
@@ -320,3 +323,22 @@ KERNELS: dict[Callable[[PreferenceProfile], RandomAssignment], Kernel] = {
     ops: lambda instance, ranked: _eat(instance, ranked, 1)[:2],
     mps: lambda instance, ranked: _eat(instance, ranked, instance.quota)[:2],
 }
+
+
+def adapted(rule: Callable[[PreferenceProfile], RandomAssignment]) -> Kernel:
+    """`rule` as a kernel: it runs on the profile whose orders name the
+    columns of `ranked`, built without the constructor's checks."""
+
+    def kernel(instance, ranked):
+        objects = instance.objects
+        orders = tuple(tuple(objects[j] for j in row) for row in ranked)
+        outcome = rule(_unchecked_profile(instance, orders, tuple(ranked)))
+        return outcome.numerators, outcome.denominator
+
+    return kernel
+
+
+def kernel_of(rule: Callable[[PreferenceProfile], RandomAssignment]) -> Kernel:
+    """The kernel that runs `rule`: its own in `KERNELS`, the one an output
+    memo's rule carries as `kernel`, or else `rule` adapted."""
+    return KERNELS.get(rule) or getattr(rule, "kernel", None) or adapted(rule)

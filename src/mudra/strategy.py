@@ -15,12 +15,14 @@ agent is a coalition of one, and three individual notions are covered:
 Group manipulations require every coalition member to strictly SD-improve
 under one joint misreport; a weak SD violation is one by a coalition of one.
 
-A rule handed to a search must be deterministic.  A rule of
-`rules.KERNELS`, as every rule of `harness.RULES` is, is scanned through
-its integer kernel: reports are `ranked` rows, and the kernel runs once
-per distinct set of entries it reads, not once per report, and once in all
-if it reads none (see `_scan`).  Any other rule (an output memo, a call
-counter, a traced rule) runs on every report, on a profile of the report.
+A rule handed to a search must be deterministic.  Every rule is scanned
+through an integer kernel on `ranked` rows (`rules.kernel_of`).  A rule of
+`rules.KERNELS`, as every rule of `harness.RULES` is, runs its own kernel
+once per distinct set of entries it reads, not once per report, and once
+in all if it reads none (see `_scan`).  An output memo's rule runs the
+memo's kernel on every report, a dictionary lookup once the memo holds
+the report; any other rule (a call counter, a traced rule) runs on every
+report, on a profile of the report.
 
 `FINDERS` maps each individual kind to its finder, and `first_manipulation`
 is the one first-agent search behind `mudra manipulate` and the property
@@ -39,13 +41,12 @@ from .model import (
     MISREPORT_LIMIT,
     PreferenceProfile,
     RandomAssignment,
-    _unchecked_profile,
     order_count,
     refuse_over,
     require_balanced,
 )
 from .order import AllocationVector, DlVerdict, Order, SdVerdict, dl_compare, sd_compare
-from .rules import KERNELS, Kernel
+from .rules import KERNELS, kernel_of
 
 Rule = Callable[[PreferenceProfile], RandomAssignment]
 
@@ -101,25 +102,6 @@ def _placed(ranked: list, rows: tuple[int, ...], joint: tuple, viewed: bool) -> 
     for member, (i, row) in enumerate(zip(rows, joint)):
         ranked[i] = _ReportedRow(row, member, log) if viewed else row
     return log
-
-
-def _adapted(rule: Rule, profile: PreferenceProfile, rows: tuple[int, ...]) -> Kernel:
-    """`rule` as a kernel for a scan of the members at `rows` of `profile`.
-
-    It runs `rule` on a profile built as `with_orders` builds one, with the
-    members' orders looked up in a table of this scan.
-    """
-    objects = profile.instance.objects
-    names = dict(zip(itertools.permutations(range(len(objects))), itertools.permutations(objects)))
-    orders = list(profile.orders)
-
-    def kernel(instance, ranked):
-        for i in rows:
-            orders[i] = names[ranked[i]]
-        outcome = rule(_unchecked_profile(instance, tuple(orders), tuple(ranked)))
-        return outcome.numerators, outcome.denominator
-
-    return kernel
 
 
 def _grown(trie: tuple | None, log: list[tuple[int, int]], joint: tuple) -> tuple:
@@ -178,7 +160,7 @@ def _scan(
     agent twice or an unknown agent, more than 6 objects and more than 10^6
     joint misreports before anything is built.  A report is one `ranked`
     row per member, in the order of the object tuple's permutations.  The
-    rule's kernel (`rules.KERNELS`) runs on it with the other rows of
+    rule's kernel (`rules.kernel_of`) runs on it with the other rows of
     `profile`, and each member's row of numerators is judged against the
     truthful one, along their `ranked` order, cross-multiplied by the other
     denominator.  Names and assignments are built only for the witness.
@@ -189,8 +171,9 @@ def _scan(
     that agrees with a judged run there gives its outcome, no improvement,
     and is skipped; the visiting order, and so the first witness, is the
     same.  A truthful run that reads no entry reads none on any report, and
-    ends the scan.  A rule without a kernel runs through `_adapted` on
-    every report, with no views and no trie.
+    ends the scan.  Only a rule of `rules.KERNELS` gets the views and the
+    trie: any other kernel (an output memo's, which reads nothing on a hit,
+    or an adapted rule's) runs on every report, on plain rows.
     """
     inst = profile.instance
     require_balanced(inst, "manipulation search")
@@ -203,9 +186,8 @@ def _scan(
     m, k = inst.num_objects, len(members)
     refuse_over(order_count(m, 1, MISREPORT_LIMIT), MISREPORT_LIMIT, f"{m}! strict orders")
     refuse_over(order_count(m, k, JOINT_LIMIT), JOINT_LIMIT, f"({m}!)^{k} joint misreports")
-    kernel = KERNELS.get(rule)
-    pruned = kernel is not None
-    kernel = kernel or _adapted(rule, profile, rows)
+    pruned = rule in KERNELS
+    kernel = kernel_of(rule)
     ranked = list(profile.ranked)
     true_rows = tuple(ranked[i] for i in rows)
     log = _placed(ranked, rows, true_rows, pruned)

@@ -100,20 +100,32 @@ MUTANTS = (
         "            if False:\n",
         STRATEGY_TESTS,
     ),
-    # A rule without a kernel keeps the trie on, and its adapter reads the
-    # members' rows behind the views' backs: the truthful run logs no read
-    # and ends the scan.  `test_reads_outside_the_views_find_the_oracle_witness`
-    # fails on it, as do the memo scans of the brute-force tests.
+    # A rule without a kernel keeps the trie on, and its kernel (an
+    # adapter, or an output memo's) reads the members' rows behind the
+    # views' backs: the truthful run logs no read and ends the scan.
+    # `test_reads_outside_the_views_find_the_oracle_witness` fails on it, as
+    # do the memo scans of the brute-force tests.
     Mutant(
         "rule-without-a-kernel-scanned-with-the-trie-on",
         "strategy.py",
-        "    pruned = kernel is not None\n    kernel = kernel or _adapted(rule, profile, rows)\n",
+        "    pruned = rule in KERNELS\n    kernel = kernel_of(rule)\n",
         "    pruned = True\n"
-        "    if kernel is None:\n"
-        "        adapted = _adapted(rule, profile, rows)\n"
-        "        kernel = lambda inst, ranked: adapted(\n"
+        "    kernel = kernel_of(rule)\n"
+        "    if rule not in KERNELS:\n"
+        "        unviewed = kernel\n"
+        "        kernel = lambda inst, ranked: unviewed(\n"
         "            inst, [getattr(row, 'row', row) for row in ranked]\n"
         "        )\n",
+        STRATEGY_TESTS,
+    ),
+    # An output memo's rule scanned with the views on: its kernel keys the
+    # memo by the views, so no report is ever a hit and the memo fills
+    # with entries nothing can find again.
+    Mutant(
+        "memo-kernel-given-the-scans-views",
+        "strategy.py",
+        "    pruned = rule in KERNELS\n",
+        '    pruned = rule in KERNELS or hasattr(rule, "kernel")\n',
         STRATEGY_TESTS,
     ),
     # The witness names the report judged before it.
@@ -330,17 +342,26 @@ MUTANTS = (
     Mutant(
         "raw-numerators-mismatch",
         "fairness.py",
-        "if a * right.denominator != b * left.denominator",
+        "if a * scale != b * left_scale",
         "if a != b",
         FAIRNESS_TESTS,
     ),
     Mutant(
         "first-image-only",
         "fairness.py",
-        '    images = orderings(labels, ORDER_LIMIT, f"{len(labels)}! {what} relabellings")\n',
+        '    images = orderings(positions, ORDER_LIMIT, f"{len(labels)}! {what} relabellings")\n',
         '    images = itertools.islice(\n'
-        '        orderings(labels, ORDER_LIMIT, f"{len(labels)}! {what} relabellings"), 2\n'
+        '        orderings(positions, ORDER_LIMIT, f"{len(labels)}! {what} relabellings"), 2\n'
         '    )\n',
+        FAIRNESS_TESTS,
+    ),
+    # The profile's objects relabelled by the inverse of the permutation
+    # applied to the output: the two agree only on involutions.
+    Mutant(
+        "objects-relabelled-by-the-inverse-permutation",
+        "fairness.py",
+        "            relabelled = tuple(tuple(image[j] for j in row) for row in ranked)\n",
+        "            relabelled = tuple(tuple(source[j] for j in row) for row in ranked)\n",
         FAIRNESS_TESTS,
     ),
     Mutant(
@@ -360,7 +381,7 @@ MUTANTS = (
     Mutant(
         "identity-relabelling-checked",
         "fairness.py",
-        "        if image == labels:\n            continue\n",
+        "        if image == identity:\n            continue\n",
         "",
         FAIRNESS_TESTS,
     ),
@@ -553,6 +574,14 @@ MUTANTS = (
         "    for j in free:\n        owners[j] = last\n",
         "",
         RULES_TESTS,
+    ),
+    # The output memo keyed by the rows alone: rules share their outputs.
+    Mutant(
+        "memo-keyed-without-the-rule-name",
+        "harness.py",
+        "        key = (rule_name, tuple(ranked)) if kernel else",
+        "        key = (tuple(ranked),) if kernel else",
+        ("tests/test_harness.py",),
     ),
     Mutant(
         "vacuous-unanimity-fails",

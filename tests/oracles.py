@@ -148,6 +148,30 @@ def oracle_permute_objects(x, sigma):
     return RandomAssignment(inst, tuple(new_rows))
 
 
+def oracle_first_asymmetry(rule, profile, agents):
+    """(holds, permutation, mismatch), the fields of an `EquivarianceVerdict`:
+    the first relabelling of the agents (`agents`) or the objects, past the
+    identity in lexicographic order of the label tuples, under which the
+    rule's output on the relabelled profile differs from the relabelled
+    output, as sorted (label, image) pairs, and the first (agent, object)
+    cell, row-major, where the two matrices differ."""
+    inst = profile.instance
+    labels = inst.agents if agents else inst.objects
+    relabel = oracle_permute_agents if agents else oracle_permute_objects
+    truthful = rule(profile)
+    for image in itertools.permutations(labels):
+        if image == labels:
+            continue
+        mapping = dict(zip(labels, image))
+        left = rule(relabel(profile, mapping)).matrix
+        right = relabel(truthful, mapping).matrix
+        for agent, mine, theirs in zip(inst.agents, left, right):
+            for obj, a, b in zip(inst.objects, mine, theirs):
+                if a != b:
+                    return False, tuple(sorted(mapping.items())), (agent, obj)
+    return True, None, None
+
+
 def fraction_trade_along(p, cycle):
     """`p` after the largest trade along `cycle`'s edges (agent i, more of
     column a, less of column b) that keeps every entry in [0, 1]."""

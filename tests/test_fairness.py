@@ -1,5 +1,7 @@
 """Envy-freeness and the symmetry properties (anonymity, neutrality)."""
 
+import functools
+import random
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -21,10 +23,10 @@ from mudra.model import (
     RandomAssignment,
     discrete_to_random,
 )
-from mudra.harness import RULES, canonical_instance, enumerate_profiles
+from mudra.harness import RULES, OutputCache, canonical_instance, enumerate_profiles
 from mudra.order import prefix_sums
 from mudra.rules import mps, ops, priority_rule, random_priority, uniform
-from oracles import oracle_sd_envy, oracle_weak_sd_envy
+from oracles import oracle_first_asymmetry, oracle_sd_envy, oracle_weak_sd_envy
 
 F = Fraction
 
@@ -170,6 +172,63 @@ class TestNeutrality:
         assert not verdict.holds
         assert verdict.permutation == (("o1", "o1"), ("o2", "o3"), ("o3", "o2"), ("o4", "o4"))
         assert verdict.mismatch == ("1", "o2")
+
+
+# --------------------------------------------------------------------------
+# The symmetry scan against the plain object loop
+# --------------------------------------------------------------------------
+
+
+def constant_rule(profile):
+    """Object j to agent j mod n, whatever the orders: neither anonymous nor neutral."""
+    inst = profile.instance
+    owners = [inst.agents[j % inst.num_agents] for j in range(inst.num_objects)]
+    return discrete_to_random(DiscreteAssignment(inst, owners))
+
+
+def mps_if_o1_first(profile):
+    """`mps` when the first agent ranks the first object first, else uniform."""
+    if profile.orders[0][0] == profile.instance.objects[0]:
+        return mps(profile)
+    return uniform(profile.instance)
+
+
+def seeded_profiles(instance, seeds):
+    for seed in seeds:
+        rng = random.Random(seed)
+        m = instance.num_objects
+        yield PreferenceProfile(
+            instance, tuple(tuple(rng.sample(instance.objects, m)) for _ in instance.agents)
+        )
+
+
+SYMMETRY_DOMAINS = {
+    "2x4c2": lambda: enumerate_profiles(canonical_instance(2, 4)),
+    "3x3c1": lambda: enumerate_profiles(canonical_instance(3, 3)),
+    "4x4c1-seeded": lambda: seeded_profiles(canonical_instance(4, 4), range(8)),
+}
+
+
+@pytest.mark.parametrize("domain", SYMMETRY_DOMAINS)
+def test_symmetry_checks_match_the_object_loop(domain, monkeypatch):
+    """Anonymity and neutrality give the oracle's (holds, permutation,
+    mismatch) for every bundled rule and two rules without a kernel, each
+    as the raw rule, through a cold output memo and through a warm one."""
+    monkeypatch.setitem(RULES, "constant", constant_rule)
+    monkeypatch.setitem(RULES, "mps-if-o1-first", mps_if_o1_first)
+    profiles = list(SYMMETRY_DOMAINS[domain]())
+    failures = 0
+    for name, rule in RULES.items():
+        plain, warm = functools.cache(rule), OutputCache()
+        for profile in profiles:
+            truthful = warm.output(name, profile)
+            for agents, check in ((True, check_anonymity), (False, check_neutrality)):
+                expected = oracle_first_asymmetry(plain, profile, agents)
+                assert astuple(check(rule, profile)) == expected, (name, profile.orders)
+                assert astuple(check(OutputCache().callable(name), profile)) == expected
+                assert astuple(check(warm.callable(name), profile, truthful)) == expected
+                failures += not expected[0]
+    assert failures
 
 
 # --------------------------------------------------------------------------

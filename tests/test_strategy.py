@@ -528,12 +528,32 @@ def test_pair_scan_runs_the_rule_once_per_distinct_read(rule_name, monkeypatch):
     monkeypatch.setitem(KERNELS, rule, lambda inst, ranked: runs.append(1) or kernel(inst, ranked))
     assert find_group_manipulation(rule, PAIR_PROFILE, ("1", "2")) is None
     assert len(runs) == EXPECTED_PAIR_RUNS[rule_name]
-    # A memo hit reads nothing, so a scan through a warm memo prunes nothing.
+    # A memo hit reads nothing, so a scan through a warm memo, here behind a
+    # wrapper that hides the memo's kernel, prunes nothing.
     cache = OutputCache()
     cache.output(rule_name, PAIR_PROFILE)
     memo = CountedRule(cache.callable(rule_name))
     assert find_group_manipulation(memo, PAIR_PROFILE, ("1", "2")) is None
     assert memo.runs == 576
+
+
+@pytest.mark.parametrize("rule_name", RULE_NAMES)
+def test_a_memo_rule_is_scanned_through_the_memo_on_plain_rows(rule_name, monkeypatch):
+    """An output memo's rule is scanned through the memo's kernel, with no
+    views: every joint report becomes one entry keyed by its `ranked` rows,
+    and a second scan finds them all and runs no kernel."""
+    cache = OutputCache()
+    memo = cache.callable(rule_name)
+    assert find_group_manipulation(memo, PAIR_PROFILE, ("1", "2")) is None
+    orders = itertools.permutations(range(4))
+    reports = {joint + PAIR_PROFILE.ranked[2:] for joint in itertools.product(orders, repeat=2)}
+    assert set(cache._outputs) == {(rule_name, report) for report in reports}
+    runs, kernel = [], KERNELS[RULES[rule_name]]
+    monkeypatch.setitem(
+        KERNELS, RULES[rule_name], lambda inst, ranked: runs.append(1) or kernel(inst, ranked)
+    )
+    assert find_group_manipulation(memo, PAIR_PROFILE, ("1", "2")) is None
+    assert runs == []
 
 
 def test_a_row_read_outside_the_views_switches_pruning_off():
