@@ -4,16 +4,17 @@ relabelling of its agents or objects.  Each pair of notions is decided by
 one routine: `_first_envy`, `_first_asymmetry`.
 The envy scan sums integer `numerators` rows: every row of one matrix shares
 its `denominator`, so their prefix sums order exactly as the `Fraction` ones.
-The symmetry scan relabels `ranked` rows and the truthful numerators, runs
-the rule's integer kernel on each relabelled profile and compares the two
-sides by cross-multiplying; it builds no profile and no assignment.
+The symmetry scan runs the rule's integer kernel on `ranked` for the
+truthful numerators (for an output memo's rule, a lookup once the memo
+holds them), relabels the rows and those numerators, runs the kernel on
+each relabelled profile and compares the two sides by cross-multiplying;
+it builds no profile and no assignment.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 from .model import (
     ORDER_LIMIT,
@@ -23,7 +24,7 @@ from .model import (
     require_balanced,
     require_shared_instance,
 )
-from .rules import kernel_of
+from .rules import Rule, kernel_of
 
 
 @dataclass(frozen=True)
@@ -96,30 +97,23 @@ class EquivarianceVerdict:
         return self.holds
 
 
-Rule = Callable[[PreferenceProfile], RandomAssignment]
-
-
-def _first_asymmetry(rule, profile, agents, truthful) -> EquivarianceVerdict:
+def _first_asymmetry(rule, profile, agents) -> EquivarianceVerdict:
     """The first relabelling of the agents (`agents`) or else the objects,
     in lexicographic order past the identity, under which relabelling first
     and applying the rule first disagree, with the first cell where they do
     (row-major, by cross-multiplied numerators); or a pass.
 
     Both sides are integer rows: the rule's kernel (`rules.kernel_of`) runs
-    on the relabelled `ranked` rows, and the truthful numerators are
-    relabelled in place of the output.  More than 8 labels are refused
-    before the rule runs, and the rule runs on `profile` once unless
-    `truthful` is its output.
+    once on `profile`'s `ranked` rows and once on each relabelling of them,
+    and the truthful numerators are relabelled in place of the output.
+    More than 8 labels are refused before the rule runs.
     """
     inst = profile.instance
     labels, what = (inst.agents, "agent") if agents else (inst.objects, "object")
     positions = range(len(labels))
     images = orderings(positions, ORDER_LIMIT, f"{len(labels)}! {what} relabellings")
     kernel, ranked = kernel_of(rule), profile.ranked
-    if truthful is None:
-        truth, scale = kernel(inst, ranked)
-    else:
-        truth, scale = truthful.numerators, truthful.denominator
+    truth, scale = kernel(inst, ranked)
     identity = tuple(positions)
     for image in images:
         if image == identity:
@@ -141,19 +135,15 @@ def _first_asymmetry(rule, profile, agents, truthful) -> EquivarianceVerdict:
     return EquivarianceVerdict(True)
 
 
-def check_anonymity(
-    rule: Rule, profile: PreferenceProfile, truthful: RandomAssignment | None = None
-) -> EquivarianceVerdict:
+def check_anonymity(rule: Rule, profile: PreferenceProfile) -> EquivarianceVerdict:
     """Under every relabelling of the agents, relabelling first or applying
-    the rule first must agree.  `truthful`, when given, is rule(profile)."""
+    the rule first must agree."""
     require_balanced(profile.instance, "anonymity")
-    return _first_asymmetry(rule, profile, True, truthful)
+    return _first_asymmetry(rule, profile, True)
 
 
-def check_neutrality(
-    rule: Rule, profile: PreferenceProfile, truthful: RandomAssignment | None = None
-) -> EquivarianceVerdict:
+def check_neutrality(rule: Rule, profile: PreferenceProfile) -> EquivarianceVerdict:
     """Under every relabelling of the objects, relabelling first or applying
-    the rule first must agree.  `truthful`, when given, is rule(profile)."""
+    the rule first must agree."""
     require_balanced(profile.instance, "neutrality")
-    return _first_asymmetry(rule, profile, False, truthful)
+    return _first_asymmetry(rule, profile, False)

@@ -51,6 +51,7 @@ from mudra.model import (
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
 from mudra.rules import (
     KERNELS,
+    Rule,
     adapted,
     mps,
     mps_trace,
@@ -105,7 +106,7 @@ def enumerate_profiles(instance: Instance) -> Iterator[PreferenceProfile]:
 # Rule registry
 # --------------------------------------------------------------------------
 
-RULES: dict[str, Callable[[PreferenceProfile], RandomAssignment]] = {
+RULES: dict[str, Rule] = {
     "uniform": uniform_rule,
     "priority": priority_rule,
     "rp": random_priority,
@@ -135,7 +136,7 @@ class OutputCache:
     def __init__(self) -> None:
         self._outputs: dict[tuple, tuple] = {}
         self._assignments: dict[tuple[str, PreferenceProfile], RandomAssignment] = {}
-        self._rules: dict[str, Callable[[PreferenceProfile], RandomAssignment]] = {}
+        self._rules: dict[str, Rule] = {}
 
     def _lookup(self, rule_name: str, instance: Instance, ranked: Sequence[Sequence[int]]):
         rule = RULES[rule_name]
@@ -156,7 +157,7 @@ class OutputCache:
             self._assignments[key] = hit
         return hit
 
-    def callable(self, rule_name: str) -> Callable[[PreferenceProfile], RandomAssignment]:
+    def callable(self, rule_name: str) -> Rule:
         rule = self._rules.get(rule_name)
         if rule is None:
             rule = self._rules[rule_name] = lambda profile: self.output(rule_name, profile)
@@ -257,7 +258,7 @@ def _envy_freeness(weak, profile, output, rule):
 def _symmetry(agents, profile, output, rule):
     """Anonymity, or without `agents` neutrality.  The checkers are read as
     module globals at call time, so a rebinding of either name reaches here."""
-    verdict = (check_anonymity if agents else check_neutrality)(rule, profile, output)
+    verdict = (check_anonymity if agents else check_neutrality)(rule, profile)
     if verdict:
         return True, None
     return False, {"permutation": dict(verdict.permutation), "mismatch": list(verdict.mismatch)}

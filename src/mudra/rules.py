@@ -2,10 +2,11 @@
 
 Each bundled rule has an integer kernel, `(instance, ranked) ->
 (numerators, denominator)`, which returns the matrix unreduced; the public
-rule is `RandomAssignment.from_numerators` of it on `profile.ranked`, and
-`KERNELS` maps each public rule to its kernel.  `kernel_of` gives every
-rule a kernel: an output memo's rule carries one, and any other rule is
-adapted to run on the profile of the rows.
+rule is `RandomAssignment.from_numerators` of it on `profile.ranked`, its
+one route to the matrix, and `KERNELS` maps each public rule to its
+kernel.  `kernel_of` gives every rule a kernel: an output memo's rule
+carries one, and any other rule is adapted to run on the profile of the
+rows.
 
 The eating engine advances through phases.  Within a phase every agent eats
 each object of its current demand set at speed 1, so an object consumed by k
@@ -13,9 +14,9 @@ agents depletes at rate k.  The phase ends at the earliest exhaustion time,
 computed exactly; objects hitting zero leave the market and demand sets are
 recomputed.  Each phase exhausts at least one object, so there are at most m
 phases and all breakpoints are exact rationals.  The engine computes them on
-integers, as numerators over one running denominator.  The trace's phase
-bounds and the output matrix are `Fraction`s, each built the first time a
-caller reads it; a caller that reads only the integer view builds none.
+integers, as numerators over one running denominator.  Only
+`simulate_eating` builds a trace, whose phase bounds are `Fraction`s; the
+rules `ops` and `mps` run the engine's kernel and build none.
 
 The two eating rules differ only in the demand size: each agent eats its
 min(size, #remaining) most preferred available objects at once, with size 1
@@ -49,6 +50,8 @@ from .model import (
     require_balanced,
 )
 
+#: A rule: profile -> random assignment.
+Rule = Callable[[PreferenceProfile], RandomAssignment]
 #: (instance, ranked) -> (numerators, denominator): a rule on integers.
 Kernel = Callable[[Instance, Sequence[Sequence[int]]], tuple[Sequence[Sequence[int]], int]]
 
@@ -65,18 +68,11 @@ class Phase:
 
 @dataclass(frozen=True)
 class EatingTrace:
-    """An eating run: per phase its end, as (numerator, denominator), and its
-    demands.  The `Fraction` phases are built on first read."""
+    """An eating run: its phases, in time order, and the assignment they give."""
 
     profile: PreferenceProfile
-    ends: tuple[tuple[int, int], ...]
-    demands: tuple[tuple[tuple[int, ...], ...], ...]
+    phases: tuple[Phase, ...]
     assignment: RandomAssignment
-
-    @functools.cached_property
-    def phases(self) -> tuple[Phase, ...]:
-        bounds = [Fraction(0)] + [Fraction(end, denominator) for end, denominator in self.ends]
-        return tuple(map(Phase, bounds, bounds[1:], self.demands))
 
     @property
     def breakpoints(self) -> tuple[Fraction, ...]:
@@ -87,14 +83,15 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
     """Run the simultaneous eating procedure to exhaustion of all objects.
 
     Each agent eats its min(`size`, #remaining) most preferred available
-    objects at once (`_eat`); the phases' `Fraction`s are built on first read.
+    objects at once (`_eat`); the phase bounds become `Fraction`s here.
     """
     if size < 1:
         raise ValueError("demand size must be at least 1")
     inst = profile.instance
     eaten, scale, ends, demands = _eat(inst, profile.ranked, size)
-    assignment = RandomAssignment.from_numerators(inst, eaten, scale)
-    return EatingTrace(profile, tuple(ends), tuple(demands), assignment)
+    bounds = [Fraction(0)] + [Fraction(end, denominator) for end, denominator in ends]
+    phases = tuple(map(Phase, bounds, bounds[1:], demands))
+    return EatingTrace(profile, phases, RandomAssignment.from_numerators(inst, eaten, scale))
 
 
 def _eat(instance: Instance, ranked: Sequence[Sequence[int]], size: int) -> tuple:
@@ -166,22 +163,34 @@ def _top(ranked: Sequence[int], available: Container[int], take: int) -> list[in
     return chosen
 
 
-def mps_trace(profile: PreferenceProfile) -> EatingTrace:
-    """Multi-unit eating: each agent eats its top min(quota, #remaining) objects."""
-    return simulate_eating(profile, profile.instance.quota)
+def _mps(instance: Instance, ranked: Sequence[Sequence[int]]) -> tuple:
+    return _eat(instance, ranked, instance.quota)[:2]
 
 
 def mps(profile: PreferenceProfile) -> RandomAssignment:
-    return mps_trace(profile).assignment
+    """Multi-unit eating: each agent eats its top min(quota, #remaining) objects."""
+    inst = profile.instance
+    return RandomAssignment.from_numerators(inst, *_mps(inst, profile.ranked))
 
 
-def ops_trace(profile: PreferenceProfile) -> EatingTrace:
-    """One-at-a-time eating: each agent eats its single most preferred available object."""
-    return simulate_eating(profile, 1)
+def mps_trace(profile: PreferenceProfile) -> EatingTrace:
+    """`mps` with its phases."""
+    return simulate_eating(profile, profile.instance.quota)
+
+
+def _ops(instance: Instance, ranked: Sequence[Sequence[int]]) -> tuple:
+    return _eat(instance, ranked, 1)[:2]
 
 
 def ops(profile: PreferenceProfile) -> RandomAssignment:
-    return ops_trace(profile).assignment
+    """One-at-a-time eating: each agent eats its single most preferred available object."""
+    inst = profile.instance
+    return RandomAssignment.from_numerators(inst, *_ops(inst, profile.ranked))
+
+
+def ops_trace(profile: PreferenceProfile) -> EatingTrace:
+    """`ops` with its phases."""
+    return simulate_eating(profile, 1)
 
 
 def _uniform(instance: Instance, ranked: Sequence[Sequence[int]]) -> tuple:
@@ -316,16 +325,16 @@ def _state_bound(n: int, m: int, quota: int) -> int:
 
 #: Each bundled rule -> its kernel.  The misreport scan looks a rule up here
 #: by identity, so a wrapped rule (an output memo, a call counter) has none.
-KERNELS: dict[Callable[[PreferenceProfile], RandomAssignment], Kernel] = {
+KERNELS: dict[Rule, Kernel] = {
     uniform_rule: _uniform,
     priority_rule: _priority,
     random_priority: _rp,
-    ops: lambda instance, ranked: _eat(instance, ranked, 1)[:2],
-    mps: lambda instance, ranked: _eat(instance, ranked, instance.quota)[:2],
+    ops: _ops,
+    mps: _mps,
 }
 
 
-def adapted(rule: Callable[[PreferenceProfile], RandomAssignment]) -> Kernel:
+def adapted(rule: Rule) -> Kernel:
     """`rule` as a kernel: it runs on the profile whose orders name the
     columns of `ranked`, built without the constructor's checks."""
 
@@ -338,7 +347,7 @@ def adapted(rule: Callable[[PreferenceProfile], RandomAssignment]) -> Kernel:
     return kernel
 
 
-def kernel_of(rule: Callable[[PreferenceProfile], RandomAssignment]) -> Kernel:
+def kernel_of(rule: Rule) -> Kernel:
     """The kernel that runs `rule`: its own in `KERNELS`, the one an output
     memo's rule carries as `kernel`, or else `rule` adapted."""
     return KERNELS.get(rule) or getattr(rule, "kernel", None) or adapted(rule)

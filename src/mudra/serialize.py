@@ -15,7 +15,7 @@ of a file once and builds the assignment with
 `RandomAssignment.from_numerators` over the lcm of the q's, and
 `assignment_to_data` writes each entry from `numerators` over
 `denominator`, one string per distinct numerator.  Neither builds a
-`Fraction`; `parse_rational` is `parse_pair`'s value as one.
+`Fraction`.
 
 Profile files::
 
@@ -91,11 +91,6 @@ def parse_pair(value: Any, path: str) -> tuple[int, int]:
         raise SchemaError(path, f"malformed rational {_echo(value)} (Fraction({p}, 0))")
     g = math.gcd(p, q)
     return p // g, q // g
-
-
-def parse_rational(value: Any, path: str) -> Fraction:
-    """`parse_pair`'s rational as a `Fraction`."""
-    return Fraction(*parse_pair(value, path))
 
 
 #: The longest input string a refusal repeats in full.

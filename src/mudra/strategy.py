@@ -32,7 +32,6 @@ registry's strategyproofness checks.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -42,13 +41,12 @@ from .model import (
     PreferenceProfile,
     RandomAssignment,
     order_count,
+    orderings,
     refuse_over,
     require_balanced,
 )
 from .order import AllocationVector, DlVerdict, Order, SdVerdict, dl_compare, sd_compare
-from .rules import KERNELS, kernel_of
-
-Rule = Callable[[PreferenceProfile], RandomAssignment]
+from .rules import KERNELS, Rule, kernel_of
 
 
 class ManipulationKind(enum.Enum):
@@ -185,7 +183,7 @@ def _scan(
     rows = tuple(map(inst.agent_index, members))  # raises on unknown agents
     m, k = inst.num_objects, len(members)
     refuse_over(order_count(m, 1, MISREPORT_LIMIT), MISREPORT_LIMIT, f"{m}! strict orders")
-    refuse_over(order_count(m, k, JOINT_LIMIT), JOINT_LIMIT, f"({m}!)^{k} joint misreports")
+    joints = orderings(range(m), JOINT_LIMIT, f"({m}!)^{k} joint misreports", repeat=k)
     pruned = rule in KERNELS
     kernel = kernel_of(rule)
     ranked = list(profile.ranked)
@@ -197,7 +195,7 @@ def _scan(
     trie = _grown(None, log, true_rows) if pruned else None
     truths = tuple((i, truth[i], order) for i, order in zip(rows, true_rows))
     improves = _IMPROVES[kind]
-    for joint in itertools.product(itertools.permutations(range(m)), repeat=k):
+    for joint in joints:
         if joint == true_rows or pruned and _judged(trie, joint):
             continue
         log = _placed(ranked, rows, joint, pruned)

@@ -71,13 +71,21 @@ MUTANTS = (
     Mutant(
         "mps-peeks-at-a-last-object",
         "rules.py",
-        "def mps(profile: PreferenceProfile) -> RandomAssignment:\n"
-        "    return mps_trace(profile).assignment\n",
-        "def mps(profile: PreferenceProfile) -> RandomAssignment:\n"
-        "    if profile.orders[0][-1] == profile.instance.objects[0]:\n"
-        "        return ops_trace(profile).assignment\n"
-        "    return mps_trace(profile).assignment\n",
+        "    inst = profile.instance\n"
+        "    return RandomAssignment.from_numerators(inst, *_mps(inst, profile.ranked))\n",
+        "    inst = profile.instance\n"
+        "    if profile.orders[0][-1] == inst.objects[0]:\n"
+        "        return ops(profile)\n"
+        "    return RandomAssignment.from_numerators(inst, *_mps(inst, profile.ranked))\n",
         (*RULES_TESTS, *STRATEGY_TESTS),
+    ),
+    # A trace whose phases each carry the bounds of the phase before.
+    Mutant(
+        "phase-bounds-one-phase-late",
+        "rules.py",
+        "    bounds = [Fraction(0)] + ",
+        "    bounds = [Fraction(0), Fraction(0)] + ",
+        RULES_TESTS,
     ),
     Mutant(
         "trie-leaf-one-read-early",
@@ -383,6 +391,15 @@ MUTANTS = (
         "fairness.py",
         "        if image == identity:\n            continue\n",
         "",
+        FAIRNESS_TESTS,
+    ),
+    # The truthful outcome taken at relabelled rows (the agents reversed),
+    # not at the profile's own.
+    Mutant(
+        "truthful-outcome-of-relabelled-rows",
+        "fairness.py",
+        "    truth, scale = kernel(inst, ranked)\n",
+        "    truth, scale = kernel(inst, ranked[::-1])\n",
         FAIRNESS_TESTS,
     ),
     # Comparisons and the exact LP.

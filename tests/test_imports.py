@@ -8,6 +8,8 @@ a re-export added there would be an import it never reads.  The names the
 bench's call tracer patches must resolve too, the test oracles of
 `tests/oracles.py` may import nothing from the package but `mudra.model`,
 and `ratlp`, which computes on plain integers, imports nothing from it.
+Every function, class and method the package defines is read by the
+package or the bench, not only by the tests.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -91,12 +94,18 @@ def test_the_lp_imports_nothing_from_the_package():
     ]
 
 
-def test_every_traced_name_resolves():
-    """Every binding site in `perfbench/tracer.py`'s tables, and the kind
-    table the bench reads from the CLI, exists in the package."""
+def load_tracer():
+    """The bench's `perfbench/tracer.py`, loaded as a module."""
     spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_name_resolves():
+    """Every binding site in `perfbench/tracer.py`'s tables, and the kind
+    table the bench reads from the CLI, exists in the package."""
+    tracer = load_tracer()
     missing = [
         site for site in tracer.SPANS + tracer.COUNTERS
         if not callable(getattr(importlib.import_module(site[1]), site[2], None))
@@ -110,3 +119,81 @@ def test_every_traced_name_resolves():
     cli = importlib.import_module("mudra.cli")
     assert [name for name in tracer.COMMANDS if not hasattr(cli, name)] == []
     assert set(cli._KIND_FINDERS) == {"sd", "weak-sd", "dl"}
+
+
+def defined_names(tree: ast.Module) -> list[ast.FunctionDef | ast.ClassDef]:
+    """Each module-level function and class of `tree` and each method of
+    its classes but the dunders, Click command callbacks aside."""
+    found: list = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found.append(node)
+            found += [
+                item for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+            ]
+        elif isinstance(node, ast.FunctionDef) and not any(
+            isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "command"
+            for d in node.decorator_list
+        ):
+            found.append(node)
+    return found
+
+
+def read_names(tree: ast.AST) -> Counter:
+    """How often `tree` reads each name, as a variable or an attribute."""
+    reads: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+    return reads
+
+
+def unread_names(package: dict[str, str], others: list[str], listed: set[str]) -> list[str]:
+    """"module.name" of each name of `defined_names` in `package` (module
+    name -> source) that no source of `package` or `others` reads outside
+    its own definition, and that is not in `listed`."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    reads = sum((read_names(tree) for tree in trees.values()), Counter())
+    reads += sum((read_names(ast.parse(source)) for source in others), Counter())
+    return [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in defined_names(tree)
+        if node.name not in listed and reads[node.name] == read_names(node)[node.name]
+    ]
+
+
+def test_every_name_is_read_outside_the_tests():
+    """A name that only the tests read is deleted, not kept alive.  The
+    names the bench's tracer patches count as read: it reads them by name."""
+    tracer = load_tracer()
+    listed = {site[2] for site in tracer.SPANS + tracer.COUNTERS}
+    listed |= {site[3] for site in tracer.METHODS}
+    package = {path.stem: path.read_text() for path in MODULES}
+    bench = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unread_names(package, bench, listed) == []
+
+
+def test_the_name_check_sees_an_unread_name():
+    source = (
+        "def used():\n"
+        "    return A().kept()\n"
+        "def recursive(k):\n"
+        "    return recursive(k - 1)\n"
+        "def traced():\n"
+        "    pass\n"
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self.dropped = 1\n"
+        "    def kept(self):\n"
+        "        return self\n"
+        "    def dropped(self):\n"
+        "        pass\n"
+        "@main.command()\n"
+        "def callback():\n"
+        "    pass\n"
+    )
+    assert unread_names({"m": source}, ["used()\n"], {"traced"}) == ["m.recursive", "m.dropped"]

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from mudra import rules
 from mudra.efficiency import perfect_assignment
 from mudra.harness import RULES, canonical_instance, enumerate_profiles
 from mudra.model import (
@@ -67,16 +68,21 @@ class TestGoldenOutcomes:
         # Columns, best first: agent 1 eats o1 and o2, agent 2 eats o3 and o2.
         assert trace.phases[0].eating == ((0, 1), (2, 1))
 
-    def test_trace_and_assignment_build_fractions_on_first_read(self):
+    def test_trace_and_assignment_build_fractions_on_first_read(self, monkeypatch):
+        """A plain `ops` or `mps` call runs its kernel, builds no trace and
+        leaves the assignment's `Fraction` matrix unbuilt; only a trace
+        holds `Fraction` phase bounds."""
+        traces = []
+        with monkeypatch.context() as patch:
+            patch.setattr(rules, "simulate_eating", lambda *args: traces.append(args))
+            outcomes = [ops(FIG_PROFILE), mps(FIG_PROFILE)]
+        assert traces == [] and all("matrix" not in vars(p) for p in outcomes)
+        assert outcomes[1].numerators == ((7, 4, 2, 3), (1, 4, 6, 5))
         trace = mps_trace(FIG_PROFILE)
-        assert "phases" not in vars(trace) and "matrix" not in vars(trace.assignment)
-        assert trace.assignment.numerators == ((7, 4, 2, 3), (1, 4, 6, 5))
-        assert "matrix" not in vars(trace.assignment)
-        phases = trace.phases
-        assert phases is trace.phases and len(phases) == 4
-        assert all(type(t) is F for ph in phases for t in (ph.start, ph.end))
-        assert trace.assignment == mps_trace(FIG_PROFILE).assignment
-        assert "matrix" not in vars(trace.assignment)  # `==` builds no matrix
+        assert len(trace.phases) == 4
+        assert all(type(t) is F for ph in trace.phases for t in (ph.start, ph.end))
+        assert outcomes[1] == trace.assignment
+        assert "matrix" not in vars(outcomes[1])  # `==` builds no matrix
 
     def test_mps_opposed_tails_gives_all_halves(self):
         profile = make_profile([("o1", "o2", "o3", "o4"), ("o2", "o1", "o4", "o3")])
@@ -369,7 +375,8 @@ def test_each_public_rule_equals_its_kernel(rule):
     """The misreport scan runs a rule's `KERNELS` entry on `ranked` rows, and
     every other caller runs the rule: both must give one assignment.  The
     eating rules are also run on unbalanced instances, every 2x3 profile
-    and seeded 3x7 ones."""
+    and seeded 3x7 ones, and their traces, which reach the eating engine
+    through `simulate_eating`, must carry the same assignment."""
     shapes = [(2, 4), (3, 3)] + ([(2, 3)] if rule in (ops, mps) else [])
     profiles = [p for shape in shapes for p in enumerate_profiles(canonical_instance(*shape))]
     if rule in (ops, mps):
@@ -378,10 +385,13 @@ def test_each_public_rule_equals_its_kernel(rule):
             PreferenceProfile(inst, [rng.sample(inst.objects, 7) for _ in inst.agents])
             for _ in range(30)
         ]
+    traced = {ops: ops_trace, mps: mps_trace}.get(rule)
     for profile in profiles:
         inst = profile.instance
         kernel = RandomAssignment.from_numerators(inst, *KERNELS[rule](inst, profile.ranked))
         assert rule(profile) == kernel, profile.orders
+        if traced:
+            assert traced(profile).assignment == kernel, profile.orders
 
 
 @st.composite
