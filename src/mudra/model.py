@@ -13,11 +13,13 @@ All arithmetic is exact, and floats are rejected at construction time.  A
 `RandomAssignment` is stored in one form only: integer `numerators` over
 one common `denominator`, the lcm of its entries' denominators.  The form
 is canonical, so equality, hashing and `repr`, which read it, are those of
-the matrix.  Its constructor takes a matrix of ints and `Fraction`s, and
-keeps the checked entries as `matrix`; `from_numerators` takes integers,
-and builds `matrix` only when it is read.  Both end in one reduction.
-The rules, the checkers and the JSON reader behind the CLI build with
-`from_numerators`; the constructor is for callers that hold `Fraction`s.
+the matrix.  Its constructor takes a matrix of ints and `Fraction`s;
+`from_numerators` takes integers.  Both end in one reduction, and
+whichever built the assignment, `matrix` is derived from the integer view
+when it is first read.  The rules, the checkers and the JSON reader behind
+the CLI build with `from_numerators`; the constructor is for callers that
+hold `Fraction`s.  Every profile, a reported one included, passes its
+constructor's checks.
 `validate_assignment` and the checkers compute on the integer view.  A
 discrete assignment's `grid` is a 0/1 integer matrix.  `require_feasible`
 is the one refusal of an infeasible matrix, validating each assignment
@@ -220,28 +222,11 @@ class PreferenceProfile:
 
     def with_orders(self, reports: Mapping[str, Sequence[str]]) -> "PreferenceProfile":
         """Profile where each agent of `reports` reports its order and everyone
-        else is unchanged.
-
-        Only the reported orders are checked and ranked: the other agents'
-        orders and `ranked` rows carry over from this profile.
-        """
-        inst = self.instance
-        reported = {inst.agent_index(agent): tuple(order) for agent, order in reports.items()}
-        orders, ranked = list(self.orders), list(self.ranked)
-        column = inst.columns.__getitem__
-        for i in sorted(reported):
-            orders[i] = reported[i]
-            _require_strict_order(inst, inst.agents[i], orders[i])
-            ranked[i] = tuple(map(column, orders[i]))
-        return _unchecked_profile(inst, tuple(orders), tuple(ranked))
-
-
-def _unchecked_profile(instance: Instance, orders: tuple, ranked: tuple) -> PreferenceProfile:
-    """The profile of `orders`, with `ranked` as its `ranked` rows, built
-    without the constructor's checks: the caller vouches for both."""
-    profile = object.__new__(PreferenceProfile)
-    profile.__dict__.update(instance=instance, orders=orders, ranked=ranked)
-    return profile
+        else is unchanged; the constructor checks it, in agent order."""
+        orders = list(self.orders)
+        for agent, order in reports.items():
+            orders[self.instance.agent_index(agent)] = order
+        return PreferenceProfile(self.instance, orders)
 
 
 def _require_strict_order(instance: Instance, agent: str, order: Sequence[str]) -> None:
@@ -258,6 +243,7 @@ class RandomAssignment:
 
     Stored as `numerators` over `denominator`, the lcm of the entries'
     denominators: a canonical form, read by equality, hashing and `repr`.
+    `matrix`, the entries as `Fraction`s, is derived from it on first read.
     """
 
     instance: Instance
@@ -265,15 +251,17 @@ class RandomAssignment:
     numerators: tuple[tuple[int, ...], ...]
 
     def __init__(self, instance: Instance, matrix: Sequence[Sequence[int | Fraction]]) -> None:
+        """Check the shape and entries of `matrix`, ints and `Fraction`s but
+        never floats, and store their integer view; the entries given are
+        not kept."""
         _require_shape(instance, matrix)
-        checked = tuple(
-            tuple(_check_rational(v, f"entry ({a}, {o})") for o, v in zip(instance.objects, row))
+        checked = [
+            [_check_rational(v, f"entry ({a}, {o})") for o, v in zip(instance.objects, row)]
             for a, row in zip(instance.agents, matrix)
-        )
+        ]
         d = math.lcm(*(v.denominator for row in checked for v in row))
         rows = [[v.numerator * (d // v.denominator) for v in row] for row in checked]
         self._reduce(instance, rows, d)
-        self.__dict__["matrix"] = checked
 
     @classmethod
     def from_numerators(
@@ -300,10 +288,9 @@ class RandomAssignment:
 
     @functools.cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The entries as `Fraction`s, one built per distinct numerator."""
-        d, rows = self.denominator, self.numerators
-        values = {v: Fraction(v, d) for v in set(itertools.chain.from_iterable(rows))}
-        return tuple(tuple(map(values.__getitem__, row)) for row in rows)
+        """The entries as `Fraction`s, built from the integer view on first read."""
+        d = self.denominator
+        return tuple(tuple(Fraction(v, d) for v in row) for row in self.numerators)
 
     def entry(self, agent: str, obj: str) -> Fraction:
         inst = self.instance

@@ -33,7 +33,6 @@ coalition member's behind a view that logs the positions read
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +44,6 @@ from .model import (
     Instance,
     PreferenceProfile,
     RandomAssignment,
-    _unchecked_profile,
     refuse_over,
     require_balanced,
 )
@@ -149,11 +147,8 @@ def _eat(instance: Instance, ranked: Sequence[Sequence[int]], size: int) -> tupl
 
 
 def _top(ranked: Sequence[int], available: Container[int], take: int) -> list[int]:
-    """The first `take` columns of `ranked` that are `available`, read no further."""
-    if take == 1:
-        for j in ranked:
-            if j in available:
-                return [j]
+    """The first `take` columns of `ranked` that are `available`, read no
+    further: one for `ops`, up to `quota` for `mps` and serial dictatorship."""
     chosen = []
     for j in ranked:
         if j in available:
@@ -305,9 +300,8 @@ def _rp(instance: Instance, ranked: Sequence[Sequence[int]]) -> tuple:
     return totals, math.factorial(n)
 
 
-@functools.cache
 def _state_bound(n: int, m: int, quota: int) -> int:
-    """Upper bound on the pick states of `random_priority`, computed once per shape.
+    """Upper bound on the pick states of `random_priority`.
 
     Layer k has at most C(n, k) * C(m, k * quota) states (who picked, what is
     taken) and at most n!/(n-k)! (one per priority prefix of length k).  The
@@ -335,13 +329,12 @@ KERNELS: dict[Rule, Kernel] = {
 
 
 def adapted(rule: Rule) -> Kernel:
-    """`rule` as a kernel: it runs on the profile whose orders name the
-    columns of `ranked`, built without the constructor's checks."""
+    """`rule` as a kernel: it runs on the profile, built and checked by its
+    constructor, whose orders name the columns of `ranked`."""
 
     def kernel(instance, ranked):
         objects = instance.objects
-        orders = tuple(tuple(objects[j] for j in row) for row in ranked)
-        outcome = rule(_unchecked_profile(instance, orders, tuple(ranked)))
+        outcome = rule(PreferenceProfile(instance, [[objects[j] for j in row] for row in ranked]))
         return outcome.numerators, outcome.denominator
 
     return kernel

@@ -73,9 +73,10 @@ class Manipulation:
 class _ReportedRow:
     """A coalition member's reported `ranked` row, as a kernel reads it.
 
-    It supports iteration only, and logs (member, position) the first time
-    a position is read; reads start at the top, so `read`, the number of
-    positions read so far, is also the next one to log."""
+    It supports iteration only: every iteration logs (member, position)
+    the first time a position is read.  Reads start at the top, so `read`,
+    the number of positions read so far, is also the next one to log, and
+    a row read to its end logs nothing more."""
 
     __slots__ = ("row", "member", "log", "read")
 
@@ -83,9 +84,6 @@ class _ReportedRow:
         self.row, self.member, self.log, self.read = row, member, log, 0
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.row) if self.read == len(self.row) else self._reading()
-
-    def _reading(self) -> Iterator[int]:
         for position, column in enumerate(self.row):
             if position == self.read:
                 self.read += 1

@@ -275,6 +275,21 @@ MUTANTS = (
         "",
         MODEL_TESTS,
     ),
+    # A reported profile that loses its reports, or puts one in the wrong row.
+    Mutant(
+        "reports-dropped",
+        "model.py",
+        "            orders[self.instance.agent_index(agent)] = order\n",
+        "            pass\n",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "report-in-the-wrong-row",
+        "model.py",
+        "            orders[self.instance.agent_index(agent)] = order\n",
+        "            orders[-1 - self.instance.agent_index(agent)] = order\n",
+        MODEL_TESTS,
+    ),
     Mutant(
         "foreign-instance-judged",
         "model.py",
@@ -558,13 +573,13 @@ MUTANTS = (
         "            if left >= 0:\n                remaining[j] = left\n",
         RULES_TESTS,
     ),
-    # A one-at-a-time eater keeps its top column after it is exhausted:
-    # `_top`'s one-column path skips the availability test.
+    # An eater keeps its top columns after they are exhausted: `_top`
+    # skips the availability test.
     Mutant(
         "eating-keeps-an-exhausted-column",
         "rules.py",
-        "            if j in available:\n                return [j]\n",
-        "            return [j]\n",
+        "        if j in available:\n            chosen.append(j)\n",
+        "        if True:\n            chosen.append(j)\n",
         RULES_TESTS,
     ),
     # Serial dictatorship's last picker reads its row (every output stays

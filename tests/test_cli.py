@@ -1002,3 +1002,113 @@ def test_fuzzed_assignments_exit_by_the_contract(tmp_path_factory, data):
         assert result.exception is None or isinstance(result.exception, SystemExit), token
         assert result.exit_code in (0, 1, 3), token
         assert (result.exit_code == 3) == want_refusal, (token, result.stderr)
+
+
+# Fuzzing profile files: every verb that reads one exits by the contract
+# --------------------------------------------------------------------------
+
+#: A value of the wrong JSON type for any key or entry of a profile file,
+#: a fresh copy each time, since a later mutation may edit it in place.
+WRONG_TYPE = st.sampled_from([None, True, 0, 1.5, "o1", [], {}, ["o1", 2], {"o1": "o2"}]).map(
+    lambda value: json.loads(json.dumps(value))
+)
+#: An id that is unknown, clashes with an agent or an object, or is no string.
+ODD_ID = st.one_of(st.sampled_from(["o1", "o4", "o5", "1", "2", "3", ""]), WRONG_TYPE)
+
+
+PROFILE_KEY = st.sampled_from(["objects", "quota", "preferences"])
+
+
+def _retype(draw, data):
+    data[draw(PROFILE_KEY)] = draw(WRONG_TYPE)
+
+
+def _drop_key(draw, data):
+    data.pop(draw(PROFILE_KEY), None)
+
+
+def _set_quota(draw, data):
+    data["quota"] = draw(st.sampled_from([0, -1, 1, 3, True, False, 2.0, "2", 10**30]))
+
+
+def _edit_list(draw, items):
+    """Append, drop or replace one entry of `items` (objects or one order)."""
+    if not isinstance(items, list):
+        return
+    edit = draw(st.sampled_from(["append", "drop", "replace"]))
+    if edit == "append":
+        items.append(draw(ODD_ID))
+    elif items:
+        k = draw(st.integers(0, len(items) - 1))
+        if edit == "drop":
+            del items[k]
+        else:
+            items[k] = draw(ODD_ID)
+
+
+def _edit_objects(draw, data):
+    _edit_list(draw, data.get("objects"))
+
+
+def _edit_order(draw, data):
+    prefs = data.get("preferences")
+    if isinstance(prefs, dict) and prefs:
+        agent = draw(st.sampled_from(sorted(prefs)))
+        if draw(st.booleans()):
+            _edit_list(draw, prefs[agent])
+        else:
+            prefs[agent] = draw(WRONG_TYPE)
+
+
+def _edit_agents(draw, data):
+    """Add an agent (possibly named like an object), drop one or clear them all."""
+    prefs = data.get("preferences")
+    if not isinstance(prefs, dict):
+        return
+    edit = draw(st.sampled_from(["add", "drop", "clear"]))
+    if edit == "add":
+        name = draw(st.sampled_from(["3", "o1", "o2", ""]))
+        prefs[name] = list(draw(st.permutations(FIG1["objects"])))
+    elif edit == "drop" and prefs:
+        del prefs[draw(st.sampled_from(sorted(prefs)))]
+    else:
+        prefs.clear()
+
+
+PROFILE_MUTATIONS = (_retype, _drop_key, _set_quota, _edit_objects, _edit_order, _edit_agents)
+
+
+@st.composite
+def fuzzed_profile(draw):
+    """The 2x4 c=2 profile FIG1 after one to three random mutations."""
+    data = json.loads(json.dumps(FIG1))
+    for _ in range(draw(st.integers(1, 3))):
+        draw(st.sampled_from(PROFILE_MUTATIONS))(draw, data)
+    return data
+
+
+PROFILE_DATA = st.one_of(fuzzed_profile(), st.sampled_from([None, [], "profile", 3, {}]))
+
+#: Every verb reading a profile, as the arguments after `--rule NAME --profile PATH`.
+PROFILE_VERBS = (
+    ("compute",),
+    ("check", "--property", "anonymity"),
+    ("check", "--property", "unanimity"),
+    ("manipulate", "--kind", "sd"),
+    ("manipulate", "--kind", "weak-sd"),
+    ("manipulate", "--kind", "dl"),
+    ("manipulate", "--kind", "group", "--coalition", "1,2"),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(PROFILE_DATA, st.sampled_from(RULE_NAMES))
+def test_fuzzed_profiles_exit_by_the_contract(tmp_path_factory, data, rule):
+    profile_path = tmp_path_factory.mktemp("fuzz") / "p.json"
+    profile_path.write_text(json.dumps(data), encoding="utf-8")
+    runner = CliRunner()
+    for verb, *options in PROFILE_VERBS:
+        argv = [verb, *options, "--rule", rule, "--profile", str(profile_path)]
+        result = runner.invoke(main, argv)
+        assert result.exception is None or isinstance(result.exception, SystemExit), argv
+        assert result.exit_code in (0, 1, 2, 3), (argv, result.output)

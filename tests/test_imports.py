@@ -9,7 +9,9 @@ bench's call tracer patches must resolve too, the test oracles of
 `tests/oracles.py` may import nothing from the package but `mudra.model`,
 and `ratlp`, which computes on plain integers, imports nothing from it.
 Every function, class and method the package defines is read by the
-package or the bench, not only by the tests.
+package or the bench, not only by the tests, and every value of the
+package is built by its constructor but in the two places named in
+`BYPASSES`.
 """
 
 from __future__ import annotations
@@ -197,3 +199,102 @@ def test_the_name_check_sees_an_unread_name():
         "    pass\n"
     )
     assert unread_names({"m": source}, ["used()\n"], {"traced"}) == ["m.recursive", "m.dropped"]
+
+
+#: Each way round a constructor -> the one function that may take it.
+BYPASSES = {
+    "__new__": "model.RandomAssignment.from_numerators",
+    "__dict__": "model.RandomAssignment._reduce",
+}
+
+
+def bypass(node: ast.AST) -> str | None:
+    """"__new__" for a call of `X.__new__`, "__dict__" for a write to an
+    object's `__dict__` and "object.__setattr__" for a call of it."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        func = node.func
+        if func.attr == "__new__":
+            return "__new__"
+        if func.attr == "__setattr__" and getattr(func.value, "id", None) == "object":
+            return "object.__setattr__"
+        if func.attr in ("update", "setdefault") and getattr(func.value, "attr", None) == "__dict__":
+            return "__dict__"
+    if (
+        isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+        and getattr(node.value, "attr", None) == "__dict__"
+    ):
+        return "__dict__"
+    return None
+
+
+def frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in d.keywords)
+        for d in node.decorator_list
+    )
+
+
+def constructor_bypasses(module: str, source: str) -> list[str]:
+    """"where: how" for each `bypass` in `source` outside the function
+    `BYPASSES` allows it in; `object.__setattr__` is allowed in the
+    `__post_init__` of a frozen dataclass."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, where: str, post_init: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inside = isinstance(node, ast.ClassDef) and frozen_dataclass(node)
+                visit(child, f"{where}.{child.name}", inside and child.name == "__post_init__")
+                continue
+            how = bypass(child)
+            allowed = BYPASSES.get(how) == where or how == "object.__setattr__" and post_init
+            if how is not None and not allowed:
+                found.append(f"{where}: {how}")
+            visit(child, where, post_init)
+
+    visit(ast.parse(source), module, False)
+    return found
+
+
+def test_no_value_bypasses_its_constructor():
+    """A value built round its constructor skips the constructor's checks."""
+    assert [
+        found for path in MODULES
+        for found in constructor_bypasses(path.stem, path.read_text())
+    ] == []
+
+
+def test_the_bypass_check_sees_a_bypass():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class P:\n"
+        "    x: int\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'x', 1)\n"
+        "    def later(self):\n"
+        "        object.__setattr__(self, 'x', 2)\n"
+        "class RandomAssignment:\n"
+        "    def from_numerators(cls):\n"
+        "        made = object.__new__(cls)\n"
+        "        made.__dict__['x'] = 1\n"
+        "        return made\n"
+        "    def _reduce(self):\n"
+        "        self.__dict__.update(x=1)\n"
+        "def unchecked():\n"
+        "    made = P.__new__(P)\n"
+        "    vars(made)\n"
+        "    made.__dict__.setdefault('x', 1)\n"
+    )
+    assert constructor_bypasses("model", source) == [
+        "model.P.later: object.__setattr__",
+        "model.RandomAssignment.from_numerators: __dict__",
+        "model.unchecked: __new__",
+        "model.unchecked: __dict__",
+    ]
+    # elsewhere than in `model`, the same methods may take neither
+    assert constructor_bypasses("rules", source)[1:4] == [
+        "rules.RandomAssignment.from_numerators: __new__",
+        "rules.RandomAssignment.from_numerators: __dict__",
+        "rules.RandomAssignment._reduce: __dict__",
+    ]

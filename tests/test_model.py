@@ -155,12 +155,6 @@ class TestPreferenceProfile:
         assert changed == built and hash(changed) == hash(built)
         assert changed.orders == built.orders
         assert changed.ranked == built.ranked
-        # an unreported row carries over the very tuple of the base profile
-        assert all(
-            changed.ranked[i] is base.ranked[i]
-            for i, agent in enumerate(INST.agents)
-            if agent not in reports
-        )
 
     @pytest.mark.parametrize("bad", [
         ("o1", "o2", "o3"),
@@ -209,7 +203,7 @@ class TestRandomAssignment:
         out = RandomAssignment(INST, ((1, 1, 0, 0), (0, 0, half, 1)))
         assert all(type(v) is Fraction for row in out.matrix for v in row)
         assert out.matrix[0] == (1, 1, 0, 0)
-        assert out.matrix[1][2] is half
+        assert out.matrix[1][2] == half
 
     def test_list_rows_become_tuples(self):
         half = Fraction(1, 2)
@@ -218,14 +212,13 @@ class TestRandomAssignment:
         assert all(type(row) is tuple for row in out.matrix)
         assert out.matrix == ((half, half, half, 1), (half, half, half, 0))
 
-    def test_a_fraction_matrix_is_kept_as_given(self):
+    def test_a_fraction_matrix_reads_back_as_given(self):
         half, third = Fraction(1, 2), Fraction(1, 3)
         matrix = ((half,) * 4, (third, 2 * third, Fraction(1), Fraction(0)))
         out = RandomAssignment(INST, matrix)
+        # the stored state is the integer view; `matrix` is built from it when read
+        assert vars(out).keys() == {"instance", "denominator", "numerators"}
         assert out.matrix == matrix
-        assert all(a is b for row, given in zip(out.matrix, matrix) for a, b in zip(row, given))
-        # the stored state is the integer view; `matrix` is its cache
-        assert vars(out).keys() == {"instance", "denominator", "numerators", "matrix"}
         assert (out.denominator, out.numerators) == (6, ((3, 3, 3, 3), (2, 4, 6, 0)))
 
     def test_integer_view_resums_to_the_matrix(self):
@@ -284,8 +277,6 @@ class TestRandomAssignment:
         assert all(type(v) is Fraction for row in matrix for v in row)
         assert type(matrix) is tuple and all(type(row) is tuple for row in matrix)
         assert out.matrix is matrix and vars(out)["matrix"] is matrix
-        # one Fraction per distinct numerator
-        assert matrix[0][2] is matrix[1][2]
         assert not hasattr(out, "no_such_attribute")
 
     def test_from_numerators_refuses_the_wrong_shape(self):
