@@ -63,9 +63,11 @@ from mudra.rules import (
 from mudra.serialize import assignment_to_data, format_rational
 from mudra.strategy import (
     Manipulation,
+    Scan,
     find_group_manipulation,
     find_weak_sd_manipulation,
     first_manipulation,
+    individual_scan,
 )
 
 
@@ -129,13 +131,17 @@ class OutputCache:
     instance too, and it runs on the profile of the rows (`rules.adapted`).
 
     `output` builds a profile's `RandomAssignment`, on its own instance,
-    once.  `callable` returns one rule per name, which carries the memo as
-    its `kernel` for the checks that run on integer rows.
+    once.  `scan` runs one `strategy.individual_scan` per (rule, rows,
+    agent) and keeps it, so that the three strategyproofness checks share
+    it.  `callable` returns one rule per name, which carries the memo as its
+    `kernel` for the checks that run on integer rows, and `scan` for the
+    strategyproofness checks (`strategy.first_manipulation`).
     """
 
     def __init__(self) -> None:
         self._outputs: dict[tuple, tuple] = {}
         self._assignments: dict[tuple[str, PreferenceProfile], RandomAssignment] = {}
+        self._scans: dict[tuple, Scan] = {}
         self._rules: dict[str, Rule] = {}
 
     def _lookup(self, rule_name: str, instance: Instance, ranked: Sequence[Sequence[int]]):
@@ -157,11 +163,25 @@ class OutputCache:
             self._assignments[key] = hit
         return hit
 
+    def scan(self, rule_name: str, profile: PreferenceProfile, agent: str) -> Scan:
+        """`agent`'s misreports of `profile` judged in all three individual
+        kinds, scanned through the memo once.  Keyed as `_lookup` keys
+        outputs, by the agent's row too: a `Scan` holds no labels."""
+        inst = profile.instance
+        key = (rule_name, profile.ranked, inst.agent_index(agent))
+        if RULES[rule_name] not in KERNELS:
+            key += (inst,)
+        hit = self._scans.get(key)
+        if hit is None:
+            hit = self._scans[key] = individual_scan(self.callable(rule_name), profile, agent)
+        return hit
+
     def callable(self, rule_name: str) -> Rule:
         rule = self._rules.get(rule_name)
         if rule is None:
             rule = self._rules[rule_name] = lambda profile: self.output(rule_name, profile)
             rule.kernel = partial(self._lookup, rule_name)
+            rule.scan = partial(self.scan, rule_name)
         return rule
 
 
@@ -443,7 +463,10 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
     times that fill per rule; the symmetry and strategyproofness checks
     then look every relabelled or misreported profile up there by its
     `ranked` rows, and an assignment is built only where a check judges one
-    or a certificate names one.
+    or a certificate names one.  The three strategyproofness rows share one
+    misreport scan per (rule, profile, agent), which judges all three kinds
+    and is kept in the same memo (`OutputCache.scan`): the row swept first
+    runs it, and the other two read its witnesses.
 
     Both domains are within the profile guard.  With `use_cache` the first
     report is kept and returned by every later call with `use_cache`.

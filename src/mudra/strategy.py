@@ -4,13 +4,22 @@ Every search is one scan over a coalition's joint misreports: each member
 reports a strict order of the object set, enumerated in a canonical
 lexicographic sequence (permutations of the instance's object tuple, first
 member varying slowest), so the first witness found is reproducible.  One
-agent is a coalition of one, and three individual notions are covered:
+agent is a coalition of one, and three individual kinds are covered:
 
-* weak SD violation: some misreport's outcome strictly SD-dominates truth;
-* DL violation: some misreport's outcome beats truth downward
-  lexicographically;
-* SD violation: the truthful outcome fails to weakly SD-dominate some
-  misreport's outcome (incomparability already suffices).
+* weak SD violation (`STRICT_SD`): some misreport's outcome strictly
+  SD-dominates truth;
+* DL violation (`DL_IMPROVEMENT`): some misreport's outcome beats truth
+  downward lexicographically;
+* SD violation (`NOT_SD_DOMINATED`): the truthful outcome fails to weakly
+  SD-dominate some misreport's outcome (incomparability already suffices).
+
+The kinds are nested: strict-SD ⊆ DL ⊆ not-SD-dominated.  A strict SD
+improvement has the larger prefix sum at the first object where the rows
+differ, so it wins downward lexicographically; a DL improvement has the
+larger prefix sum there, so the truthful row does not weakly SD-dominate
+it.  A scan takes a set of kinds and records the first witness of each
+(`_scan`).  Each finder asks for one kind; `individual_scan` asks for all
+three, and so ends at the first strict SD witness, or at the last report.
 
 Group manipulations require every coalition member to strictly SD-improve
 under one joint misreport; a weak SD violation is one by a coalition of one.
@@ -33,7 +42,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from itertools import accumulate
+from typing import Callable, Collection, Iterator, Sequence
 
 from .model import (
     JOINT_LIMIT,
@@ -45,7 +55,6 @@ from .model import (
     refuse_over,
     require_balanced,
 )
-from .order import AllocationVector, DlVerdict, Order, SdVerdict, dl_compare, sd_compare
 from .rules import KERNELS, Rule, kernel_of
 
 
@@ -53,6 +62,15 @@ class ManipulationKind(enum.Enum):
     STRICT_SD = "strict-sd"
     DL_IMPROVEMENT = "dl-improvement"
     NOT_SD_DOMINATED = "not-sd-dominated"
+
+
+#: Each kind's bit in the answer of `_gains`.
+_BITS = {
+    ManipulationKind.STRICT_SD: 1,
+    ManipulationKind.DL_IMPROVEMENT: 2,
+    ManipulationKind.NOT_SD_DOMINATED: 4,
+}
+_STRICT, _DL, _NOT_DOMINATED = _BITS.values()
 
 
 @dataclass(frozen=True)
@@ -68,6 +86,36 @@ class Manipulation:
             if a == agent:
                 return order
         raise KeyError(f"agent {agent!r} is not part of this manipulation")
+
+
+@dataclass(frozen=True)
+class Scan:
+    """What one scan found, free of labels: the coalition's rows, the
+    kernel's truthful (numerators, denominator), and for each kind found its
+    first witness, as (the joint report's `ranked` rows, numerators,
+    denominator).  A bundled kernel reads only `ranked` rows and the
+    instance's shape, so a scan of it serves every instance of that shape."""
+
+    rows: tuple[int, ...]
+    truth: tuple[Sequence[Sequence[int]], int]
+    first: dict[ManipulationKind, tuple[tuple, Sequence[Sequence[int]], int]]
+
+    def manipulation(
+        self, kind: ManipulationKind, profile: PreferenceProfile
+    ) -> Manipulation | None:
+        """The first `kind` witness, named on `profile`'s instance, or None."""
+        found = self.first.get(kind)
+        if found is None:
+            return None
+        joint, numerators, scale = found
+        inst = profile.instance
+        members = tuple(map(inst.agents.__getitem__, self.rows))
+        misreports = [tuple(map(inst.objects.__getitem__, row)) for row in joint]
+        return Manipulation(
+            kind, members, tuple(zip(members, misreports)),
+            RandomAssignment.from_numerators(inst, *self.truth),
+            RandomAssignment.from_numerators(inst, numerators, scale),
+        )
 
 
 class _ReportedRow:
@@ -131,45 +179,71 @@ def _judged(trie: tuple, joint: tuple) -> bool:
     return True
 
 
-#: What "improves" means for each kind of manipulation, on a member's row
-#: under a misreport, their truthful row and their `ranked` order.
-_IMPROVES: dict[ManipulationKind, Callable[[AllocationVector, AllocationVector, Order], bool]] = {
-    ManipulationKind.STRICT_SD: lambda alt, truth, order: (
-        sd_compare(alt, truth, order) is SdVerdict.FIRST_STRICTLY_DOMINATES
-    ),
-    ManipulationKind.DL_IMPROVEMENT: lambda alt, truth, order: (
-        dl_compare(alt, truth, order) is DlVerdict.FIRST
-    ),
-    ManipulationKind.NOT_SD_DOMINATED: lambda alt, truth, order: (
-        sd_compare(truth, alt, order) not in (SdVerdict.EQUAL, SdVerdict.FIRST_STRICTLY_DOMINATES)
-    ),
-}
+def _gains(
+    alt: Sequence[int],
+    scale: int,
+    truth_sums: Sequence[int],
+    truth_scale: int,
+    order: Sequence[int],
+    wanted: int,
+) -> int:
+    """The kinds, as `_BITS`, in which the row `alt` of numerators over
+    `scale` improves on the truthful row, whose prefix sums along the
+    member's `ranked` order are `truth_sums` over `truth_scale`; exact on
+    the kinds of `wanted`.
+
+    Prefix sums are compared cross-multiplied by the other denominator.
+    The first that differs decides DL, and the kind it leaves open (strict
+    SD after a gain, not-SD-dominated after a loss) is decided by one that
+    differs the other way later, which makes the rows SD-incomparable.  So
+    the judge stops at the first difference unless `wanted` asks for the
+    open kind."""
+    total = first = 0
+    for column, truth_sum in zip(order, truth_sums):
+        total += alt[column]
+        gap = total * truth_scale - truth_sum * scale
+        if first:
+            if gap * first < 0:
+                return _DL | _NOT_DOMINATED if first > 0 else _NOT_DOMINATED
+        elif gap:
+            first = gap
+            if not wanted & (_STRICT if gap > 0 else _NOT_DOMINATED):
+                return _DL | _NOT_DOMINATED if gap > 0 else 0
+    return _STRICT | _DL | _NOT_DOMINATED if first > 0 else 0
 
 
 def _scan(
-    rule: Rule, profile: PreferenceProfile, coalition: Sequence[str], kind: ManipulationKind
-) -> Manipulation | None:
-    """First joint misreport of `coalition` under which every member improves,
-    as `_IMPROVES[kind]` defines it.
+    rule: Rule,
+    profile: PreferenceProfile,
+    coalition: Sequence[str],
+    kinds: Collection[ManipulationKind],
+) -> Scan:
+    """For each of `kinds`, the first joint misreport of `coalition` under
+    which every member improves in that kind.
 
     Refuses unbalanced instances, an empty coalition, one that lists an
     agent twice or an unknown agent, more than 6 objects and more than 10^6
     joint misreports before anything is built.  A report is one `ranked`
     row per member, in the order of the object tuple's permutations.  The
     rule's kernel (`rules.kernel_of`) runs on it with the other rows of
-    `profile`, and each member's row of numerators is judged against the
-    truthful one, along their `ranked` order, cross-multiplied by the other
-    denominator.  Names and assignments are built only for the witness.
+    `profile`, and `_gains` judges each member's row of numerators in every
+    kind at once, against the truthful prefix sums that the scan computes
+    once per member.  The scan records each asked kind's first witness and
+    ends once every asked kind has one, or after the last report.  The
+    kinds are nested, so a scan asked for all three ends at the first
+    strict SD witness.  Names and assignments are built only for a witness
+    that a caller names (`Scan.manipulation`).
 
     The members' rows reach the kernel behind `_ReportedRow` views, and the
     trie of `_grown` keeps the positions each run read and the columns
     there.  A kernel reads a report only through the views, so a report
-    that agrees with a judged run there gives its outcome, no improvement,
-    and is skipped; the visiting order, and so the first witness, is the
-    same.  A truthful run that reads no entry reads none on any report, and
-    ends the scan.  Only a rule of `rules.KERNELS` gets the views and the
-    trie: any other kernel (an output memo's, which reads nothing on a hit,
-    or an adapted rule's) runs on every report, on plain rows.
+    that agrees with a judged run there gives that run's outcome, and is
+    skipped: for each kind, that run was no witness or an earlier witness,
+    so the visiting order, and so each kind's first witness, is the same.
+    A truthful run that reads no entry reads none on any report, and ends
+    the scan.  Only a rule of `rules.KERNELS` gets the views and the trie:
+    any other kernel (an output memo's, which reads nothing on a hit, or an
+    adapted rule's) runs on every report, on plain rows.
     """
     inst = profile.instance
     require_balanced(inst, "manipulation search")
@@ -182,60 +256,72 @@ def _scan(
     m, k = inst.num_objects, len(members)
     refuse_over(order_count(m, 1, MISREPORT_LIMIT), MISREPORT_LIMIT, f"{m}! strict orders")
     joints = orderings(range(m), JOINT_LIMIT, f"({m}!)^{k} joint misreports", repeat=k)
+    wanted = 0
+    for kind in kinds:
+        wanted |= _BITS[kind]
     pruned = rule in KERNELS
     kernel = kernel_of(rule)
     ranked = list(profile.ranked)
     true_rows = tuple(ranked[i] for i in rows)
     log = _placed(ranked, rows, true_rows, pruned)
     truth, truth_scale = kernel(inst, ranked)
+    witnesses: dict[ManipulationKind, tuple] = {}
     if pruned and not log:
-        return None  # the kernel read no report, so every report gives `truth`
+        # the kernel read no report, so every report gives `truth`
+        return Scan(rows, (truth, truth_scale), witnesses)
     trie = _grown(None, log, true_rows) if pruned else None
-    truths = tuple((i, truth[i], order) for i, order in zip(rows, true_rows))
-    improves = _IMPROVES[kind]
+    truths = tuple(
+        (i, tuple(accumulate(map(truth[i].__getitem__, order))), order)
+        for i, order in zip(rows, true_rows)
+    )
     for joint in joints:
         if joint == true_rows or pruned and _judged(trie, joint):
             continue
         log = _placed(ranked, rows, joint, pruned)
         numerators, scale = kernel(inst, ranked)
-        for i, truth_row, order in truths:
-            alt = numerators[i]
-            if scale != truth_scale:
-                alt = [v * truth_scale for v in alt]
-                truth_row = [v * scale for v in truth_row]
-            if not improves(alt, truth_row, order):
+        gained = wanted
+        for i, truth_sums, order in truths:
+            gained &= _gains(numerators[i], scale, truth_sums, truth_scale, order, gained)
+            if not gained:
                 break
         else:
-            misreports = [tuple(map(inst.objects.__getitem__, row)) for row in joint]
-            return Manipulation(
-                kind, members, tuple(zip(members, misreports)),
-                RandomAssignment.from_numerators(inst, truth, truth_scale),
-                RandomAssignment.from_numerators(inst, numerators, scale),
-            )
+            for kind, bit in _BITS.items():
+                if gained & bit:
+                    witnesses[kind] = joint, numerators, scale
+            wanted &= ~gained
+            if not wanted:
+                break
         if pruned:
             trie = _grown(trie, log, joint)
-    return None
+    return Scan(rows, (truth, truth_scale), witnesses)
+
+
+def _first(
+    rule: Rule, profile: PreferenceProfile, coalition: Sequence[str], kind: ManipulationKind
+) -> Manipulation | None:
+    """The first `kind` manipulation by `coalition`, from a scan for `kind` alone."""
+    return _scan(rule, profile, coalition, (kind,)).manipulation(kind, profile)
 
 
 def find_weak_sd_manipulation(
     rule: Rule, profile: PreferenceProfile, agent: str
 ) -> Manipulation | None:
     """First misreport whose outcome strictly SD-dominates the truthful one."""
-    return _scan(rule, profile, (agent,), ManipulationKind.STRICT_SD)
+    return _first(rule, profile, (agent,), ManipulationKind.STRICT_SD)
 
 
 def find_dl_manipulation(
     rule: Rule, profile: PreferenceProfile, agent: str
 ) -> Manipulation | None:
     """First misreport whose outcome wins downward lexicographically."""
-    return _scan(rule, profile, (agent,), ManipulationKind.DL_IMPROVEMENT)
+    return _first(rule, profile, (agent,), ManipulationKind.DL_IMPROVEMENT)
 
 
 def find_sd_manipulation(
     rule: Rule, profile: PreferenceProfile, agent: str
 ) -> Manipulation | None:
     """First misreport whose outcome the truthful one fails to weakly dominate."""
-    return _scan(rule, profile, (agent,), ManipulationKind.NOT_SD_DOMINATED)
+    return _first(rule, profile, (agent,), ManipulationKind.NOT_SD_DOMINATED)
 
 
 def find_group_manipulation(
@@ -251,7 +337,7 @@ def find_group_manipulation(
     repeating coalition, unknown agents, more than 6 objects, and more than
     10^6 joint misreports.
     """
-    return _scan(rule, profile, coalition, ManipulationKind.STRICT_SD)
+    return _first(rule, profile, coalition, ManipulationKind.STRICT_SD)
 
 
 #: Individual misreport kind -> its finder.  Callers look a finder up here
@@ -263,14 +349,34 @@ FINDERS: dict[str, Callable[[Rule, PreferenceProfile, str], Manipulation | None]
     "dl": find_dl_manipulation,
 }
 
+#: Individual misreport kind -> the `ManipulationKind` its witnesses carry.
+KINDS: dict[str, ManipulationKind] = {
+    "sd": ManipulationKind.NOT_SD_DOMINATED,
+    "weak-sd": ManipulationKind.STRICT_SD,
+    "dl": ManipulationKind.DL_IMPROVEMENT,
+}
+
+
+def individual_scan(rule: Rule, profile: PreferenceProfile, agent: str) -> Scan:
+    """One scan of `agent`'s misreports for all three individual kinds: the
+    witness it holds for a kind is the one that kind's finder returns."""
+    return _scan(rule, profile, (agent,), KINDS.values())
+
 
 def first_manipulation(
     rule: Rule, profile: PreferenceProfile, kind: str, agents: Sequence[str]
 ) -> Manipulation | None:
-    """The `kind` manipulation of the first of `agents` that has one."""
-    finder = FINDERS[kind]
+    """The `kind` manipulation of the first of `agents` that has one.
+
+    An output memo's rule carries `scan`, the memo's `individual_scan` of an
+    agent, and is answered from it, so that the three kinds share one scan
+    per agent; any other rule runs the kind's finder."""
+    scan = getattr(rule, "scan", None)
     for agent in agents:
-        found = finder(rule, profile, agent)
+        if scan is None:
+            found = FINDERS[kind](rule, profile, agent)
+        else:
+            found = scan(profile, agent).manipulation(KINDS[kind], profile)
         if found is not None:
             return found
     return None

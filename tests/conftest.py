@@ -3,7 +3,8 @@
 `sweep_data` is the expensive one: for each of the 576 profiles it records
 every rule's output together with per-axiom verdicts, the ex-post verdict
 of `is_ex_post_efficient` (its survivors and its hull LP certificate), the
-anonymity verdict and certificate, and manipulation-search results.  It
+anonymity verdict and certificate, and manipulation-search results: one
+scan per (rule, profile, agent) judges all three individual kinds.  It
 is computed once per session, with no orbit reduction, and shared by the
 axiom, hierarchy, table1 and acceptance tests.  `table1_report` runs the
 classification sweep through the harness memo, so CLI tests replaying it
@@ -31,11 +32,7 @@ from mudra.harness import (
     table1_sweep,
 )
 from mudra.model import discrete_to_random
-from mudra.strategy import (
-    find_dl_manipulation,
-    find_sd_manipulation,
-    find_weak_sd_manipulation,
-)
+from mudra.strategy import KINDS, individual_scan
 
 
 @pytest.fixture(scope="session")
@@ -57,11 +54,6 @@ def balanced_assignments(main_instance):
 def sweep_data(main_profiles):
     """Outputs and axiom verdicts for every (rule, profile) on the main domain."""
     cache = OutputCache()
-    finders = {
-        "sd": find_sd_manipulation,
-        "dl": find_dl_manipulation,
-        "weak-sd": find_weak_sd_manipulation,
-    }
     records = []
     for profile in main_profiles:
         perfect = perfect_assignment(profile)
@@ -70,12 +62,12 @@ def sweep_data(main_profiles):
         for rule_name in RULE_NAMES:
             rule = cache.callable(rule_name)
             output = cache.output(rule_name, profile)
+            scans = {
+                agent: individual_scan(rule, profile, agent) for agent in profile.instance.agents
+            }
             manipulations = {
-                kind: {
-                    agent: finder(rule, profile, agent)
-                    for agent in profile.instance.agents
-                }
-                for kind, finder in finders.items()
+                kind: {agent: scan.manipulation(KINDS[kind], profile) for agent, scan in scans.items()}
+                for kind in KINDS
             }
             per_rule[rule_name] = {
                 "output": output,

@@ -104,8 +104,8 @@ MUTANTS = (
     Mutant(
         "raw-numerators-compared",
         "strategy.py",
-        "            if scale != truth_scale:\n",
-        "            if False:\n",
+        "        gap = total * truth_scale - truth_sum * scale\n",
+        "        gap = total - truth_sum\n",
         STRATEGY_TESTS,
     ),
     # A rule without a kernel keeps the trie on, and its kernel (an
@@ -140,21 +140,38 @@ MUTANTS = (
     Mutant(
         "witness-built-from-the-previous-report",
         "strategy.py",
-        "for row in joint]\n"
-        "            return Manipulation(\n"
-        "                kind, members, tuple(zip(members, misreports)),\n"
-        "                RandomAssignment.from_numerators(inst, truth, truth_scale),\n"
-        "                RandomAssignment.from_numerators(inst, numerators, scale),\n"
-        "            )\n"
+        "                    witnesses[kind] = joint, numerators, scale\n"
+        "            wanted &= ~gained\n"
+        "            if not wanted:\n"
+        "                break\n"
         "        if pruned:\n            trie = _grown(trie, log, joint)\n",
-        "for row in previous]\n"
-        "            return Manipulation(\n"
-        "                kind, members, tuple(zip(members, misreports)),\n"
-        "                RandomAssignment.from_numerators(inst, truth, truth_scale),\n"
-        "                RandomAssignment.from_numerators(inst, numerators, scale),\n"
-        "            )\n"
+        "                    witnesses[kind] = previous, numerators, scale\n"
+        "            wanted &= ~gained\n"
+        "            if not wanted:\n"
+        "                break\n"
         "        previous = joint\n"
         "        if pruned:\n            trie = _grown(trie, log, joint)\n",
+        STRATEGY_TESTS,
+    ),
+    # A scan asked for several kinds ends at the first witness of any, so a
+    # kind that only a later report shows has none:
+    # `test_one_scan_finds_what_the_three_finders_find` fails on it, as does
+    # the memo's first-agent search in `test_individual_searches_match_brute_force`.
+    Mutant(
+        "scan-stops-after-the-first-kind-found",
+        "strategy.py",
+        "            wanted &= ~gained\n            if not wanted:\n                break\n",
+        "            wanted &= ~gained\n            break\n",
+        STRATEGY_TESTS,
+    ),
+    # Every report that gains in a kind overwrites that kind's witness, so
+    # a scan asked for several kinds ends holding a later witness than the
+    # first: the two tests named above fail on it.
+    Mutant(
+        "scan-records-a-later-witness-for-a-kind",
+        "strategy.py",
+        "        gained = wanted\n",
+        "        gained = _STRICT | _DL | _NOT_DOMINATED\n",
         STRATEGY_TESTS,
     ),
     Mutant(
@@ -178,16 +195,18 @@ MUTANTS = (
     Mutant(
         "first-member-judged-only",
         "strategy.py",
-        "        for i, truth_row, order in truths:\n",
-        "        for i, truth_row, order in truths[:1]:\n",
+        "        for i, truth_sums, order in truths:\n",
+        "        for i, truth_sums, order in truths[:1]:\n",
         STRATEGY_TESTS,
     ),
-    # A member who does not improve ends the check of a joint report.
+    # A member who does not improve ends the check of a joint report; the
+    # mutant passes over them and keeps the kinds the others gain in.
     Mutant(
         "member-without-gain-skipped",
         "strategy.py",
-        "            if not improves(alt, truth_row, order):\n                break\n",
-        "            if not improves(alt, truth_row, order):\n                continue\n",
+        "            gained &= _gains(numerators[i], scale, truth_sums, truth_scale, order, gained)\n",
+        "            gained &= _gains(numerators[i], scale, truth_sums, truth_scale, order, gained)"
+        " or gained\n",
         STRATEGY_TESTS,
     ),
     # Input refusals: without each, a malformed value passes or is refused

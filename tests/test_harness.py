@@ -35,13 +35,14 @@ from mudra.model import (
     require_balanced,
     validate_assignment,
 )
-from mudra.rules import KERNELS, mps, uniform
+from mudra.rules import KERNELS, mps, ops, uniform
 from mudra.serialize import (
     assignment_from_data,
     assignment_to_data,
     canonical_dumps,
     profile_to_data,
 )
+from mudra.strategy import find_weak_sd_manipulation, first_manipulation
 
 F = Fraction
 
@@ -134,6 +135,28 @@ def test_output_cache_keeps_instances_apart():
         both = memo.kernel(square, first.ranked), KERNELS[RULES[name]](square, first.ranked)
         assert len({RandomAssignment.from_numerators(square, *pair) for pair in both}) == 1
     assert set(cache._outputs) == {(name, first.ranked) for name in RULE_NAMES}
+
+
+def test_output_cache_shares_a_scan_between_labellings(monkeypatch):
+    """A misreport scan is kept by rule name, `ranked` rows and the agent's
+    row, as outputs are, and holds no labels: two instances with the same
+    rows share it, and each names the witness on its own instance.  A rule
+    with no kernel may read the labels, so its scans are kept apart."""
+    square = canonical_instance(2, 4)
+    letters = Instance(agents=("a", "b"), objects=("w", "x", "y", "z"), quota=2)
+    renamed = dict(zip(square.objects, letters.objects))
+    orders = (("o1", "o2", "o3", "o4"), ("o2", "o3", "o1", "o4"))
+    first = PreferenceProfile(square, orders)
+    second = PreferenceProfile(letters, tuple(tuple(map(renamed.get, o)) for o in orders))
+    cache = OutputCache()
+    assert cache.scan("ops", second, "a") is cache.scan("ops", first, "1")
+    for profile in (first, second):
+        found = first_manipulation(cache.callable("ops"), profile, "weak-sd", profile.instance.agents)
+        assert found is not None and found.truthful.instance == profile.instance
+        assert found == find_weak_sd_manipulation(ops, profile, profile.instance.agents[0])
+    monkeypatch.setitem(RULES, "ops", lambda profile: ops(profile))
+    cache = OutputCache()
+    assert cache.scan("ops", second, "a") is not cache.scan("ops", first, "1")
 
 
 #: `RandomAssignment.from_numerators` calls and checked `PreferenceProfile`

@@ -23,6 +23,7 @@ from mudra.strategy import (
     find_sd_manipulation,
     find_weak_sd_manipulation,
     first_manipulation,
+    individual_scan,
 )
 from oracles import dl_oracle, make_profile, name_keyed_sd_dominates, sd_oracle
 
@@ -481,6 +482,46 @@ def test_searches_match_brute_force_on_seeded_four_objects(rule_name):
             for finder, kind, improves in INDIVIDUAL.values():
                 expected = brute_force_witness(memo, profile, (agent,), improves)
                 assert_same_witness(finder(rule, profile, agent), expected, kind, (agent,))
+
+
+def fused_witnesses(rule, profiles):
+    """Check that each agent's `individual_scan` holds, for every kind,
+    exactly what that kind's finder returns (kind, misreport and both
+    outcomes, or None); count each kind's witnesses."""
+    witnesses = dict.fromkeys(INDIVIDUAL, 0)
+    for profile in profiles:
+        for agent in profile.instance.agents:
+            scan = individual_scan(rule, profile, agent)
+            for name, (finder, kind, _) in INDIVIDUAL.items():
+                found = finder(rule, profile, agent)
+                assert scan.manipulation(kind, profile) == found, (name, profile.orders, agent)
+                witnesses[name] += found is not None
+    return witnesses
+
+
+#: Witnesses per kind of every agent over 2x4 c=2, 3x3 c=1 and 12 seeded
+#: 4x4 c=1 profiles, pinned so that agreement on None alone cannot pass.
+EXPECTED_FUSED_WITNESSES = {
+    "uniform": {"weak-sd": 0, "sd": 0, "dl": 0},
+    "priority": {"weak-sd": 0, "sd": 0, "dl": 0},
+    "rp": {"weak-sd": 0, "sd": 0, "dl": 0},
+    "ops": {"weak-sd": 336, "sd": 426, "dl": 336},
+    "mps": {"weak-sd": 0, "sd": 666, "dl": 384},
+}
+
+
+@pytest.mark.parametrize("rule_name", RULE_NAMES)
+def test_one_scan_finds_what_the_three_finders_find(rule_name):
+    """One scan asked for all three kinds records each kind's first witness
+    in canonical order and ends only once all three have one: through the
+    rule's own kernel, with the trie, and through an output memo."""
+    profiles = (
+        *all_profiles(TWO_BY_FOUR),
+        *all_profiles(THREE_BY_THREE),
+        *(seeded_profile(FOUR_BY_FOUR, seed) for seed in range(12)),
+    )
+    for rule in (RULES[rule_name], OutputCache().callable(rule_name)):
+        assert fused_witnesses(rule, profiles) == EXPECTED_FUSED_WITNESSES[rule_name], rule
 
 
 #: Seeds of 4x4 c=1 profiles for pair scans: 1 has no witness for {1, 2},
