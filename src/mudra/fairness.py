@@ -4,11 +4,13 @@ relabelling of its agents or objects.  Each pair of notions is decided by
 one routine: `_first_envy`, `_first_asymmetry`.
 The envy scan sums integer `numerators` rows: every row of one matrix shares
 its `denominator`, so their prefix sums order exactly as the `Fraction` ones.
-The symmetry scan runs the rule's integer kernel on `ranked` for the
-truthful numerators (for an output memo's rule, a lookup once the memo
-holds them), relabels the rows and those numerators, runs the kernel on
-each relabelled profile and compares the two sides by cross-multiplying;
-it builds no profile and no assignment.
+The symmetry scan runs the rule's integer kernel, the one `rules.kernel_of`
+gives it, on `ranked` for the truthful numerators (for an output memo's
+rule, a lookup once the memo holds them), relabels the rows and those
+numerators, runs the kernel on each relabelled profile and compares the
+two sides by cross-multiplying; it builds no profile and no assignment.
+The pruning flag that `kernel_of` returns with the kernel concerns the
+misreport scan alone.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ def _first_asymmetry(rule, profile, agents) -> EquivarianceVerdict:
     labels, what = (inst.agents, "agent") if agents else (inst.objects, "object")
     positions = range(len(labels))
     images = orderings(positions, ORDER_LIMIT, f"{len(labels)}! {what} relabellings")
-    kernel, ranked = kernel_of(rule), profile.ranked
+    kernel, ranked = kernel_of(rule)[0], profile.ranked
     truth, scale = kernel(inst, ranked)
     identity = tuple(positions)
     for image in images:

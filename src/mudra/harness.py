@@ -50,9 +50,8 @@ from mudra.model import (
 )
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
 from mudra.rules import (
-    KERNELS,
     Rule,
-    adapted,
+    kernel_of,
     mps,
     mps_trace,
     ops,
@@ -108,6 +107,12 @@ def enumerate_profiles(instance: Instance) -> Iterator[PreferenceProfile]:
 # Rule registry
 # --------------------------------------------------------------------------
 
+#: Rule name -> rule.  The output memo keys a rule's outputs by its name and
+#: `ranked` rows alone, so a registered rule's output may depend only on the
+#: rows and the instance's shape, not on its labels.  The five bundled rules
+#: read nothing else, nor does a wrapper that calls one (a call tracer's).
+#: A stand-in that a test registers may read labels, but the sweep runs on
+#: one canonical instance per shape, where the rows fix the labels.
 RULES: dict[str, Rule] = {
     "uniform": uniform_rule,
     "priority": priority_rule,
@@ -123,12 +128,10 @@ class OutputCache:
     """The sweep's memo of rule outputs, itself an integer kernel.
 
     An entry is keyed by (rule name, `ranked` rows) and holds the unreduced
-    (numerators, denominator) of the rule's kernel in `rules.KERNELS`,
-    looked up at call time: a bundled kernel reads only the rows and the
-    instance's shape, which the rows fix, so profiles of two instances with
-    the same rows share an entry.  A rule with no kernel (a test's stand-in,
-    a traced rule) may read the labels, so its entries are keyed by the
-    instance too, and it runs on the profile of the rows (`rules.adapted`).
+    (numerators, denominator) of the kernel that `rules.kernel_of` gives
+    `RULES[rule name]`, run on a miss only.  A registered rule reads only
+    the rows and the instance's shape, which the rows fix (see `RULES`), so
+    profiles of two instances with the same rows share an entry.
 
     `output` builds a profile's `RandomAssignment`, on its own instance,
     once.  `scan` runs one `strategy.individual_scan` per (rule, rows,
@@ -145,12 +148,11 @@ class OutputCache:
         self._rules: dict[str, Rule] = {}
 
     def _lookup(self, rule_name: str, instance: Instance, ranked: Sequence[Sequence[int]]):
-        rule = RULES[rule_name]
-        kernel = KERNELS.get(rule)
-        key = (rule_name, tuple(ranked)) if kernel else (rule_name, instance, tuple(ranked))
+        key = rule_name, tuple(ranked)
         hit = self._outputs.get(key)
         if hit is None:
-            hit = self._outputs[key] = (kernel or adapted(rule))(instance, ranked)
+            kernel, _ = kernel_of(RULES[rule_name])
+            hit = self._outputs[key] = kernel(instance, ranked)
         return hit
 
     def output(self, rule_name: str, profile: PreferenceProfile) -> RandomAssignment:
@@ -167,10 +169,7 @@ class OutputCache:
         """`agent`'s misreports of `profile` judged in all three individual
         kinds, scanned through the memo once.  Keyed as `_lookup` keys
         outputs, by the agent's row too: a `Scan` holds no labels."""
-        inst = profile.instance
-        key = (rule_name, profile.ranked, inst.agent_index(agent))
-        if RULES[rule_name] not in KERNELS:
-            key += (inst,)
+        key = rule_name, profile.ranked, profile.instance.agent_index(agent)
         hit = self._scans.get(key)
         if hit is None:
             hit = self._scans[key] = individual_scan(self.callable(rule_name), profile, agent)

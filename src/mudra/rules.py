@@ -4,9 +4,11 @@ Each bundled rule has an integer kernel, `(instance, ranked) ->
 (numerators, denominator)`, which returns the matrix unreduced; the public
 rule is `RandomAssignment.from_numerators` of it on `profile.ranked`, its
 one route to the matrix, and `KERNELS` maps each public rule to its
-kernel.  `kernel_of` gives every rule a kernel: an output memo's rule
-carries one, and any other rule is adapted to run on the profile of the
-rows.
+kernel.  `kernel_of` is the one place that decides how any rule runs on
+rows: it gives the rule's kernel and says whether a misreport scan may
+prune its runs.  A bundled rule runs its own kernel, with pruning; an
+output memo's rule carries its kernel, and any other rule is adapted to
+run on the profile of the rows, both without.
 
 The eating engine advances through phases.  Within a phase every agent eats
 each object of its current demand set at speed 1, so an object consumed by k
@@ -317,8 +319,8 @@ def _state_bound(n: int, m: int, quota: int) -> int:
     return total
 
 
-#: Each bundled rule -> its kernel.  The misreport scan looks a rule up here
-#: by identity, so a wrapped rule (an output memo, a call counter) has none.
+#: Each bundled rule -> its kernel, looked up by identity, so a wrapped
+#: rule (an output memo, a call counter) has none.  Only `kernel_of` reads it.
 KERNELS: dict[Rule, Kernel] = {
     uniform_rule: _uniform,
     priority_rule: _priority,
@@ -330,7 +332,8 @@ KERNELS: dict[Rule, Kernel] = {
 
 def adapted(rule: Rule) -> Kernel:
     """`rule` as a kernel: it runs on the profile, built and checked by its
-    constructor, whose orders name the columns of `ranked`."""
+    constructor, whose orders name the columns of `ranked`.  It reads every
+    row of `ranked` in full, whatever `rule` reads of the profile."""
 
     def kernel(instance, ranked):
         objects = instance.objects
@@ -340,7 +343,18 @@ def adapted(rule: Rule) -> Kernel:
     return kernel
 
 
-def kernel_of(rule: Rule) -> Kernel:
-    """The kernel that runs `rule`: its own in `KERNELS`, the one an output
-    memo's rule carries as `kernel`, or else `rule` adapted."""
-    return KERNELS.get(rule) or getattr(rule, "kernel", None) or adapted(rule)
+def kernel_of(rule: Rule) -> tuple[Kernel, bool]:
+    """The kernel that runs `rule`, and whether a misreport scan may prune
+    its runs (`strategy._scan`).
+
+    A rule of `KERNELS` runs its own kernel, which reads rows only through
+    what it is given, from the top, so a scan may prune.  An output memo's
+    rule runs the kernel it carries as `kernel`, which reads nothing on a
+    hit; any other rule runs `adapted`, which reads every row in full, so
+    a trie of its reads could grow to every joint report.  Neither prunes.
+    """
+    if rule in KERNELS:
+        return KERNELS[rule], True
+    if hasattr(rule, "kernel"):
+        return rule.kernel, False
+    return adapted(rule), False

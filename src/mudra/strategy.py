@@ -25,13 +25,14 @@ Group manipulations require every coalition member to strictly SD-improve
 under one joint misreport; a weak SD violation is one by a coalition of one.
 
 A rule handed to a search must be deterministic.  Every rule is scanned
-through an integer kernel on `ranked` rows (`rules.kernel_of`).  A rule of
-`rules.KERNELS`, as every rule of `harness.RULES` is, runs its own kernel
-once per distinct set of entries it reads, not once per report, and once
-in all if it reads none (see `_scan`).  An output memo's rule runs the
-memo's kernel on every report, a dictionary lookup once the memo holds
-the report; any other rule (a call counter, a traced rule) runs on every
-report, on a profile of the report.
+through the integer kernel on `ranked` rows that `rules.kernel_of` gives
+it, which also says whether the scan may prune.  A bundled rule, as every
+rule of `harness.RULES` is, may: it runs its own kernel once per distinct
+set of entries it reads, not once per report, and once in all if it reads
+none (see `_scan`).  An output memo's rule runs the memo's kernel on every
+report, a dictionary lookup once the memo holds the report; any other
+rule (a call counter, a traced rule) runs on every report, on a profile
+of the report.
 
 `FINDERS` maps each individual kind to its finder, and `first_manipulation`
 is the one first-agent search behind `mudra manipulate` and the property
@@ -55,7 +56,7 @@ from .model import (
     refuse_over,
     require_balanced,
 )
-from .rules import KERNELS, Rule, kernel_of
+from .rules import Rule, kernel_of
 
 
 class ManipulationKind(enum.Enum):
@@ -241,9 +242,9 @@ def _scan(
     skipped: for each kind, that run was no witness or an earlier witness,
     so the visiting order, and so each kind's first witness, is the same.
     A truthful run that reads no entry reads none on any report, and ends
-    the scan.  Only a rule of `rules.KERNELS` gets the views and the trie:
-    any other kernel (an output memo's, which reads nothing on a hit, or an
-    adapted rule's) runs on every report, on plain rows.
+    the scan.  Only a kernel that `rules.kernel_of` calls prunable gets the
+    views and the trie: any other (an output memo's, which reads nothing on
+    a hit, or an adapted rule's) runs on every report, on plain rows.
     """
     inst = profile.instance
     require_balanced(inst, "manipulation search")
@@ -259,8 +260,7 @@ def _scan(
     wanted = 0
     for kind in kinds:
         wanted |= _BITS[kind]
-    pruned = rule in KERNELS
-    kernel = kernel_of(rule)
+    kernel, pruned = kernel_of(rule)
     ranked = list(profile.ranked)
     true_rows = tuple(ranked[i] for i in rows)
     log = _placed(ranked, rows, true_rows, pruned)

@@ -108,32 +108,29 @@ MUTANTS = (
         "        gap = total - truth_sum\n",
         STRATEGY_TESTS,
     ),
-    # A rule without a kernel keeps the trie on, and its kernel (an
-    # adapter, or an output memo's) reads the members' rows behind the
-    # views' backs: the truthful run logs no read and ends the scan.
-    # `test_reads_outside_the_views_find_the_oracle_witness` fails on it, as
-    # do the memo scans of the brute-force tests.
+    # A rule without a kernel of its own is called prunable, and its kernel
+    # (an adapter) reads the members' rows behind the views' backs: the
+    # truthful run logs no read and ends the scan.
+    # `test_a_row_read_outside_the_views_switches_pruning_off` and
+    # `test_reads_outside_the_views_find_the_oracle_witness` fail on it.
     Mutant(
         "rule-without-a-kernel-scanned-with-the-trie-on",
-        "strategy.py",
-        "    pruned = rule in KERNELS\n    kernel = kernel_of(rule)\n",
-        "    pruned = True\n"
-        "    kernel = kernel_of(rule)\n"
-        "    if rule not in KERNELS:\n"
-        "        unviewed = kernel\n"
-        "        kernel = lambda inst, ranked: unviewed(\n"
-        "            inst, [getattr(row, 'row', row) for row in ranked]\n"
-        "        )\n",
+        "rules.py",
+        "    return adapted(rule), False\n",
+        "    unviewed = adapted(rule)\n"
+        "    return (\n"
+        "        lambda inst, ranked: unviewed(inst, [getattr(row, 'row', row) for row in ranked])\n"
+        "    ), True\n",
         STRATEGY_TESTS,
     ),
-    # An output memo's rule scanned with the views on: its kernel keys the
-    # memo by the views, so no report is ever a hit and the memo fills
-    # with entries nothing can find again.
+    # An output memo's rule called prunable, so the scan gives its kernel
+    # the views: the memo is keyed by the views, no report is ever a hit and
+    # the memo fills with entries nothing can find again.
     Mutant(
         "memo-kernel-given-the-scans-views",
-        "strategy.py",
-        "    pruned = rule in KERNELS\n",
-        '    pruned = rule in KERNELS or hasattr(rule, "kernel")\n',
+        "rules.py",
+        "        return rule.kernel, False\n",
+        "        return rule.kernel, True\n",
         STRATEGY_TESTS,
     ),
     # The witness names the report judged before it.
@@ -630,8 +627,8 @@ MUTANTS = (
     Mutant(
         "memo-keyed-without-the-rule-name",
         "harness.py",
-        "        key = (rule_name, tuple(ranked)) if kernel else",
-        "        key = (tuple(ranked),) if kernel else",
+        "        key = rule_name, tuple(ranked)\n",
+        "        key = (tuple(ranked),)\n",
         ("tests/test_harness.py",),
     ),
     Mutant(

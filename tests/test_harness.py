@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -119,29 +120,35 @@ def test_output_cache_keeps_instances_apart():
     # The memo is keyed by rule name and `ranked` rows: profiles of two
     # instances with the same rows share one entry per rule, yet each output
     # is built on its own instance, and the memo's kernel is the rule's
-    # kernel up to reduction.
-    letters = Instance(agents=("a", "b", "c"), objects=("x", "y", "z"), quota=1)
-    first = PreferenceProfile(square, orders)
-    renamed = {"o1": "x", "o2": "y", "o3": "z"}
-    second = PreferenceProfile(letters, tuple(tuple(map(renamed.get, o)) for o in orders))
-    assert first.ranked == second.ranked
-    cache = OutputCache()
-    for name in RULE_NAMES:
-        outputs = cache.output(name, first), cache.output(name, second)
-        assert [p.instance for p in outputs] == [square, letters]
-        assert outputs == (RULES[name](first), RULES[name](second))
-        memo = cache.callable(name)
-        assert memo is cache.callable(name) and memo(second) is outputs[1]
-        both = memo.kernel(square, first.ranked), KERNELS[RULES[name]](square, first.ranked)
-        assert len({RandomAssignment.from_numerators(square, *pair) for pair in both}) == 1
-    assert set(cache._outputs) == {(name, first.ranked) for name in RULE_NAMES}
+    # kernel up to reduction.  The second instance's labels are new letters
+    # that sort the other way.
+    cache, firsts = OutputCache(), []
+    for (n, m), seed in zip(((2, 4), (3, 3), (3, 6)), range(1, 4)):
+        rng, inst = random.Random(seed), canonical_instance(n, m)
+        first = PreferenceProfile(inst, tuple(tuple(rng.sample(inst.objects, m)) for _ in range(n)))
+        letters = Instance(agents=tuple("zyx"[:n]), objects=tuple("fedcba"[-m:]), quota=inst.quota)
+        renamed = dict(zip(inst.objects, letters.objects))
+        second = PreferenceProfile(letters, tuple(tuple(map(renamed.get, o)) for o in first.orders))
+        assert first.ranked == second.ranked
+        firsts.append(first)
+        for name in RULE_NAMES:
+            direct = RULES[name](first), RULES[name](second)
+            assert len({(p.numerators, p.denominator) for p in direct}) == 1
+            outputs = cache.output(name, first), cache.output(name, second)
+            assert [p.instance for p in outputs] == [inst, letters]
+            assert outputs == direct
+            memo = cache.callable(name)
+            assert memo is cache.callable(name) and memo(second) is outputs[1]
+            both = memo.kernel(inst, first.ranked), KERNELS[RULES[name]](inst, first.ranked)
+            assert len({RandomAssignment.from_numerators(inst, *pair) for pair in both}) == 1
+    assert set(cache._outputs) == {(name, p.ranked) for p in firsts for name in RULE_NAMES}
 
 
 def test_output_cache_shares_a_scan_between_labellings(monkeypatch):
     """A misreport scan is kept by rule name, `ranked` rows and the agent's
     row, as outputs are, and holds no labels: two instances with the same
-    rows share it, and each names the witness on its own instance.  A rule
-    with no kernel may read the labels, so its scans are kept apart."""
+    rows share it, and each names the witness on its own instance.  So does
+    a registered rule with no kernel of its own, which reads no labels."""
     square = canonical_instance(2, 4)
     letters = Instance(agents=("a", "b"), objects=("w", "x", "y", "z"), quota=2)
     renamed = dict(zip(square.objects, letters.objects))
@@ -156,7 +163,10 @@ def test_output_cache_shares_a_scan_between_labellings(monkeypatch):
         assert found == find_weak_sd_manipulation(ops, profile, profile.instance.agents[0])
     monkeypatch.setitem(RULES, "ops", lambda profile: ops(profile))
     cache = OutputCache()
-    assert cache.scan("ops", second, "a") is not cache.scan("ops", first, "1")
+    assert cache.scan("ops", second, "a") is cache.scan("ops", first, "1")
+    for profile in (first, second):
+        found = first_manipulation(cache.callable("ops"), profile, "weak-sd", profile.instance.agents)
+        assert found == find_weak_sd_manipulation(ops, profile, profile.instance.agents[0])
 
 
 #: `RandomAssignment.from_numerators` calls and checked `PreferenceProfile`

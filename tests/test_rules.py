@@ -868,3 +868,40 @@ def test_the_reader_list_sees_methods_and_nested_functions():
         "        return self.numerators, self.__dict__['matrix']\n"
     )
     assert matrix_readers("m", source) == {("m", "f"), ("m", "g"), ("m", "h")}
+
+
+#: The names that decide how a rule runs on rows.  Only `rules` reads them,
+#: so that `rules.kernel_of` alone picks a rule's kernel and says whether a
+#: misreport scan may prune it.
+KERNEL_REGISTRY = {"KERNELS", "adapted"}
+
+
+def kernel_registry_reads(source):
+    """The `KERNEL_REGISTRY` names that `source` reads, as a name, an
+    attribute or an import, once per read, sorted."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            reads.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.append(node.attr)
+        elif isinstance(node, ast.alias):
+            reads.append(node.name)
+    return sorted(name for name in reads if name in KERNEL_REGISTRY)
+
+
+def test_only_rules_reads_the_kernel_registry():
+    readers = {path.stem for path in SOURCES.glob("*.py") if kernel_registry_reads(path.read_text())}
+    assert readers == {"rules"}
+
+
+def test_the_registry_check_sees_names_attributes_and_imports():
+    source = (
+        "from .rules import KERNELS as table\n"
+        "from . import rules\n"
+        "def f(rule):\n"
+        "    return rules.adapted(rule)\n"
+        "def g(rule):\n"
+        "    return adapted(rule), 'KERNELS', kernel_of(rule)\n"
+    )
+    assert kernel_registry_reads(source) == ["KERNELS", "adapted", "adapted"]
