@@ -7,14 +7,23 @@ is SD-efficient exactly when no cycle of objects exists along which every
 agent could swap some of a worse object for a better one.  A cycle found
 becomes the certificate: trading the largest feasible epsilon along it gives
 an assignment that SD-dominates the input.  The test holds for any fixed row
-sums, so it also screens unbalanced discrete candidates.  Ex-post efficiency
-enumerates discrete assignments, keeps the SD-efficient ones and asks, by an
-exact feasibility simplex, whether the input is a convex combination of the
-survivors.  The trade-cycle test, SD-dominance, the trade, the hull LP
-and the lottery decomposition compute on integer `numerators` over each
-assignment's `denominator` (SD-dominance scales each matrix's by the
-other's); `Fraction`s are built only for the dominator's entries, the hull
-LP's answer and the lottery weights.
+sums, so it also screens unbalanced discrete candidates.
+
+Ex-post efficiency starts from the same test.  An SD-efficient input is
+ex-post efficient (Bogomolnaia and Moulin 2001), and its own lottery
+decomposition is the witness: a trade edge a -> b of a term d, labelled i,
+has d giving i object b and someone else object a, so the input holds some
+of b and less than all of a for i, and the edge is in the input's graph
+too.  No cycle there means no cycle in any term, so every term is
+SD-efficient, and the checker screens each one to confirm it.  Only an
+input with a cycle goes on to the enumeration: it enumerates discrete
+assignments, keeps the SD-efficient ones and asks, by an exact feasibility
+simplex, whether the input is a convex combination of the survivors.  The
+trade-cycle test, SD-dominance, the trade, the hull LP and the lottery
+decomposition compute on integer `numerators` over each assignment's
+`denominator` (SD-dominance scales each matrix's by the other's);
+`Fraction`s are built only for the dominator's entries, the hull LP's
+answer and the lottery weights.
 """
 
 from __future__ import annotations
@@ -191,6 +200,20 @@ def enumerate_discrete(
     return fill(objects, instance.agents, {})
 
 
+def sd_efficient_discrete(
+    profile: PreferenceProfile, balanced: bool = True
+) -> Iterator[DiscreteAssignment]:
+    """The discrete assignments with no trade cycle, in enumeration order.
+
+    Balanced candidates are screened with row sums `quota`, and the
+    unbalanced pool's with row sums pinned to each candidate's bundle sizes.
+    """
+    return (
+        d for d in enumerate_discrete(profile.instance, balanced)
+        if _trade_cycle(d.grid(), 1, profile) is None
+    )
+
+
 def is_ex_post_efficient(
     p: RandomAssignment,
     profile: PreferenceProfile,
@@ -198,19 +221,30 @@ def is_ex_post_efficient(
 ) -> EfficiencyVerdict:
     """Is `p` a convex combination of SD-efficient discrete assignments?
 
-    With `allow_unbalanced` the candidate pool is every owner map and each
-    candidate is screened with row sums pinned to its own bundle sizes;
-    otherwise only balanced assignments compete.  Refuses more than
-    HULL_LIMIT survivors before the hull LP is built.
+    When `p` has no trade cycle the answer is yes, and the witness is
+    `decompose_lottery(p)`: every edge of a term's trade graph is an edge of
+    `p`'s (see the module docstring), so every term passes the screen, which
+    is still run on each.  Its terms are balanced, so they serve
+    `allow_unbalanced` as well.  Such inputs build no survivors, reach no
+    guard and solve no LP.
+
+    Otherwise the candidates are enumerated and screened: with
+    `allow_unbalanced` every owner map, each with row sums pinned to its own
+    bundle sizes, and else only balanced assignments.  More than HULL_LIMIT
+    survivors are refused before the hull LP is built.
     """
-    inst = profile.instance
-    require_balanced(inst, "ex-post efficiency")
+    require_balanced(profile.instance, "ex-post efficiency")
     require_shared_instance(p, profile)
     require_feasible(p)
-    screened = (
-        d for d in enumerate_discrete(inst, balanced=not allow_unbalanced)
-        if _trade_cycle(d.grid(), 1, profile) is None
-    )
+    if _trade_cycle(p.numerators, p.denominator, profile) is None:
+        decomposition = decompose_lottery(p)
+        if any(_trade_cycle(d.grid(), 1, profile) is not None for _, d in decomposition):
+            raise RuntimeError(
+                "a term of an SD-efficient lottery has a trade cycle; "
+                "the decomposition argument does not hold"
+            )
+        return EfficiencyVerdict(True, decomposition=decomposition)
+    screened = sd_efficient_discrete(profile, balanced=not allow_unbalanced)
     survivors = tuple(itertools.islice(screened, HULL_LIMIT + 1))
     refuse_over(len(survivors), HULL_LIMIT, "SD-efficient discrete assignments")
     target = [v for row in p.numerators for v in row]

@@ -2,7 +2,8 @@
 
 `sweep_data` is the expensive one: for each of the 576 profiles it records
 every rule's output together with per-axiom verdicts, the ex-post verdict
-of `is_ex_post_efficient` (its survivors and its hull LP certificate), the
+of `is_ex_post_efficient` (the output's own lottery decomposition when it
+is SD-efficient, else its survivors and its hull LP certificate), the
 anonymity verdict and certificate, and manipulation-search results: one
 scan per (rule, profile, agent) judges all three individual kinds.  It
 is computed once per session, with no orbit reduction, and shared by the

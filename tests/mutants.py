@@ -485,6 +485,22 @@ MUTANTS = (
         "islice(screened, HULL_LIMIT)",
         (*EFFICIENCY_TESTS, "tests/test_cli.py"),
     ),
+    # An input with a trade cycle answered by its own decomposition, and a
+    # decomposition returned one term short.
+    Mutant(
+        "ex-post-shortcut-taken-with-a-cycle",
+        "efficiency.py",
+        "    if _trade_cycle(p.numerators, p.denominator, profile) is None:\n",
+        "    if True:\n",
+        EFFICIENCY_TESTS,
+    ),
+    Mutant(
+        "ex-post-decomposition-term-dropped",
+        "efficiency.py",
+        "        return EfficiencyVerdict(True, decomposition=decomposition)\n",
+        "        return EfficiencyVerdict(True, decomposition=decomposition[:-1])\n",
+        EFFICIENCY_TESTS,
+    ),
     Mutant(
         "ratio-tie-leaves-higher-column",
         "ratlp.py",

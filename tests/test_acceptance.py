@@ -16,6 +16,7 @@ from mudra.efficiency import (
     decompose_lottery,
     is_ex_post_efficient,
     sd_dominates,
+    sd_efficient_discrete,
 )
 from mudra.harness import canonical_instance
 from mudra.model import PreferenceProfile, discrete_to_random
@@ -336,7 +337,9 @@ def test_criterion_09_lp_screening_agrees_with_brute_force_and_certificates_resu
     for record in sweep_data:
         profile = record["profile"]
         verdict = record["rules"]["mps"]["ex_post"]
-        lp_efficient = {d.owners for d in verdict.survivors}
+        lp_efficient = {d.owners for d in sd_efficient_discrete(profile)}
+        if verdict.survivors is not None:
+            assert {d.owners for d in verdict.survivors} == lp_efficient
         brute = {
             d.owners
             for d, rd in zip(balanced_assignments, randoms)
@@ -352,7 +355,7 @@ def test_criterion_09_lp_screening_agrees_with_brute_force_and_certificates_resu
         if verdict.holds:
             weights = [w for w, _ in verdict.decomposition]
             terms = [[v for row in d.grid() for v in row] for _, d in verdict.decomposition]
-            assert {d.owners for _, d in verdict.decomposition} <= lp_efficient
+            assert {d.owners for _, d in verdict.decomposition} <= brute
             assert sum(weights) == 1
             assert all(w > 0 for w in weights)
             for idx in range(len(target)):

@@ -325,17 +325,21 @@ class TestCheck:
         assert "convex hull" in cert["detail"]
 
     def test_ex_post_refused_past_the_hull_guard(self, runner, paths):
-        # Under one shared order all 2,520 balanced assignments of 4x8 c=2 are
-        # SD-efficient; screening stops at the 401st, before the hull LP.
+        # Agents 1-3 share one order and agent 4 swaps its top two, so the
+        # uniform 4x8 c=2 matrix has a trade cycle and goes on to screening:
+        # 1,980 balanced assignments survive, and screening stops at the
+        # 401st, before the hull LP.
         objects = [f"o{j}" for j in range(1, 9)]
+        swapped = ["o2", "o1", *objects[2:]]
         profile = {"objects": objects, "quota": 2,
-                   "preferences": {str(i): objects for i in range(1, 5)}}
+                   "preferences": {"1": objects, "2": objects, "3": objects, "4": swapped}}
         matrix = {str(i): {o: "1/4" for o in objects} for i in range(1, 5)}
+        argv = ["--profile", paths("p.json", profile),
+                "--assignment", paths("a.json", {"matrix": matrix})]
+        cycle = runner.invoke(main, ["check", "--property", "sd-efficient", *argv])
+        assert cycle.exit_code == 1 and "FAILS" in cycle.output
         start = time.perf_counter()
-        result = runner.invoke(main, [
-            "check", "--property", "ex-post", "--profile", paths("p.json", profile),
-            "--assignment", paths("a.json", {"matrix": matrix}),
-        ])
+        result = runner.invoke(main, ["check", "--property", "ex-post", *argv])
         assert time.perf_counter() - start < 5
         assert result.exit_code == 2
         assert "refused: SD-efficient discrete assignments exceed the guard of 400" in (

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mudra.efficiency import (
@@ -17,8 +19,9 @@ from mudra.efficiency import (
     is_sd_efficient,
     perfect_assignment,
     sd_dominates,
+    sd_efficient_discrete,
 )
-from mudra.harness import RULES, canonical_instance, check_rule_property
+from mudra.harness import RULES, canonical_instance, check_rule_property, enumerate_profiles
 from mudra.model import (
     DiscreteAssignment,
     GuardExceeded,
@@ -28,8 +31,8 @@ from mudra.model import (
     discrete_to_random,
     validate_assignment,
 )
-from mudra.ratlp import solve
-from mudra.rules import mps, random_priority, uniform
+from mudra.ratlp import convex_membership, solve
+from mudra.rules import mps, ops, random_priority, uniform
 from oracles import make_profile
 
 F = Fraction
@@ -144,7 +147,11 @@ class TestEnumerateDiscrete:
         inst = canonical_instance(2, 20)
         with pytest.raises(GuardExceeded, match=r"2\^20"):
             enumerate_discrete(inst, balanced=False)
-        profile = PreferenceProfile(inst, (inst.objects, inst.objects))
+        # Agent 2 swaps o1 and o2, so the uniform matrix has a trade cycle
+        # and goes on to the enumeration.
+        swapped = ("o2", "o1", *inst.objects[2:])
+        profile = PreferenceProfile(inst, (inst.objects, swapped))
+        assert not is_sd_efficient(uniform(inst), profile)
         with pytest.raises(GuardExceeded, match=r"2\^20"):
             is_ex_post_efficient(uniform(inst), profile, allow_unbalanced=True)
 
@@ -380,3 +387,115 @@ def test_cycle_test_matches_oracle_on_four_agent_single_unit(orders):
     profile = PreferenceProfile(inst, tuple(tuple(o) for o in orders))
     for rule in RULES.values():
         assert_cycle_test_matches_oracle(rule(profile).matrix, profile)
+
+
+# --------------------------------------------------------------------------
+# Ex-post efficiency: SD-efficient inputs by their own decomposition
+# --------------------------------------------------------------------------
+
+
+def assert_decomposition_replays(verdict, p, profile):
+    """Positive weights summing to 1 that re-sum to `p` exactly, over terms
+    that each pass the trade-cycle screen with their own row sums."""
+    assert verdict.holds
+    weights = [w for w, _ in verdict.decomposition]
+    assert all(w > 0 for w in weights)
+    assert sum(weights) == 1
+    n, m = profile.instance.num_agents, profile.instance.num_objects
+    total = [[F(0)] * m for _ in range(n)]
+    for w, d in verdict.decomposition:
+        assert _trade_cycle(d.grid(), 1, profile) is None, d.owners
+        for i, row in enumerate(d.grid()):
+            for j, v in enumerate(row):
+                total[i][j] += w * v
+    assert tuple(map(tuple, total)) == p.matrix
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (3, 3)])
+def test_ex_post_agrees_with_the_hull_lp_on_every_profile(n, m):
+    inst = canonical_instance(n, m)
+    decomposed = 0
+    for profile in enumerate_profiles(inst):
+        outputs = {rule_name: rule(profile) for rule_name, rule in RULES.items()}
+        for balanced in (True, False):
+            survivors = list(sd_efficient_discrete(profile, balanced))
+            efficient = {d.owners for d in survivors}
+            generators = [[v for row in d.grid() for v in row] for d in survivors]
+            for rule_name, p in outputs.items():
+                verdict = is_ex_post_efficient(p, profile, allow_unbalanced=not balanced)
+                # The oracle asks the hull LP whatever `p` is.
+                target = [v for row in p.numerators for v in row]
+                holds = convex_membership(target, p.denominator, generators).status == "feasible"
+                where = (profile.orders, rule_name, balanced)
+                assert verdict.holds == holds, where
+                if verdict.survivors is None:
+                    decomposed += 1
+                    assert is_sd_efficient(p, profile), where
+                    assert all(d.is_balanced for _, d in verdict.decomposition), where
+                else:
+                    assert {d.owners for d in verdict.survivors} == efficient, where
+                if holds:
+                    assert_decomposition_replays(verdict, p, profile)
+                    assert {d.owners for _, d in verdict.decomposition} <= efficient, where
+    assert decomposed > 0
+
+
+@st.composite
+def sd_efficient_outputs(draw):
+    n, m = draw(st.sampled_from([(4, 4), (3, 6), (2, 6)]))
+    inst = canonical_instance(n, m)
+    orders = tuple(tuple(draw(st.permutations(inst.objects))) for _ in inst.agents)
+    profile = PreferenceProfile(inst, orders)
+    p = RULES[draw(st.sampled_from(("priority", "rp", "ops", "mps")))](profile)
+    assume(is_sd_efficient(p, profile))
+    return p, profile
+
+
+@settings(max_examples=30, deadline=None)
+@given(sd_efficient_outputs(), st.booleans())
+def test_sd_efficient_outputs_hold_by_their_own_decomposition(drawn, allow_unbalanced):
+    p, profile = drawn
+    verdict = is_ex_post_efficient(p, profile, allow_unbalanced=allow_unbalanced)
+    assert verdict.survivors is None
+    assert verdict.decomposition == decompose_lottery(p)
+    assert_decomposition_replays(verdict, p, profile)
+
+
+def near_identical_profiles(inst, count, seed=3, swaps=4):
+    """`count` profiles whose orders are each the object tuple after `swaps`
+    random adjacent swaps, drawn in turn from `random.Random(seed)`."""
+    rng = random.Random(seed)
+    profiles = []
+    for _ in range(count):
+        orders = []
+        for _ in inst.agents:
+            order = list(inst.objects)
+            for _ in range(swaps):
+                k = rng.randrange(len(order) - 1)
+                order[k], order[k + 1] = order[k + 1], order[k]
+            orders.append(tuple(order))
+        profiles.append(PreferenceProfile(inst, tuple(orders)))
+    return profiles
+
+
+def sd_efficient_past_the_guards():
+    """SD-efficient inputs that the enumeration refuses: past the 400
+    survivors of HULL_LIMIT, or, for 2x20, past the 10^6 owner maps of
+    DISCRETE_LIMIT."""
+    for k, profile in enumerate(near_identical_profiles(canonical_instance(8, 8), 4)):
+        yield pytest.param(ops(profile), profile, False, id=f"8x8c1-ops-near-identical-{k}")
+    for n, m, allow_unbalanced in ((4, 8, False), (2, 20, True)):
+        inst = canonical_instance(n, m)
+        profile = PreferenceProfile(inst, (inst.objects,) * n)
+        yield pytest.param(
+            uniform(inst), profile, allow_unbalanced, id=f"{n}x{m}-uniform-one-order"
+        )
+
+
+@pytest.mark.parametrize("p, profile, allow_unbalanced", sd_efficient_past_the_guards())
+def test_sd_efficient_inputs_past_every_guard_hold(p, profile, allow_unbalanced):
+    start = time.perf_counter()
+    verdict = is_ex_post_efficient(p, profile, allow_unbalanced=allow_unbalanced)
+    assert time.perf_counter() - start < 1
+    assert verdict.survivors is None
+    assert_decomposition_replays(verdict, p, profile)

@@ -222,27 +222,40 @@ class TestConvexMembership:
             convex_membership([0], 1, [[0, 1]])
 
 
-#: SHA-256 of every hull LP answer in `sweep_data`: one line per (profile,
-#: rule), "weights" or "farkas" and then the entries as p/q strings.  The
-#: weights are rebuilt from the ex-post verdict: each survivor's weight in
-#: the decomposition, or 0 for a survivor it leaves out.
-SWEEP_HULL_DIGEST = "af7dbc521a3629042de3dd4a1ad202bcaa989705c7a23bf9ee66d02244e4e390"
+#: SHA-256 of every ex-post answer in `sweep_data`: one line per (profile,
+#: rule), its kind and then its entries.  An SD-efficient output builds no
+#: survivors, and its line is "terms" and then each term of its lottery
+#: decomposition, in order, as weight@owners.  The other outputs reach the
+#: hull LP, and their lines are "weights" or "farkas" and then the entries
+#: as p/q strings.  The weights are rebuilt from the ex-post verdict: each
+#: survivor's weight in the decomposition, or 0 for a survivor it leaves out.
+SWEEP_HULL_DIGEST = "3932fda205c699582133f475400b59d7ee80a09a54437fabf4e5eed98f804232"
 
 
 def test_sweep_hull_answers_are_pinned(sweep_data):
-    # A valid certificate is not unique: a change of pivoting that returns
-    # another vertex or Farkas vector keeps every verdict but fails here.
+    # A valid certificate is not unique: a change of pivoting or of the
+    # decomposition's matching that returns another vertex, Farkas vector
+    # or lottery keeps every verdict but fails here.
     digest = hashlib.sha256()
+    terms = dict.fromkeys(RULE_NAMES, 0)
     answers = 0
     for record in sweep_data:
         for rule_name in RULE_NAMES:
             verdict = record["rules"][rule_name]["ex_post"]
-            if verdict.holds:
+            if verdict.survivors is None:
+                kind = "terms"
+                entries = [f"{format_rational(w)}@{'.'.join(d.owners)}"
+                           for w, d in verdict.decomposition]
+                terms[rule_name] += 1
+            elif verdict.holds:
                 weights = {d: w for w, d in verdict.decomposition}
-                kind, entries = "weights", [weights.get(d, 0) for d in verdict.survivors]
+                kind = "weights"
+                entries = [format_rational(weights.get(d, 0)) for d in verdict.survivors]
             else:
-                kind, entries = "farkas", verdict.farkas
-            digest.update(f"{kind} {' '.join(map(format_rational, entries))}\n".encode())
+                kind, entries = "farkas", map(format_rational, verdict.farkas)
+            digest.update(f"{kind} {' '.join(entries)}\n".encode())
             answers += 1
     assert answers == 2880
+    assert terms == {"uniform": 24, "priority": 576, "rp": 504, "ops": 576, "mps": 216}
+    assert answers - sum(terms.values()) == 984
     assert digest.hexdigest() == SWEEP_HULL_DIGEST
