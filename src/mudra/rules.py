@@ -31,6 +31,14 @@ for the agent that picks last, who takes the `quota` objects still free.
 The misreport scan calls the kernels on reports held as `ranked` rows, each
 coalition member's behind a view that logs the positions read
 (`strategy._ReportedRow`), and skips the reports that differ only elsewhere.
+
+Every kernel also takes an optional `stop`, which only the scan makes.  The
+eating kernels ask it after each phase but the last, handing it the objects
+still in the market and the shares eaten so far, and return None, no
+outcome, when it says to stop.  A share of an object that has left the
+market is final, so the scan can rule kinds of gain out on it
+(`strategy._ruled_out`); the other kernels never ask.  Without a `stop`,
+the eating loop pays one `is None` test per phase.
 """
 
 from __future__ import annotations
@@ -52,8 +60,14 @@ from .model import (
 
 #: A rule: profile -> random assignment.
 Rule = Callable[[PreferenceProfile], RandomAssignment]
-#: (instance, ranked) -> (numerators, denominator): a rule on integers.
-Kernel = Callable[[Instance, Sequence[Sequence[int]]], tuple[Sequence[Sequence[int]], int]]
+#: (columns whose shares may still change, () -> (numerators, denominator)
+#: eaten so far) -> whether to end the run: see `Kernel`.
+Stop = Callable[[Container[int], Callable[[], tuple[list[list[int]], int]]], bool]
+#: (instance, ranked, stop=None) -> (numerators, denominator): a rule on
+#: integers.  A kernel may ask `stop` about its partial outcome and return
+#: None, no outcome, when it says yes; every kernel accepts a `stop`, and
+#: only the eating kernels ask it.
+Kernel = Callable[..., tuple[Sequence[Sequence[int]], int] | None]
 
 
 @dataclass(frozen=True)
@@ -88,19 +102,25 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
     if size < 1:
         raise ValueError("demand size must be at least 1")
     inst = profile.instance
-    eaten, scale, ends, demands = _eat(inst, profile.ranked, size)
+    ends, demands = _eat(inst, profile.ranked, size)
     bounds = [Fraction(0)] + [Fraction(end, denominator) for end, denominator in ends]
     phases = tuple(map(Phase, bounds, bounds[1:], demands))
-    return EatingTrace(profile, phases, RandomAssignment.from_numerators(inst, eaten, scale))
+    eaten = _shares(inst, ends, demands)
+    return EatingTrace(profile, phases, RandomAssignment.from_numerators(inst, *eaten))
 
 
-def _eat(instance: Instance, ranked: Sequence[Sequence[int]], size: int) -> tuple:
-    """The eating loop: (numerators, denominator, phase ends, phase demands).
+def _eat(
+    instance: Instance, ranked: Sequence[Sequence[int]], size: int, stop: Stop | None = None
+) -> tuple | None:
+    """The eating loop: (phase ends, phase demands), or None if `stop` said so.
 
     Every amount left and the clock are numerators over one running
     denominator, which each phase first multiplies by the lcm of its eater
     counts, so that the phase's length min(left / eaters) is an exact integer
     quotient.  Once one object is left, every agent eats it, reading no row.
+    After each phase but the last, `stop` (if any) sees the objects left and
+    the shares eaten so far: an object that has left the market is never
+    eaten again, so every share of it is final.
     """
     scale = 1  # the running denominator of `remaining` and `now`
     remaining = dict.fromkeys(range(instance.num_objects), 1)  # column -> numerator left
@@ -135,8 +155,17 @@ def _eat(instance: Instance, ranked: Sequence[Sequence[int]], size: int) -> tupl
         now += dt
         ends.append((now, scale))
         demands.append(demand)
-    # Each agent gets the length of every phase in which it eats a column,
-    # all over the final denominator.
+        if stop is not None and remaining:
+            if stop(remaining, lambda: _shares(instance, ends, demands)):
+                return None
+    return ends, demands
+
+
+def _shares(instance: Instance, ends: Sequence, demands: Sequence) -> tuple[list[list[int]], int]:
+    """(numerators, denominator) of what each agent ate in the phases of
+    `ends` and `demands`: the length of every phase in which it eats a
+    column, all over the last phase's denominator."""
+    scale = ends[-1][1]
     eaten = [[0] * instance.num_objects for _ in instance.agents]
     before = 0
     for (end, denominator), demand in zip(ends, demands):
@@ -145,7 +174,7 @@ def _eat(instance: Instance, ranked: Sequence[Sequence[int]], size: int) -> tupl
             for j in columns:
                 row[j] += end - before
         before = end
-    return eaten, scale, ends, demands
+    return eaten, scale
 
 
 def _top(ranked: Sequence[int], available: Container[int], take: int) -> list[int]:
@@ -160,8 +189,11 @@ def _top(ranked: Sequence[int], available: Container[int], take: int) -> list[in
     return chosen
 
 
-def _mps(instance: Instance, ranked: Sequence[Sequence[int]]) -> tuple:
-    return _eat(instance, ranked, instance.quota)[:2]
+def _mps(
+    instance: Instance, ranked: Sequence[Sequence[int]], stop: Stop | None = None
+) -> tuple | None:
+    phases = _eat(instance, ranked, instance.quota, stop)
+    return None if phases is None else _shares(instance, *phases)
 
 
 def mps(profile: PreferenceProfile) -> RandomAssignment:
@@ -175,8 +207,11 @@ def mps_trace(profile: PreferenceProfile) -> EatingTrace:
     return simulate_eating(profile, profile.instance.quota)
 
 
-def _ops(instance: Instance, ranked: Sequence[Sequence[int]]) -> tuple:
-    return _eat(instance, ranked, 1)[:2]
+def _ops(
+    instance: Instance, ranked: Sequence[Sequence[int]], stop: Stop | None = None
+) -> tuple | None:
+    phases = _eat(instance, ranked, 1, stop)
+    return None if phases is None else _shares(instance, *phases)
 
 
 def ops(profile: PreferenceProfile) -> RandomAssignment:
@@ -190,7 +225,9 @@ def ops_trace(profile: PreferenceProfile) -> EatingTrace:
     return simulate_eating(profile, 1)
 
 
-def _uniform(instance: Instance, ranked: Sequence[Sequence[int]]) -> tuple:
+def _uniform(
+    instance: Instance, ranked: Sequence[Sequence[int]], stop: Stop | None = None
+) -> tuple:
     n = instance.num_agents
     return ((1,) * instance.num_objects,) * n, n
 
@@ -231,7 +268,9 @@ def serial_dictator(profile: PreferenceProfile, priority: Sequence[str]) -> Disc
     return DiscreteAssignment(inst, [inst.agents[i] for i in owners])
 
 
-def _priority(instance: Instance, ranked: Sequence[Sequence[int]]) -> tuple:
+def _priority(
+    instance: Instance, ranked: Sequence[Sequence[int]], stop: Stop | None = None
+) -> tuple:
     rows = [[0] * instance.num_objects for _ in instance.agents]
     for j, i in enumerate(_dictate(instance, ranked, range(instance.num_agents))):
         rows[i][j] = 1
@@ -270,7 +309,9 @@ def random_priority(profile: PreferenceProfile) -> RandomAssignment:
     return RandomAssignment.from_numerators(inst, *_rp(inst, profile.ranked))
 
 
-def _rp(instance: Instance, ranked: Sequence[Sequence[int]]) -> tuple:
+def _rp(
+    instance: Instance, ranked: Sequence[Sequence[int]], stop: Stop | None = None
+) -> tuple:
     n, m, quota = instance.num_agents, instance.num_objects, instance.quota
     totals = [[0] * m for _ in instance.agents]
     layer = {(0, 0): 1}  # (who picked, what is taken) bitmasks -> prefixes
@@ -348,10 +389,11 @@ def kernel_of(rule: Rule) -> tuple[Kernel, bool]:
     its runs (`strategy._scan`).
 
     A rule of `KERNELS` runs its own kernel, which reads rows only through
-    what it is given, from the top, so a scan may prune.  An output memo's
-    rule runs the kernel it carries as `kernel`, which reads nothing on a
-    hit; any other rule runs `adapted`, which reads every row in full, so
-    a trie of its reads could grow to every joint report.  Neither prunes.
+    what it is given, from the top, so a scan may prune, and may hand it a
+    `stop`.  An output memo's rule runs the kernel it carries as `kernel`,
+    which reads nothing on a hit; any other rule runs `adapted`, which
+    reads every row in full, so a trie of its reads could grow to every
+    joint report.  Neither prunes, and neither is handed a `stop`.
     """
     if rule in KERNELS:
         return KERNELS[rule], True

@@ -29,10 +29,13 @@ through the integer kernel on `ranked` rows that `rules.kernel_of` gives
 it, which also says whether the scan may prune.  A bundled rule, as every
 rule of `harness.RULES` is, may: it runs its own kernel once per distinct
 set of entries it reads, not once per report, and once in all if it reads
-none (see `_scan`).  An output memo's rule runs the memo's kernel on every
-report, a dictionary lookup once the memo holds the report; any other
-rule (a call counter, a traced rule) runs on every report, on a profile
-of the report.
+none (see `_scan`).  A scan that does not ask for `NOT_SD_DOMINATED` (the
+weak-sd, dl and group finders) also hands a bundled kernel a `stop`, which
+ends an eating run once the shares already final rule out every kind the
+scan asks for (`_ruled_out`).  An output memo's rule runs the memo's
+kernel on every report, a dictionary lookup once the memo holds the
+report; any other rule (a call counter, a traced rule) runs on every
+report, on a profile of the report.
 
 `FINDERS` maps each individual kind to its finder, and `first_manipulation`
 is the one first-agent search behind `mudra manipulate` and the property
@@ -44,7 +47,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Collection, Iterator, Sequence
+from typing import Callable, Collection, Container, Iterator, Sequence
 
 from .model import (
     JOINT_LIMIT,
@@ -187,6 +190,7 @@ def _gains(
     truth_scale: int,
     order: Sequence[int],
     wanted: int,
+    tie: int = 0,
 ) -> int:
     """The kinds, as `_BITS`, in which the row `alt` of numerators over
     `scale` improves on the truthful row, whose prefix sums along the
@@ -198,7 +202,9 @@ def _gains(
     SD after a gain, not-SD-dominated after a loss) is decided by one that
     differs the other way later, which makes the rows SD-incomparable.  So
     the judge stops at the first difference unless `wanted` asks for the
-    open kind."""
+    open kind.  When every prefix sum compared is equal, the answer is
+    `tie`: none for whole rows, which are then equal, while a leading part
+    of `order` (`_ruled_out`) leaves every kind open."""
     total = first = 0
     for column, truth_sum in zip(order, truth_sums):
         total += alt[column]
@@ -210,7 +216,45 @@ def _gains(
             first = gap
             if not wanted & (_STRICT if gap > 0 else _NOT_DOMINATED):
                 return _DL | _NOT_DOMINATED if gap > 0 else 0
-    return _STRICT | _DL | _NOT_DOMINATED if first > 0 else 0
+    return _STRICT | _DL | _NOT_DOMINATED if first > 0 else 0 if first else tie
+
+
+def _ruled_out(
+    truths: Sequence[tuple[int, Sequence[int], Sequence[int]]],
+    truth_scale: int,
+    wanted: int,
+    unsettled: Container[int],
+    partial: Callable[[], tuple[Sequence[Sequence[int]], int]],
+) -> bool:
+    """Does a partial outcome already rule out every kind of `wanted`, for
+    `truths`, the members' (row, truthful prefix sums over `truth_scale`,
+    true `ranked` order)?  The kernel's `stop`, as `_scan` passes it.
+
+    A member's settled prefix is the leading objects of their true order
+    whose columns are not in `unsettled`: the shares of those, and so the
+    prefix sums over them, are final.  `partial()` gives the numerators so
+    far and their denominator; it is called only once some member has a
+    settled prefix.  A settled prefix sum below truth rules out strict SD,
+    and a first settled difference below truth rules out DL (`_gains` on
+    the prefix, `tie` as every kind).  A kind one member rules out is no
+    kind the coalition gains in."""
+    settled = []
+    for row, sums, order in truths:
+        length = 0
+        for column in order:
+            if column in unsettled:
+                break
+            length += 1
+        if length:
+            settled.append((row, sums, order[:length]))
+    if not settled:
+        return False
+    numerators, scale = partial()
+    for row, sums, prefix in settled:
+        wanted &= _gains(numerators[row], scale, sums, truth_scale, prefix, wanted, wanted)
+        if not wanted:
+            return True
+    return False
 
 
 def _scan(
@@ -245,6 +289,16 @@ def _scan(
     the scan.  Only a kernel that `rules.kernel_of` calls prunable gets the
     views and the trie: any other (an output memo's, which reads nothing on
     a hit, or an adapted rule's) runs on every report, on plain rows.
+
+    A prunable kernel also gets a `stop` on every run but the truthful one,
+    unless `NOT_SD_DOMINATED` is asked for: a settled loss does not rule
+    that kind out, since a later gain gives it.  The stop (`_ruled_out`)
+    says whether the members' prefix sums over objects already out of the
+    market rule out every kind still wanted; those sums are final, so a
+    stopped run is no witness, and counts as a judged run.  Its reads go
+    into the trie as they are: a report that agrees with them makes the
+    kernel reach the same partial outcome, which the stop rules out again.
+    A witness run never stops, so every first witness stays the same.
     """
     inst = profile.instance
     require_balanced(inst, "manipulation search")
@@ -274,11 +328,19 @@ def _scan(
         (i, tuple(accumulate(map(truth[i].__getitem__, order))), order)
         for i, order in zip(rows, true_rows)
     )
+    stop = None
+    if pruned and not wanted & _NOT_DOMINATED:
+
+        def stop(unsettled, partial):
+            return _ruled_out(truths, truth_scale, wanted, unsettled, partial)
+
     for joint in joints:
         if joint == true_rows or pruned and _judged(trie, joint):
             continue
         log = _placed(ranked, rows, joint, pruned)
-        numerators, scale = kernel(inst, ranked)
+        outcome = kernel(inst, ranked) if stop is None else kernel(inst, ranked, stop)
+        # a stopped run gains in no kind still wanted: judged as truth, which gains in none
+        numerators, scale = outcome or (truth, truth_scale)
         gained = wanted
         for i, truth_sums, order in truths:
             gained &= _gains(numerators[i], scale, truth_sums, truth_scale, order, gained)

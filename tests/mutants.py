@@ -206,6 +206,39 @@ MUTANTS = (
         " or gained\n",
         STRATEGY_TESTS,
     ),
+    # The stop counts the first object of a true order that is still in
+    # the market as settled, so a share that can still grow rules a kind
+    # out; `test_a_prefix_with_an_object_in_the_market_rules_nothing_out`
+    # fails on it.
+    Mutant(
+        "stop-counts-a-prefix-object-still-in-the-market",
+        "strategy.py",
+        "            if column in unsettled:\n                break\n            length += 1\n",
+        "            length += 1\n            if column in unsettled:\n                break\n",
+        STRATEGY_TESTS,
+    ),
+    # A settled loss after a settled gain rules out DL as well as strict
+    # SD, though the earlier gain decides DL;
+    # `test_an_earlier_final_gain_keeps_dl_open` fails on it.
+    Mutant(
+        "dl-ruled-out-after-an-earlier-final-gain",
+        "strategy.py",
+        "        wanted &= _gains(numerators[row], scale, sums, truth_scale, prefix, wanted, wanted)\n",
+        "        gains = _gains(numerators[row], scale, sums, truth_scale, prefix, wanted, wanted)\n"
+        "        wanted &= 0 if gains == _DL | _NOT_DOMINATED else gains\n",
+        STRATEGY_TESTS,
+    ),
+    # A scan that asks for not-SD-domination passes a stop too, which
+    # takes a settled loss for no gain in that kind, though a later gain
+    # gives one; `test_only_scans_without_not_sd_dominated_pass_a_stop`
+    # fails on it.
+    Mutant(
+        "stop-passed-when-not-sd-dominated-is-asked",
+        "strategy.py",
+        "    if pruned and not wanted & _NOT_DOMINATED:\n",
+        "    if pruned:\n",
+        STRATEGY_TESTS,
+    ),
     # Input refusals: without each, a malformed value passes or is refused
     # for another reason.
     Mutant(

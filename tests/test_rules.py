@@ -10,6 +10,7 @@ reproduce the engine's outcome with zero error.
 import ast
 import contextlib
 import hashlib
+import inspect
 import itertools
 import math
 import random
@@ -893,6 +894,59 @@ def kernel_registry_reads(source):
 def test_only_rules_reads_the_kernel_registry():
     readers = {path.stem for path in SOURCES.glob("*.py") if kernel_registry_reads(path.read_text())}
     assert readers == {"rules"}
+
+
+def stop_makers(source):
+    """The functions of `source` that pass a `stop` they were not handed: a
+    call passes one when an argument is the name `stop` or a keyword `stop`
+    other than None, and a function that has a parameter `stop` only passes
+    its own on.  Sorted names, once per call."""
+    makers = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            function = node
+        elif isinstance(node, ast.Call) and function is not None:
+            passed = any(isinstance(arg, ast.Name) and arg.id == "stop" for arg in node.args)
+            passed |= any(
+                keyword.arg == "stop"
+                and not (isinstance(keyword.value, ast.Constant) and keyword.value.value is None)
+                for keyword in node.keywords
+            )
+            handed = function.args.args + function.args.kwonlyargs
+            if passed and "stop" not in {arg.arg for arg in handed}:
+                makers.append(getattr(function, "name", "<lambda>"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return sorted(makers)
+
+
+def test_every_kernel_takes_a_stop_and_only_the_scan_makes_one():
+    """The misreport scan may hand a bundled kernel a `stop`, so every
+    value of `KERNELS` must accept one, and a kernel that asks it must be
+    judged by the scan that made it: `strategy._scan` is the only maker in
+    `src/mudra`, and the kernels pass theirs on to the eating loop."""
+    for rule, kernel in KERNELS.items():
+        assert "stop" in inspect.signature(kernel).parameters, rule.__name__
+    makers = {
+        (path.stem, name) for path in SOURCES.glob("*.py") for name in stop_makers(path.read_text())
+    }
+    assert makers == {("strategy", "_scan")}
+
+
+def test_the_stop_check_sees_calls_that_make_a_stop():
+    source = (
+        "def kernel(inst, ranked, stop=None):\n"
+        "    return _eat(inst, ranked, 1, stop)\n"
+        "def scan(kernel, stop=None):\n"
+        "    def inner():\n"
+        "        return kernel(0, (), stop=stop)\n"
+        "    return kernel(0, (), stop=None), kernel(0, (), stop), inner()\n"
+        "f = lambda kernel: kernel(0, (), stop=print)\n"
+    )
+    assert stop_makers(source) == ["<lambda>", "inner"]
 
 
 def test_the_registry_check_sees_names_attributes_and_imports():

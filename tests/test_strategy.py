@@ -15,9 +15,11 @@ from mudra.model import GuardExceeded, Instance, PreferenceProfile, RandomAssign
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
 from mudra.rules import KERNELS, mps, ops, priority_rule, random_priority, uniform
 from mudra.strategy import (
+    _BITS,
     ManipulationKind,
     _grown,
     _judged,
+    _ruled_out,
     find_dl_manipulation,
     find_group_manipulation,
     find_sd_manipulation,
@@ -556,8 +558,12 @@ PAIR_PROFILE = seeded_profile(FOUR_BY_FOUR, 1)
 #: eating rules read no row once one object is left, and `rp` no row of the
 #: agent that picks last, so more reports share their reads with a judged
 #: run.  Reading those rows too would take `rp` to 380 runs, and `ops` and
-#: `mps` to 356.
-EXPECTED_PAIR_RUNS = {"uniform": 1, "priority": 24, "rp": 240, "ops": 176, "mps": 176}
+#: `mps` to 356.  The eating rules also stop a run once a member's settled
+#: prefix sums rule out strict SD, so it reads less and more reports share
+#: its reads: without the `stop` they make 176 runs each.
+EXPECTED_PAIR_RUNS = {"uniform": 1, "priority": 24, "rp": 240, "ops": 79, "mps": 79}
+#: `ops` and `mps` runs of the same scan with the `stop` dropped.
+UNSTOPPED_PAIR_RUNS = 176
 
 
 @pytest.mark.parametrize("rule_name", RULE_NAMES)
@@ -566,9 +572,19 @@ def test_pair_scan_runs_the_rule_once_per_distinct_read(rule_name, monkeypatch):
     # a counting kernel put there counts the runs.
     rule, runs = RULES[rule_name], []
     kernel = KERNELS[rule]
-    monkeypatch.setitem(KERNELS, rule, lambda inst, ranked: runs.append(1) or kernel(inst, ranked))
+    monkeypatch.setitem(
+        KERNELS, rule, lambda inst, ranked, stop=None: runs.append(1) or kernel(inst, ranked, stop)
+    )
     assert find_group_manipulation(rule, PAIR_PROFILE, ("1", "2")) is None
     assert len(runs) == EXPECTED_PAIR_RUNS[rule_name]
+    if rule in (ops, mps):
+        # the same kernel, never stopped, runs once per distinct full read
+        runs.clear()
+        monkeypatch.setitem(
+            KERNELS, rule, lambda inst, ranked, stop=None: runs.append(1) or kernel(inst, ranked)
+        )
+        assert find_group_manipulation(rule, PAIR_PROFILE, ("1", "2")) is None
+        assert len(runs) == UNSTOPPED_PAIR_RUNS
     # A memo hit reads nothing, so a scan through a warm memo, here behind a
     # wrapper that hides the memo's kernel, prunes nothing.
     cache = OutputCache()
@@ -591,7 +607,9 @@ def test_a_memo_rule_is_scanned_through_the_memo_on_plain_rows(rule_name, monkey
     assert set(cache._outputs) == {(rule_name, report) for report in reports}
     runs, kernel = [], KERNELS[RULES[rule_name]]
     monkeypatch.setitem(
-        KERNELS, RULES[rule_name], lambda inst, ranked: runs.append(1) or kernel(inst, ranked)
+        KERNELS,
+        RULES[rule_name],
+        lambda inst, ranked, stop=None: runs.append(1) or kernel(inst, ranked, stop),
     )
     assert find_group_manipulation(memo, PAIR_PROFILE, ("1", "2")) is None
     assert runs == []
@@ -723,16 +741,18 @@ def test_scan_verdicts_equal_fraction_comparisons(rows):
 
 class DecisionKernel:
     """A kernel whose reads follow a random decision tree over what it has
-    read so far: at each node it stops, or reads the next entry of a row of
-    `ranked` that it has not read to the end, mostly one of the rows
-    `focus`.  Where it stops, it returns an outcome drawn from what it
-    read, mostly the one drawn from `seed` alone, so that a witness is rare
-    and the scan judges many runs first.  Every choice is seeded by `seed`
-    and the (row, column) pairs read, so the kernel is deterministic and
-    reads the report only as the views see it."""
+    read so far: at each node it ends, with probability `end`, or reads the
+    next entry of a row of `ranked` that it has not read to the end, mostly
+    one of the rows `focus`.  Where it ends, it returns an outcome drawn
+    from what it read, mostly the one drawn from `seed` alone, so that a
+    witness is rare and the scan judges many runs first; or no outcome, if
+    the scan's `stop` rules out every kind on that outcome, all of it
+    final.  Every choice is seeded by `seed` and the (row, column) pairs
+    read, so the kernel is deterministic and reads the report only as the
+    views see it."""
 
-    def __init__(self, seed, stop, focus):
-        self.seed, self.stop, self.focus, self.nodes = seed, stop, focus, {}
+    def __init__(self, seed, end, focus):
+        self.seed, self.end, self.focus, self.nodes = seed, end, focus, {}
         self.runs = 0
 
     def node(self, seen, instance):
@@ -741,7 +761,7 @@ class DecisionKernel:
             rng = random.Random(f"{self.seed}:{seen}")
             n, m = instance.num_agents, instance.num_objects
             unread = [i for i in range(n) if sum(r == i for r, _ in seen) < m]
-            if unread and rng.random() >= self.stop:
+            if unread and rng.random() >= self.end:
                 focused = [i for i in unread if i in self.focus]
                 if not focused or rng.random() < 0.2:
                     focused = unread
@@ -754,12 +774,14 @@ class DecisionKernel:
                 self.nodes[seen] = None, (rows, base.randrange(1, 4))
         return self.nodes[seen]
 
-    def __call__(self, instance, ranked):
+    def __call__(self, instance, ranked, stop=None):
         self.runs += 1
         rows, seen = [iter(row) for row in ranked], ()
         while True:
             i, outcome = self.node(seen, instance)
             if outcome is not None:
+                if stop is not None and stop((), lambda: outcome):
+                    return None
                 return outcome
             seen += ((i, next(rows[i])),)
 
@@ -778,17 +800,17 @@ KERNEL_SCANS = (
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
-    stop=st.sampled_from([0.02, 0.1, 0.3]),
+    end=st.sampled_from([0.02, 0.1, 0.3]),
     scan=st.sampled_from(KERNEL_SCANS),
     data=st.data(),
 )
-def test_pruned_scans_of_random_kernels_match_brute_force(seed, stop, scan, data):
+def test_pruned_scans_of_random_kernels_match_brute_force(seed, end, scan, data):
     """The trie's soundness beyond the five rules: a kernel may read any
     row to any depth, in any interleaving, as its reads so far decide."""
     instance, coalition = scan
     order = st.permutations(instance.objects).map(tuple)
     profile = PreferenceProfile(instance, tuple(data.draw(order) for _ in instance.agents))
-    kernel = DecisionKernel(seed, stop, {instance.agent_index(a) for a in coalition})
+    kernel = DecisionKernel(seed, end, {instance.agent_index(a) for a in coalition})
 
     def rule(p):
         return RandomAssignment.from_numerators(p.instance, *kernel(p.instance, p.ranked))
@@ -806,3 +828,124 @@ def test_pruned_scans_of_random_kernels_match_brute_force(seed, stop, scan, data
             assert kernel.runs <= math.factorial(instance.num_objects) ** len(coalition)
     finally:
         del KERNELS[rule]
+
+
+# --------------------------------------------------------------------------
+# Runs stopped on settled prefix sums
+# --------------------------------------------------------------------------
+
+#: Witnesses of the stopped scans below, per rule: weak-sd and dl over every
+#: agent of the 3x6 c=2 profiles of seeds 2-7, and the pair {1, 2} over the
+#: 4x4 c=1 profiles of seeds 100-111, which have none, and 20 and 50 (of
+#: PAIR_SEEDS), which have one each; pinned so that agreement on None alone
+#: cannot pass.
+EXPECTED_STOPPED_WITNESSES = {
+    "ops": {"weak-sd": 5, "dl": 6, "group": 2},
+    "mps": {"weak-sd": 0, "dl": 8, "group": 2},
+}
+
+
+@pytest.mark.parametrize("rule_name", ("ops", "mps"))
+def test_stopped_scans_match_brute_force(rule_name):
+    """The weak-sd, dl and group scans of the eating rules stop a run once
+    its settled prefix sums rule out the kind asked for.  On 3x6 c=2, where
+    `mps` eats two objects at once, and on 4x4 c=1 pair scans, every first
+    witness is still the oracle's."""
+    rule, memo = RULES[rule_name], OutputCache().callable(rule_name)
+    witnesses = dict.fromkeys(("weak-sd", "dl", "group"), 0)
+    for seed in range(2, 8):
+        profile = seeded_profile(SIX_OBJECTS.instance, seed)
+        for agent in profile.instance.agents:
+            for name in ("weak-sd", "dl"):
+                finder, kind, improves = INDIVIDUAL[name]
+                expected = brute_force_witness(memo, profile, (agent,), improves)
+                assert_same_witness(finder(rule, profile, agent), expected, kind, (agent,))
+                witnesses[name] += expected is not None
+    improves = INDIVIDUAL["weak-sd"][2]
+    for seed in (*range(100, 112), 20, 50):
+        profile = seeded_profile(FOUR_BY_FOUR, seed)
+        expected = brute_force_witness(memo, profile, ("1", "2"), improves)
+        found = find_group_manipulation(rule, profile, ("1", "2"))
+        assert_same_witness(found, expected, ManipulationKind.STRICT_SD, ("1", "2"))
+        witnesses["group"] += expected is not None
+    assert witnesses == EXPECTED_STOPPED_WITNESSES[rule_name]
+
+
+STRICT, DL = _BITS[ManipulationKind.STRICT_SD], _BITS[ManipulationKind.DL_IMPROVEMENT]
+#: One member, row 0, with the true order o0 > o1 > o2 and the truthful row
+#: (1/2, 1/2, 0): truthful prefix sums (2, 4, 4) over 4.
+ONE_MEMBER = ((0, (2, 4, 4), (0, 1, 2)),)
+
+
+def shares(*row, scale):
+    """A `partial` that gives the one row `row` over `scale`."""
+    return lambda: ([list(row)], scale)
+
+
+def unread():
+    raise AssertionError("no member has a settled prefix: the shares are not needed")
+
+
+def test_a_prefix_with_an_object_in_the_market_rules_nothing_out():
+    """Only the leading objects of the true order that have left the market
+    count: while o0 is in it, no share of it or after it is final, however
+    far below truth the member is there."""
+    for unsettled in ({0, 1, 2}, {0}, {0, 2}):
+        assert not _ruled_out(ONE_MEMBER, 4, STRICT | DL, unsettled, unread)
+    # o0 gone, o1 in the market: 1/4 of o0 is final and below truth's 1/2
+    assert _ruled_out(ONE_MEMBER, 4, STRICT | DL, {1, 2}, shares(1, 0, 0, scale=4))
+    # a settled prefix equal to truth leaves every kind open
+    assert not _ruled_out(ONE_MEMBER, 4, STRICT | DL, {1, 2}, shares(4, 1, 0, scale=8))
+
+
+def test_an_earlier_final_gain_keeps_dl_open():
+    """o0 and o1 are gone: 3/4 of o0 is a gain on truth's 1/2, and the sum
+    3/4 over o0 and o1 a loss on truth's 1.  The first settled difference
+    is a gain, so DL stays open; the later loss rules out strict SD."""
+    for scale in (4, 12):
+        partial = shares(3 * scale // 4, 0, 0, scale=scale)
+        assert _ruled_out(ONE_MEMBER, 4, STRICT, {2}, partial)
+        assert not _ruled_out(ONE_MEMBER, 4, DL, {2}, partial)
+        assert not _ruled_out(ONE_MEMBER, 4, STRICT | DL, {2}, partial)
+    # a first settled loss rules out both
+    assert _ruled_out(ONE_MEMBER, 4, DL, {2}, shares(1, 3, 0, scale=4))
+
+
+def test_one_member_ruling_a_kind_out_rules_it_out_for_the_coalition():
+    """Member 2 (row 1) has lost on their settled top object; member 1 has
+    no settled prefix: the pair gains in no kind."""
+    pair = (*ONE_MEMBER, (1, (2, 4, 4), (2, 1, 0)))
+    partial = lambda: ([[0, 0, 0], [0, 0, 1]], 4)  # noqa: E731
+    assert _ruled_out(pair, 4, STRICT | DL, {0, 1}, partial)
+    assert not _ruled_out(pair, 4, STRICT | DL, {0, 1, 2}, unread)
+
+
+@pytest.mark.parametrize("rule_name", RULE_NAMES)
+def test_only_scans_without_not_sd_dominated_pass_a_stop(rule_name, monkeypatch):
+    """A settled loss does not rule out not-SD-domination, which a later
+    gain gives: a scan that asks for it passes no `stop`, nor does any
+    scan on its truthful run.  The weak-sd, dl and group scans pass one on
+    every other run of a bundled rule."""
+    rule, kernel = RULES[rule_name], KERNELS[RULES[rule_name]]
+    stops = []
+    monkeypatch.setitem(
+        KERNELS,
+        rule,
+        lambda inst, ranked, stop=None: stops.append(stop) or kernel(inst, ranked, stop),
+    )
+    profile = seeded_profile(FOUR_BY_FOUR, 1)
+    for scan in (
+        lambda: find_sd_manipulation(rule, profile, "1"),
+        lambda: individual_scan(rule, profile, "1"),
+    ):
+        stops.clear()
+        scan()
+        assert stops and stops.count(None) == len(stops)
+    for scan in (
+        lambda: find_weak_sd_manipulation(rule, profile, "1"),
+        lambda: find_dl_manipulation(rule, profile, "1"),
+        lambda: find_group_manipulation(rule, profile, ("1", "2")),
+    ):
+        stops.clear()
+        scan()
+        assert stops[0] is None and None not in stops[1:]
