@@ -33,12 +33,15 @@ coalition member's behind a view that logs the positions read
 (`strategy._ReportedRow`), and skips the reports that differ only elsewhere.
 
 Every kernel also takes an optional `stop`, which only the scan makes.  The
-eating kernels ask it after each phase but the last, handing it the objects
-still in the market and the shares eaten so far, and return None, no
-outcome, when it says to stop.  A share of an object that has left the
-market is final, so the scan can rule kinds of gain out on it
-(`strategy._ruled_out`); the other kernels never ask.  Without a `stop`,
-the eating loop pays one `is None` test per phase.
+eating kernels ask it after each phase but the last, and `_rp` after each
+layer of pick states it builds but the last; `_uniform` and `_priority`
+never ask.
+A kernel that asks hands the stop a ceiling on every prefix sum of every
+row: a number that the prefix sum of the finished run cannot exceed.  It
+returns None, no outcome, when the stop says to stop, which it does only
+once the ceilings rule out every kind of gain the scan asks for
+(`strategy._ruled_out`).  A kernel without a `stop` pays one `is None`
+test per phase or layer.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Container, Sequence
+from typing import Callable, Container, Iterator, Sequence
 
 from .model import (
     STATE_LIMIT,
@@ -60,13 +63,16 @@ from .model import (
 
 #: A rule: profile -> random assignment.
 Rule = Callable[[PreferenceProfile], RandomAssignment]
-#: (columns whose shares may still change, () -> (numerators, denominator)
-#: eaten so far) -> whether to end the run: see `Kernel`.
-Stop = Callable[[Container[int], Callable[[], tuple[list[list[int]], int]]], bool]
+#: (row, its order of columns) -> numerators over the stop's scale, one per
+#: prefix of the order, that the row's final prefix sums do not exceed.
+Ceiling = Callable[[int, Sequence[int]], Iterator[int]]
+#: (scale, ceiling) -> whether to end the run: see `Kernel`.
+Stop = Callable[[int, Ceiling], bool]
 #: (instance, ranked, stop=None) -> (numerators, denominator): a rule on
-#: integers.  A kernel may ask `stop` about its partial outcome and return
-#: None, no outcome, when it says yes; every kernel accepts a `stop`, and
-#: only the eating kernels ask it.
+#: integers.  A kernel may ask `stop` about its partial run, handing it a
+#: ceiling on the final prefix sums, and return None, no outcome, when it
+#: says yes; every kernel accepts a `stop`, and the eating kernels and
+#: `_rp` ask it.
 Kernel = Callable[..., tuple[Sequence[Sequence[int]], int] | None]
 
 
@@ -118,9 +124,8 @@ def _eat(
     denominator, which each phase first multiplies by the lcm of its eater
     counts, so that the phase's length min(left / eaters) is an exact integer
     quotient.  Once one object is left, every agent eats it, reading no row.
-    After each phase but the last, `stop` (if any) sees the objects left and
-    the shares eaten so far: an object that has left the market is never
-    eaten again, so every share of it is final.
+    After each phase but the last, `stop` (if any) gets the ceilings of
+    `_eating_ceiling` over the running denominator.
     """
     scale = 1  # the running denominator of `remaining` and `now`
     remaining = dict.fromkeys(range(instance.num_objects), 1)  # column -> numerator left
@@ -156,9 +161,34 @@ def _eat(
         ends.append((now, scale))
         demands.append(demand)
         if stop is not None and remaining:
-            if stop(remaining, lambda: _shares(instance, ends, demands)):
+            eaten = _shares(instance, ends, demands)[0]
+            if stop(scale, _eating_ceiling(eaten, instance.quota * scale, remaining)):
                 return None
     return ends, demands
+
+
+def _eating_ceiling(eaten: Sequence[Sequence[int]], whole: int, remaining: dict) -> Ceiling:
+    """The ceilings of an eating run that has eaten `eaten` so far, with
+    `remaining` of each column left in the market, all over one scale of
+    which `whole` is the quota.
+
+    Every agent eats as many objects as every other at each instant, so
+    each row ends at m/n, at most the quota: a row gets at most `whole`
+    minus what it has eaten, and a prefix of its order at most what is
+    left of the prefix's columns.  The ceiling of a prefix is what the row
+    has eaten of it plus the smaller of the two, which on a prefix whose
+    columns have all left the market is the prefix sum itself, final."""
+
+    def ceiling(row: int, order: Sequence[int]) -> Iterator[int]:
+        shares = eaten[row]
+        room = whole - sum(shares)
+        got = left = 0
+        for j in order:
+            got += shares[j]
+            left += remaining.get(j, 0)
+            yield got + min(room, left)
+
+    return ceiling
 
 
 def _shares(instance: Instance, ends: Sequence, demands: Sequence) -> tuple[list[list[int]], int]:
@@ -297,6 +327,16 @@ def random_priority(profile: PreferenceProfile) -> RandomAssignment:
     `quota` objects still free whatever its order, so its row is not read
     there.
 
+    Once layer k+1 is built, for k <= n-3, `_rp` asks a `stop` (if any),
+    handing it ceilings over n! (`_rp_ceiling`).  Every order passes
+    through one state of layer k+1.  An agent that has picked there has
+    all its shares from that order in the counts so far; one that has not
+    takes at most `quota` of the objects of a prefix still free there.  So
+    the ceiling of a prefix P of an agent's row is its count so far plus
+    (n-k-1)! times the sum, over the states where it has not picked, of
+    w * min(quota, |P free there|).  The stop is not asked after the last
+    full layer, nor before the last picker: little of the run is left.
+
     Computing RP probabilities is #P-complete, so the number of states is
     exponential in the worst case.  An upper bound on it is compared with
     STATE_LIMIT before any state is built: every instance of up to 9
@@ -311,7 +351,7 @@ def random_priority(profile: PreferenceProfile) -> RandomAssignment:
 
 def _rp(
     instance: Instance, ranked: Sequence[Sequence[int]], stop: Stop | None = None
-) -> tuple:
+) -> tuple | None:
     n, m, quota = instance.num_agents, instance.num_objects, instance.quota
     totals = [[0] * m for _ in instance.agents]
     layer = {(0, 0): 1}  # (who picked, what is taken) bitmasks -> prefixes
@@ -334,6 +374,9 @@ def _rp(
                 state = picked | 1 << i, grabbed
                 successors[state] = successors.get(state, 0) + ways
         layer = successors
+        if stop is not None and k < n - 2:
+            if stop(math.factorial(n), _rp_ceiling(totals, layer, orders_per_prefix, quota)):
+                return None
     everyone = (1 << n) - 1
     for (picked, taken), ways in layer.items():
         row = totals[(everyone ^ picked).bit_length() - 1]  # the last picker
@@ -341,6 +384,32 @@ def _rp(
             if not taken >> j & 1:
                 row[j] += ways
     return totals, math.factorial(n)
+
+
+def _rp_ceiling(totals: list[list[int]], layer: dict, orders: int, quota: int) -> Ceiling:
+    """The ceilings of an `_rp` run whose counts so far are `totals` and
+    whose last layer built is `layer`, each state of which `orders`
+    priority orders complete (see `random_priority`)."""
+
+    def ceiling(row: int, order: Sequence[int]) -> Iterator[int]:
+        waiting: dict[int, int] = {}  # taken -> prefixes of states where `row` has not picked
+        for (picked, taken), ways in layer.items():
+            if not picked >> row & 1:
+                waiting[taken] = waiting.get(taken, 0) + ways
+        # per free set: [taken, prefixes, objects of the prefix it may still take]
+        pending = [[taken, ways, quota] for taken, ways in waiting.items()]
+        counts, got, later = totals[row], 0, 0
+        for j in order:
+            got += counts[j]
+            bit = 1 << j
+            for entry in pending:
+                taken, ways, room = entry
+                if room and not taken & bit:
+                    later += ways
+                    entry[2] = room - 1
+            yield got + orders * later
+
+    return ceiling
 
 
 def _state_bound(n: int, m: int, quota: int) -> int:

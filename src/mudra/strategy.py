@@ -31,8 +31,9 @@ rule of `harness.RULES` is, may: it runs its own kernel once per distinct
 set of entries it reads, not once per report, and once in all if it reads
 none (see `_scan`).  A scan that does not ask for `NOT_SD_DOMINATED` (the
 weak-sd, dl and group finders) also hands a bundled kernel a `stop`, which
-ends an eating run once the shares already final rule out every kind the
-scan asks for (`_ruled_out`).  An output memo's rule runs the memo's
+the eating kernels and `rp` ask during a run with a ceiling on each
+member's final prefix sums; the run ends once the ceilings rule out every
+kind the scan asks for (`_ruled_out`).  An output memo's rule runs the memo's
 kernel on every report, a dictionary lookup once the memo holds the
 report; any other rule (a call counter, a traced rule) runs on every
 report, on a profile of the report.
@@ -47,7 +48,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Collection, Container, Iterator, Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from .model import (
     JOINT_LIMIT,
@@ -59,7 +60,7 @@ from .model import (
     refuse_over,
     require_balanced,
 )
-from .rules import Rule, kernel_of
+from .rules import Ceiling, Rule, kernel_of
 
 
 class ManipulationKind(enum.Enum):
@@ -190,7 +191,6 @@ def _gains(
     truth_scale: int,
     order: Sequence[int],
     wanted: int,
-    tie: int = 0,
 ) -> int:
     """The kinds, as `_BITS`, in which the row `alt` of numerators over
     `scale` improves on the truthful row, whose prefix sums along the
@@ -202,9 +202,7 @@ def _gains(
     SD after a gain, not-SD-dominated after a loss) is decided by one that
     differs the other way later, which makes the rows SD-incomparable.  So
     the judge stops at the first difference unless `wanted` asks for the
-    open kind.  When every prefix sum compared is equal, the answer is
-    `tie`: none for whole rows, which are then equal, while a leading part
-    of `order` (`_ruled_out`) leaves every kind open."""
+    open kind.  Rows whose prefix sums are all equal are equal: no gain."""
     total = first = 0
     for column, truth_sum in zip(order, truth_sums):
         total += alt[column]
@@ -216,44 +214,39 @@ def _gains(
             first = gap
             if not wanted & (_STRICT if gap > 0 else _NOT_DOMINATED):
                 return _DL | _NOT_DOMINATED if gap > 0 else 0
-    return _STRICT | _DL | _NOT_DOMINATED if first > 0 else 0 if first else tie
+    return _STRICT | _DL | _NOT_DOMINATED if first > 0 else 0
 
 
 def _ruled_out(
     truths: Sequence[tuple[int, Sequence[int], Sequence[int]]],
     truth_scale: int,
     wanted: int,
-    unsettled: Container[int],
-    partial: Callable[[], tuple[Sequence[Sequence[int]], int]],
+    scale: int,
+    ceiling: Ceiling,
 ) -> bool:
-    """Does a partial outcome already rule out every kind of `wanted`, for
-    `truths`, the members' (row, truthful prefix sums over `truth_scale`,
-    true `ranked` order)?  The kernel's `stop`, as `_scan` passes it.
+    """Do a partial run's ceilings already rule out every kind of `wanted`
+    (strict SD and DL only) for `truths`, the members' (row, truthful
+    prefix sums over `truth_scale`, true `ranked` order)?  The kernel's
+    `stop`, as `_scan` passes it.
 
-    A member's settled prefix is the leading objects of their true order
-    whose columns are not in `unsettled`: the shares of those, and so the
-    prefix sums over them, are final.  `partial()` gives the numerators so
-    far and their denominator; it is called only once some member has a
-    settled prefix.  A settled prefix sum below truth rules out strict SD,
-    and a first settled difference below truth rules out DL (`_gains` on
-    the prefix, `tie` as every kind).  A kind one member rules out is no
-    kind the coalition gains in."""
-    settled = []
+    `ceiling(row, order)` gives, over `scale`, a number that each prefix
+    sum of the finished run's `row` along `order` does not exceed.  A
+    ceiling below truth puts that final prefix sum below truth, which rules
+    out strict SD.  If no earlier ceiling is above truth, no earlier final
+    sum is either, so the first difference is a loss there or before: that
+    rules out DL too.  The walk along a member's order ends at the first
+    ceiling below truth, since nothing later rules out more.  A kind one
+    member rules out is no kind the coalition gains in."""
     for row, sums, order in truths:
-        length = 0
-        for column in order:
-            if column in unsettled:
+        above = False
+        for cap, truth_sum in zip(ceiling(row, order), sums):
+            gap = cap * truth_scale - truth_sum * scale
+            if gap < 0:
+                wanted &= ~_STRICT if above else ~(_STRICT | _DL)
+                if not wanted:
+                    return True
                 break
-            length += 1
-        if length:
-            settled.append((row, sums, order[:length]))
-    if not settled:
-        return False
-    numerators, scale = partial()
-    for row, sums, prefix in settled:
-        wanted &= _gains(numerators[row], scale, sums, truth_scale, prefix, wanted, wanted)
-        if not wanted:
-            return True
+            above = above or gap > 0
     return False
 
 
@@ -291,14 +284,15 @@ def _scan(
     a hit, or an adapted rule's) runs on every report, on plain rows.
 
     A prunable kernel also gets a `stop` on every run but the truthful one,
-    unless `NOT_SD_DOMINATED` is asked for: a settled loss does not rule
-    that kind out, since a later gain gives it.  The stop (`_ruled_out`)
-    says whether the members' prefix sums over objects already out of the
-    market rule out every kind still wanted; those sums are final, so a
-    stopped run is no witness, and counts as a judged run.  Its reads go
+    unless `NOT_SD_DOMINATED` is asked for: a loss does not rule that kind
+    out, since a later gain gives it.  The eating kernels and `_rp` ask the
+    stop (`_ruled_out`) during a run, with a ceiling on each final prefix
+    sum of each member's row, and it says whether those ceilings rule out
+    every kind still wanted.  No final prefix sum is above its ceiling, so
+    a stopped run is no witness, and counts as a judged run.  Its reads go
     into the trie as they are: a report that agrees with them makes the
-    kernel reach the same partial outcome, which the stop rules out again.
-    A witness run never stops, so every first witness stays the same.
+    kernel reach the same partial run, which the stop rules out again.  A
+    witness run never stops, so every first witness stays the same.
     """
     inst = profile.instance
     require_balanced(inst, "manipulation search")
@@ -331,8 +325,8 @@ def _scan(
     stop = None
     if pruned and not wanted & _NOT_DOMINATED:
 
-        def stop(unsettled, partial):
-            return _ruled_out(truths, truth_scale, wanted, unsettled, partial)
+        def stop(scale, ceiling):
+            return _ruled_out(truths, truth_scale, wanted, scale, ceiling)
 
     for joint in joints:
         if joint == true_rows or pruned and _judged(trie, joint):

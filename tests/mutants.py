@@ -41,7 +41,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml", "README.md")
 PYTEST_ARGS = ("-x", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", "--tb=no")
-TIMEOUT = 120  # seconds per run; the slowest clean file, test_strategy.py, takes about 25 s
+TIMEOUT = 120  # seconds per run; the slowest clean file, test_strategy.py, takes about 50 s
 MEMORY_LIMIT = 2 * 1024**3  # bytes of address space per run; the whole clean suite fits
 
 
@@ -206,31 +206,53 @@ MUTANTS = (
         " or gained\n",
         STRATEGY_TESTS,
     ),
-    # The stop counts the first object of a true order that is still in
-    # the market as settled, so a share that can still grow rules a kind
-    # out; `test_a_prefix_with_an_object_in_the_market_rules_nothing_out`
+    # The eating ceiling leaves out the mass still in the market, so it
+    # counts a prefix object still in the market as settled: a share that
+    # can still grow rules a kind out;
+    # `test_a_prefix_with_an_object_in_the_market_is_judged_on_its_ceiling`
     # fails on it.
     Mutant(
         "stop-counts-a-prefix-object-still-in-the-market",
-        "strategy.py",
-        "            if column in unsettled:\n                break\n            length += 1\n",
-        "            length += 1\n            if column in unsettled:\n                break\n",
+        "rules.py",
+        "            yield got + min(room, left)\n",
+        "            yield got\n",
         STRATEGY_TESTS,
     ),
-    # A settled loss after a settled gain rules out DL as well as strict
-    # SD, though the earlier gain decides DL;
-    # `test_an_earlier_final_gain_keeps_dl_open` fails on it.
+    # A ceiling below truth after one above it rules out DL as well as
+    # strict SD, though the final sum where the ceiling is above truth may
+    # be a first gain; `test_an_earlier_final_gain_keeps_dl_open` fails on it.
     Mutant(
         "dl-ruled-out-after-an-earlier-final-gain",
         "strategy.py",
-        "        wanted &= _gains(numerators[row], scale, sums, truth_scale, prefix, wanted, wanted)\n",
-        "        gains = _gains(numerators[row], scale, sums, truth_scale, prefix, wanted, wanted)\n"
-        "        wanted &= 0 if gains == _DL | _NOT_DOMINATED else gains\n",
+        "                wanted &= ~_STRICT if above else ~(_STRICT | _DL)\n",
+        "                wanted &= ~(_STRICT | _DL)\n",
         STRATEGY_TESTS,
     ),
-    # A scan that asks for not-SD-domination passes a stop too, which
-    # takes a settled loss for no gain in that kind, though a later gain
-    # gives one; `test_only_scans_without_not_sd_dominated_pass_a_stop`
+    # The `rp` ceiling counts the states where the member has picked in
+    # place of those where it has not, so it leaves out the picks still to
+    # come; `test_ceilings_bound_the_final_prefix_sums[rp]` fails on it.
+    Mutant(
+        "rp-ceiling-skips-the-states-where-the-member-has-not-picked",
+        "rules.py",
+        "            if not picked >> row & 1:\n                waiting[taken]",
+        "            if picked >> row & 1:\n                waiting[taken]",
+        STRATEGY_TESTS,
+    ),
+    # The `rp` ceiling lets a member still to pick take one object of a
+    # prefix, not up to `quota`: at quota 1 nothing changes, and on the
+    # 3x6 c=2 profiles `test_ceilings_bound_the_final_prefix_sums[rp]`
+    # fails on it.
+    Mutant(
+        "rp-ceiling-takes-one-object-per-pick",
+        "rules.py",
+        "        pending = [[taken, ways, quota] for taken, ways in waiting.items()]\n",
+        "        pending = [[taken, ways, 1] for taken, ways in waiting.items()]\n",
+        STRATEGY_TESTS,
+    ),
+    # A scan that asks for not-SD-domination passes a stop too.
+    # `_ruled_out` never rules that kind out, since a later gain can give
+    # it after a loss, so the stop never fires, but every ask walks the
+    # ceilings for nothing; `test_only_scans_without_not_sd_dominated_pass_a_stop`
     # fails on it.
     Mutant(
         "stop-passed-when-not-sd-dominated-is-asked",

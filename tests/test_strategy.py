@@ -13,7 +13,16 @@ from mudra.efficiency import sd_dominates
 from mudra.harness import RULE_NAMES, RULES, OutputCache, check_rule_property
 from mudra.model import GuardExceeded, Instance, PreferenceProfile, RandomAssignment
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
-from mudra.rules import KERNELS, mps, ops, priority_rule, random_priority, uniform
+from mudra.rules import (
+    KERNELS,
+    _eating_ceiling,
+    mps,
+    ops,
+    priority_rule,
+    random_priority,
+    simulate_eating,
+    uniform,
+)
 from mudra.strategy import (
     _BITS,
     ManipulationKind,
@@ -558,12 +567,15 @@ PAIR_PROFILE = seeded_profile(FOUR_BY_FOUR, 1)
 #: eating rules read no row once one object is left, and `rp` no row of the
 #: agent that picks last, so more reports share their reads with a judged
 #: run.  Reading those rows too would take `rp` to 380 runs, and `ops` and
-#: `mps` to 356.  The eating rules also stop a run once a member's settled
-#: prefix sums rule out strict SD, so it reads less and more reports share
-#: its reads: without the `stop` they make 176 runs each.
-EXPECTED_PAIR_RUNS = {"uniform": 1, "priority": 24, "rp": 240, "ops": 79, "mps": 79}
+#: `mps` to 356.  `rp` and the eating rules also stop a run once a member's
+#: ceilings rule out strict SD, so it reads less and more reports share its
+#: reads: without the `stop`, `rp` makes 240 runs and the eating rules 176
+#: each.
+EXPECTED_PAIR_RUNS = {"uniform": 1, "priority": 24, "rp": 46, "ops": 25, "mps": 25}
 #: `ops` and `mps` runs of the same scan with the `stop` dropped.
 UNSTOPPED_PAIR_RUNS = 176
+#: `rp` runs of the same scan with the `stop` dropped.
+UNSTOPPED_RP_PAIR_RUNS = 240
 
 
 @pytest.mark.parametrize("rule_name", RULE_NAMES)
@@ -577,14 +589,15 @@ def test_pair_scan_runs_the_rule_once_per_distinct_read(rule_name, monkeypatch):
     )
     assert find_group_manipulation(rule, PAIR_PROFILE, ("1", "2")) is None
     assert len(runs) == EXPECTED_PAIR_RUNS[rule_name]
-    if rule in (ops, mps):
+    if rule in (random_priority, ops, mps):
         # the same kernel, never stopped, runs once per distinct full read
         runs.clear()
         monkeypatch.setitem(
             KERNELS, rule, lambda inst, ranked, stop=None: runs.append(1) or kernel(inst, ranked)
         )
         assert find_group_manipulation(rule, PAIR_PROFILE, ("1", "2")) is None
-        assert len(runs) == UNSTOPPED_PAIR_RUNS
+        unstopped = UNSTOPPED_RP_PAIR_RUNS if rule is random_priority else UNSTOPPED_PAIR_RUNS
+        assert len(runs) == unstopped
     # A memo hit reads nothing, so a scan through a warm memo, here behind a
     # wrapper that hides the memo's kernel, prunes nothing.
     cache = OutputCache()
@@ -746,10 +759,10 @@ class DecisionKernel:
     one of the rows `focus`.  Where it ends, it returns an outcome drawn
     from what it read, mostly the one drawn from `seed` alone, so that a
     witness is rare and the scan judges many runs first; or no outcome, if
-    the scan's `stop` rules out every kind on that outcome, all of it
-    final.  Every choice is seeded by `seed` and the (row, column) pairs
-    read, so the kernel is deterministic and reads the report only as the
-    views see it."""
+    the scan's `stop` rules out every kind on that outcome, handed to it as
+    exact ceilings: the outcome's own prefix sums.  Every choice is seeded
+    by `seed` and the (row, column) pairs read, so the kernel is
+    deterministic and reads the report only as the views see it."""
 
     def __init__(self, seed, end, focus):
         self.seed, self.end, self.focus, self.nodes = seed, end, focus, {}
@@ -780,7 +793,12 @@ class DecisionKernel:
         while True:
             i, outcome = self.node(seen, instance)
             if outcome is not None:
-                if stop is not None and stop((), lambda: outcome):
+                numerators, scale = outcome
+
+                def exact(row, order):
+                    return itertools.accumulate(numerators[row][j] for j in order)
+
+                if stop is not None and stop(scale, exact):
                     return None
                 return outcome
             seen += ((i, next(rows[i])),)
@@ -831,26 +849,93 @@ def test_pruned_scans_of_random_kernels_match_brute_force(seed, end, scan, data)
 
 
 # --------------------------------------------------------------------------
-# Runs stopped on settled prefix sums
+# Runs stopped on ceilings of the members' prefix sums
 # --------------------------------------------------------------------------
+
+
+def ceiling_profiles():
+    """Every 3x3 c=1 profile, the 24 of 2x4 c=2 where agent 1 reports the
+    object tuple, and seeded 3x6 c=2 and 4x4 c=1 profiles."""
+    yield from all_profiles(THREE_BY_THREE)
+    yield from two_by_four_profiles()
+    yield from (seeded_profile(SIX_OBJECTS.instance, seed) for seed in range(8))
+    yield from (seeded_profile(FOUR_BY_FOUR, seed) for seed in range(12))
+
+
+def settled_after_each_phase(profile, size):
+    """The columns out of the market at the end of each phase of the
+    eating run, read from its trace."""
+    eaten = [F(0)] * profile.instance.num_objects
+    settled = []
+    for phase in simulate_eating(profile, size).phases:
+        for columns in phase.eating:
+            for j in columns:
+                eaten[j] += phase.end - phase.start
+        settled.append({j for j, amount in enumerate(eaten) if amount == 1})
+    return settled
+
+
+@pytest.mark.parametrize("rule_name", ("rp", "ops", "mps"))
+def test_ceilings_bound_the_final_prefix_sums(rule_name):
+    """Each kernel that asks a stop, handed one that never stops, runs to
+    the end; at every point it asks, the ceiling of every row along every
+    agent's true order is at least the finished run's prefix sum.  On an
+    eating prefix whose objects have all left the market it is that sum,
+    final.  `rp` asks after each layer k <= n-3, eating after each phase
+    but the last."""
+    kernel = KERNELS[RULES[rule_name]]
+    asks = 0
+    for profile in ceiling_profiles():
+        inst, ranked = profile.instance, profile.ranked
+        asked = []
+
+        def recording(scale, ceiling):
+            asked.append([
+                [[F(cap, scale) for cap in ceiling(i, order)] for order in ranked]
+                for i in range(inst.num_agents)
+            ])
+            return False
+
+        numerators, scale = kernel(inst, ranked, recording)
+        final = [
+            [list(itertools.accumulate(F(numerators[i][j], scale) for j in order)) for order in ranked]
+            for i in range(inst.num_agents)
+        ]
+        if rule_name == "rp":
+            assert len(asked) == max(inst.num_agents - 2, 0)
+            settled = [set()] * len(asked)
+        else:
+            size = 1 if rule_name == "ops" else inst.quota
+            settled = settled_after_each_phase(profile, size)
+            assert len(asked) == len(settled) - 1
+        for ceilings, gone in zip(asked, settled):
+            for i in range(inst.num_agents):
+                for order, caps, sums in zip(ranked, ceilings[i], final[i]):
+                    assert all(cap >= total for cap, total in zip(caps, sums)), (profile, i)
+                    length = next((k for k, j in enumerate(order) if j not in gone), len(order))
+                    assert caps[:length] == sums[:length], (profile, i)
+        asks += len(asked)
+    assert asks
+
 
 #: Witnesses of the stopped scans below, per rule: weak-sd and dl over every
 #: agent of the 3x6 c=2 profiles of seeds 2-7, and the pair {1, 2} over the
-#: 4x4 c=1 profiles of seeds 100-111, which have none, and 20 and 50 (of
-#: PAIR_SEEDS), which have one each; pinned so that agreement on None alone
-#: cannot pass.
+#: 4x4 c=1 profiles of seeds 100-111, which have none, and 13, 20 and 50 (of
+#: PAIR_SEEDS), which have one for `rp`, the eating rules and all three;
+#: pinned so that agreement on None alone cannot pass.
 EXPECTED_STOPPED_WITNESSES = {
+    "rp": {"weak-sd": 0, "dl": 0, "group": 2},
     "ops": {"weak-sd": 5, "dl": 6, "group": 2},
     "mps": {"weak-sd": 0, "dl": 8, "group": 2},
 }
 
 
-@pytest.mark.parametrize("rule_name", ("ops", "mps"))
+@pytest.mark.parametrize("rule_name", ("rp", "ops", "mps"))
 def test_stopped_scans_match_brute_force(rule_name):
-    """The weak-sd, dl and group scans of the eating rules stop a run once
-    its settled prefix sums rule out the kind asked for.  On 3x6 c=2, where
-    `mps` eats two objects at once, and on 4x4 c=1 pair scans, every first
-    witness is still the oracle's."""
+    """The weak-sd, dl and group scans of `rp` and the eating rules stop a
+    run once its ceilings rule out the kind asked for.  On 3x6 c=2, where
+    `mps` eats two objects at once and `rp` picks two, and on 4x4 c=1 pair
+    scans, every first witness is still the oracle's."""
     rule, memo = RULES[rule_name], OutputCache().callable(rule_name)
     witnesses = dict.fromkeys(("weak-sd", "dl", "group"), 0)
     for seed in range(2, 8):
@@ -862,7 +947,7 @@ def test_stopped_scans_match_brute_force(rule_name):
                 assert_same_witness(finder(rule, profile, agent), expected, kind, (agent,))
                 witnesses[name] += expected is not None
     improves = INDIVIDUAL["weak-sd"][2]
-    for seed in (*range(100, 112), 20, 50):
+    for seed in (*range(100, 112), 13, 20, 50):
         profile = seeded_profile(FOUR_BY_FOUR, seed)
         expected = brute_force_witness(memo, profile, ("1", "2"), improves)
         found = find_group_manipulation(rule, profile, ("1", "2"))
@@ -871,59 +956,101 @@ def test_stopped_scans_match_brute_force(rule_name):
     assert witnesses == EXPECTED_STOPPED_WITNESSES[rule_name]
 
 
+@pytest.mark.parametrize("rule_name", ("rp", "ops", "mps"))
+def test_stopped_and_unstopped_scans_find_the_same_witnesses(rule_name, monkeypatch):
+    """On every 3x3 c=1 profile, the weak-sd and dl scans of each agent and
+    the scan of the pair {1, 2} find the same witnesses whether the kernel
+    asks the scan's `stop` or drops it."""
+    rule, kernel = RULES[rule_name], KERNELS[RULES[rule_name]]
+    profiles = list(all_profiles(THREE_BY_THREE))
+
+    def witnesses():
+        found = []
+        for profile in profiles:
+            for agent in THREE_BY_THREE.agents:
+                found.append(find_weak_sd_manipulation(rule, profile, agent))
+                found.append(find_dl_manipulation(rule, profile, agent))
+            found.append(find_group_manipulation(rule, profile, ("1", "2")))
+        return found
+
+    stopped = witnesses()
+    monkeypatch.setitem(KERNELS, rule, lambda inst, ranked, stop=None: kernel(inst, ranked))
+    assert witnesses() == stopped
+    # no rule has a weak-sd or dl witness on 3x3 c=1: these are pair witnesses
+    assert len(stopped) - stopped.count(None) == EXPECTED_PAIR_WITNESSES[rule_name]
+
+
 STRICT, DL = _BITS[ManipulationKind.STRICT_SD], _BITS[ManipulationKind.DL_IMPROVEMENT]
 #: One member, row 0, with the true order o0 > o1 > o2 and the truthful row
 #: (1/2, 1/2, 0): truthful prefix sums (2, 4, 4) over 4.
 ONE_MEMBER = ((0, (2, 4, 4), (0, 1, 2)),)
 
 
-def shares(*row, scale):
-    """A `partial` that gives the one row `row` over `scale`."""
-    return lambda: ([list(row)], scale)
+def eating(*rows, scale, left):
+    """A stop's (scale, ceiling) of an eating run at quota 1 whose rows have
+    eaten `rows` so far, over `scale`, with `left` (column -> numerator over
+    `scale`) still in the market."""
+    return scale, _eating_ceiling([list(row) for row in rows], scale, left)
 
 
-def unread():
-    raise AssertionError("no member has a settled prefix: the shares are not needed")
-
-
-def test_a_prefix_with_an_object_in_the_market_rules_nothing_out():
-    """Only the leading objects of the true order that have left the market
-    count: while o0 is in it, no share of it or after it is final, however
-    far below truth the member is there."""
-    for unsettled in ({0, 1, 2}, {0}, {0, 2}):
-        assert not _ruled_out(ONE_MEMBER, 4, STRICT | DL, unsettled, unread)
+def test_a_prefix_with_an_object_in_the_market_is_judged_on_its_ceiling():
+    """A prefix sum can still grow by what is left of its objects in the
+    market, and by no more than the row's room under the quota.  While
+    enough of o0 is left, nothing is ruled out, however little of it the
+    member has so far; once too little is left, or the member has too
+    little room, a prefix with o0 still in the market rules both kinds
+    out.  A settled prefix is judged on its final sum."""
+    for left in ({0: 4, 1: 4, 2: 4}, {0: 4}, {0: 4, 2: 4}):
+        assert not _ruled_out(ONE_MEMBER, 4, STRICT | DL, *eating((0, 0, 0), scale=4, left=left))
+    # 1/8 of o0 eaten and 1/8 left: at most 1/4 of it, below truth's 1/2
+    assert _ruled_out(ONE_MEMBER, 4, STRICT | DL, *eating((1, 0, 0), scale=8, left={0: 1, 1: 8}))
+    # 3/4 of o2 eaten: room for 1/4 more, of o0 or anything else
+    assert _ruled_out(ONE_MEMBER, 4, STRICT | DL, *eating((0, 0, 3), scale=4, left={0: 4, 1: 4}))
     # o0 gone, o1 in the market: 1/4 of o0 is final and below truth's 1/2
-    assert _ruled_out(ONE_MEMBER, 4, STRICT | DL, {1, 2}, shares(1, 0, 0, scale=4))
+    assert _ruled_out(ONE_MEMBER, 4, STRICT | DL, *eating((1, 0, 0), scale=4, left={1: 4, 2: 4}))
     # a settled prefix equal to truth leaves every kind open
-    assert not _ruled_out(ONE_MEMBER, 4, STRICT | DL, {1, 2}, shares(4, 1, 0, scale=8))
+    assert not _ruled_out(ONE_MEMBER, 4, STRICT | DL, *eating((4, 1, 0), scale=8, left={1: 3, 2: 8}))
+
+
+def ceilings(*rows, scale):
+    """A stop's (scale, ceiling) that gives each row's ceilings as listed,
+    whatever the order."""
+    return scale, lambda i, order: iter(rows[i])
 
 
 def test_an_earlier_final_gain_keeps_dl_open():
     """o0 and o1 are gone: 3/4 of o0 is a gain on truth's 1/2, and the sum
     3/4 over o0 and o1 a loss on truth's 1.  The first settled difference
-    is a gain, so DL stays open; the later loss rules out strict SD."""
+    is a gain, so DL stays open; the later loss rules out strict SD.  A
+    ceiling above truth keeps DL open in the same way, though the final sum
+    there may still fall below truth."""
     for scale in (4, 12):
-        partial = shares(3 * scale // 4, 0, 0, scale=scale)
-        assert _ruled_out(ONE_MEMBER, 4, STRICT, {2}, partial)
-        assert not _ruled_out(ONE_MEMBER, 4, DL, {2}, partial)
-        assert not _ruled_out(ONE_MEMBER, 4, STRICT | DL, {2}, partial)
+        stop = eating((3 * scale // 4, 0, 0), scale=scale, left={2: scale})
+        assert _ruled_out(ONE_MEMBER, 4, STRICT, *stop)
+        assert not _ruled_out(ONE_MEMBER, 4, DL, *stop)
+        assert not _ruled_out(ONE_MEMBER, 4, STRICT | DL, *stop)
+    assert not _ruled_out(ONE_MEMBER, 4, DL, *ceilings((3, 3, 4), scale=4))
     # a first settled loss rules out both
-    assert _ruled_out(ONE_MEMBER, 4, DL, {2}, shares(1, 3, 0, scale=4))
+    assert _ruled_out(ONE_MEMBER, 4, DL, *eating((1, 3, 0), scale=4, left={2: 4}))
+    # a ceiling equal to truth, then one below: no first gain is left for DL
+    assert _ruled_out(ONE_MEMBER, 4, DL, *ceilings((2, 3, 4), scale=4))
 
 
 def test_one_member_ruling_a_kind_out_rules_it_out_for_the_coalition():
     """Member 2 (row 1) has lost on their settled top object; member 1 has
-    no settled prefix: the pair gains in no kind."""
+    o0 wholly in the market, so no kind is ruled out for them: the pair
+    gains in no kind.  Had o2 still been in the market, neither would rule
+    anything out."""
     pair = (*ONE_MEMBER, (1, (2, 4, 4), (2, 1, 0)))
-    partial = lambda: ([[0, 0, 0], [0, 0, 1]], 4)  # noqa: E731
-    assert _ruled_out(pair, 4, STRICT | DL, {0, 1}, partial)
-    assert not _ruled_out(pair, 4, STRICT | DL, {0, 1, 2}, unread)
+    rows = (0, 0, 0), (0, 0, 1)
+    assert _ruled_out(pair, 4, STRICT | DL, *eating(*rows, scale=4, left={0: 4, 1: 4}))
+    assert not _ruled_out(pair, 4, STRICT | DL, *eating(*rows, scale=4, left={0: 4, 1: 4, 2: 4}))
 
 
 @pytest.mark.parametrize("rule_name", RULE_NAMES)
 def test_only_scans_without_not_sd_dominated_pass_a_stop(rule_name, monkeypatch):
-    """A settled loss does not rule out not-SD-domination, which a later
-    gain gives: a scan that asks for it passes no `stop`, nor does any
+    """A loss does not rule out not-SD-domination, which a later gain
+    gives: a scan that asks for it passes no `stop`, nor does any
     scan on its truthful run.  The weak-sd, dl and group scans pass one on
     every other run of a bundled rule."""
     rule, kernel = RULES[rule_name], KERNELS[RULES[rule_name]]
