@@ -1,21 +1,22 @@
 """Fairness and symmetry checks: envy-freeness in the stochastic dominance
 sense, anonymity and neutrality as equivariance of a rule under every
 relabelling of its agents or objects.  Each pair of notions is decided by
-one routine: `_first_envy`, `_first_asymmetry`.
+one routine: `_first_envy`, `first_asymmetries`.
 The envy scan sums integer `numerators` rows: every row of one matrix shares
 its `denominator`, so their prefix sums order exactly as the `Fraction` ones.
-The symmetry scan runs the rule's integer kernel, the one `rules.kernel_of`
-gives it, on `ranked` for the truthful numerators (for an output memo's
-rule, a lookup once the memo holds them), relabels the rows and those
-numerators, runs the kernel on each relabelled profile and compares the
-two sides by cross-multiplying; it builds no profile and no assignment.
-The pruning flag that `kernel_of` returns with the kernel concerns the
-misreport scan alone.
+The symmetry scan (`first_asymmetries`) judges any number of rules in one
+pass: it runs each rule's integer kernel, the one `rules.kernel_of` gives
+it, on `ranked` for the truthful numerators (for an output memo's rule, a
+lookup once the memo holds them), then makes each relabelling of the rows
+once, runs every rule not yet failed on it and compares the two sides,
+whole rows first; it builds no profile and no assignment.  The pruning flag
+that `kernel_of` returns with the kernel concerns the misreport scan alone.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .model import (
@@ -99,53 +100,89 @@ class EquivarianceVerdict:
         return self.holds
 
 
-def _first_asymmetry(rule, profile, agents) -> EquivarianceVerdict:
-    """The first relabelling of the agents (`agents`) or else the objects,
-    in lexicographic order past the identity, under which relabelling first
-    and applying the rule first disagree, with the first cell where they do
-    (row-major, by cross-multiplied numerators); or a pass.
+def _first_mismatch(inst, left, left_scale, right, scale) -> tuple[str, str] | None:
+    """The first (agent, object) cell, row-major, where `left` over
+    `left_scale` and `right` over `scale` differ, by cross-multiplying."""
+    for agent, mine, theirs in zip(inst.agents, left, right):
+        for obj, a, b in zip(inst.objects, mine, theirs):
+            if a * scale != b * left_scale:
+                return agent, obj
+    return None
 
-    Both sides are integer rows: the rule's kernel (`rules.kernel_of`) runs
-    once on `profile`'s `ranked` rows and once on each relabelling of them,
-    and the truthful numerators are relabelled in place of the output.
-    More than 8 labels are refused before the rule runs.
+
+def first_asymmetries(
+    rules: Sequence[Rule], profile: PreferenceProfile, agents: bool
+) -> list[EquivarianceVerdict]:
+    """Each rule's anonymity verdict at `profile` (`agents`), or else its
+    neutrality verdict, all judged in one pass over the relabellings.
+
+    A rule's verdict names the first relabelling of the agents or the
+    objects, in lexicographic order past the identity, under which
+    relabelling first and applying the rule first disagree, with the first
+    cell where they do; or it holds.  Both sides are integer rows: each
+    rule's kernel (`rules.kernel_of`) runs once on `profile`'s `ranked`
+    rows and once on each relabelling of them, and the truthful numerators
+    are relabelled in place of the output.  Each relabelling and its
+    relabelled rows are made once and serve every rule not yet failed; a
+    rule that fails is judged no further, and the pass ends when none is
+    left.  Two sides over one scale are compared row by row; the
+    cross-multiplied cell walk runs only when that finds them unequal or
+    the scales differ.  More than 8 labels are refused before any rule runs.
     """
     inst = profile.instance
+    require_balanced(inst, "anonymity" if agents else "neutrality")
     labels, what = (inst.agents, "agent") if agents else (inst.objects, "object")
     positions = range(len(labels))
     images = orderings(positions, ORDER_LIMIT, f"{len(labels)}! {what} relabellings")
-    kernel, ranked = kernel_of(rule)[0], profile.ranked
-    truth, scale = kernel(inst, ranked)
+    ranked = profile.ranked
+    verdicts = [EquivarianceVerdict(True)] * len(rules)
+    # (position in `rules`, kernel, truthful rows as lists, their scale) of
+    # each rule not yet failed
+    pending = []
+    for index, rule in enumerate(rules):
+        kernel = kernel_of(rule)[0]
+        truth, scale = kernel(inst, ranked)
+        pending.append((index, kernel, [list(row) for row in truth], scale))
     identity = tuple(positions)
     for image in images:
+        if not pending:
+            break
         if image == identity:
             continue
         # Label k becomes label image[k]; source[t] is the label mapped onto t.
         source = sorted(positions, key=image.__getitem__)
         if agents:
             relabelled = tuple(ranked[k] for k in source)
-            right = [truth[k] for k in source]
         else:
             relabelled = tuple(tuple(image[j] for j in row) for row in ranked)
-            right = [[row[k] for k in source] for row in truth]
-        left, left_scale = kernel(inst, relabelled)
-        for agent, mine, theirs in zip(inst.agents, left, right):
-            for obj, a, b in zip(inst.objects, mine, theirs):
-                if a * scale != b * left_scale:
-                    mapping = sorted(zip(labels, map(labels.__getitem__, image)))
-                    return EquivarianceVerdict(False, tuple(mapping), (agent, obj))
-    return EquivarianceVerdict(True)
+        still_pending = []
+        for entry in pending:
+            index, kernel, truth, scale = entry
+            if agents:
+                right = [truth[k] for k in source]
+            else:
+                right = [[row[k] for k in source] for row in truth]
+            left, left_scale = kernel(inst, relabelled)
+            if left_scale == scale and list(map(list, left)) == right:
+                cell = None
+            else:
+                cell = _first_mismatch(inst, left, left_scale, right, scale)
+            if cell is None:
+                still_pending.append(entry)
+            else:
+                mapping = sorted(zip(labels, map(labels.__getitem__, image)))
+                verdicts[index] = EquivarianceVerdict(False, tuple(mapping), cell)
+        pending = still_pending
+    return verdicts
 
 
 def check_anonymity(rule: Rule, profile: PreferenceProfile) -> EquivarianceVerdict:
     """Under every relabelling of the agents, relabelling first or applying
-    the rule first must agree."""
-    require_balanced(profile.instance, "anonymity")
-    return _first_asymmetry(rule, profile, True)
+    the rule first must agree: `first_asymmetries` of the one rule."""
+    return first_asymmetries((rule,), profile, True)[0]
 
 
 def check_neutrality(rule: Rule, profile: PreferenceProfile) -> EquivarianceVerdict:
     """Under every relabelling of the objects, relabelling first or applying
-    the rule first must agree."""
-    require_balanced(profile.instance, "neutrality")
-    return _first_asymmetry(rule, profile, False)
+    the rule first must agree: `first_asymmetries` of the one rule."""
+    return first_asymmetries((rule,), profile, False)[0]

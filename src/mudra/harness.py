@@ -7,7 +7,8 @@ preference-profile domains.  The main entry points are
 * :func:`table1_sweep` -- confirms the expected +/- classification of the
   five bundled rules against ten axioms, storing a concrete counterexample
   for every '-' cell and covering the full domain for every '+' cell (one
-  profile per object-relabelling orbit once the rule is verified neutral);
+  profile per object-relabelling orbit once the rule is verified neutral,
+  one per agents-and-objects orbit once it is verified anonymous too);
 * :func:`reproduce` -- replays the named reference scenarios shipped with
   the library and diffs the computed values against the recorded ones.
 
@@ -31,8 +32,10 @@ from mudra.efficiency import (
     sd_dominates,
 )
 from mudra.fairness import (
+    EquivarianceVerdict,
     check_anonymity,
     check_neutrality,
+    first_asymmetries,
     is_sd_envy_free,
     is_weak_sd_envy_free,
 )
@@ -274,13 +277,16 @@ def _envy_freeness(weak, profile, output, rule):
     return False, data
 
 
-def _symmetry(agents, profile, output, rule):
-    """Anonymity, or without `agents` neutrality.  The checkers are read as
-    module globals at call time, so a rebinding of either name reaches here."""
-    verdict = (check_anonymity if agents else check_neutrality)(rule, profile)
+def _symmetry_result(verdict: EquivarianceVerdict) -> tuple[bool, dict | None]:
     if verdict:
         return True, None
     return False, {"permutation": dict(verdict.permutation), "mismatch": list(verdict.mismatch)}
+
+
+def _symmetry(agents, profile, output, rule):
+    """Anonymity, or without `agents` neutrality.  The checkers are read as
+    module globals at call time, so a rebinding of either name reaches here."""
+    return _symmetry_result((check_anonymity if agents else check_neutrality)(rule, profile))
 
 
 def _no_manipulation(kind, profile, output, rule) -> tuple[bool, dict | None]:
@@ -355,7 +361,7 @@ class TableCell:
     domain: str
     #: Profiles covered, in canonical order up to the witness: each checked
     #: directly or, for a verified-neutral rule, through its orbit's
-    #: representative.
+    #: representative (see `table1_sweep`).
     profiles_checked: int
     witness_orders: tuple[tuple[str, ...], ...] | None = None
     certificate: dict | None = None
@@ -431,6 +437,47 @@ def _first_violation(
     return None
 
 
+def _first_asymmetric(
+    rule_names: Sequence[str],
+    agents: bool,
+    profiles: Iterable[PreferenceProfile],
+    cache: OutputCache,
+) -> dict[str, tuple[int, PreferenceProfile, dict] | None]:
+    """Each rule's `_first_violation` of anonymity (`agents`) or else
+    neutrality, judged for every rule not yet refuted in one
+    `fairness.first_asymmetries` pass per profile."""
+    found = dict.fromkeys(rule_names)
+    pending = list(rule_names)
+    for index, profile in enumerate(profiles):
+        if not pending:
+            break
+        rules = [cache.callable(rule_name) for rule_name in pending]
+        for rule_name, verdict in zip(pending, first_asymmetries(rules, profile, agents)):
+            if not verdict:
+                found[rule_name] = index, profile, _symmetry_result(verdict)[1]
+        pending = [rule_name for rule_name in pending if found[rule_name] is None]
+    return found
+
+
+def orbit_form(ranked: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The first member, as `ranked` rows, of the orbit of the profile with
+    rows `ranked` under relabelling its agents and objects together.
+
+    For each agent in turn the objects are relabelled so that its order is
+    the object tuple and the orders are sorted; the least result is the
+    form.  Column indices are compared, not labels ("o10" < "o2"), so the
+    order is that of `enumerate_profiles`; a profile is the first of its
+    orbit when its `ranked` rows are their own form.
+    """
+    forms = []
+    for pivot in ranked:
+        rank = [0] * len(pivot)
+        for place, j in enumerate(pivot):
+            rank[j] = place
+        forms.append(tuple(sorted(tuple(map(rank.__getitem__, row)) for row in ranked)))
+    return min(forms)
+
+
 #: The report of the first sweep run with `use_cache`, returned by later ones.
 _table1_memo: Table1Report | None = None
 
@@ -445,17 +492,32 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
     results that contradict the expected sign are reported as
     discrepancies, never reconciled.
 
-    On the two-agent domain each rule's neutrality is checked first, at one
-    profile R per object-relabelling orbit: f(τR) = τf(R) and
-    f(στR) = στf(R) give f(στR) = σf(τR), so a violation anywhere in the
-    orbit shows at R.  A rule found neutral there is neutral on the whole
-    domain, every other table property is then invariant under object
-    relabelling, and the rule's cells are swept over the representatives
-    only.  Relabelling acts freely on strict profiles, so the profiles
-    whose first order is the object tuple are one per orbit; they are the
-    first m! = 24 in canonical order, each the first of its orbit, so
-    witnesses, certificates and profile counts are those of the unreduced
-    sweep.  A rule that fails neutrality is swept unreduced.
+    On the two-agent domain the symmetry of every rule is judged first, at
+    one profile R per object-relabelling orbit: f(τR) = τf(R) and
+    f(στR) = στf(R) give f(στR) = σf(τR), so a neutrality violation
+    anywhere in the orbit shows at R.  Relabelling acts freely on strict
+    profiles, so the profiles whose first order is the object tuple are one
+    per orbit; they are the first m! = 24 in canonical order, each the
+    first of its orbit.  All five rules' neutrality is judged there in one
+    relabelling pass per profile (`fairness.first_asymmetries`), then the
+    anonymity of the rules found neutral, again in one pass per profile.
+    Agent and object relabellings commute, so for a neutral rule f
+    anonymity at τR reads f(πτR) = τf(πR) against πf(τR) = τπf(R): it
+    holds at τR exactly when it holds at R, and a neutral rule anonymous at
+    the 24 is anonymous on the whole domain.
+
+    A rule found neutral has every other table property invariant under
+    object relabelling, and its cells are swept over the 24 only.  A rule
+    found anonymous too has them invariant under relabelling agents and
+    objects together, and its cells are swept over the 17 profiles that
+    are the first of their joint orbit (`orbit_form`), in canonical order.
+    The first violating profile of an unreduced sweep is the first of its
+    orbit, whose every member violates, so it is among those swept and is
+    found first: witnesses, certificates and profile counts are those of
+    the unreduced sweep, a witness's count being its index in the domain
+    plus one.  A rule that fails neutrality is swept unreduced, anonymity
+    included, and so is the single-unit fallback, whose symmetry is not
+    checked.
 
     Every check reads the rules through one `OutputCache`.  It is filled
     first, by each rule's kernel on all 576 profiles, and `rule_seconds`
@@ -476,9 +538,15 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
 
     main_instance = canonical_instance(2, 4)
     main_profiles = list(enumerate_profiles(main_instance))
-    # One per orbit, leading the canonical order: an index among them is an
-    # index in the domain.
-    representatives = [p for p in main_profiles if p.orders[0] == main_instance.objects]
+    # The indices in the domain of the profiles each sweep visits: all, the
+    # first of each object orbit (the leading 24) and the first of each
+    # joint orbit among them.
+    everywhere = range(len(main_profiles))
+    object_firsts = [i for i in everywhere if main_profiles[i].orders[0] == main_instance.objects]
+    representatives = [main_profiles[i] for i in object_firsts]
+    joint_firsts = [
+        i for i, p in zip(object_firsts, representatives) if p.ranked == orbit_form(p.ranked)
+    ]
     main_domain = "n=2, m=4, c=2"
     aux_domain = "n=4, m=4, c=1 (single-unit)"
     cache = OutputCache()
@@ -491,20 +559,28 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
             kernel(main_instance, profile.ranked)
         rule_seconds.append((rule_name, time.perf_counter() - started))
 
-    neutrality = {
-        rule_name: _first_violation(rule_name, "neutrality", representatives, cache)
-        for rule_name in RULE_NAMES
-    }
+    neutrality = _first_asymmetric(RULE_NAMES, False, representatives, cache)
+    neutral = [rule_name for rule_name in RULE_NAMES if neutrality[rule_name] is None]
+    anonymity = _first_asymmetric(neutral, True, representatives, cache)
 
     cells = []
     for property_name in PROPERTY_NAMES:
         for rule_name, expected in zip(RULE_NAMES, PROPERTIES[property_name].signs, strict=True):
             if property_name == "neutrality":
                 found = neutrality[rule_name]
+            elif property_name == "anonymity" and rule_name in anonymity:
+                found = anonymity[rule_name]
             else:
-                neutral = neutrality[rule_name] is None
-                swept = representatives if neutral else main_profiles
-                found = _first_violation(rule_name, property_name, swept, cache)
+                if rule_name not in anonymity:
+                    swept = everywhere
+                elif anonymity[rule_name] is None:
+                    swept = joint_firsts
+                else:
+                    swept = object_firsts
+                profiles = map(main_profiles.__getitem__, swept)
+                found = _first_violation(rule_name, property_name, profiles, cache)
+                if found is not None:
+                    found = (swept[found[0]], *found[1:])
             checked = len(main_profiles) if found is None else found[0] + 1
             domain = main_domain
             if found is None and expected == "-":

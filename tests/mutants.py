@@ -484,8 +484,28 @@ MUTANTS = (
     Mutant(
         "truthful-outcome-of-relabelled-rows",
         "fairness.py",
-        "    truth, scale = kernel(inst, ranked)\n",
-        "    truth, scale = kernel(inst, ranked[::-1])\n",
+        "        truth, scale = kernel(inst, ranked)\n",
+        "        truth, scale = kernel(inst, ranked[::-1])\n",
+        FAIRNESS_TESTS,
+    ),
+    # The one pass over the relabellings: a rule stays judged past its
+    # first failure, so a later one overwrites its verdict, and two sides
+    # with equal numerators pass as equal over unequal scales.
+    Mutant(
+        "pass-judges-a-rule-past-its-first-failure",
+        "fairness.py",
+        "            if cell is None:\n"
+        "                still_pending.append(entry)\n"
+        "            else:\n",
+        "            still_pending.append(entry)\n"
+        "            if cell is not None:\n",
+        FAIRNESS_TESTS,
+    ),
+    Mutant(
+        "whole-rows-equal-over-unequal-scales",
+        "fairness.py",
+        "            if left_scale == scale and list(map(list, left)) == right:\n",
+        "            if list(map(list, left)) == right:\n",
         FAIRNESS_TESTS,
     ),
     # Comparisons and the exact LP.
@@ -707,6 +727,24 @@ MUTANTS = (
         "harness.py",
         '        return True, {"detail": "vacuous: no perfect assignment exists"}\n',
         '        return False, {"detail": "vacuous: no perfect assignment exists"}\n',
+        ("tests/test_harness.py",),
+    ),
+    # The orbit reduction of the table1 sweep: a profile that is not the
+    # first of its agents-and-objects orbit is kept (the form is taken from
+    # the first agent alone), and a neutral rule that failed anonymity is
+    # swept over the joint representatives too.
+    Mutant(
+        "joint-test-keeps-a-later-orbit-member",
+        "harness.py",
+        "    return min(forms)\n",
+        "    return forms[0]\n",
+        ("tests/test_harness.py",),
+    ),
+    Mutant(
+        "joint-sweep-for-a-rule-that-failed-anonymity",
+        "harness.py",
+        "                elif anonymity[rule_name] is None:\n",
+        "                elif True:\n",
         ("tests/test_harness.py",),
     ),
     # Scenario replay and JSON loading.

@@ -13,6 +13,7 @@ from mudra.efficiency import enumerate_discrete, is_ex_post_efficient, is_sd_eff
 from mudra.fairness import (
     check_anonymity,
     check_neutrality,
+    first_asymmetries,
     is_sd_envy_free,
     is_weak_sd_envy_free,
 )
@@ -193,6 +194,32 @@ def mps_if_o1_first(profile):
     return uniform(profile.instance)
 
 
+def halves_or_quarters(profile):
+    """Every entry 1/2 when the first agent ranks the first object first,
+    else every entry 1/4: both sides have the numerators 1 over the scales
+    2 and 4, so only the scales tell them apart."""
+    inst = profile.instance
+    half = F(1, 2) if profile.orders[0][0] == inst.objects[0] else F(1, 4)
+    return RandomAssignment(inst, ((half,) * inst.num_objects,) * inst.num_agents)
+
+
+def uniform_over_two_scales(profile):
+    """The uniform rule, whose kernel doubles its numerators and scale when
+    the first agent does not rank the first object first: its two sides
+    agree everywhere although their scales differ, so only the cell walk
+    can tell."""
+    return uniform(profile.instance)
+
+
+def _doubled_uniform(instance, ranked):
+    factor = 1 if ranked[0][0] == 0 else 2
+    n = instance.num_agents
+    return ((factor,) * instance.num_objects,) * n, factor * n
+
+
+uniform_over_two_scales.kernel = _doubled_uniform
+
+
 def seeded_profiles(instance, seeds):
     for seed in seeds:
         rng = random.Random(seed)
@@ -212,23 +239,49 @@ SYMMETRY_DOMAINS = {
 @pytest.mark.parametrize("domain", SYMMETRY_DOMAINS)
 def test_symmetry_checks_match_the_object_loop(domain, monkeypatch):
     """Anonymity and neutrality give the oracle's (holds, permutation,
-    mismatch) for every bundled rule and two rules without a kernel, each
-    as the raw rule, through a cold output memo and through a warm one."""
+    mismatch) for every bundled rule and four stand-ins, three without a
+    kernel, each as the raw rule, through a cold output memo and through a
+    warm one.  One `first_asymmetries` pass over all of them, in either
+    order, gives each rule the same: a rule that fails early neither ends
+    nor changes the judging of the others."""
     monkeypatch.setitem(RULES, "constant", constant_rule)
     monkeypatch.setitem(RULES, "mps-if-o1-first", mps_if_o1_first)
+    monkeypatch.setitem(RULES, "halves-or-quarters", halves_or_quarters)
+    monkeypatch.setitem(RULES, "uniform-over-two-scales", uniform_over_two_scales)
     profiles = list(SYMMETRY_DOMAINS[domain]())
-    failures = 0
-    for name, rule in RULES.items():
-        plain, warm = functools.cache(rule), OutputCache()
-        for profile in profiles:
-            warm.output(name, profile)
-            for agents, check in ((True, check_anonymity), (False, check_neutrality)):
-                expected = oracle_first_asymmetry(plain, profile, agents)
-                assert astuple(check(rule, profile)) == expected, (name, profile.orders)
-                assert astuple(check(OutputCache().callable(name), profile)) == expected
-                assert astuple(check(warm.callable(name), profile)) == expected
-                failures += not expected[0]
-    assert failures
+    plain = {name: functools.cache(rule) for name, rule in RULES.items()}
+    warm = OutputCache()
+    failures = {}
+    for profile in profiles:
+        for agents, check in ((True, check_anonymity), (False, check_neutrality)):
+            expected = {}
+            for name, rule in RULES.items():
+                warm.output(name, profile)
+                expected[name] = want = oracle_first_asymmetry(plain[name], profile, agents)
+                assert astuple(check(rule, profile)) == want, (name, profile.orders)
+                assert astuple(check(OutputCache().callable(name), profile)) == want
+                assert astuple(check(warm.callable(name), profile)) == want
+                failures[name] = failures.get(name, 0) + (not want[0])
+            names = list(RULES)
+            for order in (names, names[::-1]):
+                for rules in ([RULES[name] for name in order], map(warm.callable, order)):
+                    verdicts = first_asymmetries(list(rules), profile, agents)
+                    assert [astuple(v) for v in verdicts] == [expected[name] for name in order]
+    # Every rule but the symmetric ones and the uniform rule over two scales fails somewhere.
+    assert {name for name, count in failures.items() if count} >= {
+        "priority", "constant", "mps-if-o1-first", "halves-or-quarters"
+    }
+    assert not failures["uniform-over-two-scales"]
+
+
+def test_unequal_scales_are_compared_by_value():
+    # Equal numerators over unequal scales differ; unequal numerators over
+    # unequal scales may agree.
+    verdict = check_neutrality(halves_or_quarters, IDENTICAL)
+    assert not verdict.holds
+    assert verdict.permutation == (("o1", "o2"), ("o2", "o1"), ("o3", "o3"), ("o4", "o4"))
+    assert verdict.mismatch == ("1", "o1")
+    assert check_neutrality(uniform_over_two_scales, IDENTICAL).holds
 
 
 # --------------------------------------------------------------------------

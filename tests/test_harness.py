@@ -1,5 +1,6 @@
 """Profile enumeration, scenario replay, and the classification sweep."""
 
+import itertools
 import json
 import math
 import random
@@ -21,6 +22,7 @@ from mudra.harness import (
     canonical_instance,
     check_rule_property,
     enumerate_profiles,
+    orbit_form,
     reproduce,
     table1_sweep,
     witness_text,
@@ -36,7 +38,7 @@ from mudra.model import (
     require_balanced,
     validate_assignment,
 )
-from mudra.rules import KERNELS, mps, ops, uniform
+from mudra.rules import KERNELS, mps, ops, priority_rule, uniform
 from mudra.serialize import (
     assignment_from_data,
     assignment_to_data,
@@ -174,8 +176,10 @@ def test_output_cache_shares_a_scan_between_labellings(monkeypatch):
 #: checks run on `ranked` rows through the memo's kernel, so objects are
 #: built only where a check judges an output or names a witness, and the
 #: profiles are the 576 of the domain and those of the single-unit fallback.
-#: Building them per relabelling or per report took 5,794 and 3,460.
-SWEEP_OBJECTS = {"assignments": 177, "checked profiles": 603}
+#: Building them per relabelling or per report took 5,794 and 3,460.  A rule
+#: found anonymous and neutral is swept over 17 profiles, not 24, which
+#: builds 146 assignments where sweeping the 24 built 177.
+SWEEP_OBJECTS = {"assignments": 146, "checked profiles": 603}
 
 
 def test_the_sweep_builds_few_objects(monkeypatch):
@@ -458,9 +462,56 @@ def test_violation_count_of_every_table1_cell(sweep_data, table1_cells):
     }
 
 
+def joint_orbit(ranked):
+    """Every relabelling of the agents and objects of the profile with rows
+    `ranked`, as `ranked` rows: agent k's order becomes that of agent
+    agents[k], with column j renamed objects[j]."""
+    n, m = len(ranked), len(ranked[0])
+    return {
+        tuple(tuple(objects[j] for j in ranked[k]) for k in agents)
+        for agents in itertools.permutations(range(n))
+        for objects in itertools.permutations(range(m))
+    }
+
+
+def stays_priority_unless_inverse_first(profile):
+    """Serial dictatorship, or the uniform rule when agent 2's order, read
+    as ranks in agent 1's, is a permutation past its inverse.  Relabelling
+    the objects keeps that permutation and swapping the agents inverts it,
+    so the rule is neutral and, like serial dictatorship, not anonymous."""
+    rank = {j: place for place, j in enumerate(profile.ranked[0])}
+    read = [rank[j] for j in profile.ranked[1]]
+    inverse = [read.index(place) for place in range(len(read))]
+    if read > inverse:
+        return uniform(profile.instance)
+    return priority_rule(profile)
+
+
 class TestOrbitReduction:
     """The table1 sweep checks one profile per object-relabelling orbit for a
-    rule it has verified neutral; these tests hold it to the unreduced sweep."""
+    rule it has verified neutral, and one per agents-and-objects orbit for a
+    rule verified anonymous too; these tests hold it to the unreduced sweep."""
+
+    @pytest.mark.parametrize("n, m, count", [(2, 4, 17), (3, 3, 10)])
+    def test_joint_representatives_come_first_in_their_orbits(self, n, m, count):
+        rows = [p.ranked for p in enumerate_profiles(canonical_instance(n, m))]
+        firsts = [ranked for ranked in rows if orbit_form(ranked) == ranked]
+        assert len(firsts) == count
+        for ranked in rows:
+            assert orbit_form(ranked) == min(joint_orbit(ranked))
+        assert sum(len(joint_orbit(ranked)) for ranked in firsts) == len(rows)
+
+    def test_four_agents_on_four_objects_have_762_joint_orbits(self):
+        # The first of each orbit ranks the object tuple first, so only
+        # those (4!)^3 profiles are candidates.
+        identity = tuple(range(4))
+        rows = [
+            (identity, *others)
+            for others in itertools.product(itertools.permutations(identity), repeat=3)
+        ]
+        firsts = [ranked for ranked in rows if orbit_form(ranked) == ranked]
+        assert len(firsts) == 762
+        assert sum(len(joint_orbit(ranked)) for ranked in firsts) == math.factorial(4) ** 4
 
     @pytest.mark.parametrize("n, m, quota", [(2, 4, 2), (3, 3, 1)])
     def test_representatives_come_first_in_their_orbits(self, n, m, quota):
@@ -533,3 +584,30 @@ class TestOrbitReduction:
         # that assumed neutrality would never look.
         witness = cells["uniform", "unanimity"].witness_orders
         assert witness[0] != main_profiles[0].instance.objects
+
+    def test_neutral_rule_that_is_not_anonymous_keeps_the_object_representatives(
+        self, monkeypatch, main_profiles
+    ):
+        monkeypatch.setitem(RULES, "uniform", stays_priority_unless_inverse_first)
+        swept = ("neutrality", "anonymity", "sd-efficiency")
+        monkeypatch.setattr("mudra.harness.PROPERTY_NAMES", swept)
+        report = table1_sweep(use_cache=False)
+        cells = {(cell.rule, cell.property_name): cell for cell in report.cells}
+        cache = OutputCache()
+        assert cells["uniform", "neutrality"].observed == "supported-by-sweep"
+        for property_name in ("anonymity", "sd-efficiency"):
+            cell = cells["uniform", property_name]
+            index, profile, certificate = _first_violation(
+                "uniform", property_name, main_profiles, cache
+            )
+            assert cell.domain.startswith("n=2")
+            assert cell.profiles_checked == index + 1
+            assert cell.witness_orders == profile.orders
+            assert cell.certificate == certificate
+        # The sd-efficiency witness is an object representative but not the
+        # first of its joint orbit, where a sweep that assumed anonymity
+        # would never look.
+        orders = cells["uniform", "sd-efficiency"].witness_orders
+        witness = PreferenceProfile(main_profiles[0].instance, orders)
+        assert witness.orders[0] == witness.instance.objects
+        assert orbit_form(witness.ranked) != witness.ranked
