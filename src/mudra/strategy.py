@@ -29,11 +29,11 @@ through the integer kernel on `ranked` rows that `rules.kernel_of` gives
 it, which also says whether the scan may prune.  A bundled rule, as every
 rule of `harness.RULES` is, may: it runs its own kernel once per distinct
 set of entries it reads, not once per report, and once in all if it reads
-none (see `_scan`).  A scan that does not ask for `NOT_SD_DOMINATED` (the
-weak-sd, dl and group finders) also hands a bundled kernel a `stop`, which
-the eating kernels and `rp` ask during a run with a ceiling on each
+none (see `_scan`).  Every such scan also hands a bundled kernel a `stop`,
+which the eating kernels and `rp` ask during a run with a ceiling on each
 member's final prefix sums; the run ends once the ceilings rule out every
-kind the scan asks for (`_ruled_out`).  An output memo's rule runs the memo's
+kind the scan asks for (`_ruled_out`), as they do for every kind once no
+ceiling of some member is above truth.  An output memo's rule runs the memo's
 kernel on every report, a dictionary lookup once the memo holds the
 report; any other rule (a call counter, a traced rule) runs on every
 report, on a profile of the report.
@@ -225,28 +225,37 @@ def _ruled_out(
     ceiling: Ceiling,
 ) -> bool:
     """Do a partial run's ceilings already rule out every kind of `wanted`
-    (strict SD and DL only) for `truths`, the members' (row, truthful
-    prefix sums over `truth_scale`, true `ranked` order)?  The kernel's
-    `stop`, as `_scan` passes it.
+    for `truths`, the members' (row, truthful prefix sums over
+    `truth_scale`, true `ranked` order)?  The kernel's `stop`, as `_scan`
+    passes it.
 
     `ceiling(row, order)` gives, over `scale`, a number that each prefix
     sum of the finished run's `row` along `order` does not exceed.  A
     ceiling below truth puts that final prefix sum below truth, which rules
     out strict SD.  If no earlier ceiling is above truth, no earlier final
     sum is either, so the first difference is a loss there or before: that
-    rules out DL too.  The walk along a member's order ends at the first
-    ceiling below truth, since nothing later rules out more.  A kind one
+    rules out DL too.  If no ceiling at all is above truth, every final sum
+    is at or below truth, so truth weakly SD-dominates the row: that rules
+    out every kind, not-SD-domination too.  The walk along a member's order
+    ends once it has found a ceiling above truth and one below; past one
+    below truth with none above before it, it goes on only while
+    `NOT_SD_DOMINATED` is still wanted, to find one above.  A kind one
     member rules out is no kind the coalition gains in."""
     for row, sums, order in truths:
-        above = False
+        above = below = False
         for cap, truth_sum in zip(ceiling(row, order), sums):
             gap = cap * truth_scale - truth_sum * scale
-            if gap < 0:
+            if gap > 0:
+                above = True
+            elif gap < 0 and not below:
+                below = True
                 wanted &= ~_STRICT if above else ~(_STRICT | _DL)
                 if not wanted:
                     return True
+            if above and below:
                 break
-            above = above or gap > 0
+        if not above:
+            return True
     return False
 
 
@@ -284,15 +293,17 @@ def _scan(
     a hit, or an adapted rule's) runs on every report, on plain rows.
 
     A prunable kernel also gets a `stop` on every run but the truthful one,
-    unless `NOT_SD_DOMINATED` is asked for: a loss does not rule that kind
-    out, since a later gain gives it.  The eating kernels and `_rp` ask the
+    whatever the kinds asked for.  The eating kernels and `_rp` ask the
     stop (`_ruled_out`) during a run, with a ceiling on each final prefix
     sum of each member's row, and it says whether those ceilings rule out
-    every kind still wanted.  No final prefix sum is above its ceiling, so
-    a stopped run is no witness, and counts as a judged run.  Its reads go
-    into the trie as they are: a report that agrees with them makes the
-    kernel reach the same partial run, which the stop rules out again.  A
-    witness run never stops, so every first witness stays the same.
+    every kind still wanted: a loss alone does not rule out
+    `NOT_SD_DOMINATED`, since a later gain gives it, but a member none of
+    whose ceilings is above truth gains in no kind.  No final prefix sum
+    is above its ceiling, so a stopped run is no witness, and counts as a
+    judged run.  Its reads go into the trie as they are: a report that
+    agrees with them makes the kernel reach the same partial run, which the
+    stop rules out again.  A witness run has a ceiling above truth for
+    every member and never stops, so every first witness stays the same.
     """
     inst = profile.instance
     require_balanced(inst, "manipulation search")
@@ -323,7 +334,7 @@ def _scan(
         for i, order in zip(rows, true_rows)
     )
     stop = None
-    if pruned and not wanted & _NOT_DOMINATED:
+    if pruned:
 
         def stop(scale, ceiling):
             return _ruled_out(truths, truth_scale, wanted, scale, ceiling)

@@ -5,24 +5,29 @@ Run from anywhere, with pytest and Hypothesis installed::
     python3 tests/mutants.py
 
 A mutant is a module of `src/mudra`, a source snippet that occurs exactly
-once in it, the snippet's replacement and the test files expected to kill
-it.  For each mutant the runner copies `src`, `tests`, `pyproject.toml` and
-`README.md` into a temporary directory, applies the mutant there and runs
-its test files with `-x -q -p no:cacheprovider --hypothesis-seed=0
---tb=no`.  Each run is stopped after TIMEOUT seconds, which counts as a
-kill ("timed out"), and may use MEMORY_LIMIT bytes of address space, so a
-mutant that loops or allocates without end cannot hang the runner or
+once in it, the snippet's replacement, the test files expected to kill it
+and its killer: the pytest node id of one test in those files that fails
+on it.  For each mutant the runner copies `src`, `tests`, `pyproject.toml`
+and `README.md` into a temporary directory, applies the mutant there and
+runs its killer alone with `-x -q -p no:cacheprovider --hypothesis-seed=0
+--tb=no`; only if the killer passes does it run the mutant's test files
+the same way.  Each run is stopped after TIMEOUT seconds, which counts as
+a kill ("timed out"), and may use MEMORY_LIMIT bytes of address space, so
+a mutant that loops or allocates without end cannot hang the runner or
 exhaust the machine (without tracebacks, a test that hits the limit fails
-cleanly).  It prints "killed", "timed out" or "survived" with the seconds
-taken, and after "killed" the id of the first failing test if pytest
-printed one; it exits 1 if any mutant survives.  pytest's exit code 1 is a
-kill even when no test is named, as when MEMORY_LIMIT strikes while pytest
-writes its summary; any other nonzero exit, such as a collection error
-(exit code 2), stops the runner with pytest's output (`classify`).
-pytest does not collect this file (its name does not start with `test_`);
-`tests/test_mutants.py` checks in Tier-1 that every snippet still occurs
-exactly once and that every mutated module compiles, so a refactor cannot
-silently empty or break a mutant.
+cleanly).  It prints "killed" when the killer fails, "killed, not by its
+killer" when only the files' run fails, "timed out" or "survived", with
+the seconds taken, and after a kill the id of the first failing test if
+pytest printed one; it exits 1 if any mutant survives.  pytest's exit code
+1 is a kill even when no test is named, as when MEMORY_LIMIT strikes while
+pytest writes its summary; any other nonzero exit, such as a collection
+error (exit code 2) or a killer that names no test (exit code 4), stops
+the runner with pytest's output (`classify`).  pytest does not collect
+this file (its name does not start with `test_`); `tests/test_mutants.py`
+checks in Tier-1 that every snippet still occurs exactly once, that every
+mutated module compiles and that every killer names a test function of
+one of its mutant's files, so a refactor cannot silently empty, break or
+orphan a mutant.
 Standard library only (POSIX: `resource`).
 """
 
@@ -52,6 +57,7 @@ class Mutant:
     snippet: str
     replacement: str
     tests: tuple[str, ...]  # paths from the repository root
+    killer: str  # pytest node id of a test in `tests` that fails on the mutant
 
     def source(self, root: Path = ROOT) -> Path:
         return root / "src" / "mudra" / self.module
@@ -78,6 +84,7 @@ MUTANTS = (
         "        return ops(profile)\n"
         "    return RandomAssignment.from_numerators(inst, *_mps(inst, profile.ranked))\n",
         (*RULES_TESTS, *STRATEGY_TESTS),
+        "tests/test_rules.py::test_eating_engine_matches_micro_step_oracle_on_main_domain[37]",
     ),
     # A trace whose phases each carry the bounds of the phase before.
     Mutant(
@@ -86,6 +93,7 @@ MUTANTS = (
         "    bounds = [Fraction(0)] + ",
         "    bounds = [Fraction(0), Fraction(0)] + ",
         RULES_TESTS,
+        "tests/test_rules.py::TestGoldenOutcomes::test_mps_two_agent_interleaved",
     ),
     Mutant(
         "trie-leaf-one-read-early",
@@ -93,6 +101,7 @@ MUTANTS = (
         "    node = trie = trie or (log[0], {})\n",
         "    log = log[:-1] or log\n    node = trie = trie or (log[0], {})\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::test_a_trie_walk_searches_each_node_once",
     ),
     Mutant(
         "missing-branch-judged",
@@ -100,6 +109,7 @@ MUTANTS = (
         "        if reported not in branches:\n            return False\n",
         "        if reported not in branches:\n            return True\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::test_a_trie_walk_searches_each_node_once",
     ),
     Mutant(
         "raw-numerators-compared",
@@ -107,12 +117,11 @@ MUTANTS = (
         "        gap = total * truth_scale - truth_sum * scale\n",
         "        gap = total - truth_sum\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::TestDlManipulation::test_multi_unit_eating_is_dl_manipulable",
     ),
     # A rule without a kernel of its own is called prunable, and its kernel
     # (an adapter) reads the members' rows behind the views' backs: the
     # truthful run logs no read and ends the scan.
-    # `test_a_row_read_outside_the_views_switches_pruning_off` and
-    # `test_reads_outside_the_views_find_the_oracle_witness` fail on it.
     Mutant(
         "rule-without-a-kernel-scanned-with-the-trie-on",
         "rules.py",
@@ -122,6 +131,7 @@ MUTANTS = (
         "        lambda inst, ranked: unviewed(inst, [getattr(row, 'row', row) for row in ranked])\n"
         "    ), True\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::test_a_row_read_outside_the_views_switches_pruning_off",
     ),
     # An output memo's rule called prunable, so the scan gives its kernel
     # the views: the memo is keyed by the views, no report is ever a hit and
@@ -132,6 +142,7 @@ MUTANTS = (
         "        return rule.kernel, False\n",
         "        return rule.kernel, True\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::test_one_scan_finds_what_the_three_finders_find[priority]",
     ),
     # The witness names the report judged before it.
     Mutant(
@@ -149,27 +160,28 @@ MUTANTS = (
         "        previous = joint\n"
         "        if pruned:\n            trie = _grown(trie, log, joint)\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::TestWeakSdManipulation::test_one_at_a_time_eating_is_manipulable",
     ),
     # A scan asked for several kinds ends at the first witness of any, so a
-    # kind that only a later report shows has none:
-    # `test_one_scan_finds_what_the_three_finders_find` fails on it, as does
-    # the memo's first-agent search in `test_individual_searches_match_brute_force`.
+    # kind that only a later report shows has none.
     Mutant(
         "scan-stops-after-the-first-kind-found",
         "strategy.py",
         "            wanted &= ~gained\n            if not wanted:\n                break\n",
         "            wanted &= ~gained\n            break\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::test_one_scan_finds_what_the_three_finders_find[ops]",
     ),
     # Every report that gains in a kind overwrites that kind's witness, so
     # a scan asked for several kinds ends holding a later witness than the
-    # first: the two tests named above fail on it.
+    # first.
     Mutant(
         "scan-records-a-later-witness-for-a-kind",
         "strategy.py",
         "        gained = wanted\n",
         "        gained = _STRICT | _DL | _NOT_DOMINATED\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::test_one_scan_finds_what_the_three_finders_find[ops]",
     ),
     Mutant(
         "duplicate-member-accepted",
@@ -178,6 +190,7 @@ MUTANTS = (
         '        raise ValueError("coalition lists an agent twice")\n',
         "",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::TestGroupManipulation::test_duplicate_member_rejected",
     ),
     # The trie walk stops advancing: every answer it still gives is right,
     # and a walk two reads deep spins for ever;
@@ -188,6 +201,7 @@ MUTANTS = (
         "        node = branches[reported]\n    return True\n",
         "        node = branches[reported] and node\n    return True\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::test_a_trie_walk_searches_each_node_once",
     ),
     Mutant(
         "first-member-judged-only",
@@ -195,6 +209,7 @@ MUTANTS = (
         "        for i, truth_sums, order in truths:\n",
         "        for i, truth_sums, order in truths[:1]:\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::test_pair_search_matches_brute_force[rp]",
     ),
     # A member who does not improve ends the check of a joint report; the
     # mutant passes over them and keeps the kinds the others gain in.
@@ -205,61 +220,87 @@ MUTANTS = (
         "            gained &= _gains(numerators[i], scale, truth_sums, truth_scale, order, gained)"
         " or gained\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::TestMisreportGuard::test_six_objects_answer",
     ),
     # The eating ceiling leaves out the mass still in the market, so it
     # counts a prefix object still in the market as settled: a share that
-    # can still grow rules a kind out;
-    # `test_a_prefix_with_an_object_in_the_market_is_judged_on_its_ceiling`
-    # fails on it.
+    # can still grow rules a kind out.
     Mutant(
         "stop-counts-a-prefix-object-still-in-the-market",
         "rules.py",
         "            yield got + min(room, left)\n",
         "            yield got\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::"
+        "test_a_prefix_with_an_object_in_the_market_is_judged_on_its_ceiling",
     ),
     # A ceiling below truth after one above it rules out DL as well as
     # strict SD, though the final sum where the ceiling is above truth may
-    # be a first gain; `test_an_earlier_final_gain_keeps_dl_open` fails on it.
+    # be a first gain.
     Mutant(
         "dl-ruled-out-after-an-earlier-final-gain",
         "strategy.py",
         "                wanted &= ~_STRICT if above else ~(_STRICT | _DL)\n",
         "                wanted &= ~(_STRICT | _DL)\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::test_an_earlier_final_gain_keeps_dl_open",
     ),
     # The `rp` ceiling counts the states where the member has picked in
     # place of those where it has not, so it leaves out the picks still to
-    # come; `test_ceilings_bound_the_final_prefix_sums[rp]` fails on it.
+    # come.
     Mutant(
         "rp-ceiling-skips-the-states-where-the-member-has-not-picked",
         "rules.py",
         "            if not picked >> row & 1:\n                waiting[taken]",
         "            if picked >> row & 1:\n                waiting[taken]",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::test_ceilings_bound_the_final_prefix_sums[rp]",
     ),
     # The `rp` ceiling lets a member still to pick take one object of a
-    # prefix, not up to `quota`: at quota 1 nothing changes, and on the
-    # 3x6 c=2 profiles `test_ceilings_bound_the_final_prefix_sums[rp]`
-    # fails on it.
+    # prefix, not up to `quota`: at quota 1 nothing changes, only on the
+    # 3x6 c=2 profiles.
     Mutant(
         "rp-ceiling-takes-one-object-per-pick",
         "rules.py",
         "        pending = [[taken, ways, quota] for taken, ways in waiting.items()]\n",
         "        pending = [[taken, ways, 1] for taken, ways in waiting.items()]\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::test_ceilings_bound_the_final_prefix_sums[rp]",
     ),
-    # A scan that asks for not-SD-domination passes a stop too.
-    # `_ruled_out` never rules that kind out, since a later gain can give
-    # it after a loss, so the stop never fires, but every ask walks the
-    # ceilings for nothing; `test_only_scans_without_not_sd_dominated_pass_a_stop`
-    # fails on it.
+    # A scan that asks for not-SD-domination passes no stop, so its runs
+    # never stop; every witness stays the same, and only the stop's
+    # presence and the pinned run counts change.
     Mutant(
-        "stop-passed-when-not-sd-dominated-is-asked",
+        "sd-scan-passes-no-stop",
         "strategy.py",
-        "    if pruned and not wanted & _NOT_DOMINATED:\n",
-        "    if pruned:\n",
+        "    stop = None\n    if pruned:\n",
+        "    stop = None\n    if pruned and not wanted & _NOT_DOMINATED:\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::test_every_pruned_scan_passes_a_stop[ops]",
+    ),
+    # The walk along a member's order ends at the first ceiling below
+    # truth, before it can find one above truth later: the member counts as
+    # having none, and a run whose final row may still be incomparable to
+    # truth, an sd witness, is stopped.
+    Mutant(
+        "stops-on-one-ceiling-below-truth",
+        "strategy.py",
+        "            if above and below:\n                break\n",
+        "            if below:\n                break\n",
+        STRATEGY_TESTS,
+        "tests/test_strategy.py::"
+        "test_ruled_out_is_sound_and_stops_without_a_ceiling_above_truth[1-3-3-1]",
+    ),
+    # A member none of whose ceilings is above truth stops the run only if
+    # one is below truth: ceilings equal to truth at every prefix, which
+    # leave the row no gain, stop nothing.
+    Mutant(
+        "never-stops-when-no-ceiling-is-below-truth",
+        "strategy.py",
+        "        if not above:\n            return True\n",
+        "        if not above and below:\n            return True\n",
+        STRATEGY_TESTS,
+        "tests/test_strategy.py::test_a_member_with_no_ceiling_above_truth_rules_out_every_kind",
     ),
     # Input refusals: without each, a malformed value passes or is refused
     # for another reason.
@@ -270,6 +311,7 @@ MUTANTS = (
         '            raise ValueError("instance needs at least one agent")\n',
         "",
         MODEL_TESTS,
+        "tests/test_model.py::TestInstance::test_no_agents_rejected",
     ),
     Mutant(
         "instance-without-objects-accepted",
@@ -278,6 +320,7 @@ MUTANTS = (
         '            raise ValueError("instance needs at least one object")\n',
         "",
         MODEL_TESTS,
+        "tests/test_model.py::TestInstance::test_no_objects_rejected",
     ),
     Mutant(
         "non-rational-entry-accepted",
@@ -285,6 +328,7 @@ MUTANTS = (
         '    raise TypeError(f"{where}: expected a rational, got {type(value).__name__}")\n',
         "    return value\n",
         MODEL_TESTS,
+        "tests/test_model.py::TestRandomAssignment::test_non_rational_entries_rejected",
     ),
     Mutant(
         "unknown-object-indexed",
@@ -292,6 +336,7 @@ MUTANTS = (
         '            raise KeyError(f"unknown object {obj!r}") from None\n',
         "            return -1\n",
         MODEL_TESTS,
+        "tests/test_model.py::TestInstance::test_unknown_object_index_rejected",
     ),
     Mutant(
         "duplicate-agent-accepted",
@@ -300,6 +345,7 @@ MUTANTS = (
         '            raise ValueError("duplicate agent ids")\n',
         "",
         MODEL_TESTS,
+        "tests/test_model.py::TestInstance::test_duplicate_ids_rejected",
     ),
     # The one admission test of an instance's quota, dropped: any quota passes.
     Mutant(
@@ -308,6 +354,7 @@ MUTANTS = (
         "        if self.quota != -(-m // n):\n",
         "        if False:\n",
         MODEL_TESTS,
+        "tests/test_model.py::TestInstance::test_quota_times_agents_must_cover_objects",
     ),
     # Balance read as admission: every instance with m != n * quota refused,
     # so the eating rules never see an unbalanced profile.
@@ -317,6 +364,7 @@ MUTANTS = (
         "        if self.quota != -(-m // n):\n",
         "        if self.quota != -(-m // n) or m != n * self.quota:\n",
         ("tests/test_cli.py",),
+        "tests/test_cli.py::TestCompute::test_relaxed_profile",
     ),
     Mutant(
         "short-row-accepted",
@@ -324,6 +372,7 @@ MUTANTS = (
         "        if len(row) != m:\n",
         "        if False:\n",
         MODEL_TESTS,
+        "tests/test_model.py::TestRandomAssignment::test_shape_checked_at_construction",
     ),
     Mutant(
         "unknown-owner-accepted",
@@ -331,6 +380,7 @@ MUTANTS = (
         "            if owner not in known:\n",
         "            if False:\n",
         MODEL_TESTS,
+        "tests/test_model.py::TestDiscreteAssignment::test_unknown_owner_rejected",
     ),
     Mutant(
         "unreduced-numerators-stored",
@@ -338,6 +388,8 @@ MUTANTS = (
         "        common = math.gcd(d, *itertools.chain.from_iterable(numerators))\n",
         "        common = 1\n",
         MODEL_TESTS,
+        "tests/test_model.py::"
+        "TestRandomAssignment::test_from_numerators_reduces_to_the_lcm_of_the_denominators",
     ),
     Mutant(
         "listed-orders-kept",
@@ -345,6 +397,7 @@ MUTANTS = (
         '        object.__setattr__(self, "orders", tuple(map(tuple, self.orders)))\n',
         "",
         MODEL_TESTS,
+        "tests/test_model.py::TestPreferenceProfile::test_with_orders_batch",
     ),
     # A reported profile that loses its reports, or puts one in the wrong row.
     Mutant(
@@ -353,6 +406,7 @@ MUTANTS = (
         "            orders[self.instance.agent_index(agent)] = order\n",
         "            pass\n",
         MODEL_TESTS,
+        "tests/test_model.py::TestPreferenceProfile::test_with_order_replaces_one_agent",
     ),
     Mutant(
         "report-in-the-wrong-row",
@@ -360,6 +414,7 @@ MUTANTS = (
         "            orders[self.instance.agent_index(agent)] = order\n",
         "            orders[-1 - self.instance.agent_index(agent)] = order\n",
         MODEL_TESTS,
+        "tests/test_model.py::TestPreferenceProfile::test_with_order_replaces_one_agent",
     ),
     Mutant(
         "foreign-instance-judged",
@@ -368,6 +423,8 @@ MUTANTS = (
         '        raise ValueError("assignment and profile must share one instance")\n',
         "",
         (*MODEL_TESTS, *EFFICIENCY_TESTS, *FAIRNESS_TESTS),
+        "tests/test_fairness.py::"
+        "test_an_assignment_from_another_instance_is_refused[is_sd_envy_free]",
     ),
     Mutant(
         "non-string-rational-accepted",
@@ -377,6 +434,7 @@ MUTANTS = (
         'got {type(value).__name__}")\n',
         "",
         SERIALIZE_TESTS,
+        "tests/test_serialize.py::TestRationals::test_non_string_values_rejected[None-NoneType]",
     ),
     Mutant(
         "overlapping-ids-accepted",
@@ -385,6 +443,8 @@ MUTANTS = (
         '        raise SchemaError("preferences", "agent and object ids must be disjoint")\n',
         "",
         SERIALIZE_TESTS,
+        "tests/test_serialize.py::TestProfileSchema::test_instance_errors_name_the_field_at_fault"
+        "[changes1-preferences-agent and object ids must be disjoint]",
     ),
     Mutant(
         "duplicate-objects-accepted",
@@ -393,6 +453,7 @@ MUTANTS = (
         '        raise SchemaError("objects", "duplicate object ids")\n',
         "",
         SERIALIZE_TESTS,
+        "tests/test_serialize.py::TestProfileSchema::test_duplicate_objects",
     ),
     Mutant(
         "non-strict-order-accepted",
@@ -400,6 +461,7 @@ MUTANTS = (
         "        if sorted(order) != sorted(objects):\n",
         "        if False:\n",
         SERIALIZE_TESTS,
+        "tests/test_serialize.py::TestProfileSchema::test_preferences_must_be_permutations",
     ),
     Mutant(
         "empty-objects-accepted",
@@ -408,6 +470,8 @@ MUTANTS = (
         '        raise SchemaError("objects", "at least one object is required")\n',
         "",
         SERIALIZE_TESTS,
+        "tests/test_serialize.py::TestProfileSchema::test_instance_errors_name_the_field_at_fault"
+        "[changes0-objects-at least one object]",
     ),
     Mutant(
         "empty-preferences-accepted",
@@ -416,6 +480,7 @@ MUTANTS = (
         '        raise SchemaError("preferences", "at least one agent is required")\n',
         "",
         ("tests/test_cli.py",),
+        "tests/test_cli.py::test_input_refusal_names_its_cause[no-agents]",
     ),
     Mutant(
         "matrix-agent-keys-unchecked",
@@ -423,6 +488,7 @@ MUTANTS = (
         "    if set(matrix.keys()) != set(instance.agents):\n",
         "    if False:\n",
         SERIALIZE_TESTS,
+        "tests/test_serialize.py::TestAssignmentSchema::test_agent_keys_must_match",
     ),
     Mutant(
         "matrix-object-keys-unchecked",
@@ -430,6 +496,7 @@ MUTANTS = (
         "        if set(row_data.keys()) != set(instance.objects):\n",
         "        if False:\n",
         SERIALIZE_TESTS,
+        "tests/test_serialize.py::TestAssignmentSchema::test_object_keys_must_match",
     ),
     # The relabelling scan: it compares reduced views of unequal
     # denominators, and it must walk every image, not only the first.
@@ -439,6 +506,7 @@ MUTANTS = (
         "if a * scale != b * left_scale",
         "if a != b",
         FAIRNESS_TESTS,
+        "tests/test_fairness.py::TestAnonymity::test_mismatch_is_the_first_cell_of_unequal_value",
     ),
     Mutant(
         "first-image-only",
@@ -448,6 +516,7 @@ MUTANTS = (
         '        orderings(positions, ORDER_LIMIT, f"{len(labels)}! {what} relabellings"), 2\n'
         '    )\n',
         FAIRNESS_TESTS,
+        "tests/test_fairness.py::TestNeutrality::test_constant_rule_is_not_neutral",
     ),
     # The profile's objects relabelled by the inverse of the permutation
     # applied to the output: the two agree only on involutions.
@@ -457,6 +526,8 @@ MUTANTS = (
         "            relabelled = tuple(tuple(image[j] for j in row) for row in ranked)\n",
         "            relabelled = tuple(tuple(source[j] for j in row) for row in ranked)\n",
         FAIRNESS_TESTS,
+        "tests/test_fairness.py::"
+        "TestNeutrality::test_all_bundled_rules_commute_with_object_relabeling",
     ),
     Mutant(
         "envious-and-envied-swapped",
@@ -464,6 +535,8 @@ MUTANTS = (
         "FairnessVerdict(False, agent, other, inst.objects[envied_at])",
         "FairnessVerdict(False, other, agent, inst.objects[envied_at])",
         FAIRNESS_TESTS,
+        "tests/test_fairness.py::"
+        "TestSdEnvyFreeness::test_dictatorship_creates_envy_under_identical_preferences",
     ),
     Mutant(
         "weak-envy-never-cleared",
@@ -471,6 +544,7 @@ MUTANTS = (
         "                elif weak and mine > its:\n",
         "                elif False:\n",
         FAIRNESS_TESTS,
+        "tests/test_fairness.py::TestWeakSdEnvyFreeness::test_weaker_than_sd_envy_freeness",
     ),
     Mutant(
         "identity-relabelling-checked",
@@ -478,6 +552,7 @@ MUTANTS = (
         "        if image == identity:\n            continue\n",
         "",
         FAIRNESS_TESTS,
+        "tests/test_fairness.py::TestAnonymity::test_identity_permutation_is_trivial",
     ),
     # The truthful outcome taken at relabelled rows (the agents reversed),
     # not at the profile's own.
@@ -487,6 +562,7 @@ MUTANTS = (
         "        truth, scale = kernel(inst, ranked)\n",
         "        truth, scale = kernel(inst, ranked[::-1])\n",
         FAIRNESS_TESTS,
+        "tests/test_fairness.py::TestAnonymity::test_symmetric_rule_commutes_with_agent_relabeling",
     ),
     # The one pass over the relabellings: a rule stays judged past its
     # first failure, so a later one overwrites its verdict, and two sides
@@ -500,6 +576,7 @@ MUTANTS = (
         "            still_pending.append(entry)\n"
         "            if cell is not None:\n",
         FAIRNESS_TESTS,
+        "tests/test_fairness.py::test_symmetry_checks_match_the_object_loop[3x3c1]",
     ),
     Mutant(
         "whole-rows-equal-over-unequal-scales",
@@ -507,6 +584,7 @@ MUTANTS = (
         "            if left_scale == scale and list(map(list, left)) == right:\n",
         "            if list(map(list, left)) == right:\n",
         FAIRNESS_TESTS,
+        "tests/test_fairness.py::test_unequal_scales_are_compared_by_value",
     ),
     # Comparisons and the exact LP.
     Mutant(
@@ -515,6 +593,7 @@ MUTANTS = (
         "        if pa < pb:\n",
         "        if pa <= pb:\n",
         ORDER_TESTS,
+        "tests/test_order.py::TestSdCompare::test_strict_dominance",
     ),
     Mutant(
         "dl-verdict-reversed",
@@ -522,6 +601,7 @@ MUTANTS = (
         "return DlVerdict.FIRST if va > vb else DlVerdict.SECOND",
         "return DlVerdict.FIRST if va < vb else DlVerdict.SECOND",
         ORDER_TESTS,
+        "tests/test_order.py::TestDlCompare::test_first_wins_on_top_object",
     ),
     Mutant(
         "trade-edge-from-a-full-object",
@@ -529,6 +609,7 @@ MUTANTS = (
         "            if row[a] < full:\n",
         "            if row[a] <= full:\n",
         EFFICIENCY_TESTS,
+        "tests/test_efficiency.py::test_cycle_test_matches_oracle_on_two_agent_owner_maps",
     ),
     Mutant(
         "trade-edge-to-an-empty-object",
@@ -536,6 +617,7 @@ MUTANTS = (
         "                    if row[b] > 0:\n",
         "                    if row[b] >= 0:\n",
         EFFICIENCY_TESTS,
+        "tests/test_efficiency.py::test_cycle_test_matches_oracle_on_two_agent_owner_maps",
     ),
     # The two searches that are loops: a finished object stays marked as on
     # the walk, and a dead end's slot stays on the augmenting path.
@@ -545,6 +627,7 @@ MUTANTS = (
         "                state[path.pop()] = 2\n",
         "                path.pop()\n",
         EFFICIENCY_TESTS,
+        "tests/test_efficiency.py::TestIsSdEfficient::test_ops_outcome_on_staggered_profile",
     ),
     Mutant(
         "dead-end-slot-kept",
@@ -552,6 +635,7 @@ MUTANTS = (
         "                if path:\n                    path.pop()\n",
         "",
         ("tests/test_search_loops.py",),
+        "tests/test_search_loops.py::test_loops_match_the_recursive_oracles[2x4x2]",
     ),
     Mutant(
         "hull-guard-one-short",
@@ -559,6 +643,7 @@ MUTANTS = (
         "islice(screened, HULL_LIMIT + 1)",
         "islice(screened, HULL_LIMIT)",
         (*EFFICIENCY_TESTS, "tests/test_cli.py"),
+        "tests/test_cli.py::TestCheck::test_ex_post_refused_past_the_hull_guard",
     ),
     # An input with a trade cycle answered by its own decomposition, and a
     # decomposition returned one term short.
@@ -568,6 +653,7 @@ MUTANTS = (
         "    if _trade_cycle(p.numerators, p.denominator, profile) is None:\n",
         "    if True:\n",
         EFFICIENCY_TESTS,
+        "tests/test_efficiency.py::TestEnumerateDiscrete::test_cap_refusal",
     ),
     Mutant(
         "ex-post-decomposition-term-dropped",
@@ -575,6 +661,8 @@ MUTANTS = (
         "        return EfficiencyVerdict(True, decomposition=decomposition)\n",
         "        return EfficiencyVerdict(True, decomposition=decomposition[:-1])\n",
         EFFICIENCY_TESTS,
+        "tests/test_efficiency.py::"
+        "TestIsExPostEfficient::test_priority_average_is_ex_post_efficient",
     ),
     Mutant(
         "ratio-tie-leaves-higher-column",
@@ -584,6 +672,7 @@ MUTANTS = (
         "(row[-1] * tableau[r][e], -basis[i])\n"
         "                               < (tableau[r][-1] * row[e], -basis[r])",
         ("tests/test_ratlp.py",),
+        "tests/test_ratlp.py::test_solve_matches_the_fraction_simplex",
     ),
     # The fraction-free tableau: a row divides by the new pivot instead of
     # the old one, the ratio test compares right-hand sides without their
@@ -595,6 +684,7 @@ MUTANTS = (
         "tableau[i] = [(p * x - f * y) // d for x, y in zip(row, prow)]",
         "tableau[i] = [(p * x - f * y) // p for x, y in zip(row, prow)]",
         ("tests/test_ratlp.py",),
+        "tests/test_ratlp.py::test_solve_returns_a_valid_certificate",
     ),
     Mutant(
         "ratio-test-not-cross-multiplied",
@@ -603,6 +693,7 @@ MUTANTS = (
         "                               < (tableau[r][-1] * row[e], basis[r])",
         "(row[-1], basis[i])\n                               < (tableau[r][-1], basis[r])",
         ("tests/test_ratlp.py",),
+        "tests/test_ratlp.py::test_solve_returns_a_valid_certificate",
     ),
     Mutant(
         "farkas-not-divided-by-d",
@@ -610,6 +701,7 @@ MUTANTS = (
         "Fraction((d + cost[nvars + k]) * signs[k], d)",
         "Fraction((d + cost[nvars + k]) * signs[k])",
         ("tests/test_ratlp.py",),
+        "tests/test_ratlp.py::test_solve_matches_the_fraction_simplex",
     ),
     Mutant(
         "hull-weights-not-divided-by-the-denominator",
@@ -617,6 +709,7 @@ MUTANTS = (
         "point=tuple(w / denominator for w in hull.point)",
         "point=hull.point",
         ("tests/test_ratlp.py",),
+        "tests/test_ratlp.py::TestConvexMembership::test_interior_point_with_exact_weights",
     ),
     # Rules and the registry.
     Mutant(
@@ -625,6 +718,7 @@ MUTANTS = (
         "            share = ways * orders_per_prefix\n",
         "            share = ways\n",
         RULES_TESTS,
+        "tests/test_rules.py::TestSerialDictatorship::test_random_priority_answers_at_eight_agents",
     ),
     Mutant(
         "rp-last-picker-mistaken",
@@ -632,6 +726,7 @@ MUTANTS = (
         "row = totals[(everyone ^ picked).bit_length() - 1]",
         "row = totals[picked.bit_length() - 1]",
         RULES_TESTS,
+        "tests/test_rules.py::TestSerialDictatorship::test_random_priority_averages_all_orders",
     ),
     Mutant(
         "eating-forces-two-objects",
@@ -639,6 +734,7 @@ MUTANTS = (
         "        if len(remaining) == 1:\n",
         "        if len(remaining) <= 2:\n",
         RULES_TESTS,
+        "tests/test_rules.py::TestGoldenOutcomes::test_ops_disjoint_tops_then_shared_tail",
     ),
     # The forced picks read their rows again: every output stays the same,
     # and only the pinned run counts of the pair scan change.
@@ -648,6 +744,7 @@ MUTANTS = (
         "    for k in range(n - 1):\n",
         "    for k in range(n):\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::test_pair_scan_runs_the_rule_once_per_distinct_read[rp]",
     ),
     Mutant(
         "eating-last-object-reads-rows",
@@ -655,6 +752,7 @@ MUTANTS = (
         "        if len(remaining) == 1:\n",
         "        if not remaining:\n",
         STRATEGY_TESTS,
+        "tests/test_strategy.py::test_pair_scan_runs_the_rule_once_per_distinct_read[ops]",
     ),
     Mutant(
         "partial-priority-accepted",
@@ -663,6 +761,7 @@ MUTANTS = (
         '        raise ValueError("priority order must list every agent exactly once")\n',
         "",
         RULES_TESTS,
+        "tests/test_rules.py::TestSerialDictatorship::test_priority_must_cover_all_agents",
     ),
     Mutant(
         "eating-clock-doubled",
@@ -670,6 +769,7 @@ MUTANTS = (
         "        now += dt\n",
         "        now += 2 * dt\n",
         RULES_TESTS,
+        "tests/test_rules.py::TestGoldenOutcomes::test_mps_two_agent_interleaved",
     ),
     # Exhausted objects stay on the menu: the eating loop makes no progress
     # and grows its trace until MEMORY_LIMIT stops it.
@@ -679,6 +779,7 @@ MUTANTS = (
         "            if left:\n                remaining[j] = left\n",
         "            if left >= 0:\n                remaining[j] = left\n",
         RULES_TESTS,
+        "tests/test_rules.py::TestGoldenOutcomes::test_mps_two_agent_interleaved",
     ),
     # An eater keeps its top columns after they are exhausted: `_top`
     # skips the availability test.
@@ -688,6 +789,7 @@ MUTANTS = (
         "        if j in available:\n            chosen.append(j)\n",
         "        if True:\n            chosen.append(j)\n",
         RULES_TESTS,
+        "tests/test_rules.py::TestGoldenOutcomes::test_mps_two_agent_interleaved",
     ),
     # Serial dictatorship's last picker reads its row (every output stays
     # the same), or takes objects other than the ones still free.
@@ -697,6 +799,7 @@ MUTANTS = (
         "    for i in pickers:\n",
         "    for i in priority:\n",
         RULES_TESTS,
+        "tests/test_rules.py::test_forced_picks_read_no_row[priority_rule]",
     ),
     Mutant(
         "last-dictator-takes-the-wrong-objects",
@@ -704,6 +807,7 @@ MUTANTS = (
         "    for j in free:",
         "    for j in range(instance.quota):",
         RULES_TESTS,
+        "tests/test_rules.py::TestSerialDictatorship::test_first_dictator_takes_top_quota",
     ),
     # The one dictator loop leaves the objects still free unowned, in
     # `serial_dictator` and in the `priority` kernel alike.
@@ -713,6 +817,7 @@ MUTANTS = (
         "    for j in free:\n        owners[j] = last\n",
         "",
         RULES_TESTS,
+        "tests/test_rules.py::TestSerialDictatorship::test_first_dictator_takes_top_quota",
     ),
     # The output memo keyed by the rows alone: rules share their outputs.
     Mutant(
@@ -721,6 +826,7 @@ MUTANTS = (
         "        key = rule_name, tuple(ranked)\n",
         "        key = (tuple(ranked),)\n",
         ("tests/test_harness.py",),
+        "tests/test_harness.py::test_output_cache_keeps_instances_apart",
     ),
     Mutant(
         "vacuous-unanimity-fails",
@@ -728,6 +834,7 @@ MUTANTS = (
         '        return True, {"detail": "vacuous: no perfect assignment exists"}\n',
         '        return False, {"detail": "vacuous: no perfect assignment exists"}\n',
         ("tests/test_harness.py",),
+        "tests/test_harness.py::test_the_sweep_builds_few_objects",
     ),
     # The orbit reduction of the table1 sweep: a profile that is not the
     # first of its agents-and-objects orbit is kept (the form is taken from
@@ -739,6 +846,8 @@ MUTANTS = (
         "    return min(forms)\n",
         "    return forms[0]\n",
         ("tests/test_harness.py",),
+        "tests/test_harness.py::"
+        "TestOrbitReduction::test_joint_representatives_come_first_in_their_orbits[3-3-10]",
     ),
     Mutant(
         "joint-sweep-for-a-rule-that-failed-anonymity",
@@ -746,6 +855,8 @@ MUTANTS = (
         "                elif anonymity[rule_name] is None:\n",
         "                elif True:\n",
         ("tests/test_harness.py",),
+        "tests/test_harness.py::TestOrbitReduction::"
+        "test_neutral_rule_that_is_not_anonymous_keeps_the_object_representatives",
     ),
     # Scenario replay and JSON loading.
     Mutant(
@@ -754,6 +865,7 @@ MUTANTS = (
         "    for weight, d in terms:\n",
         "    for weight, d in terms[:-1]:\n",
         ("tests/test_harness.py",),
+        "tests/test_harness.py::TestReproduce::test_clean_cases_pass[pareto-decomp]",
     ),
     Mutant(
         "matrix-line-always-matches",
@@ -761,6 +873,7 @@ MUTANTS = (
         "    return _eq_line(label, got, RandomAssignment(got.instance, rows), fmt=_fmt_assignment)\n",
         '    return _line(label, got is not None, f"computed {_fmt_assignment(got)}")\n',
         ("tests/test_harness.py",),
+        "tests/test_harness.py::TestReproduce::test_a_failed_matrix_line_prints_both_matrices",
     ),
     Mutant(
         "dominator-not-replayed",
@@ -768,6 +881,8 @@ MUTANTS = (
         "all(not v and sd_dominates(v.dominator, q, profile) for q, v in verdicts)",
         "all(not v for q, v in verdicts)",
         ("tests/test_harness.py",),
+        "tests/test_harness.py::"
+        "TestReproduce::test_a_dominator_that_does_not_dominate_fails_the_pair_line",
     ),
     Mutant(
         "repeated-keys-accepted",
@@ -780,6 +895,7 @@ MUTANTS = (
         "    return data\n",
         "    return dict(pairs)\n",
         ("tests/test_cli.py",),
+        "tests/test_cli.py::test_input_refusal_names_its_cause[repeated-agent]",
     ),
     Mutant(
         "refused-string-echoed-whole",
@@ -789,6 +905,7 @@ MUTANTS = (
         '    return f"{text[:ECHO_LIMIT]!r}... ({len(text)} characters)"\n',
         "    return repr(text)\n",
         ("tests/test_cli.py",),
+        "tests/test_cli.py::test_input_refusal_names_its_cause[long-rational-entry]",
     ),
     Mutant(
         "undecodable-file-unrefused",
@@ -800,6 +917,7 @@ MUTANTS = (
         "from None\n",
         '    text = Path(source).read_text(encoding="utf-8")\n',
         ("tests/test_cli.py",),
+        "tests/test_cli.py::TestCompute::test_a_file_that_is_not_utf8_is_named",
     ),
     # The integer JSON edge: reading, memo and writing.
     Mutant(
@@ -808,6 +926,7 @@ MUTANTS = (
         "            if sign:\n                p = -p\n",
         "",
         SERIALIZE_TESTS,
+        "tests/test_serialize.py::TestRationals::test_plain_decimal_accepted",
     ),
     Mutant(
         "entry-memo-keyed-by-column",
@@ -823,6 +942,7 @@ MUTANTS = (
         "                if type(value) is str:\n"
         "                    pairs[obj] = pair\n",
         SERIALIZE_TESTS,
+        "tests/test_serialize.py::TestAssignmentSchema::test_round_trip",
     ),
     Mutant(
         "written-entry-not-reduced",
@@ -830,6 +950,7 @@ MUTANTS = (
         "        g = math.gcd(v, d)\n",
         "        g = d if v % d == 0 else 1\n",
         SERIALIZE_TESTS,
+        "tests/test_serialize.py::TestAssignmentSchema::test_round_trip",
     ),
     Mutant(
         "enumerate-drops-the-closing-piece",
@@ -837,6 +958,7 @@ MUTANTS = (
         '"".join(itertools.chain(*zip(pieces, map(order_text, p.orders)), pieces[-1:]))',
         '"".join(itertools.chain(*zip(pieces, map(order_text, p.orders))))',
         ("tests/test_cli.py",),
+        "tests/test_cli.py::TestEnumerate::test_json",
     ),
 )
 
@@ -846,8 +968,9 @@ def _cap_memory() -> None:
 
 
 def verdict(mutant: Mutant) -> tuple[str, str]:
-    """Apply `mutant` to a temporary copy of the tree and run its tests:
-    "timed out" when they outrun TIMEOUT, else `classify`'s verdict."""
+    """Apply `mutant` to a temporary copy of the tree and run its killer,
+    then, if the killer passes, its test files: the verdict of the run that
+    decides, with "killed, not by its killer" for a kill by the files' run."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         for name in COPIED:
@@ -862,16 +985,27 @@ def verdict(mutant: Mutant) -> tuple[str, str]:
         if source.count(mutant.snippet) != 1:
             raise SystemExit(f"{mutant.name}: the snippet does not occur exactly once")
         path.write_text(source.replace(mutant.snippet, mutant.replacement), encoding="utf-8")
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-        try:
-            result = subprocess.run(
-                [sys.executable, "-m", "pytest", *mutant.tests, *PYTEST_ARGS],
-                cwd=tree, env=env, capture_output=True, text=True,
-                timeout=TIMEOUT, preexec_fn=_cap_memory,
-            )
-        except subprocess.TimeoutExpired:
-            return "timed out", ""
-    return classify(mutant.name, result.returncode, result.stdout)
+        outcome, test = run(mutant.name, tree, (mutant.killer,))
+        if outcome == "survived":
+            outcome, test = run(mutant.name, tree, mutant.tests)
+            if outcome == "killed":
+                outcome = "killed, not by its killer"
+    return outcome, test
+
+
+def run(name: str, tree: Path, tests: tuple[str, ...]) -> tuple[str, str]:
+    """pytest on `tests` in `tree`: "timed out" when it outruns TIMEOUT,
+    else `classify`'s verdict."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", *tests, *PYTEST_ARGS],
+            cwd=tree, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT, preexec_fn=_cap_memory,
+        )
+    except subprocess.TimeoutExpired:
+        return "timed out", ""
+    return classify(name, result.returncode, result.stdout)
 
 
 def classify(name: str, returncode: int, stdout: str) -> tuple[str, str]:
@@ -892,16 +1026,17 @@ def classify(name: str, returncode: int, stdout: str) -> tuple[str, str]:
 
 
 def main() -> int:
-    survivors = []
+    outcomes = []
     total = time.perf_counter()
     for mutant in MUTANTS:
         start = time.perf_counter()
         outcome, test = verdict(mutant)
         print(f"{outcome:9}  {time.perf_counter() - start:6.1f} s  {mutant.name}  {test}".rstrip(),
               flush=True)
-        if outcome == "survived":
-            survivors.append(mutant.name)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed "
+        outcomes.append(outcome)
+    survivors = outcomes.count("survived")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed "
+          f"({outcomes.count('killed, not by its killer')} not by their killer) "
           f"in {time.perf_counter() - total:.1f} s")
     return 1 if survivors else 0
 

@@ -568,14 +568,26 @@ PAIR_PROFILE = seeded_profile(FOUR_BY_FOUR, 1)
 #: agent that picks last, so more reports share their reads with a judged
 #: run.  Reading those rows too would take `rp` to 380 runs, and `ops` and
 #: `mps` to 356.  `rp` and the eating rules also stop a run once a member's
-#: ceilings rule out strict SD, so it reads less and more reports share its
-#: reads: without the `stop`, `rp` makes 240 runs and the eating rules 176
-#: each.
-EXPECTED_PAIR_RUNS = {"uniform": 1, "priority": 24, "rp": 46, "ops": 25, "mps": 25}
+#: ceilings rule out strict SD, or none of them is above truth, so it reads
+#: less and more reports share its reads: without the `stop`, `rp` makes
+#: 240 runs and the eating rules 176 each.
+EXPECTED_PAIR_RUNS = {"uniform": 1, "priority": 24, "rp": 46, "ops": 19, "mps": 19}
 #: `ops` and `mps` runs of the same scan with the `stop` dropped.
 UNSTOPPED_PAIR_RUNS = 176
 #: `rp` runs of the same scan with the `stop` dropped.
 UNSTOPPED_RP_PAIR_RUNS = 240
+#: A seeded 3x6 c=2 profile whose agent 1 has an sd witness under `mps` only.
+SD_PROFILE = seeded_profile(SIX_OBJECTS.instance, 5)
+#: Rule runs of agent 1's sd scan on SD_PROFILE, of 720 reports, as
+#: (with the `stop`, without it): an sd scan stops a run once no ceiling of
+#: the member is above truth.  `mps` finds the same witness either way.
+EXPECTED_SD_RUNS = {
+    "uniform": (1, 1),
+    "priority": (30, 30),
+    "rp": (30, 186),
+    "ops": (20, 267),
+    "mps": (144, 323),
+}
 
 
 @pytest.mark.parametrize("rule_name", RULE_NAMES)
@@ -598,6 +610,21 @@ def test_pair_scan_runs_the_rule_once_per_distinct_read(rule_name, monkeypatch):
         assert find_group_manipulation(rule, PAIR_PROFILE, ("1", "2")) is None
         unstopped = UNSTOPPED_RP_PAIR_RUNS if rule is random_priority else UNSTOPPED_PAIR_RUNS
         assert len(runs) == unstopped
+    # one individual sd scan, with the `stop` and without it
+    sd_runs, witnesses = [], []
+    for dropped in (False, True):
+        runs.clear()
+        monkeypatch.setitem(
+            KERNELS,
+            rule,
+            lambda inst, ranked, stop=None, dropped=dropped: runs.append(1)
+            or kernel(inst, ranked, None if dropped else stop),
+        )
+        witnesses.append(find_sd_manipulation(rule, SD_PROFILE, "1"))
+        sd_runs.append(len(runs))
+    assert tuple(sd_runs) == EXPECTED_SD_RUNS[rule_name]
+    assert witnesses[0] == witnesses[1]
+    assert (witnesses[0] is not None) == (rule is mps)
     # A memo hit reads nothing, so a scan through a warm memo, here behind a
     # wrapper that hides the memo's kernel, prunes nothing.
     cache = OutputCache()
@@ -918,30 +945,30 @@ def test_ceilings_bound_the_final_prefix_sums(rule_name):
     assert asks
 
 
-#: Witnesses of the stopped scans below, per rule: weak-sd and dl over every
-#: agent of the 3x6 c=2 profiles of seeds 2-7, and the pair {1, 2} over the
-#: 4x4 c=1 profiles of seeds 100-111, which have none, and 13, 20 and 50 (of
-#: PAIR_SEEDS), which have one for `rp`, the eating rules and all three;
-#: pinned so that agreement on None alone cannot pass.
+#: Witnesses of the stopped scans below, per rule: weak-sd, sd and dl over
+#: every agent of the 3x6 c=2 profiles of seeds 2-7, and the pair {1, 2}
+#: over the 4x4 c=1 profiles of seeds 100-111, which have none, and 13, 20
+#: and 50 (of PAIR_SEEDS), which have one for `rp`, the eating rules and all
+#: three; pinned so that agreement on None alone cannot pass.
 EXPECTED_STOPPED_WITNESSES = {
-    "rp": {"weak-sd": 0, "dl": 0, "group": 2},
-    "ops": {"weak-sd": 5, "dl": 6, "group": 2},
-    "mps": {"weak-sd": 0, "dl": 8, "group": 2},
+    "rp": {"weak-sd": 0, "sd": 0, "dl": 0, "group": 2},
+    "ops": {"weak-sd": 5, "sd": 13, "dl": 6, "group": 2},
+    "mps": {"weak-sd": 0, "sd": 15, "dl": 8, "group": 2},
 }
 
 
 @pytest.mark.parametrize("rule_name", ("rp", "ops", "mps"))
 def test_stopped_scans_match_brute_force(rule_name):
-    """The weak-sd, dl and group scans of `rp` and the eating rules stop a
-    run once its ceilings rule out the kind asked for.  On 3x6 c=2, where
-    `mps` eats two objects at once and `rp` picks two, and on 4x4 c=1 pair
-    scans, every first witness is still the oracle's."""
+    """The scans of `rp` and the eating rules stop a run once its ceilings
+    rule out the kind asked for.  On 3x6 c=2, where `mps` eats two objects
+    at once and `rp` picks two, and on 4x4 c=1 pair scans, every first
+    witness is still the oracle's."""
     rule, memo = RULES[rule_name], OutputCache().callable(rule_name)
-    witnesses = dict.fromkeys(("weak-sd", "dl", "group"), 0)
+    witnesses = dict.fromkeys(("weak-sd", "sd", "dl", "group"), 0)
     for seed in range(2, 8):
         profile = seeded_profile(SIX_OBJECTS.instance, seed)
         for agent in profile.instance.agents:
-            for name in ("weak-sd", "dl"):
+            for name in INDIVIDUAL:
                 finder, kind, improves = INDIVIDUAL[name]
                 expected = brute_force_witness(memo, profile, (agent,), improves)
                 assert_same_witness(finder(rule, profile, agent), expected, kind, (agent,))
@@ -956,34 +983,44 @@ def test_stopped_scans_match_brute_force(rule_name):
     assert witnesses == EXPECTED_STOPPED_WITNESSES[rule_name]
 
 
+#: Agents' sd witnesses over every 3x3 c=1 profile, per rule.
+EXPECTED_SQUARE_SD_WITNESSES = {"rp": 0, "ops": 72, "mps": 72}
+
+
 @pytest.mark.parametrize("rule_name", ("rp", "ops", "mps"))
 def test_stopped_and_unstopped_scans_find_the_same_witnesses(rule_name, monkeypatch):
-    """On every 3x3 c=1 profile, the weak-sd and dl scans of each agent and
-    the scan of the pair {1, 2} find the same witnesses whether the kernel
-    asks the scan's `stop` or drops it."""
+    """On every 3x3 c=1 profile, the weak-sd, sd and dl scans of each agent
+    and the scan of the pair {1, 2} find the same witnesses whether the
+    kernel asks the scan's `stop` or drops it."""
     rule, kernel = RULES[rule_name], KERNELS[RULES[rule_name]]
     profiles = list(all_profiles(THREE_BY_THREE))
 
     def witnesses():
-        found = []
+        found = {"sd": [], "other": []}
         for profile in profiles:
             for agent in THREE_BY_THREE.agents:
-                found.append(find_weak_sd_manipulation(rule, profile, agent))
-                found.append(find_dl_manipulation(rule, profile, agent))
-            found.append(find_group_manipulation(rule, profile, ("1", "2")))
+                found["other"].append(find_weak_sd_manipulation(rule, profile, agent))
+                found["sd"].append(find_sd_manipulation(rule, profile, agent))
+                found["other"].append(find_dl_manipulation(rule, profile, agent))
+            found["other"].append(find_group_manipulation(rule, profile, ("1", "2")))
         return found
 
     stopped = witnesses()
     monkeypatch.setitem(KERNELS, rule, lambda inst, ranked, stop=None: kernel(inst, ranked))
     assert witnesses() == stopped
     # no rule has a weak-sd or dl witness on 3x3 c=1: these are pair witnesses
-    assert len(stopped) - stopped.count(None) == EXPECTED_PAIR_WITNESSES[rule_name]
+    other, sd = stopped["other"], stopped["sd"]
+    assert len(other) - other.count(None) == EXPECTED_PAIR_WITNESSES[rule_name]
+    assert len(sd) - sd.count(None) == EXPECTED_SQUARE_SD_WITNESSES[rule_name]
 
 
-STRICT, DL = _BITS[ManipulationKind.STRICT_SD], _BITS[ManipulationKind.DL_IMPROVEMENT]
+STRICT, DL, NOT_DOMINATED = _BITS.values()
 #: One member, row 0, with the true order o0 > o1 > o2 and the truthful row
 #: (1/2, 1/2, 0): truthful prefix sums (2, 4, 4) over 4.
 ONE_MEMBER = ((0, (2, 4, 4), (0, 1, 2)),)
+#: The same member with the truthful row (1/4, 1/4, 1/2): prefix sums
+#: (1, 2, 4) over 4, so a final sum can rise above truth on o0 and o1.
+LOW_TOP = ((0, (1, 2, 4), (0, 1, 2)),)
 
 
 def eating(*rows, scale, left):
@@ -999,7 +1036,8 @@ def test_a_prefix_with_an_object_in_the_market_is_judged_on_its_ceiling():
     enough of o0 is left, nothing is ruled out, however little of it the
     member has so far; once too little is left, or the member has too
     little room, a prefix with o0 still in the market rules both kinds
-    out.  A settled prefix is judged on its final sum."""
+    out.  A settled prefix is judged on its final sum, and a later prefix
+    with an object in the market on its ceiling."""
     for left in ({0: 4, 1: 4, 2: 4}, {0: 4}, {0: 4, 2: 4}):
         assert not _ruled_out(ONE_MEMBER, 4, STRICT | DL, *eating((0, 0, 0), scale=4, left=left))
     # 1/8 of o0 eaten and 1/8 left: at most 1/4 of it, below truth's 1/2
@@ -1008,8 +1046,9 @@ def test_a_prefix_with_an_object_in_the_market_is_judged_on_its_ceiling():
     assert _ruled_out(ONE_MEMBER, 4, STRICT | DL, *eating((0, 0, 3), scale=4, left={0: 4, 1: 4}))
     # o0 gone, o1 in the market: 1/4 of o0 is final and below truth's 1/2
     assert _ruled_out(ONE_MEMBER, 4, STRICT | DL, *eating((1, 0, 0), scale=4, left={1: 4, 2: 4}))
-    # a settled prefix equal to truth leaves every kind open
-    assert not _ruled_out(ONE_MEMBER, 4, STRICT | DL, *eating((4, 1, 0), scale=8, left={1: 3, 2: 8}))
+    # o0 settled at truth's 1/4, 3/8 of o1 left and room for 5/8: the
+    # ceiling 3/4 on o0 and o1 is above truth's 1/2, so every kind is open
+    assert not _ruled_out(LOW_TOP, 4, STRICT | DL, *eating((2, 1, 0), scale=8, left={1: 3, 2: 8}))
 
 
 def ceilings(*rows, scale):
@@ -1047,12 +1086,94 @@ def test_one_member_ruling_a_kind_out_rules_it_out_for_the_coalition():
     assert not _ruled_out(pair, 4, STRICT | DL, *eating(*rows, scale=4, left={0: 4, 1: 4, 2: 4}))
 
 
+def test_a_member_with_no_ceiling_above_truth_rules_out_every_kind():
+    """A member whose ceilings are all at or below truth ends with every
+    final prefix sum at or below truth: truth weakly SD-dominates the row,
+    which gains in no kind.  One ceiling above truth keeps
+    not-SD-domination open, before or after one below it."""
+    every = STRICT | DL | NOT_DOMINATED
+    # o0 settled at truth's 1/2, 3/8 of o1 left and room for 3/8: the
+    # ceilings equal truth at every prefix
+    stop = eating((4, 1, 0), scale=8, left={1: 3, 2: 8})
+    for wanted in (NOT_DOMINATED, every):
+        assert _ruled_out(ONE_MEMBER, 4, wanted, *stop)
+    assert _ruled_out(ONE_MEMBER, 4, NOT_DOMINATED, *ceilings((1, 4, 4), scale=4))
+    # below truth on o0, above it on o0 and o1: only a first gain is out
+    assert not _ruled_out(LOW_TOP, 4, NOT_DOMINATED, *ceilings((0, 3, 4), scale=4))
+    assert _ruled_out(LOW_TOP, 4, STRICT | DL, *ceilings((0, 3, 4), scale=4))
+    # above truth on o0, below it on o0 and o1: strict SD is out
+    assert not _ruled_out(LOW_TOP, 4, DL | NOT_DOMINATED, *ceilings((2, 1, 4), scale=4))
+    assert _ruled_out(LOW_TOP, 4, STRICT, *ceilings((2, 1, 4), scale=4))
+
+
+def compositions(total, parts):
+    """Every row of `parts` nonnegative integers that sum to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def oracle_gains(row, scale, truth):
+    """The kinds, as `_BITS`, in which `row` over `scale` improves on
+    `truth` over 1, both listed along the member's order: read off the
+    signs of the prefix sums' differences."""
+    gaps = [a - t * scale for a, t in zip(itertools.accumulate(row), itertools.accumulate(truth))]
+    first = next((gap for gap in gaps if gap), 0)
+    kinds = NOT_DOMINATED if max(gaps) > 0 else 0
+    if first > 0:
+        kinds |= DL | (STRICT if min(gaps) >= 0 else 0)
+    return kinds
+
+
+@pytest.mark.parametrize("members, m, total, scale", [(1, 3, 3, 1), (1, 3, 2, 2), (2, 2, 2, 1)])
+def test_ruled_out_is_sound_and_stops_without_a_ceiling_above_truth(members, m, total, scale):
+    """Every coalition of `members` members on `m` objects whose truthful
+    rows are integers summing to `total`, under every integer ceiling on
+    each prefix sum up to `total` over `scale`, asked for every set of
+    kinds: when `_ruled_out` says stop, no final rows over `scale` under
+    the ceilings, each with the truthful total, make every member gain in
+    a kind asked for; and it says stop whenever some member has no
+    ceiling above truth."""
+    order = tuple(range(m))
+    cases = []  # (truthful row, ceilings, the final rows under them)
+    for truth in compositions(total, m):
+        for caps in itertools.product(range(total * scale + 1), repeat=m):
+            rows = [
+                row
+                for row in compositions(total * scale, m)
+                if all(sum_ <= cap for sum_, cap in zip(itertools.accumulate(row), caps))
+            ]
+            cases.append((truth, caps, rows))
+    stops = 0
+    for coalition in itertools.product(cases, repeat=members):
+        truths = tuple(
+            (i, tuple(itertools.accumulate(truth)), order) for i, (truth, _, _) in enumerate(coalition)
+        )
+        stop = ceilings(*(caps for _, caps, _ in coalition), scale=scale)
+        none_above = any(
+            all(cap <= sum_ * scale for cap, sum_ in zip(caps, itertools.accumulate(truth)))
+            for truth, caps, _ in coalition
+        )
+        for wanted in range(1, 8):
+            if not _ruled_out(truths, 1, wanted, *stop):
+                assert not none_above, (coalition, wanted)
+                continue
+            stops += 1
+            for final in itertools.product(*(rows for _, _, rows in coalition)):
+                gained = wanted
+                for (truth, _, _), row in zip(coalition, final):
+                    gained &= oracle_gains(row, scale, truth)
+                assert not gained, (coalition, wanted, final)
+    assert stops
+
+
 @pytest.mark.parametrize("rule_name", RULE_NAMES)
-def test_only_scans_without_not_sd_dominated_pass_a_stop(rule_name, monkeypatch):
-    """A loss does not rule out not-SD-domination, which a later gain
-    gives: a scan that asks for it passes no `stop`, nor does any
-    scan on its truthful run.  The weak-sd, dl and group scans pass one on
-    every other run of a bundled rule."""
+def test_every_pruned_scan_passes_a_stop(rule_name, monkeypatch):
+    """Every scan of a bundled rule, the sd scan and the scan for all three
+    kinds included, passes a `stop` on every run but the truthful one."""
     rule, kernel = RULES[rule_name], KERNELS[RULES[rule_name]]
     stops = []
     monkeypatch.setitem(
@@ -1064,11 +1185,6 @@ def test_only_scans_without_not_sd_dominated_pass_a_stop(rule_name, monkeypatch)
     for scan in (
         lambda: find_sd_manipulation(rule, profile, "1"),
         lambda: individual_scan(rule, profile, "1"),
-    ):
-        stops.clear()
-        scan()
-        assert stops and stops.count(None) == len(stops)
-    for scan in (
         lambda: find_weak_sd_manipulation(rule, profile, "1"),
         lambda: find_dl_manipulation(rule, profile, "1"),
         lambda: find_group_manipulation(rule, profile, ("1", "2")),
@@ -1076,3 +1192,43 @@ def test_only_scans_without_not_sd_dominated_pass_a_stop(rule_name, monkeypatch)
         stops.clear()
         scan()
         assert stops[0] is None and None not in stops[1:]
+
+
+@pytest.mark.parametrize("rule_name", ("rp", "ops", "mps"))
+def test_an_sd_scan_stops_a_run_only_when_no_ceiling_is_above_truth(rule_name, monkeypatch):
+    """A loss does not rule out not-SD-domination, which a later gain
+    gives: at every point a kernel asks, an sd scan's `stop` says yes
+    exactly when none of the member's ceilings is above its truthful
+    prefix sum, on 3x6 c=2 and 4x4 c=1."""
+    rule, kernel = RULES[rule_name], KERNELS[RULES[rule_name]]
+    profiles = (
+        *(seeded_profile(SIX_OBJECTS.instance, seed) for seed in range(1, 4)),
+        *(seeded_profile(FOUR_BY_FOUR, seed) for seed in range(4)),
+    )
+    answers = []
+    for profile in profiles:
+        truth, truth_scale = kernel(profile.instance, profile.ranked)
+        for agent in ("1", "2"):
+            i = profile.instance.agent_index(agent)
+            order = profile.ranked[i]
+            sums = list(itertools.accumulate(truth[i][j] for j in order))
+
+            def checked(inst, ranked, stop=None):
+                if stop is None:
+                    return kernel(inst, ranked)
+
+                def asked(scale, ceiling):
+                    said = stop(scale, ceiling)
+                    caps = ceiling(i, order)
+                    none_above = all(
+                        cap * truth_scale <= sum_ * scale for cap, sum_ in zip(caps, sums)
+                    )
+                    assert said == none_above, (profile, agent)
+                    answers.append(said)
+                    return said
+
+                return kernel(inst, ranked, asked)
+
+            monkeypatch.setitem(KERNELS, rule, checked)
+            find_sd_manipulation(rule, profile, agent)
+    assert True in answers and False in answers
