@@ -18,6 +18,7 @@ order and all searches return the first witness in that order.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -421,41 +422,45 @@ class Table1Report:
         }
 
 
-def _first_violation(
-    rule_name: str,
-    property_name: str,
-    profiles: Iterable[PreferenceProfile],
+def _first_witnesses(
+    cells: Sequence[tuple[str, str]],
+    profiles: Iterable[tuple[int, PreferenceProfile]],
     cache: OutputCache,
-) -> tuple[int, PreferenceProfile, dict] | None:
-    """First profile (canonical order) where the rule violates the property."""
-    for index, profile in enumerate(profiles):
-        holds, certificate = check_rule_property(
-            rule_name, property_name, profile, cache
-        )
-        if not holds:
-            return index, profile, certificate
-    return None
+) -> dict[tuple[str, str], tuple[int, PreferenceProfile, dict] | None]:
+    """Each (rule name, property name) cell's first (index, profile,
+    certificate) in `profiles`, a stream of (domain index, profile) pairs,
+    or None where none violates it.
 
-
-def _first_asymmetric(
-    rule_names: Sequence[str],
-    agents: bool,
-    profiles: Iterable[PreferenceProfile],
-    cache: OutputCache,
-) -> dict[str, tuple[int, PreferenceProfile, dict] | None]:
-    """Each rule's `_first_violation` of anonymity (`agents`) or else
-    neutrality, judged for every rule not yet refuted in one
-    `fairness.first_asymmetries` pass per profile."""
-    found = dict.fromkeys(rule_names)
-    pending = list(rule_names)
-    for index, profile in enumerate(profiles):
-        if not pending:
-            break
-        rules = [cache.callable(rule_name) for rule_name in pending]
-        for rule_name, verdict in zip(pending, first_asymmetries(rules, profile, agents)):
-            if not verdict:
-                found[rule_name] = index, profile, _symmetry_result(verdict)[1]
-        pending = [rule_name for rule_name in pending if found[rule_name] is None]
+    Every cell is judged at each profile in turn up to its first witness:
+    the anonymity cells of all their rules together, in one
+    `fairness.first_asymmetries` pass per profile, likewise the neutrality
+    cells, and every other cell alone by `check_rule_property`.  The groups
+    walk one after another, each replaying what an earlier one pulled
+    (`itertools.tee`; `profiles` itself never advances), so the stream is
+    pulled only as far as some cell needs.  That runs the same checks as
+    judging every cell at one profile before the next, and faster: one
+    checker runs over consecutive profiles.
+    """
+    found = dict.fromkeys(cells)
+    symmetries = {"anonymity": True, "neutrality": False}
+    groups = [[cell for cell in cells if cell[1] == name] for name in symmetries]
+    groups += [[cell] for cell in cells if cell[1] not in symmetries]
+    for pending in groups:
+        profiles, walk = itertools.tee(profiles)
+        while pending and (pulled := next(walk, None)):
+            index, profile = pulled
+            name = pending[0][1]
+            if name in symmetries:
+                rules = [cache.callable(rule_name) for rule_name, _ in pending]
+                verdicts = first_asymmetries(rules, profile, symmetries[name])
+                for cell, verdict in zip(pending, verdicts):
+                    if not verdict:
+                        found[cell] = index, profile, _symmetry_result(verdict)[1]
+            else:
+                holds, certificate = check_rule_property(*pending[0], profile, cache)
+                if not holds:
+                    found[pending[0]] = index, profile, certificate
+            pending = [cell for cell in pending if found[cell] is None]
     return found
 
 
@@ -486,38 +491,40 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
     """Confirm the expected rule-by-axiom classification by exhaustive sweep.
 
     Every '-' cell must produce a concrete counterexample; every '+' cell
-    must hold on all 576 two-agent four-object profiles.  A '-' cell with
-    no two-agent counterexample falls back to the single-unit domain (four
-    agents, four objects, quota one), swept profile by profile.  Observed
-    results that contradict the expected sign are reported as
-    discrepancies, never reconciled.
+    must hold on all 576 two-agent four-object profiles.  Observed results
+    that contradict the expected sign are reported as discrepancies, never
+    reconciled.
 
-    On the two-agent domain the symmetry of every rule is judged first, at
-    one profile R per object-relabelling orbit: f(τR) = τf(R) and
-    f(στR) = στf(R) give f(στR) = σf(τR), so a neutrality violation
-    anywhere in the orbit shows at R.  Relabelling acts freely on strict
-    profiles, so the profiles whose first order is the object tuple are one
-    per orbit; they are the first m! = 24 in canonical order, each the
-    first of its orbit.  All five rules' neutrality is judged there in one
-    relabelling pass per profile (`fairness.first_asymmetries`), then the
-    anonymity of the rules found neutral, again in one pass per profile.
-    Agent and object relabellings commute, so for a neutral rule f
-    anonymity at τR reads f(πτR) = τf(πR) against πf(τR) = τπf(R): it
-    holds at τR exactly when it holds at R, and a neutral rule anonymous at
-    the 24 is anonymous on the whole domain.
+    Every cell's first counterexample is found by `_first_witnesses`, in
+    six walks: the neutrality of every rule over the 24 object
+    representatives; the anonymity of the rules found neutral over the
+    same 24; every other cell of a rule found not neutral over all 576
+    profiles, of a rule found neutral but not anonymous over the 24, and
+    of a rule found both over the 17 joint representatives; and every '-'
+    cell still without a witness over the single-unit domain (four agents,
+    four objects, quota one), whose symmetry is not used.
+
+    The object representatives are one profile R per object-relabelling
+    orbit: f(τR) = τf(R) and f(στR) = στf(R) give f(στR) = σf(τR), so a
+    neutrality violation anywhere in the orbit shows at R.  Relabelling
+    acts freely on strict profiles, so the profiles whose first order is
+    the object tuple are one per orbit; they are the first m! = 24 in
+    canonical order, each the first of its orbit.  Agent and object
+    relabellings commute, so for a neutral rule f anonymity at τR reads
+    f(πτR) = τf(πR) against πf(τR) = τπf(R): it holds at τR exactly when
+    it holds at R, and a neutral rule anonymous at the 24 is anonymous on
+    the whole domain.
 
     A rule found neutral has every other table property invariant under
-    object relabelling, and its cells are swept over the 24 only.  A rule
-    found anonymous too has them invariant under relabelling agents and
-    objects together, and its cells are swept over the 17 profiles that
-    are the first of their joint orbit (`orbit_form`), in canonical order.
-    The first violating profile of an unreduced sweep is the first of its
-    orbit, whose every member violates, so it is among those swept and is
-    found first: witnesses, certificates and profile counts are those of
-    the unreduced sweep, a witness's count being its index in the domain
-    plus one.  A rule that fails neutrality is swept unreduced, anonymity
-    included, and so is the single-unit fallback, whose symmetry is not
-    checked.
+    object relabelling, so the 24 stand for the domain.  A rule found
+    anonymous too has them invariant under relabelling agents and objects
+    together, so the profiles that are the first of their joint orbit
+    (`orbit_form`) stand for it: 17 of the 24, in canonical order.  The
+    first violating profile of an unreduced sweep is the first of its
+    orbit, whose every member violates, so it is among those walked and
+    is found first: witnesses, certificates and profile counts are those
+    of the unreduced sweep, a witness's count being its index in the
+    domain plus one.  The single-unit walk counts on from the 576.
 
     Every check reads the rules through one `OutputCache`.  It is filled
     first, by each rule's kernel on all 576 profiles, and `rule_seconds`
@@ -526,7 +533,7 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
     `ranked` rows, and an assignment is built only where a check judges one
     or a certificate names one.  The three strategyproofness rows share one
     misreport scan per (rule, profile, agent), which judges all three kinds
-    and is kept in the same memo (`OutputCache.scan`): the row swept first
+    and is kept in the same memo (`OutputCache.scan`): the row judged first
     runs it, and the other two read its witnesses.
 
     Both domains are within the profile guard.  With `use_cache` the first
@@ -538,17 +545,6 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
 
     main_instance = canonical_instance(2, 4)
     main_profiles = list(enumerate_profiles(main_instance))
-    # The indices in the domain of the profiles each sweep visits: all, the
-    # first of each object orbit (the leading 24) and the first of each
-    # joint orbit among them.
-    everywhere = range(len(main_profiles))
-    object_firsts = [i for i in everywhere if main_profiles[i].orders[0] == main_instance.objects]
-    representatives = [main_profiles[i] for i in object_firsts]
-    joint_firsts = [
-        i for i, p in zip(object_firsts, representatives) if p.ranked == orbit_form(p.ranked)
-    ]
-    main_domain = "n=2, m=4, c=2"
-    aux_domain = "n=4, m=4, c=1 (single-unit)"
     cache = OutputCache()
 
     rule_seconds = []
@@ -559,48 +555,48 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
             kernel(main_instance, profile.ranked)
         rule_seconds.append((rule_name, time.perf_counter() - started))
 
-    neutrality = _first_asymmetric(RULE_NAMES, False, representatives, cache)
-    neutral = [rule_name for rule_name in RULE_NAMES if neutrality[rule_name] is None]
-    anonymity = _first_asymmetric(neutral, True, representatives, cache)
+    # The first of each object orbit (the leading 24), and the first of each
+    # joint orbit among them, as (domain index, profile) pairs.
+    object_firsts = [
+        (i, p) for i, p in enumerate(main_profiles) if p.orders[0] == main_instance.objects
+    ]
+    joint_firsts = [(i, p) for i, p in object_firsts if p.ranked == orbit_form(p.ranked)]
+    found = _first_witnesses([(name, "neutrality") for name in RULE_NAMES], object_firsts, cache)
+    neutral = [name for name in RULE_NAMES if found[name, "neutrality"] is None]
+    found |= _first_witnesses([(name, "anonymity") for name in neutral], object_firsts, cache)
+    anonymous = [name for name in neutral if found[name, "anonymity"] is None]
+    for swept, rule_names in (
+        (enumerate(main_profiles), [name for name in RULE_NAMES if name not in neutral]),
+        (object_firsts, [name for name in neutral if name not in anonymous]),
+        (joint_firsts, anonymous),
+    ):
+        rest = [(name, prop) for prop in PROPERTY_NAMES for name in rule_names]
+        found |= _first_witnesses([cell for cell in rest if cell not in found], swept, cache)
+    # A '-' cell with no two-agent counterexample concerns single-unit
+    # behaviour, so its search goes on there, counting on from the 576.
+    unfound = [
+        (name, prop)
+        for prop in PROPERTY_NAMES
+        for name, sign in zip(RULE_NAMES, PROPERTIES[prop].signs, strict=True)
+        if sign == "-" and found[name, prop] is None
+    ]
+    aux_profiles = enumerate(enumerate_profiles(canonical_instance(4, 4)), len(main_profiles))
+    found |= _first_witnesses(unfound, aux_profiles, cache)
 
     cells = []
     for property_name in PROPERTY_NAMES:
         for rule_name, expected in zip(RULE_NAMES, PROPERTIES[property_name].signs, strict=True):
-            if property_name == "neutrality":
-                found = neutrality[rule_name]
-            elif property_name == "anonymity" and rule_name in anonymity:
-                found = anonymity[rule_name]
-            else:
-                if rule_name not in anonymity:
-                    swept = everywhere
-                elif anonymity[rule_name] is None:
-                    swept = joint_firsts
-                else:
-                    swept = object_firsts
-                profiles = map(main_profiles.__getitem__, swept)
-                found = _first_violation(rule_name, property_name, profiles, cache)
-                if found is not None:
-                    found = (swept[found[0]], *found[1:])
-            checked = len(main_profiles) if found is None else found[0] + 1
-            domain = main_domain
-            if found is None and expected == "-":
-                # No two-agent counterexample; this sign concerns
-                # single-unit behaviour, so extend the search there.
-                aux_profiles = enumerate_profiles(canonical_instance(4, 4))
-                aux_found = _first_violation(rule_name, property_name, aux_profiles, cache)
-                if aux_found is not None:
-                    found = aux_found
-                    checked += found[0] + 1
-                    domain = aux_domain
+            witness = found[rule_name, property_name]
+            on_main = witness is None or witness[1].instance == main_instance
             cells.append(
                 TableCell(
                     rule=rule_name,
                     property_name=property_name,
                     expected=expected,
-                    domain=domain,
-                    profiles_checked=checked,
-                    witness_orders=None if found is None else found[1].orders,
-                    certificate=None if found is None else found[2],
+                    domain="n=2, m=4, c=2" if on_main else "n=4, m=4, c=1 (single-unit)",
+                    profiles_checked=len(main_profiles) if witness is None else witness[0] + 1,
+                    witness_orders=None if witness is None else witness[1].orders,
+                    certificate=None if witness is None else witness[2],
                 )
             )
 

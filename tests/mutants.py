@@ -852,11 +852,33 @@ MUTANTS = (
     Mutant(
         "joint-sweep-for-a-rule-that-failed-anonymity",
         "harness.py",
-        "                elif anonymity[rule_name] is None:\n",
-        "                elif True:\n",
+        '    anonymous = [name for name in neutral if found[name, "anonymity"] is None]\n',
+        "    anonymous = neutral\n",
         ("tests/test_harness.py",),
         "tests/test_harness.py::TestOrbitReduction::"
         "test_neutral_rule_that_is_not_anonymous_keeps_the_object_representatives",
+    ),
+    # The sweep's first-witness walk: a refuted cell stays pending for one
+    # more profile (a cell that is not a symmetry cell keeps its first
+    # witness, so it reads as before), and a walk pulls one more profile
+    # after its last refutation.
+    Mutant(
+        "refuted-cell-stays-pending",
+        "harness.py",
+        "                    found[pending[0]] = index, profile, certificate\n"
+        "            pending = [cell for cell in pending if found[cell] is None]\n",
+        "                    found[pending[0]] = found[pending[0]] or (index, profile, certificate)\n"
+        "            pending = [cell for cell in pending if not found[cell] or found[cell][0] == index]\n",
+        ("tests/test_harness.py",),
+        "tests/test_harness.py::test_the_sweep_judges_each_cell_once_per_profile",
+    ),
+    Mutant(
+        "walk-pulls-a-profile-after-its-last-refutation",
+        "harness.py",
+        "        while pending and (pulled := next(walk, None)):\n",
+        "        while (pulled := next(walk, None)) and pending:\n",
+        ("tests/test_harness.py",),
+        "tests/test_harness.py::test_the_sweep_builds_few_objects",
     ),
     # Scenario replay and JSON loading.
     Mutant(

@@ -18,7 +18,7 @@ from mudra.harness import (
     RULE_NAMES,
     RULES,
     OutputCache,
-    _first_violation,
+    _first_witnesses,
     canonical_instance,
     check_rule_property,
     enumerate_profiles,
@@ -198,6 +198,47 @@ def test_the_sweep_builds_few_objects(monkeypatch):
     monkeypatch.setattr(PreferenceProfile, "__post_init__", counted_check)
     table1_sweep(use_cache=False)
     assert counts == SWEEP_OBJECTS
+
+
+#: `check_rule_property` calls and `fairness.first_asymmetries` passes of one
+#: table1 sweep.  Each walk judges a cell at each of its profiles up to the
+#: cell's first witness, and no further: a cell that is not a symmetry cell
+#: costs one check per profile, and the neutrality of the five rules, then
+#: the anonymity of the neutral ones, one shared pass per object
+#: representative (24 each).
+SWEEP_WORK = {"checks": 576, "symmetry passes": 48}
+
+
+def test_the_sweep_judges_each_cell_once_per_profile(monkeypatch):
+    counts = dict.fromkeys(SWEEP_WORK, 0)
+    check, first_asymmetries = harness.check_rule_property, harness.first_asymmetries
+
+    def counted_check(*args):
+        counts["checks"] += 1
+        return check(*args)
+
+    def counted_pass(*args):
+        counts["symmetry passes"] += 1
+        return first_asymmetries(*args)
+
+    monkeypatch.setattr(harness, "check_rule_property", counted_check)
+    monkeypatch.setattr(harness, "first_asymmetries", counted_pass)
+    table1_sweep(use_cache=False)
+    assert counts == SWEEP_WORK
+
+
+def test_one_walk_gives_every_cell_its_own_first_witness(main_profiles):
+    """Walking all 50 cells together over the 24 object representatives
+    gives each cell the index, witness and certificate of walking it alone."""
+    instance = main_profiles[0].instance
+    firsts = [(i, p) for i, p in enumerate(main_profiles) if p.orders[0] == instance.objects]
+    cells = [(rule, name) for name in PROPERTY_NAMES for rule in RULE_NAMES]
+    together = _first_witnesses(cells, firsts, OutputCache())
+    assert list(together) == cells
+    assert {hit is None for hit in together.values()} == {True, False}
+    cache = OutputCache()
+    for cell in cells:
+        assert _first_witnesses([cell], firsts, cache) == {cell: together[cell]}, cell
 
 
 def never_called(profile):
@@ -573,9 +614,9 @@ class TestOrbitReduction:
         cache = OutputCache()
         for property_name in ("neutrality", "unanimity"):
             cell = cells["uniform", property_name]
-            index, profile, certificate = _first_violation(
-                "uniform", property_name, main_profiles, cache
-            )
+            index, profile, certificate = _first_witnesses(
+                [("uniform", property_name)], enumerate(main_profiles), cache
+            )["uniform", property_name]
             assert cell.domain.startswith("n=2")
             assert cell.profiles_checked == index + 1
             assert cell.witness_orders == profile.orders
@@ -597,9 +638,9 @@ class TestOrbitReduction:
         assert cells["uniform", "neutrality"].observed == "supported-by-sweep"
         for property_name in ("anonymity", "sd-efficiency"):
             cell = cells["uniform", property_name]
-            index, profile, certificate = _first_violation(
-                "uniform", property_name, main_profiles, cache
-            )
+            index, profile, certificate = _first_witnesses(
+                [("uniform", property_name)], enumerate(main_profiles), cache
+            )["uniform", property_name]
             assert cell.domain.startswith("n=2")
             assert cell.profiles_checked == index + 1
             assert cell.witness_orders == profile.orders
