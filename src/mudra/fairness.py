@@ -16,6 +16,7 @@ that `kernel_of` returns with the kernel concerns the misreport scan alone.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -136,13 +137,13 @@ def first_asymmetries(
     images = orderings(positions, ORDER_LIMIT, f"{len(labels)}! {what} relabellings")
     ranked = profile.ranked
     verdicts = [EquivarianceVerdict(True)] * len(rules)
-    # (position in `rules`, kernel, truthful rows as lists, their scale) of
+    # (position in `rules`, kernel, truthful rows as tuples, their scale) of
     # each rule not yet failed
     pending = []
     for index, rule in enumerate(rules):
         kernel = kernel_of(rule)[0]
         truth, scale = kernel(inst, ranked)
-        pending.append((index, kernel, [list(row) for row in truth], scale))
+        pending.append((index, kernel, tuple(map(tuple, truth)), scale))
     identity = tuple(positions)
     for image in images:
         if not pending:
@@ -150,20 +151,19 @@ def first_asymmetries(
         if image == identity:
             continue
         # Label k becomes label image[k]; source[t] is the label mapped onto t.
+        # Past the identity there are two labels or more, so `pick` gives a tuple.
         source = sorted(positions, key=image.__getitem__)
+        pick = operator.itemgetter(*source)
         if agents:
-            relabelled = tuple(ranked[k] for k in source)
+            relabelled = pick(ranked)
         else:
-            relabelled = tuple(tuple(image[j] for j in row) for row in ranked)
+            relabelled = tuple(tuple(map(image.__getitem__, row)) for row in ranked)
         still_pending = []
         for entry in pending:
             index, kernel, truth, scale = entry
-            if agents:
-                right = [truth[k] for k in source]
-            else:
-                right = [[row[k] for k in source] for row in truth]
+            right = pick(truth) if agents else tuple(map(pick, truth))
             left, left_scale = kernel(inst, relabelled)
-            if left_scale == scale and list(map(list, left)) == right:
+            if left_scale == scale and tuple(map(tuple, left)) == right:
                 cell = None
             else:
                 cell = _first_mismatch(inst, left, left_scale, right, scale)

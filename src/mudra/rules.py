@@ -16,9 +16,10 @@ agents depletes at rate k.  The phase ends at the earliest exhaustion time,
 computed exactly; objects hitting zero leave the market and demand sets are
 recomputed.  Each phase exhausts at least one object, so there are at most m
 phases and all breakpoints are exact rationals.  The engine computes them on
-integers, as numerators over one running denominator.  Only
-`simulate_eating` builds a trace, whose phase bounds are `Fraction`s; the
-rules `ops` and `mps` run the engine's kernel and build none.
+integers, as numerators over one fixed denominator, lcm(1..n)^m (`_eat`),
+and adds up each agent's shares as it eats.  Only `simulate_eating` builds
+a trace, whose phase bounds are `Fraction`s; the rules `ops` and `mps` run
+the engine's kernel and build none.
 
 The two eating rules differ only in the demand size: each agent eats its
 min(size, #remaining) most preferred available objects at once, with size 1
@@ -46,6 +47,7 @@ test per phase or layer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,51 +105,57 @@ def simulate_eating(profile: PreferenceProfile, size: int) -> EatingTrace:
     """Run the simultaneous eating procedure to exhaustion of all objects.
 
     Each agent eats its min(`size`, #remaining) most preferred available
-    objects at once (`_eat`); the phase bounds become `Fraction`s here.
+    objects at once (`_eat`); the phase bounds, sums of the phase lengths
+    that it logs, become `Fraction`s here.
     """
     if size < 1:
         raise ValueError("demand size must be at least 1")
     inst = profile.instance
-    ends, demands = _eat(inst, profile.ranked, size)
-    bounds = [Fraction(0)] + [Fraction(end, denominator) for end, denominator in ends]
-    phases = tuple(map(Phase, bounds, bounds[1:], demands))
-    eaten = _shares(inst, ends, demands)
-    return EatingTrace(profile, phases, RandomAssignment.from_numerators(inst, *eaten))
+    log: list[tuple[int, list]] = []
+    eaten, whole = _eat(inst, profile.ranked, size, log=log)
+    lengths, demands = zip(*log)
+    bounds = [Fraction(0)] + [Fraction(end, whole) for end in itertools.accumulate(lengths)]
+    phases = tuple(map(Phase, bounds, bounds[1:], (tuple(map(tuple, d)) for d in demands)))
+    return EatingTrace(profile, phases, RandomAssignment.from_numerators(inst, eaten, whole))
 
 
 def _eat(
-    instance: Instance, ranked: Sequence[Sequence[int]], size: int, stop: Stop | None = None
-) -> tuple | None:
-    """The eating loop: (phase ends, phase demands), or None if `stop` said so.
+    instance: Instance,
+    ranked: Sequence[Sequence[int]],
+    size: int,
+    stop: Stop | None = None,
+    log: list | None = None,
+) -> tuple[list[list[int]], int] | None:
+    """The eating loop: (what each agent ate, its denominator), or None if
+    `stop` said so.
 
-    Every amount left and the clock are numerators over one running
-    denominator, which each phase first multiplies by the lcm of its eater
-    counts, so that the phase's length min(left / eaters) is an exact integer
-    quotient.  Once one object is left, every agent eats it, reading no row.
-    After each phase but the last, `stop` (if any) gets the ceilings of
-    `_eating_ceiling` over the running denominator.
+    Every amount is a numerator over one fixed denominator, `whole` =
+    lcm(1..n)^m.  A phase lasts the least quotient left / eaters; every
+    eater count divides lcm(1..n), so after p phases every amount left is
+    a multiple of lcm(1..n)^(m-p), and over at most m phases every
+    quotient is exact.  Once one object is left, every agent eats an
+    equal share of it, reading no row.  After each phase but the last,
+    `stop` (if any) gets the ceilings of `_eating_ceiling` over `whole`;
+    `log` (if any) gets every phase's (length, demands).
     """
-    scale = 1  # the running denominator of `remaining` and `now`
-    remaining = dict.fromkeys(range(instance.num_objects), 1)  # column -> numerator left
-    now = 0
-    ends: list[tuple[int, int]] = []  # per phase: end time as (numerator, denominator)
-    demands: list[tuple[tuple[int, ...], ...]] = []
+    n, m = instance.num_agents, instance.num_objects
+    whole = math.lcm(*range(1, n + 1)) ** m
+    remaining = dict.fromkeys(range(m), whole)  # column -> numerator left
+    eaten = [[0] * m for _ in range(n)]
     while remaining:
         if len(remaining) == 1:
-            demand = (tuple(remaining),) * instance.num_agents
-        else:
-            take = min(size, len(remaining))
-            demand = tuple(tuple(_top(row, remaining, take)) for row in ranked)
+            ((j, left),) = remaining.items()
+            for row in eaten:
+                row[j] += left // n
+            if log is not None:
+                log.append((left // n, [(j,)] * n))
+            break
+        take = min(size, len(remaining))
+        demand = [_top(order, remaining, take) for order in ranked]
         eaters: dict[int, int] = {}  # column -> agents eating it
-        for columns in demand:
-            for j in columns:
+        for picks in demand:
+            for j in picks:
                 eaters[j] = eaters.get(j, 0) + 1
-        step = math.lcm(*eaters.values())
-        if step > 1:
-            scale *= step
-            now *= step
-            for j in remaining:
-                remaining[j] *= step
         # Earliest exhaustion among objects currently being eaten; exact, so
         # simultaneous exhaustions land on the same breakpoint and merge here.
         dt = min(remaining[j] // k for j, k in eaters.items())
@@ -157,23 +165,24 @@ def _eat(
                 remaining[j] = left
             else:
                 del remaining[j]
-        now += dt
-        ends.append((now, scale))
-        demands.append(demand)
+        for row, picks in zip(eaten, demand):
+            for j in picks:
+                row[j] += dt
+        if log is not None:
+            log.append((dt, demand))
         if stop is not None and remaining:
-            eaten = _shares(instance, ends, demands)[0]
-            if stop(scale, _eating_ceiling(eaten, instance.quota * scale, remaining)):
+            if stop(whole, _eating_ceiling(eaten, instance.quota * whole, remaining)):
                 return None
-    return ends, demands
+    return eaten, whole
 
 
-def _eating_ceiling(eaten: Sequence[Sequence[int]], whole: int, remaining: dict) -> Ceiling:
+def _eating_ceiling(eaten: Sequence[Sequence[int]], cap: int, remaining: dict) -> Ceiling:
     """The ceilings of an eating run that has eaten `eaten` so far, with
-    `remaining` of each column left in the market, all over one scale of
-    which `whole` is the quota.
+    `remaining` of each column left in the market, all numerators over the
+    run's fixed denominator, over which `cap` is the quota.
 
     Every agent eats as many objects as every other at each instant, so
-    each row ends at m/n, at most the quota: a row gets at most `whole`
+    each row ends at m/n, at most the quota: a row gets at most `cap`
     minus what it has eaten, and a prefix of its order at most what is
     left of the prefix's columns.  The ceiling of a prefix is what the row
     has eaten of it plus the smaller of the two, which on a prefix whose
@@ -181,7 +190,7 @@ def _eating_ceiling(eaten: Sequence[Sequence[int]], whole: int, remaining: dict)
 
     def ceiling(row: int, order: Sequence[int]) -> Iterator[int]:
         shares = eaten[row]
-        room = whole - sum(shares)
+        room = cap - sum(shares)
         got = left = 0
         for j in order:
             got += shares[j]
@@ -189,22 +198,6 @@ def _eating_ceiling(eaten: Sequence[Sequence[int]], whole: int, remaining: dict)
             yield got + min(room, left)
 
     return ceiling
-
-
-def _shares(instance: Instance, ends: Sequence, demands: Sequence) -> tuple[list[list[int]], int]:
-    """(numerators, denominator) of what each agent ate in the phases of
-    `ends` and `demands`: the length of every phase in which it eats a
-    column, all over the last phase's denominator."""
-    scale = ends[-1][1]
-    eaten = [[0] * instance.num_objects for _ in instance.agents]
-    before = 0
-    for (end, denominator), demand in zip(ends, demands):
-        end *= scale // denominator
-        for row, columns in zip(eaten, demand):
-            for j in columns:
-                row[j] += end - before
-        before = end
-    return eaten, scale
 
 
 def _top(ranked: Sequence[int], available: Container[int], take: int) -> list[int]:
@@ -222,8 +215,7 @@ def _top(ranked: Sequence[int], available: Container[int], take: int) -> list[in
 def _mps(
     instance: Instance, ranked: Sequence[Sequence[int]], stop: Stop | None = None
 ) -> tuple | None:
-    phases = _eat(instance, ranked, instance.quota, stop)
-    return None if phases is None else _shares(instance, *phases)
+    return _eat(instance, ranked, instance.quota, stop)
 
 
 def mps(profile: PreferenceProfile) -> RandomAssignment:
@@ -240,8 +232,7 @@ def mps_trace(profile: PreferenceProfile) -> EatingTrace:
 def _ops(
     instance: Instance, ranked: Sequence[Sequence[int]], stop: Stop | None = None
 ) -> tuple | None:
-    phases = _eat(instance, ranked, 1, stop)
-    return None if phases is None else _shares(instance, *phases)
+    return _eat(instance, ranked, 1, stop)
 
 
 def ops(profile: PreferenceProfile) -> RandomAssignment:

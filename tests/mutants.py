@@ -111,13 +111,16 @@ MUTANTS = (
         STRATEGY_TESTS,
         "tests/test_strategy.py::test_a_trie_walk_searches_each_node_once",
     ),
+    # Numerators compared without their denominators.  Every run of a
+    # bundled kernel on one instance has the same denominator (the eating
+    # engine's is fixed), so only outcomes over unequal ones tell.
     Mutant(
         "raw-numerators-compared",
         "strategy.py",
         "        gap = total * truth_scale - truth_sum * scale\n",
         "        gap = total - truth_sum\n",
         STRATEGY_TESTS,
-        "tests/test_strategy.py::TestDlManipulation::test_multi_unit_eating_is_dl_manipulable",
+        "tests/test_strategy.py::test_scan_verdicts_equal_fraction_comparisons",
     ),
     # A rule without a kernel of its own is called prunable, and its kernel
     # (an adapter) reads the members' rows behind the views' backs: the
@@ -523,8 +526,8 @@ MUTANTS = (
     Mutant(
         "objects-relabelled-by-the-inverse-permutation",
         "fairness.py",
-        "            relabelled = tuple(tuple(image[j] for j in row) for row in ranked)\n",
-        "            relabelled = tuple(tuple(source[j] for j in row) for row in ranked)\n",
+        "            relabelled = tuple(tuple(map(image.__getitem__, row)) for row in ranked)\n",
+        "            relabelled = tuple(tuple(map(source.__getitem__, row)) for row in ranked)\n",
         FAIRNESS_TESTS,
         "tests/test_fairness.py::"
         "TestNeutrality::test_all_bundled_rules_commute_with_object_relabeling",
@@ -581,8 +584,8 @@ MUTANTS = (
     Mutant(
         "whole-rows-equal-over-unequal-scales",
         "fairness.py",
-        "            if left_scale == scale and list(map(list, left)) == right:\n",
-        "            if list(map(list, left)) == right:\n",
+        "            if left_scale == scale and tuple(map(tuple, left)) == right:\n",
+        "            if tuple(map(tuple, left)) == right:\n",
         FAIRNESS_TESTS,
         "tests/test_fairness.py::test_unequal_scales_are_compared_by_value",
     ),
@@ -766,20 +769,20 @@ MUTANTS = (
     Mutant(
         "eating-clock-doubled",
         "rules.py",
-        "        now += dt\n",
-        "        now += 2 * dt\n",
+        "for end in itertools.accumulate(lengths)]\n",
+        "for end in itertools.accumulate(2 * t for t in lengths)]\n",
         RULES_TESTS,
         "tests/test_rules.py::TestGoldenOutcomes::test_mps_two_agent_interleaved",
     ),
-    # Exhausted objects stay on the menu: the eating loop makes no progress
-    # and grows its trace until MEMORY_LIMIT stops it.
+    # Exhausted objects stay on the menu: the eating loop makes no progress,
+    # and the oracle cross-check's deadline stops it.
     Mutant(
         "eaten-objects-kept",
         "rules.py",
         "            if left:\n                remaining[j] = left\n",
         "            if left >= 0:\n                remaining[j] = left\n",
         RULES_TESTS,
-        "tests/test_rules.py::TestGoldenOutcomes::test_mps_two_agent_interleaved",
+        "tests/test_rules.py::test_index_view_rules_match_named_oracles_exhaustively[2-4-2]",
     ),
     # An eater keeps its top columns after they are exhausted: `_top`
     # skips the availability test.
@@ -790,6 +793,26 @@ MUTANTS = (
         "        if True:\n            chosen.append(j)\n",
         RULES_TESTS,
         "tests/test_rules.py::TestGoldenOutcomes::test_mps_two_agent_interleaved",
+    ),
+    # The eating engine's denominator one power of lcm(1..n) short: the
+    # floor divisions round where a breakpoint needs the last factor, which
+    # only one object among two or more agents does (`EXACT_SHAPES`).
+    Mutant(
+        "whole-one-power-short",
+        "rules.py",
+        "    whole = math.lcm(*range(1, n + 1)) ** m\n",
+        "    whole = math.lcm(*range(1, n + 1)) ** (m - 1)\n",
+        RULES_TESTS,
+        "tests/test_rules.py::test_eating_kernels_are_exact_over_their_denominator[2x1]",
+    ),
+    # The last object's phase is logged but left out of what the agents ate.
+    Mutant(
+        "last-object-left-out-of-the-shares",
+        "rules.py",
+        "            for row in eaten:\n                row[j] += left // n\n",
+        "",
+        RULES_TESTS,
+        "tests/test_rules.py::test_eating_kernels_are_exact_over_their_denominator[3x3]",
     ),
     # Serial dictatorship's last picker reads its row (every output stays
     # the same), or takes objects other than the ones still free.

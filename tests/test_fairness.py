@@ -151,6 +151,21 @@ class TestAnonymity:
         assert runs == [solo]
 
 
+@pytest.mark.parametrize("objects", [("o1",), ("o1", "o2", "o3")], ids=["1x1", "1x3"])
+def test_a_lone_label_is_judged_by_the_identity_alone(objects):
+    """One agent has only the identity relabelling, and so has one object,
+    which balance leaves to one agent.  The identity is skipped, so no
+    single label is relabelled, where `itemgetter` of one index would give
+    a scalar in place of a tuple; every bundled rule is anonymous and
+    neutral there, judged alone or all in one pass."""
+    inst = Instance(agents=("1",), objects=objects, quota=len(objects))
+    prof = PreferenceProfile(inst, (objects[::-1],))
+    for rule in RULES.values():
+        assert check_anonymity(rule, prof).holds and check_neutrality(rule, prof).holds
+    for agents in (True, False):
+        assert all(first_asymmetries(list(RULES.values()), prof, agents))
+
+
 class TestNeutrality:
     def test_all_bundled_rules_commute_with_object_relabeling(self):
         # Every one of the 23 non-identity relabellings of four objects.

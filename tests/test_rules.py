@@ -1,10 +1,12 @@
 """Assignment rules: golden outcomes, eating-trace invariants, cross-checks.
 
-The micro-step oracle re-enacts the eating process on the fixed time grid
-1/n^m.  Every exhaustion time of the event-driven engine has a denominator
-dividing n^m (each of the at-most-m phases multiplies denominators by at
-most n), so the fixed-step replay hits every breakpoint exactly and must
-reproduce the engine's outcome with zero error.
+The micro-step oracle re-enacts the eating process on a fixed time grid,
+1/n^m unless told otherwise, and fails if a step would overstep an
+exhaustion, so wherever it finishes, the fixed-step replay has hit every
+breakpoint exactly and must reproduce the engine's outcome with zero error.
+The 1/n^m grid holds every breakpoint of two agents; three or more may need
+the grid 1/lcm(1..n)^m (each of the at-most-m phases divides by an eater
+count of at most n), which the exactness tests use.
 """
 
 import ast
@@ -241,10 +243,11 @@ def check_trace_invariants(trace, k):
         assert trace.assignment.allocation(agent) == acc[i]
 
 
-def micro_step_outcome(profile, k):
-    """Fixed-step replay of the eating process on the 1/n^m time grid."""
+def micro_step_outcome(profile, k, steps=None):
+    """Fixed-step replay of the eating process on the time grid 1/`steps`,
+    by default 1/n^m."""
     inst = profile.instance
-    dt = F(1, inst.num_agents ** inst.num_objects)
+    dt = F(1, steps or inst.num_agents ** inst.num_objects)
     remaining = {o: F(1) for o in inst.objects}
     eaten = [dict.fromkeys(inst.objects, F(0)) for _ in inst.agents]
     while remaining:
@@ -568,12 +571,14 @@ def test_index_view_rules_match_named_oracles(profile):
 
 
 def widest_phase_length(trace):
-    """The most significant bits of any phase length, as the engine holds it:
-    an integer over the running denominator, which each phase multiplies by
-    the lcm of its eater counts."""
-    widest, scale = 0, 1
+    """The most significant bits of any phase length over the least common
+    denominator of the trace's breakpoints, without the trailing zero bits
+    that a float's exponent would hold.  An engine that holds the lengths
+    as integers over one denominator holds them at least this wide, however
+    it picks the denominator."""
+    scale = math.lcm(*(ph.end.denominator for ph in trace.phases))
+    widest = 0
     for ph in trace.phases:
-        scale *= math.lcm(*Counter(itertools.chain.from_iterable(ph.eating)).values())
         length = (ph.end - ph.start) * scale
         assert length.denominator == 1
         odd = length.numerator >> (length.numerator & -length.numerator).bit_length() - 1
@@ -581,16 +586,79 @@ def widest_phase_length(trace):
     return widest
 
 
+def near_common_order(inst, rng):
+    """A profile whose orders each swap a few adjacent objects of one common
+    order, so that the eaters crowd the same objects in shifting numbers."""
+    orders = []
+    for _ in inst.agents:
+        order = list(inst.objects)
+        for _ in range(rng.randint(1, 8)):
+            i = rng.randrange(inst.num_objects - 1)
+            order[i], order[i + 1] = order[i + 1], order[i]
+        orders.append(tuple(order))
+    return PreferenceProfile(inst, tuple(orders))
+
+
 def test_integer_engine_stays_exact_past_float_precision():
-    """On 30x30 the phase lengths outgrow a float's 53-bit mantissa, where a
-    quotient taken through float division would be rounded."""
+    """On 30x30 profiles near a common order the phase lengths outgrow a
+    float's 53-bit mantissa, where a quotient taken through float division
+    would be rounded.  (On random 30x30 profiles they stay below 40 bits,
+    and on one common order every phase lasts 1/30.)"""
     inst = canonical_instance(30, 30)
     rng = random.Random(2014)
     for _ in range(3):
         orders = tuple(tuple(rng.sample(inst.objects, 30)) for _ in inst.agents)
-        profile = PreferenceProfile(inst, orders)
+        assert_rules_match_named_oracles(PreferenceProfile(inst, orders))
+    rng = random.Random(2014)
+    for _ in range(3):
+        profile = near_common_order(inst, rng)
         assert_rules_match_named_oracles(profile)
         assert widest_phase_length(ops_trace(profile)) > 53
+    assert widest_phase_length(ops_trace(PreferenceProfile(inst, (inst.objects,) * 30))) == 1
+
+
+def assert_eating_kernels_exact(profile, micro_step):
+    """Each eating kernel's numerators over its denominator are the Fraction
+    oracle's matrix (and the micro-step oracle's, if `micro_step`), and the
+    denominator takes every breakpoint of the oracle's trace to an integer.
+    The engine's quotients are floor divisions, so a denominator too small
+    for some breakpoint would round a phase length without a sign."""
+    inst = profile.instance
+    grid = math.lcm(*range(1, inst.num_agents + 1)) ** inst.num_objects
+    oracles = {size: named_simulate_eating(profile, size) for size in {1, inst.quota}}
+    if micro_step:
+        for size, (matrix, _) in oracles.items():
+            assert micro_step_outcome(profile, size, grid) == matrix
+    for size, kernel in ((1, rules._ops), (inst.quota, rules._mps)):
+        numerators, whole = kernel(inst, profile.ranked)
+        matrix, phases = oracles[size]
+        assert tuple(tuple(F(v, whole) for v in row) for row in numerators) == matrix
+        for _, end, _ in phases:
+            assert (whole * end).denominator == 1, (size, end)
+
+
+#: The exhaustive domains of the exactness test.  On one object among two or
+#: three agents a denominator one power of lcm(1..n) short is 1, too small.
+#: Elsewhere lcm(1..n)^(m-1) happens to suffice: only an m-th phase could
+#: need the last factor, and it shares out the last object, of which every
+#: agent gets m/n less what it has eaten, the same amount for all, since all
+#: eat at one rate.
+EXACT_SHAPES = {"3x3": (3, 3), "2x4": (2, 4), "2x1": (2, 1), "3x1": (3, 1)}
+
+
+@pytest.mark.parametrize("shape", EXACT_SHAPES)
+def test_eating_kernels_are_exact_over_their_denominator(shape):
+    for profile in enumerate_profiles(canonical_instance(*EXACT_SHAPES[shape])):
+        assert_eating_kernels_exact(profile, micro_step=True)
+
+
+def test_eating_kernels_are_exact_on_seeded_engine_shapes():
+    rng = random.Random(46)
+    for n, m in ENGINE_SHAPES:
+        inst = canonical_instance(n, m)
+        for _ in range(4):
+            orders = tuple(tuple(rng.sample(inst.objects, m)) for _ in inst.agents)
+            assert_eating_kernels_exact(PreferenceProfile(inst, orders), micro_step=False)
 
 
 def test_perfect_assignment_with_an_empty_agent_id():
