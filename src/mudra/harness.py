@@ -129,34 +129,33 @@ RULE_NAMES: tuple[str, ...] = tuple(RULES)
 
 
 class OutputCache:
-    """The sweep's memo of rule outputs, itself an integer kernel.
+    """The sweep's memo of rule outputs, one integer kernel per rule.
 
-    An entry is keyed by (rule name, `ranked` rows) and holds the unreduced
-    (numerators, denominator) of the kernel that `rules.kernel_of` gives
-    `RULES[rule name]`, run on a miss only.  A registered rule reads only
-    the rows and the instance's shape, which the rows fix (see `RULES`), so
-    profiles of two instances with the same rows share an entry.
+    Each rule name has a table, keyed by `ranked` rows alone, of the
+    unreduced (numerators, denominator) of the kernel that `rules.kernel_of`
+    gives `RULES[rule name]`, run on a miss only.  A registered rule reads
+    only the rows and the instance's shape, which the rows fix (see
+    `RULES`), so profiles of two instances with the same rows share an entry.
 
     `output` builds a profile's `RandomAssignment`, on its own instance,
     once.  `scan` runs one `strategy.individual_scan` per (rule, rows,
     agent) and keeps it, so that the three strategyproofness checks share
-    it.  `callable` returns one rule per name, which carries the memo as its
-    `kernel` for the checks that run on integer rows, and `scan` for the
-    strategyproofness checks (`strategy.first_manipulation`).
+    it.  `callable` returns one rule per name, which carries its table as
+    its `kernel` for the checks that run on integer rows, and `scan` for
+    the strategyproofness checks (`strategy.first_manipulation`).
     """
 
     def __init__(self) -> None:
-        self._outputs: dict[tuple, tuple] = {}
+        self._outputs: dict[str, dict[tuple, tuple]] = {}
         self._assignments: dict[tuple[str, PreferenceProfile], RandomAssignment] = {}
         self._scans: dict[tuple, Scan] = {}
         self._rules: dict[str, Rule] = {}
 
-    def _lookup(self, rule_name: str, instance: Instance, ranked: Sequence[Sequence[int]]):
-        key = rule_name, tuple(ranked)
-        hit = self._outputs.get(key)
+    def _lookup(self, rule_name: str, table: dict, instance: Instance, ranked: Sequence[tuple]):
+        key = tuple(ranked)
+        hit = table.get(key)
         if hit is None:
-            kernel, _ = kernel_of(RULES[rule_name])
-            hit = self._outputs[key] = kernel(instance, ranked)
+            hit = table[key] = kernel_of(RULES[rule_name])[0](instance, ranked)
         return hit
 
     def output(self, rule_name: str, profile: PreferenceProfile) -> RandomAssignment:
@@ -164,15 +163,14 @@ class OutputCache:
         hit = self._assignments.get(key)
         if hit is None:
             inst = profile.instance
-            numerators, denominator = self._lookup(rule_name, inst, profile.ranked)
-            hit = RandomAssignment.from_numerators(inst, numerators, denominator)
-            self._assignments[key] = hit
+            unreduced = self.callable(rule_name).kernel(inst, profile.ranked)
+            hit = self._assignments[key] = RandomAssignment.from_numerators(inst, *unreduced)
         return hit
 
     def scan(self, rule_name: str, profile: PreferenceProfile, agent: str) -> Scan:
         """`agent`'s misreports of `profile` judged in all three individual
-        kinds, scanned through the memo once.  Keyed as `_lookup` keys
-        outputs, by the agent's row too: a `Scan` holds no labels."""
+        kinds, scanned through the memo once.  Keyed by rule name, `ranked`
+        rows and the agent's row: a `Scan` holds no labels."""
         key = rule_name, profile.ranked, profile.instance.agent_index(agent)
         hit = self._scans.get(key)
         if hit is None:
@@ -183,7 +181,7 @@ class OutputCache:
         rule = self._rules.get(rule_name)
         if rule is None:
             rule = self._rules[rule_name] = lambda profile: self.output(rule_name, profile)
-            rule.kernel = partial(self._lookup, rule_name)
+            rule.kernel = partial(self._lookup, rule_name, self._outputs.setdefault(rule_name, {}))
             rule.scan = partial(self.scan, rule_name)
         return rule
 
@@ -526,15 +524,16 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
     of the unreduced sweep, a witness's count being its index in the
     domain plus one.  The single-unit walk counts on from the 576.
 
-    Every check reads the rules through one `OutputCache`.  It is filled
-    first, by each rule's kernel on all 576 profiles, and `rule_seconds`
-    times that fill per rule; the symmetry and strategyproofness checks
-    then look every relabelled or misreported profile up there by its
-    `ranked` rows, and an assignment is built only where a check judges one
-    or a certificate names one.  The three strategyproofness rows share one
-    misreport scan per (rule, profile, agent), which judges all three kinds
-    and is kept in the same memo (`OutputCache.scan`): the row judged first
-    runs it, and the other two read its witnesses.
+    Every check reads the rules through one `OutputCache`.  Its table for
+    each rule is filled first, by the rule's kernel on the `ranked` rows of
+    the 576 in canonical order, and `rule_seconds` times each fill.  The
+    checks look every relabelled or misreported profile up by its rows, so
+    profiles are built only for the 24, the single-unit walk and, as far as
+    it goes, the unreduced walk, and assignments only where a check judges
+    one or a certificate names one.  The three strategyproofness rows share
+    one misreport scan per (rule, profile, agent), kept in the same memo
+    (`OutputCache.scan`): the row judged first runs it, and the other two
+    read its witnesses.
 
     Both domains are within the profile guard.  With `use_cache` the first
     report is kept and returned by every later call with `use_cache`.
@@ -544,29 +543,29 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
         return _table1_memo
 
     main_instance = canonical_instance(2, 4)
-    main_profiles = list(enumerate_profiles(main_instance))
+    main_rows = list(orderings(range(4), PROFILE_LIMIT, "(4!)^2 profiles", repeat=2))
     cache = OutputCache()
 
     rule_seconds = []
     for rule_name in RULE_NAMES:
         kernel = cache.callable(rule_name).kernel
         started = time.perf_counter()
-        for profile in main_profiles:
-            kernel(main_instance, profile.ranked)
+        for ranked in main_rows:
+            kernel(main_instance, ranked)
         rule_seconds.append((rule_name, time.perf_counter() - started))
 
-    # The first of each object orbit (the leading 24), and the first of each
-    # joint orbit among them, as (domain index, profile) pairs.
-    object_firsts = [
-        (i, p) for i, p in enumerate(main_profiles) if p.orders[0] == main_instance.objects
-    ]
+    # The first of each object orbit, which lead the domain, and the first of
+    # each joint orbit among them, as (domain index, profile) pairs.
+    leading = itertools.takewhile(lambda ranked: ranked[0] == main_rows[0][0], main_rows)
+    object_firsts = list(zip(range(sum(1 for _ in leading)), enumerate_profiles(main_instance)))
     joint_firsts = [(i, p) for i, p in object_firsts if p.ranked == orbit_form(p.ranked)]
     found = _first_witnesses([(name, "neutrality") for name in RULE_NAMES], object_firsts, cache)
     neutral = [name for name in RULE_NAMES if found[name, "neutrality"] is None]
     found |= _first_witnesses([(name, "anonymity") for name in neutral], object_firsts, cache)
     anonymous = [name for name in neutral if found[name, "anonymity"] is None]
+    unreduced = enumerate(enumerate_profiles(main_instance))  # built only as far as walked
     for swept, rule_names in (
-        (enumerate(main_profiles), [name for name in RULE_NAMES if name not in neutral]),
+        (unreduced, [name for name in RULE_NAMES if name not in neutral]),
         (object_firsts, [name for name in neutral if name not in anonymous]),
         (joint_firsts, anonymous),
     ):
@@ -580,7 +579,7 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
         for name, sign in zip(RULE_NAMES, PROPERTIES[prop].signs, strict=True)
         if sign == "-" and found[name, prop] is None
     ]
-    aux_profiles = enumerate(enumerate_profiles(canonical_instance(4, 4)), len(main_profiles))
+    aux_profiles = enumerate(enumerate_profiles(canonical_instance(4, 4)), len(main_rows))
     found |= _first_witnesses(unfound, aux_profiles, cache)
 
     cells = []
@@ -594,7 +593,7 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
                     property_name=property_name,
                     expected=expected,
                     domain="n=2, m=4, c=2" if on_main else "n=4, m=4, c=1 (single-unit)",
-                    profiles_checked=len(main_profiles) if witness is None else witness[0] + 1,
+                    profiles_checked=len(main_rows) if witness is None else witness[0] + 1,
                     witness_orders=None if witness is None else witness[1].orders,
                     certificate=None if witness is None else witness[2],
                 )

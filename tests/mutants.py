@@ -2,7 +2,11 @@
 
 Run from anywhere, with pytest and Hypothesis installed::
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py [NAME ...]
+
+With names, only those mutants run, in the order given, and an unknown
+name exits 2 before any run: a quick re-check of the mutants a change
+re-anchored.  The full run, with no names, is the acceptance check.
 
 A mutant is a module of `src/mudra`, a source snippet that occurs exactly
 once in it, the snippet's replacement, the test files expected to kill it
@@ -842,14 +846,23 @@ MUTANTS = (
         RULES_TESTS,
         "tests/test_rules.py::TestSerialDictatorship::test_first_dictator_takes_top_quota",
     ),
-    # The output memo keyed by the rows alone: rules share their outputs.
+    # Every rule shares one table of the output memo: rules share their outputs.
     Mutant(
         "memo-keyed-without-the-rule-name",
         "harness.py",
-        "        key = rule_name, tuple(ranked)\n",
-        "        key = (tuple(ranked),)\n",
+        "self._outputs.setdefault(rule_name, {})",
+        "self._outputs.setdefault(RULE_NAMES[0], {})",
         ("tests/test_harness.py",),
         "tests/test_harness.py::test_output_cache_keeps_instances_apart",
+    ),
+    # The output memo never hits: every lookup reruns the rule's kernel.
+    Mutant(
+        "memo-never-hits",
+        "harness.py",
+        "        hit = table.get(key)\n",
+        "        hit = None\n",
+        ("tests/test_harness.py",),
+        "tests/test_harness.py::test_the_sweep_runs_each_kernel_once_per_profile",
     ),
     Mutant(
         "vacuous-unanimity-fails",
@@ -1070,21 +1083,27 @@ def classify(name: str, returncode: int, stdout: str) -> tuple[str, str]:
     return "killed", failed[0] if failed else ""
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    by_name = {mutant.name: mutant for mutant in MUTANTS}
+    unknown = [name for name in names if name not in by_name]
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [by_name[name] for name in names] if names else MUTANTS
     outcomes = []
     total = time.perf_counter()
-    for mutant in MUTANTS:
+    for mutant in chosen:
         start = time.perf_counter()
         outcome, test = verdict(mutant)
         print(f"{outcome:9}  {time.perf_counter() - start:6.1f} s  {mutant.name}  {test}".rstrip(),
               flush=True)
         outcomes.append(outcome)
     survivors = outcomes.count("survived")
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed "
+    print(f"{len(chosen) - survivors} of {len(chosen)} killed "
           f"({outcomes.count('killed, not by its killer')} not by their killer) "
           f"in {time.perf_counter() - total:.1f} s")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

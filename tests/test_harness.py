@@ -28,12 +28,14 @@ from mudra.harness import (
     witness_text,
 )
 from mudra.model import (
+    PROFILE_LIMIT,
     DiscreteAssignment,
     GuardExceeded,
     Instance,
     PreferenceProfile,
     RandomAssignment,
     discrete_to_random,
+    orderings,
     permute_objects,
     require_balanced,
     validate_assignment,
@@ -91,6 +93,12 @@ class TestEnumerateProfiles:
         assert profiles[0].orders == (identity, identity)
         assert profiles[-1].orders == (reverse, reverse)
 
+    @pytest.mark.parametrize("n,m", [(2, 4), (3, 3)])
+    def test_integer_rows_come_in_canonical_order(self, n, m):
+        # The table1 memo is filled from this stream, which builds no profile.
+        rows = orderings(range(m), PROFILE_LIMIT, f"({m}!)^{n} profiles", repeat=n)
+        assert list(rows) == [p.ranked for p in enumerate_profiles(canonical_instance(n, m))]
+
     def test_guard_refusal(self):
         inst = canonical_instance(3, 6)
         with pytest.raises(GuardExceeded, match="guard"):
@@ -119,8 +127,8 @@ def test_output_cache_keeps_instances_apart():
     served = cache.output("priority", copy)
     assert served.instance == shuffled
     assert served == RULES["priority"](copy)
-    # The memo is keyed by rule name and `ranked` rows: profiles of two
-    # instances with the same rows share one entry per rule, yet each output
+    # The memo keeps one table per rule name, keyed by `ranked` rows: profiles
+    # of two instances with the same rows share one entry per rule, yet each output
     # is built on its own instance, and the memo's kernel is the rule's
     # kernel up to reduction.  The second instance's labels are new letters
     # that sort the other way.
@@ -143,7 +151,8 @@ def test_output_cache_keeps_instances_apart():
             assert memo is cache.callable(name) and memo(second) is outputs[1]
             both = memo.kernel(inst, first.ranked), KERNELS[RULES[name]](inst, first.ranked)
             assert len({RandomAssignment.from_numerators(inst, *pair) for pair in both}) == 1
-    assert set(cache._outputs) == {(name, p.ranked) for p in firsts for name in RULE_NAMES}
+    tables = {name: set(table) for name, table in cache._outputs.items()}
+    assert tables == {name: {p.ranked for p in firsts} for name in RULE_NAMES}
 
 
 def test_output_cache_shares_a_scan_between_labellings(monkeypatch):
@@ -172,14 +181,16 @@ def test_output_cache_shares_a_scan_between_labellings(monkeypatch):
 
 
 #: `RandomAssignment.from_numerators` calls and checked `PreferenceProfile`
-#: constructions of one table1 sweep.  The neutrality and strategyproofness
-#: checks run on `ranked` rows through the memo's kernel, so objects are
-#: built only where a check judges an output or names a witness, and the
-#: profiles are the 576 of the domain and those of the single-unit fallback.
-#: Building them per relabelling or per report took 5,794 and 3,460.  A rule
-#: found anonymous and neutral is swept over 17 profiles, not 24, which
-#: builds 146 assignments where sweeping the 24 built 177.
-SWEEP_OBJECTS = {"assignments": 146, "checked profiles": 603}
+#: constructions of one table1 sweep.  The memo is filled from `ranked` rows
+#: and every check that reruns a rule looks its rows up there, so
+#: assignments are built only where a check judges an output or names a
+#: witness, and profiles only where a check is handed one: the 24 object
+#: representatives and the 27 single-unit profiles walked up to the last
+#: fallback witness.  Building them per relabelling or per report took 5,794
+#: and 3,460, and filling the memo from all 576 profiles built 603 profiles.
+#: A rule found anonymous and neutral is swept over 17 profiles, not 24,
+#: which builds 146 assignments where sweeping the 24 built 177.
+SWEEP_OBJECTS = {"assignments": 146, "checked profiles": 51}
 
 
 def test_the_sweep_builds_few_objects(monkeypatch):
@@ -225,6 +236,30 @@ def test_the_sweep_judges_each_cell_once_per_profile(monkeypatch):
     monkeypatch.setattr(harness, "first_asymmetries", counted_pass)
     table1_sweep(use_cache=False)
     assert counts == SWEEP_WORK
+
+
+#: Kernel runs per rule of one table1 sweep.  The memo's fill runs each rule
+#: once on the rows of each of the 576 profiles, in canonical order, and
+#: every later check is served from the memo; only `rp`, whose
+#: sd-envy-freeness witness lies in the single-unit fallback, runs on the 27
+#: profiles walked there.
+SWEEP_RUNS = {"uniform": 576, "priority": 576, "rp": 603, "ops": 576, "mps": 576}
+
+
+def test_the_sweep_runs_each_kernel_once_per_profile(monkeypatch, main_profiles):
+    rows = {name: [] for name in RULE_NAMES}
+    for name, runs in rows.items():
+        kernel = KERNELS[RULES[name]]
+        monkeypatch.setitem(
+            KERNELS,
+            RULES[name],
+            lambda inst, ranked, stop=None, runs=runs, kernel=kernel: runs.append(tuple(ranked))
+            or kernel(inst, ranked, stop),
+        )
+    table1_sweep(use_cache=False)
+    assert {name: len(runs) for name, runs in rows.items()} == SWEEP_RUNS
+    canonical = [p.ranked for p in main_profiles]
+    assert all(runs[: len(canonical)] == canonical for runs in rows.values())
 
 
 def test_one_walk_gives_every_cell_its_own_first_witness(main_profiles):

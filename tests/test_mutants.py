@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from mutants import MUTANTS, ROOT, classify
+import mutants
+from mutants import MUTANTS, ROOT, classify, main
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
@@ -55,3 +56,12 @@ def test_exit_one_is_a_kill_even_when_no_test_is_named():
 def test_any_other_exit_stops_the_runner():
     with pytest.raises(SystemExit, match="m: pytest exited 2"):
         classify("m", 2, "ERROR tests/test_x.py - ImportError\n")
+
+
+def test_an_unknown_name_exits_2_before_any_run(monkeypatch, capsys):
+    def no_run(mutant):
+        raise AssertionError(f"{mutant.name} ran")
+
+    monkeypatch.setattr(mutants, "verdict", no_run)
+    assert main([MUTANTS[0].name, "no-such-mutant"]) == 2
+    assert "no-such-mutant" in capsys.readouterr().err

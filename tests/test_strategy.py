@@ -644,7 +644,7 @@ def test_a_memo_rule_is_scanned_through_the_memo_on_plain_rows(rule_name, monkey
     assert find_group_manipulation(memo, PAIR_PROFILE, ("1", "2")) is None
     orders = itertools.permutations(range(4))
     reports = {joint + PAIR_PROFILE.ranked[2:] for joint in itertools.product(orders, repeat=2)}
-    assert set(cache._outputs) == {(rule_name, report) for report in reports}
+    assert list(cache._outputs) == [rule_name] and set(cache._outputs[rule_name]) == reports
     runs, kernel = [], KERNELS[RULES[rule_name]]
     monkeypatch.setitem(
         KERNELS,
