@@ -127,11 +127,11 @@ def test_output_cache_keeps_instances_apart():
     served = cache.output("priority", copy)
     assert served.instance == shuffled
     assert served == RULES["priority"](copy)
-    # The memo keeps one table per rule name, keyed by `ranked` rows: profiles
-    # of two instances with the same rows share one entry per rule, yet each output
-    # is built on its own instance, and the memo's kernel is the rule's
-    # kernel up to reduction.  The second instance's labels are new letters
-    # that sort the other way.
+    # The memo keeps one table per rule name, keyed by `ranked` rows:
+    # profiles of two instances with the same rows share one entry per rule,
+    # yet each output is built on its own instance, and the memo's kernel is
+    # the rule's kernel up to reduction.  The second instance's labels are
+    # new letters that sort the other way.
     cache, firsts = OutputCache(), []
     for (n, m), seed in zip(((2, 4), (3, 3), (3, 6)), range(1, 4)):
         rng, inst = random.Random(seed), canonical_instance(n, m)
