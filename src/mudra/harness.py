@@ -4,11 +4,14 @@ This module drives the per-rule checkers over exhaustively enumerated
 preference-profile domains.  The main entry points are
 
 * :func:`enumerate_profiles` -- canonical, guarded profile streams;
+* :func:`classify` -- each (rule, property) cell's first counterexample
+  over a whole canonical domain, walking one profile per object-relabelling
+  orbit once the rule is verified neutral, one per agents-and-objects orbit
+  once it is verified anonymous too;
 * :func:`table1_sweep` -- confirms the expected +/- classification of the
-  five bundled rules against ten axioms, storing a concrete counterexample
-  for every '-' cell and covering the full domain for every '+' cell (one
-  profile per object-relabelling orbit once the rule is verified neutral,
-  one per agents-and-objects orbit once it is verified anonymous too);
+  five bundled rules against ten axioms, one `classify` call on two agents
+  and four objects, storing a concrete counterexample for every '-' cell
+  and covering the full domain for every '+' cell;
 * :func:`reproduce` -- replays the named reference scenarios shipped with
   the library and diffs the computed values against the recorded ones.
 
@@ -360,7 +363,7 @@ class TableCell:
     domain: str
     #: Profiles covered, in canonical order up to the witness: each checked
     #: directly or, for a verified-neutral rule, through its orbit's
-    #: representative (see `table1_sweep`).
+    #: representative (see `classify`).
     profiles_checked: int
     witness_orders: tuple[tuple[str, ...], ...] | None = None
     certificate: dict | None = None
@@ -420,11 +423,16 @@ class Table1Report:
         }
 
 
+#: Each (rule name, property name) cell's first witness, as (domain index,
+#: profile, certificate), or None where no profile violates it.
+Witnesses = dict[tuple[str, str], tuple[int, PreferenceProfile, dict] | None]
+
+
 def _first_witnesses(
     cells: Sequence[tuple[str, str]],
     profiles: Iterable[tuple[int, PreferenceProfile]],
     cache: OutputCache,
-) -> dict[tuple[str, str], tuple[int, PreferenceProfile, dict] | None]:
+) -> Witnesses:
     """Each (rule name, property name) cell's first (index, profile,
     certificate) in `profiles`, a stream of (domain index, profile) pairs,
     or None where none violates it.
@@ -481,6 +489,61 @@ def orbit_form(ranked: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     return min(forms)
 
 
+def classify(instance: Instance, cells: Sequence[tuple[str, str]], cache: OutputCache) -> Witnesses:
+    """Each (rule name, property name) cell's first (index, profile,
+    certificate) over every profile of `instance`, or None where none
+    violates it: what `_first_witnesses` gives on the unreduced stream
+    `enumerate(enumerate_profiles(instance))`, found over fewer profiles.
+
+    The object representatives are one profile R per object-relabelling
+    orbit: f(τR) = τf(R) and f(στR) = στf(R) give f(στR) = σf(τR), so a
+    neutrality violation anywhere in the orbit shows at R.  Relabelling
+    acts freely on strict profiles, so the profiles whose first order is
+    the object tuple are one per orbit; they are the first (m!)^(n-1) in
+    canonical order, each the first of its orbit.  Agent and object
+    relabellings commute, so for a neutral rule f anonymity at τR reads
+    f(πτR) = τf(πR) against πf(τR) = τπf(R): it holds at τR exactly when
+    it holds at R, and a neutral rule anonymous at the representatives is
+    anonymous on the whole domain.
+
+    So the neutrality of every rule of `cells` is judged at the object
+    representatives, then the anonymity of the rules found neutral.  A rule
+    found neutral has every other property invariant under object
+    relabelling, so the representatives stand for the domain.  A rule found
+    anonymous too has them invariant under relabelling agents and objects
+    together, so the profiles that are the first of their joint orbit
+    (`orbit_form`) stand for it.  The other cells are walked by class: a
+    rule found not neutral over the whole domain, one found neutral but not
+    anonymous over the object representatives, and one found both over the
+    joint ones.  The first violating profile of the unreduced walk is the
+    first of its orbit, whose every member violates, so it is among those
+    walked and is found first: witnesses, certificates and indices are
+    those of the unreduced walk.
+
+    The domain is refused past the profile guard before any profile is
+    built or any rule runs.  Profiles are built for the object
+    representatives and, as far as walked, past them for a rule found not
+    neutral.  Every check reads the rules through `cache`.
+    """
+    n, m = instance.num_agents, instance.num_objects
+    profiles = enumerate(enumerate_profiles(instance))
+    object_firsts = list(itertools.islice(profiles, order_count(m, n - 1, PROFILE_LIMIT)))
+    joint_firsts = [(i, p) for i, p in object_firsts if p.ranked == orbit_form(p.ranked)]
+    rule_names = list(dict.fromkeys(name for name, _ in cells))
+    found = _first_witnesses([(name, "neutrality") for name in rule_names], object_firsts, cache)
+    neutral = [name for name in rule_names if found[name, "neutrality"] is None]
+    found |= _first_witnesses([(name, "anonymity") for name in neutral], object_firsts, cache)
+    anonymous = [name for name in neutral if found[name, "anonymity"] is None]
+    for swept, walked in (
+        (itertools.chain(object_firsts, profiles), set(rule_names) - set(neutral)),
+        (object_firsts, set(neutral) - set(anonymous)),
+        (joint_firsts, set(anonymous)),
+    ):
+        rest = [cell for cell in cells if cell[0] in walked and cell not in found]
+        found |= _first_witnesses(rest, swept, cache)
+    return {cell: found[cell] for cell in cells}
+
+
 #: The report of the first sweep run with `use_cache`, returned by later ones.
 _table1_memo: Table1Report | None = None
 
@@ -493,47 +556,20 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
     that contradict the expected sign are reported as discrepancies, never
     reconciled.
 
-    Every cell's first counterexample is found by `_first_witnesses`, in
-    six walks: the neutrality of every rule over the 24 object
-    representatives; the anonymity of the rules found neutral over the
-    same 24; every other cell of a rule found not neutral over all 576
-    profiles, of a rule found neutral but not anonymous over the 24, and
-    of a rule found both over the 17 joint representatives; and every '-'
-    cell still without a witness over the single-unit domain (four agents,
-    four objects, quota one), whose symmetry is not used.
-
-    The object representatives are one profile R per object-relabelling
-    orbit: f(τR) = τf(R) and f(στR) = στf(R) give f(στR) = σf(τR), so a
-    neutrality violation anywhere in the orbit shows at R.  Relabelling
-    acts freely on strict profiles, so the profiles whose first order is
-    the object tuple are one per orbit; they are the first m! = 24 in
-    canonical order, each the first of its orbit.  Agent and object
-    relabellings commute, so for a neutral rule f anonymity at τR reads
-    f(πτR) = τf(πR) against πf(τR) = τπf(R): it holds at τR exactly when
-    it holds at R, and a neutral rule anonymous at the 24 is anonymous on
-    the whole domain.
-
-    A rule found neutral has every other table property invariant under
-    object relabelling, so the 24 stand for the domain.  A rule found
-    anonymous too has them invariant under relabelling agents and objects
-    together, so the profiles that are the first of their joint orbit
-    (`orbit_form`) stand for it: 17 of the 24, in canonical order.  The
-    first violating profile of an unreduced sweep is the first of its
-    orbit, whose every member violates, so it is among those walked and
-    is found first: witnesses, certificates and profile counts are those
-    of the unreduced sweep, a witness's count being its index in the
-    domain plus one.  The single-unit walk counts on from the 576.
+    Every cell's first counterexample among the 576 comes from one
+    `classify` call.  A '-' cell still without a witness is walked on over
+    the single-unit domain (four agents, four objects, quota one), whose
+    symmetry is not used, counting on from the 576.
 
     Every check reads the rules through one `OutputCache`.  Its table for
     each rule is filled first, by the rule's kernel on the `ranked` rows of
     the 576 in canonical order, and `rule_seconds` times each fill.  The
     checks look every relabelled or misreported profile up by its rows, so
-    profiles are built only for the 24, the single-unit walk and, as far as
-    it goes, the unreduced walk, and assignments only where a check judges
-    one or a certificate names one.  The three strategyproofness rows share
-    one misreport scan per (rule, profile, agent), kept in the same memo
-    (`OutputCache.scan`): the row judged first runs it, and the other two
-    read its witnesses.
+    profiles are built only where `classify` and the single-unit walk go,
+    and assignments only where a check judges one or a certificate names
+    one.  The three strategyproofness rows share one misreport scan per
+    (rule, profile, agent), kept in the same memo (`OutputCache.scan`): the
+    row judged first runs it, and the other two read its witnesses.
 
     Both domains are within the profile guard.  With `use_cache` the first
     report is kept and returned by every later call with `use_cache`.
@@ -554,50 +590,34 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
             kernel(main_instance, ranked)
         rule_seconds.append((rule_name, time.perf_counter() - started))
 
-    # The first of each object orbit, which lead the domain, and the first of
-    # each joint orbit among them, as (domain index, profile) pairs.
-    leading = itertools.takewhile(lambda ranked: ranked[0] == main_rows[0][0], main_rows)
-    object_firsts = list(zip(range(sum(1 for _ in leading)), enumerate_profiles(main_instance)))
-    joint_firsts = [(i, p) for i, p in object_firsts if p.ranked == orbit_form(p.ranked)]
-    found = _first_witnesses([(name, "neutrality") for name in RULE_NAMES], object_firsts, cache)
-    neutral = [name for name in RULE_NAMES if found[name, "neutrality"] is None]
-    found |= _first_witnesses([(name, "anonymity") for name in neutral], object_firsts, cache)
-    anonymous = [name for name in neutral if found[name, "anonymity"] is None]
-    unreduced = enumerate(enumerate_profiles(main_instance))  # built only as far as walked
-    for swept, rule_names in (
-        (unreduced, [name for name in RULE_NAMES if name not in neutral]),
-        (object_firsts, [name for name in neutral if name not in anonymous]),
-        (joint_firsts, anonymous),
-    ):
-        rest = [(name, prop) for prop in PROPERTY_NAMES for name in rule_names]
-        found |= _first_witnesses([cell for cell in rest if cell not in found], swept, cache)
-    # A '-' cell with no two-agent counterexample concerns single-unit
-    # behaviour, so its search goes on there, counting on from the 576.
-    unfound = [
-        (name, prop)
+    signs = {
+        (name, prop): sign
         for prop in PROPERTY_NAMES
         for name, sign in zip(RULE_NAMES, PROPERTIES[prop].signs, strict=True)
-        if sign == "-" and found[name, prop] is None
-    ]
-    aux_profiles = enumerate(enumerate_profiles(canonical_instance(4, 4)), len(main_rows))
+    }
+    found = classify(main_instance, list(signs), cache)
+    # A '-' cell with no two-agent counterexample concerns single-unit
+    # behaviour, so its search goes on there, counting on from the 576.
+    main_count = profile_count(2, 4)
+    unfound = [cell for cell, sign in signs.items() if sign == "-" and found[cell] is None]
+    aux_profiles = enumerate(enumerate_profiles(canonical_instance(4, 4)), main_count)
     found |= _first_witnesses(unfound, aux_profiles, cache)
 
     cells = []
-    for property_name in PROPERTY_NAMES:
-        for rule_name, expected in zip(RULE_NAMES, PROPERTIES[property_name].signs, strict=True):
-            witness = found[rule_name, property_name]
-            on_main = witness is None or witness[1].instance == main_instance
-            cells.append(
-                TableCell(
-                    rule=rule_name,
-                    property_name=property_name,
-                    expected=expected,
-                    domain="n=2, m=4, c=2" if on_main else "n=4, m=4, c=1 (single-unit)",
-                    profiles_checked=len(main_rows) if witness is None else witness[0] + 1,
-                    witness_orders=None if witness is None else witness[1].orders,
-                    certificate=None if witness is None else witness[2],
-                )
+    for (rule_name, property_name), expected in signs.items():
+        witness = found[rule_name, property_name]
+        on_main = witness is None or witness[1].instance == main_instance
+        cells.append(
+            TableCell(
+                rule=rule_name,
+                property_name=property_name,
+                expected=expected,
+                domain="n=2, m=4, c=2" if on_main else "n=4, m=4, c=1 (single-unit)",
+                profiles_checked=main_count if witness is None else witness[0] + 1,
+                witness_orders=None if witness is None else witness[1].orders,
+                certificate=None if witness is None else witness[2],
             )
+        )
 
     report = Table1Report(cells=tuple(cells), rule_seconds=tuple(rule_seconds))
     if use_cache:

@@ -872,10 +872,11 @@ MUTANTS = (
         ("tests/test_harness.py",),
         "tests/test_harness.py::test_the_sweep_builds_few_objects",
     ),
-    # The orbit reduction of the table1 sweep: a profile that is not the
-    # first of its agents-and-objects orbit is kept (the form is taken from
-    # the first agent alone), and a neutral rule that failed anonymity is
-    # swept over the joint representatives too.
+    # The orbit reduction of `classify`: a profile that is not the first of
+    # its agents-and-objects orbit is kept (the form is taken from the first
+    # agent alone), a neutral rule that failed anonymity is swept over the
+    # joint representatives too, and the object representatives are cut
+    # short, (m!)^(n-2) of them (one at two agents).
     Mutant(
         "joint-test-keeps-a-later-orbit-member",
         "harness.py",
@@ -892,7 +893,16 @@ MUTANTS = (
         "    anonymous = neutral\n",
         ("tests/test_harness.py",),
         "tests/test_harness.py::TestOrbitReduction::"
-        "test_neutral_rule_that_is_not_anonymous_keeps_the_object_representatives",
+        "test_classify_equals_the_unreduced_walk[not-anonymous]",
+    ),
+    Mutant(
+        "too-few-object-representatives",
+        "harness.py",
+        "order_count(m, n - 1, PROFILE_LIMIT)",
+        "order_count(m, n - 2, PROFILE_LIMIT)",
+        ("tests/test_harness.py",),
+        "tests/test_harness.py::TestOrbitReduction::"
+        "test_classify_equals_the_unreduced_walk[3x3c1]",
     ),
     # The sweep's first-witness walk: a refuted cell stays pending for one
     # more profile (a cell that is not a symmetry cell keeps its first

@@ -20,6 +20,7 @@ from mudra.harness import (
     OutputCache,
     _first_witnesses,
     canonical_instance,
+    classify,
     check_rule_property,
     enumerate_profiles,
     orbit_form,
@@ -186,10 +187,8 @@ def test_output_cache_shares_a_scan_between_labellings(monkeypatch):
 #: assignments are built only where a check judges an output or names a
 #: witness, and profiles only where a check is handed one: the 24 object
 #: representatives and the 27 single-unit profiles walked up to the last
-#: fallback witness.  Building them per relabelling or per report took 5,794
-#: and 3,460, and filling the memo from all 576 profiles built 603 profiles.
-#: A rule found anonymous and neutral is swept over 17 profiles, not 24,
-#: which builds 146 assignments where sweeping the 24 built 177.
+#: fallback witness.  A rule found neutral and anonymous is judged only at
+#: the 17 joint representatives among the 24.
 SWEEP_OBJECTS = {"assignments": 146, "checked profiles": 51}
 
 
@@ -527,7 +526,7 @@ def test_violation_count_of_every_table1_cell(sweep_data, table1_cells):
             not record["rules"][rule]["anonymity"][0] for record in sweep_data
         )
         # Neutral at every orbit representative is neutral on the whole
-        # domain (see `table1_sweep`), so a neutrality cell that held counts 0.
+        # domain (see `classify`), so a neutrality cell that held counts 0.
         cell = table1_cells[rule, "neutrality"]
         assert cell.observed == "supported-by-sweep", rule
         counts["neutrality", rule] = 0
@@ -550,6 +549,14 @@ def joint_orbit(ranked):
     }
 
 
+def mps_if_o1_first(profile):
+    """`mps` on every object representative, where agent 1 ranks o1 first,
+    and the uniform rule elsewhere: neither neutral nor unanimous."""
+    if profile.orders[0][0] == "o1":
+        return mps(profile)
+    return uniform(profile.instance)
+
+
 def stays_priority_unless_inverse_first(profile):
     """Serial dictatorship, or the uniform rule when agent 2's order, read
     as ranks in agent 1's, is a permutation past its inverse.  Relabelling
@@ -564,9 +571,10 @@ def stays_priority_unless_inverse_first(profile):
 
 
 class TestOrbitReduction:
-    """The table1 sweep checks one profile per object-relabelling orbit for a
-    rule it has verified neutral, and one per agents-and-objects orbit for a
-    rule verified anonymous too; these tests hold it to the unreduced sweep."""
+    """`classify`, and through it the table1 sweep, checks one profile per
+    object-relabelling orbit for a rule it has verified neutral, and one per
+    agents-and-objects orbit for a rule verified anonymous too; these tests
+    hold it to the unreduced walk."""
 
     @pytest.mark.parametrize("n, m, count", [(2, 4, 17), (3, 3, 10)])
     def test_joint_representatives_come_first_in_their_orbits(self, n, m, count):
@@ -635,55 +643,45 @@ class TestOrbitReduction:
                 assert cell.witness_orders == sweep_data[found]["profile"].orders
                 assert cell.certificate == verdicts[found][1]
 
-    def test_non_neutral_rule_is_swept_unreduced(self, monkeypatch, main_profiles):
-        # mps on every orbit representative, yet neither neutral nor unanimous.
-        def mps_if_o1_first(profile):
-            if profile.orders[0][0] == "o1":
-                return mps(profile)
-            return uniform(profile.instance)
+    @pytest.mark.parametrize(
+        "n, m, stand_in, properties",
+        [
+            pytest.param(3, 3, None, PROPERTY_NAMES, id="3x3c1"),
+            pytest.param(2, 4, mps_if_o1_first, ("neutrality", "unanimity"), id="not-neutral"),
+            pytest.param(
+                2, 4, stays_priority_unless_inverse_first,
+                ("neutrality", "anonymity", "sd-efficiency"), id="not-anonymous",
+            ),
+        ],
+    )
+    def test_classify_equals_the_unreduced_walk(self, monkeypatch, n, m, stand_in, properties):
+        if stand_in is not None:
+            monkeypatch.setitem(RULES, "uniform", stand_in)
+        instance = canonical_instance(n, m)
+        cells = [(rule, name) for name in properties for rule in RULE_NAMES]
+        unreduced = enumerate(enumerate_profiles(instance))
+        found = classify(instance, cells, OutputCache())
+        assert found == _first_witnesses(cells, unreduced, OutputCache())
+        if stand_in is mps_if_o1_first:
+            # The unanimity witness lies off the object representatives,
+            # where a walk that assumed neutrality would never look.
+            assert found["uniform", "neutrality"] is not None
+            assert found["uniform", "unanimity"][1].orders[0] != instance.objects
+        elif stand_in is stays_priority_unless_inverse_first:
+            # The sd-efficiency witness is an object representative but not
+            # the first of its joint orbit, where a walk that assumed
+            # anonymity would never look.
+            assert found["uniform", "neutrality"] is None
+            witness = found["uniform", "sd-efficiency"][1]
+            assert witness.orders[0] == instance.objects
+            assert orbit_form(witness.ranked) != witness.ranked
 
-        monkeypatch.setitem(RULES, "uniform", mps_if_o1_first)
-        monkeypatch.setattr("mudra.harness.PROPERTY_NAMES", ("neutrality", "unanimity"))
-        report = table1_sweep(use_cache=False)
-        cells = {(cell.rule, cell.property_name): cell for cell in report.cells}
-        cache = OutputCache()
-        for property_name in ("neutrality", "unanimity"):
-            cell = cells["uniform", property_name]
-            index, profile, certificate = _first_witnesses(
-                [("uniform", property_name)], enumerate(main_profiles), cache
-            )["uniform", property_name]
-            assert cell.domain.startswith("n=2")
-            assert cell.profiles_checked == index + 1
-            assert cell.witness_orders == profile.orders
-            assert cell.certificate == certificate
-        # The unanimity witness lies off the representatives, where a sweep
-        # that assumed neutrality would never look.
-        witness = cells["uniform", "unanimity"].witness_orders
-        assert witness[0] != main_profiles[0].instance.objects
+    def test_classify_refuses_past_the_guard_before_any_work(self, monkeypatch):
+        def never_built(profile):
+            raise AssertionError("a profile was built although the guard should refuse first")
 
-    def test_neutral_rule_that_is_not_anonymous_keeps_the_object_representatives(
-        self, monkeypatch, main_profiles
-    ):
-        monkeypatch.setitem(RULES, "uniform", stays_priority_unless_inverse_first)
-        swept = ("neutrality", "anonymity", "sd-efficiency")
-        monkeypatch.setattr("mudra.harness.PROPERTY_NAMES", swept)
-        report = table1_sweep(use_cache=False)
-        cells = {(cell.rule, cell.property_name): cell for cell in report.cells}
-        cache = OutputCache()
-        assert cells["uniform", "neutrality"].observed == "supported-by-sweep"
-        for property_name in ("anonymity", "sd-efficiency"):
-            cell = cells["uniform", property_name]
-            index, profile, certificate = _first_witnesses(
-                [("uniform", property_name)], enumerate(main_profiles), cache
-            )["uniform", property_name]
-            assert cell.domain.startswith("n=2")
-            assert cell.profiles_checked == index + 1
-            assert cell.witness_orders == profile.orders
-            assert cell.certificate == certificate
-        # The sd-efficiency witness is an object representative but not the
-        # first of its joint orbit, where a sweep that assumed anonymity
-        # would never look.
-        orders = cells["uniform", "sd-efficiency"].witness_orders
-        witness = PreferenceProfile(main_profiles[0].instance, orders)
-        assert witness.orders[0] == witness.instance.objects
-        assert orbit_form(witness.ranked) != witness.ranked
+        monkeypatch.setitem(RULES, "uniform", never_called)
+        monkeypatch.setattr(PreferenceProfile, "__post_init__", never_built)
+        cells = [("uniform", name) for name in PROPERTY_NAMES]
+        with pytest.raises(GuardExceeded, match=r"^\(6!\)\^3 profiles exceed the guard"):
+            classify(canonical_instance(3, 6), cells, OutputCache())
