@@ -57,6 +57,7 @@ from mudra.model import (
 )
 from mudra.order import DlVerdict, SdVerdict, dl_compare, sd_compare
 from mudra.rules import (
+    Kernel,
     Rule,
     kernel_of,
     mps,
@@ -136,9 +137,11 @@ class OutputCache:
 
     Each rule name has a table, keyed by `ranked` rows alone, of the
     unreduced (numerators, denominator) of the kernel that `rules.kernel_of`
-    gives `RULES[rule name]`, run on a miss only.  A registered rule reads
-    only the rows and the instance's shape, which the rows fix (see
-    `RULES`), so profiles of two instances with the same rows share an entry.
+    gives `RULES[rule name]`, resolved once per cache and run on a miss
+    only, never with the `stop` the memo's kernel accepts: a stopped run
+    has no outcome to store.  A registered rule reads only the rows and the
+    instance's shape, which the rows fix (see `RULES`), so profiles of two
+    instances with the same rows share an entry.
 
     `output` builds a profile's `RandomAssignment`, on its own instance,
     once.  `scan` runs one `strategy.individual_scan` per (rule, rows,
@@ -154,11 +157,11 @@ class OutputCache:
         self._scans: dict[tuple, Scan] = {}
         self._rules: dict[str, Rule] = {}
 
-    def _lookup(self, rule_name: str, table: dict, instance: Instance, ranked: Sequence[tuple]):
+    def _lookup(self, kernel: Kernel, table: dict, instance: Instance, ranked: Sequence, stop=None):
         key = tuple(ranked)
         hit = table.get(key)
         if hit is None:
-            hit = table[key] = kernel_of(RULES[rule_name])[0](instance, ranked)
+            hit = table[key] = kernel(instance, ranked)
         return hit
 
     def output(self, rule_name: str, profile: PreferenceProfile) -> RandomAssignment:
@@ -184,7 +187,8 @@ class OutputCache:
         rule = self._rules.get(rule_name)
         if rule is None:
             rule = self._rules[rule_name] = lambda profile: self.output(rule_name, profile)
-            rule.kernel = partial(self._lookup, rule_name, self._outputs.setdefault(rule_name, {}))
+            kernel = kernel_of(RULES[rule_name])[0]
+            rule.kernel = partial(self._lookup, kernel, self._outputs.setdefault(rule_name, {}))
             rule.scan = partial(self.scan, rule_name)
         return rule
 

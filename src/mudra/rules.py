@@ -33,16 +33,16 @@ The misreport scan calls the kernels on reports held as `ranked` rows, each
 coalition member's behind a view that logs the positions read
 (`strategy._ReportedRow`), and skips the reports that differ only elsewhere.
 
-Every kernel also takes an optional `stop`, which only the scan makes.  The
-eating kernels ask it after each phase but the last, and `_rp` after each
-layer of pick states it builds but the last; `_uniform` and `_priority`
-never ask.
-A kernel that asks hands the stop a ceiling on every prefix sum of every
-row: a number that the prefix sum of the finished run cannot exceed.  It
-returns None, no outcome, when the stop says to stop, which it does only
-once the ceilings rule out every kind of gain the scan asks for
-(`strategy._ruled_out`).  A kernel without a `stop` pays one `is None`
-test per phase or layer.
+Every kernel that `kernel_of` returns takes an optional `stop`, which only
+the scan makes.  The eating kernels ask it after each phase but the last,
+and `_rp` after each layer of pick states it builds but the last; no other
+kernel asks.  A kernel that asks hands the stop a ceiling on every prefix
+sum of every row, a number that the prefix sum of the finished run cannot
+exceed, over the one denominator of all its runs on the instance (n!, or
+lcm(1..n)^m).  It returns None, no outcome, when the stop says to stop,
+which it does only once the ceilings rule out every kind of gain the scan
+asks for (`strategy._ruled_out`).  A kernel without a `stop` pays one
+`is None` test per phase or layer.
 """
 
 from __future__ import annotations
@@ -65,16 +65,16 @@ from .model import (
 
 #: A rule: profile -> random assignment.
 Rule = Callable[[PreferenceProfile], RandomAssignment]
-#: (row, its order of columns) -> numerators over the stop's scale, one per
-#: prefix of the order, that the row's final prefix sums do not exceed.
+#: (row, its order of columns) -> numerators over the run's denominator,
+#: one per prefix of the order, that the row's final prefix sums do not exceed.
 Ceiling = Callable[[int, Sequence[int]], Iterator[int]]
-#: (scale, ceiling) -> whether to end the run: see `Kernel`.
-Stop = Callable[[int, Ceiling], bool]
+#: ceiling -> whether to end the run: see `Kernel`.
+Stop = Callable[[Ceiling], bool]
 #: (instance, ranked, stop=None) -> (numerators, denominator): a rule on
-#: integers.  A kernel may ask `stop` about its partial run, handing it a
-#: ceiling on the final prefix sums, and return None, no outcome, when it
-#: says yes; every kernel accepts a `stop`, and the eating kernels and
-#: `_rp` ask it.
+#: integers.  Every kernel accepts a `stop`; one that asks it (the eating
+#: kernels and `_rp`) hands it a ceiling on the final prefix sums over the
+#: one denominator of all its runs on the instance, and returns None, no
+#: outcome, when it says yes.  Only `adapted`'s outcomes are reduced.
 Kernel = Callable[..., tuple[Sequence[Sequence[int]], int] | None]
 
 
@@ -171,7 +171,7 @@ def _eat(
         if log is not None:
             log.append((dt, demand))
         if stop is not None and remaining:
-            if stop(whole, _eating_ceiling(eaten, instance.quota * whole, remaining)):
+            if stop(_eating_ceiling(eaten, instance.quota * whole, remaining)):
                 return None
     return eaten, whole
 
@@ -366,7 +366,7 @@ def _rp(
                 successors[state] = successors.get(state, 0) + ways
         layer = successors
         if stop is not None and k < n - 2:
-            if stop(math.factorial(n), _rp_ceiling(totals, layer, orders_per_prefix, quota)):
+            if stop(_rp_ceiling(totals, layer, orders_per_prefix, quota)):
                 return None
     everyone = (1 << n) - 1
     for (picked, taken), ways in layer.items():
@@ -434,9 +434,10 @@ KERNELS: dict[Rule, Kernel] = {
 def adapted(rule: Rule) -> Kernel:
     """`rule` as a kernel: it runs on the profile, built and checked by its
     constructor, whose orders name the columns of `ranked`.  It reads every
-    row of `ranked` in full, whatever `rule` reads of the profile."""
+    row of `ranked` in full, whatever `rule` reads of the profile, never
+    asks its `stop`, and returns the reduced outcome."""
 
-    def kernel(instance, ranked):
+    def kernel(instance, ranked, stop=None):
         objects = instance.objects
         outcome = rule(PreferenceProfile(instance, [[objects[j] for j in row] for row in ranked]))
         return outcome.numerators, outcome.denominator
@@ -453,7 +454,7 @@ def kernel_of(rule: Rule) -> tuple[Kernel, bool]:
     `stop`.  An output memo's rule runs the kernel it carries as `kernel`,
     which reads nothing on a hit; any other rule runs `adapted`, which
     reads every row in full, so a trie of its reads could grow to every
-    joint report.  Neither prunes, and neither is handed a `stop`.
+    joint report.  Neither prunes, and neither asks the `stop` it is handed.
     """
     if rule in KERNELS:
         return KERNELS[rule], True

@@ -29,14 +29,14 @@ through the integer kernel on `ranked` rows that `rules.kernel_of` gives
 it, which also says whether the scan may prune.  A bundled rule, as every
 rule of `harness.RULES` is, may: it runs its own kernel once per distinct
 set of entries it reads, not once per report, and once in all if it reads
-none (see `_scan`).  Every such scan also hands a bundled kernel a `stop`,
-which the eating kernels and `rp` ask during a run with a ceiling on each
-member's final prefix sums; the run ends once the ceilings rule out every
-kind the scan asks for (`_ruled_out`), as they do for every kind once no
-ceiling of some member is above truth.  An output memo's rule runs the memo's
-kernel on every report, a dictionary lookup once the memo holds the
-report; any other rule (a call counter, a traced rule) runs on every
-report, on a profile of the report.
+none (see `_scan`).  Every scan hands the kernel a `stop`, which the eating
+kernels and `rp` ask during a run with a ceiling on each member's final
+prefix sums; the run ends once the ceilings rule out every kind the scan
+asks for (`_ruled_out`), as they do for every kind once no ceiling of some
+member is above truth.  An output memo's rule runs the memo's kernel on
+every report, a dictionary lookup once the memo holds the report; any other
+rule (a call counter, a traced rule) runs on every report, on a profile of
+the report.  Prefix sums are compared as numerators over one denominator.
 
 `FINDERS` maps each individual kind to its finder, and `first_manipulation`
 is the one first-agent search behind `mudra manipulate` and the property
@@ -184,29 +184,22 @@ def _judged(trie: tuple, joint: tuple) -> bool:
     return True
 
 
-def _gains(
-    alt: Sequence[int],
-    scale: int,
-    truth_sums: Sequence[int],
-    truth_scale: int,
-    order: Sequence[int],
-    wanted: int,
-) -> int:
-    """The kinds, as `_BITS`, in which the row `alt` of numerators over
-    `scale` improves on the truthful row, whose prefix sums along the
-    member's `ranked` order are `truth_sums` over `truth_scale`; exact on
-    the kinds of `wanted`.
+def _gains(alt: Sequence[int], truth_sums: Sequence[int], order: Sequence[int], wanted: int) -> int:
+    """The kinds, as `_BITS`, in which the row `alt` of numerators improves
+    on the truthful row, whose prefix sums along the member's `ranked`
+    order are `truth_sums` over the same denominator; exact on the kinds of
+    `wanted`.
 
-    Prefix sums are compared cross-multiplied by the other denominator.
-    The first that differs decides DL, and the kind it leaves open (strict
-    SD after a gain, not-SD-dominated after a loss) is decided by one that
-    differs the other way later, which makes the rows SD-incomparable.  So
-    the judge stops at the first difference unless `wanted` asks for the
-    open kind.  Rows whose prefix sums are all equal are equal: no gain."""
+    The first prefix sum that differs decides DL, and the kind it leaves
+    open (strict SD after a gain, not-SD-dominated after a loss) is decided
+    by one that differs the other way later, which makes the rows
+    SD-incomparable.  So the judge stops at the first difference unless
+    `wanted` asks for the open kind.  Rows whose prefix sums are all equal
+    are equal: no gain."""
     total = first = 0
     for column, truth_sum in zip(order, truth_sums):
         total += alt[column]
-        gap = total * truth_scale - truth_sum * scale
+        gap = total - truth_sum
         if first:
             if gap * first < 0:
                 return _DL | _NOT_DOMINATED if first > 0 else _NOT_DOMINATED
@@ -218,36 +211,31 @@ def _gains(
 
 
 def _ruled_out(
-    truths: Sequence[tuple[int, Sequence[int], Sequence[int]]],
-    truth_scale: int,
-    wanted: int,
-    scale: int,
-    ceiling: Ceiling,
+    truths: Sequence[tuple[int, Sequence[int], Sequence[int]]], wanted: int, ceiling: Ceiling
 ) -> bool:
     """Do a partial run's ceilings already rule out every kind of `wanted`
-    for `truths`, the members' (row, truthful prefix sums over
-    `truth_scale`, true `ranked` order)?  The kernel's `stop`, as `_scan`
-    passes it.
+    for `truths`, the members' (row, truthful prefix sums, true `ranked`
+    order)?  The kernel's `stop`, as `_scan` passes it.
 
-    `ceiling(row, order)` gives, over `scale`, a number that each prefix
-    sum of the finished run's `row` along `order` does not exceed.  A
-    ceiling below truth puts that final prefix sum below truth, which rules
-    out strict SD.  If no earlier ceiling is above truth, no earlier final
-    sum is either, so the first difference is a loss there or before: that
-    rules out DL too.  If no ceiling at all is above truth, every final sum
-    is at or below truth, so truth weakly SD-dominates the row: that rules
-    out every kind, not-SD-domination too.  The walk along a member's order
-    ends once it has found a ceiling above truth and one below; past one
-    below truth with none above before it, it goes on only while
-    `NOT_SD_DOMINATED` is still wanted, to find one above.  A kind one
-    member rules out is no kind the coalition gains in."""
+    `ceiling(row, order)` gives, over the truthful run's denominator, a
+    number that each prefix sum of the finished run's `row` along `order`
+    does not exceed.  A ceiling below truth puts that final prefix sum
+    below truth, which rules out strict SD.  If no earlier ceiling is
+    above truth, no earlier final sum is either, so the first difference
+    is a loss there or before: that rules out DL too.  If no ceiling at all
+    is above truth, every final sum is at or below truth, so truth weakly
+    SD-dominates the row: that rules out every kind, not-SD-domination
+    too.  The walk along a member's order ends once it has found a ceiling
+    above truth and one below; past one below truth with none above before
+    it, it goes on only while `NOT_SD_DOMINATED` is still wanted, to find
+    one above.  A kind one member rules out is no kind the coalition gains
+    in."""
     for row, sums, order in truths:
         above = below = False
         for cap, truth_sum in zip(ceiling(row, order), sums):
-            gap = cap * truth_scale - truth_sum * scale
-            if gap > 0:
+            if cap > truth_sum:
                 above = True
-            elif gap < 0 and not below:
+            elif cap < truth_sum and not below:
                 below = True
                 wanted &= ~_STRICT if above else ~(_STRICT | _DL)
                 if not wanted:
@@ -292,7 +280,7 @@ def _scan(
     views and the trie: any other (an output memo's, which reads nothing on
     a hit, or an adapted rule's) runs on every report, on plain rows.
 
-    A prunable kernel also gets a `stop` on every run but the truthful one,
+    Every kernel gets the one `stop` on every run but the truthful one,
     whatever the kinds asked for.  The eating kernels and `_rp` ask the
     stop (`_ruled_out`) during a run, with a ceiling on each final prefix
     sum of each member's row, and it says whether those ceilings rule out
@@ -304,6 +292,9 @@ def _scan(
     agrees with them makes the kernel reach the same partial run, which the
     stop rules out again.  A witness run has a ceiling above truth for
     every member and never stops, so every first witness stays the same.
+    A kernel's runs and ceilings share truth's denominator, so numerators
+    are compared as they are; only an adapted rule's reduced outcome may
+    be over another, and is then compared over the product of the two.
     """
     inst = profile.instance
     require_balanced(inst, "manipulation search")
@@ -333,22 +324,23 @@ def _scan(
         (i, tuple(accumulate(map(truth[i].__getitem__, order))), order)
         for i, order in zip(rows, true_rows)
     )
-    stop = None
-    if pruned:
 
-        def stop(scale, ceiling):
-            return _ruled_out(truths, truth_scale, wanted, scale, ceiling)
+    def stop(ceiling):
+        return _ruled_out(truths, wanted, ceiling)
 
     for joint in joints:
         if joint == true_rows or pruned and _judged(trie, joint):
             continue
         log = _placed(ranked, rows, joint, pruned)
-        outcome = kernel(inst, ranked) if stop is None else kernel(inst, ranked, stop)
         # a stopped run gains in no kind still wanted: judged as truth, which gains in none
-        numerators, scale = outcome or (truth, truth_scale)
+        numerators, scale = kernel(inst, ranked, stop) or (truth, truth_scale)
         gained = wanted
         for i, truth_sums, order in truths:
-            gained &= _gains(numerators[i], scale, truth_sums, truth_scale, order, gained)
+            alt = numerators[i]
+            if scale != truth_scale:  # an adapted rule's reduced outcome
+                alt = [amount * truth_scale for amount in alt]
+                truth_sums = [total * scale for total in truth_sums]
+            gained &= _gains(alt, truth_sums, order, gained)
             if not gained:
                 break
         else:

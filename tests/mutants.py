@@ -117,12 +117,13 @@ MUTANTS = (
     ),
     # Numerators compared without their denominators.  Every run of a
     # bundled kernel on one instance has the same denominator (the eating
-    # engine's is fixed), so only outcomes over unequal ones tell.
+    # engine's is fixed), so only an adapted rule's reduced outcomes, over
+    # unequal ones, tell.
     Mutant(
         "raw-numerators-compared",
         "strategy.py",
-        "        gap = total * truth_scale - truth_sum * scale\n",
-        "        gap = total - truth_sum\n",
+        "            if scale != truth_scale:  # an adapted rule's reduced outcome\n",
+        "            if False:\n",
         STRATEGY_TESTS,
         "tests/test_strategy.py::test_scan_verdicts_equal_fraction_comparisons",
     ),
@@ -149,7 +150,8 @@ MUTANTS = (
         "        return rule.kernel, False\n",
         "        return rule.kernel, True\n",
         STRATEGY_TESTS,
-        "tests/test_strategy.py::test_one_scan_finds_what_the_three_finders_find[priority]",
+        "tests/test_strategy.py::"
+        "test_a_memo_rule_is_scanned_through_the_memo_on_plain_rows[uniform]",
     ),
     # The witness names the report judged before it.
     Mutant(
@@ -223,9 +225,8 @@ MUTANTS = (
     Mutant(
         "member-without-gain-skipped",
         "strategy.py",
-        "            gained &= _gains(numerators[i], scale, truth_sums, truth_scale, order, gained)\n",
-        "            gained &= _gains(numerators[i], scale, truth_sums, truth_scale, order, gained)"
-        " or gained\n",
+        "            gained &= _gains(alt, truth_sums, order, gained)\n",
+        "            gained &= _gains(alt, truth_sums, order, gained) or gained\n",
         STRATEGY_TESTS,
         "tests/test_strategy.py::TestMisreportGuard::test_six_objects_answer",
     ),
@@ -274,14 +275,15 @@ MUTANTS = (
         STRATEGY_TESTS,
         "tests/test_strategy.py::test_ceilings_bound_the_final_prefix_sums[rp]",
     ),
-    # A scan that asks for not-SD-domination passes no stop, so its runs
-    # never stop; every witness stays the same, and only the stop's
+    # A scan passes no stop while it asks for not-SD-domination, so those
+    # runs never stop; every witness stays the same, and only the stop's
     # presence and the pinned run counts change.
     Mutant(
         "sd-scan-passes-no-stop",
         "strategy.py",
-        "    stop = None\n    if pruned:\n",
-        "    stop = None\n    if pruned and not wanted & _NOT_DOMINATED:\n",
+        "        numerators, scale = kernel(inst, ranked, stop) or (truth, truth_scale)\n",
+        "        numerators, scale = kernel(inst, ranked, None if wanted & _NOT_DOMINATED else stop)"
+        " or (truth, truth_scale)\n",
         STRATEGY_TESTS,
         "tests/test_strategy.py::test_every_pruned_scan_passes_a_stop[ops]",
     ),
@@ -854,6 +856,18 @@ MUTANTS = (
         "self._outputs.setdefault(RULE_NAMES[0], {})",
         ("tests/test_harness.py",),
         "tests/test_harness.py::test_output_cache_keeps_instances_apart",
+    ),
+    # The output memo hands the scan's stop on to the rule's kernel on a
+    # miss: a stopped run is stored as no outcome, every answer stays the
+    # same, and a later lookup of that report runs the kernel again.
+    Mutant(
+        "memo-forwards-the-stop",
+        "harness.py",
+        "            hit = table[key] = kernel(instance, ranked)\n",
+        "            hit = table[key] = kernel(instance, ranked, stop)\n",
+        STRATEGY_TESTS,
+        "tests/test_strategy.py::"
+        "test_a_memo_rule_is_scanned_through_the_memo_on_plain_rows[ops]",
     ),
     # The output memo never hits: every lookup reruns the rule's kernel.
     Mutant(

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from mudra import rules
 from mudra.efficiency import perfect_assignment
-from mudra.harness import RULES, canonical_instance, enumerate_profiles
+from mudra.harness import RULES, OutputCache, canonical_instance, enumerate_profiles
 from mudra.model import (
     DiscreteAssignment,
     GuardExceeded,
@@ -991,17 +991,66 @@ def stop_makers(source):
     return sorted(makers)
 
 
+def never_stop(ceiling):
+    raise AssertionError("a kernel that never asks its stop asked it")
+
+
 def test_every_kernel_takes_a_stop_and_only_the_scan_makes_one():
-    """The misreport scan may hand a bundled kernel a `stop`, so every
-    value of `KERNELS` must accept one, and a kernel that asks it must be
+    """The misreport scan hands every kernel that `rules.kernel_of` returns
+    a `stop`, so each must accept one: every value of `KERNELS`, an adapted
+    rule's kernel and an output memo's.  The last two never ask it, and the
+    memo does not hand it on to the rule's kernel on a miss, since a
+    stopped run has no outcome to store.  A kernel that asks it must be
     judged by the scan that made it: `strategy._scan` is the only maker in
     `src/mudra`, and the kernels pass theirs on to the eating loop."""
-    for rule, kernel in KERNELS.items():
+    memo = OutputCache().callable("ops")
+    for rule in (*KERNELS, lambda profile: ops(profile), memo):
+        kernel, pruned = rules.kernel_of(rule)
         assert "stop" in inspect.signature(kernel).parameters, rule.__name__
+        assert pruned == (rule in KERNELS)
+    profile = make_profile([("o1", "o2", "o3"), ("o2", "o1", "o3"), ("o1", "o3", "o2")])
+    inst, ranked = profile.instance, profile.ranked
+    for rule in (lambda profile: ops(profile), memo):
+        numerators, scale = rules.kernel_of(rule)[0](inst, ranked, never_stop)
+        assert RandomAssignment.from_numerators(inst, numerators, scale) == ops(profile)
     makers = {
         (path.stem, name) for path in SOURCES.glob("*.py") for name in stop_makers(path.read_text())
     }
     assert makers == {("strategy", "_scan")}
+
+
+#: Each bundled rule's one denominator on an instance of n agents and m
+#: objects: every run of its kernel there returns it, unreduced.
+KERNEL_DENOMINATORS = {
+    "uniform": lambda n, m: n,
+    "priority": lambda n, m: 1,
+    "rp": lambda n, m: math.factorial(n),
+    "ops": lambda n, m: math.lcm(*range(1, n + 1)) ** m,
+    "mps": lambda n, m: math.lcm(*range(1, n + 1)) ** m,
+}
+
+
+def test_every_bundled_kernel_returns_one_denominator_per_instance():
+    """The misreport scan compares numerators of the truthful run with
+    those of every other run and with the ceilings they hand its stop, so
+    every run of a bundled kernel on one instance must return the same
+    denominator: on every row of 2x4 c=2 and 3x3 c=1, and on seeded 4x4
+    c=1 and 3x6 c=2 profiles."""
+    domains = [list(enumerate_profiles(canonical_instance(2, 4)))]
+    domains.append(list(enumerate_profiles(canonical_instance(3, 3))))
+    rng = random.Random(49)
+    for n, m in ((4, 4), (3, 6)):
+        inst = canonical_instance(n, m)
+        domains.append([
+            PreferenceProfile(inst, [rng.sample(inst.objects, m) for _ in inst.agents])
+            for _ in range(40)
+        ])
+    for name, denominator in KERNEL_DENOMINATORS.items():
+        kernel = KERNELS[RULES[name]]
+        for profiles in domains:
+            inst = profiles[0].instance
+            scales = {kernel(inst, profile.ranked)[1] for profile in profiles}
+            assert scales == {denominator(inst.num_agents, inst.num_objects)}, (name, inst)
 
 
 def test_the_stop_check_sees_calls_that_make_a_stop():

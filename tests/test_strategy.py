@@ -638,21 +638,24 @@ def test_pair_scan_runs_the_rule_once_per_distinct_read(rule_name, monkeypatch):
 def test_a_memo_rule_is_scanned_through_the_memo_on_plain_rows(rule_name, monkeypatch):
     """An output memo's rule is scanned through the memo's kernel, with no
     views: every joint report becomes one entry keyed by its `ranked` rows,
-    and a second scan finds them all and runs no kernel."""
+    run once, and a second scan finds them all and runs no kernel.  The
+    memo never hands the scan's `stop` on, so no entry is a stopped run
+    that a later lookup must run again."""
+    runs, kernel = [], KERNELS[RULES[rule_name]]
+    monkeypatch.setitem(
+        KERNELS,
+        RULES[rule_name],
+        lambda inst, ranked, stop=None: runs.append(stop) or kernel(inst, ranked, stop),
+    )
     cache = OutputCache()
     memo = cache.callable(rule_name)
     assert find_group_manipulation(memo, PAIR_PROFILE, ("1", "2")) is None
     orders = itertools.permutations(range(4))
     reports = {joint + PAIR_PROFILE.ranked[2:] for joint in itertools.product(orders, repeat=2)}
     assert list(cache._outputs) == [rule_name] and set(cache._outputs[rule_name]) == reports
-    runs, kernel = [], KERNELS[RULES[rule_name]]
-    monkeypatch.setitem(
-        KERNELS,
-        RULES[rule_name],
-        lambda inst, ranked, stop=None: runs.append(1) or kernel(inst, ranked, stop),
-    )
+    assert runs == [None] * len(reports)
     assert find_group_manipulation(memo, PAIR_PROFILE, ("1", "2")) is None
-    assert runs == []
+    assert len(runs) == len(reports)
 
 
 def test_a_row_read_outside_the_views_switches_pruning_off():
@@ -761,10 +764,15 @@ def row_pairs(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(row_pairs())
+@example(([F(1, 3)] * 3, [F(1, 2), F(1, 2), 0]))  # a strict SD gain over 2 on truth over 3
+@example(([F(1, 2), 0, F(1, 2)], [F(1, 3), F(2, 3), 0]))  # incomparable, over 3 and 2
 def test_scan_verdicts_equal_fraction_comparisons(rows):
-    """The scan compares numerators cross-multiplied by the other row's
-    common denominator; its verdicts equal the brute-force oracle's
-    improvement tests on the Fraction rows, whatever the two denominators."""
+    """The rule here runs through `rules.adapted`, whose outcomes are
+    reduced, so the truthful row and a misreport's are over unequal
+    denominators wherever their reduced forms differ, and the scan compares
+    them over the product of the two.  Its verdicts equal the brute-force
+    oracle's improvement tests on the Fraction rows, whatever the two
+    denominators."""
     truth, alt = (RandomAssignment(ONE_AGENT.instance, (tuple(row),)) for row in rows)
     rule = lambda p: truth if p == ONE_AGENT else alt  # noqa: E731
     order = ONE_AGENT.orders[0]
@@ -787,13 +795,16 @@ class DecisionKernel:
     from what it read, mostly the one drawn from `seed` alone, so that a
     witness is rare and the scan judges many runs first; or no outcome, if
     the scan's `stop` rules out every kind on that outcome, handed to it as
-    exact ceilings: the outcome's own prefix sums.  Every choice is seeded
-    by `seed` and the (row, column) pairs read, so the kernel is
-    deterministic and reads the report only as the views see it."""
+    exact ceilings: the outcome's own prefix sums.  Every outcome is over
+    one denominator, drawn from `seed`, as a kernel's runs on one instance
+    are.  Every choice is seeded by `seed` and the (row, column) pairs
+    read, so the kernel is deterministic and reads the report only as the
+    views see it."""
 
     def __init__(self, seed, end, focus):
         self.seed, self.end, self.focus, self.nodes = seed, end, focus, {}
         self.runs = 0
+        self.scale = random.Random(f"{seed}:scale").randrange(1, 4)
 
     def node(self, seen, instance):
         """(row to read next, None) or (None, outcome) at the node `seen`."""
@@ -811,7 +822,7 @@ class DecisionKernel:
                 if rng.random() < 0.15:
                     base = rng
                 rows = [[base.randrange(3) for _ in range(m)] for _ in range(n)]
-                self.nodes[seen] = None, (rows, base.randrange(1, 4))
+                self.nodes[seen] = None, (rows, self.scale)
         return self.nodes[seen]
 
     def __call__(self, instance, ranked, stop=None):
@@ -820,12 +831,12 @@ class DecisionKernel:
         while True:
             i, outcome = self.node(seen, instance)
             if outcome is not None:
-                numerators, scale = outcome
+                numerators = outcome[0]
 
                 def exact(row, order):
                     return itertools.accumulate(numerators[row][j] for j in order)
 
-                if stop is not None and stop(scale, exact):
+                if stop is not None and stop(exact):
                     return None
                 return outcome
             seen += ((i, next(rows[i])),)
@@ -906,26 +917,28 @@ def settled_after_each_phase(profile, size):
 def test_ceilings_bound_the_final_prefix_sums(rule_name):
     """Each kernel that asks a stop, handed one that never stops, runs to
     the end; at every point it asks, the ceiling of every row along every
-    agent's true order is at least the finished run's prefix sum.  On an
-    eating prefix whose objects have all left the market it is that sum,
-    final.  `rp` asks after each layer k <= n-3, eating after each phase
-    but the last."""
+    agent's true order is at least the finished run's prefix sum, both
+    numerators over the run's denominator, the one of its unstopped run.
+    The ceiling of a whole order is the row's total, the quota over that
+    denominator, and on an eating prefix whose objects have all left the
+    market it is that sum, final.  `rp` asks after each layer k <= n-3,
+    eating after each phase but the last."""
     kernel = KERNELS[RULES[rule_name]]
     asks = 0
     for profile in ceiling_profiles():
         inst, ranked = profile.instance, profile.ranked
         asked = []
 
-        def recording(scale, ceiling):
+        def recording(ceiling):
             asked.append([
-                [[F(cap, scale) for cap in ceiling(i, order)] for order in ranked]
-                for i in range(inst.num_agents)
+                [list(ceiling(i, order)) for order in ranked] for i in range(inst.num_agents)
             ])
             return False
 
         numerators, scale = kernel(inst, ranked, recording)
+        assert scale == kernel(inst, ranked)[1]
         final = [
-            [list(itertools.accumulate(F(numerators[i][j], scale) for j in order)) for order in ranked]
+            [list(itertools.accumulate(numerators[i][j] for j in order)) for order in ranked]
             for i in range(inst.num_agents)
         ]
         if rule_name == "rp":
@@ -939,6 +952,7 @@ def test_ceilings_bound_the_final_prefix_sums(rule_name):
             for i in range(inst.num_agents):
                 for order, caps, sums in zip(ranked, ceilings[i], final[i]):
                     assert all(cap >= total for cap, total in zip(caps, sums)), (profile, i)
+                    assert caps[-1] == sums[-1] == inst.quota * scale, (profile, i)
                     length = next((k for k, j in enumerate(order) if j not in gone), len(order))
                     assert caps[:length] == sums[:length], (profile, i)
         asks += len(asked)
@@ -1023,11 +1037,17 @@ ONE_MEMBER = ((0, (2, 4, 4), (0, 1, 2)),)
 LOW_TOP = ((0, (1, 2, 4), (0, 1, 2)),)
 
 
+def over(scale, truths):
+    """`truths`, whose prefix sums are over 4, with each sum over `scale`, a
+    multiple of 4: the truthful run's denominator, shared by the ceilings."""
+    return tuple((i, tuple(t * scale // 4 for t in sums), order) for i, sums, order in truths)
+
+
 def eating(*rows, scale, left):
-    """A stop's (scale, ceiling) of an eating run at quota 1 whose rows have
-    eaten `rows` so far, over `scale`, with `left` (column -> numerator over
+    """A stop's ceiling of an eating run at quota 1 whose rows have eaten
+    `rows` so far, over `scale`, with `left` (column -> numerator over
     `scale`) still in the market."""
-    return scale, _eating_ceiling([list(row) for row in rows], scale, left)
+    return _eating_ceiling([list(row) for row in rows], scale, left)
 
 
 def test_a_prefix_with_an_object_in_the_market_is_judged_on_its_ceiling():
@@ -1039,22 +1059,24 @@ def test_a_prefix_with_an_object_in_the_market_is_judged_on_its_ceiling():
     out.  A settled prefix is judged on its final sum, and a later prefix
     with an object in the market on its ceiling."""
     for left in ({0: 4, 1: 4, 2: 4}, {0: 4}, {0: 4, 2: 4}):
-        assert not _ruled_out(ONE_MEMBER, 4, STRICT | DL, *eating((0, 0, 0), scale=4, left=left))
+        assert not _ruled_out(ONE_MEMBER, STRICT | DL, eating((0, 0, 0), scale=4, left=left))
     # 1/8 of o0 eaten and 1/8 left: at most 1/4 of it, below truth's 1/2
-    assert _ruled_out(ONE_MEMBER, 4, STRICT | DL, *eating((1, 0, 0), scale=8, left={0: 1, 1: 8}))
+    stop = eating((1, 0, 0), scale=8, left={0: 1, 1: 8})
+    assert _ruled_out(over(8, ONE_MEMBER), STRICT | DL, stop)
     # 3/4 of o2 eaten: room for 1/4 more, of o0 or anything else
-    assert _ruled_out(ONE_MEMBER, 4, STRICT | DL, *eating((0, 0, 3), scale=4, left={0: 4, 1: 4}))
+    assert _ruled_out(ONE_MEMBER, STRICT | DL, eating((0, 0, 3), scale=4, left={0: 4, 1: 4}))
     # o0 gone, o1 in the market: 1/4 of o0 is final and below truth's 1/2
-    assert _ruled_out(ONE_MEMBER, 4, STRICT | DL, *eating((1, 0, 0), scale=4, left={1: 4, 2: 4}))
+    assert _ruled_out(ONE_MEMBER, STRICT | DL, eating((1, 0, 0), scale=4, left={1: 4, 2: 4}))
     # o0 settled at truth's 1/4, 3/8 of o1 left and room for 5/8: the
     # ceiling 3/4 on o0 and o1 is above truth's 1/2, so every kind is open
-    assert not _ruled_out(LOW_TOP, 4, STRICT | DL, *eating((2, 1, 0), scale=8, left={1: 3, 2: 8}))
+    stop = eating((2, 1, 0), scale=8, left={1: 3, 2: 8})
+    assert not _ruled_out(over(8, LOW_TOP), STRICT | DL, stop)
 
 
-def ceilings(*rows, scale):
-    """A stop's (scale, ceiling) that gives each row's ceilings as listed,
-    whatever the order."""
-    return scale, lambda i, order: iter(rows[i])
+def ceilings(*rows):
+    """A stop's ceiling that gives each row's ceilings as listed, whatever
+    the order."""
+    return lambda i, order: iter(rows[i])
 
 
 def test_an_earlier_final_gain_keeps_dl_open():
@@ -1064,15 +1086,16 @@ def test_an_earlier_final_gain_keeps_dl_open():
     ceiling above truth keeps DL open in the same way, though the final sum
     there may still fall below truth."""
     for scale in (4, 12):
+        truths = over(scale, ONE_MEMBER)
         stop = eating((3 * scale // 4, 0, 0), scale=scale, left={2: scale})
-        assert _ruled_out(ONE_MEMBER, 4, STRICT, *stop)
-        assert not _ruled_out(ONE_MEMBER, 4, DL, *stop)
-        assert not _ruled_out(ONE_MEMBER, 4, STRICT | DL, *stop)
-    assert not _ruled_out(ONE_MEMBER, 4, DL, *ceilings((3, 3, 4), scale=4))
+        assert _ruled_out(truths, STRICT, stop)
+        assert not _ruled_out(truths, DL, stop)
+        assert not _ruled_out(truths, STRICT | DL, stop)
+    assert not _ruled_out(ONE_MEMBER, DL, ceilings((3, 3, 4)))
     # a first settled loss rules out both
-    assert _ruled_out(ONE_MEMBER, 4, DL, *eating((1, 3, 0), scale=4, left={2: 4}))
+    assert _ruled_out(ONE_MEMBER, DL, eating((1, 3, 0), scale=4, left={2: 4}))
     # a ceiling equal to truth, then one below: no first gain is left for DL
-    assert _ruled_out(ONE_MEMBER, 4, DL, *ceilings((2, 3, 4), scale=4))
+    assert _ruled_out(ONE_MEMBER, DL, ceilings((2, 3, 4)))
 
 
 def test_one_member_ruling_a_kind_out_rules_it_out_for_the_coalition():
@@ -1082,8 +1105,8 @@ def test_one_member_ruling_a_kind_out_rules_it_out_for_the_coalition():
     anything out."""
     pair = (*ONE_MEMBER, (1, (2, 4, 4), (2, 1, 0)))
     rows = (0, 0, 0), (0, 0, 1)
-    assert _ruled_out(pair, 4, STRICT | DL, *eating(*rows, scale=4, left={0: 4, 1: 4}))
-    assert not _ruled_out(pair, 4, STRICT | DL, *eating(*rows, scale=4, left={0: 4, 1: 4, 2: 4}))
+    assert _ruled_out(pair, STRICT | DL, eating(*rows, scale=4, left={0: 4, 1: 4}))
+    assert not _ruled_out(pair, STRICT | DL, eating(*rows, scale=4, left={0: 4, 1: 4, 2: 4}))
 
 
 def test_a_member_with_no_ceiling_above_truth_rules_out_every_kind():
@@ -1096,14 +1119,14 @@ def test_a_member_with_no_ceiling_above_truth_rules_out_every_kind():
     # ceilings equal truth at every prefix
     stop = eating((4, 1, 0), scale=8, left={1: 3, 2: 8})
     for wanted in (NOT_DOMINATED, every):
-        assert _ruled_out(ONE_MEMBER, 4, wanted, *stop)
-    assert _ruled_out(ONE_MEMBER, 4, NOT_DOMINATED, *ceilings((1, 4, 4), scale=4))
+        assert _ruled_out(over(8, ONE_MEMBER), wanted, stop)
+    assert _ruled_out(ONE_MEMBER, NOT_DOMINATED, ceilings((1, 4, 4)))
     # below truth on o0, above it on o0 and o1: only a first gain is out
-    assert not _ruled_out(LOW_TOP, 4, NOT_DOMINATED, *ceilings((0, 3, 4), scale=4))
-    assert _ruled_out(LOW_TOP, 4, STRICT | DL, *ceilings((0, 3, 4), scale=4))
+    assert not _ruled_out(LOW_TOP, NOT_DOMINATED, ceilings((0, 3, 4)))
+    assert _ruled_out(LOW_TOP, STRICT | DL, ceilings((0, 3, 4)))
     # above truth on o0, below it on o0 and o1: strict SD is out
-    assert not _ruled_out(LOW_TOP, 4, DL | NOT_DOMINATED, *ceilings((2, 1, 4), scale=4))
-    assert _ruled_out(LOW_TOP, 4, STRICT, *ceilings((2, 1, 4), scale=4))
+    assert not _ruled_out(LOW_TOP, DL | NOT_DOMINATED, ceilings((2, 1, 4)))
+    assert _ruled_out(LOW_TOP, STRICT, ceilings((2, 1, 4)))
 
 
 def compositions(total, parts):
@@ -1133,10 +1156,11 @@ def test_ruled_out_is_sound_and_stops_without_a_ceiling_above_truth(members, m, 
     """Every coalition of `members` members on `m` objects whose truthful
     rows are integers summing to `total`, under every integer ceiling on
     each prefix sum up to `total` over `scale`, asked for every set of
-    kinds: when `_ruled_out` says stop, no final rows over `scale` under
-    the ceilings, each with the truthful total, make every member gain in
-    a kind asked for; and it says stop whenever some member has no
-    ceiling above truth."""
+    kinds, with the truthful prefix sums scaled up to `scale`: when
+    `_ruled_out` says stop, no final rows over `scale` under the ceilings,
+    each with the truthful total, make every member gain in a kind asked
+    for; and it says stop whenever some member has no ceiling above
+    truth."""
     order = tuple(range(m))
     cases = []  # (truthful row, ceilings, the final rows under them)
     for truth in compositions(total, m):
@@ -1150,15 +1174,16 @@ def test_ruled_out_is_sound_and_stops_without_a_ceiling_above_truth(members, m, 
     stops = 0
     for coalition in itertools.product(cases, repeat=members):
         truths = tuple(
-            (i, tuple(itertools.accumulate(truth)), order) for i, (truth, _, _) in enumerate(coalition)
+            (i, tuple(total * scale for total in itertools.accumulate(truth)), order)
+            for i, (truth, _, _) in enumerate(coalition)
         )
-        stop = ceilings(*(caps for _, caps, _ in coalition), scale=scale)
+        stop = ceilings(*(caps for _, caps, _ in coalition))
         none_above = any(
             all(cap <= sum_ * scale for cap, sum_ in zip(caps, itertools.accumulate(truth)))
             for truth, caps, _ in coalition
         )
         for wanted in range(1, 8):
-            if not _ruled_out(truths, 1, wanted, *stop):
+            if not _ruled_out(truths, wanted, stop):
                 assert not none_above, (coalition, wanted)
                 continue
             stops += 1
@@ -1207,7 +1232,7 @@ def test_an_sd_scan_stops_a_run_only_when_no_ceiling_is_above_truth(rule_name, m
     )
     answers = []
     for profile in profiles:
-        truth, truth_scale = kernel(profile.instance, profile.ranked)
+        truth = kernel(profile.instance, profile.ranked)[0]
         for agent in ("1", "2"):
             i = profile.instance.agent_index(agent)
             order = profile.ranked[i]
@@ -1217,12 +1242,9 @@ def test_an_sd_scan_stops_a_run_only_when_no_ceiling_is_above_truth(rule_name, m
                 if stop is None:
                     return kernel(inst, ranked)
 
-                def asked(scale, ceiling):
-                    said = stop(scale, ceiling)
-                    caps = ceiling(i, order)
-                    none_above = all(
-                        cap * truth_scale <= sum_ * scale for cap, sum_ in zip(caps, sums)
-                    )
+                def asked(ceiling):
+                    said = stop(ceiling)
+                    none_above = all(cap <= sum_ for cap, sum_ in zip(ceiling(i, order), sums))
                     assert said == none_above, (profile, agent)
                     answers.append(said)
                     return said
