@@ -36,7 +36,7 @@ asks for (`_ruled_out`), as they do for every kind once no ceiling of some
 member is above truth.  An output memo's rule runs the memo's kernel on
 every report, a dictionary lookup once the memo holds the report; any other
 rule (a call counter, a traced rule) runs on every report, on a profile of
-the report.  Prefix sums are compared as numerators over one denominator.
+the report.
 
 `FINDERS` maps each individual kind to its finder, and `first_manipulation`
 is the one first-agent search behind `mudra manipulate` and the property
@@ -184,22 +184,29 @@ def _judged(trie: tuple, joint: tuple) -> bool:
     return True
 
 
-def _gains(alt: Sequence[int], truth_sums: Sequence[int], order: Sequence[int], wanted: int) -> int:
-    """The kinds, as `_BITS`, in which the row `alt` of numerators improves
-    on the truthful row, whose prefix sums along the member's `ranked`
-    order are `truth_sums` over the same denominator; exact on the kinds of
-    `wanted`.
+def _gains(
+    alt: Sequence[int],
+    scale: int,
+    truth_sums: Sequence[int],
+    truth_scale: int,
+    order: Sequence[int],
+    wanted: int,
+) -> int:
+    """The kinds, as `_BITS`, in which the row `alt` of numerators over
+    `scale` improves on the truthful row, whose prefix sums along the
+    member's `ranked` order are `truth_sums` over `truth_scale`; exact on
+    the kinds of `wanted`.
 
-    The first prefix sum that differs decides DL, and the kind it leaves
-    open (strict SD after a gain, not-SD-dominated after a loss) is decided
-    by one that differs the other way later, which makes the rows
-    SD-incomparable.  So the judge stops at the first difference unless
-    `wanted` asks for the open kind.  Rows whose prefix sums are all equal
-    are equal: no gain."""
+    Prefix sums are compared cross-multiplied by the other denominator.
+    The first that differs decides DL, and the kind it leaves open (strict
+    SD after a gain, not-SD-dominated after a loss) is decided by one that
+    differs the other way later, which makes the rows SD-incomparable.  So
+    the judge stops at the first difference unless `wanted` asks for the
+    open kind.  Rows whose prefix sums are all equal are equal: no gain."""
     total = first = 0
     for column, truth_sum in zip(order, truth_sums):
         total += alt[column]
-        gap = total - truth_sum
+        gap = total * truth_scale - truth_sum * scale
         if first:
             if gap * first < 0:
                 return _DL | _NOT_DOMINATED if first > 0 else _NOT_DOMINATED
@@ -292,9 +299,6 @@ def _scan(
     agrees with them makes the kernel reach the same partial run, which the
     stop rules out again.  A witness run has a ceiling above truth for
     every member and never stops, so every first witness stays the same.
-    A kernel's runs and ceilings share truth's denominator, so numerators
-    are compared as they are; only an adapted rule's reduced outcome may
-    be over another, and is then compared over the product of the two.
     """
     inst = profile.instance
     require_balanced(inst, "manipulation search")
@@ -336,11 +340,7 @@ def _scan(
         numerators, scale = kernel(inst, ranked, stop) or (truth, truth_scale)
         gained = wanted
         for i, truth_sums, order in truths:
-            alt = numerators[i]
-            if scale != truth_scale:  # an adapted rule's reduced outcome
-                alt = [amount * truth_scale for amount in alt]
-                truth_sums = [total * scale for total in truth_sums]
-            gained &= _gains(alt, truth_sums, order, gained)
+            gained &= _gains(numerators[i], scale, truth_sums, truth_scale, order, gained)
             if not gained:
                 break
         else:

@@ -122,8 +122,8 @@ MUTANTS = (
     Mutant(
         "raw-numerators-compared",
         "strategy.py",
-        "            if scale != truth_scale:  # an adapted rule's reduced outcome\n",
-        "            if False:\n",
+        "        gap = total * truth_scale - truth_sum * scale\n",
+        "        gap = total - truth_sum\n",
         STRATEGY_TESTS,
         "tests/test_strategy.py::test_scan_verdicts_equal_fraction_comparisons",
     ),
@@ -225,8 +225,9 @@ MUTANTS = (
     Mutant(
         "member-without-gain-skipped",
         "strategy.py",
-        "            gained &= _gains(alt, truth_sums, order, gained)\n",
-        "            gained &= _gains(alt, truth_sums, order, gained) or gained\n",
+        "            gained &= _gains(numerators[i], scale, truth_sums, truth_scale, order, gained)\n",
+        "            gained &= _gains(numerators[i], scale, truth_sums, truth_scale, order, gained)"
+        " or gained\n",
         STRATEGY_TESTS,
         "tests/test_strategy.py::TestMisreportGuard::test_six_objects_answer",
     ),

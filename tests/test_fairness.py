@@ -226,7 +226,7 @@ def uniform_over_two_scales(profile):
     return uniform(profile.instance)
 
 
-def _doubled_uniform(instance, ranked):
+def _doubled_uniform(instance, ranked, stop=None):
     factor = 1 if ranked[0][0] == 0 else 2
     n = instance.num_agents
     return ((factor,) * instance.num_objects,) * n, factor * n
