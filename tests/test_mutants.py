@@ -1,7 +1,7 @@
 """The mutation corpus of `tests/mutants.py` stays applicable.
 
 Running the mutants takes a little over two minutes (`python3
-tests/mutants.py`: 99 mutants, all killed by their killers in 150 s on a
+tests/mutants.py`: 99 mutants, all killed by their killers in 144 s on a
 shared 2-core VM with Python 3.11.7); this only checks that every mutant
 still names one place in its module, that the mutated module compiles,
 that its test files exist and that its killer names a test function in
