@@ -92,10 +92,13 @@ def canonical_instance(n: int, m: int) -> Instance:
 def profile_count(n: int, m: int) -> int:
     """The (m!)^n profiles of n agents on m objects, refused past PROFILE_LIMIT.
 
-    Needs no instance, so a refusal comes before any label is built.
+    Also refuses more than PROFILE_LIMIT agents: at m = 1 the one profile
+    passes at any n, but still holds n agents' labels.  Needs no instance,
+    so a refusal comes before any label is built.
     """
     count = order_count(m, n, PROFILE_LIMIT)
     refuse_over(count, PROFILE_LIMIT, f"({m}!)^{n} profiles")
+    refuse_over(n, PROFILE_LIMIT, f"{n} agents")
     return count
 
 
@@ -143,6 +146,12 @@ class OutputCache:
     instance's shape, which the rows fix (see `RULES`), so profiles of two
     instances with the same rows share an entry.
 
+    A miss stores its outcome as a tuple of int tuples and the denominator,
+    interned through one dict that every table of the cache shares: equal
+    outcomes, whichever rule or profile produced them, are one immutable
+    object, which a hit returns as it is.  Table1's fill keeps 104 of them
+    for 2,880 entries.
+
     `output` builds a profile's `RandomAssignment`, on its own instance,
     once.  `scan` runs one `strategy.individual_scan` per (rule, rows,
     agent) and keeps it, so that the three strategyproofness checks share
@@ -153,6 +162,7 @@ class OutputCache:
 
     def __init__(self) -> None:
         self._outputs: dict[str, dict[tuple, tuple]] = {}
+        self._distinct: dict[tuple, tuple] = {}
         self._assignments: dict[tuple[str, PreferenceProfile], RandomAssignment] = {}
         self._scans: dict[tuple, Scan] = {}
         self._rules: dict[str, Rule] = {}
@@ -161,7 +171,9 @@ class OutputCache:
         key = tuple(ranked)
         hit = table.get(key)
         if hit is None:
-            hit = table[key] = kernel(instance, ranked)
+            numerators, denominator = kernel(instance, ranked)
+            outcome = tuple(map(tuple, numerators)), denominator
+            hit = table[key] = self._distinct.setdefault(outcome, outcome)
         return hit
 
     def output(self, rule_name: str, profile: PreferenceProfile) -> RandomAssignment:

@@ -44,7 +44,7 @@ class GuardExceeded(Exception):
 # Guards of the exhaustive enumerations, each compared with the exact size of
 # what an enumeration would visit (for rp, an upper bound on it) before it
 # visits any of it.
-PROFILE_LIMIT = 10**6  # profiles listed, swept or counted by profile_count
+PROFILE_LIMIT = 10**6  # profiles listed, swept or counted, and agents listed, by profile_count
 DISCRETE_LIMIT = 10**6  # discrete assignments screened for ex-post efficiency
 MISREPORT_LIMIT = math.factorial(6)  # one agent's misreports
 JOINT_LIMIT = 10**6  # a coalition's joint misreports
@@ -88,6 +88,8 @@ def capped_product(factors: Iterable[int | Fraction], limit: int) -> int | Fract
 
 def order_count(m: int, repeat: int, limit: int) -> int | Fraction:
     """(m!)^repeat, the `repeat`-tuples of strict orders of m labels, capped at `limit`."""
+    if m < 2:
+        return 1  # no factor past 1, however many repeats
     factors = itertools.chain.from_iterable(itertools.repeat(range(2, m + 1), repeat))
     return capped_product(factors, limit)
 

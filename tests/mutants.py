@@ -859,16 +859,26 @@ MUTANTS = (
         "tests/test_harness.py::test_output_cache_keeps_instances_apart",
     ),
     # The output memo hands the scan's stop on to the rule's kernel on a
-    # miss: a stopped run is stored as no outcome, every answer stays the
-    # same, and a later lookup of that report runs the kernel again.
+    # miss: the kernel sees a stop it must never be given, and a stopped run
+    # returns no outcome for the miss to store.
     Mutant(
         "memo-forwards-the-stop",
         "harness.py",
-        "            hit = table[key] = kernel(instance, ranked)\n",
-        "            hit = table[key] = kernel(instance, ranked, stop)\n",
+        "            numerators, denominator = kernel(instance, ranked)\n",
+        "            numerators, denominator = kernel(instance, ranked, stop)\n",
         STRATEGY_TESTS,
         "tests/test_strategy.py::"
         "test_a_memo_rule_is_scanned_through_the_memo_on_plain_rows[ops]",
+    ),
+    # The output memo stores each outcome as the miss built it: equal
+    # outcomes of two profiles, or of two rules, are kept as two objects.
+    Mutant(
+        "memo-stores-without-interning",
+        "harness.py",
+        "            hit = table[key] = self._distinct.setdefault(outcome, outcome)\n",
+        "            hit = table[key] = outcome\n",
+        ("tests/test_harness.py",),
+        "tests/test_harness.py::test_the_sweep_memo_keeps_one_object_per_distinct_outcome",
     ),
     # The output memo never hits: every lookup reruns the rule's kernel.
     Mutant(
@@ -1042,6 +1052,17 @@ MUTANTS = (
         '"".join(itertools.chain(*zip(pieces, map(order_text, p.orders))))',
         ("tests/test_cli.py",),
         "tests/test_cli.py::TestEnumerate::test_json",
+    ),
+    # The profile count alone guards a listing: on one object its one
+    # profile passes at any n, and n agents' labels are built.
+    Mutant(
+        "enumerate-agents-unguarded",
+        "harness.py",
+        '    refuse_over(n, PROFILE_LIMIT, f"{n} agents")\n',
+        "",
+        ("tests/test_cli.py",),
+        "tests/test_cli.py::TestEnumerate::"
+        "test_refusal_comes_before_the_instance[30000000-1-30000000 agents]",
     ),
 )
 

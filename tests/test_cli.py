@@ -872,10 +872,15 @@ class TestEnumerate:
 
     @pytest.mark.parametrize(
         "n, m, refusal",
-        [(1, 1_000_000, "(1000000!)^1 profiles"), (1_000_000, 2, "(2!)^1000000 profiles")],
+        [
+            (1, 1_000_000, "(1000000!)^1 profiles"),
+            (1_000_000, 2, "(2!)^1000000 profiles"),
+            (30_000_000, 1, "30000000 agents"),
+        ],
     )
     def test_refusal_comes_before_the_instance(self, runner, monkeypatch, n, m, refusal):
-        # Neither m! nor a million agent labels is built before the guard refuses.
+        # Neither m! nor a million agent labels is built before the guard
+        # refuses, nor the labels of the one profile on one object.
         def unbuilt(*args):
             raise AssertionError("the instance was built before the refusal")
 

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,47 @@ def test_the_sweep_runs_each_kernel_once_per_profile(monkeypatch, main_profiles)
     assert {name: len(runs) for name, runs in rows.items()} == SWEEP_RUNS
     canonical = [p.ranked for p in main_profiles]
     assert all(runs[: len(canonical)] == canonical for runs in rows.values())
+
+
+#: Distinct outcome objects in each rule's memo table after table1's fill,
+#: and across all five tables ("all"): the memo keeps one object per
+#: distinct outcome, whichever rule or profile produced it, so the fill's
+#: 2,880 entries hold 104.
+SWEEP_DISTINCT = {"uniform": 1, "priority": 6, "rp": 19, "ops": 19, "mps": 79, "all": 104}
+
+
+def test_the_sweep_memo_keeps_one_object_per_distinct_outcome(monkeypatch):
+    counts, caches, classify_filled = {}, [], harness.classify
+
+    def counted_classify(instance, cells, cache):
+        tables = cache._outputs
+        counts.update({name: len(set(map(id, table.values()))) for name, table in tables.items()})
+        counts["all"] = len({id(value) for table in tables.values() for value in table.values()})
+        caches.append(cache)
+        return classify_filled(instance, cells, cache)
+
+    monkeypatch.setattr(harness, "classify", counted_classify)
+    table1_sweep(use_cache=False)
+    assert counts == SWEEP_DISTINCT
+    (cache,) = caches
+    for table in cache._outputs.values():
+        for numerators, denominator in table.values():
+            assert type(numerators) is tuple and type(denominator) is int
+            assert all(type(row) is tuple and all(type(v) is int for v in row) for row in numerators)
+
+
+def test_one_sweep_peaks_under_a_mebibyte():
+    """tracemalloc's peak over one uncached table1 sweep, above what was
+    traced when it started: the memo's 104 distinct outcomes stay small."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        table1_sweep(use_cache=False)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_one_walk_gives_every_cell_its_own_first_witness(main_profiles):
