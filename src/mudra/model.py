@@ -44,7 +44,7 @@ class GuardExceeded(Exception):
 # Guards of the exhaustive enumerations, each compared with the exact size of
 # what an enumeration would visit (for rp, an upper bound on it) before it
 # visits any of it.
-PROFILE_LIMIT = 10**6  # profiles listed, swept or counted, and agents listed, by profile_count
+PROFILE_LIMIT = 10**6  # profiles listed, swept or counted by profile_count, and agents listed
 DISCRETE_LIMIT = 10**6  # discrete assignments screened for ex-post efficiency
 MISREPORT_LIMIT = math.factorial(6)  # one agent's misreports
 JOINT_LIMIT = 10**6  # a coalition's joint misreports

@@ -290,14 +290,12 @@ def test_the_sweep_memo_keeps_one_object_per_distinct_outcome(monkeypatch):
 
 
 def test_one_sweep_peaks_under_a_mebibyte():
-    """tracemalloc's peak over one uncached table1 sweep, above what was
-    traced when it started: the memo's 104 distinct outcomes stay small."""
+    """tracemalloc's peak over one uncached table1 sweep: the memo's 104
+    distinct outcomes stay small."""
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
         table1_sweep(use_cache=False)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
