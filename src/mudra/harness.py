@@ -15,6 +15,13 @@ preference-profile domains.  The main entry points are
 * :func:`reproduce` -- replays the named reference scenarios shipped with
   the library and diffs the computed values against the recorded ones.
 
+Every sweep check reads the rules through an :class:`OutputCache`, which
+holds one :class:`MemoRule` per rule name: the rule's kernel, assignments
+and misreport scans, each memoised.  Only this module knows the memo: a
+check of a memo rule's strategyproofness reads the scan it keeps, which
+the three kinds share, and `strategy` and `fairness` see a rule that
+carries a `kernel`.
+
 Everything is deterministic: profiles are enumerated in a fixed canonical
 order and all searches return the first witness in that order.
 """
@@ -69,6 +76,7 @@ from mudra.rules import (
 )
 from mudra.serialize import assignment_to_data, format_rational
 from mudra.strategy import (
+    KINDS,
     Manipulation,
     Scan,
     find_group_manipulation,
@@ -135,74 +143,81 @@ RULES: dict[str, Rule] = {
 RULE_NAMES: tuple[str, ...] = tuple(RULES)
 
 
+class MemoRule:
+    """One rule of an `OutputCache`, memoised three ways.
+
+    `kernel` runs the rule's integer kernel over `table`, which is keyed by
+    `ranked` rows alone and holds the unreduced (numerators, denominator)
+    of the kernel that `rules.kernel_of` gives `RULES[rule name]`: run on a
+    miss only, and never with the `stop` that `kernel` accepts, since a
+    stopped run has no outcome to store.  A miss stores its outcome as a
+    tuple of int tuples and the denominator, interned through the dict that
+    every rule of the cache shares.  `rules.kernel_of` hands `kernel` to the
+    checks that run on integer rows.
+
+    Calling the memo rule builds a profile's `RandomAssignment`, on its own
+    instance, once.  `scan` runs one `strategy.individual_scan` per
+    (`ranked` rows, agent's row) and keeps it: a `Scan` holds no labels, and
+    the three strategyproofness checks share it (`_no_manipulation`).  A
+    memo rule holds no reference to its cache.
+    """
+
+    def __init__(self, kernel: Kernel, distinct: dict[tuple, tuple]) -> None:
+        self._kernel, self._distinct = kernel, distinct
+        self.table: dict[tuple, tuple] = {}
+        self._assignments: dict[PreferenceProfile, RandomAssignment] = {}
+        self._scans: dict[tuple, Scan] = {}
+
+    def kernel(self, instance: Instance, ranked: Sequence, stop=None) -> tuple:
+        key = tuple(ranked)
+        hit = self.table.get(key)
+        if hit is None:
+            numerators, denominator = self._kernel(instance, ranked)
+            outcome = tuple(map(tuple, numerators)), denominator
+            hit = self.table[key] = self._distinct.setdefault(outcome, outcome)
+        return hit
+
+    def __call__(self, profile: PreferenceProfile) -> RandomAssignment:
+        hit = self._assignments.get(profile)
+        if hit is None:
+            unreduced = self.kernel(inst := profile.instance, profile.ranked)
+            hit = self._assignments[profile] = RandomAssignment.from_numerators(inst, *unreduced)
+        return hit
+
+    def scan(self, profile: PreferenceProfile, agent: str) -> Scan:
+        """`agent`'s misreports of `profile` judged in all three individual
+        kinds, scanned through the memo once."""
+        key = profile.ranked, profile.instance.agent_index(agent)
+        if key not in self._scans:
+            self._scans[key] = individual_scan(self, profile, agent)
+        return self._scans[key]
+
+
 class OutputCache:
-    """The sweep's memo of rule outputs, one integer kernel per rule.
+    """The sweep's memo of rule outputs: one `MemoRule` per rule name.
 
-    Each rule name has a table, keyed by `ranked` rows alone, of the
-    unreduced (numerators, denominator) of the kernel that `rules.kernel_of`
-    gives `RULES[rule name]`, resolved once per cache and run on a miss
-    only, never with the `stop` the memo's kernel accepts: a stopped run
-    has no outcome to store.  A registered rule reads only the rows and the
-    instance's shape, which the rows fix (see `RULES`), so profiles of two
-    instances with the same rows share an entry.
+    A registered rule reads only the rows and the instance's shape, which
+    the rows fix (see `RULES`), so profiles of two instances with the same
+    rows share a memo rule's entries and scans.  Every memo rule of one
+    cache interns its outcomes through one dict: equal outcomes, whichever
+    rule or profile produced them, are one immutable object, which a hit
+    returns as it is.  Table1's fill keeps 104 of them for 2,880 entries.
 
-    A miss stores its outcome as a tuple of int tuples and the denominator,
-    interned through one dict that every table of the cache shares: equal
-    outcomes, whichever rule or profile produced them, are one immutable
-    object, which a hit returns as it is.  Table1's fill keeps 104 of them
-    for 2,880 entries.
-
-    `output` builds a profile's `RandomAssignment`, on its own instance,
-    once.  `scan` runs one `strategy.individual_scan` per (rule, rows,
-    agent) and keeps it, so that the three strategyproofness checks share
-    it.  `callable` returns one rule per name, which carries its table as
-    its `kernel` for the checks that run on integer rows, and `scan` for
-    the strategyproofness checks (`strategy.first_manipulation`).
+    `callable` builds a rule name's memo rule once and returns it on every
+    later call; `output` is that rule's assignment at a profile.
     """
 
     def __init__(self) -> None:
-        self._outputs: dict[str, dict[tuple, tuple]] = {}
         self._distinct: dict[tuple, tuple] = {}
-        self._assignments: dict[tuple[str, PreferenceProfile], RandomAssignment] = {}
-        self._scans: dict[tuple, Scan] = {}
-        self._rules: dict[str, Rule] = {}
-
-    def _lookup(self, kernel: Kernel, table: dict, instance: Instance, ranked: Sequence, stop=None):
-        key = tuple(ranked)
-        hit = table.get(key)
-        if hit is None:
-            numerators, denominator = kernel(instance, ranked)
-            outcome = tuple(map(tuple, numerators)), denominator
-            hit = table[key] = self._distinct.setdefault(outcome, outcome)
-        return hit
+        self._rules: dict[str, MemoRule] = {}
 
     def output(self, rule_name: str, profile: PreferenceProfile) -> RandomAssignment:
-        key = (rule_name, profile)
-        hit = self._assignments.get(key)
-        if hit is None:
-            inst = profile.instance
-            unreduced = self.callable(rule_name).kernel(inst, profile.ranked)
-            hit = self._assignments[key] = RandomAssignment.from_numerators(inst, *unreduced)
-        return hit
+        return self.callable(rule_name)(profile)
 
-    def scan(self, rule_name: str, profile: PreferenceProfile, agent: str) -> Scan:
-        """`agent`'s misreports of `profile` judged in all three individual
-        kinds, scanned through the memo once.  Keyed by rule name, `ranked`
-        rows and the agent's row: a `Scan` holds no labels."""
-        key = rule_name, profile.ranked, profile.instance.agent_index(agent)
-        hit = self._scans.get(key)
-        if hit is None:
-            hit = self._scans[key] = individual_scan(self.callable(rule_name), profile, agent)
-        return hit
-
-    def callable(self, rule_name: str) -> Rule:
-        rule = self._rules.get(rule_name)
-        if rule is None:
-            rule = self._rules[rule_name] = lambda profile: self.output(rule_name, profile)
-            kernel = kernel_of(RULES[rule_name])[0]
-            rule.kernel = partial(self._lookup, kernel, self._outputs.setdefault(rule_name, {}))
-            rule.scan = partial(self.scan, rule_name)
-        return rule
+    def callable(self, rule_name: str) -> MemoRule:
+        if rule_name not in self._rules:
+            self._rules[rule_name] = MemoRule(kernel_of(RULES[rule_name])[0], self._distinct)
+        return self._rules[rule_name]
 
 
 # --------------------------------------------------------------------------
@@ -308,7 +323,14 @@ def _symmetry(agents, profile, output, rule):
 
 
 def _no_manipulation(kind, profile, output, rule) -> tuple[bool, dict | None]:
-    found = first_manipulation(rule, profile, kind, profile.instance.agents)
+    """A memo rule answers from its scan of each agent (`MemoRule.scan`),
+    which the three kinds share; any other rule runs the kind's finder."""
+    agents = profile.instance.agents
+    if isinstance(rule, MemoRule):
+        firsts = (rule.scan(profile, agent).manipulation(KINDS[kind], profile) for agent in agents)
+        found = next((first for first in firsts if first is not None), None)
+    else:
+        found = first_manipulation(rule, profile, kind, agents)
     if found is None:
         return True, None
     (agent,) = found.coalition
@@ -584,7 +606,7 @@ def table1_sweep(use_cache: bool = True) -> Table1Report:
     profiles are built only where `classify` and the single-unit walk go,
     and assignments only where a check judges one or a certificate names
     one.  The three strategyproofness rows share one misreport scan per
-    (rule, profile, agent), kept in the same memo (`OutputCache.scan`): the
+    (rule, profile, agent), kept by the rule's memo (`MemoRule.scan`): the
     row judged first runs it, and the other two read its witnesses.
 
     Both domains are within the profile guard.  With `use_cache` the first

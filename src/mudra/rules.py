@@ -450,11 +450,12 @@ def kernel_of(rule: Rule) -> tuple[Kernel, bool]:
     its runs (`strategy._scan`).
 
     A rule of `KERNELS` runs its own kernel, which reads rows only through
-    what it is given, from the top, so a scan may prune.  An output memo's
-    rule runs the kernel it carries as `kernel`, which must accept a `stop`
-    and reads nothing on a hit; any other rule runs `adapted`, which reads
-    every row in full, so a trie of its reads could grow to every joint
-    report.  Neither prunes, and neither asks the `stop` it is handed.
+    what it is given, from the top, so a scan may prune.  A rule that
+    carries a `kernel` method or attribute (a `harness.MemoRule`, which
+    reads nothing on a hit) runs it, and it must accept a `stop`; any other
+    rule runs `adapted`, which reads every row in full, so a trie of its
+    reads could grow to every joint report.  Neither prunes, and neither
+    asks the `stop` it is handed.
     """
     if rule in KERNELS:
         return KERNELS[rule], True

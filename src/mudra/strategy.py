@@ -33,14 +33,14 @@ none (see `_scan`).  Every scan hands the kernel a `stop`, which the eating
 kernels and `rp` ask during a run with a ceiling on each member's final
 prefix sums; the run ends once the ceilings rule out every kind the scan
 asks for (`_ruled_out`), as they do for every kind once no ceiling of some
-member is above truth.  An output memo's rule runs the memo's kernel on
-every report, a dictionary lookup once the memo holds the report; any other
-rule (a call counter, a traced rule) runs on every report, on a profile of
-the report.
+member is above truth.  A rule that carries its own `kernel` (the sweep's
+memo rules do: a dictionary lookup once the memo holds the report) runs it
+on every report; any other rule (a call counter, a traced rule) runs on
+every report, on a profile of the report.
 
 `FINDERS` maps each individual kind to its finder, and `first_manipulation`
 is the one first-agent search behind `mudra manipulate` and the property
-registry's strategyproofness checks.
+registry's strategyproofness checks of a rule the sweep does not memoise.
 """
 
 from __future__ import annotations
@@ -425,17 +425,10 @@ def individual_scan(rule: Rule, profile: PreferenceProfile, agent: str) -> Scan:
 def first_manipulation(
     rule: Rule, profile: PreferenceProfile, kind: str, agents: Sequence[str]
 ) -> Manipulation | None:
-    """The `kind` manipulation of the first of `agents` that has one.
-
-    An output memo's rule carries `scan`, the memo's `individual_scan` of an
-    agent, and is answered from it, so that the three kinds share one scan
-    per agent; any other rule runs the kind's finder."""
-    scan = getattr(rule, "scan", None)
+    """The `kind` manipulation of the first of `agents` that has one, found
+    by the kind's finder."""
     for agent in agents:
-        if scan is None:
-            found = FINDERS[kind](rule, profile, agent)
-        else:
-            found = scan(profile, agent).manipulation(KINDS[kind], profile)
+        found = FINDERS[kind](rule, profile, agent)
         if found is not None:
             return found
     return None

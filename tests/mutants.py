@@ -849,12 +849,13 @@ MUTANTS = (
         RULES_TESTS,
         "tests/test_rules.py::TestSerialDictatorship::test_first_dictator_takes_top_quota",
     ),
-    # Every rule shares one table of the output memo: rules share their outputs.
+    # Every rule is served the first rule's memo once that is built: rules
+    # share their outputs.
     Mutant(
         "memo-keyed-without-the-rule-name",
         "harness.py",
-        "self._outputs.setdefault(rule_name, {})",
-        "self._outputs.setdefault(RULE_NAMES[0], {})",
+        "        return self._rules[rule_name]\n",
+        "        return self._rules.get(RULE_NAMES[0], self._rules[rule_name])\n",
         ("tests/test_harness.py",),
         "tests/test_harness.py::test_output_cache_keeps_instances_apart",
     ),
@@ -864,8 +865,8 @@ MUTANTS = (
     Mutant(
         "memo-forwards-the-stop",
         "harness.py",
-        "            numerators, denominator = kernel(instance, ranked)\n",
-        "            numerators, denominator = kernel(instance, ranked, stop)\n",
+        "            numerators, denominator = self._kernel(instance, ranked)\n",
+        "            numerators, denominator = self._kernel(instance, ranked, stop)\n",
         STRATEGY_TESTS,
         "tests/test_strategy.py::"
         "test_a_memo_rule_is_scanned_through_the_memo_on_plain_rows[ops]",
@@ -875,8 +876,8 @@ MUTANTS = (
     Mutant(
         "memo-stores-without-interning",
         "harness.py",
-        "            hit = table[key] = self._distinct.setdefault(outcome, outcome)\n",
-        "            hit = table[key] = outcome\n",
+        "            hit = self.table[key] = self._distinct.setdefault(outcome, outcome)\n",
+        "            hit = self.table[key] = outcome\n",
         ("tests/test_harness.py",),
         "tests/test_harness.py::test_the_sweep_memo_keeps_one_object_per_distinct_outcome",
     ),
@@ -884,10 +885,20 @@ MUTANTS = (
     Mutant(
         "memo-never-hits",
         "harness.py",
-        "        hit = table.get(key)\n",
+        "        hit = self.table.get(key)\n",
         "        hit = None\n",
         ("tests/test_harness.py",),
         "tests/test_harness.py::test_the_sweep_runs_each_kernel_once_per_profile",
+    ),
+    # A memo rule's strategyproofness rows each run their kind's finder
+    # instead of reading the scan the memo keeps: three scans where one does.
+    Mutant(
+        "memo-scan-not-shared",
+        "harness.py",
+        "    if isinstance(rule, MemoRule):\n",
+        "    if False:\n",
+        ("tests/test_harness.py",),
+        "tests/test_harness.py::test_the_strategyproofness_rows_share_one_scan_per_agent",
     ),
     Mutant(
         "vacuous-unanimity-fails",

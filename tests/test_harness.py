@@ -1,16 +1,18 @@
 """Profile enumeration, scenario replay, and the classification sweep."""
 
+import gc
 import itertools
 import json
 import math
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
-from mudra import harness
+from mudra import harness, strategy
 from mudra.cli import main
 from mudra.efficiency import EfficiencyVerdict, sd_dominates
 from mudra.harness import (
@@ -49,7 +51,7 @@ from mudra.serialize import (
     canonical_dumps,
     profile_to_data,
 )
-from mudra.strategy import find_weak_sd_manipulation, first_manipulation
+from mudra.strategy import ManipulationKind, find_weak_sd_manipulation
 
 F = Fraction
 
@@ -153,33 +155,31 @@ def test_output_cache_keeps_instances_apart():
             assert memo is cache.callable(name) and memo(second) is outputs[1]
             both = memo.kernel(inst, first.ranked), KERNELS[RULES[name]](inst, first.ranked)
             assert len({RandomAssignment.from_numerators(inst, *pair) for pair in both}) == 1
-    tables = {name: set(table) for name, table in cache._outputs.items()}
+    tables = {name: set(cache.callable(name).table) for name in RULE_NAMES}
     assert tables == {name: {p.ranked for p in firsts} for name in RULE_NAMES}
 
 
 def test_output_cache_shares_a_scan_between_labellings(monkeypatch):
-    """A misreport scan is kept by rule name, `ranked` rows and the agent's
-    row, as outputs are, and holds no labels: two instances with the same
-    rows share it, and each names the witness on its own instance.  So does
-    a registered rule with no kernel of its own, which reads no labels."""
+    """A misreport scan is kept by the rule's memo, keyed by `ranked` rows
+    and the agent's row, as outputs are, and holds no labels: two instances
+    with the same rows share it, and each names the witness on its own
+    instance.  So does a registered rule with no kernel of its own, which
+    reads no labels."""
     square = canonical_instance(2, 4)
     letters = Instance(agents=("a", "b"), objects=("w", "x", "y", "z"), quota=2)
     renamed = dict(zip(square.objects, letters.objects))
     orders = (("o1", "o2", "o3", "o4"), ("o2", "o3", "o1", "o4"))
     first = PreferenceProfile(square, orders)
     second = PreferenceProfile(letters, tuple(tuple(map(renamed.get, o)) for o in orders))
-    cache = OutputCache()
-    assert cache.scan("ops", second, "a") is cache.scan("ops", first, "1")
-    for profile in (first, second):
-        found = first_manipulation(cache.callable("ops"), profile, "weak-sd", profile.instance.agents)
-        assert found is not None and found.truthful.instance == profile.instance
-        assert found == find_weak_sd_manipulation(ops, profile, profile.instance.agents[0])
-    monkeypatch.setitem(RULES, "ops", lambda profile: ops(profile))
-    cache = OutputCache()
-    assert cache.scan("ops", second, "a") is cache.scan("ops", first, "1")
-    for profile in (first, second):
-        found = first_manipulation(cache.callable("ops"), profile, "weak-sd", profile.instance.agents)
-        assert found == find_weak_sd_manipulation(ops, profile, profile.instance.agents[0])
+    for registered in (ops, lambda profile: ops(profile)):
+        monkeypatch.setitem(RULES, "ops", registered)
+        memo = OutputCache().callable("ops")
+        assert memo.scan(second, "a") is memo.scan(first, "1")
+        for profile in (first, second):
+            scan = memo.scan(profile, profile.instance.agents[0])
+            found = scan.manipulation(ManipulationKind.STRICT_SD, profile)
+            assert found is not None and found.truthful.instance == profile.instance
+            assert found == find_weak_sd_manipulation(ops, profile, profile.instance.agents[0])
 
 
 #: `RandomAssignment.from_numerators` calls and checked `PreferenceProfile`
@@ -273,7 +273,7 @@ def test_the_sweep_memo_keeps_one_object_per_distinct_outcome(monkeypatch):
     counts, caches, classify_filled = {}, [], harness.classify
 
     def counted_classify(instance, cells, cache):
-        tables = cache._outputs
+        tables = {name: cache.callable(name).table for name in RULE_NAMES}
         counts.update({name: len(set(map(id, table.values()))) for name, table in tables.items()})
         counts["all"] = len({id(value) for table in tables.values() for value in table.values()})
         caches.append(cache)
@@ -283,8 +283,8 @@ def test_the_sweep_memo_keeps_one_object_per_distinct_outcome(monkeypatch):
     table1_sweep(use_cache=False)
     assert counts == SWEEP_DISTINCT
     (cache,) = caches
-    for table in cache._outputs.values():
-        for numerators, denominator in table.values():
+    for name in RULE_NAMES:
+        for numerators, denominator in cache.callable(name).table.values():
             assert type(numerators) is tuple and type(denominator) is int
             assert all(type(row) is tuple and all(type(v) is int for v in row) for row in numerators)
 
@@ -299,6 +299,43 @@ def test_one_sweep_peaks_under_a_mebibyte():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+#: `strategy._scan` calls of one table1 sweep, each asked for all three
+#: individual kinds: the three strategyproofness rows of a rule share one
+#: scan per (profile, agent), which the rule's memo keeps.  Scanning each
+#: row's kind on its own would take 413 scans of one kind.
+SWEEP_SCANS = 157
+
+
+def test_the_strategyproofness_rows_share_one_scan_per_agent(monkeypatch):
+    asked, scan = [], strategy._scan
+
+    def counted_scan(rule, profile, coalition, kinds):
+        asked.append(frozenset(kinds))
+        return scan(rule, profile, coalition, kinds)
+
+    monkeypatch.setattr(strategy, "_scan", counted_scan)
+    table1_sweep(use_cache=False)
+    assert asked == [frozenset(ManipulationKind)] * SWEEP_SCANS
+
+
+def test_a_dropped_cache_is_freed_at_once():
+    """With the cyclic collector off, a cache that judged every table1 cell
+    on 3x3 c=1 is freed by `del`, and so is each of its memo rules: no
+    reference cycle holds them until a collection."""
+    cells = [(rule, name) for name in PROPERTY_NAMES for rule in RULE_NAMES]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cache = OutputCache()
+        classify(canonical_instance(3, 3), cells, cache)
+        refs = [weakref.ref(cache), *(weakref.ref(cache.callable(name)) for name in RULE_NAMES)]
+        del cache
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_one_walk_gives_every_cell_its_own_first_witness(main_profiles):
@@ -370,7 +407,7 @@ class TestCheckRuleProperty:
         cache = OutputCache()
         with pytest.raises(ValueError, match="unknown rule 'nosuch'"):
             check_rule_property("nosuch", "sd-efficiency", profile, cache)
-        assert not cache._outputs
+        assert not any(cache.callable(name).table for name in RULE_NAMES)
 
 
 PARITY_PROFILES = {

@@ -652,7 +652,8 @@ def test_a_memo_rule_is_scanned_through_the_memo_on_plain_rows(rule_name, monkey
     assert find_group_manipulation(memo, PAIR_PROFILE, ("1", "2")) is None
     orders = itertools.permutations(range(4))
     reports = {joint + PAIR_PROFILE.ranked[2:] for joint in itertools.product(orders, repeat=2)}
-    assert list(cache._outputs) == [rule_name] and set(cache._outputs[rule_name]) == reports
+    assert set(memo.table) == reports
+    assert not any(cache.callable(name).table for name in RULE_NAMES if name != rule_name)
     assert runs == [None] * len(reports)
     assert find_group_manipulation(memo, PAIR_PROFILE, ("1", "2")) is None
     assert len(runs) == len(reports)
