@@ -12,7 +12,6 @@ for exact enumeration), 3 input error (bad flags, malformed files).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -33,7 +32,6 @@ from mudra.harness import (
 )
 from mudra.model import (
     GuardExceeded,
-    PreferenceProfile,
     discrete_to_random,
     require_feasible,
 )
@@ -113,12 +111,6 @@ def _manipulation_data(m: Manipulation) -> dict:
         "truthful": assignment_to_data(m.truthful),
         "manipulated": assignment_to_data(m.manipulated),
     }
-
-
-def _nested(data, depth: int) -> str:
-    """The text of `data` in canonical_dumps, as it reads nested `depth`
-    levels deep: its lines after the first indented by 4 * `depth`."""
-    return canonical_dumps(data).rstrip("\n").replace("\n", "\n" + "    " * depth)
 
 
 def _echo_batched(chunks: Iterable[str], size: int = 2048) -> None:
@@ -397,24 +389,15 @@ def enumerate_cmd(n, m, as_json):
         profiles = enumerate_profiles(instance)
         if as_json:
             # The text of canonical_dumps on the whole listing (then echo's
-            # newline), one profile at a time; head and tail are those of a
-            # one-item listing.  A profile's text is that of its instance
-            # with each order's text, dumped once per order, in the place
-            # of its agent's null.
+            # newline), one profile at a time: head and tail are those of a
+            # one-item listing, and each profile's own text is indented to
+            # its place in the list.
             head, tail = canonical_dumps(
                 {"command": "enumerate", "count": count, "profiles": [0]}
             ).split("    0")
-            truthful = PreferenceProfile(instance, [instance.objects] * n)
-            template = {**profile_to_data(truthful), "preferences": dict.fromkeys(instance.agents)}
-            pieces = _nested(template, 1).split("null")
-
-            @functools.cache
-            def order_text(order):
-                return _nested(list(order), 2)
-
             items = (
                 ("    " if index == 0 else ",\n    ")
-                + "".join(itertools.chain(*zip(pieces, map(order_text, p.orders)), pieces[-1:]))
+                + canonical_dumps(profile_to_data(p)).rstrip("\n").replace("\n", "\n    ")
                 for index, p in enumerate(profiles)
             )
             _echo_batched(itertools.chain([head], items, [tail, "\n"]))

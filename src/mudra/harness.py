@@ -18,9 +18,9 @@ preference-profile domains.  The main entry points are
 Every sweep check reads the rules through an :class:`OutputCache`, which
 holds one :class:`MemoRule` per rule name: the rule's kernel, assignments
 and misreport scans, each memoised.  Only this module knows the memo: a
-check of a memo rule's strategyproofness reads the scan it keeps, which
-the three kinds share, and `strategy` and `fairness` see a rule that
-carries a `kernel`.
+strategyproofness check reads the scan its memo rule keeps, which the
+three kinds share, and `strategy` and `fairness` see a rule that carries
+a `kernel`.
 
 Everything is deterministic: profiles are enumerated in a fixed canonical
 order and all searches return the first witness in that order.
@@ -81,7 +81,6 @@ from mudra.strategy import (
     Scan,
     find_group_manipulation,
     find_weak_sd_manipulation,
-    first_manipulation,
     individual_scan,
 )
 
@@ -323,14 +322,13 @@ def _symmetry(agents, profile, output, rule):
 
 
 def _no_manipulation(kind, profile, output, rule) -> tuple[bool, dict | None]:
-    """A memo rule answers from its scan of each agent (`MemoRule.scan`),
-    which the three kinds share; any other rule runs the kind's finder."""
+    """The first agent's `kind` witness, read from the rule's scan of each
+    agent (`MemoRule.scan`), which the three kinds share.  `rule` is the
+    memo rule that `check_rule_property` passes, the registry's only
+    caller of this checker."""
     agents = profile.instance.agents
-    if isinstance(rule, MemoRule):
-        firsts = (rule.scan(profile, agent).manipulation(KINDS[kind], profile) for agent in agents)
-        found = next((first for first in firsts if first is not None), None)
-    else:
-        found = first_manipulation(rule, profile, kind, agents)
+    firsts = (rule.scan(profile, agent).manipulation(KINDS[kind], profile) for agent in agents)
+    found = next((first for first in firsts if first is not None), None)
     if found is None:
         return True, None
     (agent,) = found.coalition

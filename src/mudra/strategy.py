@@ -39,8 +39,9 @@ on every report; any other rule (a call counter, a traced rule) runs on
 every report, on a profile of the report.
 
 `FINDERS` maps each individual kind to its finder, and `first_manipulation`
-is the one first-agent search behind `mudra manipulate` and the property
-registry's strategyproofness checks of a rule the sweep does not memoise.
+is the first-agent search behind `mudra manipulate`.  The property
+registry's strategyproofness checks read `individual_scan`s instead, which
+the sweep's memo rules keep (`harness.MemoRule.scan`).
 """
 
 from __future__ import annotations
@@ -426,7 +427,7 @@ def first_manipulation(
     rule: Rule, profile: PreferenceProfile, kind: str, agents: Sequence[str]
 ) -> Manipulation | None:
     """The `kind` manipulation of the first of `agents` that has one, found
-    by the kind's finder."""
+    by the kind's finder: `mudra manipulate`'s search for one kind."""
     for agent in agents:
         found = FINDERS[kind](rule, profile, agent)
         if found is not None:

@@ -890,13 +890,13 @@ MUTANTS = (
         ("tests/test_harness.py",),
         "tests/test_harness.py::test_the_sweep_runs_each_kernel_once_per_profile",
     ),
-    # A memo rule's strategyproofness rows each run their kind's finder
+    # A memo rule's strategyproofness rows each run a scan of their own
     # instead of reading the scan the memo keeps: three scans where one does.
     Mutant(
         "memo-scan-not-shared",
         "harness.py",
-        "    if isinstance(rule, MemoRule):\n",
-        "    if False:\n",
+        "rule.scan(profile, agent)",
+        "individual_scan(rule, profile, agent)",
         ("tests/test_harness.py",),
         "tests/test_harness.py::test_the_strategyproofness_rows_share_one_scan_per_agent",
     ),
@@ -1056,11 +1056,12 @@ MUTANTS = (
         SERIALIZE_TESTS,
         "tests/test_serialize.py::TestAssignmentSchema::test_round_trip",
     ),
+    # Each profile of the streamed JSON listing loses its closing brace.
     Mutant(
         "enumerate-drops-the-closing-piece",
         "cli.py",
-        '"".join(itertools.chain(*zip(pieces, map(order_text, p.orders)), pieces[-1:]))',
-        '"".join(itertools.chain(*zip(pieces, map(order_text, p.orders))))',
+        'canonical_dumps(profile_to_data(p)).rstrip("\\n")',
+        'canonical_dumps(profile_to_data(p)).rstrip("\\n").rpartition("\\n")[0]',
         ("tests/test_cli.py",),
         "tests/test_cli.py::TestEnumerate::test_json",
     ),

@@ -603,7 +603,9 @@ def test_violation_count_of_every_table1_cell(sweep_data, table1_cells):
             not record["rules"][rule]["anonymity"][0] for record in sweep_data
         )
         # Neutral at every orbit representative is neutral on the whole
-        # domain (see `classify`), so a neutrality cell that held counts 0.
+        # domain (see `classify`), so a neutrality cell that held counts 0;
+        # `test_classify_equals_the_unreduced_walk[2x4c2]` checks every
+        # profile of this domain for neutrality without that reduction.
         cell = table1_cells[rule, "neutrality"]
         assert cell.observed == "supported-by-sweep", rule
         counts["neutrality", rule] = 0
@@ -723,6 +725,7 @@ class TestOrbitReduction:
     @pytest.mark.parametrize(
         "n, m, stand_in, properties",
         [
+            pytest.param(2, 4, None, PROPERTY_NAMES, id="2x4c2"),
             pytest.param(3, 3, None, PROPERTY_NAMES, id="3x3c1"),
             pytest.param(2, 4, mps_if_o1_first, ("neutrality", "unanimity"), id="not-neutral"),
             pytest.param(
